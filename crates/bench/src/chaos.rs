@@ -24,7 +24,7 @@ use mvtee::config::{DegradationPolicy, MvxConfig, PartitionMvx, RecoveryPolicy, 
 use mvtee::deployment::Deployment;
 use mvtee::MonitorEvent;
 use mvtee_faults::{
-    BitFlipFault, BitFlipStrategy, ChannelFault, ChannelFaultMode, LivenessFault, StallFault,
+    BitFlipFault, BitFlipStrategy, ChannelFault, ChannelFaultMode, FaultDescriptor, StallFault,
     StallMode,
 };
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
@@ -190,9 +190,9 @@ fn run_storm(cfg: &ChaosConfig, index: u64, events_out: &mut (usize, usize)) -> 
     let model = zoo::build(kind, cfg.profile, scenario_seed).map_err(|e| e.to_string())?;
     let mut d = Deployment::builder(model)
         .config(mvx)
-        .weight_fault(p_flip, 0, flip)
-        .liveness_fault(p_stall, v_stall, LivenessFault::Stall(stall))
-        .liveness_fault(p_chan, v_chan, LivenessFault::Channel(chan))
+        .fault(FaultDescriptor::WeightBitFlip(flip), Some((p_flip, 0)))
+        .fault(FaultDescriptor::Stall(stall), Some((p_stall, v_stall)))
+        .fault(FaultDescriptor::Channel(chan), Some((p_chan, v_chan)))
         .build()
         .map_err(|e| e.to_string())?;
 

@@ -18,7 +18,7 @@ use crate::sim::{simulate, Composition, SimResult, SyncMode};
 use crate::table::{pct, ratio, Table};
 use mvtee::config::{ExecMode, MvxConfig, PathMode, ResponsePolicy, VotingPolicy};
 use mvtee::deployment::{Deployment, SpecPatch};
-use mvtee_faults::{Attack, BitFlipStrategy, CveClass, FrameFlip};
+use mvtee_faults::{Attack, BitFlipStrategy, CveClass, FaultDescriptor, FrameFlip};
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_runtime::{BlasKind, EngineConfig, EngineKind};
 use std::collections::HashMap;
@@ -431,7 +431,7 @@ fn run_cve_trial(model_kind: ModelKind, class: CveClass, defender: &SpecPatch) -
         .spec_patch(1, 1, defender.clone())
         .response(ResponsePolicy::Halt)
         .voting(VotingPolicy::Unanimous)
-        .attack(Attack::new(class))
+        .fault(FaultDescriptor::Cve(Attack::new(class)), None)
         .build()
         .expect("deployment builds");
     let result = d.infer(&input);
@@ -449,7 +449,7 @@ fn undefended_outcome(model_kind: ModelKind, class: CveClass) -> String {
     let input = crate::costs::model_input(&model);
     let mut d = Deployment::builder(model)
         .partitions(2)
-        .attack(Attack::new(class))
+        .fault(FaultDescriptor::Cve(Attack::new(class)), None)
         .build()
         .expect("deployment builds");
     let result = d.infer(&input);
@@ -480,7 +480,7 @@ pub fn security_faults(s: &Settings) -> Table {
         .mvx_on_partition(1, 2)
         .engine_override(1, 1, EngineConfig::of_kind(EngineKind::OrtLike).with_blas(BlasKind::Strided))
         .response(ResponsePolicy::Halt)
-        .frameflip(FrameFlip::against(BlasKind::Blocked))
+        .fault(FaultDescriptor::BlasFault(FrameFlip::against(BlasKind::Blocked)), None)
         .build()
         .expect("deployment builds");
     let r = d.infer(&input);

@@ -33,7 +33,9 @@ use mvtee::transcript::verify_transcript;
 use mvtee::{DegradationPolicy, Deployment, MonitorEvent, MvxError};
 use mvtee_crypto::channel::{memory_pair, Handshake, Role, SecureChannel};
 use mvtee_crypto::CryptoError;
-use mvtee_faults::{FaultDirection, FaultyTransport, NetFault, NetFaultClass};
+use mvtee_faults::{
+    FaultDescriptor, FaultDirection, FaultyTransport, NetFault, NetFaultClass,
+};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -687,7 +689,7 @@ fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Stor
         .config(cfg.clone())
         .partition_seed(s.seed)
         .variant_seed(s.seed)
-        .net_fault(MVX_PARTITION, 0, fault)
+        .fault(FaultDescriptor::Net(fault), Some((MVX_PARTITION, 0)))
         .build()?;
 
     let mut storm = Storm {
@@ -895,7 +897,7 @@ fn run_reconnect_probe(s: &NetchaosSettings) -> ReconnectProbe {
     .partition_seed(s.seed)
     .variant_seed(s.seed)
     .out_of_process(MVX_PARTITION, 0)
-    .net_fault(MVX_PARTITION, 0, fault)
+    .fault(FaultDescriptor::Net(fault), Some((MVX_PARTITION, 0)))
     .build()
     {
         Ok(d) => d,

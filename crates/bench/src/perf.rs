@@ -13,12 +13,12 @@
 //! selections so `BENCH_runtime.json` records which kernel the autotuner
 //! picked for each shape class.
 //!
-//! Timings here are manual [`Instant`]-based sampling (the vendored
-//! criterion is a stub): each configuration runs a few warm-up inferences
-//! and then `iterations` timed ones; quantiles are read from the sorted
-//! sample vector. On single-core CI hosts the speedup column will hover
-//! near (or below) 1× — the bitwise-equality gate is the invariant, the
-//! latency numbers are the recorded trajectory.
+//! Timings here are manual [`Instant`]-based sampling: each configuration
+//! runs a few warm-up inferences and then `iterations` timed ones;
+//! quantiles are read from the sorted sample vector. On hosts with one or
+//! two cores the speedup column will hover near (or below) 1× — the
+//! bitwise-equality gate is the invariant, the latency numbers are the
+//! recorded trajectory.
 
 use crate::costs::model_input;
 use crate::table::Table;

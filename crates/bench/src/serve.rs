@@ -24,7 +24,7 @@
 
 use mvtee::config::{DegradationPolicy, MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::Deployment;
-use mvtee_faults::{LivenessFault, StallFault, StallMode};
+use mvtee_faults::{FaultDescriptor, StallFault, StallMode};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{QueueStats, RequestOutcome, ServeConfig, ServeFrontend, ReplicaPool};
 use mvtee_tensor::Tensor;
@@ -352,7 +352,7 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
     // watchdog quarantines a variant mid-burst and the recovery manager
     // rejoins it while the pool serves.
     let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let stall = LivenessFault::Stall(StallFault { from_batch: 2, mode: StallMode::Hang });
+    let stall = FaultDescriptor::Stall(StallFault { from_batch: 2, mode: StallMode::Hang });
     let inject = s.inject_recovery;
     let deployments = Deployment::builder(model)
         .config(serve_mvx())
@@ -360,7 +360,7 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
         .variant_seed(s.seed)
         .build_many_with(s.replicas, move |r, b| {
             if inject && r == 0 {
-                b.liveness_fault(1, 0, stall)
+                b.fault(stall.clone(), Some((1, 0)))
             } else {
                 b
             }

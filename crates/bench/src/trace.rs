@@ -22,7 +22,7 @@
 use mvtee::config::{DegradationPolicy, MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::transcript::verify_transcript;
 use mvtee::Deployment;
-use mvtee_faults::{BitFlipFault, BitFlipStrategy};
+use mvtee_faults::{BitFlipFault, BitFlipStrategy, FaultDescriptor};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{ReplicaPool, RequestOutcome, ServeConfig, ServeFrontend};
 use mvtee_telemetry::trace::{self, FlightDump, TraceEvent};
@@ -295,7 +295,13 @@ fn run_divergence_probe(s: &TraceSettings) -> DivergenceProbe {
         .config(trace_mvx())
         .partition_seed(s.seed)
         .variant_seed(s.seed)
-        .build_many_with(2, move |r, b| if r == 0 { b.weight_fault(1, 0, flip) } else { b })
+        .build_many_with(2, move |r, b| {
+            if r == 0 {
+                b.fault(FaultDescriptor::WeightBitFlip(flip), Some((1, 0)))
+            } else {
+                b
+            }
+        })
         .expect("probe pool builds");
     let pool = ReplicaPool::new(MODEL_KEY, deployments).expect("pool wraps deployments");
     let frontend = ServeFrontend::start(vec![pool], ServeConfig::default());

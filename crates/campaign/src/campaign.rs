@@ -184,26 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_feeds_telemetry() {
-        let before = mvtee_telemetry::snapshot();
-        let report = run_campaign(&CampaignConfig::new(19, 2));
-        let after = mvtee_telemetry::snapshot();
-        let delta = |name: &str| {
-            after.counters.get(name).copied().unwrap_or(0)
-                - before.counters.get(name).copied().unwrap_or(0)
-        };
-        assert_eq!(delta("campaign.scenarios"), 2);
-        let outcomes = delta("campaign.detected")
-            + delta("campaign.crashed")
-            + delta("campaign.masked")
-            + delta("campaign.recovered")
-            + delta("campaign.degraded")
-            + delta("campaign.missed");
-        assert_eq!(outcomes, 2);
-        assert_eq!(report.records.len(), 2);
-    }
-
-    #[test]
     fn recovery_metrics_are_registered_even_when_untouched() {
         run_campaign(&CampaignConfig::new(23, 1));
         let snap = mvtee_telemetry::snapshot();

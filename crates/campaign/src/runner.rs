@@ -20,7 +20,7 @@ use mvtee::{
     PartitionMvx, PathMode, RecoveryPolicy, ResponsePolicy, SpecPatch,
 };
 use mvtee_faults::cve::InputTrigger;
-use mvtee_faults::{flip_weight_bits, Attack, FaultDescriptor, LivenessFault, NetFaultClass};
+use mvtee_faults::{flip_weight_bits, Attack, FaultDescriptor, NetFaultClass};
 use mvtee_graph::zoo::{self, Model, ScaleProfile};
 use mvtee_graph::ValueId;
 use mvtee_runtime::{Engine, EngineConfig, EngineKind};
@@ -266,6 +266,13 @@ pub fn scenario_config(sc: &Scenario) -> MvxConfig {
     cfg
 }
 
+/// Where the scenario's fault strikes: panel variant 0 of the MVX
+/// partition for the per-variant families, nowhere in particular for the
+/// platform-wide ones.
+fn fault_site(sc: &Scenario) -> Option<(usize, usize)> {
+    (!sc.fault.platform_wide()).then_some((sc.mvx_partition, 0))
+}
+
 /// Runs one scenario through the real threaded pipeline and classifies
 /// the outcome against the detection invariant.
 ///
@@ -293,21 +300,10 @@ pub fn run_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome, Str
     for ((p, v), patch) in &overrides {
         builder = builder.spec_patch(*p, *v, patch.clone());
     }
-    builder = match &sc.fault {
-        FaultDescriptor::Cve(attack) => builder.attack(*attack),
-        FaultDescriptor::BlasFault(ff) => builder.frameflip(ff.clone()),
-        FaultDescriptor::WeightBitFlip(fault) => {
-            builder.weight_fault(sc.mvx_partition, 0, *fault)
-        }
-        FaultDescriptor::Stall(f) => {
-            builder.liveness_fault(sc.mvx_partition, 0, LivenessFault::Stall(*f))
-        }
-        FaultDescriptor::Channel(f) => {
-            builder.liveness_fault(sc.mvx_partition, 0, LivenessFault::Channel(*f))
-        }
-        FaultDescriptor::Net(nf) => builder.net_fault(sc.mvx_partition, 0, *nf),
-    };
-    let mut d = builder.build().map_err(|e| e.to_string())?;
+    let mut d = builder
+        .fault(sc.fault.clone(), fault_site(sc))
+        .build()
+        .map_err(|e| e.to_string())?;
     // One batch: the campaign asserts detection at the first checkpoint,
     // so a single traversal exercises the full invariant.
     let _ = d.infer(&input);
@@ -349,11 +345,6 @@ fn liveness_input(sc: &Scenario, model: &Model, batch: u64) -> Tensor {
 /// the panel either returns to full strength ([`Outcome::Recovered`]) or
 /// degrades gracefully ([`Outcome::DegradedButCorrect`]).
 fn run_liveness_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome, String> {
-    let fault = match &sc.fault {
-        FaultDescriptor::Stall(f) => LivenessFault::Stall(*f),
-        FaultDescriptor::Channel(f) => LivenessFault::Channel(*f),
-        other => return Err(format!("not a liveness fault: {other}")),
-    };
     let cfg = scenario_config(sc);
     let overrides = scenario_overrides(sc);
     let build = |model| {
@@ -378,7 +369,7 @@ fn run_liveness_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
 
     let faulted_model = zoo::build(sc.model, profile, sc.seed).map_err(|e| e.to_string())?;
     let mut d = build(faulted_model)
-        .liveness_fault(sc.mvx_partition, 0, fault)
+        .fault(sc.fault.clone(), fault_site(sc))
         .build()
         .map_err(|e| e.to_string())?;
 
@@ -502,7 +493,7 @@ fn run_netfault_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
 
     let faulted_model = zoo::build(sc.model, profile, sc.seed).map_err(|e| e.to_string())?;
     let mut d = build(faulted_model)
-        .net_fault(sc.mvx_partition, 0, nf)
+        .fault(sc.fault.clone(), fault_site(sc))
         .build()
         .map_err(|e| e.to_string())?;
 

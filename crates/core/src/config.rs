@@ -281,10 +281,10 @@ pub struct MvxConfig {
     /// Whether inter-TEE traffic is encrypted (disabled only by the
     /// overhead-measurement baseline of Fig 10).
     pub encrypt: bool,
-    /// Per-partition checkpoint deadline in ms: how long a stage
-    /// coordinator waits for panel outputs before the straggler watchdog
-    /// escalates (timeout → late dissent → quarantine). Replaces the old
-    /// hardcoded 30 s `RESPONSE_TIMEOUT`.
+    /// Per-partition checkpoint deadline in ms: how long, measured from
+    /// dispatch, a stage coordinator waits for panel outputs before the
+    /// straggler watchdog escalates (timeout → late dissent → quarantine).
+    /// Replaces the old hardcoded 30 s `RESPONSE_TIMEOUT`.
     pub checkpoint_deadline_ms: u64,
     /// Total window in ms spent draining straggler responses after a
     /// quorum was forwarded in async cross-validation mode.

@@ -44,7 +44,7 @@ use mvtee_diversify::spec::spread_specs;
 use mvtee_telemetry::trace::TraceCtx;
 use mvtee_tensor::metrics::Metric;
 use mvtee_diversify::{VariantGenerator, VariantId, VariantSpec};
-use mvtee_faults::{flip_weight_bits, Attack, BitFlipFault, FrameFlip, LivenessFault, NetFault};
+use mvtee_faults::{flip_weight_bits, BitFlipFault, FaultDescriptor, LivenessFault, NetFault};
 use mvtee_graph::zoo::Model;
 use mvtee_graph::{Graph, ValueId};
 use mvtee_partition::{PartitionPool, PartitionSet, Partitioner, PoolConfig};
@@ -486,6 +486,31 @@ pub struct BindingRecord {
     pub measurement: [u8; 32],
 }
 
+/// A simulated fault and, for the per-variant families, the
+/// `(partition, variant)` it strikes.
+type PlacedFault = (FaultDescriptor, Option<(usize, usize)>);
+
+/// The host and wire faults the variant at `at` launches with: every
+/// platform-wide fault plus the per-variant ones placed there (`None`:
+/// the platform-wide ones alone — what a replacement inherits).
+fn faults_at(faults: &[PlacedFault], at: Option<(usize, usize)>) -> (HostFaults, Option<NetFault>) {
+    let mut host = HostFaults::default();
+    let mut net = None;
+    for (fault, placed) in faults {
+        match fault {
+            FaultDescriptor::Cve(attack) => host.attack = Some(*attack),
+            FaultDescriptor::BlasFault(frameflip) => host.frameflip = Some(frameflip.clone()),
+            _ if *placed != at => {}
+            FaultDescriptor::Stall(stall) => host.liveness = Some(LivenessFault::Stall(*stall)),
+            FaultDescriptor::Channel(chan) => host.liveness = Some(LivenessFault::Channel(*chan)),
+            FaultDescriptor::Net(fault) => net = Some(*fault),
+            // Sealed into the payload offline, not a launch-time fault.
+            FaultDescriptor::WeightBitFlip(_) => {}
+        }
+    }
+    (host, net)
+}
+
 /// Builder for [`Deployment`].
 #[derive(Clone)]
 pub struct DeploymentBuilder {
@@ -493,11 +518,7 @@ pub struct DeploymentBuilder {
     config: MvxConfig,
     variant_seed: u64,
     overrides: HashMap<(usize, usize), SpecPatch>,
-    weight_faults: HashMap<(usize, usize), BitFlipFault>,
-    liveness_faults: HashMap<(usize, usize), LivenessFault>,
-    net_faults: HashMap<(usize, usize), NetFault>,
-    attack: Option<Attack>,
-    frameflip: Option<FrameFlip>,
+    faults: Vec<PlacedFault>,
     tee_kind_default: TeeKind,
     pool_config: Option<PoolConfig>,
     slow_tvm_partitions: Vec<usize>,
@@ -560,11 +581,7 @@ impl DeploymentBuilder {
             config: MvxConfig::fast_path(2),
             variant_seed: 0xd1ce,
             overrides: HashMap::new(),
-            weight_faults: HashMap::new(),
-            liveness_faults: HashMap::new(),
-            net_faults: HashMap::new(),
-            attack: None,
-            frameflip: None,
+            faults: Vec::new(),
             tee_kind_default: TeeKind::Sgx,
             pool_config: None,
             slow_tvm_partitions: Vec::new(),
@@ -706,42 +723,23 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Seals weight bit flips into one variant's payload (a model-memory
-    /// fault local to that TEE; see [`OfflinePhase::run_with_options`]).
-    pub fn weight_fault(mut self, partition: usize, variant: usize, fault: BitFlipFault) -> Self {
-        self.weight_faults.insert((partition, variant), fault);
-        self
-    }
-
-    /// Injects a liveness fault (stall or lossy channel) into one variant
-    /// host — the straggler-watchdog and recovery exercise path.
-    pub fn liveness_fault(mut self, partition: usize, variant: usize, fault: LivenessFault) -> Self {
-        self.liveness_faults.insert((partition, variant), fault);
-        self
-    }
-
-    /// Injects a deterministic wire fault into one variant's network
-    /// path (the adversarial-transport exercise path). Unlike the host
-    /// faults this models the *network between* monitor and variant, so
-    /// it is legal for both placements: in-process it wraps the
-    /// variant's response transport, out-of-process the whole worker
-    /// connection (heartbeat frames exempt from one-shot faults).
-    /// Transient like a liveness fault — replacements provisioned by the
-    /// recovery manager get a fresh, clean connection.
-    pub fn net_fault(mut self, partition: usize, variant: usize, fault: NetFault) -> Self {
-        self.net_faults.insert((partition, variant), fault);
-        self
-    }
-
-    /// Injects a simulated CVE attack on every variant host.
-    pub fn attack(mut self, attack: Attack) -> Self {
-        self.attack = Some(attack);
-        self
-    }
-
-    /// Injects a simulated platform-wide FrameFlip.
-    pub fn frameflip(mut self, frameflip: FrameFlip) -> Self {
-        self.frameflip = Some(frameflip);
+    /// Injects one simulated fault. The per-variant families strike the
+    /// `(partition, variant)` named by `at`: weight bit flips are sealed
+    /// into that variant's payload (see
+    /// [`OfflinePhase::run_with_options`]); a stall or lossy channel hits
+    /// its host (the straggler-watchdog and recovery exercise path); a
+    /// wire fault hits the *network between* monitor and variant, so it
+    /// is legal for both placements — in-process it wraps the variant's
+    /// response transport, out-of-process the whole worker connection
+    /// (heartbeat frames exempt from one-shot faults). Host and wire
+    /// faults are transient: replacements provisioned by the recovery
+    /// manager start clean. The platform-wide families (a CVE exploit, a
+    /// FrameFlip) are on every variant host and take `at: None`. A fault
+    /// whose family and `at` disagree fails [`build`](Self::build); a
+    /// later fault of the same family at the same place replaces an
+    /// earlier one.
+    pub fn fault(mut self, fault: FaultDescriptor, at: Option<(usize, usize)>) -> Self {
+        self.faults.push((fault, at));
         self
     }
 
@@ -789,6 +787,22 @@ impl DeploymentBuilder {
                 );
             }
         }
+        let mut weight_faults = HashMap::new();
+        for (fault, at) in &self.faults {
+            if fault.platform_wide() == at.is_some() {
+                return Err(MvxError::InvalidConfig(format!(
+                    "fault {fault} is {}",
+                    if at.is_some() {
+                        "platform-wide and takes no (partition, variant)"
+                    } else {
+                        "per-variant and needs a (partition, variant)"
+                    }
+                )));
+            }
+            if let (FaultDescriptor::WeightBitFlip(flip), Some(at)) = (fault, at) {
+                weight_faults.insert(*at, *flip);
+            }
+        }
         let pool = match &self.pool_config {
             Some(cfg) => Some(
                 PartitionPool::build(&self.model.graph, cfg, self.config.partition_seed)
@@ -802,16 +816,13 @@ impl DeploymentBuilder {
             self.variant_seed,
             &self.overrides,
             pool.as_ref(),
-            &self.weight_faults,
+            &weight_faults,
         )?;
         let mut deployment = Deployment::bring_online(
             self.model,
             self.config,
             offline,
-            self.attack,
-            self.frameflip,
-            self.liveness_faults,
-            self.net_faults,
+            self.faults,
             self.tee_kind_default,
             self.placements,
             self.worker_bin,
@@ -890,10 +901,7 @@ pub struct Deployment {
     next_batch: u64,
     input_value: ValueId,
     output_value: ValueId,
-    attack: Option<Attack>,
-    frameflip: Option<FrameFlip>,
-    liveness_faults: HashMap<(usize, usize), LivenessFault>,
-    net_faults: HashMap<(usize, usize), NetFault>,
+    faults: Vec<PlacedFault>,
     tee_kind_default: TeeKind,
     placements: HashMap<(usize, usize), VariantPlacement>,
     worker_bin: Option<PathBuf>,
@@ -949,15 +957,11 @@ impl Deployment {
         DeploymentBuilder::new(model)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn bring_online(
         model: Model,
         config: MvxConfig,
         offline: OfflinePhase,
-        attack: Option<Attack>,
-        frameflip: Option<FrameFlip>,
-        liveness_faults: HashMap<(usize, usize), LivenessFault>,
-        net_faults: HashMap<(usize, usize), NetFault>,
+        faults: Vec<PlacedFault>,
         tee_kind_default: TeeKind,
         placements: HashMap<(usize, usize), VariantPlacement>,
         worker_bin: Option<PathBuf>,
@@ -997,10 +1001,7 @@ impl Deployment {
             next_batch: 0,
             input_value,
             output_value,
-            attack,
-            frameflip,
-            liveness_faults,
-            net_faults,
+            faults,
             tee_kind_default,
             placements,
             worker_bin,
@@ -1039,6 +1040,7 @@ impl Deployment {
         // quarantines turn into re-provisioning requests.
         let recovery_tx: Option<Sender<RecoveryRequest>> = if self.config.recovery.enabled {
             let (tx, rx) = unbounded::<RecoveryRequest>();
+            let (platform_faults, _) = faults_at(&self.faults, None);
             let ctx = RecoveryContext {
                 platform: self.platform.clone(),
                 init_code: self.offline.init_code.clone(),
@@ -1051,8 +1053,8 @@ impl Deployment {
                     .collect(),
                 metrics: self.config.claims.iter().map(|c| c.metric).collect(),
                 encrypt: self.config.encrypt,
-                attack: self.attack,
-                frameflip: self.frameflip.clone(),
+                attack: platform_faults.attack,
+                frameflip: platform_faults.frameflip,
                 tee_kind_default: self.tee_kind_default,
                 placements: self.placements.clone(),
                 worker_bin: self.worker_bin.clone(),
@@ -1094,6 +1096,7 @@ impl Deployment {
                 };
                 let placement =
                     self.placements.get(&(p, v)).copied().unwrap_or_default();
+                let (host_faults, net_fault) = faults_at(&self.faults, Some((p, v)));
                 let placed = place_variant(
                     placement,
                     self.worker_bin.as_deref(),
@@ -1104,12 +1107,8 @@ impl Deployment {
                     &self.offline.init_code,
                     &artifact,
                     self.config.encrypt,
-                    HostFaults {
-                        attack: self.attack,
-                        frameflip: self.frameflip.clone(),
-                        liveness: self.liveness_faults.get(&(p, v)).cloned(),
-                    },
-                    self.net_faults.get(&(p, v)).copied(),
+                    host_faults,
+                    net_fault,
                     &self.config.supervision,
                     Some(&self.worker_registry),
                 )?;

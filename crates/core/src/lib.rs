@@ -64,6 +64,7 @@ pub mod voting;
 pub mod worker;
 
 mod error;
+mod stage;
 
 pub use config::{
     DegradationPolicy, ExecMode, MvxConfig, PartitionMvx, PathMode, RecoveryPolicy,

@@ -11,13 +11,14 @@
 //! (compute-communication overlapping, §4.1).
 
 use crate::config::{DegradationPolicy, ExecMode, MvxConfig, ResponsePolicy, VotingPolicy};
-use crate::events::{EventLog, MonitorEvent};
+use crate::events::EventLog;
 use crate::link::DataLink;
 use crate::messages::{decode, encode, StageRequest, StageResponse};
-use crate::recovery::{RecoveryRequest, ResyncPoint};
-use crate::transcript::{payload_digest, TranscriptEntry, TranscriptLog, TranscriptVerdict};
-use crate::voting::{evaluate, has_quorum, VariantOutput, Verdict};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::recovery::RecoveryRequest;
+use crate::stage::{step, Action, Event, Path, Sink, StageConfig, StageState};
+use crate::transcript::TranscriptLog;
+use crate::voting::VariantOutput;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use mvtee_graph::ValueId;
 use mvtee_telemetry::trace::{self, TraceCtx};
 use mvtee_tensor::metrics::Metric;
@@ -208,54 +209,36 @@ pub fn spawn_rx_thread(
         .expect("thread spawn cannot fail")
 }
 
-struct Outstanding {
-    chosen: Vec<Tensor>,
-    remaining: HashSet<usize>,
-}
-
-/// Quarantines a variant: marks it dead, bumps its channel epoch (so
-/// stale pre-quarantine frames are discarded) and, when a recovery
-/// manager is wired, emits [`MonitorEvent::Quarantined`] and files a
-/// re-provisioning request carrying the last verified checkpoint payload.
-#[allow(clippy::too_many_arguments)]
-fn quarantine(
-    dead: &mut [bool],
-    epochs: &mut [u64],
-    events: &EventLog,
-    recovery: Option<&Sender<RecoveryRequest>>,
-    merged_tx: &Sender<RxEvent>,
-    last_verified: &Option<ResyncPoint>,
-    partition: usize,
-    variant: usize,
+/// The effectful half of a coordinator: owns the channels, links, clock,
+/// telemetry and trace spans; turns channel traffic into [`Event`]s and
+/// performs the [`Action`]s [`step`] answers with. It decides nothing.
+struct Shell {
+    runtime: StageRuntime,
+    out_tx: Sender<StageJob>,
+    events: EventLog,
+    // Fetched and formatted once: recording is lock-free afterwards.
+    checkpoint_latency: mvtee_telemetry::Histogram,
+    fast_path: mvtee_telemetry::Counter,
+    slow_path: mvtee_telemetry::Counter,
+    span_name: String,
+    track: String,
+    /// The job in hand until its `Forward`, and its batch id.
+    job: Option<StageJob>,
     batch: u64,
-    reason: &str,
-) {
-    if dead[variant] {
-        return;
-    }
-    dead[variant] = true;
-    epochs[variant] += 1;
-    let Some(tx) = recovery else { return };
-    events.record(MonitorEvent::Quarantined {
-        partition,
-        variant,
-        batch,
-        reason: reason.to_string(),
-    });
-    let _ = tx.send(RecoveryRequest {
-        partition,
-        variant,
-        epoch: epochs[variant],
-        reason: reason.to_string(),
-        resync: last_verified.clone(),
-        merged_tx: merged_tx.clone(),
-    });
+    /// The open checkpoint: latency timer (dispatch through selection),
+    /// trace span, and the dispatch instant the watchdog counts from.
+    checkpoint: Option<(mvtee_telemetry::Span, trace::SpanGuard<'static>, Instant)>,
+    /// Request links a dispatch found closed, fed back after the step.
+    send_failed: Vec<Event>,
+    /// The replacement carried by the `Recovered` event being stepped.
+    offered: Option<(VariantLink, JoinHandle<()>)>,
+    downstream_gone: bool,
 }
 
 /// The coordinator loop for one stage. Returns the runtime when stopped so
 /// the deployment can reuse or update it.
 pub fn run_stage(
-    mut runtime: StageRuntime,
+    runtime: StageRuntime,
     policy: StagePolicy,
     metric: Metric,
     in_rx: Receiver<CoordMsg>,
@@ -263,836 +246,178 @@ pub fn run_stage(
     events: EventLog,
 ) -> StageRuntime {
     let partition = runtime.partition;
-    let full_strength = runtime.links.len();
-    let mut dead: Vec<bool> = vec![false; full_strength];
-    let mut epochs: Vec<u64> = vec![0; full_strength];
-    let mut outstanding: HashMap<u64, Outstanding> = HashMap::new();
-    let mut pending_reaction: Option<String> = None;
-    // Inputs + outputs of the newest checkpoint that verified — the
-    // resynchronisation payload a recovered variant must reproduce
-    // during probation before rejoining mid-stream.
-    let mut last_verified: Option<ResyncPoint> = None;
-
-    // Telemetry handles fetched once; recording is lock-free after this.
-    let checkpoint_latency = mvtee_telemetry::histogram(&format!(
-        "core.pipeline.p{partition}.checkpoint_latency_ns"
-    ));
-    let queue_depth =
-        mvtee_telemetry::gauge(&format!("core.pipeline.p{partition}.queue_depth"));
-    let fast_path = mvtee_telemetry::counter("core.voting.fast_path");
-    let slow_path = mvtee_telemetry::counter("core.voting.slow_path");
-    // Trace names formatted once; a disabled recorder then costs one
-    // relaxed load per batch.
-    let tracer = trace::recorder();
-    let ck_span_name = format!("core.p{partition}.checkpoint");
-    let ck_track = format!("p{partition}");
-
-    'jobs: while let Ok(msg) = in_rx.recv() {
-        let mut job = match msg {
-            CoordMsg::Stop => break,
-            CoordMsg::Job(job) => job,
-        };
+    let mut state = StageState::new(StageConfig {
+        partition,
+        variants: runtime.links.len(),
+        outputs: runtime.outputs.len(),
+        slow: runtime.slow,
+        recovery: runtime.recovery.is_some(),
+        policy,
+        metric,
+    });
+    let latency = format!("core.pipeline.p{partition}.checkpoint_latency_ns");
+    let queue_depth = mvtee_telemetry::gauge(&format!("core.pipeline.p{partition}.queue_depth"));
+    let mut shell = Shell {
+        runtime,
+        out_tx,
+        events,
+        checkpoint_latency: mvtee_telemetry::histogram(&latency),
+        fast_path: mvtee_telemetry::counter("core.voting.fast_path"),
+        slow_path: mvtee_telemetry::counter("core.voting.slow_path"),
+        span_name: format!("core.p{partition}.checkpoint"),
+        track: format!("p{partition}"),
+        job: None,
+        batch: 0,
+        checkpoint: None,
+        send_failed: Vec::new(),
+        offered: None,
+        downstream_gone: false,
+    };
+    while !shell.downstream_gone {
+        let Ok(CoordMsg::Job(job)) = in_rx.recv() else { break };
         queue_depth.set(in_rx.len() as i64);
-        // Events drained or recorded from here on belong to this batch's
-        // causal chain.
-        trace::set_current(job.trace);
-
-        // Drain events that arrived between batches — recovered variants
-        // rejoining, stragglers' late answers, disconnects — before this
-        // dispatch, so a variant that recovered between batches votes on
-        // this very batch.
-        while let Ok(ev) = runtime.responses.try_recv() {
-            match ev {
-                RxEvent::Recovered { variant, epoch, link, rx_thread } => {
-                    if epoch == epochs[variant] && dead[variant] {
-                        runtime.links[variant] = link;
-                        runtime.rx_threads.push(rx_thread);
-                        dead[variant] = false;
-                    }
-                }
-                RxEvent::Msg { variant, epoch, response } => {
-                    if epoch != epochs[variant] {
-                        continue; // stale pre-quarantine frame
-                    }
-                    let (batch, output) = split_response(response);
-                    late_cross_validate(
-                        &mut outstanding,
-                        &mut pending_reaction,
-                        &events,
-                        partition,
-                        metric,
-                        batch,
-                        variant,
-                        output,
-                    );
-                }
-                RxEvent::Disconnected { variant, epoch } => {
-                    if epoch != epochs[variant] {
-                        continue;
-                    }
-                    if !dead[variant] {
-                        events.record(MonitorEvent::VariantCrashed {
-                            partition,
-                            variant,
-                            batch: job.batch,
-                            reason: "response channel closed".into(),
-                        });
-                        quarantine(
-                            &mut dead,
-                            &mut epochs,
-                            &events,
-                            runtime.recovery.as_ref(),
-                            &runtime.merged_tx,
-                            &last_verified,
-                            partition,
-                            variant,
-                            job.batch,
-                            "response channel closed",
-                        );
-                    }
-                    resolve_owed_as_crash(
-                        &mut outstanding,
-                        &mut pending_reaction,
-                        &events,
-                        partition,
-                        metric,
-                        variant,
-                    );
-                }
-            }
-        }
-
-        if job.poisoned.is_some() {
-            let _ = out_tx.send(job);
-            continue;
-        }
-        // Async-mode reaction deferred to "the earliest next checkpoint".
-        if let Some(detail) = pending_reaction.take() {
-            events.record(MonitorEvent::ResponseTaken {
-                partition,
-                action: format!("late-dissent reaction: {detail}"),
-            });
-            if policy.response == ResponsePolicy::Halt {
-                job.poisoned = Some(format!("halted after late dissent: {detail}"));
-                let _ = out_tx.send(job);
-                continue;
-            }
-        }
-
-        // Gather this stage's inputs from the job environment.
-        let mut tensors = Vec::with_capacity(runtime.inputs.len());
-        for v in &runtime.inputs {
-            match job.env.get(v) {
-                Some(t) => tensors.push(t.clone()),
-                None => {
-                    job.poisoned = Some(format!("missing boundary value {v}"));
-                    let _ = out_tx.send(job);
-                    continue 'jobs;
-                }
-            }
-        }
-
-        // Degradation policy: a panel is below strength while any member
-        // is quarantined and not yet recovered.
-        let live_now = dead.iter().filter(|d| !**d).count();
-        let mut fallthrough_flagged = false;
-        if runtime.slow && full_strength > 1 && live_now > 0 && live_now < full_strength {
-            match policy.degradation {
-                DegradationPolicy::Strict => {
-                    events.record(MonitorEvent::ResponseTaken {
-                        partition,
-                        action: format!(
-                            "strict degradation: failing batch {} with panel below strength ({live_now}/{full_strength})",
-                            job.batch
-                        ),
-                    });
-                    job.poisoned = Some(format!(
-                        "panel below strength at partition {partition} ({live_now}/{full_strength})"
-                    ));
-                    let _ = out_tx.send(job);
-                    continue;
-                }
-                DegradationPolicy::Degrade => {}
-                DegradationPolicy::FastPathFallback => {
-                    fallthrough_flagged = true;
-                    events.record(MonitorEvent::ResponseTaken {
-                        partition,
-                        action: format!(
-                            "fast-path fallback: batch {} forwarded unvoted with panel below strength ({live_now}/{full_strength})",
-                            job.batch
-                        ),
-                    });
-                }
-            }
-        }
-
-        // Dispatch to all live variants. The checkpoint latency covers
-        // dispatch through selection (the paper's per-partition cost).
-        let checkpoint_timer = checkpoint_latency.start();
-        let ck_span = tracer
-            .span(job.trace, &ck_span_name, &ck_track)
-            .arg("batch", job.batch)
-            .arg("live", live_now);
-        let ck_ctx = ck_span.ctx();
-        trace::set_current(ck_ctx);
-        // The dispatched inputs are retained (only when recovery is on)
-        // so a verified checkpoint can become a resynchronisation point.
-        let resync_inputs: Option<Vec<Tensor>> =
-            runtime.recovery.as_ref().map(|_| tensors.clone());
-        let request =
-            StageRequest::Input { batch: job.batch, trace: ck_ctx.as_pair(), tensors };
-        let frame = match encode(&request) {
-            Ok(f) => f,
-            Err(e) => {
-                checkpoint_timer.cancel();
-                job.poisoned = Some(e.to_string());
-                let _ = out_tx.send(job);
-                continue;
-            }
-        };
-        for (i, link) in runtime.links.iter_mut().enumerate() {
-            if dead[i] {
-                continue;
-            }
-            if link.tx.send(&frame).is_err() {
-                events.record(MonitorEvent::VariantCrashed {
-                    partition,
-                    variant: i,
-                    batch: job.batch,
-                    reason: format!("request channel closed ({})", link.description),
-                });
-                quarantine(
-                    &mut dead,
-                    &mut epochs,
-                    &events,
-                    runtime.recovery.as_ref(),
-                    &runtime.merged_tx,
-                    &last_verified,
-                    partition,
-                    i,
-                    job.batch,
-                    "request channel closed",
-                );
-            }
-        }
-        let live: Vec<usize> = (0..dead.len()).filter(|&i| !dead[i]).collect();
-        if live.is_empty() {
-            checkpoint_timer.cancel();
-            job.poisoned = Some("all variants dead".into());
-            events.record(MonitorEvent::ResponseTaken {
-                partition,
-                action: "halt: no live variants".into(),
-            });
-            let _ = out_tx.send(job);
-            continue;
-        }
-
-        // Collect responses for this batch.
-        let mut arrived: HashMap<usize, VariantOutput> = HashMap::new();
-        let selected: Option<Vec<Tensor>>;
-        let total_live = live.len();
-        let use_async = policy.exec == ExecMode::AsyncCrossValidation
-            && runtime.slow
-            && total_live > 1
-            && !fallthrough_flagged;
-
-        loop {
-            // Degraded fall-through: the first healthy output wins, no
-            // vote (the span is flagged via the ResponseTaken above).
-            if fallthrough_flagged {
-                if let Some(t) = live.iter().find_map(|i| match arrived.get(i) {
-                    Some(VariantOutput::Ok(t)) => Some(t.clone()),
-                    _ => None,
-                }) {
-                    fast_path.inc();
-                    selected = Some(t);
-                    break;
-                }
-                if live.iter().all(|i| arrived.contains_key(i)) {
-                    fast_path.inc();
-                    selected = None;
-                    break;
-                }
-            }
-            // Async fast-exit: forward on majority quorum of the panel.
-            if use_async {
-                let arrived_ids: Vec<usize> =
-                    live.iter().copied().filter(|i| arrived.contains_key(i)).collect();
-                let arrived_vec: Vec<VariantOutput> =
-                    arrived_ids.iter().map(|i| arrived[i].clone()).collect();
-                if arrived_vec.len() < total_live {
-                    if let Some(q) = has_quorum(&arrived_vec, total_live, metric) {
-                        // A dissenter that already arrived is outvoted but
-                        // must still be detected and reacted to — quorum
-                        // forwarding never swallows a divergence.
-                        let dissenting: Vec<usize> = arrived_ids
-                            .iter()
-                            .copied()
-                            .filter(|i| match &arrived[i] {
-                                VariantOutput::Crashed(_) => true,
-                                VariantOutput::Ok(t) => {
-                                    t.len() != q.len()
-                                        || t.iter()
-                                            .zip(q.iter())
-                                            .any(|(a, b)| !metric.check(a, b))
-                                }
-                            })
-                            .collect();
-                        // A crashed arrival is dead now, not at the next
-                        // batch's dispatch: mark and attribute it here.
-                        for &v in &dissenting {
-                            if let VariantOutput::Crashed(reason) = &arrived[&v] {
-                                if !dead[v] {
-                                    events.record(MonitorEvent::VariantCrashed {
-                                        partition,
-                                        variant: v,
-                                        batch: job.batch,
-                                        reason: reason.clone(),
-                                    });
-                                    quarantine(
-                                        &mut dead,
-                                        &mut epochs,
-                                        &events,
-                                        runtime.recovery.as_ref(),
-                                        &runtime.merged_tx,
-                                        &last_verified,
-                                        partition,
-                                        v,
-                                        job.batch,
-                                        reason.clone().as_str(),
-                                    );
-                                }
-                            }
-                        }
-                        if !dissenting.is_empty() {
-                            events.record(MonitorEvent::DivergenceDetected {
-                                partition,
-                                batch: job.batch,
-                                dissenting: dissenting.clone(),
-                                detail: "outvoted at async quorum".into(),
-                            });
-                            // With a recovery manager wired, an outvoted
-                            // dissenter is quarantined and re-provisioned
-                            // rather than left in the panel.
-                            if runtime.recovery.is_some() {
-                                for &v in &dissenting {
-                                    quarantine(
-                                        &mut dead,
-                                        &mut epochs,
-                                        &events,
-                                        runtime.recovery.as_ref(),
-                                        &runtime.merged_tx,
-                                        &last_verified,
-                                        partition,
-                                        v,
-                                        job.batch,
-                                        "outvoted at async quorum",
-                                    );
-                                }
-                            }
-                            pending_reaction = Some(format!(
-                                "variants {dissenting:?} dissented at quorum on batch {}",
-                                job.batch
-                            ));
-                            runtime.transcript.record(TranscriptEntry {
-                                partition,
-                                batch: job.batch,
-                                epoch: epochs.iter().sum(),
-                                verdict: TranscriptVerdict::Diverged {
-                                    dissenting: dissenting.clone(),
-                                },
-                                payload_digest: payload_digest(&q),
-                            });
-                        } else {
-                            // Quorum with no dissent among the arrived
-                            // outputs: the checkpoint evaluated and passed
-                            // (stragglers are still cross-validated late).
-                            events.record(MonitorEvent::CheckpointPassed {
-                                partition,
-                                batch: job.batch,
-                                agreeing: arrived_ids.len() - dissenting.len(),
-                            });
-                            runtime.transcript.record(TranscriptEntry {
-                                partition,
-                                batch: job.batch,
-                                epoch: epochs.iter().sum(),
-                                verdict: TranscriptVerdict::Pass {
-                                    agreeing: arrived_ids.len() - dissenting.len(),
-                                },
-                                payload_digest: payload_digest(&q),
-                            });
-                        }
-                        // Remember the stragglers for late cross-validation.
-                        let remaining: HashSet<usize> = live
-                            .iter()
-                            .copied()
-                            .filter(|i| !arrived.contains_key(i))
-                            .collect();
-                        outstanding.insert(
-                            job.batch,
-                            Outstanding { chosen: q.clone(), remaining },
-                        );
-                        // Bound the late-validation window: a straggler
-                        // that never answers must not grow state forever.
-                        if outstanding.len() > policy.late_window {
-                            let oldest = *outstanding.keys().min().expect("non-empty");
-                            outstanding.remove(&oldest);
-                            events.record(MonitorEvent::ResponseTaken {
-                                partition,
-                                action: format!(
-                                    "dropped late-validation state for batch {oldest} (window full)"
-                                ),
-                            });
-                        }
-                        slow_path.inc();
-                        if let Some(inputs) = &resync_inputs {
-                            // The quorum output is majority-verified: it
-                            // becomes the resynchronisation point.
-                            last_verified = Some(ResyncPoint {
-                                batch: job.batch,
-                                inputs: inputs.clone(),
-                                outputs: q.clone(),
-                            });
-                        }
-                        selected = Some(q);
-                        break;
-                    }
-                }
-            }
-            // Sync completion: all live responses in.
-            if live.iter().all(|i| arrived.contains_key(i)) {
-                let outputs: Vec<VariantOutput> =
-                    live.iter().map(|i| arrived[i].clone()).collect();
-                if !runtime.slow && outputs.len() == 1 {
-                    // Fast path: fall through without evaluation (crashes
-                    // still surface).
-                    fast_path.inc();
-                    match &outputs[0] {
-                        VariantOutput::Ok(t) => {
-                            if let Some(inputs) = &resync_inputs {
-                                // A fast-path partition has no vote; its
-                                // successful output is still the best
-                                // resync point a replacement can get.
-                                last_verified = Some(ResyncPoint {
-                                    batch: job.batch,
-                                    inputs: inputs.clone(),
-                                    outputs: t.clone(),
-                                });
-                            }
-                            selected = Some(t.clone());
-                        }
-                        VariantOutput::Crashed(reason) => {
-                            if !dead[live[0]] {
-                                events.record(MonitorEvent::VariantCrashed {
-                                    partition,
-                                    variant: live[0],
-                                    batch: job.batch,
-                                    reason: reason.clone(),
-                                });
-                                quarantine(
-                                    &mut dead,
-                                    &mut epochs,
-                                    &events,
-                                    runtime.recovery.as_ref(),
-                                    &runtime.merged_tx,
-                                    &last_verified,
-                                    partition,
-                                    live[0],
-                                    job.batch,
-                                    reason.clone().as_str(),
-                                );
-                            }
-                            selected = None;
-                        }
-                    }
-                    break;
-                }
-                if !runtime.slow {
-                    // Forced fast path with multiple variants: take the
-                    // first healthy output, no checks.
-                    fast_path.inc();
-                    selected = outputs.iter().find_map(|o| match o {
-                        VariantOutput::Ok(t) => Some(t.clone()),
-                        _ => None,
-                    });
-                    break;
-                }
-                // Slow path: full evaluation + voting.
-                slow_path.inc();
-                for (pos, o) in outputs.iter().enumerate() {
-                    if let VariantOutput::Crashed(reason) = o {
-                        let v = live[pos];
-                        if !dead[v] {
-                            events.record(MonitorEvent::VariantCrashed {
-                                partition,
-                                variant: v,
-                                batch: job.batch,
-                                reason: reason.clone(),
-                            });
-                            quarantine(
-                                &mut dead,
-                                &mut epochs,
-                                &events,
-                                runtime.recovery.as_ref(),
-                                &runtime.merged_tx,
-                                &last_verified,
-                                partition,
-                                v,
-                                job.batch,
-                                reason.clone().as_str(),
-                            );
-                        }
-                    }
-                }
-                match evaluate(&outputs, metric, policy.voting) {
-                    Verdict::Agree { selected: s, agreeing } => {
-                        events.record(MonitorEvent::CheckpointPassed {
-                            partition,
-                            batch: job.batch,
-                            agreeing: agreeing.len(),
-                        });
-                        runtime.transcript.record(TranscriptEntry {
-                            partition,
-                            batch: job.batch,
-                            epoch: epochs.iter().sum(),
-                            verdict: TranscriptVerdict::Pass { agreeing: agreeing.len() },
-                            payload_digest: payload_digest(&s),
-                        });
-                        if let Some(inputs) = &resync_inputs {
-                            last_verified = Some(ResyncPoint {
-                                batch: job.batch,
-                                inputs: inputs.clone(),
-                                outputs: s.clone(),
-                            });
-                        }
-                        selected = Some(s);
-                    }
-                    Verdict::Diverged { majority, dissenting, detail } => {
-                        let dissenting_variants: Vec<usize> =
-                            dissenting.iter().map(|&p| live[p]).collect();
-                        events.record(MonitorEvent::DivergenceDetected {
-                            partition,
-                            batch: job.batch,
-                            dissenting: dissenting_variants.clone(),
-                            detail: detail.clone(),
-                        });
-                        runtime.transcript.record(TranscriptEntry {
-                            partition,
-                            batch: job.batch,
-                            epoch: epochs.iter().sum(),
-                            verdict: TranscriptVerdict::Diverged {
-                                dissenting: dissenting_variants.clone(),
-                            },
-                            payload_digest: majority
-                                .as_deref()
-                                .map(payload_digest)
-                                .unwrap_or([0u8; 32]),
-                        });
-                        // Divergent (not merely crashed) variants are
-                        // quarantined for re-provisioning when a recovery
-                        // manager is wired; without one the historical
-                        // behaviour — dissenter stays in the panel — is
-                        // preserved.
-                        if runtime.recovery.is_some() {
-                            for &v in &dissenting_variants {
-                                quarantine(
-                                    &mut dead,
-                                    &mut epochs,
-                                    &events,
-                                    runtime.recovery.as_ref(),
-                                    &runtime.merged_tx,
-                                    &last_verified,
-                                    partition,
-                                    v,
-                                    job.batch,
-                                    "checkpoint divergence",
-                                );
-                            }
-                        }
-                        match policy.response {
-                            ResponsePolicy::Halt => {
-                                events.record(MonitorEvent::ResponseTaken {
-                                    partition,
-                                    action: "halt".into(),
-                                });
-                                selected = None;
-                            }
-                            ResponsePolicy::ContinueWithMajority => {
-                                events.record(MonitorEvent::ResponseTaken {
-                                    partition,
-                                    action: "continue-with-majority".into(),
-                                });
-                                selected = majority;
-                            }
-                        }
-                    }
-                }
-                break;
-            }
-            // Pull the next response event.
-            match runtime.responses.recv_timeout(policy.deadline) {
-                Ok(RxEvent::Msg { variant: v, epoch, response }) => {
-                    if epoch != epochs[v] {
-                        // Stale frame from a pre-quarantine channel: a
-                        // recovered variant must never inherit it.
-                        continue;
-                    }
-                    let (batch, output) = split_response(response);
-                    if batch == job.batch {
-                        arrived.insert(v, output);
-                    } else {
-                        late_cross_validate(
-                            &mut outstanding,
-                            &mut pending_reaction,
-                            &events,
-                            partition,
-                            metric,
-                            batch,
-                            v,
-                            output,
-                        );
-                    }
-                }
-                Ok(RxEvent::Disconnected { variant: v, epoch }) => {
-                    if epoch != epochs[v] {
-                        continue; // the abandoned channel died, as expected
-                    }
-                    if !dead[v] {
-                        events.record(MonitorEvent::VariantCrashed {
-                            partition,
-                            variant: v,
-                            batch: job.batch,
-                            reason: "response channel closed".into(),
-                        });
-                        quarantine(
-                            &mut dead,
-                            &mut epochs,
-                            &events,
-                            runtime.recovery.as_ref(),
-                            &runtime.merged_tx,
-                            &last_verified,
-                            partition,
-                            v,
-                            job.batch,
-                            "response channel closed",
-                        );
-                    }
-                    arrived
-                        .entry(v)
-                        .or_insert_with(|| VariantOutput::Crashed("disconnected".into()));
-                    // A disconnected straggler will never deliver its late
-                    // answers: resolve every outstanding async validation
-                    // it still owed as a crash-dissent.
-                    resolve_owed_as_crash(
-                        &mut outstanding,
-                        &mut pending_reaction,
-                        &events,
-                        partition,
-                        metric,
-                        v,
-                    );
-                }
-                Ok(RxEvent::Recovered { variant, epoch, link, rx_thread }) => {
-                    // The replacement rejoins from the next dispatched
-                    // batch; this one already went out without it.
-                    if epoch == epochs[variant] && dead[variant] {
-                        runtime.links[variant] = link;
-                        runtime.rx_threads.push(rx_thread);
-                        dead[variant] = false;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Straggler watchdog: the checkpoint deadline passed.
-                    // Escalate each hung variant — timeout → late dissent
-                    // → quarantine — and count its vote as a crash.
-                    for &v in &live {
-                        if arrived.contains_key(&v) {
-                            continue;
-                        }
-                        events.record(MonitorEvent::LateDissent {
-                            partition,
-                            batch: job.batch,
-                            variant: v,
-                        });
-                        quarantine(
-                            &mut dead,
-                            &mut epochs,
-                            &events,
-                            runtime.recovery.as_ref(),
-                            &runtime.merged_tx,
-                            &last_verified,
-                            partition,
-                            v,
-                            job.batch,
-                            "checkpoint deadline exceeded",
-                        );
-                        arrived.insert(
-                            v,
-                            VariantOutput::Crashed("checkpoint deadline exceeded".into()),
-                        );
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    checkpoint_timer.cancel();
-                    job.poisoned = Some("response plane disconnected".into());
-                    let _ = out_tx.send(job);
-                    continue 'jobs;
-                }
-            }
-        }
-        checkpoint_timer.finish();
-
-        match selected {
-            Some(outputs) if outputs.len() == runtime.outputs.len() => {
-                for (v, t) in runtime.outputs.iter().zip(outputs) {
-                    job.env.insert(*v, t);
-                }
-                job.env.retain(|v, _| runtime.needed_downstream.contains(v));
-            }
-            Some(outputs) => {
-                job.poisoned = Some(format!(
-                    "variant returned {} outputs, stage expects {}",
-                    outputs.len(),
-                    runtime.outputs.len()
-                ));
-            }
-            None => {
-                job.poisoned = Some(format!("checkpoint at partition {partition} failed"));
-            }
-        }
-        if out_tx.send(job).is_err() {
-            break;
-        }
+        shell.run_job(&mut state, job, policy.deadline);
     }
-
-    // Drain outstanding stragglers briefly, then shut variants down.
+    // Drain outstanding stragglers briefly, then shut the variants down.
+    shell.feed(&mut state, Event::Stop);
     let drain_deadline = Instant::now() + policy.drain_window;
-    while !outstanding.is_empty() && Instant::now() < drain_deadline {
-        match runtime.responses.recv_timeout(policy.drain_poll) {
-            Ok(RxEvent::Msg { variant, epoch, response }) => {
-                if epoch != epochs[variant] {
-                    continue;
-                }
-                let (batch, output) = split_response(response);
-                late_cross_validate(
-                    &mut outstanding,
-                    &mut pending_reaction,
-                    &events,
-                    partition,
-                    metric,
-                    batch,
-                    variant,
-                    output,
-                );
-            }
-            Ok(RxEvent::Disconnected { variant, epoch }) => {
-                if epoch != epochs[variant] {
-                    continue;
-                }
-                resolve_owed_as_crash(
-                    &mut outstanding,
-                    &mut pending_reaction,
-                    &events,
-                    partition,
-                    metric,
-                    variant,
-                );
-            }
-            // Too late to rejoin: the replacement's link is dropped and
-            // the fresh variant exits on its closed request channel.
-            Ok(RxEvent::Recovered { .. }) => continue,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
+    while state.owes_late_validation() && Instant::now() < drain_deadline {
+        if let Ok(ev) = shell.runtime.responses.recv_timeout(policy.drain_poll) {
+            shell.feed_rx(&mut state, ev);
         }
     }
-    if let Some(detail) = pending_reaction.take() {
-        events.record(MonitorEvent::ResponseTaken {
-            partition,
-            action: format!("late-dissent reaction at shutdown: {detail}"),
-        });
-    }
+    shell.feed(&mut state, Event::Deadline);
     let shutdown = encode(&StageRequest::Shutdown).expect("static message encodes");
-    for (i, link) in runtime.links.iter_mut().enumerate() {
-        if !dead[i] {
+    for (v, link) in shell.runtime.links.iter_mut().enumerate() {
+        if state.is_live(v) {
             let _ = link.tx.send(&shutdown);
         }
     }
-    runtime
+    shell.runtime
 }
 
-/// Splits a decoded stage response into its batch id and voting output.
-fn split_response(response: StageResponse) -> (u64, VariantOutput) {
-    match response {
-        StageResponse::Output { batch, tensors } => (batch, VariantOutput::Ok(tensors)),
-        StageResponse::Crashed { batch, reason } => (batch, VariantOutput::Crashed(reason)),
-    }
-}
-
-/// Resolves every outstanding async validation a disconnected variant
-/// still owed as a crash-dissent (it will never deliver them).
-fn resolve_owed_as_crash(
-    outstanding: &mut HashMap<u64, Outstanding>,
-    pending_reaction: &mut Option<String>,
-    events: &EventLog,
-    partition: usize,
-    metric: Metric,
-    variant: usize,
-) {
-    let owed: Vec<u64> = outstanding
-        .iter()
-        .filter(|(_, o)| o.remaining.contains(&variant))
-        .map(|(&b, _)| b)
-        .collect();
-    for b in owed {
-        late_cross_validate(
-            outstanding,
-            pending_reaction,
-            events,
-            partition,
-            metric,
-            b,
-            variant,
-            VariantOutput::Crashed("disconnected".into()),
-        );
-    }
-}
-
-/// Validates a straggler's late output against the already-forwarded
-/// choice (async cross-validation, Fig 8).
-#[allow(clippy::too_many_arguments)]
-fn late_cross_validate(
-    outstanding: &mut HashMap<u64, Outstanding>,
-    pending_reaction: &mut Option<String>,
-    events: &EventLog,
-    partition: usize,
-    metric: Metric,
-    batch: u64,
-    variant: usize,
-    output: VariantOutput,
-) {
-    let Some(entry) = outstanding.get_mut(&batch) else {
-        return; // unknown batch (already fully validated or pre-crash noise)
-    };
-    if !entry.remaining.remove(&variant) {
-        return;
-    }
-    let consistent = match &output {
-        VariantOutput::Crashed(_) => false,
-        VariantOutput::Ok(tensors) => {
-            tensors.len() == entry.chosen.len()
-                && tensors
-                    .iter()
-                    .zip(entry.chosen.iter())
-                    .all(|(a, b)| metric.check(a, b))
+impl Shell {
+    fn feed(&mut self, state: &mut StageState, event: Event) {
+        step(state, event, self);
+        for failed in std::mem::take(&mut self.send_failed) {
+            step(state, failed, self);
         }
-    };
-    if !consistent {
-        events.record(MonitorEvent::LateDissent { partition, batch, variant });
-        *pending_reaction =
-            Some(format!("variant {variant} dissented late on batch {batch}"));
     }
-    if entry.remaining.is_empty() {
-        outstanding.remove(&batch);
+
+    fn feed_rx(&mut self, state: &mut StageState, ev: RxEvent) {
+        let event = match ev {
+            RxEvent::Msg { variant, epoch, response } => {
+                let (batch, output) = match response {
+                    StageResponse::Output { batch, tensors } => (batch, VariantOutput::Ok(tensors)),
+                    StageResponse::Crashed { batch, reason } => {
+                        (batch, VariantOutput::Crashed(reason))
+                    }
+                };
+                Event::Reply { variant, epoch, batch, output }
+            }
+            RxEvent::Disconnected { variant, epoch } => {
+                Event::Disconnected { variant, epoch, batch: self.batch }
+            }
+            RxEvent::Recovered { variant, epoch, link, rx_thread } => {
+                self.offered = Some((link, rx_thread));
+                Event::Recovered { variant, epoch }
+            }
+        };
+        self.feed(state, event);
+        // Not adopted: dropped, and the fresh variant exits on a closed link.
+        self.offered = None;
+    }
+
+    fn run_job(&mut self, state: &mut StageState, job: StageJob, deadline: Duration) {
+        // Whatever is recorded from here on is in this batch's causal chain.
+        trace::set_current(job.trace);
+        self.batch = job.batch;
+        // Drain what arrived between batches before this dispatch, so a
+        // variant that recovered in the meantime votes on this very batch.
+        while let Ok(ev) = self.runtime.responses.try_recv() {
+            self.feed_rx(state, ev);
+        }
+        if job.poisoned.is_some() {
+            // An upstream stage failed it: passed through untouched.
+            self.downstream_gone |= self.out_tx.send(job).is_err();
+            return;
+        }
+        let inputs = self.runtime.inputs.iter().map(|v| job.env.get(v).cloned().ok_or(*v)).collect();
+        self.job = Some(job);
+        self.feed(state, Event::Job { batch: self.batch, inputs });
+        while state.awaiting() {
+            // Anchored at dispatch: no frame, of any kind, re-arms it.
+            let left = self.checkpoint.as_ref().map_or(Duration::ZERO, |(_, _, dispatched_at)| {
+                (*dispatched_at + deadline).saturating_duration_since(Instant::now())
+            });
+            // (`runtime.merged_tx` keeps the queue open: errors are timeouts.)
+            match (!left.is_zero()).then(|| self.runtime.responses.recv_timeout(left)) {
+                Some(Ok(ev)) => self.feed_rx(state, ev),
+                _ => self.feed(state, Event::Deadline),
+            }
+        }
+    }
+}
+
+impl Sink for Shell {
+    fn act(&mut self, action: Action) {
+        match action {
+            Action::Dispatch { batch, to, tensors } => {
+                let timer = self.checkpoint_latency.start();
+                let parent = self.job.as_ref().map_or(TraceCtx::NONE, |job| job.trace);
+                let span = trace::recorder().span(parent, &self.span_name, &self.track);
+                let span = span.arg("batch", batch).arg("live", to.len());
+                let ctx = span.ctx();
+                trace::set_current(ctx);
+                let request = StageRequest::Input { batch, trace: ctx.as_pair(), tensors };
+                let frame = encode(&request).expect("stage requests always encode");
+                for v in to {
+                    let link = &mut self.runtime.links[v];
+                    if link.tx.send(&frame).is_err() {
+                        let link = link.description.clone();
+                        self.send_failed.push(Event::SendFailed { variant: v, link });
+                    }
+                }
+                self.checkpoint = Some((timer, span, Instant::now()));
+            }
+            Action::Forward { result, path } => {
+                let Some(mut job) = self.job.take() else { return };
+                // Without a verdict (no variant left) it is no latency sample.
+                let span = self.checkpoint.take().map(|(timer, span, _)| {
+                    if path.is_some() { timer.finish() } else { timer.cancel() }
+                    span
+                });
+                match path {
+                    Some(Path::Fast) => self.fast_path.inc(),
+                    Some(Path::Slow) => self.slow_path.inc(),
+                    None => {}
+                }
+                match result {
+                    Err(reason) => job.poisoned = Some(reason),
+                    Ok(outputs) => {
+                        for (v, t) in self.runtime.outputs.iter().zip(outputs) {
+                            job.env.insert(*v, t);
+                        }
+                        job.env.retain(|v, _| self.runtime.needed_downstream.contains(v));
+                    }
+                }
+                self.downstream_gone |= self.out_tx.send(job).is_err();
+                drop(span); // the span covers the hand-off
+            }
+            Action::Record(event) => self.events.record(event),
+            Action::Transcript(entry) => self.runtime.transcript.record(entry),
+            Action::Recover { variant, epoch, reason, resync } => {
+                let Some(tx) = &self.runtime.recovery else { return };
+                let (partition, merged_tx) = (self.runtime.partition, self.runtime.merged_tx.clone());
+                let _ =
+                    tx.send(RecoveryRequest { partition, variant, epoch, reason, resync, merged_tx });
+            }
+            Action::Adopt { variant } => {
+                let Some((link, rx_thread)) = self.offered.take() else { return };
+                self.runtime.links[variant] = link;
+                self.runtime.rx_threads.push(rx_thread);
+            }
+        }
     }
 }
 
@@ -1170,26 +495,22 @@ pub fn spawn_pipeline(
 
 #[cfg(test)]
 mod tests {
+    //! Shell smoke tests over real threads and links. The coordinator's
+    //! decisions are tested (and enumerated) in [`crate::stage`].
+
     use super::*;
-    use crate::config::{ExecMode, ResponsePolicy, VotingPolicy};
+    use crate::events::MonitorEvent;
     use crate::link::link_pair;
-    use mvtee_graph::ValueId;
-    use std::time::Duration;
 
     /// Scripted fake variant behaviours.
     #[derive(Clone, Copy)]
     enum Behaviour {
         /// Return the input unchanged.
         Echo,
-        /// Return the input with every element shifted by the offset.
-        Corrupt(f32),
-        /// Crash on the given batch id, echo otherwise.
-        CrashOn(u64),
-        /// Echo after sleeping (the lagging variant).
-        SlowEcho(u64),
-        /// From the given batch on, keep reading but never respond (a
-        /// hung-but-alive variant: the channel stays open).
-        HangFrom(u64),
+        /// From the given batch on, never answer the batch asked for but
+        /// keep the channel busy: send an answer for a batch nobody asked
+        /// about every `every`, `times` times per request.
+        ChatterFrom { batch: u64, every: Duration, times: u32 },
     }
 
     /// Spawns a fake variant thread and returns the monitor-side links.
@@ -1200,48 +521,27 @@ mod tests {
             let mut rx = req_variant;
             let mut tx = resp_variant;
             while let Ok(frame) = rx.recv() {
-                let Ok(msg) = decode::<StageRequest>(&frame) else { break };
-                match msg {
-                    StageRequest::Shutdown => break,
-                    StageRequest::Input { batch, tensors, .. } => {
-                        let resp = match behaviour {
-                            Behaviour::Echo => StageResponse::Output { batch, tensors },
-                            Behaviour::Corrupt(delta) => StageResponse::Output {
-                                batch,
-                                tensors: tensors
-                                    .iter()
-                                    .map(|t| t.map(|v| v + delta))
-                                    .collect(),
-                            },
-                            Behaviour::CrashOn(b) if b == batch => {
-                                let _ = tx.send(
-                                    &encode(&StageResponse::Crashed {
-                                        batch,
-                                        reason: "scripted crash".into(),
-                                    })
-                                    .expect("encodes"),
-                                );
-                                break;
-                            }
-                            Behaviour::CrashOn(_) => StageResponse::Output { batch, tensors },
-                            Behaviour::SlowEcho(ms) => {
-                                std::thread::sleep(Duration::from_millis(ms));
-                                StageResponse::Output { batch, tensors }
-                            }
-                            Behaviour::HangFrom(b) if batch >= b => continue,
-                            Behaviour::HangFrom(_) => StageResponse::Output { batch, tensors },
-                        };
-                        if tx.send(&encode(&resp).expect("encodes")).is_err() {
-                            break;
-                        }
+                let Ok(StageRequest::Input { batch, tensors, .. }) = decode(&frame) else { break };
+                let (answer_for, every, times) = match behaviour {
+                    Behaviour::ChatterFrom { batch: from, every, times } if batch >= from => {
+                        (u64::MAX, every, times)
                     }
+                    _ => (batch, Duration::ZERO, 1),
+                };
+                let resp = StageResponse::Output { batch: answer_for, tensors };
+                let frame = encode(&resp).expect("encodes");
+                for _ in 0..times {
+                    if tx.send(&frame).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(every);
                 }
             }
         });
         (req_monitor, resp_monitor)
     }
 
-    fn fake_stage(behaviours: &[Behaviour], slow: bool) -> StageRuntime {
+    fn fake_stage(partition: usize, behaviours: &[Behaviour], slow: bool) -> StageRuntime {
         let (merged_tx, merged_rx) = unbounded::<RxEvent>();
         let mut links = Vec::new();
         let mut rx_threads = Vec::new();
@@ -1250,17 +550,16 @@ mod tests {
             rx_threads.push(spawn_rx_thread(i, 0, rx, merged_tx.clone()));
             links.push(VariantLink { tx, description: format!("fake-{i}") });
         }
-        let mut needed = HashSet::new();
-        needed.insert(ValueId(1));
+        // Stage `p` consumes value `p` and emits value `p + 1`.
         StageRuntime {
-            partition: 0,
+            partition,
             links,
             responses: merged_rx,
             merged_tx,
             rx_threads,
-            inputs: vec![ValueId(0)],
-            outputs: vec![ValueId(1)],
-            needed_downstream: needed,
+            inputs: vec![ValueId(partition)],
+            outputs: vec![ValueId(partition + 1)],
+            needed_downstream: HashSet::from([ValueId(partition + 1)]),
             slow,
             recovery: None,
             transcript: TranscriptLog::new(),
@@ -1268,21 +567,23 @@ mod tests {
     }
 
     fn job(batch: u64, value: f32) -> StageJob {
-        let mut env = HashMap::new();
-        env.insert(
-            ValueId(0),
-            Tensor::from_vec(vec![value; 4], &[4]).expect("static shape"),
-        );
-        StageJob { batch, env, poisoned: None, submitted: Instant::now(), trace: TraceCtx::NONE }
+        let input = Tensor::from_vec(vec![value; 4], &[4]).expect("static shape");
+        StageJob {
+            batch,
+            env: HashMap::from([(ValueId(0), input)]),
+            poisoned: None,
+            submitted: Instant::now(),
+            trace: TraceCtx::NONE,
+        }
     }
 
-    fn policy(exec: ExecMode, response: ResponsePolicy) -> StagePolicy {
+    fn policy(response: ResponsePolicy, deadline: Duration) -> StagePolicy {
         StagePolicy {
-            exec,
+            exec: ExecMode::Sync,
             voting: VotingPolicy::Unanimous,
             response,
-            degradation: crate::config::DegradationPolicy::Degrade,
-            deadline: Duration::from_secs(30),
+            degradation: DegradationPolicy::Degrade,
+            deadline,
             drain_window: Duration::from_millis(500),
             drain_poll: Duration::from_millis(50),
             queue_depth: 64,
@@ -1290,316 +591,71 @@ mod tests {
         }
     }
 
-    /// Runs jobs through one coordinator; returns the results, the event
-    /// log, and the time until the *last result* was received (excluding
-    /// shutdown/drain).
-    fn drive(
-        runtime: StageRuntime,
-        p: StagePolicy,
-        jobs: Vec<StageJob>,
-    ) -> (Vec<StageJob>, EventLog, Duration) {
-        let metric = Metric::strict();
+    /// A variant that answers with other batch ids at a third of the
+    /// deadline hangs the checkpoint exactly like a silent one: the
+    /// watchdog is anchored at dispatch and escalates it within about one
+    /// deadline, chatter or not.
+    #[test]
+    fn watchdog_escalates_chattering_variant_within_one_deadline() {
+        let deadline = Duration::from_millis(240);
+        let chatter = Behaviour::ChatterFrom { batch: 1, every: deadline / 3, times: 30 };
+        let runtime = fake_stage(0, &[Behaviour::Echo, Behaviour::Echo, chatter], true);
         let (in_tx, in_rx) = bounded::<CoordMsg>(64);
         let (out_tx, out_rx) = unbounded::<StageJob>();
         let events = EventLog::new();
         let ev = events.clone();
-        let n = jobs.len();
+        let p = policy(ResponsePolicy::ContinueWithMajority, deadline);
+        let stage =
+            std::thread::spawn(move || run_stage(runtime, p, Metric::strict(), in_rx, out_tx, ev));
+
+        in_tx.send(CoordMsg::Job(job(0, 1.0))).expect("sends");
+        let healthy = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
+        assert!(healthy.poisoned.is_none());
+
         let start = Instant::now();
-        let handle =
-            std::thread::spawn(move || run_stage(runtime, p, metric, in_rx, out_tx, ev));
-        for j in jobs {
-            in_tx.send(CoordMsg::Job(j)).expect("sends");
-        }
-        let mut results = Vec::with_capacity(n);
-        for _ in 0..n {
-            results.push(out_rx.recv_timeout(Duration::from_secs(10)).expect("result"));
-        }
-        let results_elapsed = start.elapsed();
+        in_tx.send(CoordMsg::Job(job(1, 2.0))).expect("sends");
+        let hung = out_rx.recv_timeout(Duration::from_secs(20)).expect("result");
+        let waited = start.elapsed();
+        // Ten deadlines of chatter were on offer; one was waited out.
+        assert!(waited >= deadline, "escalated before the deadline: {waited:?}");
+        assert!(waited < deadline * 3, "chatter re-armed the watchdog: {waited:?}");
+        assert_eq!(hung.env[&ValueId(1)].data(), &[2.0; 4], "the majority carries the batch");
+        let escalated = events
+            .events()
+            .iter()
+            .any(|e| matches!(e, MonitorEvent::LateDissent { variant: 2, batch: 1, .. }));
+        assert!(escalated, "watchdog must flag the chattering variant: {:?}", events.events());
+
+        // Batch 2 runs on the reduced panel.
+        in_tx.send(CoordMsg::Job(job(2, 3.0))).expect("sends");
+        let after = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
+        assert_eq!(after.env[&ValueId(1)].data(), &[3.0; 4]);
         in_tx.send(CoordMsg::Stop).expect("stops");
-        let _ = handle.join().expect("joins");
-        (results, events, results_elapsed)
-    }
-
-    #[test]
-    fn fast_path_forwards_single_variant_output() {
-        let runtime = fake_stage(&[Behaviour::Echo], false);
-        let (results, events, _) =
-            drive(runtime, policy(ExecMode::Sync, ResponsePolicy::Halt), vec![job(0, 2.0)]);
-        assert!(results[0].poisoned.is_none());
-        assert_eq!(results[0].env[&ValueId(1)].data(), &[2.0; 4]);
-        assert_eq!(events.detection_count(), 0);
-    }
-
-    #[test]
-    fn slow_path_detects_corrupt_variant_and_halts() {
-        let runtime =
-            fake_stage(&[Behaviour::Echo, Behaviour::Corrupt(5.0), Behaviour::Echo], true);
-        let (results, events, _) =
-            drive(runtime, policy(ExecMode::Sync, ResponsePolicy::Halt), vec![job(0, 1.0)]);
-        assert!(results[0].poisoned.is_some());
-        assert!(events.detection_count() > 0);
-        let dissent = events.events().iter().any(|e| {
-            matches!(e, MonitorEvent::DivergenceDetected { dissenting, .. } if dissenting == &vec![1])
-        });
-        assert!(dissent, "variant 1 must be identified: {:?}", events.events());
-    }
-
-    #[test]
-    fn slow_path_continue_with_majority_adopts_healthy_output() {
-        let runtime =
-            fake_stage(&[Behaviour::Echo, Behaviour::Corrupt(9.0), Behaviour::Echo], true);
-        let (results, events, _) = drive(
-            runtime,
-            policy(ExecMode::Sync, ResponsePolicy::ContinueWithMajority),
-            vec![job(0, 3.0)],
-        );
-        assert!(results[0].poisoned.is_none());
-        assert_eq!(results[0].env[&ValueId(1)].data(), &[3.0; 4]);
-        assert!(events.detection_count() > 0);
-    }
-
-    #[test]
-    fn crash_is_reported_and_subsequent_batches_continue_with_survivors() {
-        let runtime = fake_stage(&[Behaviour::CrashOn(1), Behaviour::Echo], true);
-        let p = policy(ExecMode::Sync, ResponsePolicy::ContinueWithMajority);
-        let (results, events, _) =
-            drive(runtime, p, vec![job(0, 1.0), job(1, 2.0), job(2, 3.0)]);
-        assert!(results[0].poisoned.is_none(), "batch 0 healthy");
-        // Batch 1: variant 0 crashed; majority-of-panel fails with 1 of 2,
-        // but continue policy adopts the surviving output when present.
-        let crashes = events
-            .events()
-            .iter()
-            .filter(|e| matches!(e, MonitorEvent::VariantCrashed { .. }))
-            .count();
-        assert!(crashes >= 1, "crash must be recorded: {:?}", events.events());
-        // Batch 2 still produces output from the survivor.
-        assert!(results[2].env.contains_key(&ValueId(1)) || results[2].poisoned.is_some());
-    }
-
-    #[test]
-    fn async_mode_forwards_on_quorum_before_the_laggard() {
-        let runtime = fake_stage(
-            &[Behaviour::Echo, Behaviour::Echo, Behaviour::SlowEcho(300)],
-            true,
-        );
-        let p = StagePolicy {
-            voting: VotingPolicy::Majority,
-            ..policy(ExecMode::AsyncCrossValidation, ResponsePolicy::ContinueWithMajority)
-        };
-        let (results, events, elapsed) = drive(runtime, p, vec![job(0, 4.0)]);
-        assert!(results[0].poisoned.is_none());
-        assert_eq!(results[0].env[&ValueId(1)].data(), &[4.0; 4]);
-        // Forwarded well before the 300 ms laggard (allow wide margins for
-        // CI noise; the laggard's reply is validated during drain).
-        assert!(
-            elapsed < Duration::from_millis(280),
-            "async mode waited for the laggard: {elapsed:?}"
-        );
-        assert_eq!(events.detection_count(), 0, "benign laggard must not alarm");
-    }
-
-    #[test]
-    fn async_mode_flags_late_dissent() {
-        let runtime = fake_stage(
-            &[Behaviour::Echo, Behaviour::Echo, Behaviour::SlowEcho(150)],
-            true,
-        );
-        // The laggard echoes (agrees); now use a corrupt laggard instead.
-        drop(runtime);
-        struct SlowCorrupt;
-        let (req_monitor, req_variant) = link_pair(false, b"", 0);
-        let (resp_variant, resp_monitor) = link_pair(false, b"", 1);
-        std::thread::spawn(move || {
-            let _marker = SlowCorrupt;
-            let mut rx = req_variant;
-            let mut tx = resp_variant;
-            while let Ok(frame) = rx.recv() {
-                let Ok(msg) = decode::<StageRequest>(&frame) else { break };
-                match msg {
-                    StageRequest::Shutdown => break,
-                    StageRequest::Input { batch, tensors, .. } => {
-                        std::thread::sleep(Duration::from_millis(150));
-                        let resp = StageResponse::Output {
-                            batch,
-                            tensors: tensors.iter().map(|t| t.map(|v| v + 7.0)).collect(),
-                        };
-                        if tx.send(&encode(&resp).expect("encodes")).is_err() {
-                            break;
-                        }
-                    }
-                }
-            }
-        });
-        let (merged_tx, merged_rx) = unbounded::<RxEvent>();
-        let mut links = Vec::new();
-        let mut rx_threads = Vec::new();
-        for (i, b) in [Behaviour::Echo, Behaviour::Echo].into_iter().enumerate() {
-            let (tx, rx) = fake_variant(b);
-            rx_threads.push(spawn_rx_thread(i, 0, rx, merged_tx.clone()));
-            links.push(VariantLink { tx, description: format!("fake-{i}") });
-        }
-        rx_threads.push(spawn_rx_thread(2, 0, resp_monitor, merged_tx.clone()));
-        links.push(VariantLink { tx: req_monitor, description: "slow-corrupt".into() });
-        let mut needed = HashSet::new();
-        needed.insert(ValueId(1));
-        let runtime = StageRuntime {
-            partition: 0,
-            links,
-            responses: merged_rx,
-            merged_tx,
-            rx_threads,
-            inputs: vec![ValueId(0)],
-            outputs: vec![ValueId(1)],
-            needed_downstream: needed,
-            slow: true,
-            recovery: None,
-            transcript: TranscriptLog::new(),
-        };
-        let p = StagePolicy {
-            voting: VotingPolicy::Majority,
-            ..policy(ExecMode::AsyncCrossValidation, ResponsePolicy::ContinueWithMajority)
-        };
-        let (results, events, _) = drive(runtime, p, vec![job(0, 1.0), job(1, 2.0)]);
-        assert!(results[0].poisoned.is_none(), "quorum output forwarded");
-        let late = events
-            .events()
-            .iter()
-            .any(|e| matches!(e, MonitorEvent::LateDissent { variant: 2, .. }));
-        assert!(late, "late dissent must be flagged: {:?}", events.events());
-    }
-
-    #[test]
-    fn watchdog_escalates_hung_variant_within_deadline() {
-        let runtime = fake_stage(
-            &[Behaviour::Echo, Behaviour::Echo, Behaviour::HangFrom(1)],
-            true,
-        );
-        let p = StagePolicy {
-            deadline: Duration::from_millis(150),
-            ..policy(ExecMode::Sync, ResponsePolicy::ContinueWithMajority)
-        };
-        let start = Instant::now();
-        let (results, events, _) =
-            drive(runtime, p, vec![job(0, 1.0), job(1, 2.0), job(2, 3.0)]);
-        // Batch 0 is healthy; batch 1 hits the watchdog deadline, which
-        // escalates the hung variant (late dissent) and continues with
-        // the majority of survivors; batch 2 runs on the reduced panel.
-        assert!(results[0].poisoned.is_none());
-        assert_eq!(results[1].env[&ValueId(1)].data(), &[2.0; 4]);
-        assert_eq!(results[2].env[&ValueId(1)].data(), &[3.0; 4]);
-        let escalated = events.events().iter().any(
-            |e| matches!(e, MonitorEvent::LateDissent { variant: 2, batch: 1, .. }),
-        );
-        assert!(escalated, "watchdog must flag the hung variant: {:?}", events.events());
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "watchdog must not wait out the old 30 s timeout"
-        );
-    }
-
-    #[test]
-    fn strict_degradation_fails_batches_while_below_strength() {
-        let runtime = fake_stage(&[Behaviour::CrashOn(0), Behaviour::Echo], true);
-        let p = StagePolicy {
-            degradation: crate::config::DegradationPolicy::Strict,
-            ..policy(ExecMode::Sync, ResponsePolicy::ContinueWithMajority)
-        };
-        let (results, events, _) = drive(runtime, p, vec![job(0, 1.0), job(1, 2.0)]);
-        // The crash surfaces mid-batch 0; batch 1 then sees the panel
-        // below strength and fails outright under Strict.
-        assert!(
-            results[1].poisoned.as_deref().unwrap_or("").contains("below strength"),
-            "strict policy must fail the batch: {:?}",
-            results[1].poisoned
-        );
-        let flagged = events.events().iter().any(|e| {
-            matches!(e, MonitorEvent::ResponseTaken { action, .. } if action.contains("strict degradation"))
-        });
-        assert!(flagged, "strict degradation must be audited: {:?}", events.events());
-    }
-
-    #[test]
-    fn fast_path_fallback_forwards_flagged_while_below_strength() {
-        let runtime =
-            fake_stage(&[Behaviour::CrashOn(0), Behaviour::Echo, Behaviour::Echo], true);
-        let p = StagePolicy {
-            degradation: crate::config::DegradationPolicy::FastPathFallback,
-            ..policy(ExecMode::Sync, ResponsePolicy::ContinueWithMajority)
-        };
-        let (results, events, _) = drive(runtime, p, vec![job(0, 1.0), job(1, 2.0)]);
-        // Batch 1 falls through unvoted but flagged.
-        assert!(results[1].poisoned.is_none());
-        assert_eq!(results[1].env[&ValueId(1)].data(), &[2.0; 4]);
-        let flagged = events.events().iter().any(|e| {
-            matches!(e, MonitorEvent::ResponseTaken { action, .. } if action.contains("fast-path fallback"))
-        });
-        assert!(flagged, "fallback must be audited: {:?}", events.events());
-        // No checkpoint-pass claim for the unvoted batch.
-        assert!(
-            !events.checkpoint_passes().iter().any(|&(_, b, _)| b == 1),
-            "an unvoted batch must not claim a passed checkpoint"
-        );
-    }
-
-    #[test]
-    fn poisoned_jobs_pass_through_untouched() {
-        let runtime = fake_stage(&[Behaviour::Echo], false);
-        let mut j = job(0, 1.0);
-        j.poisoned = Some("upstream failure".into());
-        let (results, events, _) =
-            drive(runtime, policy(ExecMode::Sync, ResponsePolicy::Halt), vec![j]);
-        assert_eq!(results[0].poisoned.as_deref(), Some("upstream failure"));
-        assert_eq!(events.len(), 0);
-    }
-
-    #[test]
-    fn missing_boundary_value_poisons_the_job() {
-        let runtime = fake_stage(&[Behaviour::Echo], false);
-        let j = StageJob {
-            batch: 0,
-            env: HashMap::new(), // ValueId(0) missing
-            poisoned: None,
-            submitted: Instant::now(),
-            trace: TraceCtx::NONE,
-        };
-        let (results, _, _) =
-            drive(runtime, policy(ExecMode::Sync, ResponsePolicy::Halt), vec![j]);
-        assert!(results[0].poisoned.as_deref().unwrap_or("").contains("missing"));
+        let _ = stage.join().expect("joins");
     }
 
     #[test]
     fn pipeline_of_two_stages_chains_jobs() {
-        let s0 = fake_stage(&[Behaviour::Echo], false);
-        // Second stage consumes ValueId(1) and emits ValueId(2).
-        let (merged_tx, merged_rx) = unbounded::<RxEvent>();
-        let (tx, rx) = fake_variant(Behaviour::Echo);
-        let rx_threads = vec![spawn_rx_thread(0, 0, rx, merged_tx.clone())];
-        let mut needed = HashSet::new();
-        needed.insert(ValueId(2));
-        let s1 = StageRuntime {
-            partition: 1,
-            links: vec![VariantLink { tx, description: "fake".into() }],
-            responses: merged_rx,
-            merged_tx,
-            rx_threads,
-            inputs: vec![ValueId(1)],
-            outputs: vec![ValueId(2)],
-            needed_downstream: needed,
-            slow: false,
-            recovery: None,
-            transcript: TranscriptLog::new(),
-        };
+        let stages =
+            vec![fake_stage(0, &[Behaviour::Echo], false), fake_stage(1, &[Behaviour::Echo], false)];
+        let events = EventLog::new();
         let handles = spawn_pipeline(
-            vec![s0, s1],
-            policy(ExecMode::Sync, ResponsePolicy::Halt),
+            stages,
+            policy(ResponsePolicy::Halt, Duration::from_secs(30)),
             vec![Metric::strict(), Metric::strict()],
-            EventLog::new(),
+            events.clone(),
         );
         handles.first_stage.send(CoordMsg::Job(job(0, 6.0))).expect("sends");
         let result = handles.results.recv_timeout(Duration::from_secs(10)).expect("result");
         assert!(result.poisoned.is_none());
         assert_eq!(result.env[&ValueId(2)].data(), &[6.0; 4]);
+        // A job an upstream stage failed passes through every stage
+        // untouched and unaudited.
+        let poisoned = StageJob { poisoned: Some("upstream failure".into()), ..job(1, 7.0) };
+        handles.first_stage.send(CoordMsg::Job(poisoned)).expect("sends");
+        let result = handles.results.recv_timeout(Duration::from_secs(10)).expect("result");
+        assert_eq!(result.poisoned.as_deref(), Some("upstream failure"));
+        assert!(result.env.contains_key(&ValueId(0)) && events.is_empty());
         for tx in &handles.all_stages {
             let _ = tx.send(CoordMsg::Stop);
         }

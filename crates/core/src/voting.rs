@@ -18,6 +18,19 @@ pub enum VariantOutput {
     Crashed(String),
 }
 
+impl VariantOutput {
+    /// Whether this output is healthy and consistent with `chosen` under
+    /// `metric`, tensor by tensor.
+    pub fn agrees_with(&self, chosen: &[Tensor], metric: Metric) -> bool {
+        match self {
+            VariantOutput::Crashed(_) => false,
+            VariantOutput::Ok(t) => {
+                t.len() == chosen.len() && t.iter().zip(chosen).all(|(a, b)| metric.check(a, b))
+            }
+        }
+    }
+}
+
 /// The verdict for one checkpoint evaluation.
 #[derive(Debug, Clone)]
 pub enum Verdict {

@@ -91,6 +91,12 @@ impl FaultDescriptor {
         }
     }
 
+    /// Whether the fault strikes every variant host (the platform's
+    /// shared software stack) rather than one `(partition, variant)`.
+    pub fn platform_wide(&self) -> bool {
+        matches!(self, FaultDescriptor::Cve(_) | FaultDescriptor::BlasFault(_))
+    }
+
     /// Draws a descriptor uniformly from the full fault space
     /// (`Arbitrary`-style; deterministic given the RNG state).
     pub fn arbitrary(rng: &mut StdRng) -> Self {

@@ -7,7 +7,7 @@
 //! ```
 
 use mvtee::prelude::*;
-use mvtee_faults::{Attack, CveClass, FrameFlip};
+use mvtee_faults::{Attack, CveClass, FaultDescriptor, FrameFlip};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_runtime::{BlasKind, EngineConfig, EngineKind};
 use mvtee_tensor::Tensor;
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 5)?;
     let mut undefended = Deployment::builder(model.clone())
         .partitions(2)
-        .frameflip(frameflip.clone())
+        .fault(FaultDescriptor::BlasFault(frameflip.clone()), None)
         .build()?;
     let corrupted = undefended.infer(&input())?;
     println!(
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             EngineConfig::of_kind(EngineKind::OrtLike).with_blas(BlasKind::Strided),
         )
         .response(ResponsePolicy::Halt)
-        .frameflip(frameflip)
+        .fault(FaultDescriptor::BlasFault(frameflip), None)
         .build()?;
     let result = defended.infer(&input());
     println!("  with MVX   : inference result = {:?}", result.err().map(|e| e.to_string()));
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The defender runs a different runtime family ("Different RT").
         .engine_override(1, 1, EngineConfig::of_kind(EngineKind::TvmLike))
         .response(ResponsePolicy::Halt)
-        .attack(attack)
+        .fault(FaultDescriptor::Cve(attack), None)
         .build()?;
     let result = d.infer(&input());
     println!("  with MVX   : inference result = {:?}", result.err().map(|e| e.to_string()));

@@ -11,7 +11,7 @@
 //! ```
 
 use mvtee::prelude::*;
-use mvtee_faults::{Attack, CveClass};
+use mvtee_faults::{Attack, CveClass, FaultDescriptor};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_runtime::{EngineConfig, EngineKind};
 use mvtee_tensor::Tensor;
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .mvx_on_partition(1, 2)
         .engine_override(1, 1, EngineConfig::of_kind(EngineKind::TvmLike))
         .response(ResponsePolicy::Halt)
-        .attack(Attack::new(CveClass::Io))
+        .fault(FaultDescriptor::Cve(Attack::new(CveClass::Io)), None)
         .build()?;
     let result = attacked.infer(&input);
     println!(

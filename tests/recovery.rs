@@ -12,7 +12,7 @@ use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::deployment::Deployment;
 use mvtee::MonitorEvent;
 use mvtee_faults::{
-    BitFlipFault, BitFlipStrategy, LivenessFault, StallFault, StallMode,
+    BitFlipFault, BitFlipStrategy, FaultDescriptor, StallFault, StallMode,
 };
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_tensor::Tensor;
@@ -115,10 +115,13 @@ fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
     let cfg = recovery_config();
     let mut d = Deployment::builder(model)
         .config(cfg.clone())
-        .weight_fault(
-            MVX_PARTITION,
-            0,
-            BitFlipFault { strategy: BitFlipStrategy::ExponentMsb, count: 3, seed: 2 },
+        .fault(
+            FaultDescriptor::WeightBitFlip(BitFlipFault {
+                strategy: BitFlipStrategy::ExponentMsb,
+                count: 3,
+                seed: 2,
+            }),
+            Some((MVX_PARTITION, 0)),
         )
         .build()
         .expect("deploys");
@@ -217,10 +220,9 @@ fn hung_variant_recovers_via_resync_from_last_verified_checkpoint() {
 
     let mut d = Deployment::builder(model)
         .config(recovery_config())
-        .liveness_fault(
-            MVX_PARTITION,
-            1,
-            LivenessFault::Stall(StallFault { from_batch: 2, mode: StallMode::Hang }),
+        .fault(
+            FaultDescriptor::Stall(StallFault { from_batch: 2, mode: StallMode::Hang }),
+            Some((MVX_PARTITION, 1)),
         )
         .build()
         .expect("deploys");

@@ -4,7 +4,7 @@
 
 use mvtee::prelude::*;
 use mvtee::SpecPatch;
-use mvtee_faults::{Attack, CveClass, FrameFlip, InputTrigger};
+use mvtee_faults::{Attack, CveClass, FaultDescriptor, FrameFlip, InputTrigger};
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_runtime::{BlasKind, EngineConfig, EngineKind};
 use mvtee_tensor::Tensor;
@@ -32,7 +32,7 @@ fn cve_trial(class: CveClass, defender: SpecPatch) -> (bool, usize) {
         .mvx_on_partition(1, 2)
         .spec_patch(1, 1, defender)
         .response(ResponsePolicy::Halt)
-        .attack(Attack::new(class))
+        .fault(FaultDescriptor::Cve(Attack::new(class)), None)
         .build()
         .expect("deploys");
     let ok = d.infer(&input).is_ok();
@@ -86,7 +86,7 @@ fn without_mvx_the_exploit_wins_silently_or_kills_service() {
     for class in [CveClass::Oob, CveClass::Acf] {
         let mut d = Deployment::builder(m.clone())
             .partitions(2)
-            .attack(Attack::new(class))
+            .fault(FaultDescriptor::Cve(Attack::new(class)), None)
             .build()
             .expect("deploys");
         let result = d.infer(&input);
@@ -118,7 +118,7 @@ fn marker_triggered_exploit_fires_only_on_crafted_input() {
         .mvx_on_partition(0, 2)
         .engine_override(0, 1, EngineConfig::of_kind(EngineKind::TvmLike))
         .response(ResponsePolicy::Halt)
-        .attack(Attack::with_marker(CveClass::Io, 1337.0))
+        .fault(FaultDescriptor::Cve(Attack::with_marker(CveClass::Io, 1337.0)), None)
         .build()
         .expect("deploys");
     assert!(d.infer(&benign).is_ok(), "benign traffic must pass");
@@ -142,7 +142,7 @@ fn frameflip_detected_by_blas_diverse_panel() {
             EngineConfig::of_kind(EngineKind::OrtLike).with_blas(BlasKind::Strided),
         )
         .response(ResponsePolicy::Halt)
-        .frameflip(FrameFlip::against(BlasKind::Blocked))
+        .fault(FaultDescriptor::BlasFault(FrameFlip::against(BlasKind::Blocked)), None)
         .build()
         .expect("deploys");
     assert!(d.infer(&input).is_err());
@@ -160,7 +160,7 @@ fn frameflip_invisible_without_blas_diversity() {
         .partitions(2)
         .mvx_on_partition(1, 2)
         .response(ResponsePolicy::Halt)
-        .frameflip(FrameFlip::against(BlasKind::Blocked))
+        .fault(FaultDescriptor::BlasFault(FrameFlip::against(BlasKind::Blocked)), None)
         .build()
         .expect("deploys");
     let result = d.infer(&input);
@@ -194,7 +194,7 @@ fn continue_with_majority_survives_a_minority_exploit() {
         .checkpoint_metric(1, mvtee_tensor::metrics::Metric::relaxed())
         .voting(VotingPolicy::Majority)
         .response(ResponsePolicy::ContinueWithMajority)
-        .attack(Attack::new(CveClass::Uaf))
+        .fault(FaultDescriptor::Cve(Attack::new(CveClass::Uaf)), None)
         .build()
         .expect("deploys");
     let out = d.infer(&input).expect("degraded service continues");
@@ -243,7 +243,10 @@ fn exploits_on_nonfinal_partitions_are_caught_before_output() {
         .mvx_on_partition(0, 2)
         .engine_override(0, 1, EngineConfig::of_kind(EngineKind::TvmLike))
         .response(ResponsePolicy::Halt)
-        .attack(Attack { class: CveClass::Io, trigger: InputTrigger::Always })
+        .fault(
+            FaultDescriptor::Cve(Attack { class: CveClass::Io, trigger: InputTrigger::Always }),
+            None,
+        )
         .build()
         .expect("deploys");
     assert!(d.infer(&input).is_err());

@@ -11,7 +11,7 @@
 
 use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::Deployment;
-use mvtee_faults::{LivenessFault, StallFault, StallMode};
+use mvtee_faults::{FaultDescriptor, StallFault, StallMode};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{ReplicaPool, RequestOutcome, ServeConfig, ServeFrontend, ShedReason};
 use mvtee_tensor::Tensor;
@@ -82,14 +82,14 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
 
     // 2-replica pool; replica 0 stalls one panel variant from batch 2.
     let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, SEED).expect("model");
-    let stall = LivenessFault::Stall(StallFault { from_batch: 2, mode: StallMode::Hang });
+    let stall = FaultDescriptor::Stall(StallFault { from_batch: 2, mode: StallMode::Hang });
     let deployments = Deployment::builder(model)
         .config(recovery_mvx())
         .partition_seed(SEED)
         .variant_seed(SEED)
         .build_many_with(2, move |r, b| {
             if r == 0 {
-                b.liveness_fault(1, 0, stall)
+                b.fault(stall.clone(), Some((1, 0)))
             } else {
                 b
             }

@@ -9,7 +9,7 @@
 use mvtee::config::{DegradationPolicy, MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::transcript::{verify_transcript, AuditError};
 use mvtee::Deployment;
-use mvtee_faults::{BitFlipFault, BitFlipStrategy};
+use mvtee_faults::{BitFlipFault, BitFlipStrategy, FaultDescriptor};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{ReplicaPool, ServeConfig, ServeFrontend};
 use mvtee_telemetry::trace::{self, TraceCtx};
@@ -102,7 +102,7 @@ fn transcripts_chain_and_flight_dump_links_ticket_to_verdict() {
         .variant_seed(SEED)
         .build_many_with(2, move |r, builder| {
             if r == 0 {
-                builder.weight_fault(1, 0, flip)
+                builder.fault(FaultDescriptor::WeightBitFlip(flip), Some((1, 0)))
             } else {
                 builder
             }

@@ -9,7 +9,7 @@ use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::deployment::Deployment;
 use mvtee::voting::{evaluate, has_quorum, VariantOutput, Verdict};
 use mvtee::{MonitorEvent, VotingPolicy};
-use mvtee_faults::{LivenessFault, StallFault, StallMode};
+use mvtee_faults::{FaultDescriptor, StallFault, StallMode};
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_tensor::metrics::Metric;
 use mvtee_tensor::Tensor;
@@ -143,10 +143,9 @@ fn recovered_variant_votes_again_on_the_next_covered_checkpoint() {
     let inputs: Vec<Tensor> = (0..3).map(|s| rejoin_input(&model, s)).collect();
     let mut d = Deployment::builder(model)
         .config(rejoin_config())
-        .liveness_fault(
-            MVX_PARTITION,
-            2,
-            LivenessFault::Stall(StallFault { from_batch: 1, mode: StallMode::Hang }),
+        .fault(
+            FaultDescriptor::Stall(StallFault { from_batch: 1, mode: StallMode::Hang }),
+            Some((MVX_PARTITION, 2)),
         )
         .build()
         .expect("deploys");
@@ -207,15 +206,14 @@ fn stale_pre_quarantine_frame_is_ignored_not_revoted() {
         zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 5).expect("builds"),
     )
     .config(rejoin_config())
-    .liveness_fault(
-        MVX_PARTITION,
-        0,
+    .fault(
         // Three times the checkpoint deadline: the answer always lands
         // well after the quarantine bumped the epoch.
-        LivenessFault::Stall(StallFault {
+        FaultDescriptor::Stall(StallFault {
             from_batch: 1,
             mode: StallMode::Delay { delay_ms: 900 },
         }),
+        Some((MVX_PARTITION, 0)),
     )
     .build()
     .expect("deploys");
