@@ -1,124 +1,29 @@
-//! The MVTEE experiment harness: regenerates every table and figure of the
-//! paper's evaluation section.
+//! The MVTEE experiment harness: the paper's tables and figures, and the
+//! system's gates as subcommands. `experiments --help` prints what there
+//! is to run; it, and the error for an unknown name, are generated from
+//! [`SUBCOMMANDS`] and [`FIGURES`], so a new row is a new entry there and
+//! nothing else. What each subcommand checks is its module's documentation
+//! (`mvtee_bench::{chaos, perf, serve, trace, dist, netchaos, coldstart}`).
 //!
-//! ```text
-//! experiments [--quick] [--markdown] [--quiet] [fig9|fig10|fig11|fig12|fig13|fig14|table1|security|ablation|all]
-//! experiments campaign [--seed N] [--count N] [--no-shrink]
-//! experiments chaos [--seed N] [--scenarios N] [--quick]
-//! experiments perf [--quick] [--out PATH]
-//! experiments serve [--seed N] [--quick] [--out PATH]
-//! experiments trace [--seed N] [--quick] [--out PATH] [--trace-out PATH]
-//! experiments dist [--seed N] [--quick] [--out PATH]
-//! experiments netchaos [--seed N] [--quick] [--out PATH]
-//! experiments coldstart [--seed N] [--quick] [--out PATH]
-//! experiments audit TRANSCRIPT
-//! ```
-//!
-//! * `--quick` — Test-scale models and a subset (CI smoke).
-//! * `--markdown` — emit GitHub-markdown tables (for `EXPERIMENTS.md`).
-//! * `--quiet` — suppress progress/status chatter (stderr); machine
-//!   payloads (stdout) and errors are never suppressed.
-//! * default experiment selection: `all`.
+//! Shared flags: `--seed N`, `--quick` (Test-scale models and a subset,
+//! the CI smoke), `--out PATH`, `--quiet`; the figures take `--markdown`
+//! (GitHub tables for `EXPERIMENTS.md`) and default to `all`.
 //!
 //! Output discipline: stdout carries only the deliverables — JSON
-//! reports, figure tables, the audit summary — via `report!`; all
-//! progress, human summaries, and telemetry chatter go to stderr via
-//! `status!`, which `--quiet` silences. Errors always reach stderr.
-//!
-//! The `campaign` subcommand runs the seeded fault-injection campaign
-//! (`mvtee-campaign`): prints the machine-readable JSON report, and
-//! exits non-zero when any scenario violates the detection invariant
-//! (MISSED).
-//!
-//! The `chaos` subcommand runs the self-healing storm campaign
-//! (`mvtee_bench::chaos`): every seeded scenario injects a weight bit
-//! flip, a hung variant, and a lossy channel into one deployment at
-//! once, and the run exits non-zero unless every storm heals back to
-//! full panel strength with oracle-identical outputs.
-//!
-//! The `perf` subcommand sweeps zoo model × engine family × intra-op
-//! thread count through the deterministic runtime pool, writes
-//! `BENCH_runtime.json` (p50/p95 + speedup vs threads=1), and exits
-//! non-zero if any thread count produced output bytes different from
-//! the single-thread baseline.
-//!
-//! The `serve` subcommand drives the multi-tenant serving frontend
-//! (`mvtee-serve`) with closed- and open-loop load while one replica
-//! cycles through quarantine/recovery, writes `BENCH_serve.json`
-//! (throughput, p50/p95/p99 e2e latency, shed/expired counters), and
-//! exits non-zero on any output mismatch vs the serial single-request
-//! reference, any lost or double-served request, an unexercised
-//! replica, a missing recovery — or, under `--quick` smoke load, any
-//! shed request.
-//!
-//! The `trace` subcommand runs the tracing/audit experiment: a traced
-//! fault-free run (transcript byte-identical across builds and with
-//! tracing off; outputs byte-identical traced vs untraced; transcript
-//! self-audits) plus a divergence-injected serve probe whose flight
-//! dump must link the request root to the quarantining verdict. It
-//! writes the Merkle transcript (`--out`, default
-//! `AUDIT_transcript.jsonl`) and the Chrome-trace timeline
-//! (`--trace-out`, default `TRACE_run.json`).
-//!
-//! The `dist` subcommand runs the distributed-MVX experiment: the same
-//! panel all-in-process and with two variants hosted by real
-//! `mvtee-variantd` worker processes over attested loopback TCP (the
-//! workspace must be built so the worker binary exists, or
-//! `MVTEE_VARIANTD` must point at it). It writes `BENCH_dist.json`
-//! (per-batch wire bytes, round-trip p50/p95, heal-after-kill latency)
-//! and exits non-zero on any byte mismatch between placements, any lost
-//! batch after a worker kill, or a panel that fails to heal to full
-//! strength.
-//!
-//! The `netchaos` subcommand runs the adversarial-transport experiment:
-//! a seeded wire gauntlet over a faulted `SecureChannel` (eight
-//! wire-fault classes; corruption must be AEAD-rejected at 100% and
-//! nothing wrong may be accepted), deployment storms with each class on
-//! a panel member's response wire (every storm must end detected+healed
-//! with bit-correct outputs, or provably masked for a sub-deadline
-//! delay), a crash-loop flap probe (a repeatedly killed worker must trip
-//! the budget and degrade, not respawn forever), and a reconnect probe
-//! (a severed supervised worker must rejoin without a respawn). It
-//! writes `BENCH_netchaos.json` (per-class heal p50/p95,
-//! injected-vs-detected counts, reconnect-vs-respawn split) and exits
-//! non-zero on any byte mismatch, lost batch, missed detection, or
-//! failed heal. The flap/reconnect probes need the built
-//! `mvtee-variantd` worker binary, like `dist`.
-//!
-//! The `coldstart` subcommand runs the encrypted-model-registry
-//! experiment (`mvtee-registry` + the serve cold-start path): tenants
-//! upload models as chunked ciphertext over the attested provisioning
-//! lane (with a wire tap proving no plaintext crosses the host), a torn
-//! upload is resumed from its last verified chunk, a seeded
-//! provisioning-fault sweep must be rejected at 100%, and every model is
-//! then cold-started through the serving frontend and held byte-identical
-//! (outputs *and* rendered audit transcript) to an in-memory reference.
-//! It writes `BENCH_registry.json` (upload throughput, p50/p99
-//! time-to-first-inference per model size, warm-vs-cold hit ratio,
-//! eviction counts) and exits non-zero on any plaintext sighting,
-//! accepted corrupt chunk, byte mismatch, failed resume, or missing
-//! `ColdStart` shed under saturation.
-//!
-//! The `audit` subcommand replays a transcript's hash chain and exits
-//! non-zero on any tamper or gap.
+//! reports, figure tables, the audit summary — via `report!`; progress,
+//! human summaries and telemetry go to stderr via `CommonArgs::status`,
+//! which `--quiet` silences. Errors always reach stderr. Exit status: 0,
+//! 1 when a gate failed or an artifact could not be written, 2 on a usage
+//! error.
 
-use mvtee_bench::chaos::{run_chaos, ChaosConfig};
-use mvtee_bench::cli::{self, CommonArgs};
-use mvtee_bench::coldstart::{run_coldstart, ColdstartSettings};
-use mvtee_bench::dist::{run_dist, DistSettings};
+use mvtee_bench::cli::{self, CommonArgs, Outcome};
 use mvtee_bench::experiments::{
     ablation_metric, ablation_weight_fn, fig10, fig11, fig12, fig13, fig14, fig9,
     security_faults, table1, telemetry_report, Settings,
 };
-use mvtee_bench::netchaos::{run_netchaos, NetchaosSettings};
-use mvtee_bench::perf::{run_perf, PerfSettings};
-use mvtee_bench::serve::{run_serve, ServeSettings};
+use mvtee_bench::fixture::Json;
 use mvtee_bench::table::Table;
-use mvtee_bench::trace::{run_trace, TraceSettings};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Set once at startup by `--quiet`; gates every `status!` line.
-static QUIET: AtomicBool = AtomicBool::new(false);
+use mvtee_bench::{chaos, coldstart, dist, netchaos, perf, serve, trace};
 
 /// A machine payload or figure table: always printed, always stdout —
 /// never interleaved with chatter.
@@ -126,439 +31,297 @@ macro_rules! report {
     ($($arg:tt)*) => { println!($($arg)*) };
 }
 
-/// Progress/status chatter: stderr, suppressed by `--quiet`.
-macro_rules! status {
-    ($($arg:tt)*) => {
-        if !QUIET.load(Ordering::Relaxed) {
-            eprintln!($($arg)*);
-        }
-    };
+/// One row of the subcommand table.
+struct Subcommand {
+    name: &'static str,
+    /// One line of `--help`.
+    summary: &'static str,
+    /// The flags it takes, as `--help` prints them.
+    usage: &'static str,
+    /// Default paths of the artifacts it writes, `--out` first.
+    artifacts: &'static [&'static str],
+    /// Runs it: the shared flags, then every argument after the name.
+    run: fn(&CommonArgs, &[String]) -> Outcome,
 }
 
-/// The `campaign` subcommand: runs the fault-injection campaign and exits
-/// non-zero on any MISSED scenario.
-fn run_campaign_command(args: &[String]) -> ! {
-    let seed = CommonArgs::parse(args, 7).seed;
+/// Every subcommand, in `--help` order.
+const SUBCOMMANDS: [Subcommand; 9] = [
+    Subcommand {
+        name: "campaign",
+        summary: "seeded fault-injection campaign; prints its JSON report; fails on any MISSED scenario",
+        usage: "[--seed N] [--count N] [--no-shrink]",
+        artifacts: &[],
+        run: campaign,
+    },
+    Subcommand {
+        name: "chaos",
+        summary: "self-healing storms (bit flip + hang + lossy channel at once); fails unless every storm heals",
+        usage: "[--seed N] [--scenarios N] [--quick]",
+        artifacts: &[],
+        run: chaos::command,
+    },
+    Subcommand {
+        name: "perf",
+        summary: "runtime byte-identity sweep over threads, families and kernel strategies; fails on any mismatch",
+        usage: "[--quick] [--out PATH]",
+        artifacts: &[perf::ARTIFACT],
+        run: perf::command,
+    },
+    Subcommand {
+        name: "serve",
+        summary: "multi-tenant load under quarantine/recovery; fails on a wrong, lost or double-served request",
+        usage: "[--seed N] [--quick] [--out PATH]",
+        artifacts: &[serve::ARTIFACT],
+        run: serve::command,
+    },
+    Subcommand {
+        name: "trace",
+        summary: "traced vs untraced runs and the flight recorder; fails unless transcripts and outputs are identical",
+        usage: "[--seed N] [--quick] [--out PATH] [--trace-out PATH]",
+        artifacts: &trace::ARTIFACTS,
+        run: trace::command,
+    },
+    Subcommand {
+        name: "dist",
+        summary: "out-of-process workers vs in-process reference, and a worker kill; needs mvtee-variantd built",
+        usage: "[--seed N] [--quick] [--out PATH]",
+        artifacts: &[dist::ARTIFACT],
+        run: dist::command,
+    },
+    Subcommand {
+        name: "netchaos",
+        summary: "eight wire-fault classes, flap and reconnect probes; fails on a missed detection or failed heal",
+        usage: "[--seed N] [--quick] [--out PATH]",
+        artifacts: &[netchaos::ARTIFACT],
+        run: netchaos::command,
+    },
+    Subcommand {
+        name: "coldstart",
+        summary: "encrypted registry provisioning and cold-start serving; fails on plaintext, corruption or mismatch",
+        usage: "[--seed N] [--quick] [--out PATH]",
+        artifacts: &[coldstart::ARTIFACT],
+        run: coldstart::command,
+    },
+    Subcommand {
+        name: "audit",
+        summary: "replays a transcript's hash chain; fails on any tamper or gap",
+        usage: "TRANSCRIPT",
+        artifacts: &[],
+        run: audit,
+    },
+];
+
+type Figure = fn(&Settings) -> Table;
+
+/// The paper's tables and figures: name, then the tables it renders.
+const FIGURES: [(&str, &[Figure]); 9] = [
+    ("fig9", &[fig9]),
+    ("fig10", &[fig10]),
+    ("fig11", &[fig11]),
+    ("fig12", &[fig12]),
+    ("fig13", &[fig13]),
+    ("fig14", &[fig14]),
+    ("table1", &[table1]),
+    ("security", &[security_faults]),
+    ("ablation", &[ablation_weight_fn, ablation_metric]),
+];
+
+/// The `campaign` subcommand (`mvtee-campaign`): the JSON report goes to
+/// stdout.
+fn campaign(common: &CommonArgs, args: &[String]) -> Outcome {
     let count = cli::flag_value(args, "--count", 64);
-    let mut cfg = mvtee_campaign::CampaignConfig::new(seed, count);
+    let mut cfg = mvtee_campaign::CampaignConfig::new(common.seed, count);
     cfg.shrink = !cli::has_flag(args, "--no-shrink");
-    status!("# running fault-injection campaign (seed={seed}, count={count}) …");
     let report = mvtee_campaign::run_campaign(&cfg);
-    status!("{}", report.render_text());
-    report!("{}", report.render_json());
-    // What the instrumented pipeline recorded while the campaign ran —
-    // including the `core.recovery.*` metrics, zero-valued when recovery
-    // never fired (registered eagerly so absence is visible).
-    status!("{}", telemetry_report());
-    if report.matrix.total_missed() > 0 {
-        eprintln!(
-            "error: {} scenario(s) violated the detection invariant",
-            report.matrix.total_missed()
-        );
-        std::process::exit(1);
+    let missed = report.matrix.total_missed();
+    let failure = format!("{missed} scenario(s) violated the detection invariant");
+    Outcome {
+        status: report.render_text(),
+        report: report.render_json(),
+        failures: (missed > 0).then_some(failure).into_iter().collect(),
+        ..Outcome::default()
     }
-    std::process::exit(0);
 }
 
-/// The `chaos` subcommand: runs the self-healing storm campaign and exits
-/// non-zero when any storm fails to heal.
-fn run_chaos_command(args: &[String]) -> ! {
-    let common = CommonArgs::parse(args, 7);
-    let seed = common.seed;
-    let mut cfg = ChaosConfig::new(seed);
-    if common.quick {
-        cfg.scenarios = 4; // CI smoke
-    }
-    cfg.scenarios = cli::flag_value(args, "--scenarios", cfg.scenarios);
-    status!(
-        "# running chaos storm campaign (seed={seed}, scenarios={}) …",
-        cfg.scenarios
-    );
-    let report = run_chaos(&cfg);
-    report!("{}", report.render_text());
-    status!("{}", telemetry_report());
-    let failed = report.failures().len();
-    if failed > 0 {
-        eprintln!("error: {failed} storm(s) failed to heal");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// The `perf` subcommand: runs the intra-op parallelism sweep, writes the
-/// JSON report and exits non-zero on any cross-thread-count mismatch.
-fn run_perf_command(args: &[String]) -> ! {
-    let common = CommonArgs::parse(args, 7);
-    let settings = if common.quick {
-        PerfSettings::quick()
-    } else {
-        PerfSettings::full()
-    };
-    let out_path = common.out_or("BENCH_runtime.json");
-    status!(
-        "# running runtime perf sweep (threads {:?}, models {:?}) …",
-        settings.threads,
-        settings.models.iter().map(|m| m.display_name()).collect::<Vec<_>>(),
-    );
-    let report = run_perf(&settings);
-    status!("{}", report.render_text());
-    if let Err(e) = std::fs::write(&out_path, report.render_json()) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    status!("# wrote {out_path}");
-    status!("{}", telemetry_report());
-    if report.has_mismatch() {
-        eprintln!(
-            "error: {} cross-thread-count output mismatch(es) — the deterministic pool invariant is broken",
-            report.mismatches.len()
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// The `serve` subcommand: runs the multi-tenant serving experiment,
-/// writes the JSON report and exits non-zero when any serving invariant
-/// broke (or anything was shed at smoke load).
-fn run_serve_command(args: &[String]) -> ! {
-    let common = CommonArgs::parse(args, 7);
-    let (seed, quick) = (common.seed, common.quick);
-    let settings = if quick {
-        ServeSettings::quick(seed)
-    } else {
-        ServeSettings::full(seed)
-    };
-    let out_path = common.out_or("BENCH_serve.json");
-    status!(
-        "# running serve load experiment (seed={seed}, replicas={}, clients={}, open-loop {} req @ {} req/s) …",
-        settings.replicas, settings.clients, settings.open_loop_requests, settings.open_loop_rate,
-    );
-    let report = run_serve(&settings);
-    status!("{}", report.render_text());
-    if let Err(e) = std::fs::write(&out_path, report.render_json()) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    status!("# wrote {out_path}");
-    status!("{}", telemetry_report());
-    let mut failures = report.gate_failures();
-    if quick && report.shed() > 0 {
-        failures.push(format!(
-            "{} request(s) shed at smoke load (queue_full={}, quota={})",
-            report.shed(),
-            report.queue.shed_queue_full,
-            report.queue.shed_quota
-        ));
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("error: {f}");
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// The `trace` subcommand: runs the tracing/audit experiment, writes the
-/// Merkle transcript and the Chrome-trace timeline, and exits non-zero
-/// when any trace gate failed.
-fn run_trace_command(args: &[String]) -> ! {
-    let common = CommonArgs::parse(args, 7);
-    let seed = common.seed;
-    let settings = if common.quick {
-        TraceSettings::quick(seed)
-    } else {
-        TraceSettings::full(seed)
-    };
-    let out_path = common.out_or("AUDIT_transcript.jsonl");
-    let trace_path = cli::flag_path(args, "--trace-out", "TRACE_run.json");
-    status!(
-        "# running trace/audit experiment (seed={seed}, batches={}) …",
-        settings.batches
-    );
-    let report = run_trace(&settings);
-    status!("{}", report.render_text());
-    if let Err(e) = std::fs::write(&out_path, &report.transcript) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    status!("# wrote {out_path}");
-    if let Err(e) = std::fs::write(&trace_path, report.render_chrome_trace()) {
-        eprintln!("error: could not write {trace_path}: {e}");
-        std::process::exit(1);
-    }
-    status!("# wrote {trace_path}");
-    status!("{}", telemetry_report());
-    let failures = report.gate_failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("error: {f}");
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// The `dist` subcommand: runs the distributed-MVX conformance and heal
-/// experiment, writes the JSON report and exits non-zero on any byte
-/// mismatch across placements, lost batch, or failed heal.
-fn run_dist_command(args: &[String]) -> ! {
-    let common = CommonArgs::parse(args, 7);
-    let seed = common.seed;
-    let settings = if common.quick {
-        DistSettings::quick(seed)
-    } else {
-        DistSettings::full(seed)
-    };
-    let out_path = common.out_or("BENCH_dist.json");
-    status!(
-        "# running distributed-MVX experiment (seed={seed}, batches={}, 2 worker processes + kill/heal probe) …",
-        settings.batches
-    );
-    let report = run_dist(&settings);
-    status!("{}", report.render_text());
-    if let Err(e) = std::fs::write(&out_path, report.render_json()) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    status!("# wrote {out_path}");
-    status!("{}", telemetry_report());
-    let failures = report.gate_failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("error: {f}");
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// The `netchaos` subcommand: runs the adversarial-transport experiment,
-/// writes the JSON report and exits non-zero on any byte mismatch, lost
-/// batch, missed detection, or failed heal.
-fn run_netchaos_command(args: &[String]) -> ! {
-    let common = CommonArgs::parse(args, 7);
-    let seed = common.seed;
-    let settings = if common.quick {
-        NetchaosSettings::quick(seed)
-    } else {
-        NetchaosSettings::full(seed)
-    };
-    let out_path = common.out_or("BENCH_netchaos.json");
-    status!(
-        "# running adversarial-transport experiment (seed={seed}, {} gauntlet trial(s) and \
-         {} storm(s) per wire-fault class, flap + reconnect probes) …",
-        settings.gauntlet_trials,
-        settings.storms_per_class
-    );
-    let report = run_netchaos(&settings);
-    status!("{}", report.render_text());
-    if let Err(e) = std::fs::write(&out_path, report.render_json()) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    status!("# wrote {out_path}");
-    status!("{}", telemetry_report());
-    let failures = report.gate_failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("error: {f}");
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// The `coldstart` subcommand: runs the encrypted-model-registry
-/// provisioning and cold-start-serving experiment, writes
-/// `BENCH_registry.json` and exits non-zero on any plaintext-on-host
-/// sighting, accepted corrupt chunk, cold-start byte mismatch (outputs
-/// or rendered transcript), or failed torn-upload resume.
-fn run_coldstart_command(args: &[String]) -> ! {
-    let common = CommonArgs::parse(args, 7);
-    let settings = if common.quick {
-        ColdstartSettings::quick(common.seed)
-    } else {
-        ColdstartSettings::full(common.seed)
-    };
-    let out_path = common.out_or("BENCH_registry.json");
-    status!(
-        "# running registry coldstart experiment (seed={}, {} model(s), {} cold trial(s), \
-         {} fault scenario(s)) …",
-        settings.seed,
-        settings.models.len(),
-        settings.cold_trials,
-        settings.fault_scenarios,
-    );
-    let report = run_coldstart(&settings);
-    status!("{}", report.render_text());
-    if let Err(e) = std::fs::write(&out_path, report.render_json()) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    status!("# wrote {out_path}");
-    status!("{}", telemetry_report());
-    let failures = report.gate_failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("error: {f}");
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// The `audit` subcommand: replays a transcript's hash chain; exits
-/// non-zero on any tamper or gap.
-fn run_audit_command(args: &[String]) -> ! {
+/// The `audit` subcommand: verifies the transcript at the first
+/// positional argument.
+fn audit(_common: &CommonArgs, args: &[String]) -> Outcome {
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         eprintln!("usage: experiments audit TRANSCRIPT");
         std::process::exit(2);
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: could not read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match mvtee::transcript::verify_transcript(&text) {
-        Ok(summary) => {
-            status!(
+    let verdict = std::fs::read_to_string(path)
+        .map_err(|e| format!("could not read {path}: {e}"))
+        .and_then(|text| {
+            mvtee::transcript::verify_transcript(&text).map_err(|e| format!("audit failed: {e}"))
+        });
+    match verdict {
+        Err(failure) => Outcome { failures: vec![failure], ..Outcome::default() },
+        Ok(summary) => Outcome {
+            status: format!(
                 "# audit ok: {} entries over {} partition(s), {} pass / {} diverged",
                 summary.entries, summary.partitions, summary.passes, summary.divergences
-            );
-            report!(
-                "{{\"audit\": \"ok\", \"seed\": {}, \"fingerprint\": \"{}\", \
-                 \"entries\": {}, \"partitions\": {}, \"passes\": {}, \
-                 \"divergences\": {}, \"head\": \"{}\"}}",
-                summary.seed,
-                summary.fingerprint,
-                summary.entries,
-                summary.partitions,
-                summary.passes,
-                summary.divergences,
-                summary.head
-            );
-            std::process::exit(0);
+            ),
+            report: Json::obj([
+                ("audit", "ok".into()),
+                ("seed", summary.seed.into()),
+                ("fingerprint", summary.fingerprint.as_str().into()),
+                ("entries", summary.entries.into()),
+                ("partitions", summary.partitions.into()),
+                ("passes", summary.passes.into()),
+                ("divergences", summary.divergences.into()),
+                ("head", summary.head.as_str().into()),
+            ])
+            .render(),
+            ..Outcome::default()
+        },
+    }
+}
+
+fn figure_names() -> Vec<&'static str> {
+    FIGURES.iter().map(|(name, _)| *name).collect()
+}
+
+/// The `--help` text.
+fn usage() -> String {
+    let mut text = format!(
+        "usage: experiments [--quick] [--markdown] [--quiet] [{}|all]\n",
+        figure_names().join("|")
+    );
+    for sub in &SUBCOMMANDS {
+        text.push_str(&format!("       experiments {} {}\n", sub.name, sub.usage));
+    }
+    text.push('\n');
+    for sub in &SUBCOMMANDS {
+        text.push_str(&format!("  {:<10} {}", sub.name, sub.summary));
+        if !sub.artifacts.is_empty() {
+            text.push_str(&format!(" (writes {})", sub.artifacts.join(", ")));
         }
-        Err(e) => {
-            eprintln!("error: audit failed: {e}");
-            std::process::exit(1);
+        text.push('\n');
+    }
+    text
+}
+
+/// Runs one subcommand: print, write the artifacts, judge the gates.
+fn drive(sub: &Subcommand, args: &[String]) -> i32 {
+    let common = CommonArgs::parse(args, 7);
+    let scale = if common.quick { "quick" } else { "full" };
+    common.status(&format!("# running {} (seed={}, {scale}) …", sub.name, common.seed));
+    let outcome = (sub.run)(&common, args);
+    if !outcome.status.is_empty() {
+        common.status(&outcome.status);
+    }
+    if !outcome.report.is_empty() {
+        report!("{}", outcome.report.trim_end());
+    }
+    for (path, contents) in &outcome.artifacts {
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("error: could not write {path}: {e}");
+            return 1;
         }
+        common.status(&format!("# wrote {path}"));
+    }
+    // What the instrumented pipeline recorded during the run, with every
+    // metric registered up front so "never fired" shows as a zero.
+    common.status(&telemetry_report());
+    for failure in &outcome.failures {
+        eprintln!("error: {failure}");
+    }
+    i32::from(!outcome.failures.is_empty())
+}
+
+/// Renders the selected tables and figures (default: all).
+fn figures(args: &[String]) -> i32 {
+    let common = CommonArgs::parse(args, 7);
+    let figures = figure_names();
+    let selected: Vec<&str> =
+        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
+    if let Some(unknown) = selected.iter().find(|s| **s != "all" && !figures.contains(s)) {
+        let subs: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.name).collect();
+        eprintln!(
+            "error: unknown experiment '{unknown}' (expected one of {figures:?} or \"all\", \
+             or a subcommand: {subs:?})"
+        );
+        return 2;
+    }
+    let settings = if common.quick { Settings::quick() } else { Settings::full() };
+    common.status(&format!(
+        "# MVTEE experiments ({} scale, models: {:?}, {} batches/stream)\n\
+         # methodology: measured component costs composed by a calibrated pipeline model;\n\
+         # Table 1 and the security experiments run the real threaded system.\n",
+        if common.quick { "test" } else { "bench" },
+        settings.models.iter().map(|m| m.display_name()).collect::<Vec<_>>(),
+        settings.batches,
+    ));
+    let run_all = selected.is_empty() || selected.contains(&"all");
+    let mut tables: Vec<Table> = Vec::new();
+    for (name, renderers) in FIGURES.iter().filter(|(n, _)| run_all || selected.contains(n)) {
+        common.status(&format!("running {name} …"));
+        tables.extend(renderers.iter().map(|render| render(&settings)));
+    }
+    let markdown = cli::has_flag(args, "--markdown");
+    for t in &tables {
+        report!("{}", if markdown { t.render_markdown() } else { t.render() });
+    }
+    common.status(&telemetry_report());
+    0
+}
+
+/// The whole program but the exit: a subcommand when the first argument
+/// names one, the figures otherwise.
+fn run(args: &[String]) -> i32 {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprint!("{}", usage());
+        return 0;
+    }
+    match args.first().and_then(|name| SUBCOMMANDS.iter().find(|s| s.name == name)) {
+        Some(sub) => drive(sub, &args[1..]),
+        None => figures(args),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    QUIET.store(cli::has_flag(&args, "--quiet"), Ordering::Relaxed);
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: experiments [--quick] [--markdown] [--quiet] [fig9|fig10|fig11|fig12|fig13|fig14|table1|security|ablation|all]\n       experiments campaign [--seed N] [--count N] [--no-shrink]\n       experiments chaos [--seed N] [--scenarios N] [--quick]\n       experiments perf [--quick] [--out PATH]\n       experiments serve [--seed N] [--quick] [--out PATH]\n       experiments trace [--seed N] [--quick] [--out PATH] [--trace-out PATH]\n       experiments dist [--seed N] [--quick] [--out PATH]\n       experiments netchaos [--seed N] [--quick] [--out PATH]\n       experiments coldstart [--seed N] [--quick] [--out PATH]\n       experiments audit TRANSCRIPT"
-        );
-        return;
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        run_campaign_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        run_chaos_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("perf") {
-        run_perf_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        run_trace_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("dist") {
-        run_dist_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("netchaos") {
-        run_netchaos_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("coldstart") {
-        run_coldstart_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("audit") {
-        run_audit_command(&args[1..]);
-    }
-    let quick = cli::has_flag(&args, "--quick");
-    let markdown = cli::has_flag(&args, "--markdown");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    const KNOWN: [&str; 10] = [
-        "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "table1", "security",
-        "ablation", "all",
-    ];
-    if let Some(unknown) = selected.iter().find(|s| !KNOWN.contains(s)) {
-        eprintln!("error: unknown experiment '{unknown}' (expected one of {KNOWN:?})");
-        std::process::exit(2);
-    }
-    let settings = if quick { Settings::quick() } else { Settings::full() };
-    let run_all = selected.is_empty() || selected.contains(&"all");
-    let want = |name: &str| run_all || selected.contains(&name);
+    std::process::exit(run(&args));
+}
 
-    status!(
-        "# MVTEE experiments ({} scale, models: {:?}, {} batches/stream)",
-        if quick { "test" } else { "bench" },
-        settings.models.iter().map(|m| m.display_name()).collect::<Vec<_>>(),
-        settings.batches,
-    );
-    status!("# methodology: measured component costs composed by a calibrated pipeline model;");
-    status!("# Table 1 and the security experiments run the real threaded system.\n");
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let mut tables: Vec<Table> = Vec::new();
-    if want("fig9") {
-        status!("running fig9 …");
-        tables.push(fig9(&settings));
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
     }
-    if want("fig10") {
-        status!("running fig10 …");
-        tables.push(fig10(&settings));
-    }
-    if want("fig11") {
-        status!("running fig11 …");
-        tables.push(fig11(&settings));
-    }
-    if want("fig12") {
-        status!("running fig12 …");
-        tables.push(fig12(&settings));
-    }
-    if want("fig13") {
-        status!("running fig13 …");
-        tables.push(fig13(&settings));
-    }
-    if want("fig14") {
-        status!("running fig14 …");
-        tables.push(fig14(&settings));
-    }
-    if want("table1") {
-        status!("running table1 …");
-        tables.push(table1(&settings));
-    }
-    if want("security") {
-        status!("running security …");
-        tables.push(security_faults(&settings));
-    }
-    if want("ablation") {
-        status!("running ablations …");
-        tables.push(ablation_weight_fn(&settings));
-        tables.push(ablation_metric(&settings));
-    }
-    for t in &tables {
-        if markdown {
-            report!("{}", t.render_markdown());
-        } else {
-            report!("{}", t.render());
+
+    #[test]
+    fn every_name_is_unique_and_appears_in_the_usage() {
+        let mut names: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.name).collect();
+        names.extend(figure_names());
+        let text = usage();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name} is listed twice");
+            assert!(text.contains(name), "{name} missing from --help:\n{text}");
+        }
+        for sub in &SUBCOMMANDS {
+            let line = format!("experiments {} {}\n", sub.name, sub.usage);
+            assert!(text.contains(&line), "{} has no usage line:\n{text}", sub.name);
+            // A row that writes artifacts must say where, and take --out.
+            assert_eq!(sub.usage.contains("--out PATH"), !sub.artifacts.is_empty(), "{}", sub.name);
+            assert!(sub.artifacts.iter().all(|path| text.contains(path)), "{}", sub.name);
         }
     }
-    // What the instrumented pipeline recorded while the experiments ran.
-    status!("{}", telemetry_report());
+
+    #[test]
+    fn an_unknown_name_is_a_usage_error_and_help_is_not() {
+        assert_eq!(run(&args(&["bogus"])), 2);
+        assert_eq!(run(&args(&["--quick", "fig9", "nope"])), 2);
+        assert_eq!(run(&args(&["--help"])), 0);
+        assert_eq!(run(&args(&["perf", "--help"])), 0);
+    }
+
+    #[test]
+    fn audit_fails_on_an_unreadable_transcript_without_running_anything() {
+        let missing = args(&["audit", "/nonexistent/transcript.jsonl", "--quiet"]);
+        assert_eq!(run(&missing), 1);
+    }
 }

@@ -20,26 +20,23 @@
 //! checkpoint pass at **full** panel strength. A scenario that has not
 //! healed within the batch cap is a finding, not a wait.
 
-use mvtee::config::{DegradationPolicy, MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
+use crate::cli::{self, CommonArgs, Outcome};
+use crate::fixture;
 use mvtee::deployment::Deployment;
 use mvtee::MonitorEvent;
 use mvtee_faults::{
     BitFlipFault, BitFlipStrategy, ChannelFault, ChannelFaultMode, FaultDescriptor, StallFault,
     StallMode,
 };
-use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
-use mvtee_tensor::Tensor;
+use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 /// Partitions per chaos deployment (one fault family each).
 const PARTITIONS: usize = 3;
-/// Panel size on every partition: 2-of-3 keeps a strict majority while any
-/// one member is quarantined.
+/// Panel size on every partition.
 const PANEL: usize = 3;
-/// Checkpoint deadline driving the straggler watchdog.
-const DEADLINE_MS: u64 = 300;
 /// Batches streamed before the heal check starts.
 const MIN_BATCHES: u64 = 6;
 /// Hard cap on batches streamed while waiting for the panel to heal.
@@ -121,20 +118,6 @@ impl ChaosReport {
     }
 }
 
-/// The deterministic input of chaos batch `batch`.
-fn chaos_input(seed: u64, model: &Model, batch: u64) -> Tensor {
-    let n = model.input_shape.num_elements();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a05_u64 ^ (batch % INPUT_PERIOD));
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    Tensor::from_vec(data, model.input_shape.dims()).expect("static input shape")
-}
-
-/// Bit-exact tensor equality (NaN-safe, unlike `f32` comparison).
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.dims() == b.dims()
-        && a.data().iter().zip(b.data().iter()).all(|(p, q)| p.to_bits() == q.to_bits())
-}
-
 /// Runs one seeded storm. Returns `Ok(batches_streamed)` once the panel
 /// healed, `Err(reason)` on any invariant violation.
 fn run_storm(cfg: &ChaosConfig, index: u64, events_out: &mut (usize, usize)) -> Result<u64, String> {
@@ -163,33 +146,16 @@ fn run_storm(cfg: &ChaosConfig, index: u64, events_out: &mut (usize, usize)) -> 
     let v_stall = rng.gen_range(0..PANEL);
     let v_chan = rng.gen_range(0..PANEL);
 
-    let mut mvx = MvxConfig::fast_path(PARTITIONS);
-    for claim in &mut mvx.claims {
-        *claim = PartitionMvx::replicated(PANEL);
-    }
-    mvx.response = ResponsePolicy::ContinueWithMajority;
-    mvx.degradation = DegradationPolicy::Degrade;
-    mvx.recovery = RecoveryPolicy::enabled();
-    mvx.checkpoint_deadline_ms = DEADLINE_MS;
-
     let model = zoo::build(kind, cfg.profile, scenario_seed).map_err(|e| e.to_string())?;
-    let inputs: Vec<Tensor> =
-        (0..INPUT_PERIOD).map(|b| chaos_input(scenario_seed, &model, b)).collect();
+    let inputs = fixture::inputs(&model, scenario_seed ^ 0xc4a05, INPUT_PERIOD);
 
     // The correctness oracle: the identical deployment without the storm.
-    let mut clean = Deployment::builder(model)
-        .config(mvx.clone())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut expected = Vec::with_capacity(inputs.len());
-    for input in &inputs {
-        expected.push(clean.infer(input).map_err(|e| format!("oracle run failed: {e}"))?);
-    }
-    clean.shutdown();
+    let mvx = fixture::healing_panel(PARTITIONS, &[0, 1, 2], PANEL);
+    let clean = Deployment::builder(model).config(mvx);
+    let expected = fixture::oracle(clean.clone(), &inputs)
+        .map_err(|e| format!("oracle run failed: {e}"))?;
 
-    let model = zoo::build(kind, cfg.profile, scenario_seed).map_err(|e| e.to_string())?;
-    let mut d = Deployment::builder(model)
-        .config(mvx)
+    let mut d = clean
         .fault(FaultDescriptor::WeightBitFlip(flip), Some((p_flip, 0)))
         .fault(FaultDescriptor::Stall(stall), Some((p_stall, v_stall)))
         .fault(FaultDescriptor::Channel(chan), Some((p_chan, v_chan)))
@@ -200,7 +166,7 @@ fn run_storm(cfg: &ChaosConfig, index: u64, events_out: &mut (usize, usize)) -> 
     for b in 0..BATCH_CAP {
         let idx = (b % INPUT_PERIOD) as usize;
         match d.infer(&inputs[idx]) {
-            Ok(out) if !bits_equal(&out, &expected[idx]) => {
+            Ok(out) if !fixture::bits_equal(&out, &expected[idx]) => {
                 result = Some(Err(format!("batch {b} output diverged from the oracle")));
                 break;
             }
@@ -224,26 +190,15 @@ fn run_storm(cfg: &ChaosConfig, index: u64, events_out: &mut (usize, usize)) -> 
             break;
         }
         let quarantines = events.quarantines();
-        let recoveries = events.recoveries();
-        let passes = events.checkpoint_passes();
         events_out.0 = quarantines.len();
-        events_out.1 = recoveries.len();
-        // Both liveness faults must have tripped the watchdog, every
-        // quarantined slot must have been re-provisioned, and each
-        // wounded partition must have passed a checkpoint at full
-        // strength after its last quarantine.
+        events_out.1 = events.recoveries().len();
+        // Both liveness faults must have tripped the watchdog, and every
+        // quarantined slot must have been re-provisioned and followed by
+        // a checkpoint of its partition at full strength (so each wounded
+        // partition passed one after its *last* quarantine).
         let liveness_fired = quarantines.iter().any(|&(p, _, _)| p == p_stall)
             && quarantines.iter().any(|&(p, _, _)| p == p_chan);
-        let healed = quarantines.iter().all(|&(p, v, _)| recoveries.contains(&(p, v)))
-            && (0..PARTITIONS).all(|p| {
-                match quarantines.iter().filter(|&&(qp, _, _)| qp == p).map(|&(_, _, qb)| qb).max()
-                {
-                    None => true,
-                    Some(last_qb) => passes
-                        .iter()
-                        .any(|&(pp, pb, agreeing)| pp == p && pb > last_qb && agreeing == PANEL),
-                }
-            });
+        let healed = quarantines.iter().all(|&(p, v, qb)| events.healed_after(p, v, qb, PANEL));
         if liveness_fired && healed {
             result = Some(Ok(b + 1));
             break;
@@ -282,6 +237,24 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         });
     }
     ChaosReport { seed: cfg.seed, outcomes }
+}
+
+/// The `chaos` subcommand (`--scenarios N`; `--quick` runs 4): fails
+/// unless every storm heals.
+pub fn command(common: &CommonArgs, args: &[String]) -> Outcome {
+    let mut cfg = ChaosConfig::new(common.seed);
+    if common.quick {
+        cfg.scenarios = 4; // CI smoke
+    }
+    cfg.scenarios = cli::flag_value(args, "--scenarios", cfg.scenarios);
+    let report = run_chaos(&cfg);
+    let failed = report.failures().len();
+    let failure = (failed > 0).then(|| format!("{failed} storm(s) failed to heal"));
+    Outcome {
+        report: report.render_text(),
+        failures: failure.into_iter().collect(),
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]

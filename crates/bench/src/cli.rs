@@ -1,10 +1,22 @@
-//! Shared flag parsing for the `experiments` subcommands.
+//! The `experiments` shell's vocabulary: the flags every subcommand
+//! shares and what one hands back (`bin/experiments.rs` holds the table).
 //!
-//! Every subcommand understands the same core flags — `--seed N`,
-//! `--quick`, `--out PATH`, `--quiet` — and before this module each one
-//! re-parsed them by hand. [`CommonArgs::parse`] is the single
-//! implementation; subcommand-specific flags (`--count`, `--scenarios`,
-//! `--trace-out`, …) keep using [`flag_value`]/[`flag_path`] directly.
+//! [`CommonArgs::parse`] is the single parser of `--seed N`, `--quick`,
+//! `--out PATH` and `--quiet`; subcommand-specific flags (`--count`,
+//! `--scenarios`, `--trace-out`) use [`flag_value`]/[`flag_path`].
+
+/// What a subcommand hands back for the shell to print, write and judge.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// The human summary (stderr, silenced by `--quiet`).
+    pub status: String,
+    /// The machine payload (stdout); empty when there is none.
+    pub report: String,
+    /// `(path, contents)` of each artifact to write.
+    pub artifacts: Vec<(String, String)>,
+    /// Every gate that failed; non-empty means exit status 1.
+    pub failures: Vec<String>,
+}
 
 /// The flags shared by every `experiments` subcommand.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +49,19 @@ impl CommonArgs {
     /// The `--out` path, or `default` when the flag was absent.
     pub fn out_or(&self, default: &str) -> String {
         self.out.clone().unwrap_or_else(|| default.to_string())
+    }
+
+    /// The CI-smoke settings under `--quick`, else the full ones, of
+    /// this run's seed.
+    pub fn pick<S>(&self, quick: fn(u64) -> S, full: fn(u64) -> S) -> S {
+        if self.quick { quick(self.seed) } else { full(self.seed) }
+    }
+
+    /// Progress chatter: stderr, silenced by `--quiet`.
+    pub fn status(&self, text: &str) {
+        if !self.quiet {
+            eprintln!("{text}");
+        }
     }
 }
 
@@ -106,6 +131,14 @@ mod tests {
             }
         );
         assert_eq!(c.out_or("BENCH_x.json"), "report.json");
+    }
+
+    #[test]
+    fn pick_follows_quick_and_passes_the_seed() {
+        let quick = CommonArgs::parse(&args(&["--quick", "--seed", "9"]), 7);
+        assert_eq!(quick.pick(|s| ("quick", s), |s| ("full", s)), ("quick", 9));
+        let full = CommonArgs::parse(&args(&[]), 7);
+        assert_eq!(full.pick(|s| ("quick", s), |s| ("full", s)), ("full", 7));
     }
 
     #[test]

@@ -24,14 +24,18 @@
 //!   slots exhausted, an unknown-key submission must shed
 //!   [`ShedReason::ColdStart`] at the door.
 //!
-//! Results land in `BENCH_registry.json` (upload throughput, p50/p99
-//! time-to-first-inference per model size, warm-vs-cold hit ratio,
-//! eviction counts) so future PRs have a provisioning trajectory to beat.
+//! Results land in `BENCH_registry.json` (per-model sizes and identity
+//! verdicts, fault tallies, warm-vs-cold hit ratio, eviction counts).
+//! Upload throughput and time-to-first-inference are the benchmark's
+//! `upload_mb_s`, `setup_s`, `registry.upload_mb_s.{mem,tcp}` and
+//! `registry.checkout_ms` rows, not measured here.
 //!
 //! [`LANE_PROVISION`]: mvtee_crypto::mux::LANE_PROVISION
 //! [`ProvisionFault`]: mvtee_faults::ProvisionFault
 //! [`ShedReason::ColdStart`]: mvtee_serve::ShedReason::ColdStart
 
+use crate::cli::{CommonArgs, Outcome};
+use crate::fixture::{self, Json};
 use mvtee::deployment::{Deployment, DeploymentBuilder};
 use mvtee_crypto::channel::{memory_pair, FrameTransport, Handshake, Role, SecureChannel};
 use mvtee_crypto::mux::{split, MuxLane, LANE_PROVISION};
@@ -47,10 +51,9 @@ use mvtee_serve::{
 };
 use mvtee_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Chunk length the uploads use — small enough that every Test-scale
 /// model spans several chunks, so the chunk protocol is actually
@@ -60,6 +63,8 @@ const CHUNK_LEN: usize = 16 * 1024;
 const NEEDLE_LEN: usize = 64;
 /// Partitions every deployment (reference and cold-started) runs.
 const PARTITIONS: usize = 2;
+/// Where the report lands unless `--out` says otherwise.
+pub const ARTIFACT: &str = "BENCH_registry.json";
 
 /// Coldstart experiment parameters.
 #[derive(Debug, Clone)]
@@ -70,8 +75,8 @@ pub struct ColdstartSettings {
     pub models: Vec<ModelKind>,
     /// Zoo scale.
     pub profile: ScaleProfile,
-    /// Cold time-to-first-inference samples per model (each evicts the
-    /// session engine cache first).
+    /// Cold starts per model through the serving frontend (each evicts
+    /// the session engine cache first); one warm start follows.
     pub cold_trials: usize,
     /// Seeded provisioning-fault scenarios.
     pub fault_scenarios: u64,
@@ -93,21 +98,20 @@ impl ColdstartSettings {
         }
     }
 
-    /// Full configuration: a larger population, more TTFI samples, a
+    /// Full configuration: a larger population, more cold starts, a
     /// deeper fault sweep.
     pub fn full(seed: u64) -> Self {
         ColdstartSettings {
-            seed,
             models: ModelKind::ALL.iter().copied().take(4).collect(),
-            profile: ScaleProfile::Test,
             cold_trials: 8,
             fault_scenarios: 24,
             evict_extra: 3,
+            ..Self::quick(seed)
         }
     }
 }
 
-/// Per-model provisioning and cold-start measurements.
+/// Per-model provisioning and cold-start verdicts.
 #[derive(Debug, Clone)]
 pub struct ModelColdstart {
     /// Registry key the model is served under.
@@ -118,18 +122,6 @@ pub struct ModelColdstart {
     pub plain_bytes: u64,
     /// Sealed bytes sent over the provisioning lane.
     pub sealed_bytes: u64,
-    /// Wall-clock upload time, milliseconds.
-    pub upload_ms: f64,
-    /// Upload throughput, plaintext MB/s.
-    pub upload_mb_s: f64,
-    /// Cold time-to-first-inference samples, milliseconds.
-    pub ttfi_cold_ms: Vec<f64>,
-    /// Median cold TTFI, milliseconds.
-    pub ttfi_p50_ms: f64,
-    /// 99th-percentile cold TTFI, milliseconds.
-    pub ttfi_p99_ms: f64,
-    /// Warm (engine already cached) TTFI, milliseconds.
-    pub ttfi_warm_ms: f64,
     /// Every served output matched the serial reference bit-for-bit.
     pub outputs_match: bool,
     /// The cold-started deployment's rendered audit transcript matched
@@ -264,93 +256,65 @@ impl ColdstartReport {
         for m in &self.models {
             let _ = writeln!(
                 out,
-                "{} ({}, {} B plain): upload {:.2} ms ({:.1} MB/s), TTFI cold p50={:.2} ms \
-                 p99={:.2} ms warm={:.2} ms, outputs={} transcript={}",
-                m.key,
-                m.kind,
-                m.plain_bytes,
-                m.upload_ms,
-                m.upload_mb_s,
-                m.ttfi_p50_ms,
-                m.ttfi_p99_ms,
-                m.ttfi_warm_ms,
-                m.outputs_match,
-                m.transcript_match,
+                "{} ({}, {} B plain, {} B sealed): outputs={} transcript={}",
+                m.key, m.kind, m.plain_bytes, m.sealed_bytes, m.outputs_match, m.transcript_match,
             );
         }
         for s in &self.plaintext_sightings {
             let _ = writeln!(out, "PLAINTEXT: {s}");
-        }
-        for f in self.gate_failures() {
-            let _ = writeln!(out, "GATE: {f}");
         }
         out
     }
 
     /// The machine-readable report (`BENCH_registry.json`).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&crate::meta_json_line(
-            "mvtee-bench-registry-v1",
-            self.seed,
-            &self.fingerprint,
-        ));
-        out.push_str("  \"models\": [\n");
-        for (i, m) in self.models.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"key\": \"{}\", \"kind\": \"{}\", \"plain_bytes\": {}, \
-                 \"sealed_bytes\": {}, \"upload_ms\": {:.3}, \"upload_mb_s\": {:.2}, \
-                 \"ttfi_ms\": {{\"p50\": {:.3}, \"p99\": {:.3}, \"warm\": {:.3}}}, \
-                 \"outputs_match\": {}, \"transcript_match\": {}}}{}\n",
-                m.key,
-                m.kind,
-                m.plain_bytes,
-                m.sealed_bytes,
-                m.upload_ms,
-                m.upload_mb_s,
-                m.ttfi_p50_ms,
-                m.ttfi_p99_ms,
-                m.ttfi_warm_ms,
-                m.outputs_match,
-                m.transcript_match,
-                if i + 1 < self.models.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"provisioning\": {{\"dedup_hit\": {}, \"resume_ok\": {}, \
-             \"resume_torn_at\": {}, \"resume_resumed_from\": {}, \
-             \"plaintext_sightings\": {}}},\n",
-            self.dedup_hit,
-            self.resume_ok,
-            self.resume_torn_at,
-            self.resume_resumed_from,
-            self.plaintext_sightings.len(),
-        ));
-        out.push_str(&format!(
-            "  \"faults\": {{\"injected\": {}, \"detected\": {}, \"resumed\": {}, \
-             \"missed\": {}}},\n",
-            self.faults.injected,
-            self.faults.detected,
-            self.faults.resumed,
-            self.faults.missed.len(),
-        ));
-        out.push_str(&format!(
-            "  \"cache\": {{\"warm_hits\": {}, \"cold_misses\": {}, \"warm_hit_ratio\": {:.3}}},\n",
-            self.warm_hits,
-            self.cold_misses,
-            self.warm_hit_ratio(),
-        ));
-        out.push_str(&format!(
-            "  \"evictions\": {{\"bundles\": {}, \"engines\": {}}},\n",
-            self.evictions, self.engine_evictions,
-        ));
-        out.push_str(&format!(
-            "  \"shed\": {{\"coldstart_observed\": {}, \"shed_coldstart\": {}}},\n",
-            self.coldstart_shed_observed, self.queue.shed_coldstart,
-        ));
-        out.push_str(&format!("  \"gate_failures\": {}\n}}\n", self.gate_failures().len()));
-        out
+        let model = |m: &ModelColdstart| {
+            Json::obj([
+                ("key", m.key.as_str().into()),
+                ("kind", m.kind.as_str().into()),
+                ("plain_bytes", m.plain_bytes.into()),
+                ("sealed_bytes", m.sealed_bytes.into()),
+                ("outputs_match", m.outputs_match.into()),
+                ("transcript_match", m.transcript_match.into()),
+            ])
+        };
+        let provisioning = Json::obj([
+            ("dedup_hit", self.dedup_hit.into()),
+            ("resume_ok", self.resume_ok.into()),
+            ("resume_torn_at", self.resume_torn_at.into()),
+            ("resume_resumed_from", self.resume_resumed_from.into()),
+            ("plaintext_sightings", self.plaintext_sightings.len().into()),
+        ]);
+        let faults = Json::obj([
+            ("injected", self.faults.injected.into()),
+            ("detected", self.faults.detected.into()),
+            ("resumed", self.faults.resumed.into()),
+            ("missed", self.faults.missed.len().into()),
+        ]);
+        let cache = Json::obj([
+            ("warm_hits", self.warm_hits.into()),
+            ("cold_misses", self.cold_misses.into()),
+            ("warm_hit_ratio", Json::fixed(self.warm_hit_ratio(), 3)),
+        ]);
+        let evictions = Json::obj([
+            ("bundles", self.evictions.into()),
+            ("engines", self.engine_evictions.into()),
+        ]);
+        let shed = Json::obj([
+            ("coldstart_observed", self.coldstart_shed_observed.into()),
+            ("shed_coldstart", self.queue.shed_coldstart.into()),
+        ]);
+        Json::obj([
+            ("meta", Json::meta("mvtee-bench-registry-v2", self.seed, &self.fingerprint)),
+            ("models", Json::arr(self.models.iter().map(model))),
+            ("provisioning", provisioning),
+            ("faults", faults),
+            ("cache", cache),
+            ("evictions", evictions),
+            ("shed", shed),
+            ("gate_failures", self.gate_failures().len().into()),
+        ])
+        .render()
     }
 }
 
@@ -378,6 +342,11 @@ impl<T: FrameTransport> FrameTransport for SpyTransport<T> {
     }
 }
 
+/// The shape every deployment here runs, reference and cold-started alike.
+fn seeded(builder: DeploymentBuilder, seed: u64) -> DeploymentBuilder {
+    builder.partitions(PARTITIONS).partition_seed(seed).variant_seed(seed)
+}
+
 /// Builds replica pools from sealed registry bundles — the bench's
 /// [`ColdStartProvider`].
 struct RegistryProvider {
@@ -388,41 +357,14 @@ struct RegistryProvider {
 impl ColdStartProvider for RegistryProvider {
     fn cold_start(&self, model_key: &str) -> Result<ReplicaPool, String> {
         let builder = DeploymentBuilder::from_registry(&self.registry, model_key)
-            .map_err(|e| e.to_string())?
-            .partitions(PARTITIONS)
-            .partition_seed(self.seed)
-            .variant_seed(self.seed);
-        ReplicaPool::from_builder(model_key, builder, 1).map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        ReplicaPool::from_builder(model_key, seeded(builder, self.seed), 1)
+            .map_err(|e| e.to_string())
     }
 
     fn saturated(&self) -> bool {
         self.registry.lock().expect("registry lock").saturated()
     }
-}
-
-/// Deterministic per-model inference input.
-fn model_input(seed: u64, model: &Model) -> Tensor {
-    let n = model.input_shape.num_elements();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xc01d_u64);
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    Tensor::from_vec(data, model.input_shape.dims()).expect("static input shape")
-}
-
-/// Bit-exact tensor equality (NaN-safe).
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.dims() == b.dims()
-        && a.data().iter().zip(b.data().iter()).all(|(p, q)| p.to_bits() == q.to_bits())
-}
-
-/// Nearest-rank quantile over an unsorted latency sample, milliseconds.
-fn quantile_ms(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// A mux'd provisioning channel pair over an in-memory wire, the tenant
@@ -678,20 +620,12 @@ pub fn run_coldstart(s: &ColdstartSettings) -> ColdstartReport {
             let mid = plain.len() / 2;
             needles.push((key.clone(), plain[mid..mid + NEEDLE_LEN].to_vec()));
             let prepared = prepare_upload(model, key, CHUNK_LEN).expect("prepares");
-            let started = Instant::now();
             let outcome = drive_upload(&mut chan, &prepared).expect("population upload");
-            let upload_s = started.elapsed().as_secs_f64();
             per_model.push(ModelColdstart {
                 key: key.clone(),
                 kind: model.kind.display_name().to_string(),
                 plain_bytes: plain.len() as u64,
                 sealed_bytes: outcome.bytes_sent,
-                upload_ms: upload_s * 1e3,
-                upload_mb_s: plain.len() as f64 / upload_s.max(1e-9) / 1e6,
-                ttfi_cold_ms: Vec::new(),
-                ttfi_p50_ms: 0.0,
-                ttfi_p99_ms: 0.0,
-                ttfi_warm_ms: 0.0,
                 outputs_match: true,
                 transcript_match: true,
             });
@@ -726,43 +660,33 @@ pub fn run_coldstart(s: &ColdstartSettings) -> ColdstartReport {
     // the in-memory models, then the byte-identity gate on a cold-started
     // deployment per model.
     let inputs: Vec<Tensor> =
-        models.iter().map(|(_, m)| model_input(s.seed, m)).collect();
+        models.iter().map(|(_, m)| fixture::inputs(m, s.seed ^ 0xc01d, 1).remove(0)).collect();
     let mut references: Vec<Tensor> = Vec::new();
+    // One inference on a fresh deployment: its output and rendered transcript.
+    let answer = |builder: DeploymentBuilder, input: &Tensor, key: &str| {
+        let mut dep = seeded(builder, s.seed).build().expect("deployment builds");
+        let out = dep.infer(input).expect("inference succeeds");
+        let transcript = dep.transcript().render(s.seed, key);
+        dep.shutdown();
+        (out, transcript)
+    };
     for (i, (key, model)) in models.iter().enumerate() {
-        let mut ref_dep = Deployment::builder(model.clone())
-            .partitions(PARTITIONS)
-            .partition_seed(s.seed)
-            .variant_seed(s.seed)
-            .build()
-            .expect("reference deployment builds");
-        let ref_out = ref_dep.infer(&inputs[i]).expect("reference inference");
-        let ref_transcript = ref_dep.transcript().render(s.seed, key);
-        ref_dep.shutdown();
-
-        let mut cold_dep = DeploymentBuilder::from_registry(&registry, key)
-            .expect("registry checkout")
-            .partitions(PARTITIONS)
-            .partition_seed(s.seed)
-            .variant_seed(s.seed)
-            .build()
-            .expect("cold deployment builds");
-        let cold_out = cold_dep.infer(&inputs[i]).expect("cold inference");
-        let cold_transcript = cold_dep.transcript().render(s.seed, key);
-        cold_dep.shutdown();
-
-        per_model[i].outputs_match = bits_equal(&ref_out, &cold_out);
+        let (ref_out, ref_transcript) = answer(Deployment::builder(model.clone()), &inputs[i], key);
+        let cold = DeploymentBuilder::from_registry(&registry, key).expect("registry checkout");
+        let (cold_out, cold_transcript) = answer(cold, &inputs[i], key);
+        per_model[i].outputs_match = fixture::bits_equal(&ref_out, &cold_out);
         per_model[i].transcript_match = ref_transcript == cold_transcript;
         references.push(ref_out);
     }
 
-    // ---- Phase 5: cold and warm TTFI through the serving frontend's
-    // cold-start path; every served output is held to the reference.
+    // ---- Phase 5: cold starts, then one warm start, through the serving
+    // frontend's cold-start path; every served output is held to the
+    // reference.
     let provider = Arc::new(RegistryProvider { registry: Arc::clone(&registry), seed: s.seed });
     let cache = mvtee_runtime::session_cache();
     let fps: Vec<u64> = models.iter().map(|(_, m)| mvtee_registry::key_for(m)).collect();
     for trial in 0..=s.cold_trials {
-        let warm_trial = trial == s.cold_trials;
-        if !warm_trial {
+        if trial < s.cold_trials {
             for fp in &fps {
                 cache.evict(*fp);
             }
@@ -777,27 +701,14 @@ pub fn run_coldstart(s: &ColdstartSettings) -> ColdstartReport {
             let ticket = handle
                 .submit("bench", key, inputs[i].clone())
                 .expect("unsaturated registry admits");
-            let resp = ticket.wait().expect("frontend resolves the ticket");
-            let ttfi_ms = resp.latency.as_secs_f64() * 1e3;
-            match &resp.outcome {
+            match ticket.wait().expect("frontend resolves the ticket").outcome {
                 RequestOutcome::Ok(tensor) => {
-                    if !bits_equal(tensor, &references[i]) {
-                        per_model[i].outputs_match = false;
-                    }
+                    per_model[i].outputs_match &= fixture::bits_equal(&tensor, &references[i]);
                 }
                 other => panic!("cold-start serve failed for {key}: {other:?}"),
             }
-            if warm_trial {
-                per_model[i].ttfi_warm_ms = ttfi_ms;
-            } else {
-                per_model[i].ttfi_cold_ms.push(ttfi_ms);
-            }
         }
         frontend.shutdown();
-    }
-    for m in &mut per_model {
-        m.ttfi_p50_ms = quantile_ms(&m.ttfi_cold_ms, 0.50);
-        m.ttfi_p99_ms = quantile_ms(&m.ttfi_cold_ms, 0.99);
     }
 
     // ---- Phase 6: the plaintext sentry — no needle may appear in the
@@ -891,6 +802,19 @@ pub fn run_coldstart(s: &ColdstartSettings) -> ColdstartReport {
     }
 }
 
+/// The `coldstart` subcommand: fails on any plaintext-on-host sighting,
+/// accepted corrupt chunk, cold-start byte mismatch (outputs or rendered
+/// transcript), failed resume, or missing `ColdStart` shed.
+pub fn command(common: &CommonArgs, _args: &[String]) -> Outcome {
+    let report = run_coldstart(&common.pick(ColdstartSettings::quick, ColdstartSettings::full));
+    Outcome {
+        status: report.render_text(),
+        artifacts: vec![(common.out_or(ARTIFACT), report.render_json())],
+        failures: report.gate_failures(),
+        ..Outcome::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -910,7 +834,7 @@ mod tests {
         assert_eq!(report.faults.missed.len(), 0);
         assert!(report.faults.detected + report.faults.resumed >= 1);
         let json = report.render_json();
-        assert!(json.contains("\"schema\": \"mvtee-bench-registry-v1\""));
+        assert!(json.contains("\"schema\": \"mvtee-bench-registry-v2\""));
         assert!(json.contains("\"gate_failures\": 0"));
     }
 }

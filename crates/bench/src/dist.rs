@@ -3,8 +3,7 @@
 //! Runs the same 3-variant panel twice — all-in-process reference, then
 //! with two variants hosted by real `mvtee-variantd` worker processes —
 //! and holds the run to the conformance gates of
-//! `tests/dist_conformance.rs`, plus the measurements the test cannot
-//! produce:
+//! `tests/dist_conformance.rs`, plus the counts the test cannot produce:
 //!
 //! * **Byte identity** — outputs bit-for-bit and the rendered audit
 //!   transcript byte-for-byte identical across placements. Any mismatch
@@ -12,24 +11,23 @@
 //! * **Wire cost** — per-batch bytes on the multiplexed worker
 //!   connections (from the `crypto.mux.bytes_*` counters) and the
 //!   average bytes per voted checkpoint.
-//! * **Round-trip latency** — per-batch p50/p95 of `infer` through the
-//!   out-of-process panel.
 //! * **Heal after kill** — a worker process killed mid-stream must
 //!   quarantine, respawn, re-attest, and return the panel to full
 //!   strength with zero lost batches; the latency from kill to full
-//!   strength is reported.
+//!   strength is reported (no benchmark row measures a heal).
 //!
-//! Artifact: `BENCH_dist.json`.
+//! Artifact: `BENCH_dist.json`. The round trip through an out-of-process
+//! panel is the benchmark's by-hand `dist-loopback` workload, not timed
+//! here.
 
-use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
+use crate::cli::{CommonArgs, Outcome};
+use crate::fixture::{self, Json};
+use mvtee::config::{MvxConfig, PartitionMvx};
 use mvtee::transcript::verify_transcript;
-use mvtee::{Deployment, MvxError};
-use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
+use mvtee::MvxError;
 use mvtee_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Partitions in the panel (partition [`MVX_PARTITION`] carries MVX).
 const PARTITIONS: usize = 2;
@@ -39,6 +37,10 @@ const MVX_PARTITION: usize = 1;
 const PANEL: usize = 3;
 /// Variants hosted out-of-process in the conformance run.
 const OUT_OF_PROCESS: [(usize, usize); 2] = [(MVX_PARTITION, 1), (MVX_PARTITION, 2)];
+/// Salt of this experiment's input stream.
+const INPUT_SALT: u64 = 0xd157;
+/// Where the report lands unless `--out` says otherwise.
+pub const ARTIFACT: &str = "BENCH_dist.json";
 
 /// Dist experiment parameters.
 #[derive(Debug, Clone)]
@@ -49,22 +51,12 @@ pub struct DistSettings {
     pub batches: usize,
     /// Run the kill/heal probe (spawns and kills a worker process).
     pub probe_heal: bool,
-    /// Zoo model under test.
-    pub model: ModelKind,
-    /// Zoo scale.
-    pub profile: ScaleProfile,
 }
 
 impl DistSettings {
     /// CI smoke configuration.
     pub fn quick(seed: u64) -> Self {
-        DistSettings {
-            seed,
-            batches: 6,
-            probe_heal: true,
-            model: ModelKind::MnasNet,
-            profile: ScaleProfile::Test,
-        }
+        DistSettings { seed, batches: 6, probe_heal: true }
     }
 
     /// Full configuration: more batches through the same gates.
@@ -73,7 +65,7 @@ impl DistSettings {
     }
 }
 
-/// Wire traffic and latency of one batch through the worker connections.
+/// Wire traffic of one batch through the worker connections.
 #[derive(Debug, Clone, Copy)]
 pub struct WireSample {
     /// Batch index.
@@ -82,8 +74,6 @@ pub struct WireSample {
     pub bytes_out: u64,
     /// Bytes the monitor received from workers during this batch.
     pub bytes_in: u64,
-    /// End-to-end `infer` round trip.
-    pub rtt_ns: u64,
 }
 
 /// What the kill/heal probe observed.
@@ -109,7 +99,7 @@ pub struct HealProbe {
 }
 
 /// Everything the dist experiment produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DistReport {
     /// The master seed.
     pub seed: u64,
@@ -129,10 +119,6 @@ pub struct DistReport {
     pub audit_error: Option<String>,
     /// Per-batch wire traffic of the distributed run.
     pub wire: Vec<WireSample>,
-    /// Round-trip p50 across the distributed run's batches.
-    pub rtt_p50_ns: u64,
-    /// Round-trip p95 across the distributed run's batches.
-    pub rtt_p95_ns: u64,
     /// The kill/heal probe, when requested.
     pub heal: Option<HealProbe>,
     /// Infrastructure failure that aborted a phase (e.g. the
@@ -238,12 +224,6 @@ impl DistReport {
             self.wire.len(),
             self.bytes_per_checkpoint()
         );
-        let _ = writeln!(
-            out,
-            "round trip: p50 {:.3} ms, p95 {:.3} ms",
-            self.rtt_p50_ns as f64 / 1e6,
-            self.rtt_p95_ns as f64 / 1e6
-        );
         if let Some(h) = &self.heal {
             let _ = writeln!(
                 out,
@@ -259,90 +239,52 @@ impl DistReport {
                 h.heal_ns as f64 / 1e6
             );
         }
-        for f in self.gate_failures() {
-            let _ = writeln!(out, "GATE: {f}");
-        }
         out
     }
 
     /// The `BENCH_dist.json` artifact.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&crate::meta_json_line("mvtee-dist-v1", self.seed, &self.fingerprint));
-        let _ = writeln!(
-            out,
-            "  \"conformance\": {{\"workers\": {}, \"outputs_identical\": {}, \
-             \"transcript_identical\": {}, \"audit_entries\": {}, \"audit_error\": {}}},",
-            self.workers,
-            self.outputs_identical,
-            self.transcript_identical,
-            self.audit_entries,
-            match &self.audit_error {
-                None => "null".to_string(),
-                Some(e) => format!("{:?}", e),
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  \"wire\": {{\"bytes_out\": {}, \"bytes_in\": {}, \
-             \"bytes_per_checkpoint\": {}, \"per_batch\": [",
-            self.wire_bytes_out(),
-            self.wire_bytes_in(),
-            self.bytes_per_checkpoint()
-        );
-        for (i, w) in self.wire.iter().enumerate() {
-            let comma = if i + 1 == self.wire.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"batch\": {}, \"bytes_out\": {}, \"bytes_in\": {}, \"rtt_ns\": {}}}{comma}",
-                w.batch, w.bytes_out, w.bytes_in, w.rtt_ns
-            );
-        }
-        out.push_str("  ]},\n");
-        let _ = writeln!(
-            out,
-            "  \"round_trip\": {{\"p50_ns\": {}, \"p95_ns\": {}}},",
-            self.rtt_p50_ns, self.rtt_p95_ns
-        );
-        match &self.heal {
-            None => out.push_str("  \"heal\": null,\n"),
-            Some(h) => {
-                let _ = writeln!(
-                    out,
-                    "  \"heal\": {{\"killed\": {}, \"quarantined\": {}, \"recovered\": {}, \
-                     \"full_strength\": {}, \"respawned\": {}, \"served_after_kill\": {}, \
-                     \"lost_batches\": {}, \"heal_ns\": {}}},",
-                    h.killed,
-                    h.quarantined,
-                    h.recovered,
-                    h.full_strength,
-                    h.respawned,
-                    h.served_after_kill,
-                    h.lost_batches,
-                    h.heal_ns
-                );
-            }
-        }
-        let failures = self.gate_failures();
-        let _ = writeln!(
-            out,
-            "  \"gate_failures\": [{}]",
-            failures.iter().map(|f| format!("{f:?}")).collect::<Vec<_>>().join(", ")
-        );
-        out.push_str("}\n");
-        out
+        let per_batch = |w: &WireSample| {
+            Json::obj([
+                ("batch", w.batch.into()),
+                ("bytes_out", w.bytes_out.into()),
+                ("bytes_in", w.bytes_in.into()),
+            ])
+        };
+        let heal = self.heal.as_ref().map(|h| {
+            Json::obj([
+                ("killed", h.killed.into()),
+                ("quarantined", h.quarantined.into()),
+                ("recovered", h.recovered.into()),
+                ("full_strength", h.full_strength.into()),
+                ("respawned", h.respawned.into()),
+                ("served_after_kill", h.served_after_kill.into()),
+                ("lost_batches", h.lost_batches.into()),
+                ("heal_ns", h.heal_ns.into()),
+            ])
+        });
+        let conformance = Json::obj([
+            ("workers", self.workers.into()),
+            ("outputs_identical", self.outputs_identical.into()),
+            ("transcript_identical", self.transcript_identical.into()),
+            ("audit_entries", self.audit_entries.into()),
+            ("audit_error", self.audit_error.as_deref().into()),
+        ]);
+        let wire = Json::obj([
+            ("bytes_out", self.wire_bytes_out().into()),
+            ("bytes_in", self.wire_bytes_in().into()),
+            ("bytes_per_checkpoint", self.bytes_per_checkpoint().into()),
+            ("per_batch", Json::arr(self.wire.iter().map(per_batch))),
+        ]);
+        Json::obj([
+            ("meta", Json::meta("mvtee-dist-v2", self.seed, &self.fingerprint)),
+            ("conformance", conformance),
+            ("wire", wire),
+            ("heal", heal.into()),
+            ("gate_failures", Json::arr(self.gate_failures().iter().map(String::as_str))),
+        ])
+        .render()
     }
-}
-
-/// The run-configuration fingerprint welded into the transcript header.
-fn config_fingerprint(model: &zoo::Model) -> String {
-    format!(
-        "{}-{:016x}-dist-p{}x{}",
-        model.kind.display_name(),
-        mvtee_runtime::graph_fingerprint(&model.graph),
-        PARTITIONS,
-        PANEL
-    )
 }
 
 /// The conformance panel: diversified 3-variant MVX on partition 1.
@@ -352,54 +294,16 @@ fn panel_config() -> MvxConfig {
     cfg
 }
 
-/// The heal-probe panel: replicated 3-variant MVX with majority response
-/// and recovery enabled.
-fn heal_config() -> MvxConfig {
-    let mut cfg = MvxConfig::fast_path(PARTITIONS);
-    cfg.claims[MVX_PARTITION] = PartitionMvx::replicated(PANEL);
-    cfg.response = ResponsePolicy::ContinueWithMajority;
-    cfg.recovery = RecoveryPolicy::enabled();
-    cfg.checkpoint_deadline_ms = 300;
-    cfg
-}
-
-/// The deterministic input of batch `index`.
-fn dist_input(seed: u64, model: &zoo::Model, index: u64) -> Tensor {
-    let n = model.input_shape.num_elements();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xd157_u64 ^ index);
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    Tensor::from_vec(data, model.input_shape.dims()).expect("static input shape")
-}
-
-/// Bit-exact tensor equality (NaN-safe).
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.dims() == b.dims()
-        && a.data().iter().zip(b.data().iter()).all(|(p, q)| p.to_bits() == q.to_bits())
-}
-
-/// The worst-case detect→react time, derived from the configuration
-/// (mirrors `tests/dist_conformance.rs`).
-fn heal_deadline(cfg: &MvxConfig) -> Duration {
-    let attempts = cfg.recovery.max_retries + 1;
-    let backoff_total: Duration =
-        (0..cfg.recovery.max_retries).map(|k| cfg.recovery.backoff(k)).sum();
-    cfg.checkpoint_deadline() * (attempts + 1) + backoff_total + cfg.result_timeout()
-}
-
 /// One conformance run with the given placements; returns outputs, the
 /// rendered transcript, the worker count, and per-batch wire samples.
 fn conformance_run(
     s: &DistSettings,
     out_of_process: &[(usize, usize)],
 ) -> Result<(Vec<Tensor>, String, usize, Vec<WireSample>), MvxError> {
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let fingerprint = config_fingerprint(&model);
-    let inputs: Vec<Tensor> =
-        (0..s.batches as u64).map(|i| dist_input(s.seed, &model, i)).collect();
-    let mut builder = Deployment::builder(model)
-        .config(panel_config())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed);
+    let model = fixture::model(s.seed);
+    let fingerprint = fixture::fingerprint(&model, "dist", PARTITIONS, PANEL);
+    let inputs = fixture::inputs(&model, s.seed ^ INPUT_SALT, s.batches as u64);
+    let mut builder = fixture::builder(&model, &panel_config(), s.seed);
     for &(p, v) in out_of_process {
         builder = builder.out_of_process(p, v);
     }
@@ -411,83 +315,54 @@ fn conformance_run(
     let mut wire = Vec::with_capacity(inputs.len());
     for (batch, input) in inputs.iter().enumerate() {
         let (out0, in0) = (tx.get(), rx.get());
-        let start = Instant::now();
         outputs.push(dep.infer(input)?);
-        wire.push(WireSample {
-            batch,
-            bytes_out: tx.get() - out0,
-            bytes_in: rx.get() - in0,
-            rtt_ns: start.elapsed().as_nanos() as u64,
-        });
+        wire.push(WireSample { batch, bytes_out: tx.get() - out0, bytes_in: rx.get() - in0 });
     }
     let transcript = dep.transcript().render(s.seed, &fingerprint);
     dep.shutdown();
     Ok((outputs, transcript, workers, wire))
 }
 
-/// The kill/heal probe: one out-of-process variant, killed after two
-/// verified batches; streams until the panel is back at full strength,
-/// counting lost batches (there must be none).
+/// The kill/heal probe: one out-of-process variant of the healing panel,
+/// killed after two verified batches; streams until the panel is back at
+/// full strength, counting lost batches (there must be none).
 fn run_heal_probe(s: &DistSettings) -> Result<HealProbe, MvxError> {
-    let cfg = heal_config();
+    let cfg = fixture::healing_panel(PARTITIONS, &[MVX_PARTITION], PANEL);
     let spawned0 = mvtee_telemetry::counter("core.worker.spawned").get();
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let inputs: Vec<Tensor> = (0..3u64).map(|i| dist_input(s.seed, &model, i)).collect();
-
-    // The in-process oracle fixes expected outputs.
-    let mut oracle = Deployment::builder(zoo::build(s.model, s.profile, s.seed).expect("model"))
-        .config(cfg.clone())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .build()?;
-    let expected: Vec<Tensor> =
-        inputs.iter().map(|i| oracle.infer(i)).collect::<Result<_, _>>()?;
-    oracle.shutdown();
-
-    let mut dep = Deployment::builder(zoo::build(s.model, s.profile, s.seed).expect("model"))
-        .config(cfg.clone())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .out_of_process(MVX_PARTITION, 0)
-        .build()?;
+    let model = fixture::model(s.seed);
+    let inputs = fixture::inputs(&model, s.seed ^ INPUT_SALT, 3);
+    let clean = fixture::builder(&model, &cfg, s.seed);
+    let expected = fixture::oracle(clean.clone(), &inputs)?;
+    let mut dep = clean.out_of_process(MVX_PARTITION, 0).build()?;
 
     let mut probe = HealProbe::default();
-    let mut served = 0u64;
-    for _ in 0..2u64 {
-        let idx = (served % inputs.len() as u64) as usize;
-        let out = dep.infer(&inputs[idx])?;
-        if !bits_equal(&out, &expected[idx]) {
-            probe.lost_batches += 1;
-        }
+    let mut served = 0usize;
+    let mut serve_next = |dep: &mut mvtee::Deployment, lost: &mut usize| {
+        let idx = served % inputs.len();
+        *lost += usize::from(!fixture::serves(dep, &inputs[idx], &expected[idx]));
         served += 1;
+    };
+    for _ in 0..2 {
+        serve_next(&mut dep, &mut probe.lost_batches);
     }
 
     probe.killed = dep.kill_worker(MVX_PARTITION, 0);
     let kill_instant = Instant::now();
-    let deadline = kill_instant + heal_deadline(&cfg);
-    let poll = cfg.drain_poll();
+    let deadline = kill_instant + cfg.heal_deadline();
     while Instant::now() < deadline {
-        let idx = (served % inputs.len() as u64) as usize;
-        match dep.infer(&inputs[idx]) {
-            Ok(out) if bits_equal(&out, &expected[idx]) => {}
-            _ => probe.lost_batches += 1,
-        }
-        served += 1;
+        serve_next(&mut dep, &mut probe.lost_batches);
         probe.served_after_kill += 1;
         let events = dep.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             probe.quarantined = qp == MVX_PARTITION && qv == 0;
             probe.recovered = events.recoveries().contains(&(qp, qv));
-            probe.full_strength = events
-                .checkpoint_passes()
-                .iter()
-                .any(|&(pp, pb, agreeing)| pp == qp && pb > qb && agreeing == PANEL);
-            if probe.quarantined && probe.recovered && probe.full_strength {
+            probe.full_strength = events.healed_after(qp, qv, qb, PANEL);
+            if probe.quarantined && probe.full_strength {
                 probe.heal_ns = kill_instant.elapsed().as_nanos() as u64;
                 break;
             }
         }
-        std::thread::sleep(poll);
+        std::thread::sleep(cfg.drain_poll());
     }
     probe.respawned =
         mvtee_telemetry::counter("core.worker.spawned").get() >= spawned0 + 2;
@@ -495,75 +370,52 @@ fn run_heal_probe(s: &DistSettings) -> Result<HealProbe, MvxError> {
     Ok(probe)
 }
 
-/// `v` of the sorted slice at quantile `q`.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Runs the dist experiment.
+/// Runs the dist experiment; an infrastructure failure that aborts a phase
+/// (e.g. the `mvtee-variantd` binary was not built) lands in `error`.
 pub fn run_dist(s: &DistSettings) -> DistReport {
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let fingerprint = config_fingerprint(&model);
-    drop(model);
-
+    let model = fixture::model(s.seed);
     let mut report = DistReport {
         seed: s.seed,
-        fingerprint,
+        fingerprint: fixture::fingerprint(&model, "dist", PARTITIONS, PANEL),
         batches: s.batches,
-        workers: 0,
-        outputs_identical: false,
-        transcript_identical: false,
-        audit_entries: 0,
-        audit_error: None,
-        wire: Vec::new(),
-        rtt_p50_ns: 0,
-        rtt_p95_ns: 0,
-        heal: None,
-        error: None,
+        ..DistReport::default()
     };
+    report.error = run_phases(s, &mut report).err();
+    report
+}
 
-    let (ref_outputs, ref_transcript, ref_workers, _) = match conformance_run(s, &[]) {
-        Ok(run) => run,
-        Err(e) => {
-            report.error = Some(format!("in-process reference failed: {e}"));
-            return report;
-        }
-    };
+fn run_phases(s: &DistSettings, report: &mut DistReport) -> Result<(), String> {
+    let (ref_outputs, ref_transcript, ref_workers, _) =
+        conformance_run(s, &[]).map_err(|e| format!("in-process reference failed: {e}"))?;
     debug_assert_eq!(ref_workers, 0);
-    let (dist_outputs, dist_transcript, workers, wire) =
-        match conformance_run(s, &OUT_OF_PROCESS) {
-            Ok(run) => run,
-            Err(e) => {
-                report.error = Some(format!("distributed run failed: {e}"));
-                return report;
-            }
-        };
+    let (dist_outputs, dist_transcript, workers, wire) = conformance_run(s, &OUT_OF_PROCESS)
+        .map_err(|e| format!("distributed run failed: {e}"))?;
 
     report.workers = workers;
-    report.outputs_identical = ref_outputs.len() == dist_outputs.len()
-        && ref_outputs.iter().zip(&dist_outputs).all(|(a, b)| bits_equal(a, b));
+    report.outputs_identical = fixture::all_bits_equal(&ref_outputs, &dist_outputs);
     report.transcript_identical = ref_transcript == dist_transcript;
     match verify_transcript(&dist_transcript) {
         Ok(summary) => report.audit_entries = summary.entries,
         Err(e) => report.audit_error = Some(e.to_string()),
     }
-    let mut rtts: Vec<u64> = wire.iter().map(|w| w.rtt_ns).collect();
-    rtts.sort_unstable();
-    report.rtt_p50_ns = percentile(&rtts, 0.50);
-    report.rtt_p95_ns = percentile(&rtts, 0.95);
     report.wire = wire;
-
     if s.probe_heal {
-        match run_heal_probe(s) {
-            Ok(probe) => report.heal = Some(probe),
-            Err(e) => report.error = Some(format!("heal probe failed: {e}")),
-        }
+        let probe = run_heal_probe(s).map_err(|e| format!("heal probe failed: {e}"))?;
+        report.heal = Some(probe);
     }
-    report
+    Ok(())
+}
+
+/// The `dist` subcommand: fails on any byte mismatch across placements,
+/// lost batch, or failed heal.
+pub fn command(common: &CommonArgs, _args: &[String]) -> Outcome {
+    let report = run_dist(&common.pick(DistSettings::quick, DistSettings::full));
+    Outcome {
+        status: report.render_text(),
+        artifacts: vec![(common.out_or(ARTIFACT), report.render_json())],
+        failures: report.gate_failures(),
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]
@@ -588,7 +440,7 @@ mod tests {
         assert_eq!(report.workers, OUT_OF_PROCESS.len());
         assert!(report.wire_bytes_out() > 0 && report.wire_bytes_in() > 0);
         let json = report.render_json();
-        assert!(json.contains("\"mvtee-dist-v1\""));
+        assert!(json.contains("\"mvtee-dist-v2\""));
         assert!(json.contains("\"gate_failures\": []"));
     }
 }

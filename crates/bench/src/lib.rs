@@ -1,12 +1,15 @@
-//! The MVTEE benchmark harness: regenerates every table and figure of the
-//! paper's evaluation (§6).
+//! The MVTEE experiment harness: reproduces the paper's evaluation (§6)
+//! and holds the system's *gates*. How fast the system runs is measured in
+//! one place, `benchmark/` (`BENCHMARK.json`); nothing here reads a clock
+//! for a result except [`costs`] (the figures' inputs) and the heal
+//! latencies of [`dist`] and [`netchaos`], which no benchmark row covers.
 //!
-//! # Methodology
+//! # The paper's figures
 //!
 //! The paper's testbed is a dual-socket 72-core Xeon; this reproduction
 //! runs on whatever machine builds it (often a single core), where genuine
-//! multi-core pipeline parallelism is unavailable. The harness therefore
-//! separates *measurement* from *composition*:
+//! multi-core pipeline parallelism is unavailable. The figures therefore
+//! separate *measurement* from *composition*:
 //!
 //! * [`costs`] measures every cost component **for real** through the real
 //!   code paths — per-stage per-variant inference times on the diversified
@@ -18,9 +21,14 @@
 //!   per-batch jitter, for sequential and pipelined execution in sync and
 //!   async cross-validation modes.
 //!
-//! Functional and security experiments (Table 1, fault injection, the
-//! attested bootstrap) always run the **real threaded system** from the
-//! `mvtee` crate.
+//! # The gates
+//!
+//! Table 1, the fault-injection runs and every `experiments` subcommand
+//! ([`chaos`], [`perf`], [`serve`], [`trace`], [`dist`], [`netchaos`],
+//! [`coldstart`]) run the **real threaded system** from the `mvtee` crate
+//! and exit non-zero when an invariant breaks: byte identity, exactly-once
+//! accounting, detection, healing. They share their inputs, oracle and
+//! JSON writer through [`fixture`], and one shell ([`cli`]) runs them all.
 //!
 //! Run `cargo run --release -p mvtee-bench --bin experiments -- --help`.
 
@@ -33,20 +41,10 @@ pub mod coldstart;
 pub mod costs;
 pub mod dist;
 pub mod experiments;
+pub mod fixture;
 pub mod netchaos;
 pub mod perf;
 pub mod serve;
 pub mod sim;
 pub mod table;
 pub mod trace;
-
-/// The metadata stamp every `BENCH_*`/`TRACE_*` JSON artifact carries —
-/// schema version, master seed, run-configuration fingerprint, and the
-/// host's thread count — rendered as one `"meta"` member line.
-pub fn meta_json_line(schema: &str, seed: u64, fingerprint: &str) -> String {
-    format!(
-        "  \"meta\": {{\"schema\": \"{schema}\", \"seed\": {seed}, \
-         \"fingerprint\": \"{fingerprint}\", \"threads\": {}}},\n",
-        std::thread::available_parallelism().map_or(1, usize::from)
-    )
-}

@@ -28,15 +28,17 @@
 //! Artifact: `BENCH_netchaos.json` — per-class heal-latency p50/p95,
 //! injected-vs-detected counts, and the reconnect-vs-respawn split.
 
-use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy, SupervisionPolicy};
+use crate::cli::{CommonArgs, Outcome};
+use crate::fixture::{self, Json};
+use mvtee::config::{MvxConfig, SupervisionPolicy};
 use mvtee::transcript::verify_transcript;
-use mvtee::{DegradationPolicy, Deployment, MonitorEvent, MvxError};
+use mvtee::{Deployment, MonitorEvent, MvxError};
 use mvtee_crypto::channel::{memory_pair, Handshake, Role, SecureChannel};
 use mvtee_crypto::CryptoError;
 use mvtee_faults::{
     FaultDescriptor, FaultDirection, FaultyTransport, NetFault, NetFaultClass,
 };
-use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
+use mvtee_graph::zoo::Model;
 use mvtee_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -59,8 +61,10 @@ const STORM_MIN_BATCHES: u64 = 6;
 /// Hard cap on batches per storm (a heal that has not landed by then is
 /// a finding, not a wait).
 const STORM_BATCH_CAP: u64 = 40;
-/// Checkpoint deadline of the storm deployments, ms.
-const STORM_DEADLINE_MS: u64 = 300;
+/// Salt of the storm input stream (and of each storm's fault schedule).
+const STORM_SALT: u64 = 0x5707;
+/// Where the report lands unless `--out` says otherwise.
+pub const ARTIFACT: &str = "BENCH_netchaos.json";
 /// Crash-loop budget of the flap probe: the third death inside the
 /// window must trip it.
 const FLAP_BUDGET: u32 = 2;
@@ -81,10 +85,6 @@ pub struct NetchaosSettings {
     pub probe_flap: bool,
     /// Run the reconnect-and-resume probe (spawns a worker process).
     pub probe_reconnect: bool,
-    /// Zoo model under test.
-    pub model: ModelKind,
-    /// Zoo scale.
-    pub profile: ScaleProfile,
 }
 
 impl NetchaosSettings {
@@ -96,8 +96,6 @@ impl NetchaosSettings {
             gauntlet_trials: 4,
             probe_flap: true,
             probe_reconnect: true,
-            model: ModelKind::MnasNet,
-            profile: ScaleProfile::Test,
         }
     }
 
@@ -135,7 +133,7 @@ impl GauntletRow {
 }
 
 /// One deployment storm.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Storm {
     /// Class token.
     pub class: String,
@@ -215,14 +213,8 @@ pub struct NetchaosReport {
 impl NetchaosReport {
     /// Heal-latency percentile over the healed storms of `class`.
     pub fn heal_percentile(&self, class: &str, q: f64) -> u64 {
-        let mut ns: Vec<u64> = self
-            .storms
-            .iter()
-            .filter(|s| s.class == class && s.healed)
-            .map(|s| s.heal_ns)
-            .collect();
-        ns.sort_unstable();
-        percentile(&ns, q)
+        let healed = self.storms.iter().filter(|s| s.class == class && s.healed);
+        fixture::quantile(&healed.map(|s| s.heal_ns).collect::<Vec<_>>(), q)
     }
 
     /// The gate CI holds the run to.
@@ -411,128 +403,75 @@ impl NetchaosReport {
                 r.error.as_deref().map(|e| format!(" ABORTED: {e}")).unwrap_or_default()
             );
         }
-        for f in self.gate_failures() {
-            let _ = writeln!(out, "GATE: {f}");
-        }
         out
     }
 
     /// The `BENCH_netchaos.json` artifact.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&crate::meta_json_line("mvtee-netchaos-v1", self.seed, &self.fingerprint));
-        out.push_str("  \"gauntlet\": [\n");
-        for (i, r) in self.gauntlet.iter().enumerate() {
-            let comma = if i + 1 == self.gauntlet.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"class\": \"{}\", \"trials\": {}, \"injected\": {}, \
-                 \"detected_auth\": {}, \"detected_seq\": {}, \"detected_transport\": {}, \
-                 \"intact\": {}, \"masked_accepts\": {}}}{comma}",
-                r.class,
-                r.trials,
-                r.injected,
-                r.detected_auth,
-                r.detected_seq,
-                r.detected_transport,
-                r.intact,
-                r.masked_accepts
-            );
-        }
-        out.push_str("  ],\n  \"storms\": [\n");
-        for (i, s) in self.storms.iter().enumerate() {
-            let comma = if i + 1 == self.storms.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"class\": \"{}\", \"spec\": \"{}\", \"batches\": {}, \
-                 \"lost_batches\": {}, \"injected\": {}, \"detected\": {}, \"healed\": {}, \
-                 \"masked\": {}, \"heal_ns\": {}, \"transcript_identical\": {}, \
-                 \"audit_ok\": {}}}{comma}",
-                s.class,
-                s.spec,
-                s.batches,
-                s.lost_batches,
-                s.injected,
-                s.detected,
-                s.healed,
-                s.masked,
-                s.heal_ns,
-                s.transcript_identical,
-                s.audit_ok
-            );
-        }
-        out.push_str("  ],\n  \"heal_latency\": {\n");
-        let classes: Vec<&str> = NetFaultClass::ALL_TOKENS
+        let gauntlet = |r: &GauntletRow| {
+            Json::obj([
+                ("class", r.class.as_str().into()),
+                ("trials", r.trials.into()),
+                ("injected", r.injected.into()),
+                ("detected_auth", r.detected_auth.into()),
+                ("detected_seq", r.detected_seq.into()),
+                ("detected_transport", r.detected_transport.into()),
+                ("intact", r.intact.into()),
+                ("masked_accepts", r.masked_accepts.into()),
+            ])
+        };
+        let storm = |s: &Storm| {
+            Json::obj([
+                ("class", s.class.as_str().into()),
+                ("spec", s.spec.as_str().into()),
+                ("batches", s.batches.into()),
+                ("lost_batches", s.lost_batches.into()),
+                ("injected", s.injected.into()),
+                ("detected", s.detected.into()),
+                ("healed", s.healed.into()),
+                ("masked", s.masked.into()),
+                ("heal_ns", s.heal_ns.into()),
+                ("transcript_identical", s.transcript_identical.into()),
+                ("audit_ok", s.audit_ok.into()),
+            ])
+        };
+        let heal_latency = NetFaultClass::ALL_TOKENS
             .iter()
-            .copied()
-            .filter(|c| self.storms.iter().any(|s| s.class == *c && s.healed))
-            .collect();
-        for (i, class) in classes.iter().enumerate() {
-            let comma = if i + 1 == classes.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"p50_ns\": {}, \"p95_ns\": {}}}{comma}",
-                class,
-                self.heal_percentile(class, 0.50),
-                self.heal_percentile(class, 0.95)
-            );
-        }
-        out.push_str("  },\n");
-        match &self.flap {
-            None => out.push_str("  \"flap\": null,\n"),
-            Some(f) => {
-                let _ = writeln!(
-                    out,
-                    "  \"flap\": {{\"kills\": {}, \"respawn_heals\": {}, \"tripped\": {}, \
-                     \"recovery_failed_logged\": {}, \"degraded_service_ok\": {}, \"error\": {}}},",
-                    f.kills,
-                    f.respawn_heals,
-                    f.tripped,
-                    f.recovery_failed_logged,
-                    f.degraded_service_ok,
-                    match &f.error {
-                        None => "null".to_string(),
-                        Some(e) => format!("{e:?}"),
-                    }
-                );
-            }
-        }
-        match &self.reconnect {
-            None => out.push_str("  \"reconnect\": null,\n"),
-            Some(r) => {
-                let _ = writeln!(
-                    out,
-                    "  \"reconnect\": {{\"reconnected\": {}, \"respawns_during_heal\": {}, \
-                     \"full_strength\": {}, \"lost_batches\": {}, \"error\": {}}},",
-                    r.reconnected,
-                    r.respawns_during_heal,
-                    r.full_strength,
-                    r.lost_batches,
-                    match &r.error {
-                        None => "null".to_string(),
-                        Some(e) => format!("{e:?}"),
-                    }
-                );
-            }
-        }
-        let failures = self.gate_failures();
-        let _ = writeln!(
-            out,
-            "  \"gate_failures\": [{}]",
-            failures.iter().map(|f| format!("{f:?}")).collect::<Vec<_>>().join(", ")
-        );
-        out.push_str("}\n");
-        out
+            .filter(|c| self.storms.iter().any(|s| s.class == **c && s.healed))
+            .map(|class| {
+                let p = |q| Json::from(self.heal_percentile(class, q));
+                (class, Json::obj([("p50_ns", p(0.50)), ("p95_ns", p(0.95))]))
+            });
+        let flap = self.flap.as_ref().map(|f| {
+            Json::obj([
+                ("kills", f.kills.into()),
+                ("respawn_heals", f.respawn_heals.into()),
+                ("tripped", f.tripped.into()),
+                ("recovery_failed_logged", f.recovery_failed_logged.into()),
+                ("degraded_service_ok", f.degraded_service_ok.into()),
+                ("error", f.error.as_deref().into()),
+            ])
+        });
+        let reconnect = self.reconnect.as_ref().map(|r| {
+            Json::obj([
+                ("reconnected", r.reconnected.into()),
+                ("respawns_during_heal", r.respawns_during_heal.into()),
+                ("full_strength", r.full_strength.into()),
+                ("lost_batches", r.lost_batches.into()),
+                ("error", r.error.as_deref().into()),
+            ])
+        });
+        Json::obj([
+            ("meta", Json::meta("mvtee-netchaos-v1", self.seed, &self.fingerprint)),
+            ("gauntlet", Json::arr(self.gauntlet.iter().map(gauntlet))),
+            ("storms", Json::arr(self.storms.iter().map(storm))),
+            ("heal_latency", Json::obj(heal_latency)),
+            ("flap", flap.into()),
+            ("reconnect", reconnect.into()),
+            ("gate_failures", Json::arr(self.gate_failures().iter().map(String::as_str))),
+        ])
+        .render()
     }
-}
-
-/// `v` of the sorted slice at quantile `q`.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// The seeded fault of trial/storm `index` of `class`.
@@ -623,41 +562,17 @@ fn run_gauntlet(s: &NetchaosSettings) -> Vec<GauntletRow> {
         .collect()
 }
 
-/// The storm deployment configuration: replicated 3-variant panel with a
-/// tight deadline, majority response, graceful degradation, and recovery.
+/// The storm deployment configuration: the healing panel on the MVX
+/// partition.
 fn storm_config() -> MvxConfig {
-    let mut cfg = MvxConfig::fast_path(PARTITIONS);
-    cfg.claims[MVX_PARTITION] = PartitionMvx::replicated(PANEL);
-    cfg.checkpoint_deadline_ms = STORM_DEADLINE_MS;
-    cfg.response = ResponsePolicy::ContinueWithMajority;
-    cfg.degradation = DegradationPolicy::Degrade;
-    cfg.recovery = RecoveryPolicy::enabled();
-    cfg
+    fixture::healing_panel(PARTITIONS, &[MVX_PARTITION], PANEL)
 }
 
-/// The run-configuration fingerprint welded into the transcript header.
-fn config_fingerprint(model: &zoo::Model) -> String {
-    format!(
-        "{}-{:016x}-netchaos-p{}x{}",
-        model.kind.display_name(),
-        mvtee_runtime::graph_fingerprint(&model.graph),
-        PARTITIONS,
-        PANEL
-    )
-}
-
-/// The deterministic input of storm batch `index`.
-fn storm_input(seed: u64, model: &zoo::Model, index: u64) -> Tensor {
-    let n = model.input_shape.num_elements();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5707_u64 ^ (index % INPUT_PERIOD));
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    Tensor::from_vec(data, model.input_shape.dims()).expect("static input shape")
-}
-
-/// Bit-exact tensor equality (NaN-safe).
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.dims() == b.dims()
-        && a.data().iter().zip(b.data().iter()).all(|(p, q)| p.to_bits() == q.to_bits())
+/// The model under test and the inputs every storm and probe cycles.
+fn storm_fixture(s: &NetchaosSettings) -> (Model, Vec<Tensor>) {
+    let model = fixture::model(s.seed);
+    let inputs = fixture::inputs(&model, s.seed ^ STORM_SALT, INPUT_PERIOD);
+    (model, inputs)
 }
 
 /// One deployment storm: streams batches with the fault on panel variant
@@ -665,53 +580,23 @@ fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
 /// then replays the same batch count fault-free for transcript identity.
 fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Storm, MvxError> {
     let storm_seed = s.seed ^ ((storm_idx as u64 + 1) << 16);
-    let mut rng = StdRng::seed_from_u64(storm_seed ^ 0x5707_u64);
+    let mut rng = StdRng::seed_from_u64(storm_seed ^ STORM_SALT);
     let fault = fault_for(class, &mut rng);
     let injected0 = mvtee_telemetry::counter("faults.net.injected").get();
 
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let fingerprint = config_fingerprint(&model);
-    let inputs: Vec<Tensor> =
-        (0..INPUT_PERIOD).map(|i| storm_input(s.seed, &model, i)).collect();
-    let cfg = storm_config();
+    let (model, inputs) = storm_fixture(s);
+    let fingerprint = fixture::fingerprint(&model, "netchaos", PARTITIONS, PANEL);
+    let clean = fixture::builder(&model, &storm_config(), s.seed);
+    let expected = fixture::oracle(clean.clone(), &inputs)?;
+    let mut dep =
+        clean.clone().fault(FaultDescriptor::Net(fault), Some((MVX_PARTITION, 0))).build()?;
 
-    // The correctness oracle fixes the expected output of each input.
-    let mut oracle = Deployment::builder(model)
-        .config(cfg.clone())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .build()?;
-    let expected: Vec<Tensor> =
-        inputs.iter().map(|i| oracle.infer(i)).collect::<Result<_, _>>()?;
-    oracle.shutdown();
-
-    let mut dep = Deployment::builder(zoo::build(s.model, s.profile, s.seed).expect("model"))
-        .config(cfg.clone())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .fault(FaultDescriptor::Net(fault), Some((MVX_PARTITION, 0)))
-        .build()?;
-
-    let mut storm = Storm {
-        class: class.to_string(),
-        spec: fault.to_string(),
-        batches: 0,
-        lost_batches: 0,
-        injected: 0,
-        detected: false,
-        healed: false,
-        masked: false,
-        heal_ns: 0,
-        transcript_identical: false,
-        audit_ok: false,
-    };
+    let mut storm =
+        Storm { class: class.to_string(), spec: fault.to_string(), ..Storm::default() };
     let mut quarantined_at: Option<Instant> = None;
     for b in 0..STORM_BATCH_CAP {
         let idx = (b % INPUT_PERIOD) as usize;
-        match dep.infer(&inputs[idx]) {
-            Ok(out) if bits_equal(&out, &expected[idx]) => {}
-            _ => storm.lost_batches += 1,
-        }
+        storm.lost_batches += u64::from(!fixture::serves(&mut dep, &inputs[idx], &expected[idx]));
         storm.batches += 1;
         if b + 1 < STORM_MIN_BATCHES {
             continue;
@@ -720,11 +605,7 @@ fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Stor
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             storm.detected = true;
             let seen = *quarantined_at.get_or_insert_with(Instant::now);
-            let full = events.recoveries().contains(&(qp, qv))
-                && events.checkpoint_passes().iter().any(|&(pp, pb, agreeing)| {
-                    pp == qp && pb > qb && agreeing == PANEL
-                });
-            if full {
+            if events.healed_after(qp, qv, qb, PANEL) {
                 storm.healed = true;
                 storm.heal_ns = seen.elapsed().as_nanos() as u64;
                 break;
@@ -745,19 +626,34 @@ fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Stor
     storm.audit_ok = verify_transcript(&transcript).is_ok();
 
     // The transcript oracle: the identical stream on a clean wire.
-    let mut clean = Deployment::builder(zoo::build(s.model, s.profile, s.seed).expect("model"))
-        .config(cfg)
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .build()?;
+    let mut clean = clean.build()?;
     for b in 0..storm.batches {
-        let idx = (b % INPUT_PERIOD) as usize;
-        let _ = clean.infer(&inputs[idx])?;
+        let _ = clean.infer(&inputs[(b % INPUT_PERIOD) as usize])?;
     }
     let reference = clean.transcript().render(s.seed, &fingerprint);
     clean.shutdown();
     storm.transcript_identical = transcript == reference;
     Ok(storm)
+}
+
+/// What a worker probe starts from: the inputs, their oracle answers, and
+/// the deployment under `cfg` with panel variant 0 out-of-process (and
+/// `fault`, if any, on its wire).
+fn probe_deployment(
+    s: &NetchaosSettings,
+    cfg: &MvxConfig,
+    fault: Option<NetFault>,
+) -> Result<(Vec<Tensor>, Vec<Tensor>, Deployment), String> {
+    let (model, inputs) = storm_fixture(s);
+    let clean = fixture::builder(&model, cfg, s.seed);
+    let expected =
+        fixture::oracle(clean.clone(), &inputs).map_err(|e| format!("oracle failed: {e}"))?;
+    let mut worker = clean.out_of_process(MVX_PARTITION, 0);
+    if let Some(fault) = fault {
+        worker = worker.fault(FaultDescriptor::Net(fault), Some((MVX_PARTITION, 0)));
+    }
+    let dep = worker.build().map_err(|e| format!("worker deployment failed: {e}"))?;
+    Ok((inputs, expected, dep))
 }
 
 /// The crash-loop flap probe: one out-of-process panel member killed
@@ -766,45 +662,9 @@ fn run_flap_probe(s: &NetchaosSettings) -> FlapProbe {
     let mut probe = FlapProbe::default();
     let mut cfg = storm_config();
     cfg.recovery.crash_loop_budget = FLAP_BUDGET;
-
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let inputs: Vec<Tensor> =
-        (0..INPUT_PERIOD).map(|i| storm_input(s.seed, &model, i)).collect();
-    let mut oracle = match Deployment::builder(model)
-        .config(cfg.clone())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .build()
-    {
-        Ok(d) => d,
-        Err(e) => {
-            probe.error = Some(format!("oracle failed: {e}"));
-            return probe;
-        }
-    };
-    let expected: Vec<Tensor> = match inputs.iter().map(|i| oracle.infer(i)).collect() {
-        Ok(v) => v,
-        Err(e) => {
-            probe.error = Some(format!("oracle run failed: {e}"));
-            return probe;
-        }
-    };
-    oracle.shutdown();
-
-    let mut dep = match Deployment::builder(
-        zoo::build(s.model, s.profile, s.seed).expect("model"),
-    )
-    .config(cfg.clone())
-    .partition_seed(s.seed)
-    .variant_seed(s.seed)
-    .out_of_process(MVX_PARTITION, 0)
-    .build()
-    {
-        Ok(d) => d,
-        Err(e) => {
-            probe.error = Some(format!("worker deployment failed: {e}"));
-            return probe;
-        }
+    let (inputs, expected, mut dep) = match probe_deployment(s, &cfg, None) {
+        Ok(started) => started,
+        Err(e) => return FlapProbe { error: Some(e), ..probe },
     };
 
     let trips = mvtee_telemetry::counter("core.recovery.crash_loop_trips");
@@ -812,10 +672,7 @@ fn run_flap_probe(s: &NetchaosSettings) -> FlapProbe {
     let mut served = 0u64;
     let mut infer_ok = |dep: &mut Deployment, lost: &mut u64| {
         let idx = (served % INPUT_PERIOD) as usize;
-        match dep.infer(&inputs[idx]) {
-            Ok(out) if bits_equal(&out, &expected[idx]) => {}
-            _ => *lost += 1,
-        }
+        *lost += u64::from(!fixture::serves(dep, &inputs[idx], &expected[idx]));
         served += 1;
     };
     let mut lost = 0u64;
@@ -861,50 +718,13 @@ fn run_reconnect_probe(s: &NetchaosSettings) -> ReconnectProbe {
     let mut probe = ReconnectProbe::default();
     let mut cfg = storm_config();
     cfg.supervision = SupervisionPolicy::with_reconnect();
-
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let inputs: Vec<Tensor> =
-        (0..INPUT_PERIOD).map(|i| storm_input(s.seed, &model, i)).collect();
-    let mut oracle = match Deployment::builder(model)
-        .config(cfg.clone())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .build()
-    {
-        Ok(d) => d,
-        Err(e) => {
-            probe.error = Some(format!("oracle failed: {e}"));
-            return probe;
-        }
-    };
-    let expected: Vec<Tensor> = match inputs.iter().map(|i| oracle.infer(i)).collect() {
-        Ok(v) => v,
-        Err(e) => {
-            probe.error = Some(format!("oracle run failed: {e}"));
-            return probe;
-        }
-    };
-    oracle.shutdown();
-
     let fault =
         NetFault { class: NetFaultClass::Disconnect, from_frame: RECONNECT_FROM_FRAME };
     let spawned = mvtee_telemetry::counter("core.worker.spawned");
     let reconnected = mvtee_telemetry::counter("core.worker.reconnected");
-    let mut dep = match Deployment::builder(
-        zoo::build(s.model, s.profile, s.seed).expect("model"),
-    )
-    .config(cfg.clone())
-    .partition_seed(s.seed)
-    .variant_seed(s.seed)
-    .out_of_process(MVX_PARTITION, 0)
-    .fault(FaultDescriptor::Net(fault), Some((MVX_PARTITION, 0)))
-    .build()
-    {
-        Ok(d) => d,
-        Err(e) => {
-            probe.error = Some(format!("worker deployment failed: {e}"));
-            return probe;
-        }
+    let (inputs, expected, mut dep) = match probe_deployment(s, &cfg, Some(fault)) {
+        Ok(started) => started,
+        Err(e) => return ReconnectProbe { error: Some(e), ..probe },
     };
     let spawned0 = spawned.get();
     let reconnected0 = reconnected.get();
@@ -913,17 +733,11 @@ fn run_reconnect_probe(s: &NetchaosSettings) -> ReconnectProbe {
     let deadline = Instant::now() + Duration::from_secs(30);
     while Instant::now() < deadline {
         let idx = (served % INPUT_PERIOD) as usize;
-        match dep.infer(&inputs[idx]) {
-            Ok(out) if bits_equal(&out, &expected[idx]) => {}
-            _ => probe.lost_batches += 1,
-        }
+        probe.lost_batches += u64::from(!fixture::serves(&mut dep, &inputs[idx], &expected[idx]));
         served += 1;
         let events = dep.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            probe.full_strength = events.recoveries().contains(&(qp, qv))
-                && events.checkpoint_passes().iter().any(|&(pp, pb, agreeing)| {
-                    pp == qp && pb > qb && agreeing == PANEL
-                });
+            probe.full_strength = events.healed_after(qp, qv, qb, PANEL);
             if probe.full_strength {
                 break;
             }
@@ -939,13 +753,10 @@ fn run_reconnect_probe(s: &NetchaosSettings) -> ReconnectProbe {
 
 /// Runs the netchaos experiment.
 pub fn run_netchaos(s: &NetchaosSettings) -> NetchaosReport {
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let fingerprint = config_fingerprint(&model);
-    drop(model);
-
+    let model = fixture::model(s.seed);
     let mut report = NetchaosReport {
         seed: s.seed,
-        fingerprint,
+        fingerprint: fixture::fingerprint(&model, "netchaos", PARTITIONS, PANEL),
         gauntlet: run_gauntlet(s),
         storms: Vec::new(),
         flap: None,
@@ -953,22 +764,13 @@ pub fn run_netchaos(s: &NetchaosSettings) -> NetchaosReport {
     };
     for class in NetFaultClass::ALL_TOKENS {
         for storm_idx in 0..s.storms_per_class {
-            match run_storm(s, class, storm_idx) {
-                Ok(storm) => report.storms.push(storm),
-                Err(_) => report.storms.push(Storm {
-                    class: class.to_string(),
-                    spec: format!("net:{class}:?"),
-                    batches: 0,
-                    lost_batches: 1,
-                    injected: 0,
-                    detected: false,
-                    healed: false,
-                    masked: false,
-                    heal_ns: 0,
-                    transcript_identical: false,
-                    audit_ok: false,
-                }),
-            }
+            // A storm whose infrastructure failed counts as a lost batch.
+            report.storms.push(run_storm(s, class, storm_idx).unwrap_or_else(|_| Storm {
+                class: class.to_string(),
+                spec: format!("net:{class}:?"),
+                lost_batches: 1,
+                ..Storm::default()
+            }));
         }
     }
     if s.probe_flap {
@@ -978,6 +780,18 @@ pub fn run_netchaos(s: &NetchaosSettings) -> NetchaosReport {
         report.reconnect = Some(run_reconnect_probe(s));
     }
     report
+}
+
+/// The `netchaos` subcommand: fails on any byte mismatch, lost batch,
+/// missed detection, or failed heal.
+pub fn command(common: &CommonArgs, _args: &[String]) -> Outcome {
+    let report = run_netchaos(&common.pick(NetchaosSettings::quick, NetchaosSettings::full));
+    Outcome {
+        status: report.render_text(),
+        artifacts: vec![(common.out_or(ARTIFACT), report.render_json())],
+        failures: report.gate_failures(),
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]

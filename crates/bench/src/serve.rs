@@ -18,16 +18,17 @@
 //!   fault; the core watchdog must quarantine the wedged variant and
 //!   the recovery manager must rejoin it while the pool keeps serving.
 //!
-//! Results land in `BENCH_serve.json` (throughput, p50/p95/p99
-//! end-to-end latency, shed/expired counters, per-replica batch counts,
-//! recovery counts) so future PRs have a serving trajectory to beat.
+//! Results land in `BENCH_serve.json` (request accounting, shed/expired
+//! counters, per-replica batch counts, recovery counts). How fast the
+//! frontend serves is the benchmark's `serve-small` workload
+//! (`throughput_rps`, `latency_p50_ms`), not measured here.
 
-use mvtee::config::{DegradationPolicy, MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
-use mvtee::Deployment;
+use crate::cli::{CommonArgs, Outcome};
+use crate::fixture::{self, Json};
 use mvtee_faults::{FaultDescriptor, StallFault, StallMode};
-use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
-use mvtee_serve::{QueueStats, RequestOutcome, ServeConfig, ServeFrontend, ReplicaPool};
-use mvtee_tensor::Tensor;
+use mvtee_serve::{
+    QueueStats, ReplicaPool, RequestOutcome, ServeConfig, ServeFrontend, Ticket,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -35,16 +36,16 @@ use std::time::{Duration, Instant};
 
 /// Partitions in the served model's MVX config.
 const PARTITIONS: usize = 2;
-/// Replicated panel size per partition (2-of-3 keeps a strict majority
-/// while the faulted variant is quarantined).
+/// Replicated panel size per partition.
 const PANEL: usize = 3;
-/// Checkpoint deadline driving the straggler watchdog.
-const DEADLINE_MS: u64 = 300;
 /// Distinct inputs cycled by the load generator (and pre-computed by
 /// the serial reference run).
 const INPUT_PERIOD: u64 = 8;
 /// Model key the single pool serves.
 const MODEL_KEY: &str = "zoo";
+/// Where the report lands unless `--out` says otherwise.
+pub const ARTIFACT: &str = "BENCH_serve.json";
+const SCHEMA: &str = "mvtee-bench-serve-v2";
 
 /// Serve experiment parameters.
 #[derive(Debug, Clone)]
@@ -67,10 +68,6 @@ pub struct ServeSettings {
     /// Inject a stall fault into replica 0 so quarantine/recovery is
     /// exercised under load.
     pub inject_recovery: bool,
-    /// Zoo model served by the pool.
-    pub model: ModelKind,
-    /// Zoo scale.
-    pub profile: ScaleProfile,
 }
 
 impl ServeSettings {
@@ -85,24 +82,19 @@ impl ServeSettings {
             open_loop_requests: 48,
             open_loop_rate: 400.0,
             inject_recovery: true,
-            model: ModelKind::MnasNet,
-            profile: ScaleProfile::Test,
         }
     }
 
     /// Full configuration: more replicas, more clients, more load.
     pub fn full(seed: u64) -> Self {
         ServeSettings {
-            seed,
             replicas: 3,
             tenants: 6,
             clients: 8,
             requests_per_client: 48,
             open_loop_requests: 192,
             open_loop_rate: 600.0,
-            inject_recovery: true,
-            model: ModelKind::MnasNet,
-            profile: ScaleProfile::Test,
+            ..Self::quick(seed)
         }
     }
 }
@@ -130,14 +122,6 @@ pub struct ServeReport {
     pub duplicated: u64,
     /// Served outputs that differed from the serial reference.
     pub mismatches: Vec<String>,
-    /// Completed requests per wall-clock second of the load phases.
-    pub throughput_rps: f64,
-    /// Median end-to-end latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile end-to-end latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile end-to-end latency, milliseconds.
-    pub p99_ms: f64,
     /// Micro-batches served by each replica.
     pub replica_batches: Vec<u64>,
     /// Requests served by each replica.
@@ -202,11 +186,6 @@ impl ServeReport {
         );
         let _ = writeln!(
             out,
-            "throughput: {:.1} req/s; e2e latency p50={:.2} ms p95={:.2} ms p99={:.2} ms",
-            self.throughput_rps, self.p50_ms, self.p95_ms, self.p99_ms
-        );
-        let _ = writeln!(
-            out,
             "per-replica batches: {:?}; per-replica requests: {:?}",
             self.replica_batches, self.replica_requests
         );
@@ -218,96 +197,40 @@ impl ServeReport {
         for m in &self.mismatches {
             let _ = writeln!(out, "MISMATCH: {m}");
         }
-        for f in self.gate_failures() {
-            let _ = writeln!(out, "GATE: {f}");
-        }
         out
     }
 
     /// The machine-readable report (`BENCH_serve.json`).
     pub fn render_json(&self) -> String {
-        let list = |v: &[u64]| {
-            v.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-        };
-        let mut out = String::from("{\n  \"schema\": \"mvtee-bench-serve-v1\",\n");
-        out.push_str(&crate::meta_json_line(
-            "mvtee-bench-serve-v1",
-            self.seed,
-            &self.fingerprint,
-        ));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"replicas\": {},\n", self.replicas));
-        out.push_str(&format!(
-            "  \"requests\": {{\"submitted\": {}, \"completed\": {}, \"failed\": {}, \
-             \"expired\": {}, \"shed\": {}, \"shed_queue_full\": {}, \"shed_quota\": {}, \
-             \"lost\": {}, \"duplicated\": {}}},\n",
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.expired,
-            self.shed(),
-            self.queue.shed_queue_full,
-            self.queue.shed_quota,
-            self.lost,
-            self.duplicated,
-        ));
-        out.push_str(&format!(
-            "  \"throughput_rps\": {:.2},\n  \"latency_ms\": {{\"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}}},\n",
-            self.throughput_rps, self.p50_ms, self.p95_ms, self.p99_ms
-        ));
-        out.push_str(&format!(
-            "  \"replica_batches\": [{}],\n  \"replica_requests\": [{}],\n",
-            list(&self.replica_batches),
-            list(&self.replica_requests)
-        ));
-        out.push_str(&format!(
-            "  \"recovery\": {{\"expected\": {}, \"quarantines\": {}, \"recoveries\": {}}},\n",
-            self.recovery_expected, self.quarantines, self.recoveries
-        ));
-        out.push_str(&format!("  \"mismatch_count\": {}\n}}\n", self.mismatches.len()));
-        out
+        let requests = Json::obj([
+            ("submitted", self.submitted.into()),
+            ("completed", self.completed.into()),
+            ("failed", self.failed.into()),
+            ("expired", self.expired.into()),
+            ("shed", self.shed().into()),
+            ("shed_queue_full", self.queue.shed_queue_full.into()),
+            ("shed_quota", self.queue.shed_quota.into()),
+            ("lost", self.lost.into()),
+            ("duplicated", self.duplicated.into()),
+        ]);
+        let recovery = Json::obj([
+            ("expected", self.recovery_expected.into()),
+            ("quarantines", self.quarantines.into()),
+            ("recoveries", self.recoveries.into()),
+        ]);
+        Json::obj([
+            ("schema", SCHEMA.into()),
+            ("meta", Json::meta(SCHEMA, self.seed, &self.fingerprint)),
+            ("seed", self.seed.into()),
+            ("replicas", self.replicas.into()),
+            ("requests", requests),
+            ("replica_batches", Json::arr(self.replica_batches.iter().copied())),
+            ("replica_requests", Json::arr(self.replica_requests.iter().copied())),
+            ("recovery", recovery),
+            ("mismatch_count", self.mismatches.len().into()),
+        ])
+        .render()
     }
-}
-
-/// The deterministic input of load-generator slot `index`.
-fn serve_input(seed: u64, model: &zoo::Model, index: u64) -> Tensor {
-    let n = model.input_shape.num_elements();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7e_u64 ^ (index % INPUT_PERIOD));
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    Tensor::from_vec(data, model.input_shape.dims()).expect("static input shape")
-}
-
-/// Bit-exact tensor equality (NaN-safe).
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.dims() == b.dims()
-        && a.data().iter().zip(b.data().iter()).all(|(p, q)| p.to_bits() == q.to_bits())
-}
-
-/// Nearest-rank quantile over an unsorted latency sample, milliseconds.
-fn quantile_ms(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
-/// The MVX config every replica (and the serial reference) runs:
-/// replicated 2-of-3 panels on both partitions, majority response, and
-/// recovery enabled — replicated panels make replica outputs
-/// byte-identical to the reference regardless of per-replica variant
-/// seeds.
-fn serve_mvx() -> MvxConfig {
-    let mut mvx = MvxConfig::fast_path(PARTITIONS);
-    for claim in &mut mvx.claims {
-        *claim = PartitionMvx::replicated(PANEL);
-    }
-    mvx.response = ResponsePolicy::ContinueWithMajority;
-    mvx.degradation = DegradationPolicy::Degrade;
-    mvx.recovery = RecoveryPolicy::enabled();
-    mvx.checkpoint_deadline_ms = DEADLINE_MS;
-    mvx
 }
 
 /// One response observed by the load generator.
@@ -316,48 +239,46 @@ struct Observed {
     input_index: u64,
     outcome: RequestOutcome,
     replica: Option<usize>,
-    latency: Duration,
+}
+
+/// Waits for `ticket`; `None` when the frontend dropped it unresolved.
+fn observe(ticket: Ticket, input_index: u64) -> Option<Observed> {
+    let id = ticket.id;
+    let resp = ticket.wait().ok()?;
+    Some(Observed { id, input_index, outcome: resp.outcome, replica: resp.replica })
+}
+
+/// As [`observe`], with a dropped ticket resolving `Failed`.
+fn observe_or_failed(ticket: Ticket, input_index: u64) -> Observed {
+    let id = ticket.id;
+    let outcome = RequestOutcome::Failed("ticket disconnected".to_string());
+    observe(ticket, input_index).unwrap_or(Observed { id, input_index, outcome, replica: None })
 }
 
 /// Runs the serve experiment.
 pub fn run_serve(s: &ServeSettings) -> ServeReport {
     mvtee_serve::register_serve_metrics();
 
-    // The serial single-request reference: a clean deployment of the
-    // identical configuration answering each distinct input once.
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let fingerprint = format!(
-        "{}-{:016x}-p{}x{}",
-        model.kind.display_name(),
-        mvtee_runtime::graph_fingerprint(&model.graph),
-        PARTITIONS,
-        PANEL
-    );
-    let inputs: Vec<Tensor> =
-        (0..INPUT_PERIOD).map(|i| serve_input(s.seed, &model, i)).collect();
-    let mut reference_dep = Deployment::builder(model)
-        .config(serve_mvx())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
-        .build()
-        .expect("reference deployment builds");
-    let reference: Vec<Tensor> = inputs
-        .iter()
-        .map(|input| reference_dep.infer(input).expect("reference inference"))
-        .collect();
-    reference_dep.shutdown();
+    // Every replica (and the serial reference) runs the healing panel on
+    // both partitions: replicated panels make replica outputs
+    // byte-identical to the reference regardless of per-replica variant
+    // seeds. The reference is a clean deployment of that configuration
+    // answering each distinct input once, serially.
+    let model = fixture::model(s.seed);
+    let fingerprint = fixture::fingerprint(&model, "", PARTITIONS, PANEL);
+    let inputs = fixture::inputs(&model, s.seed ^ 0x5e7e, INPUT_PERIOD);
+    let mvx = fixture::healing_panel(PARTITIONS, &[0, 1], PANEL);
+    let builder = fixture::builder(&model, &mvx, s.seed);
+    let reference =
+        fixture::oracle(builder.clone(), &inputs).expect("reference deployment serves");
 
     // The pool: `replicas` deployments from one builder. Replica 0
     // optionally carries a stall fault on partition 1 so the straggler
     // watchdog quarantines a variant mid-burst and the recovery manager
     // rejoins it while the pool serves.
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
     let stall = FaultDescriptor::Stall(StallFault { from_batch: 2, mode: StallMode::Hang });
     let inject = s.inject_recovery;
-    let deployments = Deployment::builder(model)
-        .config(serve_mvx())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
+    let deployments = builder
         .build_many_with(s.replicas, move |r, b| {
             if inject && r == 0 {
                 b.fault(stall.clone(), Some((1, 0)))
@@ -372,10 +293,9 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
         .replica_events(MODEL_KEY, 0)
         .expect("replica 0 exists");
 
-    let load_start = Instant::now();
-
     // Closed-loop phase: `clients` threads, one request in flight each,
-    // cycling tenants and a seeded per-client input schedule.
+    // cycling tenants and a seeded per-client input schedule. A request
+    // shed at the door is counted via `QueueStats`, not observed.
     let mut observed: Vec<Observed> = Vec::new();
     let mut client_threads = Vec::new();
     for c in 0..s.clients {
@@ -389,30 +309,9 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
             let mut rng = StdRng::seed_from_u64(seed ^ ((c as u64) << 17));
             for _ in 0..per_client {
                 let input_index = rng.gen_range(0..INPUT_PERIOD);
-                match handle.submit(&tenant, MODEL_KEY, inputs[input_index as usize].clone())
-                {
-                    Ok(ticket) => {
-                        let id = ticket.id;
-                        match ticket.wait() {
-                            Ok(resp) => got.push(Observed {
-                                id,
-                                input_index,
-                                outcome: resp.outcome,
-                                replica: resp.replica,
-                                latency: resp.latency,
-                            }),
-                            Err(_) => got.push(Observed {
-                                id,
-                                input_index,
-                                outcome: RequestOutcome::Failed(
-                                    "ticket disconnected".to_string(),
-                                ),
-                                replica: None,
-                                latency: Duration::ZERO,
-                            }),
-                        }
-                    }
-                    Err(_reason) => { /* shed at the door; counted via QueueStats */ }
+                let input = inputs[input_index as usize].clone();
+                if let Ok(ticket) = handle.submit(&tenant, MODEL_KEY, input) {
+                    got.push(observe_or_failed(ticket, input_index));
                 }
             }
             got
@@ -431,35 +330,16 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
     for i in 0..s.open_loop_requests {
         let input_index = (i as u64) % INPUT_PERIOD;
         let tenant = format!("tenant-{}", i % s.tenants.max(1));
-        match handle.submit(&tenant, MODEL_KEY, inputs[input_index as usize].clone()) {
-            Ok(ticket) => pending.push((input_index, ticket)),
-            Err(_reason) => {}
+        if let Ok(ticket) = handle.submit(&tenant, MODEL_KEY, inputs[input_index as usize].clone())
+        {
+            pending.push((input_index, ticket));
         }
         let next = open_start + interval * (i as u32 + 1);
         if let Some(sleep) = next.checked_duration_since(Instant::now()) {
             std::thread::sleep(sleep);
         }
     }
-    for (input_index, ticket) in pending {
-        let id = ticket.id;
-        match ticket.wait() {
-            Ok(resp) => observed.push(Observed {
-                id,
-                input_index,
-                outcome: resp.outcome,
-                replica: resp.replica,
-                latency: resp.latency,
-            }),
-            Err(_) => observed.push(Observed {
-                id,
-                input_index,
-                outcome: RequestOutcome::Failed("ticket disconnected".to_string()),
-                replica: None,
-                latency: Duration::ZERO,
-            }),
-        }
-    }
-    let load_elapsed = load_start.elapsed();
+    observed.extend(pending.into_iter().map(|(index, ticket)| observe_or_failed(ticket, index)));
 
     // Keep a trickle of probe traffic flowing until the faulted replica
     // records a recovery (probation needs fresh checkpoints to vote
@@ -470,19 +350,9 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
                 break;
             }
             let input_index = probe % INPUT_PERIOD;
-            if let Ok(ticket) =
-                handle.submit("probe", MODEL_KEY, inputs[input_index as usize].clone())
-            {
-                let id = ticket.id;
-                if let Ok(resp) = ticket.wait() {
-                    observed.push(Observed {
-                        id,
-                        input_index,
-                        outcome: resp.outcome,
-                        replica: resp.replica,
-                        latency: resp.latency,
-                    });
-                }
+            let input = inputs[input_index as usize].clone();
+            if let Ok(ticket) = handle.submit("probe", MODEL_KEY, input) {
+                observed.extend(observe(ticket, input_index));
             }
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -493,16 +363,12 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
     ids.sort_unstable();
     let duplicated = ids.windows(2).filter(|w| w[0] == w[1]).count() as u64;
     let mut mismatches = Vec::new();
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut expired = 0u64;
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(observed.len());
+    let (mut completed, mut failed, mut expired) = (0u64, 0u64, 0u64);
     for o in &observed {
         match &o.outcome {
             RequestOutcome::Ok(tensor) => {
                 completed += 1;
-                latencies_ms.push(o.latency.as_secs_f64() * 1e3);
-                if !bits_equal(tensor, &reference[o.input_index as usize]) {
+                if !fixture::bits_equal(tensor, &reference[o.input_index as usize]) {
                     mismatches.push(format!(
                         "request {} (input {}, replica {:?}) differs from the serial reference",
                         o.id, o.input_index, o.replica
@@ -521,11 +387,6 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
     let lost = queue.admitted.saturating_sub(observed.len() as u64);
     frontend.shutdown();
 
-    let throughput = if load_elapsed.as_secs_f64() > 0.0 {
-        completed as f64 / load_elapsed.as_secs_f64()
-    } else {
-        0.0
-    };
     ServeReport {
         seed: s.seed,
         fingerprint,
@@ -537,16 +398,33 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
         lost,
         duplicated,
         mismatches,
-        throughput_rps: throughput,
-        p50_ms: quantile_ms(&mut latencies_ms.clone(), 0.50),
-        p95_ms: quantile_ms(&mut latencies_ms.clone(), 0.95),
-        p99_ms: quantile_ms(&mut latencies_ms, 0.99),
         replica_batches: pool_stats.served_batches,
         replica_requests: pool_stats.served_requests,
         quarantines,
         recoveries,
         recovery_expected: s.inject_recovery,
         queue,
+    }
+}
+
+/// The `serve` subcommand: the serving gates, plus — at `--quick` smoke
+/// load — nothing may be shed.
+pub fn command(common: &CommonArgs, _args: &[String]) -> Outcome {
+    let report = run_serve(&common.pick(ServeSettings::quick, ServeSettings::full));
+    let mut failures = report.gate_failures();
+    if common.quick && report.shed() > 0 {
+        failures.push(format!(
+            "{} request(s) shed at smoke load (queue_full={}, quota={})",
+            report.shed(),
+            report.queue.shed_queue_full,
+            report.queue.shed_quota
+        ));
+    }
+    Outcome {
+        status: report.render_text(),
+        artifacts: vec![(common.out_or(ARTIFACT), report.render_json())],
+        failures,
+        ..Outcome::default()
     }
 }
 
@@ -569,7 +447,7 @@ mod tests {
         );
         assert_eq!(report.shed(), 0, "smoke load must not shed");
         let json = report.render_json();
-        assert!(json.contains("\"schema\": \"mvtee-bench-serve-v1\""));
+        assert!(json.contains("\"schema\": \"mvtee-bench-serve-v2\""));
         assert!(json.contains("\"mismatch_count\": 0"));
     }
 }

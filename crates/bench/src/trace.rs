@@ -19,16 +19,14 @@
 //! by `experiments audit`) and a Chrome-trace/Perfetto timeline
 //! (`TRACE_run.json`).
 
-use mvtee::config::{DegradationPolicy, MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
+use crate::cli::{self, CommonArgs, Outcome};
+use crate::fixture;
+use mvtee::config::MvxConfig;
 use mvtee::transcript::verify_transcript;
-use mvtee::Deployment;
 use mvtee_faults::{BitFlipFault, BitFlipStrategy, FaultDescriptor};
-use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{ReplicaPool, RequestOutcome, ServeConfig, ServeFrontend};
 use mvtee_telemetry::trace::{self, FlightDump, TraceEvent};
 use mvtee_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 /// Partitions in the traced deployment.
@@ -37,6 +35,11 @@ const PARTITIONS: usize = 2;
 const PANEL: usize = 3;
 /// Model key of the divergence-probe pool.
 const MODEL_KEY: &str = "traced";
+/// Salt of this experiment's input stream.
+const INPUT_SALT: u64 = 0x7ace;
+/// Where the Merkle transcript (`--out`) and the Chrome-trace timeline
+/// (`--trace-out`) land by default.
+pub const ARTIFACTS: [&str; 2] = ["AUDIT_transcript.jsonl", "TRACE_run.json"];
 
 /// Trace experiment parameters.
 #[derive(Debug, Clone)]
@@ -47,22 +50,12 @@ pub struct TraceSettings {
     pub batches: usize,
     /// Run the divergence-injected serve probe (flight-recorder gate).
     pub probe_divergence: bool,
-    /// Zoo model under trace.
-    pub model: ModelKind,
-    /// Zoo scale.
-    pub profile: ScaleProfile,
 }
 
 impl TraceSettings {
     /// CI smoke configuration.
     pub fn quick(seed: u64) -> Self {
-        TraceSettings {
-            seed,
-            batches: 6,
-            probe_divergence: true,
-            model: ModelKind::MnasNet,
-            profile: ScaleProfile::Test,
-        }
+        TraceSettings { seed, batches: 6, probe_divergence: true }
     }
 
     /// Full configuration: more batches through the same gates.
@@ -182,9 +175,6 @@ impl TraceReport {
                 p.quarantines, p.dump_found, p.chain_linked
             );
         }
-        for f in self.gate_failures() {
-            let _ = writeln!(out, "GATE: {f}");
-        }
         out
     }
 
@@ -217,52 +207,26 @@ impl TraceReport {
     }
 }
 
-/// The run-configuration fingerprint welded into the transcript header:
-/// model name, graph content hash, and the panel shape.
-fn config_fingerprint(model: &zoo::Model) -> String {
-    format!(
-        "{}-{:016x}-p{}x{}",
-        model.kind.display_name(),
-        mvtee_runtime::graph_fingerprint(&model.graph),
-        PARTITIONS,
-        PANEL
-    )
-}
-
-/// The MVX config under trace: replicated 2-of-3 panels, majority
-/// response, recovery enabled (the serve experiment's shape, so traced
-/// spans cover the same paths CI already exercises).
+/// The MVX config under trace: the serve experiment's healing panel (so
+/// traced spans cover the paths CI already exercises) under the default
+/// checkpoint deadline — a fault-free transcript must not depend on how
+/// loaded the host is.
 fn trace_mvx() -> MvxConfig {
-    let mut mvx = MvxConfig::fast_path(PARTITIONS);
-    for claim in &mut mvx.claims {
-        *claim = PartitionMvx::replicated(PANEL);
+    let relaxed = MvxConfig::fast_path(PARTITIONS).checkpoint_deadline_ms;
+    MvxConfig {
+        checkpoint_deadline_ms: relaxed,
+        ..fixture::healing_panel(PARTITIONS, &[0, 1], PANEL)
     }
-    mvx.response = ResponsePolicy::ContinueWithMajority;
-    mvx.degradation = DegradationPolicy::Degrade;
-    mvx.recovery = RecoveryPolicy::enabled();
-    mvx
-}
-
-/// The deterministic input of batch `index`.
-fn trace_input(seed: u64, model: &zoo::Model, index: u64) -> Tensor {
-    let n = model.input_shape.num_elements();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7ace_u64 ^ index);
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    Tensor::from_vec(data, model.input_shape.dims()).expect("static input shape")
 }
 
 /// One fault-free run: builds a fresh deployment, pushes `batches`
 /// inputs through it (recorder enabled or not), and returns the outputs,
 /// the rendered transcript, and the captured trace events.
 fn traced_run(s: &TraceSettings, enable: bool) -> (Vec<Tensor>, String, Vec<TraceEvent>) {
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let fingerprint = config_fingerprint(&model);
-    let inputs: Vec<Tensor> =
-        (0..s.batches as u64).map(|i| trace_input(s.seed, &model, i)).collect();
-    let mut dep = Deployment::builder(model)
-        .config(trace_mvx())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
+    let model = fixture::model(s.seed);
+    let fingerprint = fixture::fingerprint(&model, "", PARTITIONS, PANEL);
+    let inputs = fixture::inputs(&model, s.seed ^ INPUT_SALT, s.batches as u64);
+    let mut dep = fixture::builder(&model, &trace_mvx(), s.seed)
         .build()
         .expect("traced deployment builds");
     let tracer = trace::recorder();
@@ -277,24 +241,15 @@ fn traced_run(s: &TraceSettings, enable: bool) -> (Vec<Tensor>, String, Vec<Trac
     (outputs, transcript, events)
 }
 
-/// Bit-exact tensor equality (NaN-safe).
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.dims() == b.dims()
-        && a.data().iter().zip(b.data().iter()).all(|(p, q)| p.to_bits() == q.to_bits())
-}
-
 /// The divergence-injected serve probe: a 2-replica pool whose replica 0
 /// carries weight bit flips on partition 1, driven until the checkpoint
 /// quarantines the corrupted variant. Returns what the flight recorder
 /// kept of the incident.
 fn run_divergence_probe(s: &TraceSettings) -> DivergenceProbe {
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let input = trace_input(s.seed, &model, 0);
+    let model = fixture::model(s.seed);
+    let input = fixture::inputs(&model, s.seed ^ INPUT_SALT, 1).remove(0);
     let flip = BitFlipFault { strategy: BitFlipStrategy::ExponentMsb, count: 3, seed: s.seed };
-    let deployments = Deployment::builder(model)
-        .config(trace_mvx())
-        .partition_seed(s.seed)
-        .variant_seed(s.seed)
+    let deployments = fixture::builder(&model, &trace_mvx(), s.seed)
         .build_many_with(2, move |r, b| {
             if r == 0 {
                 b.fault(FaultDescriptor::WeightBitFlip(flip), Some((1, 0)))
@@ -359,9 +314,8 @@ pub fn run_trace(s: &TraceSettings) -> TraceReport {
     mvtee_telemetry::trace::register_trace_metrics();
     mvtee::transcript::register_audit_metrics();
 
-    let model = zoo::build(s.model, s.profile, s.seed).expect("zoo model builds");
-    let fingerprint = config_fingerprint(&model);
-    drop(model);
+    let model = fixture::model(s.seed);
+    let fingerprint = fixture::fingerprint(&model, "", PARTITIONS, PANEL);
 
     let (outputs_on, transcript_a, events) = traced_run(s, true);
     let (_, transcript_b, _) = traced_run(s, true);
@@ -380,14 +334,28 @@ pub fn run_trace(s: &TraceSettings) -> TraceReport {
         batches: s.batches,
         transcript_repeatable: transcript_a == transcript_b,
         transcript_tracing_invariant: transcript_a == transcript_off,
-        outputs_inert: outputs_on.len() == outputs_off.len()
-            && outputs_on.iter().zip(&outputs_off).all(|(a, b)| bits_equal(a, b)),
+        outputs_inert: fixture::all_bits_equal(&outputs_on, &outputs_off),
         transcript: transcript_a,
         audit_entries,
         audit_error,
         events_recorded: events.len(),
         events,
         probe,
+    }
+}
+
+/// The `trace` subcommand: writes both artifacts, fails on any trace gate.
+pub fn command(common: &CommonArgs, args: &[String]) -> Outcome {
+    let report = run_trace(&common.pick(TraceSettings::quick, TraceSettings::full));
+    let trace_out = cli::flag_path(args, "--trace-out", ARTIFACTS[1]);
+    Outcome {
+        status: report.render_text(),
+        artifacts: vec![
+            (common.out_or(ARTIFACTS[0]), report.transcript.clone()),
+            (trace_out, report.render_chrome_trace()),
+        ],
+        failures: report.gate_failures(),
+        ..Outcome::default()
     }
 }
 

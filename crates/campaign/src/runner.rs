@@ -402,11 +402,7 @@ fn run_liveness_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
         match &sc.fault {
             FaultDescriptor::Stall(_) => {
                 if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-                    let rejoined = events.recoveries().contains(&(qp, qv))
-                        && events.checkpoint_passes().iter().any(|&(pp, pb, agreeing)| {
-                            pp == qp && pb > qb && agreeing == sc.panel_size
-                        });
-                    if rejoined {
+                    if events.healed_after(qp, qv, qb, sc.panel_size) {
                         verdict =
                             Some(Outcome::Recovered { partition: qp, variant: qv });
                         break;
@@ -523,11 +519,7 @@ fn run_netfault_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
         // Terminal-state check: stop streaming once the invariant holds.
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            let rejoined = events.recoveries().contains(&(qp, qv))
-                && events.checkpoint_passes().iter().any(|&(pp, pb, agreeing)| {
-                    pp == qp && pb > qb && agreeing == sc.panel_size
-                });
-            if rejoined {
+            if events.healed_after(qp, qv, qb, sc.panel_size) {
                 verdict = Some(Outcome::Recovered { partition: qp, variant: qv });
                 break;
             }

@@ -357,6 +357,16 @@ impl MvxConfig {
         std::time::Duration::from_millis(self.result_timeout_ms)
     }
 
+    /// The worst-case detect→react time: one checkpoint deadline to
+    /// detect, each retry's backoff, one deadline of slack per allowed
+    /// attempt, and the result timeout of the batch in flight. A panel
+    /// that heals later than this has failed to heal.
+    pub fn heal_deadline(&self) -> std::time::Duration {
+        let retries = self.recovery.max_retries;
+        let backoff: std::time::Duration = (0..retries).map(|k| self.recovery.backoff(k)).sum();
+        self.checkpoint_deadline() * (retries + 2) + backoff + self.result_timeout()
+    }
+
     /// Selective MVX: `variants` replicas on the partitions listed in
     /// `mvx_partitions`, single variants elsewhere.
     pub fn selective(partitions: usize, mvx_partitions: &[usize], variants: usize) -> Self {

@@ -459,6 +459,22 @@ impl EventLog {
             .collect()
     }
 
+    /// Healed: the slot quarantined at `quarantined_at_batch` was recovered
+    /// *and* a later checkpoint of its partition passed with all `panel`
+    /// members agreeing.
+    pub fn healed_after(
+        &self,
+        partition: usize,
+        variant: usize,
+        quarantined_at_batch: u64,
+        panel: usize,
+    ) -> bool {
+        self.recoveries().contains(&(partition, variant))
+            && self.checkpoint_passes().iter().any(|&(p, batch, agreeing)| {
+                p == partition && batch > quarantined_at_batch && agreeing == panel
+            })
+    }
+
     /// The earliest partition ≥ `partition` at which a detection-class
     /// event (divergence, crash, or late dissent) fired — the signal the
     /// campaign's detection invariant checks against the first checkpoint

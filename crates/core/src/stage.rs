@@ -185,10 +185,17 @@ impl StageState {
             Event::SendFailed { variant, link } => {
                 let Some(f) = &mut self.in_flight else { return };
                 f.live.retain(|&v| v != variant);
-                let batch = f.batch;
+                let (batch, now) = (f.batch, f.live.len());
                 let reason = format!("request channel closed ({link})");
                 self.record(MonitorEvent::VariantCrashed { partition, variant, batch, reason });
                 self.quarantine(variant, batch, "request channel closed");
+                // `Strict` runs no batch below strength, however late the
+                // loss is discovered: the survivors' answers go unvoted.
+                let strict = self.cfg.policy.degradation == DegradationPolicy::Strict;
+                if strict && self.cfg.slow && self.cfg.variants > 1 && now > 0 {
+                    self.in_flight = None;
+                    self.fail_below_strength(batch, now);
+                }
             }
             Event::Disconnected { variant, epoch, batch } => {
                 if epoch != self.epochs[variant] {
@@ -240,6 +247,15 @@ impl StageState {
         }
     }
 
+    /// `Strict`: fails `batch` instead of voting it on `now` variants.
+    fn fail_below_strength(&mut self, batch: u64, now: usize) {
+        let (full, partition) = (self.cfg.variants, self.cfg.partition);
+        self.respond(format!(
+            "strict degradation: failing batch {batch} with panel below strength ({now}/{full})"
+        ));
+        self.poison(format!("panel below strength at partition {partition} ({now}/{full})"));
+    }
+
     /// Job admission: deferred reaction, degradation policy, dispatch.
     fn admit(&mut self, batch: u64, inputs: Result<Vec<Tensor>, ValueId>) {
         if let Some(detail) = self.pending_reaction.take() {
@@ -254,18 +270,11 @@ impl StageState {
         };
         // Below strength: a member is quarantined and not yet recovered.
         let live: Vec<usize> = (0..self.cfg.variants).filter(|&v| !self.dead[v]).collect();
-        let (now, full, partition) = (live.len(), self.cfg.variants, self.cfg.partition);
+        let (now, full) = (live.len(), self.cfg.variants);
         let mut fallthrough = false;
         if self.cfg.slow && full > 1 && now > 0 && now < full {
             match self.cfg.policy.degradation {
-                DegradationPolicy::Strict => {
-                    self.respond(format!(
-                        "strict degradation: failing batch {batch} with panel below strength ({now}/{full})"
-                    ));
-                    return self.poison(format!(
-                        "panel below strength at partition {partition} ({now}/{full})"
-                    ));
-                }
+                DegradationPolicy::Strict => return self.fail_below_strength(batch, now),
                 DegradationPolicy::Degrade => {}
                 DegradationPolicy::FastPathFallback => {
                     fallthrough = true;
@@ -861,7 +870,8 @@ mod tests {
         faults_left: u32,
         held: Option<Held>,
         stopping: bool,
-        /// Batches forwarded unvoted under `FastPathFallback`.
+        /// Batches forwarded unvoted: `FastPathFallback`, or failed by
+        /// `Strict` when the dispatch found the panel short.
         unvoted: Vec<u64>,
         /// Every non-stale vote fed on a voted batch.
         ballots: Vec<(u64, Vote)>,
@@ -1008,10 +1018,17 @@ mod tests {
                         self.fail("forward without a job in hand");
                     };
                     self.forwards += 1;
-                    if held.fallthrough {
+                    let (full, policy) = (self.state.cfg.variants, self.state.cfg.policy);
+                    let short = policy.degradation == DegradationPolicy::Strict
+                        && held.panel.len() < full;
+                    // Answers to a batch that is not voted are not ballots.
+                    if held.fallthrough || short {
                         self.unvoted.push(held.batch);
                     }
                     if let Ok(out) = result {
+                        if short {
+                            self.fail("strict degradation forwarded a batch voted below strength");
+                        }
                         self.check_quorum(&held, &out);
                     }
                 }

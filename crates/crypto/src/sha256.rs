@@ -323,6 +323,27 @@ mod tests {
     }
 
     #[test]
+    fn hkdf_rfc5869_case2_long_inputs() {
+        let ikm: Vec<u8> = (0x00..=0x4f).collect();
+        let salt: Vec<u8> = (0x60..=0xaf).collect();
+        let info: Vec<u8> = (0xb0..=0xff).collect();
+        assert_eq!(
+            hex(&hkdf(&salt, &ikm, &info, 82)),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
+             59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
+             cc30c58179ec3e87c14c01d5c1f3434f1d87"
+        );
+    }
+
+    #[test]
+    fn hkdf_rfc5869_case3_empty_salt_and_info() {
+        assert_eq!(
+            hex(&hkdf(&[], &[0x0b; 22], &[], 42)),
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
+        );
+    }
+
+    #[test]
     fn derive_key32_domain_separation() {
         let a = derive_key32(b"secret", "file-key");
         let b = derive_key32(b"secret", "channel-key");

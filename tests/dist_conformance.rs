@@ -20,7 +20,7 @@ use mvtee::deployment::Deployment;
 use mvtee::verify_transcript;
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_tensor::Tensor;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SEED: u64 = 7;
 const MVX_PARTITION: usize = 1;
@@ -115,18 +115,6 @@ fn recovery_config() -> MvxConfig {
     cfg
 }
 
-/// The worst-case time the detect→react loop may take, derived from the
-/// deployment's own configuration instead of a hardcoded constant:
-/// detection costs up to one checkpoint deadline, each retry adds its
-/// configured backoff, and re-attestation/probation get one deadline of
-/// slack per allowed attempt.
-fn heal_deadline(cfg: &MvxConfig) -> Duration {
-    let attempts = cfg.recovery.max_retries + 1;
-    let backoff_total: Duration =
-        (0..cfg.recovery.max_retries).map(|k| cfg.recovery.backoff(k)).sum();
-    cfg.checkpoint_deadline() * (attempts + 1) + backoff_total + cfg.result_timeout()
-}
-
 /// Acceptance criterion #2: kill a worker process mid-run; the panel
 /// heals to full strength (a later checkpoint passes with all
 /// [`PANEL`] members agreeing) and zero batches are lost or wrong.
@@ -179,7 +167,7 @@ fn killed_worker_heals_to_full_panel_strength_with_zero_lost_batches() {
     // variant quarantined, a replacement worker re-attested, and a later
     // checkpoint passed at full strength. All waits derive from the
     // config's own deadlines.
-    let deadline = Instant::now() + heal_deadline(&cfg);
+    let deadline = Instant::now() + cfg.heal_deadline();
     let poll = cfg.drain_poll();
     let mut healed = None;
     while Instant::now() < deadline {
@@ -194,11 +182,7 @@ fn killed_worker_heals_to_full_panel_strength_with_zero_lost_batches() {
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             assert_eq!(qp, MVX_PARTITION, "quarantine at the wrong partition");
             assert_eq!(qv, 0, "the killed worker's variant must be the one quarantined");
-            let full_strength = events
-                .checkpoint_passes()
-                .iter()
-                .any(|&(pp, pb, agreeing)| pp == qp && pb > qb && agreeing == PANEL);
-            if events.recoveries().contains(&(qp, qv)) && full_strength {
+            if events.healed_after(qp, qv, qb, PANEL) {
                 healed = Some(qb);
                 break;
             }

@@ -16,7 +16,7 @@ use mvtee_faults::{
 };
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_tensor::Tensor;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const PANEL: usize = 3;
 const MVX_PARTITION: usize = 1;
@@ -44,26 +44,13 @@ fn recovery_config() -> MvxConfig {
     cfg
 }
 
-/// The worst-case time the detect→react loop may take, derived from the
-/// deployment's own configuration rather than a hardcoded batch cap:
-/// detection costs up to one checkpoint deadline, each retry adds its
-/// configured backoff, and re-attestation/probation get one deadline of
-/// slack per allowed attempt. Healing later than this is a failure, not
-/// a wait.
-fn heal_deadline(cfg: &MvxConfig) -> Duration {
-    let attempts = cfg.recovery.max_retries + 1;
-    let backoff_total: Duration =
-        (0..cfg.recovery.max_retries).map(|k| cfg.recovery.backoff(k)).sum();
-    cfg.checkpoint_deadline() * (attempts + 1) + backoff_total + cfg.result_timeout()
-}
-
 /// Streams batches until the quarantined variant has rejoined and a
 /// later checkpoint passed at full panel strength; panics with the event
 /// log when the config-derived deadline is exhausted. Returns the
 /// quarantine `(variant, batch)`.
 fn stream_until_healed(d: &mut Deployment, inputs: &[Tensor]) -> (usize, u64) {
     let cfg = recovery_config();
-    let deadline = Instant::now() + heal_deadline(&cfg);
+    let deadline = Instant::now() + cfg.heal_deadline();
     let poll = cfg.drain_poll();
     let mut b = 0u64;
     while Instant::now() < deadline {
@@ -73,12 +60,7 @@ fn stream_until_healed(d: &mut Deployment, inputs: &[Tensor]) -> (usize, u64) {
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             assert_eq!(qp, MVX_PARTITION, "quarantine at the wrong partition");
-            let healed = events.recoveries().contains(&(qp, qv))
-                && events
-                    .checkpoint_passes()
-                    .iter()
-                    .any(|&(pp, pb, agreeing)| pp == qp && pb > qb && agreeing == PANEL);
-            if healed {
+            if events.healed_after(qp, qv, qb, PANEL) {
                 return (qv, qb);
             }
         }
@@ -127,7 +109,7 @@ fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
         .expect("deploys");
     let launch_bindings = d.bindings().len();
 
-    let deadline = Instant::now() + heal_deadline(&cfg);
+    let deadline = Instant::now() + cfg.heal_deadline();
     let poll = cfg.drain_poll();
     let mut healed = None;
     let mut b = 0u64;
@@ -142,12 +124,7 @@ fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             assert_eq!(qp, MVX_PARTITION);
-            if events.recoveries().contains(&(qp, qv))
-                && events
-                    .checkpoint_passes()
-                    .iter()
-                    .any(|&(pp, pb, agreeing)| pp == qp && pb > qb && agreeing == PANEL)
-            {
+            if events.healed_after(qp, qv, qb, PANEL) {
                 healed = Some((qv, qb));
                 break;
             }

@@ -16,7 +16,7 @@ use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{ReplicaPool, RequestOutcome, ServeConfig, ServeFrontend, ShedReason};
 use mvtee_tensor::Tensor;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SEED: u64 = 23;
 const PANEL: usize = 3;
@@ -49,17 +49,6 @@ fn recovery_mvx() -> MvxConfig {
     cfg.recovery = RecoveryPolicy::enabled();
     cfg.checkpoint_deadline_ms = 300;
     cfg
-}
-
-/// The worst-case detect→react time, derived from the MVX configuration
-/// rather than a hardcoded probe count: one checkpoint deadline to
-/// detect, per-retry backoff, a deadline of slack per allowed attempt,
-/// and the result timeout for the in-flight batch.
-fn heal_deadline(cfg: &MvxConfig) -> Duration {
-    let attempts = cfg.recovery.max_retries + 1;
-    let backoff_total: Duration =
-        (0..cfg.recovery.max_retries).map(|k| cfg.recovery.backoff(k)).sum();
-    cfg.checkpoint_deadline() * (attempts + 1) + backoff_total + cfg.result_timeout()
 }
 
 #[test]
@@ -194,7 +183,7 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
     // (probation needs fresh checkpoints to vote against). The wait is
     // bounded by the MVX config's own detect→react deadline.
     let mvx = recovery_mvx();
-    let deadline = Instant::now() + heal_deadline(&mvx);
+    let deadline = Instant::now() + mvx.heal_deadline();
     let poll = mvx.drain_poll();
     let handle = frontend.handle();
     while Instant::now() < deadline {

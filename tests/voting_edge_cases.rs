@@ -150,31 +150,26 @@ fn recovered_variant_votes_again_on_the_next_covered_checkpoint() {
         .build()
         .expect("deploys");
 
-    let mut full_strength_pass = None;
+    let mut healed = false;
     for b in 0..BATCH_CAP {
         let idx = (b % inputs.len() as u64) as usize;
         d.infer(&inputs[idx]).expect("majority must keep serving");
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            full_strength_pass = events
-                .checkpoint_passes()
-                .iter()
-                .find(|&&(pp, pb, agreeing)| pp == qp && pb > qb && agreeing == PANEL)
-                .copied();
-            if full_strength_pass.is_some() {
+            healed = events.healed_after(qp, qv, qb, PANEL);
+            if healed {
                 assert_eq!((qp, qv), (MVX_PARTITION, 2));
                 break;
             }
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    let (_, pass_batch, agreeing) = full_strength_pass
-        .unwrap_or_else(|| panic!("no full-strength pass:\n{}", d.events().render()));
-    assert_eq!(agreeing, PANEL, "recovered variant's vote missing from the tally");
-    // Between the quarantine and the rejoin, passes tallied only the
-    // survivors — never more than the panel, never fewer than a majority.
+    assert!(healed, "no full-strength pass after the rejoin:\n{}", d.events().render());
+    // Before the rejoin the passes tallied only the survivors, after it
+    // the whole panel — never more than the panel, never fewer than a
+    // majority.
     for &(p, b, a) in &d.events().checkpoint_passes() {
-        if p == MVX_PARTITION && b < pass_batch {
+        if p == MVX_PARTITION {
             assert!(a * 2 > PANEL && a <= PANEL, "impossible tally {a} at batch {b}");
         }
     }
@@ -228,11 +223,7 @@ fn stale_pre_quarantine_frame_is_ignored_not_revoted() {
         );
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            healed = events.recoveries().contains(&(qp, qv))
-                && events
-                    .checkpoint_passes()
-                    .iter()
-                    .any(|&(pp, pb, agreeing)| pp == qp && pb > qb && agreeing == PANEL);
+            healed = events.healed_after(qp, qv, qb, PANEL);
             if healed {
                 break;
             }
