@@ -1,15 +1,12 @@
 //! The `perf` sweep: the runtime's byte-identity gate under deterministic
-//! intra-op parallelism and per-shape kernel autotuning.
+//! intra-op parallelism, for every kernel strategy.
 //!
 //! Sweeps zoo model × engine family × `intra_op_threads`, then the first
-//! model across every [`KernelStrategy`] (the autotuned `Auto` table plus
-//! the three pinned kernels), plus one standalone GEMM in its blocked-BLAS
-//! and SIMD-microkernel forms. Every same-config run must be
-//! **byte-identical** across thread counts, and — for the strategy legs
-//! and the microkernel — across a repeated run on a fresh instance. The
-//! sweep also snapshots the strategy table's per-shape selections, so
-//! `BENCH_runtime.json` records which kernel the autotuner picked for each
-//! shape class.
+//! model across every [`KernelStrategy`] (`Auto` plus the three pinned
+//! kernels), plus one standalone GEMM in its blocked-BLAS and
+//! SIMD-microkernel forms. Every same-config run must be **byte-identical**
+//! across thread counts, and — for the strategy legs and the microkernel —
+//! across a repeated run on a fresh instance.
 //!
 //! No clock is read here: how fast these paths run is the benchmark's
 //! `runtime.engine.infer_ms.*`, `runtime.threads.speedup_x.t2` and
@@ -21,8 +18,7 @@ use crate::fixture::{first_bit_diff, Json};
 use crate::table::Table;
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_runtime::{
-    session_cache, simd, BlasKind, Engine, EngineConfig, EngineKind, KernelStrategy,
-    RuntimeConfig, StrategyEntry, ThreadPool,
+    simd, BlasKind, Engine, EngineConfig, EngineKind, KernelStrategy, RuntimeConfig, ThreadPool,
 };
 use mvtee_tensor::Tensor;
 
@@ -31,16 +27,9 @@ use mvtee_tensor::Tensor;
 const PERF_SEED: u64 = 42;
 /// Where the sweep's report lands unless `--out` says otherwise.
 pub const ARTIFACT: &str = "BENCH_runtime.json";
-const SCHEMA: &str = "mvtee-bench-runtime-v2";
+const SCHEMA: &str = "mvtee-bench-runtime-v3";
 /// The `runtime.cache.*` counters [`PerfReport::cache`] reports, in order.
-pub const COUNTERS: [&str; 6] = [
-    "pack_hits",
-    "pack_misses",
-    "arena_bytes_reused",
-    "strategy_table.hits",
-    "strategy_table.misses",
-    "strategy_table.calibrations",
-];
+pub const COUNTERS: [&str; 3] = ["pack_hits", "pack_misses", "arena_bytes_reused"];
 
 /// Sweep configuration.
 pub struct PerfSettings {
@@ -100,11 +89,8 @@ pub struct PerfReport {
     /// Every bitwise mismatch, described; the subcommand fails on any.
     pub mismatches: Vec<String>,
     /// Delta of each of [`COUNTERS`] over the sweep: pack-cache hits and
-    /// misses, arena bytes reused, strategy hits, misses and calibrations.
-    pub cache: [u64; 6],
-    /// Per-shape-class kernel selections of the autotuned (`Auto`)
-    /// configuration's strategy table after the sweep.
-    pub strategy_table: Vec<StrategyEntry>,
+    /// misses, arena bytes reused.
+    pub cache: [u64; 3],
 }
 
 impl PerfReport {
@@ -118,19 +104,11 @@ impl PerfReport {
             let verdict = if c.bitwise_match { "ok" } else { "MISMATCH" }.to_string();
             t.row(vec![c.workload.clone(), c.family.clone(), c.threads.to_string(), verdict]);
         }
-        let [pack_hits, pack_misses, arena, hits, misses, calibrations] = self.cache;
-        let mut s = t.render();
-        s.push_str(&format!(
-            "\npack cache: {pack_hits} hits / {pack_misses} misses; arena bytes reused: {arena}\n\
-             strategy table: {hits} hits / {misses} misses / {calibrations} calibrations\n"
-        ));
-        for e in &self.strategy_table {
-            s.push_str(&format!(
-                "  select {} [{}] -> {} ({} cost units)\n",
-                e.op, e.class, e.choice, e.cost_units
-            ));
-        }
-        s
+        let [pack_hits, pack_misses, arena] = self.cache;
+        format!(
+            "{}\npack cache: {pack_hits} hits / {pack_misses} misses; arena bytes reused: {arena}\n",
+            t.render()
+        )
     }
 
     /// Renders the machine-readable report (`BENCH_runtime.json`).
@@ -143,20 +121,7 @@ impl PerfReport {
                 ("bitwise_match", c.bitwise_match.into()),
             ])
         };
-        let selection = |e: &StrategyEntry| {
-            Json::obj([
-                ("op", e.op.as_str().into()),
-                ("class", e.class.as_str().into()),
-                ("choice", e.choice.as_str().into()),
-                ("cost_units", e.cost_units.into()),
-            ])
-        };
-        let [pack_hits, pack_misses, arena, hits, misses, calibrations] = self.cache;
-        let counters = Json::obj([
-            ("hits", hits.into()),
-            ("misses", misses.into()),
-            ("calibrations", calibrations.into()),
-        ]);
+        let [pack_hits, pack_misses, arena] = self.cache;
         Json::obj([
             ("schema", SCHEMA.into()),
             ("meta", Json::meta(SCHEMA, PERF_SEED, &self.fingerprint)),
@@ -164,13 +129,6 @@ impl PerfReport {
             ("cases", Json::arr(self.cases.iter().map(case))),
             ("pack_cache", Json::obj([("hits", pack_hits.into()), ("misses", pack_misses.into())])),
             ("arena_bytes_reused", arena.into()),
-            (
-                "strategy",
-                Json::obj([
-                    ("selection", Json::arr(self.strategy_table.iter().map(selection))),
-                    ("counters", counters),
-                ]),
-            ),
             ("mismatch_count", self.mismatches.len().into()),
         ])
         .render()
@@ -244,8 +202,8 @@ pub fn run_perf(s: &PerfSettings) -> PerfReport {
             report.gate(m.kind.display_name(), &kind.to_string(), &s.threads, false, run);
         }
     }
-    // Kernel strategies over the first model: a *fresh* engine at the first
-    // thread count must replay the strategy table and reproduce the bytes.
+    // Kernel strategies over the first model: a second *fresh* engine at
+    // the first thread count must reproduce the first one's bytes.
     if let Some(m) = models.first() {
         for ks in KernelStrategy::ALL {
             let family = format!("ort-like/mk-{}", ks.token());
@@ -277,9 +235,6 @@ pub fn run_perf(s: &PerfSettings) -> PerfReport {
         square(c)
     });
 
-    // The table the `Auto` legs populated: calibrated once, then replayed
-    // from the session cache by every later engine on the same config.
-    report.strategy_table = session_cache().strategy_table(&ort()).entries();
     let after = cache();
     report.cache = std::array::from_fn(|i| after[i] - before[i]);
     report
@@ -307,16 +262,13 @@ mod tests {
         assert!(report.mismatches.is_empty(), "mismatches: {:?}", report.mismatches);
         // The pinned panel-packed strategy legs reuse the packed weights
         // on every repetition past the first.
-        let [pack_hits, _, _, strategy_hits, _, _] = report.cache;
+        let [pack_hits, _, _] = report.cache;
         assert!(pack_hits > 0, "expected pack-cache hits on repeat inference");
         // 1 model × 3 families × 2 thread counts
         //   + 4 kernel strategies × 2 thread counts
         //   + gemm × 2 thread counts + 1 simd-microkernel gemm
         assert_eq!(report.cases.len(), 3 * 2 + 4 * 2 + 2 + 1);
         assert!(report.cases.iter().all(|c| c.bitwise_match));
-        // The Auto legs calibrated and then replayed a per-shape table.
-        assert!(!report.strategy_table.is_empty(), "strategy table never populated");
-        assert!(strategy_hits > 0, "strategy table never replayed");
         for ks in KernelStrategy::ALL {
             let family = format!("ort-like/mk-{}", ks.token());
             assert!(report.cases.iter().any(|c| c.family == family), "{family} never swept");
@@ -332,9 +284,10 @@ mod tests {
             gemm_dim: 24,
         });
         let json = report.render_json();
-        assert!(json.contains("\"schema\": \"mvtee-bench-runtime-v2\""));
+        assert!(json.contains("\"schema\": \"mvtee-bench-runtime-v3\""));
         assert!(json.contains("\"mismatch_count\": 0"));
         assert!(json.ends_with("}\n"));
         assert!(!json.contains("_us") && !json.contains("speedup"), "a timing member came back");
+        assert!(!json.contains("\"strategy\""), "the selection table came back");
     }
 }

@@ -33,8 +33,8 @@ pub enum Defender {
     Aslr,
     /// Same runtime on a different BLAS backend (FrameFlip defense).
     Blas(BlasKind),
-    /// Same runtime pinned to a different kernel strategy (the per-shape
-    /// autotuning axis; bit-flip defense with strategy diversity).
+    /// Same runtime pinned to a different kernel strategy (bit-flip
+    /// defense with strategy diversity).
     Strategy(KernelStrategy),
     /// An identical clean replica (bit-flip defense: the fault is local
     /// to one TEE's sealed weights).
@@ -377,11 +377,11 @@ pub fn generate_scenario(campaign_seed: u64, index: u64) -> Scenario {
         _ => {
             // Strategy-diversified panel vs a sealed-weight bit flip: the
             // defenders pin a concrete kernel strategy while variant 0
-            // keeps the per-shape autotuned default, so the panel mixes
-            // kernels and compares under the relaxed metric. Exponent-MSB
-            // flips blow values far past any heterogeneous tolerance, so
-            // detection must still be clean. Never `Auto`: the defender
-            // must be *pinned* off the susceptible variant's table.
+            // keeps the default (`Auto`, the BLAS path), so the panel may
+            // mix kernels and compares under the relaxed metric.
+            // Exponent-MSB flips blow values far past any heterogeneous
+            // tolerance, so detection must still be clean. Never `Auto`:
+            // the defender's kernel must be named in its spec line.
             let fault = BitFlipFault {
                 strategy: BitFlipStrategy::ExponentMsb,
                 count: rng.gen_range(1..=3),

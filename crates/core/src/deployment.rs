@@ -530,10 +530,9 @@ impl DeploymentBuilder {
     /// Cold-starts a builder from the model registry: resolves `key`
     /// (the tenant routing name), unseals and verifies the bundle
     /// (digest + graph fingerprint), and warms the session
-    /// [`EngineCache`](mvtee_runtime::EngineCache) /
-    /// `PackedGemm` / [`StrategyTable`](mvtee_runtime::StrategyTable)
-    /// path so the first inference doesn't pay graph preparation on the
-    /// critical path. Bundles the registry's LRU evicted on the way are
+    /// [`EngineCache`](mvtee_runtime::EngineCache) / `PackedGemm` path so
+    /// the first inference doesn't pay graph preparation on the critical
+    /// path. Bundles the registry's LRU evicted on the way are
     /// dropped from the engine cache too — an evicted model is cold
     /// everywhere, sealed and in-memory alike.
     ///
@@ -564,13 +563,11 @@ impl DeploymentBuilder {
         } else {
             mvtee_telemetry::counter("registry.coldstart.cold").inc();
         }
-        // Warm the default-engine path: preparation packs GEMM weights
-        // and populates the strategy table, so same-config variants of
-        // the deployment hit a hot cache at build time.
-        let config = EngineConfig::of_kind(EngineKind::OrtLike);
-        let engine = mvtee_runtime::Engine::new(config.clone());
+        // Warm the default-engine path: preparation packs GEMM weights, so
+        // same-config variants of the deployment hit a hot cache at build
+        // time.
+        let engine = mvtee_runtime::Engine::new(EngineConfig::of_kind(EngineKind::OrtLike));
         cache.prepare(&engine, &model.graph)?;
-        cache.strategy_table(&config);
         timer.finish();
         Ok(DeploymentBuilder::new(model))
     }

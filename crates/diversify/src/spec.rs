@@ -165,9 +165,9 @@ pub fn spread_specs(n: usize, seed: u64) -> Vec<VariantSpec> {
         if i % 5 == 4 {
             engine.conv_strategy = ConvStrategy::Direct;
         }
-        // Kernel strategy is the 8th axis: cycle Auto (per-shape table)
-        // with the three pinned kernels. Decorrelated from the i%3 engine
-        // family cycle by the modulus.
+        // Kernel strategy is the 8th axis: cycle Auto (the BLAS path) with
+        // the three pinned kernels. Decorrelated from the i%3 engine family
+        // cycle by the modulus.
         engine.kernel_strategy = [
             KernelStrategy::Auto,
             KernelStrategy::SimdMicrokernel,
@@ -213,6 +213,28 @@ mod tests {
         // All ids unique.
         let ids: std::collections::HashSet<_> = specs.iter().map(|s| s.id).collect();
         assert_eq!(ids.len(), 6);
+    }
+
+    #[test]
+    fn kernel_strategy_wire_format_is_the_declaration_index() {
+        // `kernel_strategy` is `EngineConfig`'s last field and the codec
+        // writes a unit variant as its u32 index, so the four encodings
+        // share a prefix and end in 0..=3 in declaration order.
+        let encode = |ks| {
+            let cfg = EngineConfig::of_kind(EngineKind::OrtLike).with_kernel_strategy(ks);
+            let bytes = mvtee_codec::to_bytes(&cfg).expect("encodes");
+            assert_eq!(mvtee_codec::from_bytes::<EngineConfig>(&bytes).expect("decodes"), cfg);
+            bytes
+        };
+        let first = encode(KernelStrategy::Auto);
+        let (prefix, _) = first.split_at(first.len() - 4);
+        for (index, ks) in KernelStrategy::ALL.into_iter().enumerate() {
+            let bytes = encode(ks);
+            assert_eq!(bytes[..prefix.len()], *prefix, "{ks}: prefix moved");
+            assert_eq!(bytes[prefix.len()..], (index as u32).to_le_bytes(), "{ks}: discriminant");
+        }
+        let unknown = [prefix, &4u32.to_le_bytes()].concat();
+        assert!(mvtee_codec::from_bytes::<EngineConfig>(&unknown).is_err());
     }
 
     #[test]

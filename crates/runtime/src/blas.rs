@@ -59,21 +59,6 @@ impl BlasKind {
             BlasKind::Strided => Arc::new(StridedBlas),
         }
     }
-
-    /// Relative per-MAC cost weight of the backend's inner loop, used by the
-    /// strategy table's deterministic cost model (`strategy.rs`). These are
-    /// fixed model constants, not measurements — selection must be a pure
-    /// function of (op, shape, config), so nothing host- or wall-clock-
-    /// dependent may feed it. The naive triple loop strides the `b` matrix
-    /// column-wise on every MAC; the blocked/strided backends tile for
-    /// locality, hence the lower weight.
-    pub fn cost_weight(self) -> u64 {
-        match self {
-            BlasKind::Naive => 4,
-            BlasKind::Blocked => 3,
-            BlasKind::Strided => 3,
-        }
-    }
 }
 
 impl fmt::Display for BlasKind {

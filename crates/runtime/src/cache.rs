@@ -21,7 +21,6 @@
 
 use crate::engine::{Engine, EngineConfig, PreparedModel};
 use crate::pool::ThreadPool;
-use crate::strategy::{StrategyKey, StrategyTable};
 use crate::Result;
 use mvtee_graph::Graph;
 use mvtee_tensor::Tensor;
@@ -255,7 +254,6 @@ impl PreparedModel for SharedModel {
 #[derive(Default)]
 pub struct EngineCache {
     map: Mutex<HashMap<(EngineConfig, u64), Arc<dyn PreparedModel>>>,
-    strategies: Mutex<HashMap<StrategyKey, Arc<StrategyTable>>>,
 }
 
 impl std::fmt::Debug for EngineCache {
@@ -294,17 +292,6 @@ impl EngineCache {
         // A racing variant may have inserted meanwhile; both models are
         // behaviourally identical, keep the first.
         Ok(Arc::clone(map.entry(key).or_insert(prepared)))
-    }
-
-    /// The kernel-selection table for `config`'s strategy-relevant slice,
-    /// creating an empty one on first use. Tables live next to the prepared
-    /// models (and their `PackedGemm` weights) so calibration runs once per
-    /// (config slice, shape class) per process and every later engine
-    /// replays the same choices — byte-identical across runs and threads.
-    pub fn strategy_table(&self, config: &EngineConfig) -> Arc<StrategyTable> {
-        let key = StrategyKey::of(config);
-        let mut tables = self.strategies.lock().expect("cache lock");
-        Arc::clone(tables.entry(key).or_insert_with(|| Arc::new(StrategyTable::new(key))))
     }
 
     /// Number of cached prepared models.

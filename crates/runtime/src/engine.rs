@@ -14,7 +14,7 @@ use crate::cache::{KernelCtx, PackedGemm};
 use crate::kernels::{self, Accumulation, ConvAttrs};
 use crate::optimize;
 use crate::pool::{RuntimeConfig, ThreadPool};
-use crate::strategy::{GemmStrategy, KernelStrategy, OpClass, StrategyTable};
+use crate::strategy::{GemmStrategy, KernelStrategy};
 use crate::{Result, RuntimeError};
 use mvtee_graph::{Graph, Node, NodeId, Op};
 use mvtee_tensor::Tensor;
@@ -75,10 +75,9 @@ pub struct EngineConfig {
     /// problem size, never of this count), so it is freely diversifiable
     /// per variant.
     pub intra_op_threads: usize,
-    /// GEMM-family kernel strategy: `Auto` consults the per-shape
-    /// [`StrategyTable`](crate::StrategyTable); a fixed value pins every
-    /// GEMM-family op to one kernel, making strategy choice a
-    /// diversification axis.
+    /// GEMM-family kernel strategy, resolved once at `prepare`
+    /// ([`KernelStrategy::resolve`]; `Auto` is the BLAS path). Pinning
+    /// variants to different values makes it a diversification axis.
     pub kernel_strategy: KernelStrategy,
 }
 
@@ -271,11 +270,21 @@ impl Engine {
             mvtee_telemetry::histogram(&format!("runtime.{}.op_ns", self.config.kind));
         let gemm_calls =
             mvtee_telemetry::counter(&format!("runtime.{}.gemm_calls", self.config.kind));
+        // The one kernel decision: custom BLAS backends stay on the scalar
+        // path (their fault models corrupt outputs as a function of the
+        // per-call GEMM shape, so call shapes must match the sequential
+        // runtime); everything else runs what its config says.
+        let strategy = if self.custom_blas {
+            GemmStrategy::Scalar
+        } else {
+            self.config.kernel_strategy.resolve()
+        };
         // Pre-pack FC weights once per prepare: transpose + column panels
-        // keyed by the weight initializer's value id. Skipped for custom
-        // BLAS backends, whose call shapes must match the sequential path.
+        // keyed by the weight initializer's value id. Only the BLAS path of
+        // a built-in backend reads them; the microkernel consumes the
+        // `[m, k]` weight rows as they are.
         let mut packed: HashMap<usize, Arc<PackedGemm>> = HashMap::new();
-        if !self.custom_blas {
+        if !self.custom_blas && strategy != GemmStrategy::SimdMicrokernel {
             for node in compiled.nodes() {
                 if !matches!(node.op, Op::Gemm) {
                     continue;
@@ -289,24 +298,6 @@ impl Engine {
                 }
             }
         }
-        // Per-shape kernel selection table, shared through the session
-        // cache next to the packed weights. Custom-BLAS engines get none:
-        // their fault models corrupt outputs as a function of the per-call
-        // GEMM shape, so they stay pinned to the sequential scalar path.
-        let strategy = if self.custom_blas {
-            None
-        } else {
-            let table = crate::cache::session_cache().strategy_table(&self.config);
-            if self.config.kernel_strategy == KernelStrategy::Auto {
-                // Prewarm: calibrate each FC layer's batch-1 shape class
-                // now, at the same moment the weights pack, instead of on
-                // the first inference a client is waiting on.
-                for (m, k) in optimize::gemm_weight_shapes(&compiled) {
-                    table.select_gemm(OpClass::GemmFc, 1, m, k);
-                }
-            }
-            Some(table)
-        };
         Ok(Box::new(Interpreter {
             graph: compiled,
             order,
@@ -330,43 +321,13 @@ struct Interpreter {
     config: EngineConfig,
     ctx: KernelCtx,
     packed: HashMap<usize, Arc<PackedGemm>>,
-    /// `None` for custom-BLAS engines, which are pinned to the scalar path.
-    strategy: Option<Arc<StrategyTable>>,
+    /// Resolved at `prepare`; every GEMM-family op runs this kernel.
+    strategy: GemmStrategy,
     op_latency: mvtee_telemetry::Histogram,
     gemm_calls: mvtee_telemetry::Counter,
 }
 
 impl Interpreter {
-    /// Resolves the kernel for one GEMM-family invocation: custom-BLAS
-    /// engines are pinned to `Scalar`, a non-`Auto` config override wins
-    /// next, otherwise the per-shape table decides.
-    fn gemm_strategy(&self, op: OpClass, m: usize, n: usize, k: usize) -> GemmStrategy {
-        match (&self.strategy, self.config.kernel_strategy.fixed()) {
-            (None, _) => GemmStrategy::Scalar,
-            (Some(_), Some(pinned)) => pinned,
-            (Some(table), None) => table.select_gemm(op, m, n, k),
-        }
-    }
-
-    /// Resolves the im2col inner-product kernel and records the conv shape
-    /// class in the selection table (conv lowering itself stays the
-    /// configured `conv_strategy` — it is its own diversification axis).
-    fn conv_strategy_for(&self, x: &Tensor, w: &Tensor, attrs: &ConvAttrs) -> GemmStrategy {
-        let (Ok((_, _, h, wd)), Ok((oc, icg, kh, kw))) =
-            (x.shape().as_nchw(), w.shape().as_nchw())
-        else {
-            return GemmStrategy::Scalar;
-        };
-        let (oh, ow) = kernels::conv_out_dims(h, wd, attrs);
-        let pixels = oh * ow;
-        let patch = icg * kh * kw;
-        let oc_per_group = oc / attrs.groups.max(1);
-        if let Some(table) = &self.strategy {
-            table.record_conv(self.config.conv_strategy, oc, pixels, patch);
-        }
-        self.gemm_strategy(OpClass::ConvIm2col, oc_per_group, pixels, patch)
-    }
-
     fn compute(&self, node: &Node, inputs: &[&Tensor]) -> Result<Tensor> {
         let acc = self.config.accumulation;
         match &node.op {
@@ -382,15 +343,14 @@ impl Interpreter {
                     ConvStrategy::Direct => kernels::conv2d_direct(inputs[0], inputs[1], bias, &attrs),
                     ConvStrategy::Im2col => {
                         self.gemm_calls.inc();
-                        let strategy = self.conv_strategy_for(inputs[0], inputs[1], &attrs);
-                        kernels::conv2d_im2col_strategic(
+                        kernels::conv2d_im2col_with(
                             &self.ctx,
                             inputs[0],
                             inputs[1],
                             bias,
                             &attrs,
                             self.blas.as_ref(),
-                            strategy,
+                            self.strategy,
                         )
                     }
                     ConvStrategy::NhwcDirect => {
@@ -409,39 +369,19 @@ impl Interpreter {
                     .get(1)
                     .and_then(|wid| self.packed.get(&wid.0))
                     .map(Arc::as_ref);
-                let strategy = if inputs[0].rank() == 2 && inputs[1].rank() == 2 {
-                    self.gemm_strategy(
-                        OpClass::GemmFc,
-                        inputs[0].dims()[0],
-                        inputs[1].dims()[0],
-                        inputs[0].dims()[1],
-                    )
-                } else {
-                    GemmStrategy::Scalar
-                };
-                kernels::gemm_fc_strategic(
+                kernels::gemm_fc_with(
                     &self.ctx,
                     inputs[0],
                     inputs[1],
                     inputs.get(2).copied(),
                     self.blas.as_ref(),
                     packed,
-                    strategy,
+                    self.strategy,
                 )
             }
             Op::MatMul => {
                 self.gemm_calls.inc();
-                let strategy = if inputs[0].rank() == 2 && inputs[1].rank() == 2 {
-                    self.gemm_strategy(
-                        OpClass::MatMul,
-                        inputs[0].dims()[0],
-                        inputs[1].dims()[1],
-                        inputs[0].dims()[1],
-                    )
-                } else {
-                    GemmStrategy::Scalar
-                };
-                kernels::matmul_strategic(&self.ctx, inputs[0], inputs[1], self.blas.as_ref(), strategy)
+                kernels::matmul_with(&self.ctx, inputs[0], inputs[1], self.blas.as_ref(), self.strategy)
             }
             Op::BatchNorm { epsilon } => kernels::batch_norm_with(
                 &self.ctx, inputs[0], inputs[1], inputs[2], inputs[3], inputs[4], *epsilon,

@@ -58,7 +58,7 @@ pub struct ConvAttrs {
     pub groups: usize,
 }
 
-pub(crate) fn conv_out_dims(h: usize, w: usize, a: &ConvAttrs) -> (usize, usize) {
+fn conv_out_dims(h: usize, w: usize, a: &ConvAttrs) -> (usize, usize) {
     let oh = (h + 2 * a.padding.0 - a.kernel.0) / a.stride.0 + 1;
     let ow = (w + 2 * a.padding.1 - a.kernel.1) / a.stride.1 + 1;
     (oh, ow)
@@ -136,38 +136,22 @@ pub fn conv2d_im2col(
     a: &ConvAttrs,
     blas: &dyn Blas,
 ) -> Result<Tensor> {
-    conv2d_im2col_with(KernelCtx::sequential(), x, w, bias, a, blas)
+    conv2d_im2col_with(KernelCtx::sequential(), x, w, bias, a, blas, GemmStrategy::Scalar)
 }
 
-/// [`conv2d_im2col`] drawing scratch space from `ctx`'s arena and
-/// splitting the im2col fill, the filter GEMM (over output channels)
-/// and the bias epilogue over `ctx`'s deterministic pool.
+/// [`conv2d_im2col`] drawing scratch space from `ctx`'s arena and splitting
+/// the im2col fill, the inner product (over output channels) and the bias
+/// epilogue over `ctx`'s deterministic pool, under an explicit kernel
+/// strategy for the inner product. `Scalar` / `PanelPacked` fill the
+/// `[patch, cols]` column buffer and run the row-panel BLAS GEMM;
+/// `SimdMicrokernel` fills the buffer **transposed** (`[cols, patch]`, same
+/// arena bytes) so both the filter row and the patch column are contiguous,
+/// then runs one fixed-tree [`simd::dot8`] per output element.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on shape inconsistencies.
 pub fn conv2d_im2col_with(
-    ctx: &KernelCtx,
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    a: &ConvAttrs,
-    blas: &dyn Blas,
-) -> Result<Tensor> {
-    conv2d_im2col_strategic(ctx, x, w, bias, a, blas, GemmStrategy::Scalar)
-}
-
-/// [`conv2d_im2col_with`] under an explicit kernel strategy for the inner
-/// product. `Scalar` / `PanelPacked` fill the `[patch, cols]` column buffer
-/// and run the row-panel BLAS GEMM; `SimdMicrokernel` fills the buffer
-/// **transposed** (`[cols, patch]`, same arena bytes) so both the filter row
-/// and the patch column are contiguous, then runs one fixed-tree
-/// [`simd::dot8`] per output element.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Kernel`] on shape inconsistencies.
-pub fn conv2d_im2col_strategic(
     ctx: &KernelCtx,
     x: &Tensor,
     w: &Tensor,
@@ -686,41 +670,21 @@ pub fn activation(x: &Tensor, kind: ActivationKind) -> Tensor {
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
 pub fn gemm_fc(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, blas: &dyn Blas) -> Result<Tensor> {
-    gemm_fc_with(KernelCtx::sequential(), x, w, bias, blas, None)
+    gemm_fc_with(KernelCtx::sequential(), x, w, bias, blas, None, GemmStrategy::Scalar)
 }
 
-/// [`gemm_fc`] with an optional pre-packed weight and parallel GEMM.
-///
-/// When `packed` matches the weight shape the per-call `[k, m]`
-/// transpose is skipped entirely (pack-cache hit). Batch-1 inputs —
-/// the common inference case where row-parallelism degenerates — are
-/// multiplied against the pre-split column panels instead, one panel
-/// per deterministic output chunk; batched inputs use row-panel
-/// parallel GEMM over the packed transpose. Both splits preserve the
-/// per-element ascending-`k` accumulation order of every BLAS
-/// backend, so outputs stay byte-identical to the sequential kernel.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Kernel`] on shape problems.
-pub fn gemm_fc_with(
-    ctx: &KernelCtx,
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    blas: &dyn Blas,
-    packed: Option<&PackedGemm>,
-) -> Result<Tensor> {
-    gemm_fc_strategic(ctx, x, w, bias, blas, packed, GemmStrategy::PanelPacked)
-}
-
-/// [`gemm_fc_with`] under an explicit kernel strategy.
+/// [`gemm_fc`] over `ctx`'s pool with an optional pre-packed weight, under
+/// an explicit kernel strategy.
 ///
 /// * `Scalar` — row-panel BLAS `par_gemm` over the `[k, m]` transpose
-///   (prepacked when available, else derived once through the arena).
-/// * `PanelPacked` — `Scalar` plus the batch-1 pre-split column-panel fast
-///   path; byte-identical to `Scalar` (both re-tile the same ascending-`k`
-///   BLAS accumulation).
+///   (`packed` when it matches the weight shape — a pack-cache hit — else
+///   derived once through the arena).
+/// * `PanelPacked` — `Scalar` plus the batch-1 fast path: row-parallelism
+///   degenerates there, so the single output row is split over the
+///   pre-packed column panels, one per deterministic output chunk. Both
+///   splits preserve the per-element ascending-`k` accumulation order of
+///   every BLAS backend, so the two are byte-identical to each other and
+///   to the sequential kernel.
 /// * `SimdMicrokernel` — `w` is `[m, k]` row-major, i.e. its rows already
 ///   *are* the contiguous columns the 8-lane dot product needs, so this
 ///   path runs with **no transpose or pack at all**, one fixed-tree
@@ -729,7 +693,7 @@ pub fn gemm_fc_with(
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
-pub fn gemm_fc_strategic(
+pub fn gemm_fc_with(
     ctx: &KernelCtx,
     x: &Tensor,
     w: &Tensor,
@@ -828,28 +792,20 @@ pub fn gemm_fc_strategic(
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
 pub fn matmul(a: &Tensor, b: &Tensor, blas: &dyn Blas) -> Result<Tensor> {
-    matmul_with(KernelCtx::sequential(), a, b, blas)
+    matmul_with(KernelCtx::sequential(), a, b, blas, GemmStrategy::Scalar)
 }
 
-/// [`matmul`] through the deterministic row-panel parallel GEMM.
+/// [`matmul`] over `ctx`'s pool under an explicit kernel strategy. `Scalar`
+/// and `PanelPacked` run the deterministic row-panel BLAS GEMM (no
+/// prepacked weight exists for a dynamic right-hand side);
+/// `SimdMicrokernel` derives a one-shot `[n, k]` transpose of `b` through
+/// the arena, then runs one fixed-tree [`simd::dot8`] per output element
+/// over the two contiguous rows.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
-pub fn matmul_with(ctx: &KernelCtx, a: &Tensor, b: &Tensor, blas: &dyn Blas) -> Result<Tensor> {
-    matmul_strategic(ctx, a, b, blas, GemmStrategy::Scalar)
-}
-
-/// [`matmul_with`] under an explicit kernel strategy. `Scalar` and
-/// `PanelPacked` run the row-panel BLAS path (no prepacked weight exists
-/// for a dynamic right-hand side); `SimdMicrokernel` derives a one-shot
-/// `[n, k]` transpose of `b` through the arena, then runs one fixed-tree
-/// [`simd::dot8`] per output element over the two contiguous rows.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Kernel`] on shape problems.
-pub fn matmul_strategic(
+pub fn matmul_with(
     ctx: &KernelCtx,
     a: &Tensor,
     b: &Tensor,

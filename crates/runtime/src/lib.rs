@@ -18,7 +18,10 @@
 //!   families: [`EngineKind::Reference`] (naive interpreter),
 //!   [`EngineKind::OrtLike`] (graph-optimising, im2col + blocked GEMM) and
 //!   [`EngineKind::TvmLike`] ("compiled schedules": NHWC layout,
-//!   tree-reduction accumulation, tunable kernels).
+//!   tree-reduction accumulation, tunable kernels),
+//! * [`strategy`] — the GEMM-family kernel axis ([`KernelStrategy`]): pinned
+//!   per engine config and resolved once at [`Engine::prepare`]; the default
+//!   is the BLAS path, the SIMD microkernel of [`simd`] is a variant.
 //!
 //! Functionally all engines are equivalent; numerically they differ in
 //! floating-point rounding exactly as real heterogeneous stacks do, which is
@@ -64,7 +67,7 @@ pub use engine::{ConvStrategy, Engine, EngineConfig, EngineKind, PreparedModel};
 pub use error::RuntimeError;
 pub use kernels::Accumulation;
 pub use pool::{register_runtime_metrics, RuntimeConfig, ThreadPool};
-pub use strategy::{GemmStrategy, KernelStrategy, OpClass, ShapeClass, StrategyEntry, StrategyKey, StrategyTable};
+pub use strategy::{GemmStrategy, KernelStrategy};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, RuntimeError>;

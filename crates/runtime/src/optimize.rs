@@ -192,29 +192,6 @@ pub fn standard_pipeline(graph: &Graph) -> Result<Graph> {
     fold_batch_norm(&g)
 }
 
-/// The `[m, k]` dims of every rank-2 `Gemm` weight initializer, in node
-/// order with duplicates (shared weights) removed.
-///
-/// `Engine::prepare` feeds these to the strategy table so the batch-1
-/// shape classes of every FC layer calibrate at prepare time — the same
-/// moment `PackedGemm` packs the weights — rather than on the first
-/// inference a client is waiting on.
-pub fn gemm_weight_shapes(graph: &Graph) -> Vec<(usize, usize)> {
-    let mut seen = HashSet::new();
-    let mut shapes = Vec::new();
-    for node in graph.nodes() {
-        if !matches!(node.op, Op::Gemm) {
-            continue;
-        }
-        let Some(&wid) = node.inputs.get(1) else { continue };
-        let Some(w) = graph.initializer(wid) else { continue };
-        if w.rank() == 2 && seen.insert(wid.0) {
-            shapes.push((w.dims()[0], w.dims()[1]));
-        }
-    }
-    shapes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

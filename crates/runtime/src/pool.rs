@@ -312,9 +312,6 @@ pub fn register_runtime_metrics() {
         "runtime.cache.pack_hits",
         "runtime.cache.pack_misses",
         "runtime.cache.arena_bytes_reused",
-        "runtime.cache.strategy_table.hits",
-        "runtime.cache.strategy_table.misses",
-        "runtime.cache.strategy_table.calibrations",
     ] {
         mvtee_telemetry::counter(name);
     }

@@ -17,9 +17,8 @@
 //! A runtime CPU-feature check ([`wide_registers_available`], via the safe
 //! `is_x86_feature_detected!` macro) picks the chunked organisation when
 //! the host has AVX2 wide registers and the per-lane organisation otherwise.
-//! Because the two are bit-identical, kernel *selection* stays a pure
-//! function of (op, shape, config) — the feature check only affects speed,
-//! never bytes, which is what lets the strategy table replay across hosts.
+//! Because the two are bit-identical, the feature check only affects speed,
+//! never bytes: a `simd`-pinned variant replays identically across hosts.
 
 use std::sync::OnceLock;
 

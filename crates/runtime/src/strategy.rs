@@ -1,48 +1,25 @@
-//! Deterministic per-shape kernel autotuning.
+//! GEMM-family kernel strategy: one decision per engine, made at `prepare`.
 //!
-//! A [`StrategyTable`] picks the kernel implementation for an op invocation
-//! as a **pure function of (op family, shape class, engine config)**. The
-//! choice is made once per shape class by a seeded calibration pass and then
-//! replayed, so the same `EngineConfig` produces byte-identical outputs
-//! across runs and across thread counts — two properties a wall-clock
-//! autotuner (burn-style) cannot give. Concretely:
+//! [`KernelStrategy`] is the config-level diversification axis: each variant
+//! of a panel can be pinned to a different kernel.
+//! [`Engine::prepare`](crate::Engine::prepare) resolves it once into the
+//! [`GemmStrategy`] every im2col `Conv`, `Gemm` and `MatMul` of that model
+//! runs, so which kernel a variant uses is readable from its config and
+//! nothing else.
 //!
-//! * The table key excludes `intra_op_threads` ([`StrategyKey`]): a panel
-//!   mixing 1- and 8-thread replicas of one config must select identical
-//!   kernels, or the pool's byte-determinism guarantee (DESIGN.md §5a) dies.
-//! * Calibration *runs* every candidate kernel on seeded data at the class's
-//!   representative shape and disqualifies any candidate that disagrees with
-//!   the scalar reference beyond the relaxed differential tolerance — but it
-//!   *scores* the survivors with a deterministic cost model
-//!   ([`BlasKind::cost_weight`] MAC weights + pack/tail terms), never with
-//!   wall-clock. Timing is host- and run-dependent; feeding it back into
-//!   selection would make the table unreplayable. Measured wall-clock
-//!   speedups are recorded honestly in `BENCH_runtime.json` instead.
-//! * GEMM-family classes (`gemm-fc`, `matmul`, the im2col inner product) are
-//!   tuned over [`GemmStrategy`] candidates. Conv lowering (direct /
-//!   im2col / NHWC-direct) is itself a diversification axis whose fixed
-//!   choice panels depend on — e.g. the deliberately slow NHWC lagging
-//!   variant of Fig. 13 must stay slow — so conv classes are *recorded*
-//!   under the configured [`ConvStrategy`](crate::ConvStrategy) rather than
-//!   re-tuned, and the selection table reports which kernel ran per shape.
-//!
-//! [`KernelStrategy`] is the config-level override: `Auto` consults the
-//! table; a fixed value pins every GEMM-family op to one kernel, which is
-//! what makes strategy choice a diversification axis (different variants of
-//! a panel pinned to different kernels).
+//! The axis has two numeric classes: `auto`/`scalar`/`panel` all run the
+//! configured BLAS backend's ascending-`k` accumulation and are byte-identical
+//! to each other; `simd` runs the 8-lane fixed-tree microkernel, whose
+//! different summation order is what MVX wants from it as a variant — it is
+//! not the fast path (`runtime.gemm.gflops.simd.*` is about half of
+//! `.blocked.*`), which is why `Auto` resolves to the BLAS path.
 
-use crate::blas::BlasKind;
-use crate::engine::{ConvStrategy, EngineConfig, EngineKind};
-use crate::kernels::Accumulation;
-use crate::simd;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 /// Config-level kernel-strategy override (the diversification axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum KernelStrategy {
-    /// Consult the per-shape [`StrategyTable`] (the default).
+    /// The default: resolves to [`GemmStrategy::PanelPacked`].
     Auto,
     /// Pin every GEMM-family op to the plain BLAS row-panel kernel.
     Scalar,
@@ -62,13 +39,12 @@ impl KernelStrategy {
         KernelStrategy::SimdMicrokernel,
     ];
 
-    /// The pinned per-call strategy, or `None` for `Auto`.
-    pub fn fixed(self) -> Option<GemmStrategy> {
+    /// The kernel every GEMM-family op of an engine with this setting runs.
+    pub fn resolve(self) -> GemmStrategy {
         match self {
-            KernelStrategy::Auto => None,
-            KernelStrategy::Scalar => Some(GemmStrategy::Scalar),
-            KernelStrategy::PanelPacked => Some(GemmStrategy::PanelPacked),
-            KernelStrategy::SimdMicrokernel => Some(GemmStrategy::SimdMicrokernel),
+            KernelStrategy::Scalar => GemmStrategy::Scalar,
+            KernelStrategy::Auto | KernelStrategy::PanelPacked => GemmStrategy::PanelPacked,
+            KernelStrategy::SimdMicrokernel => GemmStrategy::SimdMicrokernel,
         }
     }
 
@@ -94,7 +70,7 @@ impl fmt::Display for KernelStrategy {
     }
 }
 
-/// Resolved per-invocation GEMM-family kernel.
+/// Resolved GEMM-family kernel, as passed to the `kernels::*_with` entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GemmStrategy {
     /// Plain BLAS row-panel `par_gemm` (the PR 4 baseline path).
@@ -105,480 +81,9 @@ pub enum GemmStrategy {
     SimdMicrokernel,
 }
 
-impl GemmStrategy {
-    /// Stable report token.
-    pub fn token(self) -> &'static str {
-        match self {
-            GemmStrategy::Scalar => "scalar",
-            GemmStrategy::PanelPacked => "panel-packed",
-            GemmStrategy::SimdMicrokernel => "simd-microkernel",
-        }
-    }
-}
-
-impl fmt::Display for GemmStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-/// Op families the table keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum OpClass {
-    /// `Gemm` node: `y = x·wᵀ + b`, weight usually prepacked at prepare time.
-    GemmFc,
-    /// `MatMul` node: plain `[m,k]·[k,n]`.
-    MatMul,
-    /// The inner product of im2col convolution.
-    ConvIm2col,
-    /// A convolution invocation (recorded under the configured lowering).
-    Conv,
-}
-
-impl OpClass {
-    fn token(self) -> &'static str {
-        match self {
-            OpClass::GemmFc => "gemm-fc",
-            OpClass::MatMul => "matmul",
-            OpClass::ConvIm2col => "conv-im2col",
-            OpClass::Conv => "conv",
-        }
-    }
-}
-
-/// Power-of-two bucketed shape class. Bucketing keeps the table small and
-/// the calibration cost bounded while staying a pure function of the shape:
-/// `bucket(x) = ⌈log2(max(x,1))⌉`, so a class covers `(2^(b-1), 2^b]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ShapeClass {
-    /// Op family.
-    pub op: OpClass,
-    /// `⌈log2⌉` bucket of the output-row count `m`.
-    pub m: u8,
-    /// `⌈log2⌉` bucket of the output-column count `n`.
-    pub n: u8,
-    /// `⌈log2⌉` bucket of the reduction depth `k`.
-    pub k: u8,
-}
-
-fn bucket(x: usize) -> u8 {
-    let below = (x.max(1) - 1) as u64;
-    if below == 0 {
-        0
-    } else {
-        (64 - below.leading_zeros()) as u8
-    }
-}
-
-/// Representative dimension of a bucket (its upper bound).
-fn rep(b: u8) -> u64 {
-    1u64 << b.min(48)
-}
-
-impl ShapeClass {
-    /// Classifies a GEMM-family invocation of logical shape `[m,k]·[k,n]`.
-    pub fn gemm(op: OpClass, m: usize, n: usize, k: usize) -> ShapeClass {
-        ShapeClass { op, m: bucket(m), n: bucket(n), k: bucket(k) }
-    }
-
-    /// Classifies a conv invocation by (output channels, output pixels,
-    /// patch length) — the dims of its implied GEMM.
-    pub fn conv(oc: usize, pixels: usize, patch: usize) -> ShapeClass {
-        ShapeClass { op: OpClass::Conv, m: bucket(oc), n: bucket(pixels), k: bucket(patch) }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "{} m<={} n<={} k<={}",
-            self.op.token(),
-            rep(self.m),
-            rep(self.n),
-            rep(self.k)
-        )
-    }
-}
-
-/// The slice of [`EngineConfig`] a strategy choice may depend on.
-///
-/// `intra_op_threads` is deliberately **excluded**: the thread count only
-/// decides how many workers drain the chunk queue, and letting it steer
-/// kernel selection would break the cross-thread byte-identity the MVX
-/// layer's exact checkpoint metric depends on. `kernel_strategy` is also
-/// absent because a non-`Auto` override bypasses the table entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StrategyKey {
-    /// Engine family.
-    pub kind: EngineKind,
-    /// BLAS backend (feeds the cost model's MAC weight).
-    pub blas: BlasKind,
-    /// Whether graph optimisation passes run at prepare time.
-    pub optimize: bool,
-    /// Reduction accumulation order.
-    pub accumulation: Accumulation,
-    /// Configured conv lowering (recorded per conv shape class).
-    pub conv_strategy: ConvStrategy,
-}
-
-impl StrategyKey {
-    /// Projects a config onto the strategy-relevant slice.
-    pub fn of(cfg: &EngineConfig) -> StrategyKey {
-        StrategyKey {
-            kind: cfg.kind,
-            blas: cfg.blas,
-            optimize: cfg.optimize,
-            accumulation: cfg.accumulation,
-            conv_strategy: cfg.conv_strategy,
-        }
-    }
-}
-
-/// One resolved table entry, as surfaced in `BENCH_runtime.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrategyEntry {
-    /// Op-family token (`gemm-fc`, `matmul`, `conv-im2col`, `conv`).
-    pub op: String,
-    /// Human-readable shape-class bounds.
-    pub class: String,
-    /// Chosen kernel token.
-    pub choice: String,
-    /// Deterministic cost-model score of the chosen kernel.
-    pub cost_units: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Selected {
-    Gemm(GemmStrategy),
-    Conv(ConvStrategy),
-}
-
-impl Selected {
-    fn token(self) -> &'static str {
-        match self {
-            Selected::Gemm(g) => g.token(),
-            Selected::Conv(ConvStrategy::Direct) => "direct",
-            Selected::Conv(ConvStrategy::Im2col) => "im2col",
-            Selected::Conv(ConvStrategy::NhwcDirect) => "nhwc-direct",
-        }
-    }
-}
-
-/// Per-config kernel selection table. Shared process-wide through the
-/// session [`EngineCache`](crate::EngineCache), next to the prepacked
-/// weights, so calibration runs once per (config slice, shape class) and
-/// every later engine instance replays the same choices.
-pub struct StrategyTable {
-    key: StrategyKey,
-    entries: Mutex<BTreeMap<ShapeClass, (Selected, u64)>>,
-}
-
-impl fmt::Debug for StrategyTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StrategyTable").field("key", &self.key).finish()
-    }
-}
-
-/// Calibration-input cap per dimension: agreement is verified on seeded data
-/// at `min(rep, CAL_DIM_CAP)` per dim so calibrating a 4096-deep class stays
-/// cheap. The *cost model* still sees the uncapped representative dims.
-const CAL_DIM_CAP: u64 = 64;
-
-/// Relative tolerance a candidate must meet against the scalar reference
-/// during calibration — the same order as the relaxed differential metric.
-const CAL_REL_TOL: f32 = 1e-3;
-
-impl StrategyTable {
-    /// Creates an empty table for one config slice.
-    pub fn new(key: StrategyKey) -> StrategyTable {
-        StrategyTable { key, entries: Mutex::new(BTreeMap::new()) }
-    }
-
-    /// The config slice this table is keyed by.
-    pub fn key(&self) -> StrategyKey {
-        self.key
-    }
-
-    /// Selects the kernel for a GEMM-family invocation. First hit on a shape
-    /// class runs the seeded calibration pass; every later call replays the
-    /// stored choice.
-    pub fn select_gemm(&self, op: OpClass, m: usize, n: usize, k: usize) -> GemmStrategy {
-        let class = ShapeClass::gemm(op, m, n, k);
-        let mut entries = self.entries.lock().expect("strategy table poisoned");
-        if let Some(&(Selected::Gemm(g), _)) = entries.get(&class) {
-            strategy_hits().inc();
-            return g;
-        }
-        strategy_misses().inc();
-        let (choice, cost) = calibrate_gemm(self.key, class);
-        entries.insert(class, (Selected::Gemm(choice), cost));
-        choice
-    }
-
-    /// Records a conv invocation under the configured lowering, so the
-    /// selection table reports which kernel ran per conv shape class.
-    pub fn record_conv(&self, strategy: ConvStrategy, oc: usize, pixels: usize, patch: usize) {
-        let class = ShapeClass::conv(oc, pixels, patch);
-        let mut entries = self.entries.lock().expect("strategy table poisoned");
-        if entries.contains_key(&class) {
-            strategy_hits().inc();
-            return;
-        }
-        strategy_misses().inc();
-        let cost = conv_cost(strategy, class);
-        entries.insert(class, (Selected::Conv(strategy), cost));
-    }
-
-    /// Number of resolved shape classes.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("strategy table poisoned").len()
-    }
-
-    /// Whether no shape class has been resolved yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resolved entries in deterministic (class-ordered) form.
-    pub fn entries(&self) -> Vec<StrategyEntry> {
-        self.entries
-            .lock()
-            .expect("strategy table poisoned")
-            .iter()
-            .map(|(class, (sel, cost))| StrategyEntry {
-                op: class.op.token().to_string(),
-                class: class.describe(),
-                choice: sel.token().to_string(),
-                cost_units: *cost,
-            })
-            .collect()
-    }
-
-    /// Deterministic byte rendering of the whole table. Two tables built
-    /// from the same (config slice, shape set) must render identically —
-    /// the purity gate the proptests pin.
-    pub fn render_bytes(&self) -> Vec<u8> {
-        let mut out = format!(
-            "strategy-table kind={} blas={} opt={} acc={:?} conv={:?}\n",
-            self.key.kind, self.key.blas, self.key.optimize, self.key.accumulation,
-            self.key.conv_strategy
-        );
-        for e in self.entries() {
-            out.push_str(&format!("{} -> {} cost={}\n", e.class, e.choice, e.cost_units));
-        }
-        out.into_bytes()
-    }
-}
-
-/// Deterministic cost-model score (abstract work units — MACs weighted by
-/// the backend's locality, plus pack and lane-tail terms). Fixed constants,
-/// never measurements; see the module docs for why.
-fn gemm_cost(strategy: GemmStrategy, key: StrategyKey, class: ShapeClass) -> u64 {
-    let (m, n, k) = (rep(class.m), rep(class.n), rep(class.k));
-    let macs = m.saturating_mul(n).saturating_mul(k);
-    let w = key.blas.cost_weight();
-    match strategy {
-        GemmStrategy::Scalar => macs.saturating_mul(w),
-        GemmStrategy::PanelPacked => {
-            if class.op != OpClass::GemmFc {
-                // No prepacked weight exists outside gemm-fc; the kernel
-                // degrades to Scalar, so cost ties + 1 keeps Scalar first.
-                macs.saturating_mul(w).saturating_add(1)
-            } else if class.m == 0 {
-                // Batch-1: the prepacked column panels parallelise the m
-                // dimension that row splitting cannot.
-                macs.saturating_mul(w).saturating_mul(3) / 4
-            } else {
-                macs.saturating_mul(w)
-            }
-        }
-        GemmStrategy::SimdMicrokernel => {
-            // 8-lane inner loop amortises to ~2 units/MAC once the depth
-            // clears a couple of lane widths; below that the sequential
-            // tail dominates and the microkernel loses to the BLAS loop.
-            let per_mac: u64 = if rep(class.k) < (simd::LANES as u64) * 2 { 6 } else { 2 };
-            let pack = match class.op {
-                // gemm-fc feeds w rows directly (already [m,k]); im2col
-                // fills the column buffer transposed at no extra traffic.
-                OpClass::GemmFc | OpClass::ConvIm2col => 0,
-                // matmul needs a one-shot arena transpose of b.
-                OpClass::MatMul => n.saturating_mul(k).saturating_mul(2),
-                OpClass::Conv => 0,
-            };
-            macs.saturating_mul(per_mac).saturating_add(pack)
-        }
-    }
-}
-
-fn conv_cost(strategy: ConvStrategy, class: ShapeClass) -> u64 {
-    let macs = rep(class.m).saturating_mul(rep(class.n)).saturating_mul(rep(class.k));
-    match strategy {
-        ConvStrategy::Im2col => macs.saturating_mul(3),
-        ConvStrategy::Direct => macs.saturating_mul(4),
-        ConvStrategy::NhwcDirect => macs.saturating_mul(5),
-    }
-}
-
-/// Deterministic xorshift fill for calibration operands, seeded from the
-/// (key, class) pair so the pass is a pure function of its inputs.
-fn seeded_fill(len: usize, mut state: u64) -> Vec<f32> {
-    state |= 1;
-    (0..len)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-        })
-        .collect()
-}
-
-fn class_seed(key: StrategyKey, class: ShapeClass) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    class.hash(&mut h);
-    h.finish() ^ 0x5EED_CA11_B8A7_E000
-}
-
-/// The seeded calibration pass: runs each candidate kernel on deterministic
-/// data at the class's (capped) representative shape, disqualifies
-/// candidates that disagree with the scalar reference beyond the relaxed
-/// tolerance, and picks the cheapest survivor under the cost model.
-/// Ties resolve to the earlier candidate (Scalar < PanelPacked < SIMD).
-fn calibrate_gemm(key: StrategyKey, class: ShapeClass) -> (GemmStrategy, u64) {
-    strategy_calibrations().inc();
-    let m = rep(class.m).min(CAL_DIM_CAP) as usize;
-    let n = rep(class.n).min(CAL_DIM_CAP) as usize;
-    let k = rep(class.k).min(CAL_DIM_CAP) as usize;
-    let seed = class_seed(key, class);
-    let a = seeded_fill(m * k, seed ^ 0x1);
-    let bt = seeded_fill(n * k, seed ^ 0x2); // [n, k] row-major (bᵀ)
-    let mut b = vec![0.0f32; k * n]; // [k, n] row-major for the BLAS path
-    for j in 0..n {
-        for i in 0..k {
-            b[i * n + j] = bt[j * k + i];
-        }
-    }
-    let blas = key.blas.instantiate();
-    let mut reference = vec![0.0f32; m * n];
-    blas.gemm(m, n, k, &a, &b, &mut reference);
-
-    let mut candidates = vec![GemmStrategy::Scalar];
-    if class.op == OpClass::GemmFc {
-        candidates.push(GemmStrategy::PanelPacked);
-    }
-    candidates.push(GemmStrategy::SimdMicrokernel);
-
-    let mut best: Option<(GemmStrategy, u64)> = None;
-    for cand in candidates {
-        let agrees = match cand {
-            // Scalar IS the reference; PanelPacked re-tiles the same
-            // ascending-k BLAS accumulation, which is byte-identical to a
-            // monolithic call (DESIGN.md §5a) — both agree trivially.
-            GemmStrategy::Scalar | GemmStrategy::PanelPacked => true,
-            GemmStrategy::SimdMicrokernel => {
-                let mut got = vec![0.0f32; m * n];
-                simd::gemm_bt(m, n, k, &a, &bt, &mut got);
-                reference.iter().zip(&got).all(|(r, g)| {
-                    (r - g).abs() <= CAL_REL_TOL * r.abs().max(1.0)
-                })
-            }
-        };
-        if !agrees {
-            continue;
-        }
-        let cost = gemm_cost(cand, key, class);
-        if best.is_none_or(|(_, c)| cost < c) {
-            best = Some((cand, cost));
-        }
-    }
-    // Scalar always agrees, so `best` is always populated.
-    best.unwrap_or((GemmStrategy::Scalar, u64::MAX))
-}
-
-pub(crate) fn strategy_hits() -> &'static mvtee_telemetry::Counter {
-    static C: OnceLock<mvtee_telemetry::Counter> = OnceLock::new();
-    C.get_or_init(|| mvtee_telemetry::counter("runtime.cache.strategy_table.hits"))
-}
-
-pub(crate) fn strategy_misses() -> &'static mvtee_telemetry::Counter {
-    static C: OnceLock<mvtee_telemetry::Counter> = OnceLock::new();
-    C.get_or_init(|| mvtee_telemetry::counter("runtime.cache.strategy_table.misses"))
-}
-
-pub(crate) fn strategy_calibrations() -> &'static mvtee_telemetry::Counter {
-    static C: OnceLock<mvtee_telemetry::Counter> = OnceLock::new();
-    C.get_or_init(|| mvtee_telemetry::counter("runtime.cache.strategy_table.calibrations"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn key() -> StrategyKey {
-        StrategyKey::of(&EngineConfig::of_kind(EngineKind::OrtLike))
-    }
-
-    #[test]
-    fn buckets_are_monotone_and_cover() {
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(3), 2);
-        assert_eq!(bucket(4), 2);
-        assert_eq!(bucket(5), 3);
-        assert_eq!(bucket(1024), 10);
-        assert!(rep(bucket(1000)) >= 1000);
-    }
-
-    #[test]
-    fn selection_is_replayed_from_the_table() {
-        let t = StrategyTable::new(key());
-        let first = t.select_gemm(OpClass::GemmFc, 1, 1000, 512);
-        let before = strategy_hits().get();
-        let second = t.select_gemm(OpClass::GemmFc, 1, 1000, 512);
-        assert_eq!(first, second);
-        assert!(strategy_hits().get() > before);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn same_inputs_render_identical_bytes() {
-        let shapes = [(OpClass::GemmFc, 1usize, 1000usize, 512usize), (OpClass::MatMul, 8, 8, 4)];
-        let (a, b) = (StrategyTable::new(key()), StrategyTable::new(key()));
-        for &(op, m, n, k) in &shapes {
-            a.select_gemm(op, m, n, k);
-            b.select_gemm(op, m, n, k);
-        }
-        a.record_conv(ConvStrategy::Im2col, 64, 3136, 576);
-        b.record_conv(ConvStrategy::Im2col, 64, 3136, 576);
-        assert_eq!(a.render_bytes(), b.render_bytes());
-    }
-
-    #[test]
-    fn tiny_depth_stays_on_blas_kernels() {
-        let t = StrategyTable::new(key());
-        // k = 4 < 2 lanes: the microkernel's tail penalty must keep the
-        // BLAS path selected.
-        let got = t.select_gemm(OpClass::MatMul, 8, 8, 4);
-        assert_eq!(got, GemmStrategy::Scalar);
-    }
-
-    #[test]
-    fn deep_fc_selects_the_microkernel() {
-        let t = StrategyTable::new(key());
-        let got = t.select_gemm(OpClass::GemmFc, 4, 1000, 1280);
-        assert_eq!(got, GemmStrategy::SimdMicrokernel);
-    }
-
-    #[test]
-    fn batch1_fc_prefers_packed_panels_over_scalar() {
-        // Force the microkernel out by keying a naive-BLAS config with a
-        // tiny depth; batch-1 then favours the packed panels.
-        let cfg = EngineConfig::of_kind(EngineKind::Reference);
-        let t = StrategyTable::new(StrategyKey::of(&cfg));
-        let got = t.select_gemm(OpClass::GemmFc, 1, 10, 4);
-        assert_eq!(got, GemmStrategy::PanelPacked);
-    }
 
     #[test]
     fn kernel_strategy_tokens_round_trip() {
@@ -586,5 +91,19 @@ mod tests {
             assert_eq!(KernelStrategy::from_token(ks.token()), Some(ks));
         }
         assert_eq!(KernelStrategy::from_token("bogus"), None);
+    }
+
+    #[test]
+    fn resolve_maps_auto_to_the_blas_path() {
+        let resolved = KernelStrategy::ALL.map(KernelStrategy::resolve);
+        assert_eq!(
+            resolved,
+            [
+                GemmStrategy::PanelPacked,
+                GemmStrategy::Scalar,
+                GemmStrategy::PanelPacked,
+                GemmStrategy::SimdMicrokernel,
+            ]
+        );
     }
 }

@@ -8,8 +8,8 @@
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_runtime::kernels::{conv2d_im2col, conv2d_im2col_with, gemm_fc, gemm_fc_with, softmax, softmax_with, ConvAttrs};
 use mvtee_runtime::{
-    Accumulation, BlasKind, Engine, EngineConfig, EngineKind, KernelCtx, RuntimeConfig,
-    ThreadPool,
+    Accumulation, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy, KernelCtx,
+    RuntimeConfig, ThreadPool,
 };
 use mvtee_tensor::Tensor;
 use proptest::prelude::*;
@@ -57,8 +57,10 @@ proptest! {
             let backend = blas.instantiate();
             let reference = gemm_fc(&x, &w, Some(&b), backend.as_ref()).expect("runs");
             for t in THREADS {
-                let out = gemm_fc_with(&ctx(t), &x, &w, Some(&b), backend.as_ref(), None)
-                    .expect("runs");
+                let out = gemm_fc_with(
+                    &ctx(t), &x, &w, Some(&b), backend.as_ref(), None, GemmStrategy::PanelPacked,
+                )
+                .expect("runs");
                 prop_assert_eq!(
                     bits(&reference),
                     bits(&out),
@@ -83,8 +85,10 @@ proptest! {
             let reference =
                 conv2d_im2col(&x, &w, Some(&b), &attrs, backend.as_ref()).expect("runs");
             for t in THREADS {
-                let out = conv2d_im2col_with(&ctx(t), &x, &w, Some(&b), &attrs, backend.as_ref())
-                    .expect("runs");
+                let out = conv2d_im2col_with(
+                    &ctx(t), &x, &w, Some(&b), &attrs, backend.as_ref(), GemmStrategy::Scalar,
+                )
+                .expect("runs");
                 prop_assert_eq!(
                     bits(&reference),
                     bits(&out),

@@ -1,14 +1,12 @@
 //! Byte-identity of the SIMD microkernel path: the 8-lane wide loop and
 //! its scalar per-lane fallback must agree bit-for-bit (that is what makes
-//! the runtime CPU-feature check invisible to the strategy table), and the
+//! the runtime CPU-feature check invisible in the output bytes), and the
 //! `SimdMicrokernel` kernel strategy must emit the same bytes at every
 //! thread count — including shapes below `min_parallel_elems`, where the
 //! pool runs the kernel sequentially, and unaligned tails shorter than the
 //! 8-lane block.
 
-use mvtee_runtime::kernels::{
-    conv2d_im2col_strategic, gemm_fc_strategic, matmul_strategic, ConvAttrs,
-};
+use mvtee_runtime::kernels::{conv2d_im2col_with, gemm_fc_with, matmul_with, ConvAttrs};
 use mvtee_runtime::simd::{dot8, dot8_spec, gemm_bt, LANES};
 use mvtee_runtime::{GemmStrategy, KernelCtx, RuntimeConfig, ThreadPool};
 use mvtee_tensor::Tensor;
@@ -96,7 +94,7 @@ fn simd_gemm_fc_is_bitwise_thread_invariant() {
         let w = Tensor::random_uniform(&mut rng, &[m, k], 0.5);
         let b = Tensor::random_uniform(&mut rng, &[m], 0.5);
         let blas = mvtee_runtime::BlasKind::Blocked.instantiate();
-        let reference = gemm_fc_strategic(
+        let reference = gemm_fc_with(
             &default_ctx(1),
             &x,
             &w,
@@ -108,7 +106,7 @@ fn simd_gemm_fc_is_bitwise_thread_invariant() {
         .expect("runs");
         for t in THREADS {
             for ctx in [eager_ctx(t), default_ctx(t)] {
-                let out = gemm_fc_strategic(
+                let out = gemm_fc_with(
                     &ctx,
                     &x,
                     &w,
@@ -137,12 +135,12 @@ fn simd_matmul_is_bitwise_thread_invariant() {
         let b = Tensor::random_uniform(&mut rng, &[k, n], 0.5);
         let blas = mvtee_runtime::BlasKind::Naive.instantiate();
         let reference =
-            matmul_strategic(&default_ctx(1), &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
+            matmul_with(&default_ctx(1), &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
                 .expect("runs");
         for t in THREADS {
             for ctx in [eager_ctx(t), default_ctx(t)] {
                 let out =
-                    matmul_strategic(&ctx, &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
+                    matmul_with(&ctx, &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
                         .expect("runs");
                 assert_eq!(
                     bits(&reference),
@@ -166,7 +164,7 @@ fn simd_im2col_conv_is_bitwise_thread_invariant() {
         let b = Tensor::random_uniform(&mut rng, &[oc], 0.5);
         let attrs = ConvAttrs { kernel: (3, 3), stride: (1, 1), padding: (1, 1), groups };
         let blas = mvtee_runtime::BlasKind::Strided.instantiate();
-        let reference = conv2d_im2col_strategic(
+        let reference = conv2d_im2col_with(
             &default_ctx(1),
             &x,
             &w,
@@ -178,7 +176,7 @@ fn simd_im2col_conv_is_bitwise_thread_invariant() {
         .expect("runs");
         for t in THREADS {
             for ctx in [eager_ctx(t), default_ctx(t)] {
-                let out = conv2d_im2col_strategic(
+                let out = conv2d_im2col_with(
                     &ctx,
                     &x,
                     &w,

@@ -91,7 +91,7 @@ fn diversified_panels_agree_across_models() {
 #[test]
 fn kernel_strategy_diversified_panel_passes_relaxed_checkpoints() {
     // The kernel-strategy axis as a diversification dimension: one panel
-    // member keeps the autotuned default while the others pin different
+    // member keeps the default (BLAS path) while the others pin different
     // microkernels. Same weights, different inner-loop accumulation order
     // — so the panel opts into the heterogeneous tolerance through
     // `checkpoint_metric` and must sail through without detections.
