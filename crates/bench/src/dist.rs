@@ -27,7 +27,7 @@ use mvtee::transcript::verify_transcript;
 use mvtee::MvxError;
 use mvtee_tensor::Tensor;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Partitions in the panel (partition [`MVX_PARTITION`] carries MVX).
 const PARTITIONS: usize = 2;
@@ -362,7 +362,7 @@ fn run_heal_probe(s: &DistSettings) -> Result<HealProbe, MvxError> {
                 break;
             }
         }
-        std::thread::sleep(cfg.drain_poll());
+        std::thread::sleep(Duration::from_millis(50));
     }
     probe.respawned =
         mvtee_telemetry::counter("core.worker.spawned").get() >= spawned0 + 2;

@@ -139,61 +139,37 @@ pub enum DegradationPolicy {
     FastPathFallback,
 }
 
-/// Retry budget and pacing for automatic variant recovery.
-///
-/// Durations are stored in milliseconds so the config stays plainly
-/// serialisable; accessors expose [`std::time::Duration`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Whether quarantined variants are re-provisioned, and when a variant
+/// that keeps dying is given up on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
     /// Master switch: when `false` (the default) quarantined variants
     /// are dropped for the rest of the stream, matching the historical
     /// continue-with-survivors behaviour.
     pub enabled: bool,
-    /// Re-provision attempts after the first (attempt 0) fails.
-    pub max_retries: u32,
-    /// Base of the exponential backoff between attempts, in ms: attempt
-    /// `k` sleeps `backoff_base_ms * 2^k` before retrying.
-    pub backoff_base_ms: u64,
     /// Crash-loop budget: if more than this many recovery requests for
-    /// the *same* variant slot arrive inside [`crash_loop_window_ms`],
-    /// the manager stops respawning (the death is escalated to
+    /// the *same* variant slot arrive inside the manager's ten-second
+    /// crash-loop window, it stops respawning (the death is escalated to
     /// `RecoveryFailed` and the panel serves degraded per
     /// [`DegradationPolicy`]). `0` disables crash-loop detection — the
     /// historical respawn-forever behaviour, so it stays the default.
-    ///
-    /// [`crash_loop_window_ms`]: RecoveryPolicy::crash_loop_window_ms
     pub crash_loop_budget: u32,
-    /// Width of the crash-loop detection window, in ms.
-    pub crash_loop_window_ms: u64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            enabled: false,
-            max_retries: 3,
-            backoff_base_ms: 25,
-            crash_loop_budget: 0,
-            crash_loop_window_ms: 10_000,
-        }
-    }
 }
 
 impl RecoveryPolicy {
-    /// Recovery switched on with the default retry budget.
+    /// Re-provision attempts after the first (attempt 0) fails. A
+    /// constant, like the backoff base: no deployment ever set either.
+    pub const MAX_RETRIES: u32 = 3;
+
+    /// Recovery switched on.
     pub fn enabled() -> Self {
         RecoveryPolicy { enabled: true, ..Self::default() }
     }
 
-    /// Backoff before retry attempt `k` (attempt 0 waits one base unit).
-    pub fn backoff(&self, attempt: u32) -> std::time::Duration {
-        let factor = 1u64 << attempt.min(16);
-        std::time::Duration::from_millis(self.backoff_base_ms.saturating_mul(factor))
-    }
-
-    /// The crash-loop window as a [`std::time::Duration`].
-    pub fn crash_loop_window(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.crash_loop_window_ms)
+    /// Backoff before retry attempt `k`: `25 ms * 2^k`, the shift capped
+    /// at 16 (attempt 0 waits one base unit).
+    pub fn backoff(attempt: u32) -> std::time::Duration {
+        std::time::Duration::from_millis(25 << attempt.min(16))
     }
 }
 
@@ -222,9 +198,6 @@ pub struct SupervisionPolicy {
     /// Allow a disconnected-but-alive worker to redial, re-attest and
     /// resume (reconnect-and-resume) before falling back to a respawn.
     pub reconnect: bool,
-    /// How long the monitor holds the redial door open before giving up
-    /// and respawning, in ms.
-    pub reconnect_window_ms: u64,
 }
 
 impl Default for SupervisionPolicy {
@@ -234,7 +207,6 @@ impl Default for SupervisionPolicy {
             heartbeat_interval_ms: 100,
             miss_budget: 3,
             reconnect: false,
-            reconnect_window_ms: 1_000,
         }
     }
 }
@@ -254,12 +226,11 @@ impl SupervisionPolicy {
     pub fn heartbeat_interval(&self) -> std::time::Duration {
         std::time::Duration::from_millis(self.heartbeat_interval_ms)
     }
-
-    /// The reconnect window as a [`std::time::Duration`].
-    pub fn reconnect_window(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.reconnect_window_ms)
-    }
 }
+
+/// How long a caller waits on the pipeline's result channel before
+/// declaring the deployment wedged. A constant: no caller ever sized it.
+pub(crate) const RESULT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
 
 /// The complete MVX configuration provisioned by the model owner.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -286,25 +257,6 @@ pub struct MvxConfig {
     /// straggler watchdog escalates (timeout → late dissent → quarantine).
     /// Replaces the old hardcoded 30 s `RESPONSE_TIMEOUT`.
     pub checkpoint_deadline_ms: u64,
-    /// Total window in ms spent draining straggler responses after a
-    /// quorum was forwarded in async cross-validation mode.
-    pub drain_window_ms: u64,
-    /// Poll interval in ms within the drain window.
-    pub drain_poll_ms: u64,
-    /// Bound of each stage coordinator's inbound job queue. Submission
-    /// blocks when a stage is this many batches behind — the pipeline's
-    /// backpressure valve under sustained concurrent load. Replaces the
-    /// old hardcoded 1024-slot queue.
-    pub stage_queue_depth: usize,
-    /// Maximum number of batches whose async late-validation state is
-    /// retained while stragglers are outstanding; the oldest entry is
-    /// dropped (and audited) beyond this. Replaces the old hardcoded
-    /// 256-entry window.
-    pub late_validation_window: usize,
-    /// How long in ms a caller waits on the pipeline's result channel
-    /// before declaring the deployment wedged. Replaces the old
-    /// hardcoded 120 s collection timeout.
-    pub result_timeout_ms: u64,
     /// Voting behaviour while a panel is below strength.
     pub degradation: DegradationPolicy,
     /// Automatic quarantine-and-recover policy.
@@ -326,11 +278,6 @@ impl MvxConfig {
             response: ResponsePolicy::Halt,
             encrypt: true,
             checkpoint_deadline_ms: 30_000,
-            drain_window_ms: 500,
-            drain_poll_ms: 50,
-            stage_queue_depth: 1024,
-            late_validation_window: 256,
-            result_timeout_ms: 120_000,
             degradation: DegradationPolicy::default(),
             recovery: RecoveryPolicy::default(),
             supervision: SupervisionPolicy::default(),
@@ -342,29 +289,14 @@ impl MvxConfig {
         std::time::Duration::from_millis(self.checkpoint_deadline_ms)
     }
 
-    /// The async straggler drain window as a [`std::time::Duration`].
-    pub fn drain_window(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.drain_window_ms)
-    }
-
-    /// The drain poll interval as a [`std::time::Duration`].
-    pub fn drain_poll(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.drain_poll_ms)
-    }
-
-    /// The result-collection timeout as a [`std::time::Duration`].
-    pub fn result_timeout(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.result_timeout_ms)
-    }
-
     /// The worst-case detect→react time: one checkpoint deadline to
     /// detect, each retry's backoff, one deadline of slack per allowed
     /// attempt, and the result timeout of the batch in flight. A panel
     /// that heals later than this has failed to heal.
     pub fn heal_deadline(&self) -> std::time::Duration {
-        let retries = self.recovery.max_retries;
-        let backoff: std::time::Duration = (0..retries).map(|k| self.recovery.backoff(k)).sum();
-        self.checkpoint_deadline() * (retries + 2) + backoff + self.result_timeout()
+        let retries = RecoveryPolicy::MAX_RETRIES;
+        let backoff: std::time::Duration = (0..retries).map(RecoveryPolicy::backoff).sum();
+        self.checkpoint_deadline() * (retries + 2) + backoff + RESULT_TIMEOUT
     }
 
     /// Selective MVX: `variants` replicas on the partitions listed in
@@ -425,29 +357,12 @@ impl MvxConfig {
         if self.checkpoint_deadline_ms == 0 {
             return Err(crate::MvxError::InvalidConfig("zero checkpoint deadline".into()));
         }
-        if self.drain_poll_ms == 0 || self.drain_poll_ms > self.drain_window_ms {
-            return Err(crate::MvxError::InvalidConfig(
-                "drain poll must be non-zero and no longer than the drain window".into(),
-            ));
-        }
-        if self.stage_queue_depth == 0 {
-            return Err(crate::MvxError::InvalidConfig("zero stage queue depth".into()));
-        }
-        if self.late_validation_window == 0 {
-            return Err(crate::MvxError::InvalidConfig("zero late-validation window".into()));
-        }
-        if self.result_timeout_ms == 0 {
-            return Err(crate::MvxError::InvalidConfig("zero result timeout".into()));
-        }
         if self.supervision.enabled {
             if self.supervision.heartbeat_interval_ms == 0 {
                 return Err(crate::MvxError::InvalidConfig("zero heartbeat interval".into()));
             }
             if self.supervision.miss_budget == 0 {
                 return Err(crate::MvxError::InvalidConfig("zero heartbeat miss budget".into()));
-            }
-            if self.supervision.reconnect && self.supervision.reconnect_window_ms == 0 {
-                return Err(crate::MvxError::InvalidConfig("zero reconnect window".into()));
             }
         }
         if self.exec == ExecMode::AsyncCrossValidation && self.partitions == 1 {
@@ -513,75 +428,37 @@ mod tests {
     }
 
     #[test]
-    fn timeouts_default_to_historical_values() {
-        let c = MvxConfig::fast_path(2);
-        assert_eq!(c.checkpoint_deadline(), std::time::Duration::from_secs(30));
-        assert_eq!(c.drain_window(), std::time::Duration::from_millis(500));
-        assert_eq!(c.drain_poll(), std::time::Duration::from_millis(50));
-        assert_eq!(c.result_timeout(), std::time::Duration::from_secs(120));
-        assert_eq!(c.stage_queue_depth, 1024);
-        assert_eq!(c.late_validation_window, 256);
-        assert_eq!(c.degradation, DegradationPolicy::Degrade);
-        assert!(!c.recovery.enabled);
-    }
-
-    #[test]
     fn recovery_backoff_is_exponential() {
-        let p = RecoveryPolicy { max_retries: 3, backoff_base_ms: 25, ..RecoveryPolicy::enabled() };
-        assert_eq!(p.backoff(0), std::time::Duration::from_millis(25));
-        assert_eq!(p.backoff(1), std::time::Duration::from_millis(50));
-        assert_eq!(p.backoff(2), std::time::Duration::from_millis(100));
-        // Saturates rather than overflowing for absurd attempt counts.
-        assert!(p.backoff(63) >= p.backoff(16));
+        let ms = std::time::Duration::from_millis;
+        assert_eq!(RecoveryPolicy::backoff(0), ms(25));
+        assert_eq!(RecoveryPolicy::backoff(1), ms(50));
+        assert_eq!(RecoveryPolicy::backoff(2), ms(100));
     }
 
     #[test]
     fn recovery_backoff_caps_at_the_shift_limit() {
-        let p = RecoveryPolicy { backoff_base_ms: 25, ..RecoveryPolicy::enabled() };
         // Every attempt beyond the cap gets the attempt-16 delay exactly:
         // the shift saturates instead of growing without bound.
-        let cap = p.backoff(16);
+        let cap = RecoveryPolicy::backoff(16);
         assert_eq!(cap, std::time::Duration::from_millis(25 << 16));
         for attempt in [17, 100, 1_000_000, u32::MAX - 1, u32::MAX] {
-            assert_eq!(p.backoff(attempt), cap, "attempt {attempt} must hit the cap");
+            assert_eq!(RecoveryPolicy::backoff(attempt), cap, "attempt {attempt} must hit the cap");
         }
-    }
-
-    #[test]
-    fn recovery_backoff_saturates_on_huge_bases() {
-        // A base large enough that base * 2^16 overflows u64 must
-        // saturate, not panic or wrap to a tiny delay.
-        let p = RecoveryPolicy { backoff_base_ms: u64::MAX / 2, ..RecoveryPolicy::enabled() };
-        assert_eq!(p.backoff(u32::MAX), std::time::Duration::from_millis(u64::MAX));
-        assert!(p.backoff(3) >= p.backoff(2));
     }
 
     #[test]
     fn recovery_backoff_is_monotone_nondecreasing() {
-        for base in [1u64, 25, 1_000] {
-            let p = RecoveryPolicy { backoff_base_ms: base, ..RecoveryPolicy::enabled() };
-            let mut prev = p.backoff(0);
-            for attempt in 1..40u32 {
-                let next = p.backoff(attempt);
-                assert!(next >= prev, "backoff regressed at attempt {attempt} (base {base})");
-                prev = next;
-            }
-        }
-    }
-
-    #[test]
-    fn recovery_backoff_zero_base_is_always_zero() {
-        let p = RecoveryPolicy { backoff_base_ms: 0, ..RecoveryPolicy::enabled() };
-        for attempt in [0, 1, 16, 17, u32::MAX] {
-            assert_eq!(p.backoff(attempt), std::time::Duration::ZERO);
+        let mut prev = RecoveryPolicy::backoff(0);
+        for attempt in 1..40u32 {
+            let next = RecoveryPolicy::backoff(attempt);
+            assert!(next >= prev, "backoff regressed at attempt {attempt}");
+            prev = next;
         }
     }
 
     #[test]
     fn crash_loop_detection_is_off_by_default() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.crash_loop_budget, 0);
-        assert_eq!(p.crash_loop_window(), std::time::Duration::from_secs(10));
+        assert_eq!(RecoveryPolicy::default().crash_loop_budget, 0);
         assert_eq!(RecoveryPolicy::enabled().crash_loop_budget, 0);
     }
 
@@ -596,11 +473,7 @@ mod tests {
         c.validate().unwrap();
         c.supervision.heartbeat_interval_ms = 0;
         assert!(c.validate().is_err());
-        let mut c = MvxConfig::fast_path(2);
-        c.supervision = SupervisionPolicy::with_reconnect();
-        assert!(c.supervision.reconnect);
-        c.supervision.reconnect_window_ms = 0;
-        assert!(c.validate().is_err());
+        assert!(SupervisionPolicy::with_reconnect().reconnect);
         let mut c = MvxConfig::fast_path(2);
         c.supervision = SupervisionPolicy::enabled();
         c.supervision.miss_budget = 0;
@@ -610,22 +483,8 @@ mod tests {
     #[test]
     fn validation_rejects_bad_timeouts() {
         let mut c = MvxConfig::fast_path(2);
+        assert_eq!(c.checkpoint_deadline(), std::time::Duration::from_secs(30));
         c.checkpoint_deadline_ms = 0;
-        assert!(c.validate().is_err());
-        let mut c = MvxConfig::fast_path(2);
-        c.drain_poll_ms = 0;
-        assert!(c.validate().is_err());
-        let mut c = MvxConfig::fast_path(2);
-        c.drain_poll_ms = c.drain_window_ms + 1;
-        assert!(c.validate().is_err());
-        let mut c = MvxConfig::fast_path(2);
-        c.stage_queue_depth = 0;
-        assert!(c.validate().is_err());
-        let mut c = MvxConfig::fast_path(2);
-        c.late_validation_window = 0;
-        assert!(c.validate().is_err());
-        let mut c = MvxConfig::fast_path(2);
-        c.result_timeout_ms = 0;
         assert!(c.validate().is_err());
     }
 

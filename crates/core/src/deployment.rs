@@ -17,29 +17,22 @@
 //! and [`Deployment::infer_stream`] (pipelined) and supports partial/full
 //! variant updates.
 
-use crate::config::{MvxConfig, PartitionMvx, ResponsePolicy};
+use crate::config::{MvxConfig, PartitionMvx, ResponsePolicy, RESULT_TIMEOUT};
 use crate::events::{EventLog, MonitorEvent};
-use crate::link::DataLink;
-use crate::messages::{
-    bootstrap_session_secret, bootstrap_transcript_hash, decode, encode, BootstrapRequest,
-    BootstrapResponse, InstallEvidence, KeyRelease,
-};
+use crate::messages::encode;
 use crate::pipeline::{
     spawn_pipeline, spawn_rx_thread, CoordMsg, PipelineHandles, RxEvent, StageJob, StagePolicy,
     StageRuntime, VariantLink,
 };
+use crate::provision::Provisioner;
 use crate::recovery::{spawn_recovery_manager, RecoveryContext, RecoveryRequest};
-use crate::supervisor::HeartbeatMonitor;
 use crate::transcript::TranscriptLog;
-use crate::variant_host::{SealedVariantPayload, VariantHandle};
-use crate::worker::{place_variant, HostFaults, VariantPlacement, WorkerRegistry};
+use crate::variant_host::{HostFaults, SealedVariantPayload};
+use crate::worker::VariantPlacement;
 use crate::{MvxError, Result};
 use crossbeam::channel::{unbounded, Sender};
-use mvtee_crypto::channel::{FrameTransport, Role};
-use mvtee_crypto::gcm::AesGcm;
+use mvtee_crypto::random_array;
 use mvtee_crypto::sha256::sha256;
-use mvtee_crypto::x25519::EphemeralKeypair;
-use mvtee_crypto::{random_array, random_bytes};
 use mvtee_diversify::spec::spread_specs;
 use mvtee_telemetry::trace::TraceCtx;
 use mvtee_tensor::metrics::Metric;
@@ -51,8 +44,7 @@ use mvtee_partition::{PartitionPool, PartitionSet, Partitioner, PoolConfig};
 use mvtee_registry::Registry;
 use mvtee_runtime::{EngineConfig, EngineKind, KernelStrategy};
 use mvtee_tee::{
-    compute_measurement, AttestationReport, CodeIdentity, Enclave, Manifest, Platform,
-    ProtectedFs, TeeKind,
+    AttestationReport, CodeIdentity, Enclave, Manifest, Platform, ProtectedFs, TeeKind,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -167,40 +159,25 @@ impl OfflinePhase {
         variant_seed: u64,
         overrides: &HashMap<(usize, usize), SpecPatch>,
     ) -> Result<Self> {
-        Self::run_with_pool(graph, config, variant_seed, overrides, None)
+        Self::run_with_options(graph, config, variant_seed, overrides, None, &HashMap::new())
     }
 
-    /// [`OfflinePhase::run`] selecting the partition set from a
-    /// pre-established [`PartitionPool`] ("the variants are dynamically
-    /// initialized from the pre-established variant pool", §3.1). The pool
-    /// must contain a set with `config.partitions` stages; selection is
-    /// randomized by `config.partition_seed`.
+    /// [`OfflinePhase::run`] with two options. With a `pool`, the partition
+    /// set is selected from that pre-established [`PartitionPool`] ("the
+    /// variants are dynamically initialized from the pre-established
+    /// variant pool", §3.1): it must contain a set with `config.partitions`
+    /// stages, and selection is randomized by `config.partition_seed`.
+    /// `weight_faults` seals weight bit-flip faults into selected variants'
+    /// payloads, the fault-injection path of the campaign engine: a
+    /// `(partition, variant) → BitFlipFault` entry corrupts that one
+    /// variant's subgraph copy *before* variant generation, modelling a
+    /// Rowhammer/Terminal-Brain-Damage flip in one TEE's sealed model
+    /// memory; all other variants seal the clean subgraph.
     ///
     /// # Errors
     ///
-    /// Fails when the pool lacks a matching set, plus all [`OfflinePhase::run`]
-    /// failure modes.
-    pub fn run_with_pool(
-        graph: &Graph,
-        config: &MvxConfig,
-        variant_seed: u64,
-        overrides: &HashMap<(usize, usize), SpecPatch>,
-        pool: Option<&PartitionPool>,
-    ) -> Result<Self> {
-        Self::run_with_options(graph, config, variant_seed, overrides, pool, &HashMap::new())
-    }
-
-    /// [`OfflinePhase::run_with_pool`] additionally sealing weight
-    /// bit-flip faults into selected variants' payloads: the fault-injection
-    /// path of the campaign engine. A `(partition, variant) → BitFlipFault`
-    /// entry corrupts that one variant's subgraph copy *before* variant
-    /// generation, modelling a Rowhammer/Terminal-Brain-Damage flip in one
-    /// TEE's sealed model memory; all other variants seal the clean
-    /// subgraph.
-    ///
-    /// # Errors
-    ///
-    /// All [`OfflinePhase::run_with_pool`] failure modes.
+    /// Fails when the pool lacks a matching set, plus all
+    /// [`OfflinePhase::run`] failure modes.
     pub fn run_with_options(
         graph: &Graph,
         config: &MvxConfig,
@@ -309,137 +286,6 @@ pub(crate) fn seal_artifact(
     })
 }
 
-/// The monitor-side state a bootstrap needs — borrowed from the
-/// deployment at launch time, or from the recovery manager's snapshot
-/// when a replacement variant re-attests mid-stream.
-pub(crate) struct BootstrapCtx<'a> {
-    /// Simulated hardware platform (report verification).
-    pub platform: &'a Platform,
-    /// Public init-variant code (expected first-stage measurement).
-    pub init_code: &'a [u8],
-    /// Generation the anti-fork uniqueness check is scoped to.
-    pub generation: u64,
-    /// Shared append-only binding registry.
-    pub bindings: &'a Mutex<Vec<BindingRecord>>,
-    /// Audit event log.
-    pub events: &'a EventLog,
-}
-
-/// Monitor-side bootstrap of one variant (Fig 6 steps ②–⑦): challenge,
-/// evidence verification, sealed key release, install-evidence check and
-/// secure binding. Returns the session secret for the data-plane links.
-pub(crate) fn bootstrap_variant(
-    ctx: &BootstrapCtx<'_>,
-    partition: usize,
-    variant: usize,
-    artifact: &VariantArtifact,
-    tee_kind: TeeKind,
-    transport: &dyn FrameTransport,
-) -> Result<[u8; 32]> {
-    // Challenge with a fresh nonce (anti-replay).
-    let mut nonce = [0u8; 32];
-    random_bytes(&mut nonce);
-    let keypair = EphemeralKeypair::generate();
-    transport
-        .send_frame(encode(&BootstrapRequest::Challenge {
-            nonce,
-            monitor_dh_public: keypair.public,
-        })?)
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
-
-    // Verify the evidence.
-    let evidence_bytes = transport
-        .recv_frame()
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
-    let BootstrapResponse::Evidence { report, variant_dh_public } =
-        decode::<BootstrapResponse>(&evidence_bytes)?
-    else {
-        return Err(MvxError::Tee("variant failed before evidence".into()));
-    };
-    let init_identity =
-        CodeIdentity::from_content("mvtee-init-variant", "1.0", ctx.init_code);
-    let expected_measurement =
-        compute_measurement(tee_kind, &init_identity, &artifact.init_manifest.hash());
-    let transcript_hash = bootstrap_transcript_hash(&keypair.public, &variant_dh_public);
-    let mut expected_data = Vec::with_capacity(64);
-    expected_data.extend_from_slice(&sha256(&nonce));
-    expected_data.extend_from_slice(&transcript_hash);
-    mvtee_tee::verify_report(
-        ctx.platform,
-        &report,
-        Some(expected_measurement),
-        &expected_data,
-    )?;
-
-    // Session keys and sealed key release.
-    let shared = keypair.diffie_hellman(&variant_dh_public);
-    let session_secret = bootstrap_session_secret(&shared, &nonce);
-    let session_cipher = AesGcm::new_256(&session_secret);
-    let release = KeyRelease {
-        variant_key: artifact.variant_key,
-        variant_id: artifact.spec.id.0,
-        bundle_path: artifact.bundle_path.clone(),
-        expected_manifest_hash: artifact.expected_manifest_hash,
-    };
-    let sealed = session_cipher.seal(&[0u8; 12], &encode(&release)?, b"key-release");
-    transport
-        .send_frame(encode(&BootstrapRequest::SealedKeyRelease { payload: sealed })?)
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
-
-    // Install evidence: the enforced second-stage manifest must match.
-    let install_bytes = transport
-        .recv_frame()
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
-    let BootstrapResponse::SealedInstallEvidence { payload } =
-        decode::<BootstrapResponse>(&install_bytes)?
-    else {
-        return Err(MvxError::Tee("variant failed before install evidence".into()));
-    };
-    let plain = session_cipher
-        .open(&[1u8; 12], &payload, b"install-evidence")
-        .map_err(MvxError::from)?;
-    let evidence: InstallEvidence = decode(&plain)?;
-    if evidence.manifest_hash != artifact.expected_manifest_hash {
-        return Err(MvxError::Tee(format!(
-            "variant p{partition}v{variant} enforced an unexpected second-stage manifest"
-        )));
-    }
-    if evidence.variant_id != artifact.spec.id.0 {
-        return Err(MvxError::Tee("variant id mismatch in install evidence".into()));
-    }
-    let expected_main =
-        compute_measurement(tee_kind, &init_identity, &artifact.expected_manifest_hash);
-    if evidence.measurement != expected_main {
-        return Err(MvxError::Tee("unexpected post-exec measurement".into()));
-    }
-    // Bind (anti-fork: one live binding per variant id; older
-    // generations remain in the append-only log).
-    let mut bindings = ctx.bindings.lock().expect("binding registry poisoned");
-    if bindings
-        .iter()
-        .any(|b| b.generation == ctx.generation && b.variant_id == evidence.variant_id)
-    {
-        return Err(MvxError::Tee(format!(
-            "fork detected: variant id {} already bound",
-            evidence.variant_id
-        )));
-    }
-    bindings.push(BindingRecord {
-        generation: ctx.generation,
-        partition,
-        variant,
-        variant_id: evidence.variant_id,
-        measurement: evidence.measurement,
-    });
-    drop(bindings);
-    ctx.events.record(MonitorEvent::VariantBound {
-        partition,
-        variant,
-        measurement: evidence.measurement,
-    });
-    Ok(session_secret)
-}
-
 /// Builds the variant specs for one partition claim — the canonical
 /// construction shared by the deployment and the benchmark harness.
 pub fn build_specs(
@@ -519,9 +365,7 @@ pub struct DeploymentBuilder {
     variant_seed: u64,
     overrides: HashMap<(usize, usize), SpecPatch>,
     faults: Vec<PlacedFault>,
-    tee_kind_default: TeeKind,
     pool_config: Option<PoolConfig>,
-    slow_tvm_partitions: Vec<usize>,
     placements: HashMap<(usize, usize), VariantPlacement>,
     worker_bin: Option<PathBuf>,
 }
@@ -579,9 +423,7 @@ impl DeploymentBuilder {
             variant_seed: 0xd1ce,
             overrides: HashMap::new(),
             faults: Vec::new(),
-            tee_kind_default: TeeKind::Sgx,
             pool_config: None,
-            slow_tvm_partitions: Vec::new(),
             placements: HashMap::new(),
             worker_bin: None,
         }
@@ -589,20 +431,8 @@ impl DeploymentBuilder {
 
     /// Sets the partition count (claims reset to single-variant).
     pub fn partitions(mut self, n: usize) -> Self {
-        let mut cfg = MvxConfig::fast_path(n);
-        cfg.path = self.config.path;
-        cfg.exec = self.config.exec;
-        cfg.voting = self.config.voting;
-        cfg.response = self.config.response;
-        cfg.encrypt = self.config.encrypt;
-        cfg.partition_seed = self.config.partition_seed;
-        cfg.checkpoint_deadline_ms = self.config.checkpoint_deadline_ms;
-        cfg.drain_window_ms = self.config.drain_window_ms;
-        cfg.drain_poll_ms = self.config.drain_poll_ms;
-        cfg.degradation = self.config.degradation;
-        cfg.recovery = self.config.recovery;
-        cfg.supervision = self.config.supervision;
-        self.config = cfg;
+        self.config.partitions = n;
+        self.config.claims = vec![PartitionMvx::single(); n];
         self
     }
 
@@ -635,15 +465,6 @@ impl DeploymentBuilder {
         if partition < self.config.claims.len() {
             self.config.claims[partition] = PartitionMvx::diversified(variants);
         }
-        self
-    }
-
-    /// Forces the last variant of `partition` to the heavyweight
-    /// complex-schedule TVM configuration (the Fig 13 lagging variant).
-    /// Resolved against the final claims at [`DeploymentBuilder::build`]
-    /// time, so ordering relative to `mvx_on_partition` does not matter.
-    pub fn slow_tvm_on(mut self, partition: usize) -> Self {
-        self.slow_tvm_partitions.push(partition);
         self
     }
 
@@ -771,19 +592,7 @@ impl DeploymentBuilder {
     /// # Errors
     ///
     /// Propagates offline-phase and bootstrap failures.
-    pub fn build(mut self) -> Result<Deployment> {
-        // Resolve deferred lagging-variant overrides against the final
-        // claims.
-        for partition in std::mem::take(&mut self.slow_tvm_partitions) {
-            let variants =
-                self.config.claims.get(partition).map(|c| c.variants).unwrap_or(0);
-            if variants > 0 {
-                self.overrides.insert(
-                    (partition, variants - 1),
-                    SpecPatch::engine(EngineConfig::tvm_complex()),
-                );
-            }
-        }
+    pub fn build(self) -> Result<Deployment> {
         let mut weight_faults = HashMap::new();
         for (fault, at) in &self.faults {
             if fault.platform_wide() == at.is_some() {
@@ -815,17 +624,14 @@ impl DeploymentBuilder {
             pool.as_ref(),
             &weight_faults,
         )?;
-        let mut deployment = Deployment::bring_online(
-            self.model,
-            self.config,
-            offline,
-            self.faults,
-            self.tee_kind_default,
+        let provisioner = Provisioner::new(
+            Platform::new(),
+            offline.init_code.clone(),
+            &self.config,
             self.placements,
             self.worker_bin,
-        )?;
-        deployment.pool = pool;
-        Ok(deployment)
+        );
+        Deployment::bring_online(self.model, self.config, offline, self.faults, provisioner, pool)
     }
 
     /// The variant seed replica `r` of a pool built from `base` uses —
@@ -887,26 +693,16 @@ pub struct Deployment {
     model: Model,
     config: MvxConfig,
     offline: OfflinePhase,
-    platform: Platform,
     monitor: Enclave,
-    events: EventLog,
+    /// The running generation's bring-up state (platform, bindings, event
+    /// log, hosts), shared with the recovery manager.
+    provisioner: Arc<Provisioner>,
     handles: Option<PipelineHandles>,
-    variant_threads: Vec<VariantHandle>,
-    bindings: Arc<Mutex<Vec<BindingRecord>>>,
-    generation: u64,
     update_log: Vec<String>,
     next_batch: u64,
     input_value: ValueId,
     output_value: ValueId,
     faults: Vec<PlacedFault>,
-    tee_kind_default: TeeKind,
-    placements: HashMap<(usize, usize), VariantPlacement>,
-    worker_bin: Option<PathBuf>,
-    worker_registry: WorkerRegistry,
-    // Replacement handles provisioned by the recovery manager, shared so
-    // kill_worker/worker_pids reach respawned workers too.
-    respawned_workers: Arc<Mutex<Vec<VariantHandle>>>,
-    heartbeat_monitor: HeartbeatMonitor,
     pool: Option<PartitionPool>,
     recovery_tx: Option<Sender<RecoveryRequest>>,
     recovery_manager: Option<JoinHandle<()>>,
@@ -959,18 +755,15 @@ impl Deployment {
         config: MvxConfig,
         offline: OfflinePhase,
         faults: Vec<PlacedFault>,
-        tee_kind_default: TeeKind,
-        placements: HashMap<(usize, usize), VariantPlacement>,
-        worker_bin: Option<PathBuf>,
+        provisioner: Provisioner,
+        pool: Option<PartitionPool>,
     ) -> Result<Deployment> {
-        let platform = Platform::new();
         let monitor = Enclave::launch(
             TeeKind::Sgx,
             CodeIdentity::from_content("mvtee-monitor", "1.0", b"mvtee monitor binary v1.0"),
             Manifest::main_variant("monitor"),
-            platform.clone(),
+            provisioner.platform.clone(),
         );
-        let events = EventLog::new();
         // The public infer API is single-input/single-output; reject other
         // interfaces up front instead of silently using the first values.
         if offline.graph.inputs().len() != 1 || offline.graph.outputs().len() != 1 {
@@ -987,25 +780,15 @@ impl Deployment {
             model,
             config,
             offline,
-            platform,
             monitor,
-            events,
+            provisioner: Arc::new(provisioner),
             handles: None,
-            variant_threads: Vec::new(),
-            bindings: Arc::new(Mutex::new(Vec::new())),
-            generation: 0,
             update_log: Vec::new(),
             next_batch: 0,
             input_value,
             output_value,
             faults,
-            tee_kind_default,
-            placements,
-            worker_bin,
-            worker_registry: Arc::new(Mutex::new(HashMap::new())),
-            respawned_workers: Arc::new(Mutex::new(Vec::new())),
-            heartbeat_monitor: HeartbeatMonitor::new(),
-            pool: None,
+            pool,
             recovery_tx: None,
             recovery_manager: None,
             transcript: TranscriptLog::new(),
@@ -1014,7 +797,7 @@ impl Deployment {
         Ok(deployment)
     }
 
-    /// Spawns and bootstraps every variant TEE and wires the pipeline.
+    /// Brings every variant TEE up and wires the pipeline.
     fn launch_all(&mut self) -> Result<()> {
         let mut runtimes = Vec::with_capacity(self.config.partitions);
         let mut metrics = Vec::with_capacity(self.config.partitions);
@@ -1032,37 +815,19 @@ impl Deployment {
             needed_suffix[p] = needed;
         }
 
-        // The recovery manager (when enabled) gets a provisioning snapshot
-        // and a request channel; every coordinator gets a sender clone so
-        // quarantines turn into re-provisioning requests.
+        // The recovery manager (when enabled) gets what only recovery needs
+        // on top of the shared provisioner, and a request channel; every
+        // coordinator gets a sender clone so quarantines turn into
+        // re-provisioning requests.
         let recovery_tx: Option<Sender<RecoveryRequest>> = if self.config.recovery.enabled {
             let (tx, rx) = unbounded::<RecoveryRequest>();
-            let (platform_faults, _) = faults_at(&self.faults, None);
             let ctx = RecoveryContext {
-                platform: self.platform.clone(),
-                init_code: self.offline.init_code.clone(),
+                provisioner: Arc::clone(&self.provisioner),
                 subgraphs: self.offline.subgraphs.clone(),
-                specs: self
-                    .offline
-                    .artifacts
-                    .iter()
-                    .map(|row| row.iter().map(|a| a.spec.clone()).collect())
-                    .collect(),
+                specs: self.variant_specs(),
                 metrics: self.config.claims.iter().map(|c| c.metric).collect(),
-                encrypt: self.config.encrypt,
-                attack: platform_faults.attack,
-                frameflip: platform_faults.frameflip,
-                tee_kind_default: self.tee_kind_default,
-                placements: self.placements.clone(),
-                worker_bin: self.worker_bin.clone(),
-                bindings: self.bindings.clone(),
-                generation: self.generation,
-                events: self.events.clone(),
                 policy: self.config.recovery,
-                supervision: self.config.supervision,
-                registry: self.worker_registry.clone(),
-                respawned: self.respawned_workers.clone(),
-                monitor: self.heartbeat_monitor.clone(),
+                platform_faults: faults_at(&self.faults, None).0,
             };
             self.recovery_manager = Some(spawn_recovery_manager(ctx, rx));
             Some(tx)
@@ -1071,80 +836,15 @@ impl Deployment {
         };
         self.recovery_tx = recovery_tx.clone();
 
-        let boot_ctx = BootstrapCtx {
-            platform: &self.platform,
-            init_code: &self.offline.init_code,
-            generation: self.generation,
-            bindings: self.bindings.as_ref(),
-            events: &self.events,
-        };
-        let claims = self.config.claims.clone();
-        for (p, claim) in claims.iter().enumerate() {
-            let stage = self.offline.partition_set.stages[p].clone();
+        for (p, claim) in self.config.claims.iter().enumerate() {
+            let stage = &self.offline.partition_set.stages[p];
             let (merged_tx, merged_rx) = unbounded::<RxEvent>();
             let mut links = Vec::with_capacity(claim.variants);
             let mut rx_threads = Vec::with_capacity(claim.variants);
-            for v in 0..claim.variants {
-                let artifact = self.offline.artifacts[p][v].clone();
-                let tee_kind = if artifact.spec.tee == mvtee_diversify::TeeBackend::Tdx {
-                    TeeKind::Tdx
-                } else {
-                    self.tee_kind_default
-                };
-                let placement =
-                    self.placements.get(&(p, v)).copied().unwrap_or_default();
-                let (host_faults, net_fault) = faults_at(&self.faults, Some((p, v)));
-                let placed = place_variant(
-                    placement,
-                    self.worker_bin.as_deref(),
-                    p,
-                    v,
-                    tee_kind,
-                    &self.platform,
-                    &self.offline.init_code,
-                    &artifact,
-                    self.config.encrypt,
-                    host_faults,
-                    net_fault,
-                    &self.config.supervision,
-                    Some(&self.worker_registry),
-                )?;
-                self.variant_threads.push(placed.handle);
-                let heartbeat = placed.heartbeat;
-
-                let bootstrap_timer =
-                    mvtee_telemetry::histogram("core.deployment.bootstrap_ns").start();
-                let session_secret =
-                    bootstrap_variant(&boot_ctx, p, v, &artifact, tee_kind, placed.boot.as_ref())?;
-                bootstrap_timer.finish();
-                // Supervise only once the variant is attested and bound:
-                // watching earlier would pin the transport open across a
-                // failed bootstrap.
-                if self.config.supervision.enabled {
-                    if let Some(hb) = heartbeat {
-                        self.heartbeat_monitor.watch(
-                            p,
-                            v,
-                            hb,
-                            &self.config.supervision,
-                            self.events.clone(),
-                        );
-                    }
-                }
-                let tx = DataLink::from_transport(
-                    placed.request,
-                    self.config.encrypt,
-                    &session_secret,
-                    Role::Initiator,
-                    0,
-                );
-                let rx = DataLink::from_transport(
-                    placed.response,
-                    self.config.encrypt,
-                    &session_secret,
-                    Role::Initiator,
-                    1,
-                );
+            for (v, artifact) in self.offline.artifacts[p].iter().enumerate() {
+                let (faults, netfault) = faults_at(&self.faults, Some((p, v)));
+                let (tx, rx) =
+                    self.provisioner.bring_up((p, v), artifact, faults, netfault, |_, _| Ok(()))?;
                 rx_threads.push(spawn_rx_thread(v, 0, rx, merged_tx.clone()));
                 links.push(VariantLink { tx, description: artifact.spec.describe() });
             }
@@ -1164,7 +864,8 @@ impl Deployment {
             metrics.push(claim.metric);
         }
         let policy = StagePolicy::from_config(&self.config);
-        self.handles = Some(spawn_pipeline(runtimes, policy, metrics, self.events.clone()));
+        self.handles =
+            Some(spawn_pipeline(runtimes, policy, metrics, self.provisioner.events.clone()));
         Ok(())
     }
 
@@ -1175,7 +876,7 @@ impl Deployment {
 
     /// The audit event log.
     pub fn events(&self) -> &EventLog {
-        &self.events
+        &self.provisioner.events
     }
 
     /// The Merkle-chainable checkpoint transcript: one entry per voted
@@ -1207,7 +908,7 @@ impl Deployment {
     /// Current secure bindings (a snapshot — the recovery manager appends
     /// concurrently while the pipeline runs).
     pub fn bindings(&self) -> Vec<BindingRecord> {
-        self.bindings.lock().expect("binding registry poisoned").clone()
+        self.provisioner.bindings()
     }
 
     /// The append-only update log.
@@ -1218,12 +919,7 @@ impl Deployment {
     /// Process ids of the out-of-process variant hosts, keyed by
     /// `(partition, variant)` — empty for an all-in-process deployment.
     pub fn worker_pids(&self) -> Vec<((usize, usize), u32)> {
-        let respawned = self.respawned_workers.lock().expect("respawned registry poisoned");
-        self.variant_threads
-            .iter()
-            .chain(respawned.iter())
-            .filter_map(|h| h.pid().map(|pid| ((h.partition, h.variant_index), pid)))
-            .collect()
+        self.provisioner.worker_pids()
     }
 
     /// Kills the out-of-process host of `(partition, variant)` — the
@@ -1233,22 +929,7 @@ impl Deployment {
     /// re-attesting a replacement worker. Returns `false` when the
     /// variant is in-process or unknown.
     pub fn kill_worker(&mut self, partition: usize, variant: usize) -> bool {
-        // Newest handle first: after a heal the live worker is the
-        // recovery manager's replacement, not the original (whose host
-        // was consumed by the first kill).
-        {
-            let mut respawned =
-                self.respawned_workers.lock().expect("respawned registry poisoned");
-            if let Some(h) = respawned.iter_mut().rev().find(|h| {
-                h.partition == partition && h.variant_index == variant && h.is_process()
-            }) {
-                return h.kill();
-            }
-        }
-        self.variant_threads
-            .iter_mut()
-            .find(|h| h.partition == partition && h.variant_index == variant && h.is_process())
-            .is_some_and(|h| h.kill())
+        self.provisioner.kill_worker(partition, variant)
     }
 
     /// Model-owner attestation of the monitor TEE (step ② of Fig 6): a
@@ -1265,7 +946,7 @@ impl Deployment {
     /// Returns an attestation error on any mismatch.
     pub fn verify_monitor_report(&self, report: &AttestationReport, nonce: &[u8]) -> Result<()> {
         mvtee_tee::verify_report(
-            &self.platform,
+            &self.provisioner.platform,
             report,
             Some(self.monitor.measurement()),
             &sha256(nonce),
@@ -1308,7 +989,7 @@ impl Deployment {
         loop {
             let job = handles
                 .results
-                .recv_timeout(self.config.result_timeout())
+                .recv_timeout(RESULT_TIMEOUT)
                 .map_err(|_| MvxError::Transport("pipeline results closed".into()))?;
             if job.batch == batch {
                 return Ok(job);
@@ -1441,16 +1122,15 @@ impl Deployment {
         // committed until regeneration fully succeeds.
         // Seed diversification from the update generation, not the
         // (workload-dependent) batch counter.
-        let fresh_seed = (self.generation + 1).wrapping_mul(0x9e37_79b9);
+        let next_generation = self.provisioner.generation + 1;
+        let fresh_seed = next_generation.wrapping_mul(0x9e37_79b9);
         let overrides = HashMap::new();
         let generator = VariantGenerator::new(fresh_seed);
         let specs = build_specs(partition, &claim, fresh_seed, &overrides);
         let mut row = Vec::with_capacity(specs.len());
         for (v, mut spec) in specs.into_iter().enumerate() {
             // Generation-scoped ids: unique across updates and partitions.
-            spec.id = VariantId(
-                (self.generation + 1) * 1_000_000 + (partition * 1000 + v) as u64,
-            );
+            spec.id = VariantId(next_generation * 1_000_000 + (partition * 1000 + v) as u64);
             row.push(seal_artifact(
                 &self.offline.init_code,
                 &self.offline.subgraphs[partition],
@@ -1467,7 +1147,7 @@ impl Deployment {
             "partial update: partition {partition} -> {} variants",
             claim.variants
         ));
-        self.events.record(MonitorEvent::BindingUpdated {
+        self.provisioner.events.record(MonitorEvent::BindingUpdated {
             partition,
             description: format!("partial update to {} variants", claim.variants),
         });
@@ -1484,17 +1164,18 @@ impl Deployment {
         self.stop_pipeline();
         self.config.partition_seed = new_partition_seed;
         let overrides = HashMap::new();
-        self.offline = OfflinePhase::run_with_pool(
+        self.offline = OfflinePhase::run_with_options(
             &self.offline.graph,
             &self.config,
             new_partition_seed ^ 0xfeed,
             &overrides,
             self.pool.as_ref(),
+            &HashMap::new(),
         )?;
         self.update_log.push(format!(
             "full update: reshuffled partition set with seed {new_partition_seed}"
         ));
-        self.events.record(MonitorEvent::BindingUpdated {
+        self.provisioner.events.record(MonitorEvent::BindingUpdated {
             partition: usize::MAX,
             description: "full update".into(),
         });
@@ -1529,73 +1210,52 @@ impl Deployment {
             }
         }
         self.update_log.push("key rotation: all variant keys re-sealed".into());
-        self.events.record(MonitorEvent::BindingUpdated {
+        self.provisioner.events.record(MonitorEvent::BindingUpdated {
             partition: usize::MAX,
             description: "proactive key rotation".into(),
         });
         self.launch_all()
     }
 
+    /// Tears the running generation down and readies the next one.
     fn stop_pipeline(&mut self) {
-        self.generation += 1;
-        // Stop heartbeat watchers before tearing the pipeline down so an
-        // orderly shutdown is not misread as a mass stall; a fresh
-        // monitor replaces the stopped one for any relaunch.
-        self.heartbeat_monitor.shutdown();
-        self.heartbeat_monitor = HeartbeatMonitor::new();
-        // Clear the retained reconnect sockets first: lingering
-        // `--resume` workers now get connection-refused on redial and
-        // exit on their own instead of waiting out their strike budget
-        // against a listener nobody will accept on.
-        self.worker_registry.lock().expect("worker registry poisoned").clear();
+        self.provisioner.retire();
         let mut runtimes = Vec::new();
         if let Some(handles) = self.handles.take() {
             for tx in &handles.all_stages {
                 let _ = tx.send(CoordMsg::Stop);
             }
-            // Joining returns each StageRuntime; dropping one releases its
-            // recovery sender (so the manager's request channel drains
-            // closed) and its links (so variants exit on channel loss).
-            // The runtimes are kept alive until the manager has exited —
-            // see below.
+            // Joining returns each StageRuntime. They are kept alive until
+            // the manager has exited — an in-flight recovery still sends
+            // its rejoin into one of their merged queues — but without
+            // their recovery senders, so that together with the
+            // deployment's own the manager's request channel drains
+            // closed.
             for t in handles.threads {
-                if let Ok(runtime) = t.join() {
+                if let Ok(mut runtime) = t.join() {
+                    runtime.recovery = None;
                     runtimes.push(runtime);
                 }
             }
         }
-        // Drop the deployment's own request sender, then wait for the
-        // manager to finish any in-flight recovery and join its
-        // replacement variant threads.
         self.recovery_tx = None;
-        // The kept-alive runtimes each hold a recovery sender too; drop
-        // them so the manager's request channel actually drains closed.
-        for runtime in &mut runtimes {
-            runtime.recovery = None;
-        }
         if let Some(manager) = self.recovery_manager.take() {
-            // A rejoin the coordinator never consumed leaves
-            // `RxEvent::Recovered` queued in the merged channel, and the
-            // replacement's own rx thread holds a sender clone that keeps
-            // the queued event — and so the replacement's request link —
-            // alive even after the receiver drops. The replacement then
-            // parks on that link, the manager parks joining the
-            // replacement, and shutdown would park joining the manager.
-            // Drain the merged queues until the manager exits so orphaned
-            // rejoin links drop and the chain unwinds.
-            while !manager.is_finished() {
-                for runtime in &runtimes {
-                    while runtime.responses.try_recv().is_ok() {}
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
             let _ = manager.join();
         }
-        drop(runtimes);
-        // Variant threads exit on Shutdown/link loss.
-        for handle in self.variant_threads.drain(..) {
-            handle.join();
+        // A rejoin the coordinator never consumed leaves
+        // `RxEvent::Recovered` queued in the merged channel, and the
+        // replacement's own rx thread holds a sender clone that keeps the
+        // queued event — and so the replacement's request link — alive
+        // even after the receiver drops. Drain the queues so orphaned
+        // rejoin links drop and the replacement exits.
+        for runtime in &runtimes {
+            while runtime.responses.try_recv().is_ok() {}
         }
+        // Dropping a runtime drops its links: variants exit on
+        // Shutdown/link loss.
+        drop(runtimes);
+        self.provisioner.join_hosts();
+        self.provisioner = Arc::new(self.provisioner.successor());
     }
 
     /// Shuts the deployment down, joining every thread.
@@ -1614,6 +1274,7 @@ impl Drop for Deployment {
 mod tests {
     use super::*;
     use crate::config::{ExecMode, PathMode, VotingPolicy};
+    use mvtee_crypto::channel::Role;
     use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
     use mvtee_tensor::Tensor;
 
@@ -1680,6 +1341,48 @@ mod tests {
             DeploymentBuilder::from_registry(&registry, "nobody/unknown"),
             Err(MvxError::Registry(_))
         ));
+    }
+
+    /// `partitions(n)` resets the claims and nothing else. Every other
+    /// field is set off-default and the whole structs are compared, so a
+    /// field added later cannot be silently reset.
+    #[test]
+    fn partitions_resets_the_claims_and_nothing_else() {
+        use crate::config::{DegradationPolicy, RecoveryPolicy, SupervisionPolicy};
+        let cfg = MvxConfig {
+            partitions: 2,
+            partition_seed: 0xabc,
+            claims: vec![PartitionMvx::replicated(3), PartitionMvx::diversified(2)],
+            path: PathMode::ForceSlow,
+            exec: ExecMode::AsyncCrossValidation,
+            voting: VotingPolicy::Majority,
+            response: ResponsePolicy::ContinueWithMajority,
+            encrypt: false,
+            checkpoint_deadline_ms: 300,
+            degradation: DegradationPolicy::Strict,
+            recovery: RecoveryPolicy { enabled: true, crash_loop_budget: 4 },
+            supervision: SupervisionPolicy {
+                enabled: true,
+                heartbeat_interval_ms: 7,
+                miss_budget: 9,
+                reconnect: true,
+            },
+        };
+        let fast = MvxConfig::fast_path(2);
+        assert!(
+            cfg.path != fast.path
+                && cfg.exec != fast.exec
+                && cfg.voting != fast.voting
+                && cfg.response != fast.response
+                && cfg.encrypt != fast.encrypt
+                && cfg.degradation != fast.degradation
+                && cfg.recovery != fast.recovery
+                && cfg.supervision != fast.supervision,
+            "every field must be off-default"
+        );
+        let got = Deployment::builder(model()).config(cfg.clone()).partitions(3).config;
+        let expected = MvxConfig { partitions: 3, claims: vec![PartitionMvx::single(); 3], ..cfg };
+        assert_eq!(got, expected);
     }
 
     #[test]

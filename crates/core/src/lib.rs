@@ -64,6 +64,7 @@ pub mod voting;
 pub mod worker;
 
 mod error;
+mod provision;
 mod stage;
 
 pub use config::{

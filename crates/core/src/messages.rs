@@ -146,6 +146,9 @@ pub fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> crate::Result<T> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::WorkerPlacement;
+    use mvtee_tee::{CodeIdentity, Enclave, Manifest, Platform, TeeKind};
+    use proptest::prelude::*;
 
     #[test]
     fn bootstrap_messages_round_trip() {
@@ -184,5 +187,105 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(decode::<StageRequest>(b"nope").is_err());
+    }
+
+    // The first frame on a worker's bootstrap lane comes from the
+    // *untrusted* orchestrator, and the bootstrap exchange runs over a
+    // plaintext transport: none of it may be able to crash the peer.
+
+    fn placement() -> WorkerPlacement {
+        WorkerPlacement {
+            partition: 1,
+            variant_index: 2,
+            tee_kind: TeeKind::Sgx,
+            platform_root: [7u8; 32],
+            init_code: b"mvtee init-variant binary v1.0".to_vec(),
+            init_manifest: Manifest::init_variant("init-p1-v2"),
+            bundle_path: "/enc/p1/v2".into(),
+            sealed_salt: [9u8; 16],
+            sealed_blob: (0..200).collect(),
+            encrypt: true,
+            heartbeat_interval_ms: 100,
+        }
+    }
+
+    /// Valid encodings of the three message types a bootstrap lane carries.
+    fn valid_encodings() -> Vec<Vec<u8>> {
+        let enclave = Enclave::launch(
+            TeeKind::Sgx,
+            CodeIdentity::from_content("mvtee-init-variant", "1.0", b"init"),
+            Manifest::init_variant("init"),
+            Platform::new(),
+        );
+        vec![
+            encode(&placement()).unwrap(),
+            encode(&BootstrapRequest::Challenge { nonce: [1; 32], monitor_dh_public: [2; 32] })
+                .unwrap(),
+            encode(&BootstrapRequest::SealedKeyRelease { payload: vec![3; 60] }).unwrap(),
+            encode(&BootstrapResponse::Evidence {
+                report: enclave.report_for_channel(&[4; 32], &[5; 32]),
+                variant_dh_public: [6; 32],
+            })
+            .unwrap(),
+            encode(&BootstrapResponse::SealedInstallEvidence { payload: vec![7; 90] }).unwrap(),
+            encode(&BootstrapResponse::Failed { reason: "no".into() }).unwrap(),
+        ]
+    }
+
+    /// `Ok` or `Err`, never a panic, as each type a bootstrap lane decodes.
+    fn decode_as_every_type(bytes: &[u8]) {
+        let _ = decode::<WorkerPlacement>(bytes);
+        let _ = decode::<BootstrapRequest>(bytes);
+        let _ = decode::<BootstrapResponse>(bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_a_bootstrap_decoder(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        ) {
+            decode_as_every_type(&bytes);
+        }
+
+        #[test]
+        fn mutated_bootstrap_messages_never_panic_the_decoder(
+            which in any::<proptest::sample::Index>(),
+            edits in proptest::collection::vec((any::<proptest::sample::Index>(), any::<u8>()), 1..=8),
+            cut in proptest::option::of(any::<proptest::sample::Index>()),
+        ) {
+            let valid = valid_encodings();
+            let mut bytes = valid[which.index(valid.len())].clone();
+            match cut {
+                Some(at) => bytes.truncate(at.index(bytes.len())),
+                None => {
+                    for (at, byte) in edits {
+                        let at = at.index(bytes.len());
+                        bytes[at] = byte;
+                    }
+                }
+            }
+            decode_as_every_type(&bytes);
+        }
+    }
+
+    /// A hostile length prefix is refused before anything is reserved for
+    /// it (reserving `u64::MAX` bytes would abort the process).
+    #[test]
+    fn huge_length_prefix_is_an_error_not_an_allocation() {
+        let placement = placement();
+        let bytes = encode(&placement).unwrap();
+        for field in [&placement.init_code, &placement.sealed_blob] {
+            let mut prefixed = (field.len() as u64).to_le_bytes().to_vec();
+            prefixed.extend_from_slice(field);
+            let at = bytes
+                .windows(prefixed.len())
+                .position(|w| w == prefixed)
+                .expect("length-prefixed field");
+            let mut hostile = bytes.clone();
+            hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(decode::<WorkerPlacement>(&hostile).is_err());
+        }
     }
 }

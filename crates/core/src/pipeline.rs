@@ -136,16 +136,20 @@ pub struct StagePolicy {
     pub degradation: DegradationPolicy,
     /// Straggler watchdog: checkpoint deadline before escalation.
     pub deadline: Duration,
-    /// Shutdown drain window for outstanding async stragglers.
-    pub drain_window: Duration,
-    /// Poll interval within the drain window.
-    pub drain_poll: Duration,
-    /// Bound of the coordinator's inbound job queue (backpressure under
-    /// sustained load).
-    pub queue_depth: usize,
-    /// Retained late-validation entries before the oldest is dropped.
-    pub late_window: usize,
 }
+
+// Constants, not policy: no caller ever sized any of the three.
+
+/// Shutdown drain window for outstanding async stragglers.
+const DRAIN_WINDOW: Duration = Duration::from_millis(500);
+
+/// Poll interval within the drain window.
+const DRAIN_POLL: Duration = Duration::from_millis(50);
+
+/// Bound of each coordinator's inbound job queue: submission blocks when
+/// a stage is this many batches behind (backpressure under sustained
+/// load).
+const STAGE_QUEUE_DEPTH: usize = 1024;
 
 impl StagePolicy {
     /// Extracts the per-stage policy from a deployment configuration.
@@ -156,10 +160,6 @@ impl StagePolicy {
             response: cfg.response,
             degradation: cfg.degradation,
             deadline: cfg.checkpoint_deadline(),
-            drain_window: cfg.drain_window(),
-            drain_poll: cfg.drain_poll(),
-            queue_depth: cfg.stage_queue_depth,
-            late_window: cfg.late_validation_window,
         }
     }
 }
@@ -280,9 +280,9 @@ pub fn run_stage(
     }
     // Drain outstanding stragglers briefly, then shut the variants down.
     shell.feed(&mut state, Event::Stop);
-    let drain_deadline = Instant::now() + policy.drain_window;
+    let drain_deadline = Instant::now() + DRAIN_WINDOW;
     while state.owes_late_validation() && Instant::now() < drain_deadline {
-        if let Ok(ev) = shell.runtime.responses.recv_timeout(policy.drain_poll) {
+        if let Ok(ev) = shell.runtime.responses.recv_timeout(DRAIN_POLL) {
             shell.feed_rx(&mut state, ev);
         }
     }
@@ -451,7 +451,7 @@ pub fn spawn_pipeline(
     let mut stage_inputs: Vec<Sender<CoordMsg>> = Vec::with_capacity(n);
     let mut stage_rxs: Vec<Receiver<CoordMsg>> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = bounded::<CoordMsg>(policy.queue_depth.max(1));
+        let (tx, rx) = bounded::<CoordMsg>(STAGE_QUEUE_DEPTH);
         stage_inputs.push(tx);
         stage_rxs.push(rx);
     }
@@ -584,10 +584,6 @@ mod tests {
             response,
             degradation: DegradationPolicy::Degrade,
             deadline,
-            drain_window: Duration::from_millis(500),
-            drain_poll: Duration::from_millis(50),
-            queue_depth: 64,
-            late_window: 256,
         }
     }
 

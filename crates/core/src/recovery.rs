@@ -11,11 +11,12 @@
 //!    channel epoch so in-flight pre-quarantine frames are recognisably
 //!    stale) and files a [`RecoveryRequest`] carrying the last *verified*
 //!    checkpoint payload,
-//! 2. the manager **re-provisions** a replacement through the same path
-//!    a partial update uses — fresh sealed bundle under a fresh variant
-//!    key, fresh enclave, full Fig 6 re-attestation and re-binding
-//!    (append-only, generation-scoped anti-fork ids) — with a
-//!    configurable retry budget and exponential backoff,
+//! 2. the manager **re-provisions** a replacement through the very
+//!    function launch, updates and key rotation use
+//!    (`Provisioner::bring_up` in `provision.rs`) — fresh sealed bundle
+//!    under a fresh variant key, fresh enclave, full Fig 6
+//!    re-attestation and re-binding (append-only, generation-scoped
+//!    anti-fork ids) — with a retry budget and exponential backoff,
 //! 3. the replacement serves a **probation** batch: it must reproduce
 //!    the last verified checkpoint outputs under the partition's
 //!    consistency metric before it is allowed anywhere near live
@@ -25,34 +26,26 @@
 //!    variant rejoins the panel on the next batch without replaying
 //!    batch history.
 
-use crate::config::{RecoveryPolicy, SupervisionPolicy};
-use crate::deployment::{
-    bootstrap_variant, seal_artifact, BindingRecord, BootstrapCtx, VariantArtifact,
-};
-use crate::events::{EventLog, MonitorEvent};
+use crate::config::RecoveryPolicy;
+use crate::deployment::seal_artifact;
+use crate::events::MonitorEvent;
 use crate::link::DataLink;
 use crate::messages::{decode, encode, StageRequest, StageResponse};
 use crate::pipeline::{spawn_rx_thread, RxEvent, VariantLink};
-use crate::supervisor::HeartbeatMonitor;
-use crate::variant_host::VariantHandle;
-use crate::worker::{
-    place_variant, placement_for, HostFaults, PlacedVariant, VariantPlacement, WorkerRegistry,
-    WORKER_LANES,
-};
+use crate::provision::Provisioner;
+use crate::variant_host::HostFaults;
 use crate::{MvxError, Result};
 use crossbeam::channel::{Receiver, Sender};
-use mvtee_crypto::channel::{FrameTransport, Role};
-use mvtee_crypto::mux;
-use mvtee_crypto::tcp::TcpTransport;
 use mvtee_diversify::{VariantGenerator, VariantId, VariantSpec};
-use mvtee_faults::{Attack, FrameFlip};
 use mvtee_graph::Graph;
-use mvtee_tee::{Platform, TeeKind};
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Width of the crash-loop detection window. A constant: no deployment
+/// ever sized it — callers size the *budget* of deaths inside it.
+const CRASH_LOOP_WINDOW: Duration = Duration::from_secs(10);
 
 /// The newest checkpoint payload that verified (quorum or full
 /// agreement): the resynchronisation point a recovered variant must
@@ -85,13 +78,11 @@ pub struct RecoveryRequest {
     pub merged_tx: Sender<RxEvent>,
 }
 
-/// Everything the manager needs to rebuild any variant of the
-/// deployment: a snapshot of the launch-time provisioning state.
+/// What only recovery knows on top of the bring-up state it shares with
+/// the deployment.
 pub(crate) struct RecoveryContext {
-    /// Simulated hardware platform.
-    pub platform: Platform,
-    /// Public init-variant code.
-    pub init_code: Vec<u8>,
+    /// The running generation's bring-up state.
+    pub provisioner: Arc<Provisioner>,
     /// Per-partition subgraphs (the clean copies — a replacement never
     /// inherits a predecessor's sealed-memory faults).
     pub subgraphs: Vec<Graph>,
@@ -99,45 +90,19 @@ pub(crate) struct RecoveryContext {
     pub specs: Vec<Vec<VariantSpec>>,
     /// Per-partition consistency metrics (probation comparison).
     pub metrics: Vec<mvtee_tensor::metrics::Metric>,
-    /// Data-plane encryption flag.
-    pub encrypt: bool,
-    /// Platform-wide simulated CVE (persists across re-provisioning: the
-    /// host software stack does not change when an enclave restarts).
-    pub attack: Option<Attack>,
-    /// Platform-wide simulated FrameFlip (persists likewise).
-    pub frameflip: Option<FrameFlip>,
-    /// Default TEE flavour.
-    pub tee_kind_default: TeeKind,
-    /// Per-(partition, variant) placements: a replacement runs where its
-    /// predecessor ran — a killed worker process heals back into a fresh
-    /// worker process, re-attested from scratch.
-    pub placements: HashMap<(usize, usize), VariantPlacement>,
-    /// Override path of the `mvtee-variantd` binary.
-    pub worker_bin: Option<PathBuf>,
-    /// Shared append-only binding registry.
-    pub bindings: Arc<Mutex<Vec<BindingRecord>>>,
-    /// Deployment generation the pipeline is running under.
-    pub generation: u64,
-    /// Audit event log.
-    pub events: EventLog,
-    /// Retry budget and backoff.
+    /// Whether and how stubbornly to recover.
     pub policy: RecoveryPolicy,
-    /// Worker supervision policy (heartbeats, reconnect-and-resume).
-    pub supervision: SupervisionPolicy,
-    /// Retained worker accept sockets, for reconnect-and-resume.
-    pub registry: WorkerRegistry,
-    /// Replacement worker handles, shared with the deployment so fault
-    /// injection (`kill_worker`) and pid listing reach respawned workers.
-    pub respawned: Arc<Mutex<Vec<VariantHandle>>>,
-    /// Heartbeat watchers — respawned and reconnected workers register
-    /// here so they are supervised exactly like first-launch ones.
-    pub monitor: HeartbeatMonitor,
+    /// The platform-wide simulated faults (a CVE, a FrameFlip). They
+    /// persist across re-provisioning — the host software stack does not
+    /// change when an enclave restarts — whereas liveness and wire faults
+    /// are transient (scheduler stalls, lossy channels): a fresh enclave
+    /// gets a fresh channel and does not re-inherit them.
+    pub platform_faults: HostFaults,
 }
 
 /// Spawns the recovery-manager thread. It exits when every
 /// [`RecoveryRequest`] sender (one per coordinator plus the deployment's
-/// own) has been dropped, then joins the replacement variant threads it
-/// provisioned.
+/// own) has been dropped.
 pub(crate) fn spawn_recovery_manager(
     ctx: RecoveryContext,
     requests: Receiver<RecoveryRequest>,
@@ -145,6 +110,7 @@ pub(crate) fn spawn_recovery_manager(
     std::thread::Builder::new()
         .name("recovery-manager".into())
         .spawn(move || {
+            let events = &ctx.provisioner.events;
             let mut seq: u64 = 0;
             let time_to_recovery =
                 mvtee_telemetry::histogram("core.recovery.time_to_recovery_ns");
@@ -159,16 +125,16 @@ pub(crate) fn spawn_recovery_manager(
                 // than `crash_loop_budget` deaths land inside the window
                 // the variant is abandoned to the degradation policy.
                 if ctx.policy.crash_loop_budget > 0 {
-                    let window = ctx.policy.crash_loop_window();
                     let deaths = death_log.entry((req.partition, req.variant)).or_default();
                     let now = Instant::now();
-                    while deaths.front().is_some_and(|t| now.duration_since(*t) > window) {
+                    let expired = |t: &Instant| now.duration_since(*t) > CRASH_LOOP_WINDOW;
+                    while deaths.front().is_some_and(expired) {
                         deaths.pop_front();
                     }
                     deaths.push_back(now);
                     if deaths.len() as u64 > u64::from(ctx.policy.crash_loop_budget) {
                         crash_loop_trips.inc();
-                        ctx.events.record(MonitorEvent::RecoveryFailed {
+                        events.record(MonitorEvent::RecoveryFailed {
                             partition: req.partition,
                             variant: req.variant,
                             attempts: 0,
@@ -176,7 +142,7 @@ pub(crate) fn spawn_recovery_manager(
                                 "crash-loop budget exhausted: {} deaths inside {:?} \
                                  (budget {})",
                                 deaths.len(),
-                                window,
+                                CRASH_LOOP_WINDOW,
                                 ctx.policy.crash_loop_budget
                             ),
                         });
@@ -196,25 +162,21 @@ pub(crate) fn spawn_recovery_manager(
                     .arg("variant", req.variant)
                     .arg("epoch", req.epoch);
                 mvtee_telemetry::trace::set_current(recovery_span.ctx());
-                let attempts_allowed = ctx.policy.max_retries.saturating_add(1);
+                let attempts_allowed = RecoveryPolicy::MAX_RETRIES + 1;
                 let mut last_err = req.reason.clone();
                 let mut recovered = false;
                 for attempt in 0..attempts_allowed {
                     if attempt > 0 {
-                        std::thread::sleep(ctx.policy.backoff(attempt - 1));
+                        std::thread::sleep(RecoveryPolicy::backoff(attempt - 1));
                     }
-                    ctx.events.record(MonitorEvent::RecoveryStarted {
+                    events.record(MonitorEvent::RecoveryStarted {
                         partition: req.partition,
                         variant: req.variant,
                         attempt,
                     });
                     seq += 1;
                     match attempt_recovery(&ctx, &req, seq) {
-                        Ok(handle) => {
-                            ctx.respawned
-                                .lock()
-                                .expect("respawned registry poisoned")
-                                .push(handle);
+                        Ok(()) => {
                             recovered = true;
                             break;
                         }
@@ -224,12 +186,12 @@ pub(crate) fn spawn_recovery_manager(
                 drop(recovery_span);
                 if recovered {
                     time_to_recovery.record_duration(started.elapsed());
-                    ctx.events.record(MonitorEvent::Recovered {
+                    events.record(MonitorEvent::Recovered {
                         partition: req.partition,
                         variant: req.variant,
                     });
                 } else {
-                    ctx.events.record(MonitorEvent::RecoveryFailed {
+                    events.record(MonitorEvent::RecoveryFailed {
                         partition: req.partition,
                         variant: req.variant,
                         attempts: attempts_allowed,
@@ -237,35 +199,23 @@ pub(crate) fn spawn_recovery_manager(
                     });
                 }
             }
-            let drained: Vec<VariantHandle> = {
-                let mut respawned =
-                    ctx.respawned.lock().expect("respawned registry poisoned");
-                respawned.drain(..).collect()
-            };
-            for h in drained {
-                h.join();
-            }
         })
         .expect("thread spawn cannot fail")
 }
 
-/// One re-provisioning attempt: seal a fresh bundle, launch a fresh
-/// enclave, re-attest, probation-check, hand the link to the
-/// coordinator. Returns the replacement's thread handle on success.
-fn attempt_recovery(
-    ctx: &RecoveryContext,
-    req: &RecoveryRequest,
-    seq: u64,
-) -> Result<VariantHandle> {
+/// One re-provisioning attempt: seal a fresh bundle, bring a fresh
+/// enclave up on probation, hand its link to the coordinator.
+fn attempt_recovery(ctx: &RecoveryContext, req: &RecoveryRequest, seq: u64) -> Result<()> {
     let (p, v) = (req.partition, req.variant);
+    let provisioner = &ctx.provisioner;
     let mut spec = ctx.specs[p][v].clone();
     // Recovery ids live in their own generation-scoped space so they can
     // never collide with launch ids (p*1000+v) or update ids
     // ((gen+1)*1_000_000 + …) under the anti-fork uniqueness check.
-    spec.id = VariantId(900_000_000 + ctx.generation * 1_000_000 + seq);
+    spec.id = VariantId(900_000_000 + provisioner.generation * 1_000_000 + seq);
     let generator = VariantGenerator::new(spec.id.0 ^ 0x5eed_4eca);
     let artifact = seal_artifact(
-        &ctx.init_code,
+        &provisioner.init_code,
         &ctx.subgraphs[p],
         &generator,
         p,
@@ -273,226 +223,9 @@ fn attempt_recovery(
         format!("/enc/p{p}/v{v}/r{seq}"),
         &format!("p{p}-v{v}-recovered-{seq}"),
     )?;
-    let tee_kind = if artifact.spec.tee == mvtee_diversify::TeeBackend::Tdx {
-        TeeKind::Tdx
-    } else {
-        ctx.tee_kind_default
-    };
-    let placement = ctx.placements.get(&(p, v)).copied().unwrap_or_default();
-    // Simulated platform faults persist across re-provisioning (the host
-    // software stack does not change when an enclave restarts); liveness
-    // faults are transient (scheduler stalls, lossy channels) — a fresh
-    // enclave gets a fresh channel and does not re-inherit them. An
-    // out-of-process replacement carries no simulated faults at all
-    // (`place_variant` enforces it): the fresh worker is a fresh stack.
-    let faults = match placement {
-        VariantPlacement::InProcess => HostFaults {
-            attack: ctx.attack,
-            frameflip: ctx.frameflip.clone(),
-            liveness: None,
-        },
-        VariantPlacement::OutOfProcess => HostFaults::default(),
-    };
-    // Reconnect-and-resume: a live worker whose socket dropped redials
-    // the retained port. Accepting that redial and re-placing over the
-    // fresh connection (full re-attestation + probation, like any
-    // recovery) skips the expensive respawn; if no redial arrives
-    // inside the window, fall through to a full respawn. Wire faults
-    // are transient, like liveness faults — a replacement's fresh
-    // connection does not re-inherit them.
-    let mut reconnected = false;
-    let placed = match placement {
-        VariantPlacement::OutOfProcess
-            if ctx.supervision.enabled && ctx.supervision.reconnect =>
-        {
-            match try_reconnect_worker(ctx, p, v, &artifact, tee_kind)? {
-                Some(placed) => {
-                    reconnected = true;
-                    placed
-                }
-                None => place_variant(
-                    placement,
-                    ctx.worker_bin.as_deref(),
-                    p,
-                    v,
-                    tee_kind,
-                    &ctx.platform,
-                    &ctx.init_code,
-                    &artifact,
-                    ctx.encrypt,
-                    faults,
-                    None,
-                    &ctx.supervision,
-                    Some(&ctx.registry),
-                )?,
-            }
-        }
-        _ => place_variant(
-            placement,
-            ctx.worker_bin.as_deref(),
-            p,
-            v,
-            tee_kind,
-            &ctx.platform,
-            &ctx.init_code,
-            &artifact,
-            ctx.encrypt,
-            faults,
-            None,
-            &ctx.supervision,
-            Some(&ctx.registry),
-        )?,
-    };
-    let handle = placed.handle;
-    let heartbeat = placed.heartbeat;
-    // `provision` owns every monitor-side transport: any failure inside
-    // drops them (and the heartbeat lane with them), which closes the
-    // variant's channels, which lets the replacement host exit — so
-    // dropping `handle` on the error path joins promptly instead of
-    // deadlocking on a half-bootstrapped TEE.
-    provision(ctx, req, &artifact, tee_kind, placed.boot, placed.request, placed.response)?;
-    // Supervise only once the replacement is actually serving: watching
-    // earlier would pin the transport open across a failed provision.
-    if ctx.supervision.enabled {
-        if let Some(hb) = heartbeat {
-            ctx.monitor.watch(p, v, hb, &ctx.supervision, ctx.events.clone());
-        }
-    }
-    if reconnected {
-        ctx.events.record(MonitorEvent::WorkerReconnected { partition: p, variant: v });
-    }
-    Ok(handle)
-}
-
-/// Accepts a resumed worker's redial on the retained listener, within
-/// the policy's reconnect window. `Ok(None)` means no redial arrived
-/// (or no socket was retained) and the caller should respawn instead.
-fn try_reconnect_worker(
-    ctx: &RecoveryContext,
-    p: usize,
-    v: usize,
-    artifact: &VariantArtifact,
-    tee_kind: TeeKind,
-) -> Result<Option<PlacedVariant>> {
-    // Clone the listener out so provisioning never holds the registry
-    // lock (pipeline teardown clears the registry concurrently).
-    let listener = {
-        let registry = ctx.registry.lock().expect("worker registry poisoned");
-        match registry.get(&(p, v)) {
-            Some(l) => match l.try_clone() {
-                Ok(l) => l,
-                Err(_) => return Ok(None),
-            },
-            None => return Ok(None),
-        }
-    };
-    let deadline = Instant::now() + ctx.supervision.reconnect_window();
-    let stream = loop {
-        match listener.accept() {
-            Ok((stream, _)) => break stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Ok(None);
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return Ok(None),
-        }
-    };
-    stream
-        .set_nonblocking(false)
-        .map_err(|e| MvxError::Transport(format!("reconnect stream blocking: {e}")))?;
-    let transport =
-        TcpTransport::new(stream).map_err(|e| MvxError::Transport(e.to_string()))?;
-    let mut lanes = mux::split(transport, &WORKER_LANES);
-    let heartbeat = lanes.pop().expect("four lanes");
-    let response = lanes.pop().expect("four lanes");
-    let request = lanes.pop().expect("four lanes");
-    let boot = lanes.pop().expect("four lanes");
-    let placement = placement_for(
-        p,
-        v,
-        tee_kind,
-        &ctx.platform,
-        &ctx.init_code,
-        artifact,
-        ctx.encrypt,
-        ctx.supervision.heartbeat_interval_ms,
-    );
-    boot.send_frame(encode(&placement)?)
-        .map_err(|e| MvxError::Transport(format!("reconnect placement send: {e}")))?;
-    Ok(Some(PlacedVariant {
-        // The original handle still owns the worker `Child`; the
-        // resumed placement must not double-own the process.
-        handle: VariantHandle::detached(p, v),
-        boot: Box::new(boot),
-        request: Box::new(request),
-        response: Box::new(response),
-        heartbeat: Some(heartbeat),
-    }))
-}
-
-/// The fallible monitor-side half of one attempt: bootstrap, probation,
-/// hand-off. Consumes the transports (see [`attempt_recovery`]).
-fn provision(
-    ctx: &RecoveryContext,
-    req: &RecoveryRequest,
-    artifact: &VariantArtifact,
-    tee_kind: TeeKind,
-    boot_monitor: Box<dyn FrameTransport>,
-    req_monitor: Box<dyn FrameTransport>,
-    resp_monitor: Box<dyn FrameTransport>,
-) -> Result<()> {
-    let (p, v) = (req.partition, req.variant);
-    let boot_ctx = BootstrapCtx {
-        platform: &ctx.platform,
-        init_code: &ctx.init_code,
-        generation: ctx.generation,
-        bindings: &ctx.bindings,
-        events: &ctx.events,
-    };
-    let session_secret =
-        bootstrap_variant(&boot_ctx, p, v, artifact, tee_kind, boot_monitor.as_ref())?;
-    let mut tx =
-        DataLink::from_transport(req_monitor, ctx.encrypt, &session_secret, Role::Initiator, 0);
-    let mut rx =
-        DataLink::from_transport(resp_monitor, ctx.encrypt, &session_secret, Role::Initiator, 1);
-
-    // Probation: replay the last verified checkpoint inputs and demand
-    // the verified outputs back under the partition's metric before the
-    // replacement is allowed to vote on live traffic.
-    if let Some(resync) = &req.resync {
-        tx.send(&encode(&StageRequest::Input {
-            batch: resync.batch,
-            trace: mvtee_telemetry::trace::current().as_pair(),
-            tensors: resync.inputs.clone(),
-        })?)
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
-        let frame = rx.recv().map_err(|e| MvxError::Transport(e.to_string()))?;
-        match decode::<StageResponse>(&frame)? {
-            StageResponse::Output { tensors, .. } => {
-                let metric = ctx.metrics[p];
-                let matches = tensors.len() == resync.outputs.len()
-                    && tensors
-                        .iter()
-                        .zip(&resync.outputs)
-                        .all(|(a, b)| metric.check(a, b));
-                if !matches {
-                    return Err(MvxError::Tee(format!(
-                        "probation failed: replacement p{p}v{v} diverged from the \
-                         verified checkpoint at batch {}",
-                        resync.batch
-                    )));
-                }
-            }
-            StageResponse::Crashed { reason, .. } => {
-                return Err(MvxError::Tee(format!(
-                    "probation failed: replacement p{p}v{v} crashed: {reason}"
-                )));
-            }
-        }
-    }
-
+    let faults = ctx.platform_faults.clone();
+    let on_probation = |tx: &mut DataLink, rx: &mut DataLink| probation(ctx, req, tx, rx);
+    let (tx, rx) = provisioner.bring_up((p, v), &artifact, faults, None, on_probation)?;
     let rx_thread = spawn_rx_thread(v, req.epoch, rx, req.merged_tx.clone());
     let link = VariantLink {
         tx,
@@ -500,6 +233,45 @@ fn provision(
     };
     req.merged_tx
         .send(RxEvent::Recovered { variant: v, epoch: req.epoch, link, rx_thread })
-        .map_err(|_| MvxError::Transport("pipeline gone before rejoin".into()))?;
-    Ok(())
+        .map_err(|_| MvxError::Transport("pipeline gone before rejoin".into()))
+}
+
+/// Probation: replay the last verified checkpoint inputs and demand the
+/// verified outputs back under the partition's metric before the
+/// replacement is allowed to vote on live traffic. Nothing verified yet:
+/// the freshly attested variant rejoins directly.
+fn probation(
+    ctx: &RecoveryContext,
+    req: &RecoveryRequest,
+    tx: &mut DataLink,
+    rx: &mut DataLink,
+) -> Result<()> {
+    let (p, v) = (req.partition, req.variant);
+    let Some(resync) = &req.resync else { return Ok(()) };
+    tx.send(&encode(&StageRequest::Input {
+        batch: resync.batch,
+        trace: mvtee_telemetry::trace::current().as_pair(),
+        tensors: resync.inputs.clone(),
+    })?)
+    .map_err(|e| MvxError::Transport(e.to_string()))?;
+    let frame = rx.recv().map_err(|e| MvxError::Transport(e.to_string()))?;
+    match decode::<StageResponse>(&frame)? {
+        StageResponse::Output { tensors, .. } => {
+            let metric = ctx.metrics[p];
+            let matches = tensors.len() == resync.outputs.len()
+                && tensors.iter().zip(&resync.outputs).all(|(a, b)| metric.check(a, b));
+            if matches {
+                Ok(())
+            } else {
+                Err(MvxError::Tee(format!(
+                    "probation failed: replacement p{p}v{v} diverged from the \
+                     verified checkpoint at batch {}",
+                    resync.batch
+                )))
+            }
+        }
+        StageResponse::Crashed { reason, .. } => Err(MvxError::Tee(format!(
+            "probation failed: replacement p{p}v{v} crashed: {reason}"
+        ))),
+    }
 }

@@ -63,6 +63,11 @@ pub(crate) enum Path {
     Slow,
 }
 
+/// Batches whose async late-validation state is retained while stragglers
+/// are outstanding; beyond it the oldest entry is dropped (and audited).
+/// A constant: no caller ever sized it.
+const LATE_VALIDATION_WINDOW: usize = 256;
+
 /// Receives [`step`]'s actions.
 pub(crate) trait Sink {
     fn act(&mut self, action: Action);
@@ -409,7 +414,7 @@ impl StageState {
         let remaining = f.live.iter().copied().filter(|&v| f.arrived[v].is_none()).collect();
         self.outstanding.insert(batch, Outstanding { chosen: chosen.clone(), remaining });
         // A straggler that never answers must not grow state forever.
-        if self.outstanding.len() > self.cfg.policy.late_window {
+        if self.outstanding.len() > LATE_VALIDATION_WINDOW {
             let (oldest, _) = self.outstanding.pop_first().expect("just inserted into");
             self.respond(format!("dropped late-validation state for batch {oldest} (window full)"));
         }
@@ -514,10 +519,6 @@ mod tests {
             response,
             degradation: DegradationPolicy::Degrade,
             deadline: Duration::from_secs(30),
-            drain_window: Duration::from_millis(500),
-            drain_poll: Duration::from_millis(50),
-            queue_depth: 64,
-            late_window: 256,
         }
     }
 
@@ -701,6 +702,34 @@ mod tests {
             .any(|e| matches!(e, MonitorEvent::LateDissent { variant: 2, batch: 0, .. }));
         assert!(late, "late dissent must be flagged: {actions:?}");
         assert!(response_taken(&actions, "late-dissent reaction"));
+    }
+
+    /// A straggler that never answers must not grow state forever: past
+    /// the window the oldest owed validation is dropped, once, audibly.
+    #[test]
+    fn async_late_validation_state_is_capped_at_the_window() {
+        let mut s = stage(3, true, async_majority());
+        let window = LATE_VALIDATION_WINDOW as u64;
+        // Variant 2 owes every batch its late validation.
+        let quorum = |b: u64| vec![job(b, 1.0), reply(0, b, 1.0), reply(1, b, 1.0)];
+        let within = drive(&mut s, (0..window).flat_map(quorum).collect());
+        assert_eq!(forwards(&within).len(), LATE_VALIDATION_WINDOW);
+        assert!(!response_taken(&within, "window full"), "nothing dropped inside the window");
+        assert_eq!(s.outstanding.len(), LATE_VALIDATION_WINDOW);
+
+        let over = drive(&mut s, quorum(window));
+        let dropped = "dropped late-validation state for batch 0 (window full)";
+        assert!(response_taken(&over, dropped), "the drop is audited: {over:?}");
+        assert_eq!(records(&over).len(), 2, "one pass, one drop: {over:?}");
+        assert_eq!(s.outstanding.len(), LATE_VALIDATION_WINDOW, "state stays at the window");
+
+        // Batch 0's straggler is no longer validated; batch 1's still is.
+        assert!(drive(&mut s, vec![reply(2, 0, 8.0)]).is_empty());
+        let late = drive(&mut s, vec![reply(2, 1, 8.0)]);
+        let flagged = |e: &&MonitorEvent| {
+            matches!(e, MonitorEvent::LateDissent { variant: 2, batch: 1, .. })
+        };
+        assert!(records(&late).iter().any(flagged), "batch 1 is still owed: {late:?}");
     }
 
     #[test]

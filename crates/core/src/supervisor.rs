@@ -115,6 +115,12 @@ impl HeartbeatMonitor {
         self.inner.threads.lock().expect("heartbeat monitor poisoned").push(thread);
     }
 
+    /// Watchers ever started and not yet joined by a shutdown.
+    #[cfg(test)]
+    pub(crate) fn watchers(&self) -> usize {
+        self.inner.threads.lock().expect("heartbeat monitor poisoned").len()
+    }
+
     /// Stops every watcher and joins its thread. Each watcher notices
     /// within one heartbeat interval (its receive deadline).
     pub fn shutdown(&self) {

@@ -24,6 +24,7 @@ use crate::messages::{
     bootstrap_session_secret, bootstrap_transcript_hash, decode, encode, BootstrapRequest,
     BootstrapResponse, InstallEvidence, KeyRelease, StageRequest, StageResponse,
 };
+use crate::worker::WorkerPlacement;
 use crate::{MvxError, Result};
 use mvtee_crypto::channel::{FrameTransport, Role};
 use mvtee_crypto::gcm::AesGcm;
@@ -31,7 +32,7 @@ use mvtee_crypto::x25519::EphemeralKeypair;
 use mvtee_diversify::VariantBundle;
 use mvtee_faults::{Attack, FrameFlip, LivenessFault};
 use mvtee_runtime::{Engine, PreparedModel, RuntimeError};
-use mvtee_tee::{CodeIdentity, Enclave, Manifest, Platform, Syscall, TeeKind};
+use mvtee_tee::{CodeIdentity, Enclave, Manifest, Platform, Syscall};
 use serde::{Deserialize, Serialize};
 use std::thread::JoinHandle;
 
@@ -45,29 +46,11 @@ pub struct SealedVariantPayload {
     pub bundle: Vec<u8>,
 }
 
-/// Everything the *untrusted orchestrator* needs to place one variant TEE.
-///
-/// Note what is absent: the variant spec, the transformed subgraph, the
-/// second-stage manifest — all sealed inside `sealed_blob`.
-pub struct VariantLaunch {
-    /// Partition index (public placement information).
-    pub partition: usize,
-    /// Variant index within the partition.
-    pub variant_index: usize,
-    /// TEE flavour to launch.
-    pub tee_kind: TeeKind,
-    /// Platform handle.
-    pub platform: Platform,
-    /// Public init-variant code bytes.
-    pub init_code: Vec<u8>,
-    /// Public first-stage manifest.
-    pub init_manifest: Manifest,
-    /// Host-storage path of the sealed payload.
-    pub bundle_path: String,
-    /// The sealed payload `(salt, blob)` as exported by the offline tool.
-    pub sealed_blob: ([u8; 16], Vec<u8>),
-    /// Whether data-plane traffic is encrypted.
-    pub encrypt: bool,
+/// Simulated faults a variant host can carry. They model compromises of
+/// the software stack of *this* process, so they are grouped: placement
+/// rejects them wholesale for out-of-process variants.
+#[derive(Clone, Default)]
+pub(crate) struct HostFaults {
     /// Simulated CVE attack present on this host (instrumentation applies
     /// only if the variant is susceptible).
     pub attack: Option<Attack>,
@@ -77,9 +60,26 @@ pub struct VariantLaunch {
     /// this host's scheduling/transport stack. Transient: replacements
     /// provisioned by the recovery manager do not inherit it.
     pub liveness: Option<LivenessFault>,
+}
+
+impl HostFaults {
+    pub(crate) fn any(&self) -> bool {
+        self.attack.is_some() || self.frameflip.is_some() || self.liveness.is_some()
+    }
+}
+
+/// One variant host, as [`variant_main`] runs it in either placement:
+/// what the untrusted orchestrator ships ([`WorkerPlacement`]), the
+/// simulated faults of the hosting process, and the variant-side ends of
+/// the three conversations — in-memory for a variant thread, mux lanes of
+/// the worker's TCP connection for a variant process.
+pub(crate) struct VariantLaunch {
+    /// The public description of the host.
+    pub placement: WorkerPlacement,
+    /// Simulated faults (always none in a worker process).
+    pub faults: HostFaults,
     /// Bootstrap transport (plaintext; protected by the attested DH
-    /// handshake). In-memory for a variant thread, a mux lane of the
-    /// worker's TCP connection for a variant process.
+    /// handshake).
     pub bootstrap: Box<dyn FrameTransport>,
     /// Transport for stage requests (monitor → variant).
     pub request: Box<dyn FrameTransport>,
@@ -176,9 +176,9 @@ impl Drop for VariantHandle {
 }
 
 /// Spawns the variant TEE thread.
-pub fn spawn_variant(launch: VariantLaunch) -> VariantHandle {
-    let partition = launch.partition;
-    let variant_index = launch.variant_index;
+pub(crate) fn spawn_variant(launch: VariantLaunch) -> VariantHandle {
+    let partition = launch.placement.partition;
+    let variant_index = launch.placement.variant_index;
     let join = std::thread::Builder::new()
         .name(format!("variant-p{partition}-v{variant_index}"))
         .spawn(move || {
@@ -200,19 +200,19 @@ pub fn spawn_variant(launch: VariantLaunch) -> VariantHandle {
 /// process, so the two placements are behaviourally indistinguishable to
 /// the monitor.
 pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
+    let VariantLaunch { placement, faults, bootstrap, request, response } = launch;
     // Stage 0: enclave launch with the public init-variant.
-    let identity = CodeIdentity::from_content("mvtee-init-variant", "1.0", &launch.init_code);
+    let identity = CodeIdentity::from_content("mvtee-init-variant", "1.0", &placement.init_code);
     let mut enclave = Enclave::launch(
-        launch.tee_kind,
+        placement.tee_kind,
         identity,
-        launch.init_manifest,
-        launch.platform.clone(),
+        placement.init_manifest,
+        Platform::from_root(placement.platform_root),
     );
 
     // Bootstrap step ②-⑤: challenge-response attestation with DH binding.
     enclave.os().syscall(Syscall::Connect)?;
-    let challenge_bytes = launch
-        .bootstrap
+    let challenge_bytes = bootstrap
         .recv_frame()
         .map_err(|e| MvxError::Transport(e.to_string()))?;
     let BootstrapRequest::Challenge { nonce, monitor_dh_public } =
@@ -228,14 +228,12 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
     let report = enclave.report_for_channel(&nonce, &transcript_hash);
     let evidence =
         BootstrapResponse::Evidence { report, variant_dh_public: keypair.public };
-    launch
-        .bootstrap
+    bootstrap
         .send_frame(encode(&evidence)?)
         .map_err(|e| MvxError::Transport(e.to_string()))?;
 
     // Step ⑤ continued: sealed key release.
-    let release_bytes = launch
-        .bootstrap
+    let release_bytes = bootstrap
         .recv_frame()
         .map_err(|e| MvxError::Transport(e.to_string()))?;
     let BootstrapRequest::SealedKeyRelease { payload } =
@@ -254,7 +252,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
     enclave
         .os()
         .fs_mut()
-        .import(&release.bundle_path, launch.sealed_blob.0, launch.sealed_blob.1);
+        .import(&release.bundle_path, placement.sealed_salt, placement.sealed_blob);
     let payload_bytes = enclave.os().read_encrypted(&release.bundle_path)?;
     let payload: SealedVariantPayload =
         decode(&payload_bytes).map_err(|e| MvxError::Codec(e.to_string()))?;
@@ -270,7 +268,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
     // Clean engines prepare through the session-wide cache (weight
     // pre-packing amortised across relaunches of the same spec + graph);
     // FrameFlip'd engines carry per-launch fault state and bypass it.
-    let mut prepared: Box<dyn PreparedModel> = match &launch.frameflip {
+    let mut prepared: Box<dyn PreparedModel> = match &faults.frameflip {
         Some(ff) => {
             let engine = Engine::with_custom_blas(
                 bundle.spec.engine.clone(),
@@ -285,7 +283,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
             ))
         }
     };
-    if let Some(attack) = &launch.attack {
+    if let Some(attack) = &faults.attack {
         prepared = attack.instrument(prepared, &bundle.spec);
     }
 
@@ -296,32 +294,21 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
         measurement: enclave.measurement(),
     };
     let sealed = session_cipher.seal(&[1u8; 12], &encode(&evidence)?, b"install-evidence");
-    launch
-        .bootstrap
+    bootstrap
         .send_frame(encode(&BootstrapResponse::SealedInstallEvidence { payload: sealed })?)
         .map_err(|e| MvxError::Transport(e.to_string()))?;
 
     // Data plane: serve checkpoint batches.
-    let mut rx = DataLink::from_transport(
-        launch.request,
-        launch.encrypt,
-        &session_secret,
-        Role::Responder,
-        0,
-    );
-    let mut tx = DataLink::from_transport(
-        launch.response,
-        launch.encrypt,
-        &session_secret,
-        Role::Responder,
-        1,
-    );
+    let mut rx =
+        DataLink::from_transport(request, placement.encrypt, &session_secret, Role::Responder, 0);
+    let mut tx =
+        DataLink::from_transport(response, placement.encrypt, &session_secret, Role::Responder, 1);
     // (recv errors mean the monitor is gone: stop serving.)
     let batches_served = mvtee_telemetry::counter("core.variant_host.batches_served");
     let tracer = mvtee_telemetry::trace::recorder();
     let run_span_name =
-        format!("core.p{}v{}.variant_run", launch.partition, launch.variant_index);
-    let run_track = format!("p{}v{}", launch.partition, launch.variant_index);
+        format!("core.p{}v{}.variant_run", placement.partition, placement.variant_index);
+    let run_track = format!("p{}v{}", placement.partition, placement.variant_index);
     loop {
         // Every data-plane read/write passes the TEE OS syscall policy —
         // a main-variant manifest that forbids reads would stop serving.
@@ -339,7 +326,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
                     .arg("batch", batch)
                     .arg("variant_id", release.variant_id);
                 mvtee_telemetry::trace::set_current(run_span.ctx());
-                if let Some(fault) = &launch.liveness {
+                if let Some(fault) = &faults.liveness {
                     // A hung variant's "process" is alive and its channel
                     // open — it keeps consuming requests but never
                     // answers, the worst case for a deadline-less
@@ -357,7 +344,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
                         batches_served.inc();
                         enclave.os().syscall(Syscall::Write)?;
                         let resp = StageResponse::Output { batch, tensors: outputs };
-                        if let Some(fault) = &launch.liveness {
+                        if let Some(fault) = &faults.liveness {
                             if fault.drops_on(batch) {
                                 continue; // frame silently lost in transit
                             }

@@ -1,17 +1,20 @@
-//! Out-of-process variant hosts: placement, spawning and the
-//! `mvtee-variantd` entry point.
+//! Out-of-process variant hosts: the placement message, the worker
+//! connection and the `mvtee-variantd` entry point.
 //!
 //! A deployment can place any variant either **in-process** (a thread,
 //! the co-located setting) or **out-of-process** (a `mvtee-variantd`
 //! worker the untrusted orchestrator spawns, the distributed setting).
-//! The worker connects back to the monitor over loopback TCP; the single
-//! connection is lane-multiplexed ([`mvtee_crypto::mux`]) into the
-//! bootstrap transport, the two data-plane transports and a heartbeat
-//! lane, and from there the *identical* variant-host code runs: Fig 5/6
-//! two-stage attestation, AES-GCM channels with per-direction keys,
-//! checkpoint serving. The monitor cannot tell the placements apart
-//! except through the transport handle — which is exactly the
-//! conformance property `tests/dist_conformance.rs` pins down.
+//! Both are described by one [`WorkerPlacement`] — the monitor builds it
+//! once per bring-up (`provision.rs`) and either hands it to a thread or
+//! ships it down the bootstrap lane — and both run the *identical*
+//! `variant_main`: Fig 5/6 two-stage attestation, AES-GCM channels with
+//! per-direction keys, checkpoint serving. The worker connects back to
+//! the monitor over loopback TCP; the single connection is
+//! lane-multiplexed ([`mvtee_crypto::mux`]) into the bootstrap transport,
+//! the two data-plane transports and a heartbeat lane. The monitor cannot
+//! tell the placements apart except through the transport handle — which
+//! is exactly the conformance property `tests/dist_conformance.rs` pins
+//! down.
 //!
 //! What crosses the process boundary in the clear is only what the
 //! untrusted orchestrator legitimately holds: public init-variant code,
@@ -27,27 +30,24 @@
 //! worker keepalive-pings the heartbeat lane so the monitor's
 //! [`HeartbeatMonitor`](crate::supervisor::HeartbeatMonitor) can tell a
 //! stalled peer from a slow one, and with `reconnect` the monitor
-//! retains each worker's accept socket in a [`WorkerRegistry`] so a
-//! live worker whose connection dropped can redial (`--resume`) and be
-//! re-placed without a full respawn.
+//! retains each worker's accept socket so a live worker whose connection
+//! dropped can redial (`--resume`) and be re-placed without a full
+//! respawn.
+//!
+//! [`SupervisionPolicy`]: crate::config::SupervisionPolicy
 
-use crate::config::SupervisionPolicy;
-use crate::deployment::VariantArtifact;
-use crate::variant_host::{spawn_variant, variant_main, VariantHandle, VariantLaunch};
+use crate::variant_host::{variant_main, HostFaults, VariantLaunch};
 use crate::{MvxError, Result};
-use mvtee_crypto::channel::{memory_pair, FrameTransport};
+use mvtee_crypto::channel::FrameTransport;
 use mvtee_crypto::mux::{
     self, MuxLane, LANE_BOOTSTRAP, LANE_HEARTBEAT, LANE_REQUEST, LANE_RESPONSE,
 };
-use mvtee_crypto::tcp::{bind_loopback, TcpTransport};
-use mvtee_faults::{Attack, FaultDirection, FaultyTransport, FrameFlip, LivenessFault, NetFault};
-use mvtee_tee::{Manifest, Platform, TeeKind};
+use mvtee_crypto::tcp::TcpTransport;
+use mvtee_tee::{Manifest, TeeKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::process::Child;
 use std::time::{Duration, Instant};
 
 /// Where a variant host runs.
@@ -60,12 +60,12 @@ pub enum VariantPlacement {
     OutOfProcess,
 }
 
-/// Everything the untrusted orchestrator ships to a worker process —
-/// the exact out-of-process analogue of [`VariantLaunch`] minus the
-/// simulated platform faults (those model compromises of *this*
-/// process's software stack and stay in-process).
+/// Everything the *untrusted orchestrator* needs to place one variant
+/// TEE, in either placement (a worker process receives it as its first
+/// bootstrap-lane frame).
 ///
-/// [`VariantLaunch`]: crate::variant_host::VariantLaunch
+/// Note what is absent: the variant spec, the transformed subgraph, the
+/// second-stage manifest — all sealed inside `sealed_blob`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerPlacement {
     /// Partition index (public placement information).
@@ -135,53 +135,14 @@ pub fn worker_binary() -> Result<PathBuf> {
     )))
 }
 
-/// Retained worker accept sockets, keyed by `(partition, variant)`.
-///
-/// Populated when the supervision policy allows reconnection: the
-/// monitor keeps each worker's listening socket open after the first
-/// accept so a worker whose connection dropped can redial the *same*
-/// port and resume, instead of being killed and respawned. Cleared
-/// before pipeline teardown so lingering `--resume` workers get
-/// connection-refused and exit on their own.
-pub(crate) type WorkerRegistry = Arc<Mutex<HashMap<(usize, usize), TcpListener>>>;
-
-/// The monitor-side transports of one placed variant, plus its host
-/// handle — what [`place_variant`] hands back regardless of placement.
-pub(crate) struct PlacedVariant {
-    /// Thread or process handle.
-    pub handle: VariantHandle,
-    /// Bootstrap transport (monitor side).
-    pub boot: Box<dyn FrameTransport>,
-    /// Stage-request transport (monitor side).
-    pub request: Box<dyn FrameTransport>,
-    /// Stage-response transport (monitor side).
-    pub response: Box<dyn FrameTransport>,
-    /// Heartbeat lane (monitor side), present for out-of-process
-    /// placements — the supervisor watches it with a receive deadline.
-    pub heartbeat: Option<MuxLane>,
-}
-
-/// Supervision-driven options for spawning one worker process.
-#[derive(Default)]
-pub(crate) struct SpawnOptions<'a> {
-    /// Pass `--resume` so the child redials after connection loss.
-    pub resume: bool,
-    /// Retain the accept socket here for reconnect-and-resume.
-    pub registry: Option<&'a WorkerRegistry>,
-    /// Wrap the worker connection in a deterministic wire-fault
-    /// injector (the adversarial-network harness). Heartbeat frames are
-    /// exempt from one-shot faults so liveness verdicts stay about the
-    /// data plane — an ongoing stall still silences them, which is the
-    /// point.
-    pub netfault: Option<NetFault>,
-}
-
 /// Lane layout of a worker connection, in [`mux::split`] order.
-pub(crate) const WORKER_LANES: [u8; 4] =
-    [LANE_BOOTSTRAP, LANE_REQUEST, LANE_RESPONSE, LANE_HEARTBEAT];
+const WORKER_LANES: [u8; 4] = [LANE_BOOTSTRAP, LANE_REQUEST, LANE_RESPONSE, LANE_HEARTBEAT];
 
-/// How long the monitor waits for a freshly spawned worker to dial back.
-const WORKER_CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
+/// Splits one worker connection into its `[bootstrap, request, response,
+/// heartbeat]` lanes — the same call on both ends of the socket.
+pub(crate) fn worker_lanes(transport: impl FrameTransport + Sync + 'static) -> [MuxLane; 4] {
+    mux::split(transport, &WORKER_LANES).try_into().expect("one lane per requested id")
+}
 
 /// How long a resumed worker waits for the monitor to re-send a
 /// placement after redialling. A connect can succeed via the retained
@@ -195,98 +156,36 @@ const RESUME_MAX_STRIKES: u32 = 5;
 /// Pause between redial attempts.
 const RESUME_RETRY_DELAY: Duration = Duration::from_millis(50);
 
-/// Spawns one `mvtee-variantd` worker: binds an ephemeral loopback port,
-/// launches the binary pointed at it, accepts the connection, splits it
-/// into lanes and ships the placement down the bootstrap lane.
+/// Waits until `deadline` for a worker to dial the (non-blocking)
+/// `listener`: a freshly spawned `child`, or — with `None` — a live
+/// worker redialling the port it was first accepted on.
 ///
 /// # Errors
 ///
-/// Fails when the binary cannot be spawned, the worker does not connect
-/// within the timeout (the worker is killed), or the placement cannot be
-/// serialised.
-pub(crate) fn spawn_worker_process(
-    bin: &Path,
-    placement: &WorkerPlacement,
-    opts: &SpawnOptions<'_>,
-) -> Result<PlacedVariant> {
-    let (partition, variant_index) = (placement.partition, placement.variant_index);
-    let (listener, port) =
-        bind_loopback().map_err(|e| MvxError::Transport(e.to_string()))?;
-    let mut cmd = Command::new(bin);
-    cmd.arg("--connect").arg(format!("127.0.0.1:{port}"));
-    if opts.resume {
-        cmd.arg("--resume");
-    }
-    let mut child = cmd
-        .stdin(Stdio::null())
-        .spawn()
-        .map_err(|e| MvxError::Transport(format!("spawn {}: {e}", bin.display())))?;
-
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| MvxError::Transport(format!("listener nonblocking: {e}")))?;
-    let deadline = Instant::now() + WORKER_CONNECT_TIMEOUT;
+/// Says why nobody is connected: no dial in time, `child` exited first,
+/// or the accepted socket could not be set up.
+pub(crate) fn accept_worker(
+    listener: &TcpListener,
+    deadline: Instant,
+    mut child: Option<&mut Child>,
+) -> std::result::Result<TcpTransport, String> {
     let stream = loop {
         match listener.accept() {
             Ok((stream, _)) => break stream,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if let Ok(Some(status)) = child.try_wait() {
-                    return Err(MvxError::Transport(format!(
-                        "worker p{partition}v{variant_index} exited before connecting: {status}"
-                    )));
+                if let Some(Ok(Some(status))) = child.as_mut().map(|c| c.try_wait()) {
+                    return Err(format!("exited before connecting: {status}"));
                 }
                 if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(MvxError::Transport(format!(
-                        "worker p{partition}v{variant_index} never connected"
-                    )));
+                    return Err("never connected".into());
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(MvxError::Transport(format!("worker accept failed: {e}")));
-            }
+            Err(e) => return Err(format!("accept failed: {e}")),
         }
     };
-    stream
-        .set_nonblocking(false)
-        .map_err(|e| MvxError::Transport(format!("stream blocking: {e}")))?;
-    let transport =
-        TcpTransport::new(stream).map_err(|e| MvxError::Transport(e.to_string()))?;
-    let mut lanes = match opts.netfault {
-        Some(nf) => mux::split(
-            FaultyTransport::new(transport, nf, FaultDirection::Recv)
-                .exempt_lane(LANE_HEARTBEAT),
-            &WORKER_LANES,
-        ),
-        None => mux::split(transport, &WORKER_LANES),
-    };
-    let heartbeat = lanes.pop().expect("four lanes");
-    let response = lanes.pop().expect("four lanes");
-    let request = lanes.pop().expect("four lanes");
-    let boot = lanes.pop().expect("four lanes");
-
-    boot.send_frame(crate::messages::encode(placement)?)
-        .map_err(|e| MvxError::Transport(format!("placement send: {e}")))?;
-    if let Some(registry) = opts.registry {
-        // Keep the (nonblocking) accept socket so the worker can redial
-        // this port if its connection drops.
-        registry
-            .lock()
-            .expect("worker registry poisoned")
-            .insert((partition, variant_index), listener);
-    }
-    mvtee_telemetry::counter("core.worker.spawned").inc();
-    Ok(PlacedVariant {
-        handle: VariantHandle::from_process(partition, variant_index, child),
-        boot: Box::new(boot),
-        request: Box::new(request),
-        response: Box::new(response),
-        heartbeat: Some(heartbeat),
-    })
+    stream.set_nonblocking(false).map_err(|e| format!("stream blocking: {e}"))?;
+    TcpTransport::new(stream).map_err(|e| e.to_string())
 }
 
 /// The `mvtee-variantd` worker entry point: connect back to the monitor,
@@ -295,10 +194,10 @@ pub(crate) fn spawn_worker_process(
 ///
 /// With `resume` the worker does not exit when its placement ends:
 /// it redials the same address — the monitor retains the accept socket
-/// in its [`WorkerRegistry`] — and serves a fresh placement if one
-/// arrives. A monitor that has shut down (or never re-places) shows up
-/// as consecutive refused/placement-less attempts, after which the
-/// worker exits cleanly.
+/// — and serves a fresh placement if one arrives. A monitor that has
+/// shut down (or never re-places) shows up as consecutive
+/// refused/placement-less attempts, after which the worker exits
+/// cleanly.
 ///
 /// # Errors
 ///
@@ -329,11 +228,7 @@ pub fn run_worker(addr: &str, resume: bool) -> Result<()> {
 fn serve_connection(addr: &str, resumed: bool) -> Result<()> {
     let transport =
         TcpTransport::connect(addr).map_err(|e| MvxError::Transport(e.to_string()))?;
-    let mut lanes = mux::split(transport, &WORKER_LANES);
-    let heartbeat: MuxLane = lanes.pop().expect("four lanes");
-    let response: MuxLane = lanes.pop().expect("four lanes");
-    let request: MuxLane = lanes.pop().expect("four lanes");
-    let boot: MuxLane = lanes.pop().expect("four lanes");
+    let [boot, request, response, heartbeat] = worker_lanes(transport);
 
     let placement_bytes = if resumed {
         boot.recv_frame_deadline(RESUME_PLACEMENT_TIMEOUT)
@@ -348,177 +243,13 @@ fn serve_connection(addr: &str, resumed: bool) -> Result<()> {
     let _keepalive = (placement.heartbeat_interval_ms > 0).then(|| {
         mux::spawn_keepalive(heartbeat, Duration::from_millis(placement.heartbeat_interval_ms))
     });
-    let launch = VariantLaunch {
-        partition: placement.partition,
-        variant_index: placement.variant_index,
-        tee_kind: placement.tee_kind,
-        platform: Platform::from_root(placement.platform_root),
-        init_code: placement.init_code,
-        init_manifest: placement.init_manifest,
-        bundle_path: placement.bundle_path,
-        sealed_blob: (placement.sealed_salt, placement.sealed_blob),
-        encrypt: placement.encrypt,
-        attack: None,
-        frameflip: None,
-        liveness: None,
+    variant_main(VariantLaunch {
+        placement,
+        faults: HostFaults::default(),
         bootstrap: Box::new(boot),
         request: Box::new(request),
         response: Box::new(response),
-    };
-    variant_main(launch)
-}
-
-/// Simulated faults a variant host can carry — grouped so placement
-/// dispatch can reject them wholesale for out-of-process variants.
-#[derive(Default)]
-pub(crate) struct HostFaults {
-    /// Simulated CVE attack on the host's software stack.
-    pub attack: Option<Attack>,
-    /// Simulated platform-wide FrameFlip.
-    pub frameflip: Option<FrameFlip>,
-    /// Simulated liveness fault (stall or lossy channel).
-    pub liveness: Option<LivenessFault>,
-}
-
-impl HostFaults {
-    fn any(&self) -> bool {
-        self.attack.is_some() || self.frameflip.is_some() || self.liveness.is_some()
-    }
-}
-
-/// Places one variant host per the requested [`VariantPlacement`]: a
-/// thread over in-memory transports, or a `mvtee-variantd` process over
-/// multiplexed TCP lanes. The monitor-side result is placement-agnostic —
-/// the same boxed transports either way.
-///
-/// A `netfault` — unlike [`HostFaults`] — models the *network between*
-/// monitor and variant, so it is legal for both placements: in-process
-/// it wraps the variant's response transport, out-of-process it wraps
-/// the worker connection underneath the mux.
-///
-/// # Errors
-///
-/// Out-of-process placement fails when simulated faults are requested
-/// (they model compromises of *this* process's stack and only make sense
-/// in-process), when no worker binary can be located, or on any spawn /
-/// connect failure.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn place_variant(
-    placement: VariantPlacement,
-    worker_bin: Option<&Path>,
-    partition: usize,
-    variant_index: usize,
-    tee_kind: TeeKind,
-    platform: &Platform,
-    init_code: &[u8],
-    artifact: &VariantArtifact,
-    encrypt: bool,
-    faults: HostFaults,
-    netfault: Option<NetFault>,
-    supervision: &SupervisionPolicy,
-    registry: Option<&WorkerRegistry>,
-) -> Result<PlacedVariant> {
-    match placement {
-        VariantPlacement::InProcess => {
-            let (boot_monitor, boot_variant) = memory_pair();
-            let (req_monitor, req_variant) = memory_pair();
-            let (resp_variant, resp_monitor) = memory_pair();
-            let response_transport: Box<dyn FrameTransport> = match netfault {
-                Some(nf) => {
-                    Box::new(FaultyTransport::new(resp_variant, nf, FaultDirection::Send))
-                }
-                None => Box::new(resp_variant),
-            };
-            let launch = VariantLaunch {
-                partition,
-                variant_index,
-                tee_kind,
-                platform: platform.clone(),
-                init_code: init_code.to_vec(),
-                init_manifest: artifact.init_manifest.clone(),
-                bundle_path: artifact.bundle_path.clone(),
-                sealed_blob: artifact.sealed.clone(),
-                encrypt,
-                attack: faults.attack,
-                frameflip: faults.frameflip,
-                liveness: faults.liveness,
-                bootstrap: Box::new(boot_variant),
-                request: Box::new(req_variant),
-                response: response_transport,
-            };
-            Ok(PlacedVariant {
-                handle: spawn_variant(launch),
-                boot: Box::new(boot_monitor),
-                request: Box::new(req_monitor),
-                response: Box::new(resp_monitor),
-                heartbeat: None,
-            })
-        }
-        VariantPlacement::OutOfProcess => {
-            if faults.any() {
-                return Err(MvxError::InvalidConfig(format!(
-                    "variant p{partition}v{variant_index}: simulated platform faults \
-                     (attack/frameflip/liveness) target this process's software stack \
-                     and cannot be placed out-of-process"
-                )));
-            }
-            let resolved;
-            let bin = match worker_bin {
-                Some(bin) => bin,
-                None => {
-                    resolved = worker_binary()?;
-                    &resolved
-                }
-            };
-            let heartbeat_ms =
-                if supervision.enabled { supervision.heartbeat_interval_ms } else { 0 };
-            let placement = placement_for(
-                partition,
-                variant_index,
-                tee_kind,
-                platform,
-                init_code,
-                artifact,
-                encrypt,
-                heartbeat_ms,
-            );
-            let reconnect = supervision.enabled && supervision.reconnect;
-            let opts = SpawnOptions {
-                resume: reconnect,
-                registry: if reconnect { registry } else { None },
-                netfault,
-            };
-            spawn_worker_process(bin, &placement, &opts)
-        }
-    }
-}
-
-/// Builds the [`WorkerPlacement`] for one variant from its offline
-/// artifact — the single construction shared by launch and recovery.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn placement_for(
-    partition: usize,
-    variant_index: usize,
-    tee_kind: TeeKind,
-    platform: &Platform,
-    init_code: &[u8],
-    artifact: &VariantArtifact,
-    encrypt: bool,
-    heartbeat_interval_ms: u64,
-) -> WorkerPlacement {
-    WorkerPlacement {
-        partition,
-        variant_index,
-        tee_kind,
-        platform_root: platform.export_root(),
-        init_code: init_code.to_vec(),
-        init_manifest: artifact.init_manifest.clone(),
-        bundle_path: artifact.bundle_path.clone(),
-        sealed_salt: artifact.sealed.0,
-        sealed_blob: artifact.sealed.1.clone(),
-        encrypt,
-        heartbeat_interval_ms,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use mvtee::deployment::Deployment;
 use mvtee::verify_transcript;
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_tensor::Tensor;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 7;
 const MVX_PARTITION: usize = 1;
@@ -168,7 +168,7 @@ fn killed_worker_heals_to_full_panel_strength_with_zero_lost_batches() {
     // checkpoint passed at full strength. All waits derive from the
     // config's own deadlines.
     let deadline = Instant::now() + cfg.heal_deadline();
-    let poll = cfg.drain_poll();
+    let poll = Duration::from_millis(50);
     let mut healed = None;
     while Instant::now() < deadline {
         let idx = (served % inputs.len() as u64) as usize;

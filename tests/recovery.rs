@@ -16,7 +16,7 @@ use mvtee_faults::{
 };
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
 use mvtee_tensor::Tensor;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const PANEL: usize = 3;
 const MVX_PARTITION: usize = 1;
@@ -51,7 +51,7 @@ fn recovery_config() -> MvxConfig {
 fn stream_until_healed(d: &mut Deployment, inputs: &[Tensor]) -> (usize, u64) {
     let cfg = recovery_config();
     let deadline = Instant::now() + cfg.heal_deadline();
-    let poll = cfg.drain_poll();
+    let poll = Duration::from_millis(50);
     let mut b = 0u64;
     while Instant::now() < deadline {
         let idx = (b % inputs.len() as u64) as usize;
@@ -95,6 +95,7 @@ fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
     clean.shutdown();
 
     let cfg = recovery_config();
+    let at_launch = mvtee_telemetry::snapshot();
     let mut d = Deployment::builder(model)
         .config(cfg.clone())
         .fault(
@@ -110,7 +111,7 @@ fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
     let launch_bindings = d.bindings().len();
 
     let deadline = Instant::now() + cfg.heal_deadline();
-    let poll = cfg.drain_poll();
+    let poll = Duration::from_millis(50);
     let mut healed = None;
     let mut b = 0u64;
     while Instant::now() < deadline {
@@ -177,12 +178,22 @@ fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
     assert!(delta("core.recovery.quarantined") >= 1);
     assert!(delta("core.recovery.started") >= 1);
     assert!(delta("core.recovery.recovered") >= 1);
-    let histogram_count = |snap: &mvtee_telemetry::Snapshot| {
-        snap.histograms.get("core.recovery.time_to_recovery_ns").map_or(0, |h| h.count)
+    let histogram_count = |snap: &mvtee_telemetry::Snapshot, name: &str| {
+        snap.histograms.get(name).map_or(0, |h| h.count)
     };
+    let time_to_recovery = "core.recovery.time_to_recovery_ns";
     assert!(
-        histogram_count(&after) > histogram_count(&before),
+        histogram_count(&after, time_to_recovery) > histogram_count(&before, time_to_recovery),
         "time-to-recovery histogram never recorded"
+    );
+    // Launch and recovery bring variants up through one function, so
+    // both are timed: every launch bootstrap plus the replacement's.
+    // (`>=`: the registry is process-global and sibling tests deploy too.)
+    let bootstraps = "core.deployment.bootstrap_ns";
+    assert!(
+        histogram_count(&after, bootstraps) - histogram_count(&at_launch, bootstraps)
+            > cfg.total_variants() as u64,
+        "the replacement's bootstrap was not timed"
     );
 }
 

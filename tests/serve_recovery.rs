@@ -16,7 +16,7 @@ use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{ReplicaPool, RequestOutcome, ServeConfig, ServeFrontend, ShedReason};
 use mvtee_tensor::Tensor;
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 23;
 const PANEL: usize = 3;
@@ -184,7 +184,7 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
     // bounded by the MVX config's own detect→react deadline.
     let mvx = recovery_mvx();
     let deadline = Instant::now() + mvx.heal_deadline();
-    let poll = mvx.drain_poll();
+    let poll = Duration::from_millis(50);
     let handle = frontend.handle();
     while Instant::now() < deadline {
         if !events.recoveries().is_empty() {

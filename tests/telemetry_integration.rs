@@ -152,10 +152,6 @@ fn bitflip_divergence_increments_counter_exactly_once() {
         response: ResponsePolicy::Halt,
         degradation: DegradationPolicy::Degrade,
         deadline: std::time::Duration::from_secs(30),
-        drain_window: std::time::Duration::from_millis(500),
-        drain_poll: std::time::Duration::from_millis(50),
-        queue_depth: 8,
-        late_window: 256,
     };
 
     let before = mvtee_telemetry::snapshot();
