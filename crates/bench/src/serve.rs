@@ -1,15 +1,15 @@
 //! The `serve` experiment: multi-tenant load against the serving
 //! frontend (`mvtee-serve`).
 //!
-//! The experiment drives one frontend — admission queue → micro-batcher
-//! → replica pool — with a closed-loop phase (each client keeps exactly
+//! The experiment drives one frontend — admission queue → dispatcher →
+//! replica pool — with a closed-loop phase (each client keeps exactly
 //! one request in flight) followed by an open-loop phase (fixed-rate
 //! submission), and holds the run to the serving invariants:
 //!
 //! * **Byte-exact outputs** — every served tensor must match a serial
-//!   single-request reference run bit-for-bit, which is what dynamic
-//!   micro-batching must preserve (members stay individual pipeline
-//!   batches; tensors are never fused).
+//!   single-request reference run bit-for-bit, however requests
+//!   interleave inside a replica's pipeline (each stays its own pipeline
+//!   batch; tensors are never fused).
 //! * **Exactly-once accounting** — every admitted request resolves
 //!   exactly once (served, failed, or expired); none are lost or
 //!   double-served, even while a replica cycles through
@@ -19,7 +19,7 @@
 //!   the recovery manager must rejoin it while the pool keeps serving.
 //!
 //! Results land in `BENCH_serve.json` (request accounting, shed/expired
-//! counters, per-replica batch counts, recovery counts). How fast the
+//! counters, per-replica request counts, recovery counts). How fast the
 //! frontend serves is the benchmark's `serve-small` workload
 //! (`throughput_rps`, `latency_p50_ms`), not measured here.
 
@@ -45,7 +45,7 @@ const INPUT_PERIOD: u64 = 8;
 const MODEL_KEY: &str = "zoo";
 /// Where the report lands unless `--out` says otherwise.
 pub const ARTIFACT: &str = "BENCH_serve.json";
-const SCHEMA: &str = "mvtee-bench-serve-v2";
+const SCHEMA: &str = "mvtee-bench-serve-v3";
 
 /// Serve experiment parameters.
 #[derive(Debug, Clone)]
@@ -122,8 +122,6 @@ pub struct ServeReport {
     pub duplicated: u64,
     /// Served outputs that differed from the serial reference.
     pub mismatches: Vec<String>,
-    /// Micro-batches served by each replica.
-    pub replica_batches: Vec<u64>,
     /// Requests served by each replica.
     pub replica_requests: Vec<u64>,
     /// Quarantine events observed on the faulted replica.
@@ -160,10 +158,10 @@ impl ServeReport {
                 self.duplicated
             ));
         }
-        if self.replica_batches.contains(&0) {
+        if self.replica_requests.contains(&0) {
             failures.push(format!(
-                "idle replica: per-replica batches {:?}",
-                self.replica_batches
+                "idle replica: per-replica requests {:?}",
+                self.replica_requests
             ));
         }
         if self.recovery_expected && (self.quarantines == 0 || self.recoveries == 0) {
@@ -184,11 +182,7 @@ impl ServeReport {
             self.seed, self.replicas, self.submitted, self.completed, self.failed,
             self.expired, self.shed(),
         );
-        let _ = writeln!(
-            out,
-            "per-replica batches: {:?}; per-replica requests: {:?}",
-            self.replica_batches, self.replica_requests
-        );
+        let _ = writeln!(out, "per-replica requests: {:?}", self.replica_requests);
         let _ = writeln!(
             out,
             "faulted replica: {} quarantine(s), {} recovery(ies); lost={} duplicated={}",
@@ -224,7 +218,6 @@ impl ServeReport {
             ("seed", self.seed.into()),
             ("replicas", self.replicas.into()),
             ("requests", requests),
-            ("replica_batches", Json::arr(self.replica_batches.iter().copied())),
             ("replica_requests", Json::arr(self.replica_requests.iter().copied())),
             ("recovery", recovery),
             ("mismatch_count", self.mismatches.len().into()),
@@ -398,7 +391,6 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
         lost,
         duplicated,
         mismatches,
-        replica_batches: pool_stats.served_batches,
         replica_requests: pool_stats.served_requests,
         quarantines,
         recoveries,
@@ -447,7 +439,7 @@ mod tests {
         );
         assert_eq!(report.shed(), 0, "smoke load must not shed");
         let json = report.render_json();
-        assert!(json.contains("\"schema\": \"mvtee-bench-serve-v2\""));
+        assert!(json.contains("\"schema\": \"mvtee-bench-serve-v3\""));
         assert!(json.contains("\"mismatch_count\": 0"));
     }
 }

@@ -30,7 +30,7 @@ use crate::transcript::TranscriptLog;
 use crate::variant_host::{HostFaults, SealedVariantPayload};
 use crate::worker::VariantPlacement;
 use crate::{MvxError, Result};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use mvtee_crypto::random_array;
 use mvtee_crypto::sha256::sha256;
 use mvtee_diversify::spec::spread_specs;
@@ -720,6 +720,49 @@ pub struct StreamStats {
     pub latencies: Vec<Duration>,
 }
 
+/// The results side of [`Deployment::submit`]: the batches of one
+/// pipeline generation, in pipeline (= submission) order. It outlives no
+/// generation: once an update, key rotation or shutdown retires the one
+/// it was taken from, [`Completions::next`] fails instead of yielding the
+/// next generation's results.
+pub struct Completions {
+    results: Receiver<StageJob>,
+    output: ValueId,
+    /// The first batch id this handle answers for. Lower ids belong to a
+    /// collection abandoned before it was taken (a timed-out caller) and
+    /// are dropped.
+    first: u64,
+}
+
+impl Completions {
+    /// Blocks for the next batch to leave the pipeline: its id, and its
+    /// output or the reason a checkpoint halted it.
+    ///
+    /// # Errors
+    ///
+    /// The generation was retired, or nothing left the pipeline within
+    /// the result timeout.
+    pub fn next(&self) -> Result<(u64, std::result::Result<mvtee_tensor::Tensor, String>)> {
+        loop {
+            let mut job = self
+                .results
+                .recv_timeout(RESULT_TIMEOUT)
+                .map_err(|_| MvxError::Transport("pipeline results closed".into()))?;
+            if job.batch < self.first {
+                continue;
+            }
+            let output = match job.poisoned {
+                Some(poison) => Err(poison),
+                None => job
+                    .env
+                    .remove(&self.output)
+                    .ok_or_else(|| "model output missing from final environment".to_string()),
+            };
+            return Ok((job.batch, output));
+        }
+    }
+}
+
 impl StreamStats {
     /// Throughput in batches per second.
     pub fn throughput(&self) -> f64 {
@@ -954,58 +997,49 @@ impl Deployment {
         Ok(())
     }
 
-    fn submit(&mut self, input: &mvtee_tensor::Tensor, trace: TraceCtx) -> Result<u64> {
-        let handles = self
-            .handles
-            .as_ref()
-            .ok_or_else(|| MvxError::BadState("deployment is shut down".into()))?;
+    /// Hands one batch to the first stage and returns its batch id; the
+    /// result leaves through [`Deployment::completions`]. Blocks only
+    /// while the first stage's queue is full. `trace` is the span the
+    /// pipeline's spans chain to (e.g. a serving request's root);
+    /// [`TraceCtx::NONE`] gets a deterministic per-batch root.
+    ///
+    /// # Errors
+    ///
+    /// The deployment is shut down, or its pipeline stopped.
+    pub fn submit(&mut self, input: mvtee_tensor::Tensor, trace: TraceCtx) -> Result<u64> {
+        let handles = self.running()?;
         let batch = self.next_batch;
-        self.next_batch += 1;
-        // Locally submitted batches get a deterministic per-batch root so
-        // pipeline spans always chain to something.
         let trace = if trace.is_none() { TraceCtx::for_batch(batch) } else { trace };
-        let mut env = HashMap::new();
-        env.insert(self.input_value, input.clone());
         handles
             .first_stage
             .send(CoordMsg::Job(StageJob {
                 batch,
-                env,
+                env: HashMap::from([(self.input_value, input)]),
                 poisoned: None,
                 submitted: Instant::now(),
                 trace,
             }))
             .map_err(|_| MvxError::Transport("pipeline input closed".into()))?;
+        self.next_batch += 1;
         Ok(batch)
     }
 
-    /// Collects the result for `batch`, discarding any stale results a
-    /// previous failed collection may have left in the pipeline.
-    fn collect_batch(&self, batch: u64) -> Result<StageJob> {
-        let handles = self
-            .handles
-            .as_ref()
-            .ok_or_else(|| MvxError::BadState("deployment is shut down".into()))?;
-        loop {
-            let job = handles
-                .results
-                .recv_timeout(RESULT_TIMEOUT)
-                .map_err(|_| MvxError::Transport("pipeline results closed".into()))?;
-            if job.batch == batch {
-                return Ok(job);
-            }
-            // Stale result from an abandoned earlier collection: drop it.
-        }
+    /// The results side of [`Deployment::submit`] for the running
+    /// generation, positioned at the next batch to be submitted.
+    ///
+    /// # Errors
+    ///
+    /// The deployment is shut down.
+    pub fn completions(&self) -> Result<Completions> {
+        Ok(Completions {
+            results: self.running()?.results.clone(),
+            output: self.output_value,
+            first: self.next_batch,
+        })
     }
 
-    fn job_output(&self, job: StageJob) -> std::result::Result<mvtee_tensor::Tensor, String> {
-        if let Some(poison) = job.poisoned {
-            return Err(poison);
-        }
-        job.env
-            .get(&self.output_value)
-            .cloned()
-            .ok_or_else(|| "model output missing from final environment".to_string())
+    fn running(&self) -> Result<&PipelineHandles> {
+        self.handles.as_ref().ok_or_else(|| MvxError::BadState("deployment is shut down".into()))
     }
 
     /// Sequential inference: the batch traverses all stages before the
@@ -1016,12 +1050,10 @@ impl Deployment {
     /// Returns [`MvxError::DivergenceHalt`] (or a crash error) when a
     /// checkpoint halted this batch.
     pub fn infer(&mut self, input: &mvtee_tensor::Tensor) -> Result<mvtee_tensor::Tensor> {
-        let batch = self.submit(input, TraceCtx::NONE)?;
-        let job = self.collect_batch(batch)?;
-        self.job_output(job).map_err(|detail| MvxError::DivergenceHalt {
-            partition: usize::MAX,
-            detail,
-        })
+        let done = self.completions()?;
+        self.submit(input.clone(), TraceCtx::NONE)?;
+        let (_, output) = done.next()?;
+        output.map_err(|detail| MvxError::DivergenceHalt { partition: usize::MAX, detail })
     }
 
     /// Pipelined inference over a stream of batches: all batches are
@@ -1032,44 +1064,7 @@ impl Deployment {
     /// Fails only on infrastructure loss; per-batch failures are reported
     /// inside [`StreamStats::outputs`].
     pub fn infer_stream(&mut self, inputs: &[mvtee_tensor::Tensor]) -> Result<StreamStats> {
-        let start = Instant::now();
-        let mut first_batch = self.next_batch;
-        for input in inputs {
-            let b = self.submit(input, TraceCtx::NONE)?;
-            first_batch = first_batch.min(b);
-        }
-        self.collect_stream(first_batch, inputs.len(), start)
-    }
-
-    /// [`Deployment::infer_stream`] with a caller-provided trace context
-    /// per batch (e.g. the serving frontend's per-request roots), so
-    /// pipeline, runtime and channel spans chain back to the submitter.
-    /// `traces` must have one entry per input; pass [`TraceCtx::NONE`]
-    /// entries for untraced batches.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on infrastructure loss; per-batch failures are reported
-    /// inside [`StreamStats::outputs`].
-    pub fn infer_stream_traced(
-        &mut self,
-        inputs: &[mvtee_tensor::Tensor],
-        traces: &[TraceCtx],
-    ) -> Result<StreamStats> {
-        if inputs.len() != traces.len() {
-            return Err(MvxError::BadState(format!(
-                "infer_stream_traced: {} inputs but {} trace contexts",
-                inputs.len(),
-                traces.len()
-            )));
-        }
-        let start = Instant::now();
-        let mut first_batch = self.next_batch;
-        for (input, trace) in inputs.iter().zip(traces) {
-            let b = self.submit(input, *trace)?;
-            first_batch = first_batch.min(b);
-        }
-        self.collect_stream(first_batch, inputs.len(), start)
+        self.stream(inputs, inputs.len())
     }
 
     /// Sequential inference over a stream (each batch completes before the
@@ -1079,26 +1074,24 @@ impl Deployment {
     ///
     /// Fails only on infrastructure loss.
     pub fn infer_sequential(&mut self, inputs: &[mvtee_tensor::Tensor]) -> Result<StreamStats> {
-        let start = Instant::now();
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let mut latencies = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let t0 = Instant::now();
-            let batch = self.submit(input, TraceCtx::NONE)?;
-            let job = self.collect_batch(batch)?;
-            latencies.push(t0.elapsed());
-            outputs.push(self.job_output(job));
-        }
-        Ok(StreamStats { outputs, total: start.elapsed(), latencies })
+        self.stream(inputs, 1)
     }
 
-    fn collect_stream(&mut self, first_batch: u64, n: usize, start: Instant) -> Result<StreamStats> {
-        let mut outputs = Vec::with_capacity(n);
-        let mut latencies = Vec::with_capacity(n);
-        for k in 0..n {
-            let job = self.collect_batch(first_batch + k as u64)?;
-            latencies.push(job.submitted.elapsed());
-            outputs.push(self.job_output(job));
+    /// Streams `inputs` with at most `window` batches in flight.
+    fn stream(&mut self, inputs: &[mvtee_tensor::Tensor], window: usize) -> Result<StreamStats> {
+        let start = Instant::now();
+        let done = self.completions()?;
+        let mut submitted = Vec::with_capacity(inputs.len());
+        let mut outputs = Vec::with_capacity(inputs.len());
+        let mut latencies = Vec::with_capacity(inputs.len());
+        while outputs.len() < inputs.len() {
+            while submitted.len() < inputs.len() && submitted.len() - outputs.len() < window {
+                submitted.push(Instant::now());
+                self.submit(inputs[submitted.len() - 1].clone(), TraceCtx::NONE)?;
+            }
+            let (_, output) = done.next()?;
+            latencies.push(submitted[outputs.len()].elapsed());
+            outputs.push(output);
         }
         Ok(StreamStats { outputs, total: start.elapsed(), latencies })
     }
@@ -1543,6 +1536,24 @@ mod tests {
         assert!(mvtee_tensor::metrics::allclose(&before, &after, 1e-3, 1e-4));
         assert_ne!(&old_stages, &d.partition_set().stages, "partition set reshuffled");
         d.shutdown();
+    }
+
+    /// A results handle never crosses generations: taken before a full
+    /// update, it reports the retired pipeline instead of handing out the
+    /// new generation's result — which stays for a handle taken after.
+    #[test]
+    fn completions_fail_closed_when_their_generation_is_retired() {
+        let mut d = Deployment::builder(model()).partitions(2).build().unwrap();
+        let stale = d.completions().unwrap();
+        d.full_update(0xabcdef).unwrap();
+        let fresh = d.completions().unwrap();
+        let batch = d.submit(test_input(), TraceCtx::NONE).unwrap();
+        assert!(stale.next().is_err(), "a retired generation's handle must not yield results");
+        let (id, output) = fresh.next().unwrap();
+        assert_eq!(id, batch);
+        assert!(output.is_ok());
+        d.shutdown();
+        assert!(fresh.next().is_err() && d.completions().is_err());
     }
 
     #[test]

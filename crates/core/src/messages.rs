@@ -171,11 +171,7 @@ mod tests {
 
     #[test]
     fn stage_messages_round_trip() {
-        let msg = StageRequest::Input {
-            batch: 9,
-            trace: (0xfeed, 0xbeef),
-            tensors: vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[1])],
-        };
+        let msg = stage_input();
         let bytes = encode(&msg).unwrap();
         assert_eq!(decode::<StageRequest>(&bytes).unwrap(), msg);
 
@@ -190,8 +186,10 @@ mod tests {
     }
 
     // The first frame on a worker's bootstrap lane comes from the
-    // *untrusted* orchestrator, and the bootstrap exchange runs over a
-    // plaintext transport: none of it may be able to crash the peer.
+    // *untrusted* orchestrator, the bootstrap exchange runs over a
+    // plaintext transport, and a data lane's far end may be a compromised
+    // variant holding valid channel keys: none of it may be able to crash
+    // the peer.
 
     fn placement() -> WorkerPlacement {
         WorkerPlacement {
@@ -209,7 +207,8 @@ mod tests {
         }
     }
 
-    /// Valid encodings of the three message types a bootstrap lane carries.
+    /// Valid encodings of every message type a bootstrap or data lane
+    /// carries.
     fn valid_encodings() -> Vec<Vec<u8>> {
         let enclave = Enclave::launch(
             TeeKind::Sgx,
@@ -229,28 +228,46 @@ mod tests {
             .unwrap(),
             encode(&BootstrapResponse::SealedInstallEvidence { payload: vec![7; 90] }).unwrap(),
             encode(&BootstrapResponse::Failed { reason: "no".into() }).unwrap(),
+            encode(&stage_input()).unwrap(),
+            encode(&StageRequest::Shutdown).unwrap(),
+            encode(&stage_output()).unwrap(),
+            encode(&StageResponse::Crashed { batch: 9, reason: "CVE".into() }).unwrap(),
         ]
     }
 
-    /// `Ok` or `Err`, never a panic, as each type a bootstrap lane decodes.
+    fn stage_input() -> StageRequest {
+        StageRequest::Input {
+            batch: 9,
+            trace: (0xfeed, 0xbeef),
+            tensors: vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[1])],
+        }
+    }
+
+    fn stage_output() -> StageResponse {
+        StageResponse::Output { batch: 9, tensors: vec![Tensor::ones(&[4, 2])] }
+    }
+
+    /// `Ok` or `Err`, never a panic, as each type a lane decodes.
     fn decode_as_every_type(bytes: &[u8]) {
         let _ = decode::<WorkerPlacement>(bytes);
         let _ = decode::<BootstrapRequest>(bytes);
         let _ = decode::<BootstrapResponse>(bytes);
+        let _ = decode::<StageRequest>(bytes);
+        let _ = decode::<StageResponse>(bytes);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn arbitrary_bytes_never_panic_a_bootstrap_decoder(
+        fn arbitrary_bytes_never_panic_a_decoder(
             bytes in proptest::collection::vec(any::<u8>(), 0..512),
         ) {
             decode_as_every_type(&bytes);
         }
 
         #[test]
-        fn mutated_bootstrap_messages_never_panic_the_decoder(
+        fn mutated_messages_never_panic_the_decoder(
             which in any::<proptest::sample::Index>(),
             edits in proptest::collection::vec((any::<proptest::sample::Index>(), any::<u8>()), 1..=8),
             cut in proptest::option::of(any::<proptest::sample::Index>()),
@@ -287,5 +304,12 @@ mod tests {
             hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
             assert!(decode::<WorkerPlacement>(&hostile).is_err());
         }
+        // The same in front of a tensor's `data` on a data lane: the
+        // message ends with the 8 floats of its one tensor.
+        let mut hostile = encode(&stage_output()).unwrap();
+        let at = hostile.len() - 8 * 4 - 8;
+        assert_eq!(hostile[at..at + 8], 8u64.to_le_bytes());
+        hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode::<StageResponse>(&hostile).is_err());
     }
 }

@@ -5,9 +5,10 @@
 //! TEE — the cross-process monitor is multithreaded) dispatches batches to
 //! that partition's variant TEEs, gathers their encrypted outputs,
 //! evaluates checkpoints (slow path) or falls through (fast path), and
-//! forwards the selected result to the next stage. Sequential and
-//! pipelined execution use the same plumbing: sequential submits one batch
-//! and waits; pipelined streams batches so stages overlap
+//! sends the selected result straight into the next stage's job queue (the
+//! last stage into the results channel). Sequential and pipelined
+//! execution use the same plumbing: sequential submits one batch and
+//! waits; pipelined streams batches so stages overlap
 //! (compute-communication overlapping, §4.1).
 
 use crate::config::{DegradationPolicy, ExecMode, MvxConfig, ResponsePolicy, VotingPolicy};
@@ -146,9 +147,10 @@ const DRAIN_WINDOW: Duration = Duration::from_millis(500);
 /// Poll interval within the drain window.
 const DRAIN_POLL: Duration = Duration::from_millis(50);
 
-/// Bound of each coordinator's inbound job queue: submission blocks when
-/// a stage is this many batches behind (backpressure under sustained
-/// load).
+/// Bound of each coordinator's inbound job queue: the sender — the
+/// submitter for the first stage, the upstream coordinator for every
+/// other — blocks when a stage is this many batches behind (backpressure
+/// under sustained load).
 const STAGE_QUEUE_DEPTH: usize = 1024;
 
 impl StagePolicy {
@@ -170,6 +172,12 @@ pub enum CoordMsg {
     Job(StageJob),
     /// Shut down (variants get [`StageRequest::Shutdown`]).
     Stop,
+}
+
+impl From<StageJob> for CoordMsg {
+    fn from(job: StageJob) -> Self {
+        CoordMsg::Job(job)
+    }
 }
 
 /// Spawns the receiver thread for one variant's response link. Every
@@ -212,9 +220,9 @@ pub fn spawn_rx_thread(
 /// The effectful half of a coordinator: owns the channels, links, clock,
 /// telemetry and trace spans; turns channel traffic into [`Event`]s and
 /// performs the [`Action`]s [`step`] answers with. It decides nothing.
-struct Shell {
+struct Shell<T> {
     runtime: StageRuntime,
-    out_tx: Sender<StageJob>,
+    out_tx: Sender<T>,
     events: EventLog,
     // Fetched and formatted once: recording is lock-free afterwards.
     checkpoint_latency: mvtee_telemetry::Histogram,
@@ -235,14 +243,17 @@ struct Shell {
     downstream_gone: bool,
 }
 
-/// The coordinator loop for one stage. Returns the runtime when stopped so
-/// the deployment can reuse or update it.
-pub fn run_stage(
+/// The coordinator loop for one stage. Finished jobs leave through
+/// `out_tx`: the next stage's job queue (`T` = [`CoordMsg`]) or the
+/// results channel (`T` = [`StageJob`]); once its receiver is gone the
+/// stage stops taking jobs. Returns the runtime when stopped so the
+/// deployment can reuse or update it.
+pub fn run_stage<T: From<StageJob>>(
     runtime: StageRuntime,
     policy: StagePolicy,
     metric: Metric,
     in_rx: Receiver<CoordMsg>,
-    out_tx: Sender<StageJob>,
+    out_tx: Sender<T>,
     events: EventLog,
 ) -> StageRuntime {
     let partition = runtime.partition;
@@ -296,7 +307,7 @@ pub fn run_stage(
     shell.runtime
 }
 
-impl Shell {
+impl<T: From<StageJob>> Shell<T> {
     fn feed(&mut self, state: &mut StageState, event: Event) {
         step(state, event, self);
         for failed in std::mem::take(&mut self.send_failed) {
@@ -339,7 +350,7 @@ impl Shell {
         }
         if job.poisoned.is_some() {
             // An upstream stage failed it: passed through untouched.
-            self.downstream_gone |= self.out_tx.send(job).is_err();
+            self.downstream_gone |= self.out_tx.send(job.into()).is_err();
             return;
         }
         let inputs = self.runtime.inputs.iter().map(|v| job.env.get(v).cloned().ok_or(*v)).collect();
@@ -359,7 +370,7 @@ impl Shell {
     }
 }
 
-impl Sink for Shell {
+impl<T: From<StageJob>> Sink for Shell<T> {
     fn act(&mut self, action: Action) {
         match action {
             Action::Dispatch { batch, to, tensors } => {
@@ -401,7 +412,7 @@ impl Sink for Shell {
                         job.env.retain(|v, _| self.runtime.needed_downstream.contains(v));
                     }
                 }
-                self.downstream_gone |= self.out_tx.send(job).is_err();
+                self.downstream_gone |= self.out_tx.send(job.into()).is_err();
                 drop(span); // the span covers the hand-off
             }
             Action::Record(event) => self.events.record(event),
@@ -436,9 +447,11 @@ pub struct PipelineHandles {
 
 /// Wires coordinators into a linear pipeline and spawns them.
 ///
-/// Stage `i`'s output feeds stage `i + 1`'s input through a small
-/// forwarder thread (the bridging keeps coordinator shutdown independent:
-/// forwarders exit when their upstream coordinator drops its sender).
+/// Stage `i` sends its finished jobs straight into stage `i + 1`'s job
+/// queue (bounded at `STAGE_QUEUE_DEPTH`, so a slow stage pushes back on
+/// the one before it), the last stage into the unbounded `results`. A
+/// stopped stage drops its queue's receiver: the upstream send fails and
+/// the upstream coordinator stops taking jobs in turn.
 pub fn spawn_pipeline(
     runtimes: Vec<StageRuntime>,
     policy: StagePolicy,
@@ -448,41 +461,16 @@ pub fn spawn_pipeline(
     let n = runtimes.len();
     assert!(n > 0, "pipeline needs at least one stage");
     assert_eq!(metrics.len(), n, "one metric per stage");
-    let mut stage_inputs: Vec<Sender<CoordMsg>> = Vec::with_capacity(n);
-    let mut stage_rxs: Vec<Receiver<CoordMsg>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = bounded::<CoordMsg>(STAGE_QUEUE_DEPTH);
-        stage_inputs.push(tx);
-        stage_rxs.push(rx);
-    }
+    let (stage_inputs, stage_rxs): (Vec<Sender<CoordMsg>>, Vec<Receiver<CoordMsg>>) =
+        (0..n).map(|_| bounded(STAGE_QUEUE_DEPTH)).unzip();
     let (final_tx, results) = unbounded::<StageJob>();
     let mut threads = Vec::with_capacity(n);
     for (i, (runtime, rx)) in runtimes.into_iter().zip(stage_rxs).enumerate() {
-        let out: Sender<StageJob> = if i + 1 < n {
-            let (btx, brx) = unbounded::<StageJob>();
-            let downstream = stage_inputs[i + 1].clone();
-            std::thread::Builder::new()
-                .name(format!("fwd-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = brx.recv() {
-                        if downstream.send(CoordMsg::Job(job)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("thread spawn cannot fail");
-            btx
-        } else {
-            final_tx.clone()
-        };
-        let ev = events.clone();
-        let metric = metrics[i];
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("stage-{i}"))
-                .spawn(move || run_stage(runtime, policy, metric, rx, out, ev))
-                .expect("thread spawn cannot fail"),
-        );
+        let (metric, ev) = (metrics[i], events.clone());
+        threads.push(match stage_inputs.get(i + 1) {
+            Some(next) => spawn_stage(i, runtime, policy, metric, rx, next.clone(), ev),
+            None => spawn_stage(i, runtime, policy, metric, rx, final_tx.clone(), ev),
+        });
     }
     drop(final_tx);
     PipelineHandles {
@@ -491,6 +479,21 @@ pub fn spawn_pipeline(
         results,
         threads,
     }
+}
+
+fn spawn_stage<T: From<StageJob> + Send + 'static>(
+    index: usize,
+    runtime: StageRuntime,
+    policy: StagePolicy,
+    metric: Metric,
+    in_rx: Receiver<CoordMsg>,
+    out_tx: Sender<T>,
+    events: EventLog,
+) -> JoinHandle<StageRuntime> {
+    std::thread::Builder::new()
+        .name(format!("stage-{index}"))
+        .spawn(move || run_stage(runtime, policy, metric, in_rx, out_tx, events))
+        .expect("thread spawn cannot fail")
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Serving-frontend configuration.
 
-use crate::batcher::BatcherConfig;
 use std::time::Duration;
 
 /// Tuning knobs for the serving frontend.
@@ -21,11 +20,6 @@ pub struct ServeConfig {
     ///
     /// [`ShedReason::Quota`]: crate::ShedReason::Quota
     pub per_tenant_quota: usize,
-    /// Largest micro-batch the batcher will form for one model key.
-    pub max_batch: usize,
-    /// Longest a request may sit in the batcher waiting for peers
-    /// before the partial (possibly single-request) batch flushes.
-    pub max_wait_ms: u64,
     /// Deadline applied by [`ServeHandle::submit`] when the caller does
     /// not pick one; requests still queued past their deadline are
     /// dropped as [`RequestOutcome::Expired`].
@@ -40,22 +34,12 @@ impl Default for ServeConfig {
         Self {
             max_queue_depth: 256,
             per_tenant_quota: 64,
-            max_batch: 8,
-            max_wait_ms: 2,
             default_deadline_ms: 30_000,
         }
     }
 }
 
 impl ServeConfig {
-    /// The batcher view of this configuration.
-    pub fn batcher(&self) -> BatcherConfig {
-        BatcherConfig {
-            max_batch: self.max_batch.max(1),
-            max_wait: Duration::from_millis(self.max_wait_ms),
-        }
-    }
-
     /// The default per-request deadline as a [`Duration`].
     pub fn default_deadline(&self) -> Duration {
         Duration::from_millis(self.default_deadline_ms)

@@ -1,7 +1,6 @@
 //! The serving frontend: one dispatcher thread pumping the admission
-//! queue through the micro-batcher into per-model replica pools.
+//! queue straight into per-model replica pools.
 
-use crate::batcher::MicroBatcher;
 use crate::coldstart::ColdStartProvider;
 use crate::config::ServeConfig;
 use crate::pool::{PoolStats, ReplicaPool};
@@ -17,9 +16,9 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the dispatcher sleeps waiting for work when the batcher is
-/// empty (it wakes immediately on arrival; this only bounds the
-/// shutdown-latency of an idle frontend).
+/// How long the dispatcher sleeps waiting for work (it wakes immediately
+/// on arrival; this only bounds the shutdown-latency of an idle
+/// frontend).
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
 /// The pool map, shared between handles (membership checks), the
@@ -134,9 +133,9 @@ impl ServeFrontend {
     /// `provider` (typically backed by the encrypted model registry).
     /// The first request for an unknown key triggers a build on a
     /// dedicated worker thread — requests for the key park until the
-    /// build lands, and other models' batching and dispatch continue
-    /// unstalled; while the provider is saturated, unknown-key
-    /// submissions shed with [`ShedReason::ColdStart`].
+    /// build lands, and other models' dispatch continues unstalled;
+    /// while the provider is saturated, unknown-key submissions shed
+    /// with [`ShedReason::ColdStart`].
     pub fn start_with_cold_start(
         pools: Vec<ReplicaPool>,
         cfg: ServeConfig,
@@ -170,12 +169,9 @@ impl ServeFrontend {
         let dispatcher = {
             let queue = Arc::clone(&queue);
             let pools = Arc::clone(&pools);
-            let batcher_cfg = cfg.batcher();
             std::thread::Builder::new()
                 .name("serve-dispatcher".to_string())
-                .spawn(move || {
-                    dispatch_loop(&queue, &pools, provider, MicroBatcher::new(batcher_cfg));
-                })
+                .spawn(move || dispatch_loop(&queue, &pools, provider))
                 .expect("spawn serve dispatcher")
         };
         Self {
@@ -262,46 +258,28 @@ fn dispatch_loop(
     queue: &AdmissionQueue,
     pools: &RwLock<BTreeMap<String, ReplicaPool>>,
     provider: Option<Arc<dyn ColdStartProvider>>,
-    mut batcher: MicroBatcher,
 ) {
-    let batches_total = mvtee_telemetry::counter("serve.batches_total");
-    let batch_size = mvtee_telemetry::histogram("serve.batch_size");
-    let expired = mvtee_telemetry::counter("serve.expired_total");
     // Cold starts run on their own worker threads so an expensive
-    // unseal+build for one model never stalls batching and dispatch for
-    // every other model's queued requests. Requests that triggered (or
-    // arrived during) a build are parked under their key and released
-    // when the build lands on `built_rx`.
+    // unseal+build for one model never stalls dispatch for every other
+    // model's queued requests. Requests that triggered (or arrived
+    // during) a build are parked under their key and released when the
+    // build lands on `built_rx`.
     let (built_tx, built_rx) =
         crossbeam::channel::unbounded::<(String, Result<ReplicaPool, String>)>();
     let mut parked: BTreeMap<String, Vec<InferRequest>> = BTreeMap::new();
     loop {
-        let now = Instant::now();
-        let wait = batcher
-            .next_flush_at()
-            .map(|at| at.saturating_duration_since(now))
-            .unwrap_or(IDLE_WAIT)
-            .min(if parked.is_empty() { IDLE_WAIT } else { BUILD_WAIT });
-        let drained = queue.drain(wait);
-        let now = Instant::now();
+        let drained = queue.drain(if parked.is_empty() { IDLE_WAIT } else { BUILD_WAIT });
         // Install finished cold starts and release their parked requests.
         while let Ok((key, outcome)) = built_rx.try_recv() {
-            settle_cold_start(pools, &mut batcher, &mut parked, key, outcome, now);
+            settle_cold_start(pools, &mut parked, key, outcome);
         }
         for req in drained.requests {
-            let known = pools
-                .read()
-                .expect("pool map poisoned")
-                .contains_key(&req.model_key);
-            if known {
-                batcher.push(req, now);
-                continue;
-            }
             if let Some(waiting) = parked.get_mut(&req.model_key) {
                 // A build for this key is already in flight.
                 waiting.push(req);
                 continue;
             }
+            let Err(req) = dispatch(pools, req) else { continue };
             match provider.clone() {
                 Some(provider) => {
                     let key = req.model_key.clone();
@@ -314,27 +292,14 @@ fn dispatch_loop(
                 }
             }
         }
-        for batch in batcher.ready(Instant::now()) {
-            dispatch(pools, batch, &batches_total, &batch_size, &expired);
-        }
         if drained.finished {
             // Intake is closed but builds may still be in flight; every
             // admitted request must resolve, so wait them out.
             while !parked.is_empty() {
                 match built_rx.recv() {
-                    Ok((key, outcome)) => settle_cold_start(
-                        pools,
-                        &mut batcher,
-                        &mut parked,
-                        key,
-                        outcome,
-                        Instant::now(),
-                    ),
+                    Ok((key, outcome)) => settle_cold_start(pools, &mut parked, key, outcome),
                     Err(_) => break,
                 }
-            }
-            for batch in batcher.flush_all() {
-                dispatch(pools, batch, &batches_total, &batch_size, &expired);
             }
             return;
         }
@@ -375,11 +340,9 @@ fn spawn_cold_start(
 /// writer of the pool map) and releases or fails its parked requests.
 fn settle_cold_start(
     pools: &RwLock<BTreeMap<String, ReplicaPool>>,
-    batcher: &mut MicroBatcher,
     parked: &mut BTreeMap<String, Vec<InferRequest>>,
     key: String,
     outcome: Result<ReplicaPool, String>,
-    now: Instant,
 ) {
     let waiting = parked.remove(&key).unwrap_or_default();
     match outcome {
@@ -389,7 +352,7 @@ fn settle_cold_start(
                 .expect("pool map poisoned")
                 .insert(key, pool);
             for req in waiting {
-                batcher.push(req, now);
+                let _ = dispatch(pools, req);
             }
         }
         Err(detail) => {
@@ -401,51 +364,31 @@ fn settle_cold_start(
     }
 }
 
+/// Hands one request to its model's pool — the one place its deadline
+/// is checked: past it, the request resolves `Expired`, unserved.
+///
+/// # Errors
+///
+/// Hands the request back when no pool serves its model key.
+#[allow(clippy::result_large_err)] // the unrouted request must travel back
 fn dispatch(
     pools: &RwLock<BTreeMap<String, ReplicaPool>>,
-    batch: crate::batcher::MicroBatch,
-    batches_total: &mvtee_telemetry::Counter,
-    batch_size: &mvtee_telemetry::Histogram,
-    expired: &mvtee_telemetry::Counter,
-) {
-    // Re-check deadlines at dispatch: a request can age out while its
-    // batch waited for peers.
-    let now = Instant::now();
-    let key = batch.key.clone();
-    let mut live = Vec::with_capacity(batch.requests.len());
-    for req in batch.requests {
-        if req.deadline <= now {
-            expired.inc();
-            req.resolve(None, RequestOutcome::Expired);
-        } else {
-            live.push(req);
-        }
+    req: InferRequest,
+) -> Result<(), InferRequest> {
+    let guard = pools.read().expect("pool map poisoned");
+    let Some(pool) = guard.get(&req.model_key) else { return Err(req) };
+    if req.deadline <= Instant::now() {
+        mvtee_telemetry::counter("serve.expired_total").inc();
+        req.resolve(None, RequestOutcome::Expired);
+        return Ok(());
     }
-    if live.is_empty() {
-        return;
-    }
-    batches_total.inc();
-    batch_size.record(live.len() as u64);
+    // Counts dispatches. Its only reader is the benchmark's
+    // `serve.batch_size.mean.*` rows, which therefore read 1.00.
+    mvtee_telemetry::counter("serve.batches_total").inc();
     let tracer = mvtee_telemetry::trace::recorder();
     if tracer.is_enabled() {
-        for req in &live {
-            tracer
-                .instant(req.trace, "serve.dispatch", "serve")
-                .arg("id", req.id)
-                .arg("batch_size", live.len());
-        }
+        tracer.instant(req.trace, "serve.dispatch", "serve").arg("id", req.id);
     }
-    let guard = pools.read().expect("pool map poisoned");
-    let pool = guard.get(&key).expect("dispatch only for known keys");
-    if let Err(returned) = pool.submit(crate::batcher::MicroBatch {
-        key,
-        requests: live,
-    }) {
-        for req in returned.requests {
-            req.resolve(
-                None,
-                RequestOutcome::Failed("replica pool shut down".to_string()),
-            );
-        }
-    }
+    pool.submit(req);
+    Ok(())
 }

@@ -5,27 +5,31 @@
 //! layer between the two:
 //!
 //! ```text
-//!  clients ──▶ AdmissionQueue ──▶ MicroBatcher ──▶ ReplicaPool ──▶ clients
-//!             (per-tenant quotas,  (coalesce same-   (N diversified
-//!              bounded depth,       key requests up   Deployments,
-//!              deadline shedding)   to max_batch /    least-outstanding
-//!                                   max_wait_ms)      scheduling)
+//!  clients ──▶ AdmissionQueue ──▶ dispatcher ──▶ ReplicaPool ──▶ clients
+//!             (per-tenant quotas,  (deadline       (N diversified
+//!              bounded depth,       check, cold     Deployments,
+//!              shedding at the      starts,         least-outstanding
+//!              door)                routing)        scheduling)
 //! ```
 //!
 //! * [`AdmissionQueue`] — bounded, quota'd intake. Overload is shed at
 //!   the door (`serve.shed_*`), expired deadlines are dropped at
-//!   dequeue (`serve.expired_total`); both are observable, never silent.
-//! * [`MicroBatcher`] — groups compatible requests (same model key) into
-//!   micro-batches, flushing on size or age. A micro-batch is submitted
-//!   through the deployment's pipelined stream path, so coalescing
-//!   amortises per-dispatch cost **without** fusing tensors: every
-//!   request stays its own pipeline batch with its own checkpoint
-//!   verdict, which is why serving outputs are byte-identical to serial
-//!   single-request runs.
+//!   dispatch (`serve.expired_total`); both are observable, never silent.
+//! * The dispatcher (one thread inside [`ServeFrontend`]) hands every
+//!   request to a replica's pipeline the moment it drains it. There is
+//!   no batcher: a request is its own pipeline batch with its own
+//!   checkpoint verdict (which is why serving outputs are byte-identical
+//!   to serial single-request runs), tensors were never fused, and the
+//!   one thing grouping bought — several requests inside a replica's
+//!   pipeline at once — streaming gives without holding anyone back.
 //! * [`ReplicaPool`] — N independently diversified [`Deployment`]s built
 //!   via [`DeploymentBuilder::build_many`], scheduled by least
-//!   outstanding requests. Replicas heal through the core
-//!   quarantine/recovery path while queued work keeps flowing.
+//!   outstanding requests. Each replica is fed continuously and resolves
+//!   its tickets one by one as results leave its pipeline, releasing the
+//!   request's slot *before* the answer becomes visible so a sequential
+//!   caller always finds the replica it just used idle again. Replicas
+//!   heal through the core quarantine/recovery path while queued work
+//!   keeps flowing.
 //! * [`ServeFrontend`] — ties the three together behind a cloneable
 //!   [`ServeHandle`] that client threads submit to.
 //!
@@ -35,8 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
-mod batcher;
 mod coldstart;
 mod config;
 mod frontend;
@@ -44,8 +46,6 @@ mod pool;
 mod queue;
 mod request;
 
-pub use backend::ReplicaBackend;
-pub use batcher::{BatcherConfig, MicroBatch, MicroBatcher};
 pub use coldstart::ColdStartProvider;
 pub use config::ServeConfig;
 pub use frontend::{ServeHandle, ServeFrontend};
@@ -78,7 +78,6 @@ pub fn register_serve_metrics() {
     }
     mvtee_telemetry::gauge("serve.queue_depth");
     mvtee_telemetry::gauge("serve.pool.outstanding");
-    mvtee_telemetry::histogram("serve.batch_size");
     mvtee_telemetry::histogram("serve.coldstart.build_ns");
     mvtee_telemetry::histogram("serve.queue_wait_ns");
     mvtee_telemetry::histogram("serve.e2e_latency_ns");

@@ -1,13 +1,13 @@
 //! The MVX replica pool: N diversified deployments behind a
-//! least-outstanding-requests scheduler.
+//! least-outstanding-requests scheduler, each fed continuously.
 
-use crate::backend::ReplicaBackend;
-use crate::batcher::MicroBatch;
-use crate::request::RequestOutcome;
+use crate::request::{InferRequest, RequestOutcome};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use mvtee::deployment::Completions;
 use mvtee::{Deployment, DeploymentBuilder, EventLog, MvxError};
+use mvtee_tensor::Tensor;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Point-in-time pool counters, one slot per replica.
@@ -15,25 +15,29 @@ use std::thread::JoinHandle;
 pub struct PoolStats {
     /// Requests dispatched to each replica and not yet resolved.
     pub outstanding: Vec<i64>,
-    /// Micro-batches each replica has served.
-    pub served_batches: Vec<u64>,
-    /// Requests each replica has served (across its batches).
+    /// Requests each replica has served.
     pub served_requests: Vec<u64>,
 }
 
-struct ReplicaWorker {
-    tx: Sender<MicroBatch>,
+/// A request inside a replica's pipeline: its pipeline batch id and the
+/// ticket side of the request (the input went into the pipeline).
+type InFlight = (u64, InferRequest);
+
+struct Replica {
+    /// Submission happens under this lock, so batch ids and `in_flight`
+    /// entries are issued in the same order. The collector never takes
+    /// it: a submit waits for no result.
+    deployment: Mutex<Deployment>,
+    in_flight: Sender<InFlight>,
     outstanding: Arc<AtomicI64>,
-    served_batches: Arc<AtomicU64>,
     served_requests: Arc<AtomicU64>,
     events: EventLog,
-    handle: JoinHandle<()>,
+    collector: JoinHandle<()>,
 }
 
-/// N independent MVX replicas serving one model key — concrete
-/// [`Deployment`]s (whatever their variant placements: in-process
-/// threads, out-of-process `mvtee-variantd` workers, or a mix) or any
-/// other [`ReplicaBackend`].
+/// N independent MVX replicas serving one model key — [`Deployment`]s,
+/// whatever their variant placements (in-process threads, out-of-process
+/// `mvtee-variantd` workers, or a mix).
 ///
 /// Scheduling is least-outstanding-requests with lowest-index
 /// tie-break: a replica wedged in quarantine/recovery keeps its
@@ -42,52 +46,33 @@ struct ReplicaWorker {
 /// its siblings the whole time.
 pub struct ReplicaPool {
     model_key: String,
-    workers: Vec<ReplicaWorker>,
+    replicas: Vec<Replica>,
 }
 
 impl ReplicaPool {
     /// Wraps already-built deployments (typically from
-    /// [`DeploymentBuilder::build_many`]) in worker threads.
+    /// [`DeploymentBuilder::build_many`]), one collector thread each.
     ///
     /// # Errors
     ///
-    /// [`MvxError::InvalidConfig`] when `deployments` is empty.
+    /// [`MvxError::InvalidConfig`] when `deployments` is empty; a
+    /// deployment that is already shut down is rejected.
     pub fn new(
         model_key: impl Into<String>,
         deployments: Vec<Deployment>,
     ) -> Result<Self, MvxError> {
-        Self::from_backends(
-            model_key,
-            deployments
-                .into_iter()
-                .map(|d| Box::new(d) as Box<dyn ReplicaBackend>)
-                .collect(),
-        )
-    }
-
-    /// Wraps arbitrary replica backends in worker threads — the
-    /// placement-agnostic constructor ([`ReplicaPool::new`] is the
-    /// all-[`Deployment`] special case).
-    ///
-    /// # Errors
-    ///
-    /// [`MvxError::InvalidConfig`] when `backends` is empty.
-    pub fn from_backends(
-        model_key: impl Into<String>,
-        backends: Vec<Box<dyn ReplicaBackend>>,
-    ) -> Result<Self, MvxError> {
-        if backends.is_empty() {
+        if deployments.is_empty() {
             return Err(MvxError::InvalidConfig(
-                "a replica pool needs at least one replica backend".into(),
+                "a replica pool needs at least one replica".into(),
             ));
         }
         let model_key = model_key.into();
-        let workers = backends
+        let replicas = deployments
             .into_iter()
             .enumerate()
-            .map(|(index, backend)| Self::spawn_worker(&model_key, index, backend))
-            .collect();
-        Ok(Self { model_key, workers })
+            .map(|(index, deployment)| Replica::start(&model_key, index, deployment))
+            .collect::<Result<_, _>>()?;
+        Ok(Self { model_key, replicas })
     }
 
     /// Builds `n` replicas via [`DeploymentBuilder::build_many`] and
@@ -107,87 +92,6 @@ impl ReplicaPool {
         Self::new(model_key, builder.build_many(n)?)
     }
 
-    fn spawn_worker(
-        model_key: &str,
-        index: usize,
-        mut backend: Box<dyn ReplicaBackend>,
-    ) -> ReplicaWorker {
-        let (tx, rx): (Sender<MicroBatch>, Receiver<MicroBatch>) = unbounded();
-        let outstanding = Arc::new(AtomicI64::new(0));
-        let served_batches = Arc::new(AtomicU64::new(0));
-        let served_requests = Arc::new(AtomicU64::new(0));
-        let events = backend.events();
-        let worker_outstanding = Arc::clone(&outstanding);
-        let worker_batches = Arc::clone(&served_batches);
-        let worker_requests = Arc::clone(&served_requests);
-        let name = format!("serve-replica-{model_key}-{index}");
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                let completed = mvtee_telemetry::counter("serve.completed_total");
-                let failed = mvtee_telemetry::counter("serve.failed_total");
-                let stream_failures = mvtee_telemetry::counter("serve.pool.stream_failures");
-                let outstanding_gauge = mvtee_telemetry::gauge("serve.pool.outstanding");
-                let e2e = mvtee_telemetry::histogram("serve.e2e_latency_ns");
-                while let Ok(batch) = rx.recv() {
-                    let size = batch.len() as i64;
-                    let inputs: Vec<mvtee_tensor::Tensor> =
-                        batch.requests.iter().map(|r| r.input.clone()).collect();
-                    let traces: Vec<mvtee_telemetry::trace::TraceCtx> =
-                        batch.requests.iter().map(|r| r.trace).collect();
-                    let result = backend.infer_stream_traced(&inputs, &traces);
-                    match result {
-                        Ok(stats) => {
-                            for (req, out) in
-                                batch.requests.into_iter().zip(stats.outputs)
-                            {
-                                e2e.record(req.submitted.elapsed().as_nanos() as u64);
-                                match out {
-                                    Ok(tensor) => {
-                                        completed.inc();
-                                        req.resolve(Some(index), RequestOutcome::Ok(tensor));
-                                    }
-                                    Err(detail) => {
-                                        failed.inc();
-                                        req.resolve(
-                                            Some(index),
-                                            RequestOutcome::Failed(detail),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        Err(err) => {
-                            // Whole-stream infrastructure loss: every
-                            // member still gets a terminal answer, so
-                            // admitted requests are never silently lost.
-                            stream_failures.inc();
-                            let detail = format!("replica {index} stream failed: {err}");
-                            for req in batch.requests {
-                                e2e.record(req.submitted.elapsed().as_nanos() as u64);
-                                failed.inc();
-                                req.resolve(Some(index), RequestOutcome::Failed(detail.clone()));
-                            }
-                        }
-                    }
-                    worker_batches.fetch_add(1, Ordering::Relaxed);
-                    worker_requests.fetch_add(size as u64, Ordering::Relaxed);
-                    worker_outstanding.fetch_sub(size, Ordering::Release);
-                    outstanding_gauge.add(-size);
-                }
-                backend.shutdown();
-            })
-            .expect("spawn replica worker");
-        ReplicaWorker {
-            tx,
-            outstanding,
-            served_batches,
-            served_requests,
-            events,
-            handle,
-        }
-    }
-
     /// The model key this pool serves.
     pub fn model_key(&self) -> &str {
         &self.model_key
@@ -195,74 +99,158 @@ impl ReplicaPool {
 
     /// Number of replicas.
     pub fn replicas(&self) -> usize {
-        self.workers.len()
+        self.replicas.len()
     }
 
-    /// The monitor event log of one replica (alive even while the
-    /// replica's worker owns the deployment) — how callers observe
+    /// The monitor event log of one replica — how callers observe
     /// quarantines and recoveries under load.
     pub fn replica_events(&self, replica: usize) -> &EventLog {
-        &self.workers[replica].events
+        &self.replicas[replica].events
     }
 
-    /// Dispatches a micro-batch to the replica with the fewest
-    /// outstanding requests (lowest index wins ties).
-    ///
-    /// # Errors
-    ///
-    /// Hands the batch back if every worker has hung up (pool shut
-    /// down), so the caller can resolve the member tickets.
-    pub fn submit(&self, batch: MicroBatch) -> Result<(), MicroBatch> {
-        let size = batch.len() as i64;
-        let target = self
-            .workers
+    /// Hands the request to the pipeline of the replica with the fewest
+    /// outstanding requests (lowest index wins ties), without waiting
+    /// for any result. Its ticket is resolved when its result leaves the
+    /// pipeline — or right here, `Failed`, when the replica cannot take
+    /// it.
+    pub fn submit(&self, mut req: InferRequest) {
+        let (index, replica) = self
+            .replicas
             .iter()
             .enumerate()
-            .min_by_key(|(_, w)| w.outstanding.load(Ordering::Acquire))
-            .map(|(i, _)| i)
+            .min_by_key(|(_, r)| r.outstanding.load(Ordering::Acquire))
             .expect("pool has at least one replica");
-        let worker = &self.workers[target];
-        worker.outstanding.fetch_add(size, Ordering::AcqRel);
-        mvtee_telemetry::gauge("serve.pool.outstanding").add(size);
-        mvtee_telemetry::counter("serve.pool.dispatched_total").add(size as u64);
-        worker.tx.send(batch).map_err(|e| {
-            worker.outstanding.fetch_sub(size, Ordering::AcqRel);
-            mvtee_telemetry::gauge("serve.pool.outstanding").add(-size);
-            e.0
-        })
+        replica.outstanding.fetch_add(1, Ordering::AcqRel);
+        mvtee_telemetry::gauge("serve.pool.outstanding").add(1);
+        mvtee_telemetry::counter("serve.pool.dispatched_total").inc();
+        // The input moves into the pipeline; what stays is the ticket.
+        let input = std::mem::replace(&mut req.input, Tensor::zeros(&[0]));
+        let refused = {
+            let mut deployment = replica.deployment.lock().expect("replica lock poisoned");
+            match deployment.submit(input, req.trace) {
+                Ok(batch) => replica
+                    .in_flight
+                    .send((batch, req))
+                    .err()
+                    .map(|unsent| (unsent.0 .1, "its collector is gone".to_string())),
+                Err(err) => Some((req, err.to_string())),
+            }
+        };
+        let Some((req, why)) = refused else { return };
+        mvtee_telemetry::counter("serve.pool.stream_failures").inc();
+        mvtee_telemetry::counter("serve.failed_total").inc();
+        release_slot(&replica.outstanding);
+        req.resolve(
+            Some(index),
+            RequestOutcome::Failed(format!("replica {index} stream failed: {why}")),
+        );
     }
 
     /// Per-replica counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             outstanding: self
-                .workers
+                .replicas
                 .iter()
-                .map(|w| w.outstanding.load(Ordering::Acquire))
-                .collect(),
-            served_batches: self
-                .workers
-                .iter()
-                .map(|w| w.served_batches.load(Ordering::Relaxed))
+                .map(|r| r.outstanding.load(Ordering::Acquire))
                 .collect(),
             served_requests: self
-                .workers
+                .replicas
                 .iter()
-                .map(|w| w.served_requests.load(Ordering::Relaxed))
+                .map(|r| r.served_requests.load(Ordering::Relaxed))
                 .collect(),
         }
     }
 
-    /// Stops intake, drains every replica's queued batches, and joins
-    /// the workers (each shuts its deployment down before exiting).
+    /// Stops intake, lets every in-flight request finish (the collectors
+    /// resolve what is still in the pipelines), then shuts each
+    /// deployment down.
     pub fn shutdown(self) {
-        let mut handles = Vec::with_capacity(self.workers.len());
-        for worker in self.workers {
-            drop(worker.tx);
-            handles.push(worker.handle);
+        let mut stopping = Vec::with_capacity(self.replicas.len());
+        for replica in self.replicas {
+            drop(replica.in_flight);
+            stopping.push((replica.collector, replica.deployment));
         }
-        for handle in handles {
-            let _ = handle.join();
+        for (collector, deployment) in stopping {
+            let _ = collector.join();
+            deployment
+                .into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .shutdown();
         }
+    }
+}
+
+impl Replica {
+    fn start(model_key: &str, index: usize, deployment: Deployment) -> Result<Self, MvxError> {
+        let completions = deployment.completions()?;
+        let events = deployment.events().clone();
+        let (in_flight, tickets) = unbounded();
+        let outstanding = Arc::new(AtomicI64::new(0));
+        let served_requests = Arc::new(AtomicU64::new(0));
+        let collector = {
+            let (outstanding, served) = (Arc::clone(&outstanding), Arc::clone(&served_requests));
+            std::thread::Builder::new()
+                .name(format!("serve-replica-{model_key}-{index}"))
+                .spawn(move || collect(index, &completions, &tickets, &outstanding, &served))
+                .expect("spawn replica collector")
+        };
+        Ok(Self {
+            deployment: Mutex::new(deployment),
+            in_flight,
+            outstanding,
+            served_requests,
+            events,
+            collector,
+        })
+    }
+}
+
+fn release_slot(outstanding: &AtomicI64) {
+    outstanding.fetch_sub(1, Ordering::Release);
+    mvtee_telemetry::gauge("serve.pool.outstanding").add(-1);
+}
+
+/// One replica's collector: resolves tickets one by one, in submission
+/// order, as their results leave the pipeline. Runs until the pool drops
+/// the ticket sender and every ticket already sent has its answer.
+fn collect(
+    index: usize,
+    completions: &Completions,
+    tickets: &Receiver<InFlight>,
+    outstanding: &AtomicI64,
+    served: &AtomicU64,
+) {
+    let completed = mvtee_telemetry::counter("serve.completed_total");
+    let failed = mvtee_telemetry::counter("serve.failed_total");
+    let stream_failures = mvtee_telemetry::counter("serve.pool.stream_failures");
+    let e2e = mvtee_telemetry::histogram("serve.e2e_latency_ns");
+    while let Ok((batch, req)) = tickets.recv() {
+        let outcome = loop {
+            match completions.next() {
+                // The answer to a ticket that already failed on a timeout.
+                Ok((id, _)) if id != batch => continue,
+                Ok((_, Ok(tensor))) => break RequestOutcome::Ok(tensor),
+                Ok((_, Err(detail))) => break RequestOutcome::Failed(detail),
+                Err(err) => {
+                    // Infrastructure loss: the ticket still gets a
+                    // terminal answer, so nothing admitted is lost.
+                    stream_failures.inc();
+                    break RequestOutcome::Failed(format!("replica {index} stream failed: {err}"));
+                }
+            }
+        };
+        e2e.record(req.submitted.elapsed().as_nanos() as u64);
+        match outcome {
+            RequestOutcome::Ok(_) => completed.inc(),
+            _ => failed.inc(),
+        }
+        served.fetch_add(1, Ordering::Relaxed);
+        // Release the slot before the caller can see the answer: a
+        // sequential caller that resubmits the instant its ticket
+        // resolves must find this replica idle again, or lowest-index
+        // tie-breaking would bounce it to a sibling.
+        release_slot(outstanding);
+        req.resolve(Some(index), outcome);
     }
 }

@@ -5,7 +5,7 @@ use mvtee_telemetry::trace::TraceCtx;
 use mvtee_tensor::Tensor;
 use std::time::{Duration, Instant};
 
-/// One tenant's inference request as it flows queue → batcher → pool.
+/// One tenant's inference request as it flows queue → dispatcher → pool.
 pub struct InferRequest {
     /// Frontend-assigned id, unique per frontend; echoed in the
     /// response so callers (and the loss-accounting tests) can match
@@ -13,8 +13,7 @@ pub struct InferRequest {
     pub id: u64,
     /// Submitting tenant.
     pub tenant: String,
-    /// Model/deployment key — only requests with equal keys may share a
-    /// micro-batch.
+    /// Model/deployment key — names the replica pool that serves it.
     pub model_key: String,
     /// The input tensor.
     pub input: Tensor,
@@ -24,7 +23,7 @@ pub struct InferRequest {
     /// once this passes (observable as `serve.expired_total`).
     pub deadline: Instant,
     /// Root trace context for this request, derived deterministically
-    /// from `id`; propagated through batcher → pool → core pipeline.
+    /// from `id`; propagated through dispatcher → pool → core pipeline.
     pub trace: TraceCtx,
     /// Response channel back to the caller's ticket.
     pub(crate) respond: Sender<InferResponse>,

@@ -28,11 +28,13 @@ impl<'de> Deserialize<'de> for Tensor {
             data: Vec<f32>,
         }
         let raw = Raw::deserialize(deserializer)?;
-        if raw.shape.num_elements() != raw.data.len() {
+        // The dims are the peer's: their product may not fit a `usize`
+        // (`Shape::num_elements` would panic in debug and wrap in release).
+        let claimed = raw.shape.dims().iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if claimed != Some(raw.data.len()) {
             return Err(serde::de::Error::custom(format!(
-                "tensor shape {} implies {} elements but {} were supplied",
+                "tensor shape {} does not describe the {} elements supplied",
                 raw.shape,
-                raw.shape.num_elements(),
                 raw.data.len()
             )));
         }
@@ -426,6 +428,21 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Dims whose product overflows — here wrapping to 0, the length of
+    /// the empty data — are a codec error, not a panic and not a tensor
+    /// whose shape contradicts its data.
+    #[test]
+    fn deserialize_rejects_an_overflowing_shape() {
+        let mut bytes = Vec::new();
+        for word in [2u64, 1 << 63, 2, 0] {
+            // rank, the two dims, then the length of `data`
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        assert!(mvtee_codec::from_bytes::<Tensor>(&bytes).is_err());
+        let honest = mvtee_codec::to_bytes(&Tensor::ones(&[2, 3])).unwrap();
+        assert_eq!(mvtee_codec::from_bytes::<Tensor>(&honest).unwrap(), Tensor::ones(&[2, 3]));
+    }
 
     #[test]
     fn construction_checks_len() {

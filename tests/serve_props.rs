@@ -1,5 +1,5 @@
 //! Serving determinism properties: any interleaving of requests across
-//! tenants through the admission queue → micro-batcher → replica pool
+//! tenants through the admission queue → dispatcher → replica pool
 //! must yield outputs byte-identical to serial single-request runs.
 //!
 //! One frontend (2 replicas over the same model) is shared by every
@@ -63,22 +63,26 @@ fn harness() -> &'static Harness {
             .collect();
         reference_dep.shutdown();
 
-        let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, SEED).expect("model");
-        let deployments = Deployment::builder(model)
-            .config(MvxConfig::fast_path(2))
-            .partition_seed(SEED)
-            .variant_seed(SEED)
-            .build_many(REPLICAS)
-            .expect("pool builds");
-        let pool = ReplicaPool::new(MODEL_KEY, deployments).expect("pool wraps");
-        let cfg = ServeConfig { max_batch: 3, max_wait_ms: 1, ..ServeConfig::default() };
-        let frontend = Box::leak(Box::new(ServeFrontend::start(vec![pool], cfg)));
+        let frontend = Box::leak(Box::new(start_frontend()));
         Harness {
             handle: frontend.handle(),
             inputs,
             reference,
         }
     })
+}
+
+/// A 2-replica pool over the harness model behind a default frontend.
+fn start_frontend() -> ServeFrontend {
+    let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, SEED).expect("model");
+    let deployments = Deployment::builder(model)
+        .config(MvxConfig::fast_path(2))
+        .partition_seed(SEED)
+        .variant_seed(SEED)
+        .build_many(REPLICAS)
+        .expect("pool builds");
+    let pool = ReplicaPool::new(MODEL_KEY, deployments).expect("pool wraps");
+    ServeFrontend::start(vec![pool], ServeConfig::default())
 }
 
 /// Submits the planned requests from `threads` concurrent client
@@ -155,11 +159,11 @@ proptest! {
     }
 }
 
-/// The deadline-flush edge case end to end: a single queued request
-/// with no peers to batch with must still flush once `max_wait_ms`
-/// elapses — well before its 30 s deadline — and stay byte-exact.
+/// A lone request is served without waiting for peers: nothing between
+/// admission and the replica's pipeline holds it back to form a group,
+/// so it answers — byte-exact — in well under a second.
 #[test]
-fn single_request_flushes_on_batch_deadline() {
+fn lone_request_is_served_without_waiting_for_peers() {
     let h = harness();
     let start = std::time::Instant::now();
     let ticket = h
@@ -175,8 +179,26 @@ fn single_request_flushes_on_batch_deadline() {
         other => panic!("single request did not complete: {other:?}"),
     }
     assert!(
-        elapsed < std::time::Duration::from_secs(5),
-        "a lone request must flush on the batcher age deadline, not wait \
-         for peers (took {elapsed:?})"
+        elapsed < std::time::Duration::from_secs(1),
+        "a lone request must go straight to a replica, not wait for peers \
+         (took {elapsed:?})"
     );
+}
+
+/// A sequential caller sees the slot it just freed: the replica releases
+/// a request's slot before the ticket resolves, so strictly sequential
+/// round trips keep tie-breaking to replica 0. (Its own frontend: a
+/// neighbouring test's request in flight would rightly move the tie.)
+#[test]
+fn sequential_round_trips_stay_on_replica_zero() {
+    let input = harness().inputs[0].clone();
+    let frontend = start_frontend();
+    let handle = frontend.handle();
+    for round in 0..50 {
+        let ticket = handle.submit("sequential", MODEL_KEY, input.clone()).expect("admitted");
+        let resp = ticket.wait().expect("response arrives");
+        assert!(resp.outcome.is_ok(), "round {round}: {:?}", resp.outcome);
+        assert_eq!(resp.replica, Some(0), "round {round} left replica 0");
+    }
+    frontend.shutdown();
 }

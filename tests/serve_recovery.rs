@@ -88,8 +88,6 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
     let cfg = ServeConfig {
         max_queue_depth: 4,
         per_tenant_quota: 2,
-        max_batch: 4,
-        max_wait_ms: 1,
         default_deadline_ms: 30_000,
     };
     let frontend = ServeFrontend::start(vec![pool], cfg);
@@ -209,5 +207,64 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
         "core.recovery.recovered must advance"
     );
 
+    frontend.shutdown();
+}
+
+/// Tickets resolve as results leave the pipeline, not group by group:
+/// four requests submitted back to back to a one-replica pool whose
+/// third pipeline batch meets a hung variant. The third waits out the
+/// checkpoint deadline; the two ahead of it must not.
+#[test]
+fn early_requests_are_answered_before_the_watchdog_fires_for_a_later_one() {
+    let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, SEED).expect("model");
+    let input = burst_input(&model);
+    let mut reference_dep = Deployment::builder(model)
+        .config(recovery_mvx())
+        .partition_seed(SEED)
+        .variant_seed(SEED)
+        .build()
+        .expect("reference builds");
+    let reference = reference_dep.infer(&input).expect("reference inference");
+    reference_dep.shutdown();
+
+    let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, SEED).expect("model");
+    let stall = FaultDescriptor::Stall(StallFault { from_batch: 2, mode: StallMode::Hang });
+    let deployment = Deployment::builder(model)
+        .config(recovery_mvx())
+        .partition_seed(SEED)
+        .variant_seed(SEED)
+        .fault(stall, Some((1, 0)))
+        .build()
+        .expect("replica builds");
+    let pool = ReplicaPool::new(MODEL_KEY, vec![deployment]).expect("pool wraps");
+    let frontend = ServeFrontend::start(vec![pool], ServeConfig::default());
+
+    let handle = frontend.handle();
+    let tickets: Vec<_> = (0..4)
+        .map(|_| handle.submit("burst", MODEL_KEY, input.clone()).expect("admitted"))
+        .collect();
+    let responses: Vec<_> =
+        tickets.into_iter().map(|t| t.wait().expect("admitted requests always resolve")).collect();
+
+    let deadline = recovery_mvx().checkpoint_deadline();
+    assert!(
+        responses[2].latency >= deadline,
+        "pipeline batch 2 must wait out the hung variant: {:?}",
+        responses[2].latency
+    );
+    for resp in &responses[..2] {
+        assert!(
+            resp.latency < deadline / 2,
+            "request {} waited for a later one's watchdog: {:?}",
+            resp.id,
+            resp.latency
+        );
+    }
+    for resp in responses {
+        match resp.outcome {
+            RequestOutcome::Ok(tensor) => assert!(bits_equal(&tensor, &reference)),
+            other => panic!("request {} did not complete: {other:?}", resp.id),
+        }
+    }
     frontend.shutdown();
 }
