@@ -20,8 +20,9 @@ use crate::Result;
 
 /// One endpoint of a protected (or deliberately unprotected) link.
 pub enum DataLink {
-    /// AES-GCM-256 with sequence numbers. Boxed: the cipher state (round
-    /// keys + GHASH tables) dwarfs the plaintext variant.
+    /// AES-GCM-256 with sequence numbers. Boxed: two ciphers' key state
+    /// (round keys + GHASH key powers, ~0.8 KB; on the portable core
+    /// pointers to 64 KiB tables instead) dwarfs the plaintext variant.
     Encrypted(Box<SecureChannel<Box<dyn FrameTransport>>>),
     /// Plaintext frames (overhead-measurement baseline only).
     Plain(Box<dyn FrameTransport>),
@@ -135,15 +136,25 @@ mod tests {
 
     #[test]
     fn encrypted_links_with_different_secrets_fail() {
-        let (mut a, _b) = link_pair(true, b"secret-1", 1);
-        let (_c, mut d) = link_pair(true, b"secret-2", 1);
-        // Cross-wire: impossible with memory pairs, so emulate by sending
-        // through a's transport and... instead verify same-secret works and
-        // decryption integrity is covered by the crypto crate; here just
-        // check disconnect detection.
-        drop(_b);
+        let failures = mvtee_telemetry::counter("crypto.channel.auth_failures");
+        let before = failures.get();
+        let (a, b) = memory_pair();
+        let mut a = DataLink::from_transport(a, true, b"secret-1", Role::Initiator, 1);
+        let mut b = DataLink::from_transport(b, true, b"secret-2", Role::Responder, 1);
+        a.send(b"x").unwrap();
+        let auth_failed = mvtee_crypto::CryptoError::AuthenticationFailed.to_string();
+        assert_eq!(b.recv(), Err(crate::MvxError::Transport(auth_failed)));
+        // Sibling tests may tamper frames concurrently: growth, not a delta.
+        assert!(failures.get() > before);
+    }
+
+    #[test]
+    fn dropped_peer_fails_send_and_recv() {
+        let (mut a, b) = link_pair(true, b"secret", 1);
+        drop(b);
         assert!(a.send(b"x").is_err());
-        drop(_c);
+        let (c, mut d) = link_pair(true, b"secret", 1);
+        drop(c);
         assert!(d.recv().is_err());
     }
 

@@ -1,8 +1,10 @@
 //! The AES block cipher (FIPS 197), supporting 128- and 256-bit keys.
 //!
-//! This is a straightforward table-free implementation (S-box lookup plus
-//! explicit GF(2^8) arithmetic for MixColumns). It exists to back
-//! [`crate::gcm::AesGcm`]; no other mode is exposed.
+//! This is the portable block cipher behind [`crate::gcm::AesGcm`]: a
+//! one-table T-box formulation, cross-checked in tests against a table-free
+//! reference. On x86-64 hosts with AES-NI, `AesGcm` takes only the key
+//! schedule from here and runs the rounds in hardware. No other mode is
+//! exposed.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -56,14 +58,14 @@ fn mul(x: u8, y: u8) -> u8 {
 ///
 /// Only the *encrypt* direction is implemented: GCM is a CTR-based mode and
 /// never needs the inverse cipher. Block encryption uses the classic
-/// T-table formulation (one 256-entry table plus rotations), matching the
-/// throughput class of real software AES so that measured encryption
-/// overheads are representative.
+/// T-table formulation (one 256-entry table plus rotations): the
+/// throughput class of table-driven software AES, roughly twenty times
+/// slower than the AES instructions the hardware GCM core uses.
 #[derive(Clone)]
 pub struct Aes {
-    /// Byte-wise round keys, used by the reference (table-free) path that
-    /// cross-validates the T-table path in tests.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Byte-wise round keys: what the hardware GCM core loads, and what the
+    /// reference (table-free) path that cross-validates the T-table path
+    /// in tests runs on.
     round_keys: Vec<[u8; 16]>,
     round_key_words: Vec<[u32; 4]>,
     rounds: usize,
@@ -165,6 +167,13 @@ impl Aes {
             round_key_words.push(rkw);
         }
         Aes { round_keys, round_key_words, rounds }
+    }
+
+    /// The expanded key, one 16-byte round key per round plus the initial
+    /// one (11 for AES-128, 15 for AES-256).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn round_keys(&self) -> &[[u8; 16]] {
+        &self.round_keys
     }
 
     /// Encrypts a single 16-byte block in place (T-table fast path).

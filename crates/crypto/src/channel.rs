@@ -14,7 +14,7 @@
 //! The transport itself is abstracted by [`FrameTransport`]; the TEE
 //! substrate provides an in-memory pair and a loopback-TCP implementation.
 
-use crate::gcm::{nonce_from_sequence, AesGcm};
+use crate::gcm::{nonce_from_sequence, AesGcm, TAG_LEN};
 use crate::sha256::{derive_key32, hkdf, sha256};
 use crate::x25519::EphemeralKeypair;
 use crate::{CryptoError, Result};
@@ -275,12 +275,11 @@ impl<T: FrameTransport> SecureChannel<T> {
         let mut aad = [0u8; 12];
         aad[..4].copy_from_slice(&self.channel_id.to_be_bytes());
         aad[4..].copy_from_slice(&seq.to_be_bytes());
-        let seal_timer = self.telemetry.seal_ns.start();
-        let sealed = self.send_cipher.seal(&nonce, payload, &aad);
-        seal_timer.finish();
-        let mut frame = Vec::with_capacity(8 + sealed.len());
+        let mut frame = Vec::with_capacity(8 + payload.len() + TAG_LEN);
         frame.extend_from_slice(&seq.to_be_bytes());
-        frame.extend_from_slice(&sealed);
+        let seal_timer = self.telemetry.seal_ns.start();
+        self.send_cipher.seal_into(&nonce, payload, &aad, &mut frame);
+        seal_timer.finish();
         self.bytes_sent += payload.len() as u64;
         self.telemetry.bytes_out.add(payload.len() as u64);
         let tracer = mvtee_telemetry::trace::recorder();
@@ -451,6 +450,24 @@ mod tests {
         // Other tests tamper frames concurrently, so assert growth, not
         // an exact delta.
         assert!(counter.get() > before);
+    }
+
+    #[test]
+    fn frame_is_sequence_then_sealed_payload() {
+        let hs = Handshake::from_pre_shared(b"frame", Role::Initiator);
+        let cipher = AesGcm::new_256(&hs.send_key);
+        let (a, b) = memory_pair();
+        let mut tx = SecureChannel::new(a, &hs, 0x0102_0304);
+        for seq in 0..2u64 {
+            let payload = vec![seq as u8 + 1; 100];
+            tx.send(&payload).unwrap();
+            let mut aad = [0u8; 12];
+            aad[..4].copy_from_slice(&0x0102_0304u32.to_be_bytes());
+            aad[4..].copy_from_slice(&seq.to_be_bytes());
+            let mut expected = seq.to_be_bytes().to_vec();
+            expected.extend(cipher.seal(&nonce_from_sequence(0x0102_0304, seq), &payload, &aad));
+            assert_eq!(b.recv_frame().unwrap(), expected, "seq {seq}");
+        }
     }
 
     #[test]

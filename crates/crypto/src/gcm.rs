@@ -6,8 +6,16 @@
 //!
 //! Nonces are fixed at 96 bits (the GCM fast path); the secure channel layer
 //! derives them from per-direction counters so they never repeat under a key.
+//!
+//! A key runs on one of two cores, decided when it is built and by nothing
+//! but the CPU: the *hardware* core (`aesni.rs`: AES-NI + PCLMULQDQ, x86-64
+//! with the instructions detected) or the *portable* core in this file
+//! (T-box AES + Shoup-table GHASH, everywhere else). Both produce the same
+//! bytes; [`core_name`] says which one this host runs.
 
 use crate::aes::{Aes, BLOCK_LEN};
+#[cfg(target_arch = "x86_64")]
+use crate::aesni::HwKey;
 use crate::{ct_eq, CryptoError, Result};
 
 /// Length of the GCM authentication tag in bytes.
@@ -17,9 +25,9 @@ pub const NONCE_LEN: usize = 12;
 
 /// Precomputed Shoup byte tables for multiplication by a fixed `H`:
 /// `table[i][b]` is the product of `H` with the field element whose byte
-/// `i` (most-significant first) equals `b`. Built once per key; makes
-/// GHASH run at a few cycles per byte, the throughput class of real
-/// software GHASH.
+/// `i` (most-significant first) equals `b`. Built once per portable key
+/// (64 KiB); makes GHASH run at a few cycles per byte, the throughput class
+/// of table-driven software GHASH.
 struct HTable {
     table: Box<[[u128; 256]; 16]>,
 }
@@ -186,8 +194,36 @@ fn size_histogram(op: &str, len: usize) -> &'static mvtee_telemetry::Histogram {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AesGcm {
-    aes: Aes,
-    h: std::sync::Arc<HTable>,
+    core: Core,
+}
+
+/// The key material, in the form the core that runs it wants.
+// The large variant is the common one; boxing it would put a pointer chase
+// in front of every seal to shrink a variant most hosts never build.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Core {
+    #[cfg(target_arch = "x86_64")]
+    Hardware(HwKey),
+    Portable { aes: Aes, h: std::sync::Arc<HTable> },
+}
+
+/// Whether keys built on this host get the hardware core.
+fn hardware() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return crate::aesni::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The core that keys built on this host run on: `"aesni-pclmul"` or
+/// `"portable"`. For logs and reports; it selects nothing.
+pub fn core_name() -> &'static str {
+    if hardware() {
+        "aesni-pclmul"
+    } else {
+        "portable"
+    }
 }
 
 impl AesGcm {
@@ -211,11 +247,24 @@ impl AesGcm {
     }
 
     fn from_aes(aes: Aes) -> Self {
-        let h = aes.encrypt(&[0u8; 16]);
-        AesGcm { aes, h: std::sync::Arc::new(HTable::new(h)) }
+        static REPORTED: std::sync::Once = std::sync::Once::new();
+        REPORTED.call_once(|| {
+            mvtee_telemetry::gauge("crypto.gcm.hw_core").set(i64::from(hardware()));
+        });
+        #[cfg(target_arch = "x86_64")]
+        if let Some(key) = HwKey::new(&aes) {
+            return AesGcm { core: Core::Hardware(key) };
+        }
+        Self::portable(aes)
     }
 
-    fn counter_block(nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 16] {
+    /// A key on the portable core, whatever the CPU offers.
+    fn portable(aes: Aes) -> Self {
+        let h = aes.encrypt(&[0u8; 16]);
+        AesGcm { core: Core::Portable { aes, h: std::sync::Arc::new(HTable::new(h)) } }
+    }
+
+    pub(crate) fn counter_block(nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 16] {
         let mut block = [0u8; 16];
         block[..NONCE_LEN].copy_from_slice(nonce);
         block[12..].copy_from_slice(&counter.to_be_bytes());
@@ -232,9 +281,14 @@ impl AesGcm {
             data.len() <= Self::MAX_PAYLOAD,
             "gcm payload exceeds the single-nonce limit"
         );
+        let aes = match &self.core {
+            #[cfg(target_arch = "x86_64")]
+            Core::Hardware(key) => return key.ctr_xor(nonce, data),
+            Core::Portable { aes, .. } => aes,
+        };
         let mut counter = 2u32; // counter 1 is reserved for the tag mask
         for chunk in data.chunks_mut(BLOCK_LEN) {
-            let ks = self.aes.encrypt(&Self::counter_block(nonce, counter));
+            let ks = aes.encrypt(&Self::counter_block(nonce, counter));
             for (b, k) in chunk.iter_mut().zip(ks.iter()) {
                 *b ^= k;
             }
@@ -243,11 +297,16 @@ impl AesGcm {
     }
 
     fn compute_tag(&self, nonce: &[u8; NONCE_LEN], ciphertext: &[u8], aad: &[u8]) -> [u8; TAG_LEN] {
-        let mut ghash = GHash::new(&self.h);
+        let (aes, h) = match &self.core {
+            #[cfg(target_arch = "x86_64")]
+            Core::Hardware(key) => return key.tag(nonce, ciphertext, aad),
+            Core::Portable { aes, h } => (aes, h),
+        };
+        let mut ghash = GHash::new(h);
         ghash.update_padded(aad);
         ghash.update_padded(ciphertext);
         let s = ghash.finalize(aad.len(), ciphertext.len());
-        let mask = self.aes.encrypt(&Self::counter_block(nonce, 1));
+        let mask = aes.encrypt(&Self::counter_block(nonce, 1));
         let mut tag = [0u8; TAG_LEN];
         for i in 0..TAG_LEN {
             tag[i] = s[i] ^ mask[i];
@@ -258,13 +317,29 @@ impl AesGcm {
     /// Encrypts `plaintext` with associated data `aad`, returning
     /// `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        self.seal_into(nonce, plaintext, aad, &mut out);
+        out
+    }
+
+    /// Like [`AesGcm::seal`], but appends `ciphertext || tag` to `out`, so
+    /// a caller framing the sealed bytes (a sequence number, a nonce) builds
+    /// the whole frame in one buffer. What `out` already holds is untouched.
+    pub fn seal_into(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        plaintext: &[u8],
+        aad: &[u8],
+        out: &mut Vec<u8>,
+    ) {
         let timer = size_histogram("seal", plaintext.len()).start();
-        let mut out = plaintext.to_vec();
-        self.ctr_xor(nonce, &mut out);
-        let tag = self.compute_tag(nonce, &out, aad);
+        let start = out.len();
+        out.reserve(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        self.ctr_xor(nonce, &mut out[start..]);
+        let tag = self.compute_tag(nonce, &out[start..], aad);
         out.extend_from_slice(&tag);
         timer.finish();
-        out
     }
 
     /// Decrypts and authenticates `ciphertext || tag`.
@@ -411,6 +486,162 @@ mod tests {
             GHash::gf_mul(a ^ b, c),
             GHash::gf_mul(a, c) ^ GHash::gf_mul(b, c)
         );
+    }
+
+    include!("../tests/data/gcm_spec_cases.rs");
+
+    /// `key` on the portable core always, and on the hardware core when
+    /// this CPU has it: every two-core test runs on whatever is present.
+    fn cores(key: &[u8]) -> Vec<(&'static str, AesGcm)> {
+        let mut cores = vec![("portable", AesGcm::portable(Aes::new(key).unwrap()))];
+        if hardware() {
+            cores.push((core_name(), AesGcm::new(key).unwrap()));
+        }
+        cores
+    }
+
+    #[test]
+    fn core_name_matches_the_core_keys_are_built_on() {
+        println!("aes-gcm core: {}", core_name());
+        let built = match AesGcm::new_256(&[0u8; 32]).core {
+            #[cfg(target_arch = "x86_64")]
+            Core::Hardware(_) => "aesni-pclmul",
+            Core::Portable { .. } => "portable",
+        };
+        assert_eq!(core_name(), built);
+        let gauge = mvtee_telemetry::gauge("crypto.gcm.hw_core").get();
+        assert_eq!(gauge, i64::from(built == "aesni-pclmul"));
+    }
+
+    #[test]
+    fn spec_cases_hold_on_each_core() {
+        for [case, key, iv, aad, plain, cipher, tag] in SPEC_CASES {
+            let iv: [u8; 12] = unhex(iv).try_into().unwrap();
+            let (aad, plain) = (unhex(aad), unhex(plain));
+            for (core, gcm) in cores(&unhex(key)) {
+                let sealed = gcm.seal(&iv, &plain, &aad);
+                assert_eq!(crate::sha256::hex(&sealed), format!("{cipher}{tag}"), "{case} {core}");
+                assert_eq!(gcm.open(&iv, &sealed, &aad).unwrap(), plain, "{case} {core}");
+            }
+        }
+    }
+
+    /// No spec vector is longer than 64 bytes; the hardware core's 128-byte
+    /// batches, their 16-byte tail and the partial last block are reached
+    /// only here.
+    #[test]
+    fn cores_agree_byte_for_byte_and_reject_the_same_flips() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let mut key = [0u8; 32];
+        rng.fill(&mut key);
+        let cores = cores(&key);
+        let mut data = vec![0u8; 65_537 + 300];
+        rng.fill(&mut data[..]);
+        for len in (0..=1100).chain([4096, 5000, 65_536, 65_537]) {
+            for aad_len in [0usize, 1, 12, 16, 17, 129, 300] {
+                let (plain, aad) = (&data[..len], &data[len..len + aad_len]);
+                let mut nonce = [0u8; NONCE_LEN];
+                rng.fill(&mut nonce);
+                let sealed = cores[0].1.seal(&nonce, plain, aad);
+                // One seeded bit flipped in the ciphertext, the tag, the AAD
+                // or the nonce — whichever of them this case has.
+                let (mut bad, mut bad_aad, mut bad_nonce) = (sealed.clone(), aad.to_vec(), nonce);
+                let (bad_ct, bad_tag) = bad.split_at_mut(len);
+                let mut targets: Vec<&mut [u8]> = vec![bad_ct, bad_tag, &mut bad_aad, &mut bad_nonce];
+                targets.retain(|t| !t.is_empty());
+                let pick = rng.gen_range(0..targets.len());
+                let target = &mut targets[pick];
+                target[rng.gen_range(0..target.len())] ^= 1u8 << rng.gen_range(0..8u32);
+                for (core, gcm) in &cores {
+                    let at = format!("{core}, {len} bytes, {aad_len} of aad");
+                    assert!(gcm.seal(&nonce, plain, aad) == sealed, "seal differs: {at}");
+                    assert!(gcm.open(&nonce, &sealed, aad).unwrap() == plain, "open: {at}");
+                    assert_eq!(
+                        gcm.open(&bad_nonce, &bad, &bad_aad),
+                        Err(CryptoError::AuthenticationFailed),
+                        "flip accepted: {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Digests of what the table core sealed *before* the hardware core
+    /// existed (recorded at the parent commit), so a host without AES-NI
+    /// still pins the portable core and one with it pins both.
+    #[test]
+    fn golden_digests_from_the_former_table_cipher() {
+        const GOLDEN: [(usize, &str); 5] = [
+            (127, "635060c68884eb943d26b27561e635744e8a68bc3b7bb3aff3b3db686580188d"),
+            (128, "7faac900f7b0e1b7bcfff1dd3072ffdbd35b4f8e8bb4700b3229e0a047a45d27"),
+            (129, "5f4521d81d0b6b161430d158047e5f82af30a36f84aa45b3f7909b2142f0069d"),
+            (4096, "0f1dba204fffbb98a0d09f523ffd9b734de3d84e126ff768f0045d2f7f1b6d87"),
+            (65_537, "ec5cc5fd11c5a53258baaf99a1b1ed4a2c89d02f0f74c3bcb32f19254810ff58"),
+        ];
+        for (core, gcm) in cores(&[0x5a; 32]) {
+            for (n, digest) in GOLDEN {
+                let plain: Vec<u8> = (0..n).map(|i| ((i * 31 + 7) % 256) as u8).collect();
+                let sealed = gcm.seal(&[7; NONCE_LEN], &plain, b"mvtee-golden");
+                assert_eq!(
+                    crate::sha256::hex(&crate::sha256::sha256(&sealed)),
+                    digest,
+                    "{core}, {n} bytes"
+                );
+            }
+        }
+    }
+
+    /// The tag recomputed with nothing but the bitwise `gf_mul`. A message
+    /// of n ≤ 8 blocks multiplies its first block by the stored Hⁿ, so
+    /// lengths of 1..=8 blocks check the hardware multiply and every stored
+    /// power; the longer, ragged ones check aggregation across batches.
+    #[test]
+    fn tags_match_the_bitwise_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        for case in 0..64usize {
+            let mut key = [0u8; 32];
+            rng.fill(&mut key);
+            let key = if case % 2 == 0 { &key[..] } else { &key[..16] };
+            let ct_len = if case < 32 { 16 * (case % 8 + 1) } else { rng.gen_range(1..=400) };
+            let (mut ct, mut aad) = (vec![0u8; ct_len], vec![0u8; rng.gen_range(0..40)]);
+            let mut nonce = [0u8; NONCE_LEN];
+            rng.fill(&mut ct[..]);
+            rng.fill(&mut aad[..]);
+            rng.fill(&mut nonce);
+
+            let aes = Aes::new(key).unwrap();
+            let h = u128::from_be_bytes(aes.encrypt(&[0u8; 16]));
+            let mut y = 0u128;
+            for block in aad.chunks(16).chain(ct.chunks(16)) {
+                let mut padded = [0u8; 16];
+                padded[..block.len()].copy_from_slice(block);
+                y = GHash::gf_mul(y ^ u128::from_be_bytes(padded), h);
+            }
+            let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
+            y = GHash::gf_mul(y ^ lens, h);
+            let mask = u128::from_be_bytes(aes.encrypt(&AesGcm::counter_block(&nonce, 1)));
+            let expected = (y ^ mask).to_be_bytes();
+
+            for (core, gcm) in cores(key) {
+                assert_eq!(gcm.compute_tag(&nonce, &ct, &aad), expected, "{core}, case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn seal_into_appends_and_leaves_the_prefix_alone() {
+        for (core, gcm) in cores(&[6u8; 32]) {
+            for len in [0usize, 5, 128, 1000] {
+                let plain = vec![0xabu8; len];
+                let mut out = b"prefix".to_vec();
+                gcm.seal_into(&[1; NONCE_LEN], &plain, b"aad", &mut out);
+                assert_eq!(&out[..6], b"prefix", "{core}");
+                assert_eq!(out.len(), 6 + len + TAG_LEN, "{core}");
+                assert_eq!(out[6..], gcm.seal(&[1; NONCE_LEN], &plain, b"aad"), "{core}");
+            }
+        }
     }
 
     #[test]

@@ -71,9 +71,10 @@ impl RuntimeConfig {
 ///
 /// Stateless between regions: each parallel region spawns scoped workers
 /// that drain a pre-split chunk queue and exit. (The vendored crossbeam
-/// provides channels only, and the workspace forbids `unsafe`, so a
-/// persistent pool borrowing caller slices is not expressible — scoped
-/// spawning keeps the borrows safe and the design allocation-light.)
+/// provides channels only, and every crate but the crypto dispatch shims
+/// forbids `unsafe`, so a persistent pool borrowing caller slices is not
+/// expressible — scoped spawning keeps the borrows safe and the design
+/// allocation-light.)
 pub struct ThreadPool {
     cfg: RuntimeConfig,
     /// Passthrough pools run every region as one inline chunk — used for

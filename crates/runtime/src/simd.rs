@@ -1,7 +1,8 @@
 //! Wide-register SIMD microkernels for the GEMM / im2col / conv inner loops.
 //!
-//! The workspace forbids `unsafe`, so these kernels do not call
-//! `std::arch` intrinsics directly. Instead the inner loop is written as an
+//! Every crate but the crypto dispatch shims forbids `unsafe`, so these
+//! kernels do not call `std::arch` intrinsics directly. Instead the inner
+//! loop is written as an
 //! unrolled **8-lane virtual register**: a `[f32; 8]` accumulator block where
 //! lane `l` sums exactly the products whose flat index is `≡ l (mod 8)`, in
 //! ascending order. Written as chunks-of-8 ([`dot8_wide`]) the loop is a

@@ -21,7 +21,7 @@
 
 use crate::manifest::{Manifest, Syscall};
 use crate::{Result, TeeError};
-use mvtee_crypto::gcm::{AesGcm, NONCE_LEN};
+use mvtee_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
 use mvtee_crypto::sha256::hkdf;
 use mvtee_crypto::{random_array, random_bytes};
 use std::collections::HashMap;
@@ -98,11 +98,10 @@ impl ProtectedFs {
         let mut nonce = [0u8; NONCE_LEN];
         random_bytes(&mut nonce);
         let cipher = AesGcm::new_256(&key);
-        let sealed = cipher.seal(&nonce, plaintext, &Self::aad(path, version));
-        let mut blob = Vec::with_capacity(8 + NONCE_LEN + sealed.len());
+        let mut blob = Vec::with_capacity(8 + NONCE_LEN + plaintext.len() + TAG_LEN);
         blob.extend_from_slice(&version.to_le_bytes());
         blob.extend_from_slice(&nonce);
-        blob.extend_from_slice(&sealed);
+        cipher.seal_into(&nonce, plaintext, &Self::aad(path, version), &mut blob);
         self.sealed.insert(path.to_string(), (salt, blob));
         self.versions.insert(path.to_string(), version);
     }
@@ -509,6 +508,30 @@ mod tests {
             matches!(fs.read(&kdk, "/enc/state"), Err(TeeError::Crypto(_))),
             "rolled-back blob must fail freshness authentication"
         );
+    }
+
+    #[test]
+    fn blob_is_version_nonce_ciphertext_tag() {
+        let kdk = [3u8; 32];
+        let mut fs = ProtectedFs::new();
+        fs.write(&kdk, "/enc/f", b"first");
+        fs.write(&kdk, "/enc/f", b"second write");
+        let (salt, blob) = fs.export("/enc/f").unwrap();
+        assert_eq!(blob.len(), 8 + NONCE_LEN + b"second write".len() + TAG_LEN);
+        assert_eq!(blob[..8], 2u64.to_le_bytes());
+        // Opened by hand from the parsed fields, and through `read`.
+        let nonce: [u8; NONCE_LEN] = blob[8..8 + NONCE_LEN].try_into().unwrap();
+        let cipher = AesGcm::new_256(&ProtectedFs::file_key(&kdk, "/enc/f", &salt));
+        let opened = cipher.open(&nonce, &blob[8 + NONCE_LEN..], &ProtectedFs::aad("/enc/f", 2));
+        assert_eq!(opened.unwrap(), b"second write");
+        assert_eq!(fs.read(&kdk, "/enc/f").unwrap(), b"second write");
+        // The cleartext version is only a hint: its authentic copy is in
+        // the AAD, so an importer adopting an edited one cannot open the blob.
+        let mut edited = blob;
+        edited[0] ^= 1;
+        let mut other = ProtectedFs::new();
+        other.import("/enc/f", salt, edited);
+        assert!(matches!(other.read(&kdk, "/enc/f"), Err(TeeError::Crypto(_))));
     }
 
     #[test]
