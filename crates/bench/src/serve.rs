@@ -1,8 +1,8 @@
 //! The `serve` experiment: multi-tenant load against the serving
 //! frontend (`mvtee-serve`).
 //!
-//! The experiment drives one frontend — admission queue → dispatcher →
-//! replica pool — with a closed-loop phase (each client keeps exactly
+//! The experiment drives one frontend — admission → replica pool →
+//! pipeline — with a closed-loop phase (each client keeps exactly
 //! one request in flight) followed by an open-loop phase (fixed-rate
 //! submission), and holds the run to the serving invariants:
 //!
@@ -114,7 +114,7 @@ pub struct ServeReport {
     pub completed: u64,
     /// Requests that resolved `Failed`.
     pub failed: u64,
-    /// Requests that expired before dispatch.
+    /// Requests that expired waiting for a cold start.
     pub expired: u64,
     /// Admitted requests that never resolved (must be 0).
     pub lost: u64,

@@ -21,8 +21,8 @@ use crate::config::{MvxConfig, PartitionMvx, ResponsePolicy, RESULT_TIMEOUT};
 use crate::events::{EventLog, MonitorEvent};
 use crate::messages::encode;
 use crate::pipeline::{
-    spawn_pipeline, spawn_rx_thread, CoordMsg, PipelineHandles, RxEvent, StageJob, StagePolicy,
-    StageRuntime, VariantLink,
+    spawn_pipeline, spawn_rx_thread, CoordMsg, PipelineHandles, Reply, RxEvent, StageJob,
+    StagePolicy, StageRuntime, VariantLink,
 };
 use crate::provision::Provisioner;
 use crate::recovery::{spawn_recovery_manager, RecoveryContext, RecoveryRequest};
@@ -30,7 +30,7 @@ use crate::transcript::TranscriptLog;
 use crate::variant_host::{HostFaults, SealedVariantPayload};
 use crate::worker::VariantPlacement;
 use crate::{MvxError, Result};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use mvtee_crypto::random_array;
 use mvtee_crypto::sha256::sha256;
 use mvtee_diversify::spec::spread_specs;
@@ -46,7 +46,7 @@ use mvtee_runtime::{EngineConfig, EngineKind, KernelStrategy};
 use mvtee_tee::{
     AttestationReport, CodeIdentity, Enclave, Manifest, Platform, ProtectedFs, TeeKind,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -720,48 +720,8 @@ pub struct StreamStats {
     pub latencies: Vec<Duration>,
 }
 
-/// The results side of [`Deployment::submit`]: the batches of one
-/// pipeline generation, in pipeline (= submission) order. It outlives no
-/// generation: once an update, key rotation or shutdown retires the one
-/// it was taken from, [`Completions::next`] fails instead of yielding the
-/// next generation's results.
-pub struct Completions {
-    results: Receiver<StageJob>,
-    output: ValueId,
-    /// The first batch id this handle answers for. Lower ids belong to a
-    /// collection abandoned before it was taken (a timed-out caller) and
-    /// are dropped.
-    first: u64,
-}
-
-impl Completions {
-    /// Blocks for the next batch to leave the pipeline: its id, and its
-    /// output or the reason a checkpoint halted it.
-    ///
-    /// # Errors
-    ///
-    /// The generation was retired, or nothing left the pipeline within
-    /// the result timeout.
-    pub fn next(&self) -> Result<(u64, std::result::Result<mvtee_tensor::Tensor, String>)> {
-        loop {
-            let mut job = self
-                .results
-                .recv_timeout(RESULT_TIMEOUT)
-                .map_err(|_| MvxError::Transport("pipeline results closed".into()))?;
-            if job.batch < self.first {
-                continue;
-            }
-            let output = match job.poisoned {
-                Some(poison) => Err(poison),
-                None => job
-                    .env
-                    .remove(&self.output)
-                    .ok_or_else(|| "model output missing from final environment".to_string()),
-            };
-            return Ok((job.batch, output));
-        }
-    }
-}
+/// A batch's output, or the reason a checkpoint halted it.
+type Output = std::result::Result<mvtee_tensor::Tensor, String>;
 
 impl StreamStats {
     /// Throughput in batches per second.
@@ -997,45 +957,52 @@ impl Deployment {
         Ok(())
     }
 
-    /// Hands one batch to the first stage and returns its batch id; the
-    /// result leaves through [`Deployment::completions`]. Blocks only
-    /// while the first stage's queue is full. `trace` is the span the
+    /// Hands one batch to the first stage and returns its batch id.
+    /// Blocks only while the first stage's queue is full. The last stage
+    /// calls `reply` with the batch's output or the reason a checkpoint
+    /// halted it — on its own thread, exactly once — and every batch
+    /// handed in is answered before an update, key rotation or shutdown
+    /// retires its generation. A batch the pipeline loses drops `reply`
+    /// uncalled; so does a refused submission. `trace` is the span the
     /// pipeline's spans chain to (e.g. a serving request's root);
     /// [`TraceCtx::NONE`] gets a deterministic per-batch root.
     ///
     /// # Errors
     ///
     /// The deployment is shut down, or its pipeline stopped.
-    pub fn submit(&mut self, input: mvtee_tensor::Tensor, trace: TraceCtx) -> Result<u64> {
+    pub fn submit(
+        &mut self,
+        input: mvtee_tensor::Tensor,
+        trace: TraceCtx,
+        reply: impl FnOnce(std::result::Result<mvtee_tensor::Tensor, String>) + Send + 'static,
+    ) -> Result<u64> {
         let handles = self.running()?;
         let batch = self.next_batch;
         let trace = if trace.is_none() { TraceCtx::for_batch(batch) } else { trace };
+        let output = self.output_value;
+        let reply: Reply = Box::new(move |env| {
+            reply(env.and_then(|mut env| {
+                env.remove(&output)
+                    .ok_or_else(|| "model output missing from final environment".to_string())
+            }))
+        });
+        let env = HashMap::from([(self.input_value, input)]);
         handles
             .first_stage
-            .send(CoordMsg::Job(StageJob {
-                batch,
-                env: HashMap::from([(self.input_value, input)]),
-                poisoned: None,
-                submitted: Instant::now(),
-                trace,
-            }))
+            .send(CoordMsg::Job(StageJob { batch, env, poisoned: None, trace, reply }))
             .map_err(|_| MvxError::Transport("pipeline input closed".into()))?;
         self.next_batch += 1;
         Ok(batch)
     }
 
-    /// The results side of [`Deployment::submit`] for the running
-    /// generation, positioned at the next batch to be submitted.
-    ///
-    /// # Errors
-    ///
-    /// The deployment is shut down.
-    pub fn completions(&self) -> Result<Completions> {
-        Ok(Completions {
-            results: self.running()?.results.clone(),
-            output: self.output_value,
-            first: self.next_batch,
-        })
+    /// [`Deployment::submit`] with the answer delivered to the returned
+    /// one-shot channel.
+    fn submit_awaited(&mut self, input: mvtee_tensor::Tensor) -> Result<Receiver<Output>> {
+        let (tx, rx) = bounded(1);
+        self.submit(input, TraceCtx::NONE, move |output| {
+            let _ = tx.send(output);
+        })?;
+        Ok(rx)
     }
 
     fn running(&self) -> Result<&PipelineHandles> {
@@ -1050,10 +1017,9 @@ impl Deployment {
     /// Returns [`MvxError::DivergenceHalt`] (or a crash error) when a
     /// checkpoint halted this batch.
     pub fn infer(&mut self, input: &mvtee_tensor::Tensor) -> Result<mvtee_tensor::Tensor> {
-        let done = self.completions()?;
-        self.submit(input.clone(), TraceCtx::NONE)?;
-        let (_, output) = done.next()?;
-        output.map_err(|detail| MvxError::DivergenceHalt { partition: usize::MAX, detail })
+        let answer = self.submit_awaited(input.clone())?;
+        await_output(&answer)?
+            .map_err(|detail| MvxError::DivergenceHalt { partition: usize::MAX, detail })
     }
 
     /// Pipelined inference over a stream of batches: all batches are
@@ -1080,18 +1046,18 @@ impl Deployment {
     /// Streams `inputs` with at most `window` batches in flight.
     fn stream(&mut self, inputs: &[mvtee_tensor::Tensor], window: usize) -> Result<StreamStats> {
         let start = Instant::now();
-        let done = self.completions()?;
-        let mut submitted = Vec::with_capacity(inputs.len());
+        let mut pending = inputs.iter();
+        let mut in_flight = VecDeque::new();
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut latencies = Vec::with_capacity(inputs.len());
         while outputs.len() < inputs.len() {
-            while submitted.len() < inputs.len() && submitted.len() - outputs.len() < window {
-                submitted.push(Instant::now());
-                self.submit(inputs[submitted.len() - 1].clone(), TraceCtx::NONE)?;
+            while in_flight.len() < window {
+                let Some(input) = pending.next() else { break };
+                in_flight.push_back((Instant::now(), self.submit_awaited(input.clone())?));
             }
-            let (_, output) = done.next()?;
-            latencies.push(submitted[outputs.len()].elapsed());
-            outputs.push(output);
+            let (submitted, answer) = in_flight.pop_front().expect("a batch is in flight");
+            outputs.push(await_output(&answer)?);
+            latencies.push(submitted.elapsed());
         }
         Ok(StreamStats { outputs, total: start.elapsed(), latencies })
     }
@@ -1210,14 +1176,14 @@ impl Deployment {
         self.launch_all()
     }
 
-    /// Tears the running generation down and readies the next one.
+    /// Tears the running generation down and readies the next one. The
+    /// stop queues behind every batch already handed in and each stage
+    /// forwards it after its last job, so all of them are answered first.
     fn stop_pipeline(&mut self) {
         self.provisioner.retire();
         let mut runtimes = Vec::new();
         if let Some(handles) = self.handles.take() {
-            for tx in &handles.all_stages {
-                let _ = tx.send(CoordMsg::Stop);
-            }
+            let _ = handles.first_stage.send(CoordMsg::Stop);
             // Joining returns each StageRuntime. They are kept alive until
             // the manager has exited — an in-flight recovery still sends
             // its rejoin into one of their merged queues — but without
@@ -1261,6 +1227,17 @@ impl Drop for Deployment {
     fn drop(&mut self) {
         self.stop_pipeline();
     }
+}
+
+/// Waits for one batch's answer. A batch the pipeline dropped unanswered
+/// disconnects its channel and fails at once.
+fn await_output(answer: &Receiver<Output>) -> Result<Output> {
+    answer.recv_timeout(RESULT_TIMEOUT).map_err(|e| {
+        MvxError::Transport(match e {
+            RecvTimeoutError::Timeout => "no answer within the result timeout".into(),
+            RecvTimeoutError::Disconnected => "pipeline dropped the batch unanswered".into(),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1538,22 +1515,59 @@ mod tests {
         d.shutdown();
     }
 
-    /// A results handle never crosses generations: taken before a full
-    /// update, it reports the retired pipeline instead of handing out the
-    /// new generation's result — which stays for a handle taken after.
+    /// A stop answers what it was handed: 40 batches submitted and then,
+    /// at once, an update, a key rotation or a shutdown all come back
+    /// exactly once, `Ok` and bit-equal to a fresh deployment's `infer`,
+    /// however many stages they were spread over. A batch submitted after
+    /// an update is answered by the new generation; none after shutdown.
     #[test]
-    fn completions_fail_closed_when_their_generation_is_retired() {
-        let mut d = Deployment::builder(model()).partitions(2).build().unwrap();
-        let stale = d.completions().unwrap();
-        d.full_update(0xabcdef).unwrap();
-        let fresh = d.completions().unwrap();
-        let batch = d.submit(test_input(), TraceCtx::NONE).unwrap();
-        assert!(stale.next().is_err(), "a retired generation's handle must not yield results");
-        let (id, output) = fresh.next().unwrap();
-        assert_eq!(id, batch);
-        assert!(output.is_ok());
-        d.shutdown();
-        assert!(fresh.next().is_err() && d.completions().is_err());
+    fn a_stop_answers_every_batch_it_was_handed() {
+        const BATCHES: usize = 40;
+        let inputs: Vec<Tensor> = (0..BATCHES)
+            .map(|i| {
+                let mut t = test_input();
+                t.data_mut()[0] = i as f32;
+                t
+            })
+            .collect();
+        for partitions in [2, 3, 6] {
+            let builder = Deployment::builder(model()).partitions(partitions);
+            let mut fresh = builder.clone().build().unwrap();
+            let expected: Vec<Tensor> = inputs.iter().map(|x| fresh.infer(x).unwrap()).collect();
+            fresh.shutdown();
+            type Stop = fn(&mut Deployment);
+            let stops: [(&str, Stop); 4] = [
+                ("rotate_keys", |d| d.rotate_keys().unwrap()),
+                ("partial_update", |d| d.partial_update(1, PartitionMvx::single()).unwrap()),
+                ("full_update", |d| d.full_update(0xabcdef).unwrap()),
+                ("shutdown", Deployment::shutdown),
+            ];
+            for (stop, run_stop) in stops {
+                let mut d = builder.clone().build().unwrap();
+                let (tx, answers) = unbounded();
+                for (i, input) in inputs.iter().enumerate() {
+                    let tx = tx.clone();
+                    d.submit(input.clone(), TraceCtx::NONE, move |out| tx.send((i, out)).unwrap())
+                        .unwrap();
+                }
+                drop(tx);
+                run_stop(&mut d);
+                let answered: Vec<(usize, Output)> =
+                    std::iter::from_fn(|| answers.try_recv().ok()).collect();
+                assert_eq!(answered.len(), BATCHES, "{partitions} partitions, {stop}");
+                for (n, (i, out)) in answered.into_iter().enumerate() {
+                    assert_eq!(i, n, "{partitions} partitions, {stop}: answered out of order");
+                    let out = out.unwrap_or_else(|e| panic!("{partitions}/{stop}: batch {i}: {e}"));
+                    assert_eq!(out, expected[i], "{partitions} partitions, {stop}: batch {i}");
+                }
+                if stop == "shutdown" {
+                    assert!(d.submit(test_input(), TraceCtx::NONE, |_| {}).is_err());
+                } else {
+                    assert!(d.infer(&inputs[0]).is_ok(), "{partitions}/{stop}: new generation");
+                    d.shutdown();
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,17 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Increments the global counter `$name` through a handle resolved once
+/// per call site: registry lookups take a lock, and the monitor records
+/// events per checkpoint.
+macro_rules! count {
+    ($name:literal) => {{
+        static HANDLE: std::sync::OnceLock<mvtee_telemetry::Counter> = std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| mvtee_telemetry::counter($name)).inc()
+    }};
+}
+pub(crate) use count;
+
 /// A security- or lifecycle-relevant monitor observation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MonitorEvent {
@@ -255,52 +266,52 @@ impl EventLog {
         let mut dump = false;
         match &event {
             MonitorEvent::CheckpointPassed { .. } => {
-                mvtee_telemetry::counter("core.events.checkpoint_pass").inc();
+                count!("core.events.checkpoint_pass");
                 trace_name = Some("core.event.checkpoint_pass");
             }
             MonitorEvent::DivergenceDetected { .. } => {
-                mvtee_telemetry::counter("core.events.divergence").inc();
+                count!("core.events.divergence");
                 trace_name = Some("core.event.divergence");
                 dump = true;
             }
             MonitorEvent::VariantCrashed { .. } => {
-                mvtee_telemetry::counter("core.events.crash").inc();
+                count!("core.events.crash");
                 trace_name = Some("core.event.crash");
                 dump = true;
             }
             MonitorEvent::LateDissent { .. } => {
-                mvtee_telemetry::counter("core.events.late_dissent").inc();
+                count!("core.events.late_dissent");
                 trace_name = Some("core.event.late_dissent");
                 dump = true;
             }
             MonitorEvent::Quarantined { .. } => {
-                mvtee_telemetry::counter("core.recovery.quarantined").inc();
+                count!("core.recovery.quarantined");
                 trace_name = Some("core.event.quarantined");
             }
             MonitorEvent::RecoveryStarted { .. } => {
-                mvtee_telemetry::counter("core.recovery.started").inc();
+                count!("core.recovery.started");
                 trace_name = Some("core.event.recovery_started");
             }
             MonitorEvent::Recovered { .. } => {
-                mvtee_telemetry::counter("core.recovery.recovered").inc();
+                count!("core.recovery.recovered");
                 trace_name = Some("core.event.recovered");
                 dump = true;
             }
             MonitorEvent::RecoveryFailed { .. } => {
-                mvtee_telemetry::counter("core.recovery.failed").inc();
+                count!("core.recovery.failed");
                 trace_name = Some("core.event.recovery_failed");
                 dump = true;
             }
             MonitorEvent::HeartbeatMissed { .. } => {
-                mvtee_telemetry::counter("core.supervisor.heartbeat_missed").inc();
+                count!("core.supervisor.heartbeat_missed");
             }
             MonitorEvent::WorkerStalled { .. } => {
-                mvtee_telemetry::counter("core.supervisor.stalled").inc();
+                count!("core.supervisor.stalled");
                 trace_name = Some("core.event.worker_stalled");
                 dump = true;
             }
             MonitorEvent::WorkerReconnected { .. } => {
-                mvtee_telemetry::counter("core.worker.reconnected").inc();
+                count!("core.worker.reconnected");
                 trace_name = Some("core.event.worker_reconnected");
             }
             _ => {}

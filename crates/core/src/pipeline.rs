@@ -5,8 +5,8 @@
 //! TEE — the cross-process monitor is multithreaded) dispatches batches to
 //! that partition's variant TEEs, gathers their encrypted outputs,
 //! evaluates checkpoints (slow path) or falls through (fast path), and
-//! sends the selected result straight into the next stage's job queue (the
-//! last stage into the results channel). Sequential and pipelined
+//! sends the selected result straight into the next stage's job queue; the
+//! last stage answers the job's own reply. Sequential and pipelined
 //! execution use the same plumbing: sequential submits one batch and
 //! waits; pipelined streams batches so stages overlap
 //! (compute-communication overlapping, §4.1).
@@ -19,7 +19,7 @@ use crate::recovery::RecoveryRequest;
 use crate::stage::{step, Action, Event, Path, Sink, StageConfig, StageState};
 use crate::transcript::TranscriptLog;
 use crate::voting::VariantOutput;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use mvtee_graph::ValueId;
 use mvtee_telemetry::trace::{self, TraceCtx};
 use mvtee_tensor::metrics::Metric;
@@ -28,8 +28,12 @@ use std::collections::{HashMap, HashSet};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How a batch is answered once it leaves the last stage: with its final
+/// environment, or with the reason a checkpoint halted it. A job the
+/// pipeline loses is dropped with its reply uncalled.
+pub type Reply = Box<dyn FnOnce(Result<HashMap<ValueId, Tensor>, String>) + Send>;
+
 /// A unit of work flowing through the pipeline.
-#[derive(Debug, Clone)]
 pub struct StageJob {
     /// Monotone batch id.
     pub batch: u64,
@@ -38,11 +42,11 @@ pub struct StageJob {
     /// Set when an upstream stage failed this batch; downstream stages
     /// pass it through untouched.
     pub poisoned: Option<String>,
-    /// Submission timestamp (for latency accounting).
-    pub submitted: Instant,
     /// Trace context this batch runs under ([`TraceCtx::NONE`] when the
     /// caller did not start a trace).
     pub trace: TraceCtx,
+    /// Called by the last stage, exactly once.
+    pub reply: Reply,
 }
 
 /// Events from the per-variant receiver threads, merged into one queue.
@@ -170,14 +174,10 @@ impl StagePolicy {
 pub enum CoordMsg {
     /// Process a job.
     Job(StageJob),
-    /// Shut down (variants get [`StageRequest::Shutdown`]).
+    /// No more jobs. It queues behind the jobs already handed in, and each
+    /// stage forwards it after its last `Forward`; then the stage drains
+    /// and its variants get [`StageRequest::Shutdown`].
     Stop,
-}
-
-impl From<StageJob> for CoordMsg {
-    fn from(job: StageJob) -> Self {
-        CoordMsg::Job(job)
-    }
 }
 
 /// Spawns the receiver thread for one variant's response link. Every
@@ -220,9 +220,10 @@ pub fn spawn_rx_thread(
 /// The effectful half of a coordinator: owns the channels, links, clock,
 /// telemetry and trace spans; turns channel traffic into [`Event`]s and
 /// performs the [`Action`]s [`step`] answers with. It decides nothing.
-struct Shell<T> {
+struct Shell {
     runtime: StageRuntime,
-    out_tx: Sender<T>,
+    /// The next stage's job queue; `None` for the last stage.
+    next: Option<Sender<CoordMsg>>,
     events: EventLog,
     // Fetched and formatted once: recording is lock-free afterwards.
     checkpoint_latency: mvtee_telemetry::Histogram,
@@ -243,17 +244,16 @@ struct Shell<T> {
     downstream_gone: bool,
 }
 
-/// The coordinator loop for one stage. Finished jobs leave through
-/// `out_tx`: the next stage's job queue (`T` = [`CoordMsg`]) or the
-/// results channel (`T` = [`StageJob`]); once its receiver is gone the
-/// stage stops taking jobs. Returns the runtime when stopped so the
-/// deployment can reuse or update it.
-pub fn run_stage<T: From<StageJob>>(
+/// The coordinator loop for one stage. Finished jobs go into `next`, the
+/// next stage's job queue — once its receiver is gone the stage stops
+/// taking jobs — or, with `None`, to their own replies. Returns the
+/// runtime when stopped so the deployment can reuse or update it.
+pub fn run_stage(
     runtime: StageRuntime,
     policy: StagePolicy,
     metric: Metric,
     in_rx: Receiver<CoordMsg>,
-    out_tx: Sender<T>,
+    next: Option<Sender<CoordMsg>>,
     events: EventLog,
 ) -> StageRuntime {
     let partition = runtime.partition;
@@ -270,7 +270,7 @@ pub fn run_stage<T: From<StageJob>>(
     let queue_depth = mvtee_telemetry::gauge(&format!("core.pipeline.p{partition}.queue_depth"));
     let mut shell = Shell {
         runtime,
-        out_tx,
+        next,
         events,
         checkpoint_latency: mvtee_telemetry::histogram(&latency),
         fast_path: mvtee_telemetry::counter("core.voting.fast_path"),
@@ -288,6 +288,10 @@ pub fn run_stage<T: From<StageJob>>(
         let Ok(CoordMsg::Job(job)) = in_rx.recv() else { break };
         queue_depth.set(in_rx.len() as i64);
         shell.run_job(&mut state, job, policy.deadline);
+    }
+    // Every job this stage took is forwarded: the stop follows them.
+    if let Some(next) = shell.next.take() {
+        let _ = next.send(CoordMsg::Stop);
     }
     // Drain outstanding stragglers briefly, then shut the variants down.
     shell.feed(&mut state, Event::Stop);
@@ -307,7 +311,7 @@ pub fn run_stage<T: From<StageJob>>(
     shell.runtime
 }
 
-impl<T: From<StageJob>> Shell<T> {
+impl Shell {
     fn feed(&mut self, state: &mut StageState, event: Event) {
         step(state, event, self);
         for failed in std::mem::take(&mut self.send_failed) {
@@ -350,7 +354,7 @@ impl<T: From<StageJob>> Shell<T> {
         }
         if job.poisoned.is_some() {
             // An upstream stage failed it: passed through untouched.
-            self.downstream_gone |= self.out_tx.send(job.into()).is_err();
+            self.pass_on(job);
             return;
         }
         let inputs = self.runtime.inputs.iter().map(|v| job.env.get(v).cloned().ok_or(*v)).collect();
@@ -368,9 +372,21 @@ impl<T: From<StageJob>> Shell<T> {
             }
         }
     }
+
+    /// Hands a finished job to the next stage or, from the last, answers
+    /// it. A job the next stage can no longer take is dropped unanswered.
+    fn pass_on(&mut self, job: StageJob) {
+        match &self.next {
+            Some(next) => self.downstream_gone |= next.send(CoordMsg::Job(job)).is_err(),
+            None => (job.reply)(match job.poisoned {
+                Some(reason) => Err(reason),
+                None => Ok(job.env),
+            }),
+        }
+    }
 }
 
-impl<T: From<StageJob>> Sink for Shell<T> {
+impl Sink for Shell {
     fn act(&mut self, action: Action) {
         match action {
             Action::Dispatch { batch, to, tensors } => {
@@ -412,7 +428,7 @@ impl<T: From<StageJob>> Sink for Shell<T> {
                         job.env.retain(|v, _| self.runtime.needed_downstream.contains(v));
                     }
                 }
-                self.downstream_gone |= self.out_tx.send(job.into()).is_err();
+                self.pass_on(job);
                 drop(span); // the span covers the hand-off
             }
             Action::Record(event) => self.events.record(event),
@@ -432,15 +448,10 @@ impl<T: From<StageJob>> Sink for Shell<T> {
     }
 }
 
-/// A handle to the running pipeline: per-stage input senders plus the
-/// final results receiver.
+/// A handle to the running pipeline.
 pub struct PipelineHandles {
-    /// Sender into the first stage.
+    /// Sender into the first stage: jobs, then one [`CoordMsg::Stop`].
     pub first_stage: Sender<CoordMsg>,
-    /// Senders into every stage (for Stop broadcasts), first included.
-    pub all_stages: Vec<Sender<CoordMsg>>,
-    /// Completed jobs out of the last stage.
-    pub results: Receiver<StageJob>,
     /// Coordinator join handles (return their runtimes).
     pub threads: Vec<JoinHandle<StageRuntime>>,
 }
@@ -449,7 +460,7 @@ pub struct PipelineHandles {
 ///
 /// Stage `i` sends its finished jobs straight into stage `i + 1`'s job
 /// queue (bounded at `STAGE_QUEUE_DEPTH`, so a slow stage pushes back on
-/// the one before it), the last stage into the unbounded `results`. A
+/// the one before it); the last stage answers each job's reply. A
 /// stopped stage drops its queue's receiver: the upstream send fails and
 /// the upstream coordinator stops taking jobs in turn.
 pub fn spawn_pipeline(
@@ -463,37 +474,23 @@ pub fn spawn_pipeline(
     assert_eq!(metrics.len(), n, "one metric per stage");
     let (stage_inputs, stage_rxs): (Vec<Sender<CoordMsg>>, Vec<Receiver<CoordMsg>>) =
         (0..n).map(|_| bounded(STAGE_QUEUE_DEPTH)).unzip();
-    let (final_tx, results) = unbounded::<StageJob>();
-    let mut threads = Vec::with_capacity(n);
-    for (i, (runtime, rx)) in runtimes.into_iter().zip(stage_rxs).enumerate() {
-        let (metric, ev) = (metrics[i], events.clone());
-        threads.push(match stage_inputs.get(i + 1) {
-            Some(next) => spawn_stage(i, runtime, policy, metric, rx, next.clone(), ev),
-            None => spawn_stage(i, runtime, policy, metric, rx, final_tx.clone(), ev),
-        });
-    }
-    drop(final_tx);
-    PipelineHandles {
-        first_stage: stage_inputs[0].clone(),
-        all_stages: stage_inputs,
-        results,
-        threads,
-    }
-}
-
-fn spawn_stage<T: From<StageJob> + Send + 'static>(
-    index: usize,
-    runtime: StageRuntime,
-    policy: StagePolicy,
-    metric: Metric,
-    in_rx: Receiver<CoordMsg>,
-    out_tx: Sender<T>,
-    events: EventLog,
-) -> JoinHandle<StageRuntime> {
-    std::thread::Builder::new()
-        .name(format!("stage-{index}"))
-        .spawn(move || run_stage(runtime, policy, metric, in_rx, out_tx, events))
-        .expect("thread spawn cannot fail")
+    let first_stage = stage_inputs[0].clone();
+    let downstream = stage_inputs.into_iter().skip(1).map(Some).chain([None]);
+    let threads = runtimes
+        .into_iter()
+        .zip(stage_rxs)
+        .zip(downstream)
+        .zip(metrics)
+        .enumerate()
+        .map(|(i, (((runtime, in_rx), next), metric))| {
+            let events = events.clone();
+            std::thread::Builder::new()
+                .name(format!("stage-{i}"))
+                .spawn(move || run_stage(runtime, policy, metric, in_rx, next, events))
+                .expect("thread spawn cannot fail")
+        })
+        .collect();
+    PipelineHandles { first_stage, threads }
 }
 
 #[cfg(test)]
@@ -504,6 +501,7 @@ mod tests {
     use super::*;
     use crate::events::MonitorEvent;
     use crate::link::link_pair;
+    use crossbeam::channel::unbounded;
 
     /// Scripted fake variant behaviours.
     #[derive(Clone, Copy)]
@@ -569,14 +567,20 @@ mod tests {
         }
     }
 
-    fn job(batch: u64, value: f32) -> StageJob {
+    type Answer = Result<HashMap<ValueId, Tensor>, String>;
+
+    /// A job whose reply lands in `answers`.
+    fn job(batch: u64, value: f32, answers: &Sender<Answer>) -> StageJob {
         let input = Tensor::from_vec(vec![value; 4], &[4]).expect("static shape");
+        let answers = answers.clone();
         StageJob {
             batch,
             env: HashMap::from([(ValueId(0), input)]),
             poisoned: None,
-            submitted: Instant::now(),
             trace: TraceCtx::NONE,
+            reply: Box::new(move |answer| {
+                let _ = answers.send(answer);
+            }),
         }
     }
 
@@ -600,25 +604,26 @@ mod tests {
         let chatter = Behaviour::ChatterFrom { batch: 1, every: deadline / 3, times: 30 };
         let runtime = fake_stage(0, &[Behaviour::Echo, Behaviour::Echo, chatter], true);
         let (in_tx, in_rx) = bounded::<CoordMsg>(64);
-        let (out_tx, out_rx) = unbounded::<StageJob>();
+        let (out_tx, out_rx) = unbounded::<Answer>();
         let events = EventLog::new();
         let ev = events.clone();
         let p = policy(ResponsePolicy::ContinueWithMajority, deadline);
         let stage =
-            std::thread::spawn(move || run_stage(runtime, p, Metric::strict(), in_rx, out_tx, ev));
+            std::thread::spawn(move || run_stage(runtime, p, Metric::strict(), in_rx, None, ev));
 
-        in_tx.send(CoordMsg::Job(job(0, 1.0))).expect("sends");
+        in_tx.send(CoordMsg::Job(job(0, 1.0, &out_tx))).expect("sends");
         let healthy = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
-        assert!(healthy.poisoned.is_none());
+        assert!(healthy.is_ok());
 
         let start = Instant::now();
-        in_tx.send(CoordMsg::Job(job(1, 2.0))).expect("sends");
+        in_tx.send(CoordMsg::Job(job(1, 2.0, &out_tx))).expect("sends");
         let hung = out_rx.recv_timeout(Duration::from_secs(20)).expect("result");
         let waited = start.elapsed();
         // Ten deadlines of chatter were on offer; one was waited out.
         assert!(waited >= deadline, "escalated before the deadline: {waited:?}");
         assert!(waited < deadline * 3, "chatter re-armed the watchdog: {waited:?}");
-        assert_eq!(hung.env[&ValueId(1)].data(), &[2.0; 4], "the majority carries the batch");
+        let hung = hung.expect("the majority carries the batch");
+        assert_eq!(hung[&ValueId(1)].data(), &[2.0; 4]);
         let escalated = events
             .events()
             .iter()
@@ -626,9 +631,9 @@ mod tests {
         assert!(escalated, "watchdog must flag the chattering variant: {:?}", events.events());
 
         // Batch 2 runs on the reduced panel.
-        in_tx.send(CoordMsg::Job(job(2, 3.0))).expect("sends");
+        in_tx.send(CoordMsg::Job(job(2, 3.0, &out_tx))).expect("sends");
         let after = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
-        assert_eq!(after.env[&ValueId(1)].data(), &[3.0; 4]);
+        assert_eq!(after.expect("answered")[&ValueId(1)].data(), &[3.0; 4]);
         in_tx.send(CoordMsg::Stop).expect("stops");
         let _ = stage.join().expect("joins");
     }
@@ -644,22 +649,29 @@ mod tests {
             vec![Metric::strict(), Metric::strict()],
             events.clone(),
         );
-        handles.first_stage.send(CoordMsg::Job(job(0, 6.0))).expect("sends");
-        let result = handles.results.recv_timeout(Duration::from_secs(10)).expect("result");
-        assert!(result.poisoned.is_none());
-        assert_eq!(result.env[&ValueId(2)].data(), &[6.0; 4]);
+        let (answers, answered) = unbounded::<Answer>();
+        handles.first_stage.send(CoordMsg::Job(job(0, 6.0, &answers))).expect("sends");
+        let result = answered.recv_timeout(Duration::from_secs(10)).expect("result");
+        assert_eq!(result.expect("answered")[&ValueId(2)].data(), &[6.0; 4]);
         // A job an upstream stage failed passes through every stage
         // untouched and unaudited.
-        let poisoned = StageJob { poisoned: Some("upstream failure".into()), ..job(1, 7.0) };
+        let poisoned =
+            StageJob { poisoned: Some("upstream failure".into()), ..job(1, 7.0, &answers) };
         handles.first_stage.send(CoordMsg::Job(poisoned)).expect("sends");
-        let result = handles.results.recv_timeout(Duration::from_secs(10)).expect("result");
-        assert_eq!(result.poisoned.as_deref(), Some("upstream failure"));
-        assert!(result.env.contains_key(&ValueId(0)) && events.is_empty());
-        for tx in &handles.all_stages {
-            let _ = tx.send(CoordMsg::Stop);
+        let result = answered.recv_timeout(Duration::from_secs(10)).expect("result");
+        assert_eq!(result.err().as_deref(), Some("upstream failure"));
+        assert!(events.is_empty());
+        // A stop right behind a run of jobs answers every one of them.
+        for b in 2..8 {
+            handles.first_stage.send(CoordMsg::Job(job(b, b as f32, &answers))).expect("sends");
         }
+        handles.first_stage.send(CoordMsg::Stop).expect("stops");
         for t in handles.threads {
             let _ = t.join();
         }
+        let values: Vec<f32> = std::iter::from_fn(|| answered.try_recv().ok())
+            .map(|a| a.expect("answered")[&ValueId(2)].data()[0])
+            .collect();
+        assert_eq!(values, [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
     }
 }

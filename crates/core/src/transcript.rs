@@ -25,6 +25,7 @@
 //! For a fixed seed the rendered transcript is byte-identical across
 //! runs.
 
+use crate::events::count;
 use mvtee_crypto::sha256::sha256;
 use mvtee_tensor::Tensor;
 use std::collections::BTreeMap;
@@ -112,7 +113,7 @@ impl TranscriptLog {
     /// Appends one voted verdict.
     pub fn record(&self, entry: TranscriptEntry) {
         self.inner.lock().expect("transcript lock").push(entry);
-        mvtee_telemetry::counter("audit.transcript.entries").inc();
+        count!("audit.transcript.entries");
     }
 
     /// Number of recorded entries.

@@ -3,9 +3,10 @@
 //! The frontend starts with a fixed set of replica pools; the encrypted
 //! model registry makes the model population dynamic. A
 //! [`ColdStartProvider`] bridges the two without making this crate
-//! depend on the registry: when a request names a model key with no
-//! pool, the dispatcher asks the provider to build one (checkout from
-//! sealed storage, warm the session caches, spin up replicas), and the
+//! depend on the registry: the first admitted request naming a model key
+//! with no pool has the frontend ask the provider, on a build thread of
+//! its own, to build one (checkout from sealed storage, warm the session
+//! caches, spin up replicas) while requests for the key park; and the
 //! submission handle sheds [`ShedReason::ColdStart`] at the door when
 //! the provider reports it cannot start anything right now.
 //!
@@ -24,12 +25,12 @@ pub trait ColdStartProvider: Send + Sync {
     ///
     /// A human-readable reason when the key is unknown, the sealed
     /// bundle fails verification, or the deployment cannot be built;
-    /// the dispatcher fails the triggering request with it.
+    /// every request parked for the key fails with it.
     fn cold_start(&self, model_key: &str) -> Result<ReplicaPool, String>;
 
     /// True when no cold start can begin right now (registry at
     /// capacity). Unknown-key submissions shed with
     /// [`ShedReason::ColdStart`](crate::queue::ShedReason::ColdStart)
-    /// instead of queuing toward certain expiry.
+    /// instead of parking toward certain expiry.
     fn saturated(&self) -> bool;
 }

@@ -6,23 +6,24 @@ use std::time::Duration;
 ///
 /// The defaults favour the repo's smoke workloads (tiny models, a few
 /// hundred requests); production-sized deployments would raise the
-/// queue bound and deadline.
+/// in-flight bound and deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Maximum requests waiting in the admission queue; submissions
-    /// beyond this are shed with [`ShedReason::QueueFull`].
+    /// Maximum requests admitted and not yet answered, across all
+    /// tenants and models; submissions beyond this are shed with
+    /// [`ShedReason::QueueFull`].
     ///
     /// [`ShedReason::QueueFull`]: crate::ShedReason::QueueFull
     pub max_queue_depth: usize,
-    /// Maximum *queued* (not yet dispatched) requests per tenant;
+    /// Maximum requests admitted and not yet answered per tenant;
     /// submissions beyond this are shed with [`ShedReason::Quota`] so a
-    /// single hot tenant cannot starve the rest of the fleet.
+    /// single hot tenant cannot fill the fleet.
     ///
     /// [`ShedReason::Quota`]: crate::ShedReason::Quota
     pub per_tenant_quota: usize,
     /// Deadline applied by [`ServeHandle::submit`] when the caller does
-    /// not pick one; requests still queued past their deadline are
-    /// dropped as [`RequestOutcome::Expired`].
+    /// not pick one; requests still waiting for their model's cold start
+    /// past it resolve [`RequestOutcome::Expired`].
     ///
     /// [`ServeHandle::submit`]: crate::ServeHandle::submit
     /// [`RequestOutcome::Expired`]: crate::RequestOutcome::Expired

@@ -1,14 +1,15 @@
-//! The serving frontend: one dispatcher thread pumping the admission
-//! queue straight into per-model replica pools.
+//! The serving frontend: admission, then straight into the model's
+//! replica pool on the submitting thread.
 
 use crate::coldstart::ColdStartProvider;
 use crate::config::ServeConfig;
 use crate::pool::{PoolStats, ReplicaPool};
-use crate::queue::{AdmissionQueue, QueueStats, ShedReason};
+use crate::queue::{Admission, QueueStats, ShedReason};
 use crate::request::{InferRequest, RequestOutcome, Ticket};
 use crossbeam::channel::bounded;
 use mvtee::EventLog;
 use mvtee_telemetry::trace::TraceCtx;
+use mvtee_telemetry::{Counter, Histogram};
 use mvtee_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,24 +17,32 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the dispatcher sleeps waiting for work (it wakes immediately
-/// on arrival; this only bounds the shutdown-latency of an idle
-/// frontend).
-const IDLE_WAIT: Duration = Duration::from_millis(50);
+/// The served model keys and the cold starts in flight, under one lock.
+#[derive(Default)]
+struct Routes {
+    pools: BTreeMap<String, ReplicaPool>,
+    /// Requests waiting for a cold start, by model key.
+    parked: BTreeMap<String, Vec<InferRequest>>,
+    /// Cold-start build threads not yet joined.
+    builds: Vec<JoinHandle<()>>,
+}
 
-/// The pool map, shared between handles (membership checks), the
-/// dispatcher (routing + cold-start inserts) and the frontend (stats).
-type PoolMap = Arc<RwLock<BTreeMap<String, ReplicaPool>>>;
+/// What the frontend, its handles and its cold-start builds share.
+struct Shared {
+    admission: Arc<Admission>,
+    routes: RwLock<Routes>,
+    provider: Option<Arc<dyn ColdStartProvider>>,
+    next_id: AtomicU64,
+    default_deadline: Duration,
+    queue_wait: Histogram,
+    batches: Counter,
+}
 
 /// The submission side of the frontend. Cheap to clone; one per client
 /// thread.
 #[derive(Clone)]
 pub struct ServeHandle {
-    queue: Arc<AdmissionQueue>,
-    pools: PoolMap,
-    provider: Option<Arc<dyn ColdStartProvider>>,
-    next_id: Arc<AtomicU64>,
-    default_deadline: Duration,
+    shared: Arc<Shared>,
 }
 
 impl ServeHandle {
@@ -42,17 +51,19 @@ impl ServeHandle {
     /// # Errors
     ///
     /// The [`ShedReason`] when admission control rejects the request;
-    /// nothing was queued and no ticket exists.
+    /// nothing was admitted and no ticket exists.
     pub fn submit(
         &self,
         tenant: &str,
         model_key: &str,
         input: Tensor,
     ) -> Result<Ticket, ShedReason> {
-        self.submit_with_deadline(tenant, model_key, input, self.default_deadline)
+        self.submit_with_deadline(tenant, model_key, input, self.shared.default_deadline)
     }
 
-    /// Submits a request that expires `deadline` from now.
+    /// Submits a request that expires `deadline` from now if it is still
+    /// waiting for its model's cold start by then. An admitted request
+    /// for a served model is in its replica's pipeline when this returns.
     ///
     /// # Errors
     ///
@@ -64,8 +75,8 @@ impl ServeHandle {
         input: Tensor,
         deadline: Duration,
     ) -> Result<Ticket, ShedReason> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
+        let shared = &self.shared;
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         let trace = TraceCtx::for_request(id);
         let tracer = mvtee_telemetry::trace::recorder();
@@ -76,6 +87,28 @@ impl ServeHandle {
                 .arg("tenant", tenant)
                 .arg("model_key", model_key);
         }
+        // Admission and the hand-off share one read lock, so shutdown —
+        // which takes the pools under the write lock — finds every request
+        // it admitted for a served model already in a pipeline.
+        let routes = shared.routes.read().expect("route map poisoned");
+        let pool = routes.pools.get(model_key);
+        // An unknown key needs a cold start. When the registry cannot
+        // begin one, admitting would only let the request expire — shed
+        // now so the caller can retry elsewhere.
+        if pool.is_none() && shared.provider.as_ref().is_some_and(|p| p.saturated()) {
+            shared.admission.record_coldstart_shed();
+            shed_trace(id, tenant, trace, "coldstart");
+            return Err(ShedReason::ColdStart);
+        }
+        let slot = shared
+            .admission
+            .admit(tenant)
+            .inspect_err(|reason| match reason {
+                ShedReason::QueueFull => shed_trace(id, tenant, trace, "queue_full"),
+                ShedReason::Quota => shed_trace(id, tenant, trace, "quota"),
+                _ => {}
+            })?;
+        let (respond, rx) = bounded(1);
         let req = InferRequest {
             id,
             tenant: tenant.to_string(),
@@ -84,41 +117,28 @@ impl ServeHandle {
             submitted: now,
             deadline: now + deadline,
             trace,
-            respond: tx,
+            respond,
+            slot,
         };
-        // An unknown key means the dispatcher would have to cold-start
-        // the model from the registry. When the registry cannot begin
-        // one, queuing would only let the request expire — shed now so
-        // the caller can retry elsewhere.
-        if let Some(provider) = &self.provider {
-            let known = self
-                .pools
-                .read()
-                .expect("pool map poisoned")
-                .contains_key(model_key);
-            if !known && provider.saturated() {
-                self.queue.record_coldstart_shed(&req);
-                return Err(ShedReason::ColdStart);
+        match pool {
+            Some(pool) => shared.dispatch(pool, req),
+            None => {
+                drop(routes);
+                Shared::route_unknown(shared, req);
             }
         }
-        match self.queue.offer(req) {
-            Ok(()) => Ok(Ticket { id, rx }),
-            Err((_req, reason)) => Err(reason),
-        }
+        Ok(Ticket { id, rx })
     }
 
     /// Admission counters.
     pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
+        self.shared.admission.stats()
     }
 }
 
-/// Owns the dispatcher thread and the replica pools.
+/// Owns the replica pools behind its handles.
 pub struct ServeFrontend {
     handle: ServeHandle,
-    queue: Arc<AdmissionQueue>,
-    pools: PoolMap,
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 impl ServeFrontend {
@@ -133,9 +153,9 @@ impl ServeFrontend {
     /// `provider` (typically backed by the encrypted model registry).
     /// The first request for an unknown key triggers a build on a
     /// dedicated worker thread — requests for the key park until the
-    /// build lands, and other models' dispatch continues unstalled;
-    /// while the provider is saturated, unknown-key submissions shed
-    /// with [`ShedReason::ColdStart`].
+    /// build lands, and other models keep serving unstalled; while the
+    /// provider is saturated, unknown-key submissions shed with
+    /// [`ShedReason::ColdStart`].
     pub fn start_with_cold_start(
         pools: Vec<ReplicaPool>,
         cfg: ServeConfig,
@@ -149,36 +169,26 @@ impl ServeFrontend {
         cfg: ServeConfig,
         provider: Option<Arc<dyn ColdStartProvider>>,
     ) -> Self {
-        let queue = Arc::new(AdmissionQueue::new(
-            cfg.max_queue_depth,
-            cfg.per_tenant_quota,
-        ));
-        let pools: PoolMap = Arc::new(RwLock::new(
-            pools
+        let routes = Routes {
+            pools: pools
                 .into_iter()
                 .map(|p| (p.model_key().to_string(), p))
                 .collect(),
-        ));
-        let handle = ServeHandle {
-            queue: Arc::clone(&queue),
-            pools: Arc::clone(&pools),
-            provider: provider.clone(),
-            next_id: Arc::new(AtomicU64::new(0)),
-            default_deadline: cfg.default_deadline(),
+            ..Routes::default()
         };
-        let dispatcher = {
-            let queue = Arc::clone(&queue);
-            let pools = Arc::clone(&pools);
-            std::thread::Builder::new()
-                .name("serve-dispatcher".to_string())
-                .spawn(move || dispatch_loop(&queue, &pools, provider))
-                .expect("spawn serve dispatcher")
+        let shared = Shared {
+            admission: Arc::new(Admission::new(cfg.max_queue_depth, cfg.per_tenant_quota)),
+            routes: RwLock::new(routes),
+            provider,
+            next_id: AtomicU64::new(0),
+            default_deadline: cfg.default_deadline(),
+            queue_wait: mvtee_telemetry::histogram("serve.queue_wait_ns"),
+            batches: mvtee_telemetry::counter("serve.batches_total"),
         };
         Self {
-            handle,
-            queue,
-            pools,
-            dispatcher: Some(dispatcher),
+            handle: ServeHandle {
+                shared: Arc::new(shared),
+            },
         }
     }
 
@@ -189,33 +199,31 @@ impl ServeFrontend {
 
     /// Admission counters.
     pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
+        self.handle.queue_stats()
+    }
+
+    fn routes(&self) -> std::sync::RwLockReadGuard<'_, Routes> {
+        self.handle
+            .shared
+            .routes
+            .read()
+            .expect("route map poisoned")
     }
 
     /// Model keys currently served (static pools plus cold starts).
     pub fn model_keys(&self) -> Vec<String> {
-        self.pools
-            .read()
-            .expect("pool map poisoned")
-            .keys()
-            .cloned()
-            .collect()
+        self.routes().pools.keys().cloned().collect()
     }
 
     /// Per-replica counters for one model key's pool.
     pub fn pool_stats(&self, model_key: &str) -> Option<PoolStats> {
-        self.pools
-            .read()
-            .expect("pool map poisoned")
-            .get(model_key)
-            .map(ReplicaPool::stats)
+        self.routes().pools.get(model_key).map(ReplicaPool::stats)
     }
 
     /// Replica count for one model key's pool.
     pub fn pool_replicas(&self, model_key: &str) -> Option<usize> {
-        self.pools
-            .read()
-            .expect("pool map poisoned")
+        self.routes()
+            .pools
             .get(model_key)
             .map(ReplicaPool::replicas)
     }
@@ -223,96 +231,122 @@ impl ServeFrontend {
     /// The monitor event log of one replica — lets callers watch core
     /// quarantine/recovery activity while the pool serves.
     pub fn replica_events(&self, model_key: &str, replica: usize) -> Option<EventLog> {
-        self.pools
-            .read()
-            .expect("pool map poisoned")
+        self.routes()
+            .pools
             .get(model_key)
             .filter(|p| replica < p.replicas())
             .map(|p| p.replica_events(replica).clone())
     }
 
-    /// Closes intake, drains everything already admitted (every queued
-    /// request is resolved — served, failed, or expired), then stops
-    /// the pools and joins all worker threads.
-    pub fn shutdown(mut self) {
-        self.queue.close();
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
-        }
-        // Handles may outlive the frontend; take the pools out from
-        // under the shared map instead of unwrapping the Arc. Late
-        // submissions shed ShuttingDown at the closed queue.
-        let pools = std::mem::take(&mut *self.pools.write().expect("pool map poisoned"));
+    /// Closes intake (later submissions shed
+    /// [`ShedReason::ShuttingDown`]), waits out the cold starts in flight,
+    /// then stops the pools — which answer every request already in
+    /// their pipelines — and joins all their threads. Every admitted
+    /// request is resolved: served, failed, or expired.
+    pub fn shutdown(self) {
+        let shared = &self.handle.shared;
+        shared.admission.close();
+        // Handles may outlive the frontend; take the pools out from under
+        // the shared map once no build is left to install one.
+        let pools = loop {
+            let builds = {
+                let mut routes = shared.routes.write().expect("route map poisoned");
+                if routes.builds.is_empty() {
+                    break std::mem::take(&mut routes.pools);
+                }
+                std::mem::take(&mut routes.builds)
+            };
+            for build in builds {
+                let _ = build.join();
+            }
+        };
         for (_, pool) in pools {
             pool.shutdown();
         }
     }
 }
 
-/// How often the dispatcher re-checks the build channel while cold
-/// starts are in flight — short, so a finished build releases its parked
-/// requests promptly instead of waiting out a full [`IDLE_WAIT`].
-const BUILD_WAIT: Duration = Duration::from_millis(1);
+impl Shared {
+    /// Hands one admitted request to its model's pool.
+    fn dispatch(&self, pool: &ReplicaPool, req: InferRequest) {
+        self.queue_wait
+            .record(req.submitted.elapsed().as_nanos() as u64);
+        // Counts dispatches. Its only reader is the benchmark's
+        // `serve.batch_size.mean.*` rows, which therefore read 1.00.
+        self.batches.inc();
+        let tracer = mvtee_telemetry::trace::recorder();
+        if tracer.is_enabled() {
+            tracer
+                .instant(req.trace, "serve.dispatch", "serve")
+                .arg("id", req.id);
+        }
+        pool.submit(req);
+    }
 
-fn dispatch_loop(
-    queue: &AdmissionQueue,
-    pools: &RwLock<BTreeMap<String, ReplicaPool>>,
-    provider: Option<Arc<dyn ColdStartProvider>>,
-) {
-    // Cold starts run on their own worker threads so an expensive
-    // unseal+build for one model never stalls dispatch for every other
-    // model's queued requests. Requests that triggered (or arrived
-    // during) a build are parked under their key and released when the
-    // build lands on `built_rx`.
-    let (built_tx, built_rx) =
-        crossbeam::channel::unbounded::<(String, Result<ReplicaPool, String>)>();
-    let mut parked: BTreeMap<String, Vec<InferRequest>> = BTreeMap::new();
-    loop {
-        let drained = queue.drain(if parked.is_empty() { IDLE_WAIT } else { BUILD_WAIT });
-        // Install finished cold starts and release their parked requests.
-        while let Ok((key, outcome)) = built_rx.try_recv() {
-            settle_cold_start(pools, &mut parked, key, outcome);
+    /// Routes a request whose model had no pool when it was admitted: to
+    /// the pool a cold start installed since, behind the cold start in
+    /// flight for its key, or behind a new one.
+    fn route_unknown(shared: &Arc<Shared>, req: InferRequest) {
+        let mut routes = shared.routes.write().expect("route map poisoned");
+        if let Some(pool) = routes.pools.get(&req.model_key) {
+            return shared.dispatch(pool, req);
         }
-        for req in drained.requests {
-            if let Some(waiting) = parked.get_mut(&req.model_key) {
-                // A build for this key is already in flight.
-                waiting.push(req);
-                continue;
-            }
-            let Err(req) = dispatch(pools, req) else { continue };
-            match provider.clone() {
-                Some(provider) => {
-                    let key = req.model_key.clone();
-                    parked.insert(key.clone(), vec![req]);
-                    spawn_cold_start(provider, key, built_tx.clone());
-                }
-                None => {
-                    let detail = format!("unknown model key {:?}", req.model_key);
-                    req.resolve(None, RequestOutcome::Failed(detail));
-                }
-            }
+        if let Some(waiting) = routes.parked.get_mut(&req.model_key) {
+            return waiting.push(req);
         }
-        if drained.finished {
-            // Intake is closed but builds may still be in flight; every
-            // admitted request must resolve, so wait them out.
-            while !parked.is_empty() {
-                match built_rx.recv() {
-                    Ok((key, outcome)) => settle_cold_start(pools, &mut parked, key, outcome),
-                    Err(_) => break,
+        let detail = match &shared.provider {
+            None => format!("unknown model key {:?}", req.model_key),
+            // Shutdown has begun: a build started now might never be joined.
+            Some(_) if shared.admission.is_closed() => {
+                format!("frontend shut down before {:?} was loaded", req.model_key)
+            }
+            Some(provider) => {
+                let key = req.model_key.clone();
+                routes.parked.insert(key.clone(), vec![req]);
+                routes.builds.retain(|build| !build.is_finished());
+                let build = spawn_cold_start(Arc::clone(shared), Arc::clone(provider), key);
+                return routes.builds.push(build);
+            }
+        };
+        req.resolve(None, RequestOutcome::Failed(detail));
+    }
+
+    /// Installs a finished cold start and releases its parked requests —
+    /// the one place a deadline is checked: a request parked past it
+    /// resolves `Expired`, unserved.
+    fn settle_cold_start(&self, key: String, outcome: Result<ReplicaPool, String>) {
+        let mut routes = self.routes.write().expect("route map poisoned");
+        let waiting = routes.parked.remove(&key).unwrap_or_default();
+        match outcome {
+            Ok(pool) => {
+                let now = Instant::now();
+                for req in waiting {
+                    if req.deadline <= now {
+                        mvtee_telemetry::counter("serve.expired_total").inc();
+                        req.resolve(None, RequestOutcome::Expired);
+                    } else {
+                        self.dispatch(&pool, req);
+                    }
+                }
+                routes.pools.insert(key, pool);
+            }
+            Err(detail) => {
+                let detail = format!("cold start failed for {key:?}: {detail}");
+                for req in waiting {
+                    req.resolve(None, RequestOutcome::Failed(detail.clone()));
                 }
             }
-            return;
         }
     }
 }
 
-/// Runs one cold-start build on its own worker thread and reports the
-/// outcome back to the dispatcher over `done`.
+/// Runs one cold-start build on its own worker thread, which then
+/// installs the outcome itself.
 fn spawn_cold_start(
+    shared: Arc<Shared>,
     provider: Arc<dyn ColdStartProvider>,
     model_key: String,
-    done: crossbeam::channel::Sender<(String, Result<ReplicaPool, String>)>,
-) {
+) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("serve-coldstart".to_string())
         .spawn(move || {
@@ -329,66 +363,23 @@ fn spawn_cold_start(
                     mvtee_telemetry::counter("serve.coldstart.failed").inc();
                 }
             }
-            // The dispatcher may already be gone at shutdown; the pool
-            // (if any) is dropped with the unsent message.
-            let _ = done.send((model_key, outcome));
+            shared.settle_cold_start(model_key, outcome);
         })
-        .expect("spawn serve cold-start worker");
+        .expect("spawn serve cold-start worker")
 }
 
-/// Installs a finished cold start (the dispatcher thread is the single
-/// writer of the pool map) and releases or fails its parked requests.
-fn settle_cold_start(
-    pools: &RwLock<BTreeMap<String, ReplicaPool>>,
-    parked: &mut BTreeMap<String, Vec<InferRequest>>,
-    key: String,
-    outcome: Result<ReplicaPool, String>,
-) {
-    let waiting = parked.remove(&key).unwrap_or_default();
-    match outcome {
-        Ok(pool) => {
-            pools
-                .write()
-                .expect("pool map poisoned")
-                .insert(key, pool);
-            for req in waiting {
-                let _ = dispatch(pools, req);
-            }
-        }
-        Err(detail) => {
-            let detail = format!("cold start failed for {key:?}: {detail}");
-            for req in waiting {
-                req.resolve(None, RequestOutcome::Failed(detail.clone()));
-            }
-        }
-    }
-}
-
-/// Hands one request to its model's pool — the one place its deadline
-/// is checked: past it, the request resolves `Expired`, unserved.
-///
-/// # Errors
-///
-/// Hands the request back when no pool serves its model key.
-#[allow(clippy::result_large_err)] // the unrouted request must travel back
-fn dispatch(
-    pools: &RwLock<BTreeMap<String, ReplicaPool>>,
-    req: InferRequest,
-) -> Result<(), InferRequest> {
-    let guard = pools.read().expect("pool map poisoned");
-    let Some(pool) = guard.get(&req.model_key) else { return Err(req) };
-    if req.deadline <= Instant::now() {
-        mvtee_telemetry::counter("serve.expired_total").inc();
-        req.resolve(None, RequestOutcome::Expired);
-        return Ok(());
-    }
-    // Counts dispatches. Its only reader is the benchmark's
-    // `serve.batch_size.mean.*` rows, which therefore read 1.00.
-    mvtee_telemetry::counter("serve.batches_total").inc();
+/// Records a shed as a trace instant and snapshots the flight recorder
+/// — a shed under load is exactly the moment the recent span history
+/// explains why the bound was reached.
+fn shed_trace(id: u64, tenant: &str, trace: TraceCtx, reason: &str) {
     let tracer = mvtee_telemetry::trace::recorder();
-    if tracer.is_enabled() {
-        tracer.instant(req.trace, "serve.dispatch", "serve").arg("id", req.id);
+    if !tracer.is_enabled() {
+        return;
     }
-    pool.submit(req);
-    Ok(())
+    tracer
+        .instant(trace, "serve.shed", "serve")
+        .arg("id", id)
+        .arg("tenant", tenant)
+        .arg("reason", reason);
+    tracer.dump(&format!("serve shed: {reason}"));
 }

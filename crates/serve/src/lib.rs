@@ -5,32 +5,35 @@
 //! layer between the two:
 //!
 //! ```text
-//!  clients ──▶ AdmissionQueue ──▶ dispatcher ──▶ ReplicaPool ──▶ clients
-//!             (per-tenant quotas,  (deadline       (N diversified
-//!              bounded depth,       check, cold     Deployments,
-//!              shedding at the      starts,         least-outstanding
-//!              door)                routing)        scheduling)
+//!  clients ──▶ admission ──▶ ReplicaPool ──▶ pipeline ──▶ clients
+//!             (in-flight      (N diversified   (each request its own
+//!              bounds, total   Deployments,     batch; the last stage
+//!              and per tenant, least-           answers the ticket)
+//!              shed at the     outstanding
+//!              door)           scheduling)
 //! ```
 //!
-//! * [`AdmissionQueue`] — bounded, quota'd intake. Overload is shed at
-//!   the door (`serve.shed_*`), expired deadlines are dropped at
-//!   dispatch (`serve.expired_total`); both are observable, never silent.
-//! * The dispatcher (one thread inside [`ServeFrontend`]) hands every
-//!   request to a replica's pipeline the moment it drains it. There is
-//!   no batcher: a request is its own pipeline batch with its own
-//!   checkpoint verdict (which is why serving outputs are byte-identical
-//!   to serial single-request runs), tensors were never fused, and the
-//!   one thing grouping bought — several requests inside a replica's
-//!   pipeline at once — streaming gives without holding anyone back.
+//! * Admission bounds the requests admitted and not yet answered:
+//!   `max_queue_depth` in total and `per_tenant_quota` per tenant, so
+//!   one hot tenant cannot fill the fleet. Overload is shed at the door
+//!   (`serve.shed_*`), observably, never silently; an admitted request
+//!   holds its slot until it resolves.
+//! * There is no queue and no dispatcher thread: [`ServeHandle::submit`]
+//!   hands an admitted request to its model's pool on the caller's
+//!   thread, and the pipeline's last stage answers its ticket. Nothing
+//!   batches either: a request is its own pipeline batch with its own
+//!   checkpoint verdict, which is why serving outputs are byte-identical
+//!   to serial single-request runs.
 //! * [`ReplicaPool`] — N independently diversified [`Deployment`]s built
 //!   via [`DeploymentBuilder::build_many`], scheduled by least
-//!   outstanding requests. Each replica is fed continuously and resolves
-//!   its tickets one by one as results leave its pipeline, releasing the
-//!   request's slot *before* the answer becomes visible so a sequential
-//!   caller always finds the replica it just used idle again. Replicas
-//!   heal through the core quarantine/recovery path while queued work
-//!   keeps flowing.
-//! * [`ServeFrontend`] — ties the three together behind a cloneable
+//!   outstanding requests. The last stage releases the request's replica
+//!   slot *before* the answer becomes visible, so a sequential caller
+//!   always finds the replica it just used idle again. Replicas heal
+//!   through the core quarantine/recovery path while new work keeps
+//!   flowing to their siblings.
+//! * A model key no pool serves yet is cold-started through a
+//!   [`ColdStartProvider`]; its requests park until the build lands.
+//! * [`ServeFrontend`] — ties them together behind a cloneable
 //!   [`ServeHandle`] that client threads submit to.
 //!
 //! [`Deployment`]: mvtee::Deployment
@@ -50,7 +53,7 @@ pub use coldstart::ColdStartProvider;
 pub use config::ServeConfig;
 pub use frontend::{ServeHandle, ServeFrontend};
 pub use pool::{PoolStats, ReplicaPool};
-pub use queue::{AdmissionQueue, QueueStats, ShedReason};
+pub use queue::{QueueStats, ShedReason};
 pub use request::{InferRequest, InferResponse, RequestOutcome, Ticket};
 
 /// Registers every `serve.*` metric on the global telemetry registry so

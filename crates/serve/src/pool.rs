@@ -2,13 +2,11 @@
 //! least-outstanding-requests scheduler, each fed continuously.
 
 use crate::request::{InferRequest, RequestOutcome};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use mvtee::deployment::Completions;
 use mvtee::{Deployment, DeploymentBuilder, EventLog, MvxError};
+use mvtee_telemetry::{Counter, Gauge, Histogram};
 use mvtee_tensor::Tensor;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Point-in-time pool counters, one slot per replica.
 #[derive(Debug, Clone, Default)]
@@ -19,20 +17,44 @@ pub struct PoolStats {
     pub served_requests: Vec<u64>,
 }
 
-/// A request inside a replica's pipeline: its pipeline batch id and the
-/// ticket side of the request (the input went into the pipeline).
-type InFlight = (u64, InferRequest);
+/// The `serve.*` pool metrics, fetched once per pool.
+#[derive(Clone)]
+struct PoolMetrics {
+    outstanding: Gauge,
+    dispatched: Counter,
+    completed: Counter,
+    failed: Counter,
+    stream_failures: Counter,
+    e2e: Histogram,
+}
+
+impl PoolMetrics {
+    fn fetch() -> Self {
+        PoolMetrics {
+            outstanding: mvtee_telemetry::gauge("serve.pool.outstanding"),
+            dispatched: mvtee_telemetry::counter("serve.pool.dispatched_total"),
+            completed: mvtee_telemetry::counter("serve.completed_total"),
+            failed: mvtee_telemetry::counter("serve.failed_total"),
+            stream_failures: mvtee_telemetry::counter("serve.pool.stream_failures"),
+            e2e: mvtee_telemetry::histogram("serve.e2e_latency_ns"),
+        }
+    }
+}
+
+/// One replica's counters, shared with every request in its pipeline.
+struct Counts {
+    index: usize,
+    outstanding: AtomicI64,
+    served: AtomicU64,
+    metrics: PoolMetrics,
+}
 
 struct Replica {
-    /// Submission happens under this lock, so batch ids and `in_flight`
-    /// entries are issued in the same order. The collector never takes
-    /// it: a submit waits for no result.
+    /// Submission happens under this lock, so batch ids are issued in
+    /// order. Answers never take it: a submit waits for no result.
     deployment: Mutex<Deployment>,
-    in_flight: Sender<InFlight>,
-    outstanding: Arc<AtomicI64>,
-    served_requests: Arc<AtomicU64>,
+    counts: Arc<Counts>,
     events: EventLog,
-    collector: JoinHandle<()>,
 }
 
 /// N independent MVX replicas serving one model key — [`Deployment`]s,
@@ -42,8 +64,8 @@ struct Replica {
 /// Scheduling is least-outstanding-requests with lowest-index
 /// tie-break: a replica wedged in quarantine/recovery keeps its
 /// outstanding count high and naturally stops attracting new work until
-/// the core recovery path brings it back — queued work keeps flowing to
-/// its siblings the whole time.
+/// the core recovery path brings it back — new work keeps flowing to its
+/// siblings the whole time.
 pub struct ReplicaPool {
     model_key: String,
     replicas: Vec<Replica>,
@@ -51,12 +73,11 @@ pub struct ReplicaPool {
 
 impl ReplicaPool {
     /// Wraps already-built deployments (typically from
-    /// [`DeploymentBuilder::build_many`]), one collector thread each.
+    /// [`DeploymentBuilder::build_many`]).
     ///
     /// # Errors
     ///
-    /// [`MvxError::InvalidConfig`] when `deployments` is empty; a
-    /// deployment that is already shut down is rejected.
+    /// [`MvxError::InvalidConfig`] when `deployments` is empty.
     pub fn new(
         model_key: impl Into<String>,
         deployments: Vec<Deployment>,
@@ -66,13 +87,25 @@ impl ReplicaPool {
                 "a replica pool needs at least one replica".into(),
             ));
         }
-        let model_key = model_key.into();
+        let metrics = PoolMetrics::fetch();
         let replicas = deployments
             .into_iter()
             .enumerate()
-            .map(|(index, deployment)| Replica::start(&model_key, index, deployment))
-            .collect::<Result<_, _>>()?;
-        Ok(Self { model_key, replicas })
+            .map(|(index, deployment)| Replica {
+                events: deployment.events().clone(),
+                deployment: Mutex::new(deployment),
+                counts: Arc::new(Counts {
+                    index,
+                    outstanding: AtomicI64::new(0),
+                    served: AtomicU64::new(0),
+                    metrics: metrics.clone(),
+                }),
+            })
+            .collect();
+        Ok(Self {
+            model_key: model_key.into(),
+            replicas,
+        })
     }
 
     /// Builds `n` replicas via [`DeploymentBuilder::build_many`] and
@@ -110,40 +143,21 @@ impl ReplicaPool {
 
     /// Hands the request to the pipeline of the replica with the fewest
     /// outstanding requests (lowest index wins ties), without waiting
-    /// for any result. Its ticket is resolved when its result leaves the
-    /// pipeline — or right here, `Failed`, when the replica cannot take
-    /// it.
+    /// for any result. Its last stage resolves the ticket; a replica that
+    /// cannot take the request, or loses it, resolves it `Failed`.
     pub fn submit(&self, mut req: InferRequest) {
-        let (index, replica) = self
+        let replica = self
             .replicas
             .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| r.outstanding.load(Ordering::Acquire))
+            .min_by_key(|r| r.counts.outstanding.load(Ordering::Acquire))
             .expect("pool has at least one replica");
-        replica.outstanding.fetch_add(1, Ordering::AcqRel);
-        mvtee_telemetry::gauge("serve.pool.outstanding").add(1);
-        mvtee_telemetry::counter("serve.pool.dispatched_total").inc();
-        // The input moves into the pipeline; what stays is the ticket.
+        // The input moves into the pipeline; the rest rides in the reply.
         let input = std::mem::replace(&mut req.input, Tensor::zeros(&[0]));
-        let refused = {
-            let mut deployment = replica.deployment.lock().expect("replica lock poisoned");
-            match deployment.submit(input, req.trace) {
-                Ok(batch) => replica
-                    .in_flight
-                    .send((batch, req))
-                    .err()
-                    .map(|unsent| (unsent.0 .1, "its collector is gone".to_string())),
-                Err(err) => Some((req, err.to_string())),
-            }
-        };
-        let Some((req, why)) = refused else { return };
-        mvtee_telemetry::counter("serve.pool.stream_failures").inc();
-        mvtee_telemetry::counter("serve.failed_total").inc();
-        release_slot(&replica.outstanding);
-        req.resolve(
-            Some(index),
-            RequestOutcome::Failed(format!("replica {index} stream failed: {why}")),
-        );
+        let trace = req.trace;
+        let reply = Reply::new(req, &replica.counts);
+        let mut deployment = replica.deployment.lock().expect("replica lock poisoned");
+        // Refused: the reply is dropped, and that answers the request.
+        let _ = deployment.submit(input, trace, move |output| reply.answer(output));
     }
 
     /// Per-replica counters.
@@ -152,105 +166,148 @@ impl ReplicaPool {
             outstanding: self
                 .replicas
                 .iter()
-                .map(|r| r.outstanding.load(Ordering::Acquire))
+                .map(|r| r.counts.outstanding.load(Ordering::Acquire))
                 .collect(),
             served_requests: self
                 .replicas
                 .iter()
-                .map(|r| r.served_requests.load(Ordering::Relaxed))
+                .map(|r| r.counts.served.load(Ordering::Relaxed))
                 .collect(),
         }
     }
 
-    /// Stops intake, lets every in-flight request finish (the collectors
-    /// resolve what is still in the pipelines), then shuts each
-    /// deployment down.
+    /// Shuts each deployment down; every request already in a pipeline
+    /// is answered first.
     pub fn shutdown(self) {
-        let mut stopping = Vec::with_capacity(self.replicas.len());
         for replica in self.replicas {
-            drop(replica.in_flight);
-            stopping.push((replica.collector, replica.deployment));
-        }
-        for (collector, deployment) in stopping {
-            let _ = collector.join();
-            deployment
+            replica
+                .deployment
                 .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .unwrap_or_else(PoisonError::into_inner)
                 .shutdown();
         }
     }
 }
 
-impl Replica {
-    fn start(model_key: &str, index: usize, deployment: Deployment) -> Result<Self, MvxError> {
-        let completions = deployment.completions()?;
-        let events = deployment.events().clone();
-        let (in_flight, tickets) = unbounded();
-        let outstanding = Arc::new(AtomicI64::new(0));
-        let served_requests = Arc::new(AtomicU64::new(0));
-        let collector = {
-            let (outstanding, served) = (Arc::clone(&outstanding), Arc::clone(&served_requests));
-            std::thread::Builder::new()
-                .name(format!("serve-replica-{model_key}-{index}"))
-                .spawn(move || collect(index, &completions, &tickets, &outstanding, &served))
-                .expect("spawn replica collector")
-        };
-        Ok(Self {
-            deployment: Mutex::new(deployment),
-            in_flight,
-            outstanding,
-            served_requests,
-            events,
-            collector,
-        })
-    }
+/// A request inside a replica's pipeline, answered exactly once: by the
+/// last stage through [`Reply::answer`] or, when the pipeline drops it
+/// unanswered, `Failed` by `Drop`.
+struct Reply {
+    req: Option<InferRequest>,
+    counts: Arc<Counts>,
 }
 
-fn release_slot(outstanding: &AtomicI64) {
-    outstanding.fetch_sub(1, Ordering::Release);
-    mvtee_telemetry::gauge("serve.pool.outstanding").add(-1);
-}
-
-/// One replica's collector: resolves tickets one by one, in submission
-/// order, as their results leave the pipeline. Runs until the pool drops
-/// the ticket sender and every ticket already sent has its answer.
-fn collect(
-    index: usize,
-    completions: &Completions,
-    tickets: &Receiver<InFlight>,
-    outstanding: &AtomicI64,
-    served: &AtomicU64,
-) {
-    let completed = mvtee_telemetry::counter("serve.completed_total");
-    let failed = mvtee_telemetry::counter("serve.failed_total");
-    let stream_failures = mvtee_telemetry::counter("serve.pool.stream_failures");
-    let e2e = mvtee_telemetry::histogram("serve.e2e_latency_ns");
-    while let Ok((batch, req)) = tickets.recv() {
-        let outcome = loop {
-            match completions.next() {
-                // The answer to a ticket that already failed on a timeout.
-                Ok((id, _)) if id != batch => continue,
-                Ok((_, Ok(tensor))) => break RequestOutcome::Ok(tensor),
-                Ok((_, Err(detail))) => break RequestOutcome::Failed(detail),
-                Err(err) => {
-                    // Infrastructure loss: the ticket still gets a
-                    // terminal answer, so nothing admitted is lost.
-                    stream_failures.inc();
-                    break RequestOutcome::Failed(format!("replica {index} stream failed: {err}"));
-                }
-            }
-        };
-        e2e.record(req.submitted.elapsed().as_nanos() as u64);
-        match outcome {
-            RequestOutcome::Ok(_) => completed.inc(),
-            _ => failed.inc(),
+impl Reply {
+    /// Takes one of the replica's outstanding slots for `req`.
+    fn new(req: InferRequest, counts: &Arc<Counts>) -> Self {
+        counts.outstanding.fetch_add(1, Ordering::AcqRel);
+        counts.metrics.outstanding.add(1);
+        counts.metrics.dispatched.inc();
+        Reply {
+            req: Some(req),
+            counts: Arc::clone(counts),
         }
-        served.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn answer(mut self, output: Result<Tensor, String>) {
+        self.counts.served.fetch_add(1, Ordering::Relaxed);
+        self.resolve(match output {
+            Ok(tensor) => RequestOutcome::Ok(tensor),
+            Err(detail) => RequestOutcome::Failed(detail),
+        });
+    }
+
+    fn resolve(&mut self, outcome: RequestOutcome) {
+        let Some(req) = self.req.take() else { return };
+        let metrics = &self.counts.metrics;
+        metrics
+            .e2e
+            .record(req.submitted.elapsed().as_nanos() as u64);
+        if outcome.is_ok() {
+            metrics.completed.inc()
+        } else {
+            metrics.failed.inc()
+        }
         // Release the slot before the caller can see the answer: a
         // sequential caller that resubmits the instant its ticket
         // resolves must find this replica idle again, or lowest-index
         // tie-breaking would bounce it to a sibling.
-        release_slot(outstanding);
-        req.resolve(Some(index), outcome);
+        self.counts.outstanding.fetch_sub(1, Ordering::Release);
+        metrics.outstanding.add(-1);
+        req.resolve(Some(self.counts.index), outcome);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if self.req.is_some() {
+            self.counts.metrics.stream_failures.inc();
+            let detail = format!(
+                "replica {} stream failed: the request was dropped unanswered",
+                self.counts.index
+            );
+            self.resolve(RequestOutcome::Failed(detail));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::queue::Admission;
+    use crate::request::Ticket;
+    use crossbeam::channel::bounded;
+    use mvtee_telemetry::trace::TraceCtx;
+    use std::time::{Duration, Instant};
+
+    /// Exactly one answer when the pipeline drops a request: the reply,
+    /// dropped uncalled, resolves the ticket `Failed` once and gives back
+    /// both the admission slot and the replica's outstanding slot.
+    #[test]
+    fn a_reply_dropped_unanswered_resolves_once_and_frees_both_slots() {
+        let gauge = mvtee_telemetry::gauge("serve.pool.outstanding");
+        let stream_failures = mvtee_telemetry::counter("serve.pool.stream_failures");
+        let (gauge0, failures0) = (gauge.get(), stream_failures.get());
+        let admission = Arc::new(Admission::new(4, 4));
+        let (respond, rx) = bounded(1);
+        let now = Instant::now();
+        let req = InferRequest {
+            id: 7,
+            tenant: "t".into(),
+            model_key: "m".into(),
+            input: Tensor::zeros(&[1]),
+            submitted: now,
+            deadline: now + Duration::from_secs(5),
+            trace: TraceCtx::for_request(7),
+            respond,
+            slot: admission.admit("t").expect("admitted"),
+        };
+        let counts = Arc::new(Counts {
+            index: 1,
+            outstanding: AtomicI64::new(0),
+            served: AtomicU64::new(0),
+            metrics: PoolMetrics::fetch(),
+        });
+        let ticket = Ticket { id: 7, rx };
+
+        let reply = Reply::new(req, &counts);
+        assert_eq!(admission.stats().depth, 1);
+        assert_eq!(counts.outstanding.load(Ordering::Acquire), 1);
+        drop(reply);
+
+        let resp = ticket.rx.try_recv().expect("answered when dropped");
+        assert_eq!(resp.id, 7);
+        assert_eq!(resp.replica, Some(1));
+        assert!(matches!(resp.outcome, RequestOutcome::Failed(ref d) if d.contains("replica 1")));
+        assert!(ticket.rx.try_recv().is_err(), "answered more than once");
+        assert_eq!(admission.stats().depth, 0, "admission slot not given back");
+        assert_eq!(counts.outstanding.load(Ordering::Acquire), 0);
+        assert_eq!(
+            counts.served.load(Ordering::Relaxed),
+            0,
+            "a dropped request is not served"
+        );
+        assert_eq!(gauge.get(), gauge0);
+        assert_eq!(stream_failures.get(), failures0 + 1);
     }
 }

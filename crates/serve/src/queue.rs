@@ -1,29 +1,29 @@
-//! Bounded, quota'd admission queue with observable load shedding.
+//! Admission control: bounds on the requests admitted and not yet
+//! answered, in total and per tenant, with observable load shedding.
 
-use crate::request::InferRequest;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use mvtee_telemetry::{Counter, Gauge};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Why a submission was rejected at the door.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The queue already holds `max_queue_depth` requests.
+    /// `max_queue_depth` admitted requests are still unanswered.
     QueueFull,
-    /// The tenant already has `per_tenant_quota` requests queued.
+    /// The tenant already has `per_tenant_quota` requests unanswered.
     Quota,
     /// The frontend is shutting down.
     ShuttingDown,
     /// The model key needs a registry cold start and the registry is
-    /// saturated — admitting the request would only let it expire in the
-    /// queue while no cold start can begin.
+    /// saturated — admitting the request would only let it expire
+    /// waiting while no cold start can begin.
     ColdStart,
 }
 
 impl std::fmt::Display for ShedReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShedReason::QueueFull => write!(f, "admission queue full"),
+            ShedReason::QueueFull => write!(f, "in-flight bound reached"),
             ShedReason::Quota => write!(f, "per-tenant quota exhausted"),
             ShedReason::ShuttingDown => write!(f, "frontend shutting down"),
             ShedReason::ColdStart => write!(f, "model cold start required and registry saturated"),
@@ -35,263 +35,202 @@ impl std::fmt::Display for ShedReason {
 /// the same numbers flow to the global registry as `serve.*`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Requests offered via [`AdmissionQueue::offer`].
+    /// Requests offered for admission.
     pub submitted: u64,
-    /// Requests accepted into the queue.
+    /// Requests admitted.
     pub admitted: u64,
-    /// Requests rejected because the queue was full.
+    /// Requests rejected because `max_queue_depth` were in flight.
     pub shed_queue_full: u64,
     /// Requests rejected because the tenant's quota was exhausted.
     pub shed_quota: u64,
     /// Requests rejected because the model needed a cold start and the
     /// registry was saturated.
     pub shed_coldstart: u64,
-    /// Current queue depth.
+    /// Requests admitted and not yet answered.
     pub depth: usize,
 }
 
-struct QueueInner {
-    queue: VecDeque<InferRequest>,
+struct Inner {
+    /// Unanswered requests per tenant (tenants with none are absent).
     per_tenant: HashMap<String, usize>,
     stats: QueueStats,
     closed: bool,
 }
 
-/// What [`AdmissionQueue::drain`] observed.
-pub(crate) struct Drained {
-    pub requests: Vec<InferRequest>,
-    /// True once the queue is closed *and* empty — the dispatcher's
-    /// signal to flush and exit.
-    pub finished: bool,
+/// The `serve.*` admission metrics, fetched once.
+struct Metrics {
+    submitted: Counter,
+    admitted: Counter,
+    shed: Counter,
+    shed_queue_full: Counter,
+    shed_quota: Counter,
+    shed_coldstart: Counter,
+    depth: Gauge,
 }
 
-/// The intake side of the frontend: a bounded MPSC queue with
-/// per-tenant quotas. Producers shed synchronously (the caller learns
-/// the [`ShedReason`] immediately); the single dispatcher drains.
-pub struct AdmissionQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-    max_depth: usize,
+/// The frontend's door: a request is admitted while fewer than
+/// `max_in_flight` admitted requests, and fewer than `per_tenant_quota` of
+/// its tenant's, are unanswered. Callers learn a [`ShedReason`] at once.
+pub(crate) struct Admission {
+    inner: Mutex<Inner>,
+    max_in_flight: usize,
     per_tenant_quota: usize,
+    metrics: Metrics,
 }
 
-impl AdmissionQueue {
-    /// A queue bounded at `max_depth` total and `per_tenant_quota`
-    /// queued requests per tenant (both clamped to at least 1).
-    pub fn new(max_depth: usize, per_tenant_quota: usize) -> Self {
-        Self {
-            inner: Mutex::new(QueueInner {
-                queue: VecDeque::new(),
+/// An admitted request's hold on the bounds, given back when dropped —
+/// as the request resolves.
+pub(crate) struct Slot {
+    admission: Arc<Admission>,
+    tenant: String,
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut inner = self.admission.inner.lock().expect("admission poisoned");
+        if let Some(count) = inner.per_tenant.get_mut(&self.tenant) {
+            *count -= 1;
+            if *count == 0 {
+                inner.per_tenant.remove(&self.tenant);
+            }
+        }
+        inner.stats.depth -= 1;
+        self.admission.metrics.depth.set(inner.stats.depth as i64);
+    }
+}
+
+impl Admission {
+    /// Bounds of `max_in_flight` unanswered requests in total and
+    /// `per_tenant_quota` per tenant (both clamped to at least 1).
+    pub(crate) fn new(max_in_flight: usize, per_tenant_quota: usize) -> Self {
+        Admission {
+            inner: Mutex::new(Inner {
                 per_tenant: HashMap::new(),
                 stats: QueueStats::default(),
                 closed: false,
             }),
-            ready: Condvar::new(),
-            max_depth: max_depth.max(1),
+            max_in_flight: max_in_flight.max(1),
             per_tenant_quota: per_tenant_quota.max(1),
+            metrics: Metrics {
+                submitted: mvtee_telemetry::counter("serve.submitted_total"),
+                admitted: mvtee_telemetry::counter("serve.admitted_total"),
+                shed: mvtee_telemetry::counter("serve.shed_total"),
+                shed_queue_full: mvtee_telemetry::counter("serve.shed_queue_full"),
+                shed_quota: mvtee_telemetry::counter("serve.shed_quota"),
+                shed_coldstart: mvtee_telemetry::counter("serve.shed_coldstart"),
+                depth: mvtee_telemetry::gauge("serve.queue_depth"),
+            },
         }
     }
 
-    /// Offers a request for admission. Rejections hand the request back
-    /// so the caller can resolve its ticket with the shed reason.
+    /// Admits one request from `tenant`, or says why not.
     ///
     /// # Errors
     ///
-    /// The request plus a [`ShedReason`] when the queue is full, the
-    /// tenant's quota is exhausted, or the queue is closed.
-    #[allow(clippy::result_large_err)] // the rejected request must travel back
-    pub fn offer(&self, req: InferRequest) -> Result<(), (InferRequest, ShedReason)> {
-        let mut inner = self.inner.lock().expect("admission queue poisoned");
+    /// [`ShedReason::QueueFull`] at the total bound (checked first),
+    /// [`ShedReason::Quota`] at the tenant's, [`ShedReason::ShuttingDown`]
+    /// once closed.
+    pub(crate) fn admit(self: &Arc<Self>, tenant: &str) -> Result<Slot, ShedReason> {
+        let mut inner = self.inner.lock().expect("admission poisoned");
         inner.stats.submitted += 1;
-        mvtee_telemetry::counter("serve.submitted_total").inc();
+        self.metrics.submitted.inc();
         if inner.closed {
-            return Err((req, ShedReason::ShuttingDown));
+            return Err(ShedReason::ShuttingDown);
         }
-        if inner.queue.len() >= self.max_depth {
+        if inner.stats.depth >= self.max_in_flight {
             inner.stats.shed_queue_full += 1;
-            mvtee_telemetry::counter("serve.shed_total").inc();
-            mvtee_telemetry::counter("serve.shed_queue_full").inc();
-            shed_trace(&req, "queue_full");
-            return Err((req, ShedReason::QueueFull));
+            self.metrics.shed.inc();
+            self.metrics.shed_queue_full.inc();
+            return Err(ShedReason::QueueFull);
         }
-        let tenant_load = inner.per_tenant.get(&req.tenant).copied().unwrap_or(0);
+        let tenant_load = inner.per_tenant.get(tenant).copied().unwrap_or(0);
         if tenant_load >= self.per_tenant_quota {
             inner.stats.shed_quota += 1;
-            mvtee_telemetry::counter("serve.shed_total").inc();
-            mvtee_telemetry::counter("serve.shed_quota").inc();
-            shed_trace(&req, "quota");
-            return Err((req, ShedReason::Quota));
+            self.metrics.shed.inc();
+            self.metrics.shed_quota.inc();
+            return Err(ShedReason::Quota);
         }
-        *inner.per_tenant.entry(req.tenant.clone()).or_insert(0) += 1;
-        inner.queue.push_back(req);
+        match inner.per_tenant.get_mut(tenant) {
+            Some(n) => *n += 1,
+            None => {
+                inner.per_tenant.insert(tenant.to_owned(), 1);
+            }
+        }
         inner.stats.admitted += 1;
-        let depth = inner.queue.len();
-        inner.stats.depth = depth;
-        mvtee_telemetry::counter("serve.admitted_total").inc();
-        mvtee_telemetry::gauge("serve.queue_depth").set(depth as i64);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
+        inner.stats.depth += 1;
+        self.metrics.admitted.inc();
+        self.metrics.depth.set(inner.stats.depth as i64);
+        Ok(Slot {
+            admission: Arc::clone(self),
+            tenant: tenant.to_owned(),
+        })
     }
 
-    /// Drains everything currently queued, blocking up to `timeout`
-    /// for the first arrival. Returns immediately once the queue is
-    /// closed and empty.
-    pub(crate) fn drain(&self, timeout: Duration) -> Drained {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("admission queue poisoned");
-        while inner.queue.is_empty() && !inner.closed {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(inner, deadline - now)
-                .expect("admission queue poisoned");
-            inner = guard;
-        }
-        let requests: Vec<InferRequest> = inner.queue.drain(..).collect();
-        for req in &requests {
-            if let Some(count) = inner.per_tenant.get_mut(&req.tenant) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    inner.per_tenant.remove(&req.tenant);
-                }
-            }
-        }
-        inner.stats.depth = 0;
-        mvtee_telemetry::gauge("serve.queue_depth").set(0);
-        let wait_hist = mvtee_telemetry::histogram("serve.queue_wait_ns");
-        for req in &requests {
-            wait_hist.record(req.submitted.elapsed().as_nanos() as u64);
-        }
-        Drained {
-            finished: inner.closed && requests.is_empty(),
-            requests,
-        }
-    }
-
-    /// Records a cold-start shed decided by the caller *before* the
-    /// request reached the queue (the handle sheds at submit when the
-    /// model key is unknown and the registry cannot start a cold start),
-    /// keeping `submitted`/`shed_*` coherent with queue-side sheds.
-    pub(crate) fn record_coldstart_shed(&self, req: &InferRequest) {
-        let mut inner = self.inner.lock().expect("admission queue poisoned");
+    /// Records a cold-start shed the frontend decided before admission
+    /// (the model key is unknown and the registry cannot begin a cold
+    /// start), keeping `submitted`/`shed_*` coherent with the others.
+    pub(crate) fn record_coldstart_shed(&self) {
+        let mut inner = self.inner.lock().expect("admission poisoned");
         inner.stats.submitted += 1;
         inner.stats.shed_coldstart += 1;
         drop(inner);
-        mvtee_telemetry::counter("serve.submitted_total").inc();
-        mvtee_telemetry::counter("serve.shed_total").inc();
-        mvtee_telemetry::counter("serve.shed_coldstart").inc();
-        shed_trace(req, "coldstart");
+        self.metrics.submitted.inc();
+        self.metrics.shed.inc();
+        self.metrics.shed_coldstart.inc();
     }
 
-    /// Closes the intake; queued requests still drain, new offers shed
-    /// with [`ShedReason::ShuttingDown`].
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().expect("admission queue poisoned");
-        inner.closed = true;
-        drop(inner);
-        self.ready.notify_all();
+    /// Closes the door: every later request sheds with
+    /// [`ShedReason::ShuttingDown`]; admitted ones are still answered.
+    pub(crate) fn close(&self) {
+        self.inner.lock().expect("admission poisoned").closed = true;
+    }
+
+    pub(crate) fn is_closed(&self) -> bool {
+        self.inner.lock().expect("admission poisoned").closed
     }
 
     /// Current admission counters.
-    pub fn stats(&self) -> QueueStats {
-        let inner = self.inner.lock().expect("admission queue poisoned");
-        let mut stats = inner.stats.clone();
-        stats.depth = inner.queue.len();
-        stats
+    pub(crate) fn stats(&self) -> QueueStats {
+        self.inner.lock().expect("admission poisoned").stats.clone()
     }
-}
-
-/// Records a shed as a trace instant and snapshots the flight recorder
-/// — a shed under load is exactly the moment the recent span history
-/// explains why the queue was full.
-fn shed_trace(req: &InferRequest, reason: &str) {
-    let tracer = mvtee_telemetry::trace::recorder();
-    if !tracer.is_enabled() {
-        return;
-    }
-    tracer
-        .instant(req.trace, "serve.shed", "serve")
-        .arg("id", req.id)
-        .arg("tenant", &req.tenant)
-        .arg("reason", reason);
-    tracer.dump(&format!("serve shed: {reason}"));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{InferResponse, RequestOutcome};
-    use crossbeam::channel::{bounded, Receiver};
-    use mvtee_tensor::Tensor;
-
-    fn request(id: u64, tenant: &str) -> (InferRequest, Receiver<InferResponse>) {
-        let (tx, rx) = bounded(1);
-        let now = Instant::now();
-        (
-            InferRequest {
-                id,
-                tenant: tenant.to_string(),
-                model_key: "m".to_string(),
-                input: Tensor::zeros(&[1]),
-                submitted: now,
-                deadline: now + Duration::from_secs(5),
-                trace: mvtee_telemetry::trace::TraceCtx::for_request(id),
-                respond: tx,
-            },
-            rx,
-        )
-    }
 
     #[test]
     fn sheds_when_full_and_over_quota() {
-        let q = AdmissionQueue::new(2, 1);
-        let (r0, _k0) = request(0, "a");
-        let (r1, _k1) = request(1, "b");
-        let (r2, _k2) = request(2, "a");
-        let (r3, _k3) = request(3, "c");
-        assert!(q.offer(r0).is_ok());
+        let adm = Arc::new(Admission::new(2, 1));
+        let _a = adm.admit("a").expect("admitted");
         // Tenant "a" already has its one slot.
-        let (_, reason) = q.offer(r2).unwrap_err();
-        assert_eq!(reason, ShedReason::Quota);
-        assert!(q.offer(r1).is_ok());
-        // Queue depth 2 == max: full beats everything.
-        let (_, reason) = q.offer(r3).unwrap_err();
-        assert_eq!(reason, ShedReason::QueueFull);
-        let stats = q.stats();
-        assert_eq!(stats.admitted, 2);
-        assert_eq!(stats.shed_quota, 1);
-        assert_eq!(stats.shed_queue_full, 1);
+        assert_eq!(adm.admit("a").err(), Some(ShedReason::Quota));
+        let _b = adm.admit("b").expect("admitted");
+        // Two in flight == max: full beats everything.
+        assert_eq!(adm.admit("c").err(), Some(ShedReason::QueueFull));
+        let stats = adm.stats();
+        assert_eq!((stats.submitted, stats.admitted, stats.depth), (4, 2, 2));
+        assert_eq!((stats.shed_quota, stats.shed_queue_full), (1, 1));
     }
 
     #[test]
-    fn quota_frees_after_drain() {
-        let q = AdmissionQueue::new(8, 1);
-        let (r0, _k0) = request(0, "a");
-        assert!(q.offer(r0).is_ok());
-        let drained = q.drain(Duration::from_millis(1));
-        assert_eq!(drained.requests.len(), 1);
-        let (r1, _k1) = request(1, "a");
-        assert!(q.offer(r1).is_ok(), "quota must release once dequeued");
+    fn quota_frees_when_the_request_resolves() {
+        let adm = Arc::new(Admission::new(8, 1));
+        let slot = adm.admit("a").expect("admitted");
+        assert_eq!(adm.admit("a").err(), Some(ShedReason::Quota));
+        drop(slot);
+        assert_eq!(adm.stats().depth, 0);
+        assert!(adm.admit("a").is_ok(), "the quota must free once answered");
     }
 
     #[test]
-    fn close_sheds_new_offers_and_finishes_drain() {
-        let q = AdmissionQueue::new(8, 8);
-        q.close();
-        let (r0, rx) = request(0, "a");
-        let (req, reason) = q.offer(r0).unwrap_err();
-        assert_eq!(reason, ShedReason::ShuttingDown);
-        req.resolve(None, RequestOutcome::Failed(reason.to_string()));
-        assert!(matches!(
-            rx.recv().unwrap().outcome,
-            RequestOutcome::Failed(_)
-        ));
-        let drained = q.drain(Duration::from_millis(1));
-        assert!(drained.finished);
-        assert!(drained.requests.is_empty());
+    fn close_sheds_new_requests_but_keeps_admitted_ones() {
+        let adm = Arc::new(Admission::new(8, 8));
+        let slot = adm.admit("a").expect("admitted");
+        adm.close();
+        assert_eq!(adm.admit("a").err(), Some(ShedReason::ShuttingDown));
+        assert_eq!(adm.stats().depth, 1);
+        drop(slot);
+        assert_eq!(adm.stats().depth, 0);
     }
 }

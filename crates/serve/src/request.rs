@@ -1,11 +1,13 @@
 //! Request/response envelopes for the serving frontend.
 
+use crate::queue::Slot;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use mvtee_telemetry::trace::TraceCtx;
 use mvtee_tensor::Tensor;
 use std::time::{Duration, Instant};
 
-/// One tenant's inference request as it flows queue → dispatcher → pool.
+/// One tenant's admitted inference request as it flows admission → pool
+/// → pipeline, and back from the last stage.
 pub struct InferRequest {
     /// Frontend-assigned id, unique per frontend; echoed in the
     /// response so callers (and the loss-accounting tests) can match
@@ -19,14 +21,17 @@ pub struct InferRequest {
     pub input: Tensor,
     /// Admission timestamp (end-to-end latency baseline).
     pub submitted: Instant,
-    /// Absolute deadline; the dispatcher drops the request unserved
-    /// once this passes (observable as `serve.expired_total`).
+    /// Absolute deadline; a request still parked behind a cold start
+    /// once this passes resolves unserved (observable as
+    /// `serve.expired_total`).
     pub deadline: Instant,
     /// Root trace context for this request, derived deterministically
-    /// from `id`; propagated through dispatcher → pool → core pipeline.
+    /// from `id`; propagated through pool → core pipeline.
     pub trace: TraceCtx,
     /// Response channel back to the caller's ticket.
     pub(crate) respond: Sender<InferResponse>,
+    /// The request's hold on the admission bounds.
+    pub(crate) slot: Slot,
 }
 
 impl InferRequest {
@@ -47,6 +52,9 @@ impl InferRequest {
                 .arg("tenant", &self.tenant)
                 .arg("outcome", outcome_tag);
         }
+        // Given back before the caller can see the answer: a caller that
+        // resubmits the instant it is answered finds its quota free.
+        drop(self.slot);
         let _ = self.respond.send(InferResponse {
             id: self.id,
             tenant: self.tenant,
@@ -66,7 +74,7 @@ pub enum RequestOutcome {
     /// A checkpoint halted the request, or the replica lost its
     /// pipeline; the detail string carries the monitor's reason.
     Failed(String),
-    /// The deadline passed before the request was dispatched.
+    /// The deadline passed while the request waited for a cold start.
     Expired,
 }
 
@@ -84,7 +92,7 @@ pub struct InferResponse {
     pub id: u64,
     /// The submitting tenant (echoed for per-tenant accounting).
     pub tenant: String,
-    /// Which pool replica served it (`None` when never dispatched).
+    /// Which pool replica served it (`None` when it never reached one).
     pub replica: Option<usize>,
     /// End-to-end latency, admission → resolution.
     pub latency: Duration,

@@ -63,26 +63,14 @@ impl Registry {
 
     /// Registers (or finds) the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.shared.counters.lock().expect("registry lock");
-        let value = map
-            .entry(name.to_owned())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter {
-            enabled: Arc::clone(&self.shared.enabled),
-            value: Arc::clone(value),
-        }
+        let value = find_or_insert(&self.shared.counters, name, || AtomicU64::new(0));
+        Counter { enabled: Arc::clone(&self.shared.enabled), value }
     }
 
     /// Registers (or finds) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.shared.gauges.lock().expect("registry lock");
-        let value = map
-            .entry(name.to_owned())
-            .or_insert_with(|| Arc::new(AtomicI64::new(0)));
-        Gauge {
-            enabled: Arc::clone(&self.shared.enabled),
-            value: Arc::clone(value),
-        }
+        let value = find_or_insert(&self.shared.gauges, name, || AtomicI64::new(0));
+        Gauge { enabled: Arc::clone(&self.shared.enabled), value }
     }
 
     /// Registers (or finds) the HDR-style histogram `name`.
@@ -102,14 +90,8 @@ impl Registry {
     }
 
     fn histogram_inner(&self, name: &str, bucketing: impl FnOnce() -> Bucketing) -> Histogram {
-        let mut map = self.shared.histograms.lock().expect("registry lock");
-        let inner = map
-            .entry(name.to_owned())
-            .or_insert_with(|| Arc::new(HistInner::new(bucketing())));
-        Histogram {
-            enabled: Arc::clone(&self.shared.enabled),
-            inner: Arc::clone(inner),
-        }
+        let inner = find_or_insert(&self.shared.histograms, name, || HistInner::new(bucketing()));
+        Histogram { enabled: Arc::clone(&self.shared.enabled), inner }
     }
 
     /// A point-in-time copy of every metric.
@@ -153,6 +135,23 @@ impl Registry {
             h.reset();
         }
     }
+}
+
+/// The metric `name` in `map`, registered with `new` first if absent. The
+/// name is copied only on that first registration: a lookup of an existing
+/// metric allocates nothing.
+fn find_or_insert<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    new: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock().expect("registry lock");
+    if let Some(value) = map.get(name) {
+        return Arc::clone(value);
+    }
+    let value = Arc::new(new());
+    map.insert(name.to_owned(), Arc::clone(&value));
+    value
 }
 
 /// Summary statistics for one histogram at snapshot time.

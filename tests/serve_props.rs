@@ -1,6 +1,6 @@
 //! Serving determinism properties: any interleaving of requests across
-//! tenants through the admission queue → dispatcher → replica pool
-//! must yield outputs byte-identical to serial single-request runs.
+//! tenants through admission → replica pool → pipeline must yield
+//! outputs byte-identical to serial single-request runs.
 //!
 //! One frontend (2 replicas over the same model) is shared by every
 //! proptest case — the property is about request interleavings, not

@@ -1,10 +1,11 @@
 //! Shedding × recovery interaction: a replica quarantined mid-burst
-//! must not lose or double-serve queued requests, and overload shed at
-//! the door must be visible — distinctly — to both the submitting
-//! client and the `serve.*` counters.
+//! must not lose or double-serve admitted requests, overload shed at the
+//! door must be visible — distinctly — to both the submitting client and
+//! the `serve.*` counters, and the door's bounds are on what is in
+//! flight: a hung replica cannot make them admit more.
 //!
-//! The setup forces both behaviours at once: a tiny admission queue
-//! (depth 4, quota 2) under a 6-client burst guarantees sheds, while
+//! The burst setup forces both behaviours at once: tiny bounds (4 in
+//! flight, 2 per tenant) under a 6-client burst guarantee sheds, while
 //! replica 0 carries a scheduled stall fault so the core watchdog
 //! quarantines one of its panel variants and the recovery manager
 //! rejoins it while the pool is still serving the burst.
@@ -16,7 +17,12 @@ use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_serve::{ReplicaPool, RequestOutcome, ServeConfig, ServeFrontend, ShedReason};
 use mvtee_tensor::Tensor;
 use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Held by the tests that check `serve.shed_*` deltas: the counters are
+/// process-wide, so two shedding tests must not overlap.
+static SHEDDING: Mutex<()> = Mutex::new(());
 
 const SEED: u64 = 23;
 const PANEL: usize = 3;
@@ -53,6 +59,7 @@ fn recovery_mvx() -> MvxConfig {
 
 #[test]
 fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
+    let _shedding = SHEDDING.lock().unwrap_or_else(PoisonError::into_inner);
     let shed_total0 = mvtee_telemetry::counter("serve.shed_total").get();
     let quarantined0 = mvtee_telemetry::counter("core.recovery.quarantined").get();
     let recovered0 = mvtee_telemetry::counter("core.recovery.recovered").get();
@@ -94,7 +101,7 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
     let events = frontend.replica_events(MODEL_KEY, 0).expect("replica 0 exists");
 
     // The burst: every client fires its submissions back to back and
-    // only then waits for its admitted tickets, so the tiny queue is
+    // only then waits for its admitted tickets, so the tiny bounds are
     // guaranteed to overflow while the stalled replica slows the pool.
     let mut admitted_ids: Vec<u64> = Vec::new();
     let mut response_ids: Vec<u64> = Vec::new();
@@ -169,7 +176,7 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
 
     // Overload must actually have shed, and the counter delta must
     // match what the clients saw at the door.
-    assert!(shed_count > 0, "a 4-deep queue under a {CLIENTS}x{PER_CLIENT} burst must shed");
+    assert!(shed_count > 0, "a 4-request bound under a {CLIENTS}x{PER_CLIENT} burst must shed");
     assert_eq!(
         mvtee_telemetry::counter("serve.shed_total").get() - shed_total0,
         shed_count,
@@ -267,4 +274,116 @@ fn early_requests_are_answered_before_the_watchdog_fires_for_a_later_one() {
         }
     }
     frontend.shutdown();
+}
+
+/// One replica, its replicated partition stalled by a hung variant from
+/// the first batch: every admitted request stays in flight for the
+/// 3-s checkpoint deadline, so nothing but the bounds limits admission.
+fn hung_replica() -> (ServeFrontend, Tensor, Tensor) {
+    let mut cfg = MvxConfig::fast_path(2);
+    cfg.claims[1] = PartitionMvx::replicated(PANEL);
+    cfg.response = ResponsePolicy::ContinueWithMajority;
+    cfg.checkpoint_deadline_ms = 3_000;
+    let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, SEED).expect("model");
+    let input = burst_input(&model);
+    let builder =
+        Deployment::builder(model).config(cfg).partition_seed(SEED).variant_seed(SEED);
+    let mut reference_dep = builder.clone().build().expect("reference builds");
+    let reference = reference_dep.infer(&input).expect("reference inference");
+    reference_dep.shutdown();
+    let hang = FaultDescriptor::Stall(StallFault { from_batch: 0, mode: StallMode::Hang });
+    let deployment = builder.fault(hang, Some((1, 0))).build().expect("replica builds");
+    let pool = ReplicaPool::new(MODEL_KEY, vec![deployment]).expect("pool wraps");
+    let cfg = ServeConfig { max_queue_depth: 8, per_tenant_quota: 2, default_deadline_ms: 60_000 };
+    (ServeFrontend::start(vec![pool], cfg), input, reference)
+}
+
+/// Admission bounds what is in flight, not what waits in a queue: with
+/// every request held up by a hung variant, a tenant sending 200 back to
+/// back gets exactly its quota of 2, four tenants fill the total bound of
+/// 8, a fifth gets nothing, and the door reopens once answers come back.
+#[test]
+fn admission_bounds_the_requests_in_flight() {
+    let _shedding = SHEDDING.lock().unwrap_or_else(PoisonError::into_inner);
+    let quota0 = mvtee_telemetry::counter("serve.shed_quota").get();
+    let full0 = mvtee_telemetry::counter("serve.shed_queue_full").get();
+    let (frontend, input, reference) = hung_replica();
+    let handle = frontend.handle();
+
+    let mut tickets = Vec::new();
+    let mut shed_quota = 0u64;
+    for _ in 0..200 {
+        match handle.submit("hot", MODEL_KEY, input.clone()) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(ShedReason::Quota) => shed_quota += 1,
+            Err(other) => panic!("the hot tenant shed {other:?}, not Quota"),
+        }
+    }
+    assert_eq!((tickets.len(), shed_quota), (2, 198), "one tenant is held to its quota");
+    for tenant in ["b", "c", "d"] {
+        for _ in 0..2 {
+            tickets.push(handle.submit(tenant, MODEL_KEY, input.clone()).expect("within bounds"));
+        }
+    }
+    let mut shed_full = 0u64;
+    for _ in 0..2 {
+        assert_eq!(handle.submit("e", MODEL_KEY, input.clone()).err(), Some(ShedReason::QueueFull));
+        shed_full += 1;
+    }
+    let stats = frontend.queue_stats();
+    assert_eq!((stats.admitted, stats.depth), (8, 8), "8 admitted, all 8 in flight");
+    assert_eq!((stats.shed_quota, stats.shed_queue_full), (shed_quota, shed_full));
+    assert_eq!(mvtee_telemetry::counter("serve.shed_quota").get() - quota0, shed_quota);
+    assert_eq!(mvtee_telemetry::counter("serve.shed_queue_full").get() - full0, shed_full);
+
+    // The first answer waits out the hung variant's deadline; it gives its
+    // slot back, and the door admits again.
+    let first = tickets.remove(0).wait().expect("answered");
+    assert!(matches!(first.outcome, RequestOutcome::Ok(ref t) if bits_equal(t, &reference)));
+    tickets.push(handle.submit("e", MODEL_KEY, input.clone()).expect("admitted again"));
+    for ticket in tickets {
+        let resp = ticket.wait().expect("admitted requests always resolve");
+        match resp.outcome {
+            RequestOutcome::Ok(tensor) => assert!(bits_equal(&tensor, &reference)),
+            other => panic!("request {} did not complete: {other:?}", resp.id),
+        }
+    }
+    assert_eq!(frontend.queue_stats().depth, 0);
+    frontend.shutdown();
+}
+
+/// A stop answers what it was handed, at the serving level too: shutting
+/// the frontend down with 32 requests in flight answers all 32, `Ok`.
+#[test]
+fn shutdown_answers_every_request_in_flight() {
+    let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, SEED).expect("model");
+    let input = burst_input(&model);
+    let builder = Deployment::builder(model)
+        .config(MvxConfig::fast_path(3))
+        .partition_seed(SEED)
+        .variant_seed(SEED);
+    let mut reference_dep = builder.clone().build().expect("reference builds");
+    let reference = reference_dep.infer(&input).expect("reference inference");
+    reference_dep.shutdown();
+    let pool = ReplicaPool::new(MODEL_KEY, builder.build_many(2).expect("pool builds"))
+        .expect("pool wraps");
+    let frontend = ServeFrontend::start(vec![pool], ServeConfig::default());
+    let handle = frontend.handle();
+    let tickets: Vec<_> = (0..32)
+        .map(|i| handle.submit(&format!("t{}", i % 4), MODEL_KEY, input.clone()).expect("admitted"))
+        .collect();
+    assert!(frontend.queue_stats().depth > 0, "nothing left in flight to stop");
+    frontend.shutdown();
+    for ticket in tickets {
+        let resp = ticket.wait_timeout(Duration::ZERO).expect("answered before shutdown returned");
+        match resp.outcome {
+            RequestOutcome::Ok(tensor) => assert!(bits_equal(&tensor, &reference)),
+            other => panic!("request {} was not answered Ok: {other:?}", resp.id),
+        }
+    }
+    assert_eq!(
+        handle.submit("late", MODEL_KEY, input).err(),
+        Some(ShedReason::ShuttingDown),
+        "a stopped frontend admits nothing"
+    );
 }

@@ -22,7 +22,6 @@ use mvtee_runtime::{Engine, EngineConfig, EngineKind, PreparedModel};
 use mvtee_tensor::metrics::Metric;
 use mvtee_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 fn model_input(m: &Model) -> Tensor {
     let n = m.input_shape.num_elements();
@@ -158,23 +157,30 @@ fn bitflip_divergence_increments_counter_exactly_once() {
     let before_divergence = before.counters.get("core.events.divergence").copied().unwrap_or(0);
 
     let (in_tx, in_rx) = bounded::<CoordMsg>(8);
-    let (out_tx, out_rx) = unbounded::<StageJob>();
+    let (out_tx, out_rx) = bounded(1);
     let events = EventLog::new();
     let ev = events.clone();
     let coordinator =
-        std::thread::spawn(move || run_stage(runtime, policy, Metric::strict(), in_rx, out_tx, ev));
+        std::thread::spawn(move || run_stage(runtime, policy, Metric::strict(), in_rx, None, ev));
     let mut env = HashMap::new();
     env.insert(*runtime_input_id(&model), input);
-    in_tx
-        .send(CoordMsg::Job(StageJob { batch: 0, env, poisoned: None, submitted: Instant::now(), trace: mvtee_telemetry::trace::TraceCtx::NONE }))
-        .expect("sends");
+    let job = StageJob {
+        batch: 0,
+        env,
+        poisoned: None,
+        trace: mvtee_telemetry::trace::TraceCtx::NONE,
+        reply: Box::new(move |answer| {
+            let _ = out_tx.send(answer);
+        }),
+    };
+    in_tx.send(CoordMsg::Job(job)).expect("sends");
     let result = out_rx
         .recv_timeout(std::time::Duration::from_secs(30))
         .expect("coordinator answers");
     in_tx.send(CoordMsg::Stop).expect("stops");
     coordinator.join().expect("coordinator exits");
 
-    assert!(result.poisoned.is_some(), "halt policy must poison the batch");
+    assert!(result.is_err(), "halt policy must poison the batch");
     let divergences = events
         .events()
         .iter()
