@@ -20,9 +20,9 @@
 use crate::config::{MvxConfig, PartitionMvx, ResponsePolicy, RESULT_TIMEOUT};
 use crate::events::{EventLog, MonitorEvent};
 use crate::messages::encode;
+use crate::link::ResponsePort;
 use crate::pipeline::{
-    spawn_pipeline, spawn_rx_thread, CoordMsg, PipelineHandles, Reply, RxEvent, StageJob,
-    StagePolicy, StageRuntime, VariantLink,
+    spawn_pipeline, CoordMsg, PipelineHandles, Reply, StageJob, StagePolicy, StageRuntime,
 };
 use crate::provision::Provisioner;
 use crate::recovery::{spawn_recovery_manager, RecoveryContext, RecoveryRequest};
@@ -30,7 +30,7 @@ use crate::transcript::TranscriptLog;
 use crate::variant_host::{HostFaults, SealedVariantPayload};
 use crate::worker::VariantPlacement;
 use crate::{MvxError, Result};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError};
 use mvtee_crypto::random_array;
 use mvtee_crypto::sha256::sha256;
 use mvtee_diversify::spec::spread_specs;
@@ -704,7 +704,6 @@ pub struct Deployment {
     output_value: ValueId,
     faults: Vec<PlacedFault>,
     pool: Option<PartitionPool>,
-    recovery_tx: Option<Sender<RecoveryRequest>>,
     recovery_manager: Option<JoinHandle<()>>,
     transcript: TranscriptLog,
 }
@@ -792,7 +791,6 @@ impl Deployment {
             output_value,
             faults,
             pool,
-            recovery_tx: None,
             recovery_manager: None,
             transcript: TranscriptLog::new(),
         };
@@ -804,25 +802,21 @@ impl Deployment {
     fn launch_all(&mut self) -> Result<()> {
         let mut runtimes = Vec::with_capacity(self.config.partitions);
         let mut metrics = Vec::with_capacity(self.config.partitions);
-        // Values needed downstream of each stage.
-        let mut needed_suffix: Vec<HashSet<ValueId>> =
-            vec![HashSet::new(); self.config.partitions + 1];
-        for &out in self.offline.graph.outputs() {
-            needed_suffix[self.config.partitions].insert(out);
-        }
+        // Values needed downstream of each stage: the model's outputs and
+        // every later stage's inputs.
+        let mut needed_after = vec![HashSet::new(); self.config.partitions];
+        let mut needed: HashSet<ValueId> = self.offline.graph.outputs().iter().copied().collect();
         for p in (0..self.config.partitions).rev() {
-            let mut needed = needed_suffix[p + 1].clone();
-            for v in &self.offline.partition_set.stages[p].inputs {
-                needed.insert(*v);
-            }
-            needed_suffix[p] = needed;
+            needed_after[p] = needed.clone();
+            needed.extend(&self.offline.partition_set.stages[p].inputs);
         }
 
         // The recovery manager (when enabled) gets what only recovery needs
         // on top of the shared provisioner, and a request channel; every
-        // coordinator gets a sender clone so quarantines turn into
-        // re-provisioning requests.
-        let recovery_tx: Option<Sender<RecoveryRequest>> = if self.config.recovery.enabled {
+        // coordinator gets a sender so quarantines turn into re-provisioning
+        // requests, and the manager exits once the last is dropped.
+        let mut recovery = None;
+        if self.config.recovery.enabled {
             let (tx, rx) = unbounded::<RecoveryRequest>();
             let ctx = RecoveryContext {
                 provisioner: Arc::clone(&self.provisioner),
@@ -833,35 +827,30 @@ impl Deployment {
                 platform_faults: faults_at(&self.faults, None).0,
             };
             self.recovery_manager = Some(spawn_recovery_manager(ctx, rx));
-            Some(tx)
-        } else {
-            None
-        };
-        self.recovery_tx = recovery_tx.clone();
+            recovery = Some(tx);
+        }
 
         for (p, claim) in self.config.claims.iter().enumerate() {
             let stage = &self.offline.partition_set.stages[p];
-            let (merged_tx, merged_rx) = unbounded::<RxEvent>();
+            // Every variant of the stage answers straight into its inbox.
+            let (inbox, responses) = unbounded();
             let mut links = Vec::with_capacity(claim.variants);
-            let mut rx_threads = Vec::with_capacity(claim.variants);
             for (v, artifact) in self.offline.artifacts[p].iter().enumerate() {
                 let (faults, netfault) = faults_at(&self.faults, Some((p, v)));
-                let (tx, rx) =
-                    self.provisioner.bring_up((p, v), artifact, faults, netfault, |_, _| Ok(()))?;
-                rx_threads.push(spawn_rx_thread(v, 0, rx, merged_tx.clone()));
-                links.push(VariantLink { tx, description: artifact.spec.describe() });
+                let port = ResponsePort::new(inbox.clone(), v, 0);
+                let launch = |_: &mut _, _: &mut _| Ok(());
+                links.push(self.provisioner.bring_up((p, v), artifact, faults, netfault, port, launch)?);
             }
             runtimes.push(StageRuntime {
                 partition: p,
                 links,
-                responses: merged_rx,
-                merged_tx,
-                rx_threads,
+                inbox,
+                responses,
                 inputs: stage.inputs.clone(),
                 outputs: stage.outputs.clone(),
-                needed_downstream: needed_suffix[p + 1].clone(),
+                needed_downstream: needed_after[p].clone(),
                 slow: self.config.slow_path(p),
-                recovery: recovery_tx.clone(),
+                recovery: recovery.clone(),
                 transcript: self.transcript.clone(),
             });
             metrics.push(claim.metric);
@@ -1186,9 +1175,8 @@ impl Deployment {
             let _ = handles.first_stage.send(CoordMsg::Stop);
             // Joining returns each StageRuntime. They are kept alive until
             // the manager has exited — an in-flight recovery still sends
-            // its rejoin into one of their merged queues — but without
-            // their recovery senders, so that together with the
-            // deployment's own the manager's request channel drains
+            // its rejoin into one of their inboxes — but without their
+            // recovery senders, so the manager's request channel drains
             // closed.
             for t in handles.threads {
                 if let Ok(mut runtime) = t.join() {
@@ -1197,16 +1185,16 @@ impl Deployment {
                 }
             }
         }
-        self.recovery_tx = None;
         if let Some(manager) = self.recovery_manager.take() {
             let _ = manager.join();
         }
         // A rejoin the coordinator never consumed leaves
-        // `RxEvent::Recovered` queued in the merged channel, and the
-        // replacement's own rx thread holds a sender clone that keeps the
-        // queued event — and so the replacement's request link — alive
-        // even after the receiver drops. Drain the queues so orphaned
-        // rejoin links drop and the replacement exits.
+        // `Inbound::Recovered` queued in its inbox, and the replacement's
+        // own response port holds a sender that keeps the queued event —
+        // and so the replacement's request link — alive even after the
+        // receiver drops; the replacement would wait on that link forever.
+        // Drain the inboxes so orphaned rejoin links drop and the
+        // replacement exits.
         for runtime in &runtimes {
             while runtime.responses.try_recv().is_ok() {}
         }

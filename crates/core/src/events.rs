@@ -369,105 +369,78 @@ impl EventLog {
         self.inner.lock().is_empty()
     }
 
+    /// What `pick` makes of each event it matches, in recording order.
+    fn select<T>(&self, pick: impl FnMut(&MonitorEvent) -> Option<T>) -> Vec<T> {
+        self.inner.lock().iter().map(|(_, e)| e).filter_map(pick).collect()
+    }
+
     /// Checkpoint verdicts that passed: `(partition, batch, agreeing)`
     /// per slow-path checkpoint whose panel agreed.
     pub fn checkpoint_passes(&self) -> Vec<(usize, u64, usize)> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::CheckpointPassed { partition, batch, agreeing } => {
-                    Some((*partition, *batch, *agreeing))
-                }
-                _ => None,
-            })
-            .collect()
+        self.select(|e| match *e {
+            MonitorEvent::CheckpointPassed { partition, batch, agreeing } => {
+                Some((partition, batch, agreeing))
+            }
+            _ => None,
+        })
     }
 
     /// Divergence detections: `(partition, batch, dissenting variants)`.
     /// Late dissent counts as a divergence at its partition.
     pub fn divergences(&self) -> Vec<(usize, u64, Vec<usize>)> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::DivergenceDetected { partition, batch, dissenting, .. } => {
-                    Some((*partition, *batch, dissenting.clone()))
-                }
-                MonitorEvent::LateDissent { partition, batch, variant } => {
-                    Some((*partition, *batch, vec![*variant]))
-                }
-                _ => None,
-            })
-            .collect()
+        self.select(|e| match e {
+            MonitorEvent::DivergenceDetected { partition, batch, dissenting, .. } => {
+                Some((*partition, *batch, dissenting.clone()))
+            }
+            MonitorEvent::LateDissent { partition, batch, variant } => {
+                Some((*partition, *batch, vec![*variant]))
+            }
+            _ => None,
+        })
     }
 
     /// Recorded variant crashes: `(partition, variant, batch)`.
     pub fn crashes(&self) -> Vec<(usize, usize, u64)> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::VariantCrashed { partition, variant, batch, .. } => {
-                    Some((*partition, *variant, *batch))
-                }
-                _ => None,
-            })
-            .collect()
+        self.select(|e| match *e {
+            MonitorEvent::VariantCrashed { partition, variant, batch, .. } => {
+                Some((partition, variant, batch))
+            }
+            _ => None,
+        })
     }
 
     /// Reconnect-and-resume events: `(partition, variant)`.
     pub fn reconnections(&self) -> Vec<(usize, usize)> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::WorkerReconnected { partition, variant } => {
-                    Some((*partition, *variant))
-                }
-                _ => None,
-            })
-            .collect()
+        self.select(|e| match *e {
+            MonitorEvent::WorkerReconnected { partition, variant } => Some((partition, variant)),
+            _ => None,
+        })
     }
 
     /// Worker-stall escalations: `(partition, variant)`.
     pub fn stalls(&self) -> Vec<(usize, usize)> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::WorkerStalled { partition, variant, .. } => {
-                    Some((*partition, *variant))
-                }
-                _ => None,
-            })
-            .collect()
+        self.select(|e| match *e {
+            MonitorEvent::WorkerStalled { partition, variant, .. } => Some((partition, variant)),
+            _ => None,
+        })
     }
 
     /// Quarantine events: `(partition, variant, batch)`.
     pub fn quarantines(&self) -> Vec<(usize, usize, u64)> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::Quarantined { partition, variant, batch, .. } => {
-                    Some((*partition, *variant, *batch))
-                }
-                _ => None,
-            })
-            .collect()
+        self.select(|e| match *e {
+            MonitorEvent::Quarantined { partition, variant, batch, .. } => {
+                Some((partition, variant, batch))
+            }
+            _ => None,
+        })
     }
 
     /// Successful recoveries: `(partition, variant)` per rejoined variant.
     pub fn recoveries(&self) -> Vec<(usize, usize)> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::Recovered { partition, variant } => Some((*partition, *variant)),
-                _ => None,
-            })
-            .collect()
+        self.select(|e| match *e {
+            MonitorEvent::Recovered { partition, variant } => Some((partition, variant)),
+            _ => None,
+        })
     }
 
     /// Healed: the slot quarantined at `quarantined_at_batch` was recovered
@@ -486,39 +459,28 @@ impl EventLog {
             })
     }
 
-    /// The earliest partition ≥ `partition` at which a detection-class
-    /// event (divergence, crash, or late dissent) fired — the signal the
-    /// campaign's detection invariant checks against the first checkpoint
-    /// at-or-after the injection point.
-    pub fn first_detection_at_or_after(&self, partition: usize) -> Option<usize> {
-        self.inner
-            .lock()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                MonitorEvent::DivergenceDetected { partition: p, .. }
-                | MonitorEvent::VariantCrashed { partition: p, .. }
-                | MonitorEvent::LateDissent { partition: p, .. } => Some(*p),
-                _ => None,
-            })
-            .filter(|&p| p >= partition)
-            .min()
+    /// The partition of every detection-class event (divergence, crash
+    /// or late dissent), in recording order.
+    fn detections(&self) -> Vec<usize> {
+        self.select(|e| match *e {
+            MonitorEvent::DivergenceDetected { partition, .. }
+            | MonitorEvent::VariantCrashed { partition, .. }
+            | MonitorEvent::LateDissent { partition, .. } => Some(partition),
+            _ => None,
+        })
     }
 
-    /// Count of divergence-class events (divergences + crashes + late
-    /// dissent) — the detection signal asserted by the security tests.
+    /// The earliest partition ≥ `partition` at which a detection-class
+    /// event fired — the signal the campaign's detection invariant checks
+    /// against the first checkpoint at-or-after the injection point.
+    pub fn first_detection_at_or_after(&self, partition: usize) -> Option<usize> {
+        self.detections().into_iter().filter(|&p| p >= partition).min()
+    }
+
+    /// Count of detection-class events — the detection signal asserted by
+    /// the security tests.
     pub fn detection_count(&self) -> usize {
-        self.inner
-            .lock()
-            .iter()
-            .filter(|(_, e)| {
-                matches!(
-                    e,
-                    MonitorEvent::DivergenceDetected { .. }
-                        | MonitorEvent::VariantCrashed { .. }
-                        | MonitorEvent::LateDissent { .. }
-                )
-            })
-            .count()
+        self.detections().len()
     }
 }
 

@@ -10,6 +10,13 @@
 //! execution use the same plumbing: sequential submits one batch and
 //! waits; pipelined streams batches so stages overlap
 //! (compute-communication overlapping, §4.1).
+//!
+//! A coordinator has one inbox. Its variants' sealed answers land there
+//! from the thread that produced them — the variant thread, or the mux
+//! pump of a worker's socket ([`crate::link::ResponsePort`]) — and so do
+//! their hang-ups and the recovery manager's replacements. The
+//! coordinator opens and decodes each answer on its own thread, under the
+//! response link's sequence state it owns.
 
 use crate::config::{DegradationPolicy, ExecMode, MvxConfig, ResponsePolicy, VotingPolicy};
 use crate::events::EventLog;
@@ -49,51 +56,47 @@ pub struct StageJob {
     pub reply: Reply,
 }
 
-/// Events from the per-variant receiver threads, merged into one queue.
-///
-/// Every event carries the sender's *channel epoch*: quarantining a
-/// variant bumps its epoch, so frames still in flight from the abandoned
-/// pre-quarantine channel are recognisably stale and discarded instead of
-/// being attributed to the recovered replacement.
-#[derive(Debug)]
-pub enum RxEvent {
-    /// A decoded stage response from a variant.
-    Msg {
+/// What lands in a coordinator's inbox. Everything from a variant carries
+/// its response link's *channel epoch*: quarantine bumps the epoch, so
+/// frames still in flight on the abandoned channel are recognisably stale
+/// instead of being attributed to the recovered replacement.
+pub enum Inbound {
+    /// A sealed stage response, not yet opened.
+    Frame {
         /// Variant index within the partition.
         variant: usize,
-        /// Channel epoch the frame was received under.
+        /// Channel epoch the frame was sent under.
         epoch: u64,
-        /// The decoded response.
-        response: StageResponse,
+        /// The frame as sealed on the response link.
+        frame: Vec<u8>,
     },
-    /// A variant's response channel died.
-    Disconnected {
+    /// The variant's response port closed: its host exited, or its
+    /// worker's connection died.
+    Closed {
         /// Variant index within the partition.
         variant: usize,
         /// Channel epoch of the dead channel.
         epoch: u64,
     },
-    /// The recovery manager re-provisioned a quarantined variant: it
-    /// passed probation against the last verified checkpoint payload and
-    /// is ready to rejoin the panel on the next batch.
+    /// A quarantined variant's replacement passed probation and rejoins
+    /// the panel on the next batch; its response port already points here.
     Recovered {
         /// Variant index within the partition.
         variant: usize,
         /// The post-quarantine epoch assigned at quarantine time.
         epoch: u64,
-        /// Fresh request link to the replacement variant.
+        /// The replacement's links.
         link: VariantLink,
-        /// Receiver thread already feeding this merged queue under the
-        /// new epoch.
-        rx_thread: JoinHandle<()>,
     },
 }
 
 /// Monitor-side state for one variant TEE's data plane.
-#[derive(Debug)]
 pub struct VariantLink {
     /// Request link (coordinator → variant).
     pub tx: DataLink,
+    /// Receive half of the response link (variant → coordinator), whose
+    /// frames arrive through the inbox ([`DataLink::inbound`]).
+    pub rx: DataLink,
     /// Human-readable description (for events).
     pub description: String,
 }
@@ -102,15 +105,14 @@ pub struct VariantLink {
 pub struct StageRuntime {
     /// Partition index.
     pub partition: usize,
-    /// Request links to this partition's variants.
+    /// Links to this partition's variants.
     pub links: Vec<VariantLink>,
-    /// Merged response queue.
-    pub responses: Receiver<RxEvent>,
-    /// Sender side of `responses` — cloned into recovery requests so the
-    /// manager can feed a replacement variant's frames back in.
-    pub merged_tx: Sender<RxEvent>,
-    /// Receiver threads feeding `responses` (joined on drop).
-    pub rx_threads: Vec<JoinHandle<()>>,
+    /// The inbox every variant's [`ResponsePort`](crate::link::ResponsePort)
+    /// sends into; cloned into recovery requests. Held here, it keeps the
+    /// inbox open: a receive only ever times out.
+    pub inbox: Sender<Inbound>,
+    /// The inbox's receiving end.
+    pub responses: Receiver<Inbound>,
     /// Subgraph boundary inputs (parent value ids, in input order).
     pub inputs: Vec<ValueId>,
     /// Subgraph boundary outputs (parent value ids, in output order).
@@ -180,48 +182,15 @@ pub enum CoordMsg {
     Stop,
 }
 
-/// Spawns the receiver thread for one variant's response link. Every
-/// event it emits is stamped with `epoch` so the coordinator can discard
-/// frames from channels abandoned by a quarantine.
-pub fn spawn_rx_thread(
-    variant_idx: usize,
-    epoch: u64,
-    mut link: DataLink,
-    merged: Sender<RxEvent>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("rx-v{variant_idx}e{epoch}"))
-        .spawn(move || loop {
-            match link.recv() {
-                Ok(frame) => match decode::<StageResponse>(&frame) {
-                    Ok(response) => {
-                        if merged
-                            .send(RxEvent::Msg { variant: variant_idx, epoch, response })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        let _ =
-                            merged.send(RxEvent::Disconnected { variant: variant_idx, epoch });
-                        break;
-                    }
-                },
-                Err(_) => {
-                    let _ = merged.send(RxEvent::Disconnected { variant: variant_idx, epoch });
-                    break;
-                }
-            }
-        })
-        .expect("thread spawn cannot fail")
-}
-
 /// The effectful half of a coordinator: owns the channels, links, clock,
 /// telemetry and trace spans; turns channel traffic into [`Event`]s and
 /// performs the [`Action`]s [`step`] answers with. It decides nothing.
 struct Shell {
     runtime: StageRuntime,
+    /// Per variant, the epoch its response link is open under; `None`
+    /// once that link has failed or closed. Anything else from a variant
+    /// is dropped unopened.
+    listening: Vec<Option<u64>>,
     /// The next stage's job queue; `None` for the last stage.
     next: Option<Sender<CoordMsg>>,
     events: EventLog,
@@ -239,8 +208,9 @@ struct Shell {
     checkpoint: Option<(mvtee_telemetry::Span, trace::SpanGuard<'static>, Instant)>,
     /// Request links a dispatch found closed, fed back after the step.
     send_failed: Vec<Event>,
-    /// The replacement carried by the `Recovered` event being stepped.
-    offered: Option<(VariantLink, JoinHandle<()>)>,
+    /// The replacement carried by the `Recovered` event being stepped,
+    /// and its epoch.
+    offered: Option<(VariantLink, u64)>,
     downstream_gone: bool,
 }
 
@@ -269,6 +239,7 @@ pub fn run_stage(
     let latency = format!("core.pipeline.p{partition}.checkpoint_latency_ns");
     let queue_depth = mvtee_telemetry::gauge(&format!("core.pipeline.p{partition}.queue_depth"));
     let mut shell = Shell {
+        listening: vec![Some(0); runtime.links.len()],
         runtime,
         next,
         events,
@@ -297,8 +268,8 @@ pub fn run_stage(
     shell.feed(&mut state, Event::Stop);
     let drain_deadline = Instant::now() + DRAIN_WINDOW;
     while state.owes_late_validation() && Instant::now() < drain_deadline {
-        if let Ok(ev) = shell.runtime.responses.recv_timeout(DRAIN_POLL) {
-            shell.feed_rx(&mut state, ev);
+        if let Ok(inbound) = shell.runtime.responses.recv_timeout(DRAIN_POLL) {
+            shell.feed_inbound(&mut state, inbound);
         }
     }
     shell.feed(&mut state, Event::Deadline);
@@ -319,28 +290,44 @@ impl Shell {
         }
     }
 
-    fn feed_rx(&mut self, state: &mut StageState, ev: RxEvent) {
-        let event = match ev {
-            RxEvent::Msg { variant, epoch, response } => {
-                let (batch, output) = match response {
-                    StageResponse::Output { batch, tensors } => (batch, VariantOutput::Ok(tensors)),
-                    StageResponse::Crashed { batch, reason } => {
-                        (batch, VariantOutput::Crashed(reason))
+    fn feed_inbound(&mut self, state: &mut StageState, inbound: Inbound) {
+        let event = match inbound {
+            Inbound::Frame { variant, epoch, frame } if self.listening[variant] == Some(epoch) => {
+                let link = &mut self.runtime.links[variant].rx;
+                let opened = link.open(frame).and_then(|payload| decode(&payload));
+                match opened {
+                    Ok(StageResponse::Output { batch, tensors }) => {
+                        Event::Reply { variant, epoch, batch, output: VariantOutput::Ok(tensors) }
                     }
-                };
-                Event::Reply { variant, epoch, batch, output }
+                    Ok(StageResponse::Crashed { batch, reason }) => {
+                        let output = VariantOutput::Crashed(reason);
+                        Event::Reply { variant, epoch, batch, output }
+                    }
+                    // A frame that does not open or decode ends the link.
+                    Err(_) => self.link_lost(variant, epoch),
+                }
             }
-            RxEvent::Disconnected { variant, epoch } => {
-                Event::Disconnected { variant, epoch, batch: self.batch }
+            Inbound::Closed { variant, epoch } if self.listening[variant] == Some(epoch) => {
+                self.link_lost(variant, epoch)
             }
-            RxEvent::Recovered { variant, epoch, link, rx_thread } => {
-                self.offered = Some((link, rx_thread));
+            Inbound::Recovered { variant, epoch, link } => {
+                self.offered = Some((link, epoch));
                 Event::Recovered { variant, epoch }
             }
+            // From a link already reported lost, or replaced: nothing for
+            // `step` to act on.
+            Inbound::Frame { .. } | Inbound::Closed { .. } => return,
         };
         self.feed(state, event);
         // Not adopted: dropped, and the fresh variant exits on a closed link.
         self.offered = None;
+    }
+
+    /// Stops listening to a variant's response link; the crash it means
+    /// is attributed to the job in hand.
+    fn link_lost(&mut self, variant: usize, epoch: u64) -> Event {
+        self.listening[variant] = None;
+        Event::Disconnected { variant, epoch, batch: self.batch }
     }
 
     fn run_job(&mut self, state: &mut StageState, job: StageJob, deadline: Duration) {
@@ -349,8 +336,8 @@ impl Shell {
         self.batch = job.batch;
         // Drain what arrived between batches before this dispatch, so a
         // variant that recovered in the meantime votes on this very batch.
-        while let Ok(ev) = self.runtime.responses.try_recv() {
-            self.feed_rx(state, ev);
+        while let Ok(inbound) = self.runtime.responses.try_recv() {
+            self.feed_inbound(state, inbound);
         }
         if job.poisoned.is_some() {
             // An upstream stage failed it: passed through untouched.
@@ -365,9 +352,9 @@ impl Shell {
             let left = self.checkpoint.as_ref().map_or(Duration::ZERO, |(_, _, dispatched_at)| {
                 (*dispatched_at + deadline).saturating_duration_since(Instant::now())
             });
-            // (`runtime.merged_tx` keeps the queue open: errors are timeouts.)
+            // (`runtime.inbox` keeps the inbox open: errors are timeouts.)
             match (!left.is_zero()).then(|| self.runtime.responses.recv_timeout(left)) {
-                Some(Ok(ev)) => self.feed_rx(state, ev),
+                Some(Ok(inbound)) => self.feed_inbound(state, inbound),
                 _ => self.feed(state, Event::Deadline),
             }
         }
@@ -435,14 +422,13 @@ impl Sink for Shell {
             Action::Transcript(entry) => self.runtime.transcript.record(entry),
             Action::Recover { variant, epoch, reason, resync } => {
                 let Some(tx) = &self.runtime.recovery else { return };
-                let (partition, merged_tx) = (self.runtime.partition, self.runtime.merged_tx.clone());
-                let _ =
-                    tx.send(RecoveryRequest { partition, variant, epoch, reason, resync, merged_tx });
+                let (partition, inbox) = (self.runtime.partition, self.runtime.inbox.clone());
+                let _ = tx.send(RecoveryRequest { partition, variant, epoch, reason, resync, inbox });
             }
             Action::Adopt { variant } => {
-                let Some((link, rx_thread)) = self.offered.take() else { return };
+                let Some((link, epoch)) = self.offered.take() else { return };
                 self.runtime.links[variant] = link;
-                self.runtime.rx_threads.push(rx_thread);
+                self.listening[variant] = Some(epoch);
             }
         }
     }
@@ -500,8 +486,9 @@ mod tests {
 
     use super::*;
     use crate::events::MonitorEvent;
-    use crate::link::link_pair;
+    use crate::link::{link_pair, ResponsePort};
     use crossbeam::channel::unbounded;
+    use mvtee_crypto::channel::Role;
 
     /// Scripted fake variant behaviours.
     #[derive(Clone, Copy)]
@@ -514,13 +501,13 @@ mod tests {
         ChatterFrom { batch: u64, every: Duration, times: u32 },
     }
 
-    /// Spawns a fake variant thread and returns the monitor-side links.
-    fn fake_variant(behaviour: Behaviour) -> (DataLink, DataLink) {
+    /// Spawns a fake variant thread answering into `port` and returns the
+    /// monitor-side links.
+    fn fake_variant(behaviour: Behaviour, port: ResponsePort) -> VariantLink {
         let (req_monitor, req_variant) = link_pair(false, b"", 0);
-        let (resp_variant, resp_monitor) = link_pair(false, b"", 1);
         std::thread::spawn(move || {
             let mut rx = req_variant;
-            let mut tx = resp_variant;
+            let mut tx = DataLink::plain(port);
             while let Ok(frame) = rx.recv() {
                 let Ok(StageRequest::Input { batch, tensors, .. }) = decode(&frame) else { break };
                 let (answer_for, every, times) = match behaviour {
@@ -539,25 +526,23 @@ mod tests {
                 }
             }
         });
-        (req_monitor, resp_monitor)
+        let rx = DataLink::inbound(false, b"", Role::Initiator, 1);
+        VariantLink { tx: req_monitor, rx, description: "fake".into() }
     }
 
     fn fake_stage(partition: usize, behaviours: &[Behaviour], slow: bool) -> StageRuntime {
-        let (merged_tx, merged_rx) = unbounded::<RxEvent>();
-        let mut links = Vec::new();
-        let mut rx_threads = Vec::new();
-        for (i, &b) in behaviours.iter().enumerate() {
-            let (tx, rx) = fake_variant(b);
-            rx_threads.push(spawn_rx_thread(i, 0, rx, merged_tx.clone()));
-            links.push(VariantLink { tx, description: format!("fake-{i}") });
-        }
+        let (inbox, responses) = unbounded();
+        let links = behaviours
+            .iter()
+            .enumerate()
+            .map(|(v, &b)| fake_variant(b, ResponsePort::new(inbox.clone(), v, 0)))
+            .collect();
         // Stage `p` consumes value `p` and emits value `p + 1`.
         StageRuntime {
             partition,
             links,
-            responses: merged_rx,
-            merged_tx,
-            rx_threads,
+            inbox,
+            responses,
             inputs: vec![ValueId(partition)],
             outputs: vec![ValueId(partition + 1)],
             needed_downstream: HashSet::from([ValueId(partition + 1)]),

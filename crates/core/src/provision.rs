@@ -7,8 +7,9 @@
 //! challenge/evidence → sealed key release → install evidence → bind →
 //! open the two data channels → the caller's probation → only then adopt
 //! the host and start watching its heartbeat. The callers differ in the
-//! artifact they seal, the faults they pass and the probation they run;
-//! where the variant runs shows only in the transport handle.
+//! artifact they seal, the faults they pass, the response port they hand
+//! the variant and the probation they run; where the variant runs shows
+//! only in the transport handle.
 //!
 //! A [`Provisioner`] is the bring-up state of one deployment
 //! *generation*, shared as an `Arc` by the deployment and its recovery
@@ -21,18 +22,21 @@
 use crate::config::{MvxConfig, SupervisionPolicy};
 use crate::deployment::{BindingRecord, VariantArtifact};
 use crate::events::{EventLog, MonitorEvent};
-use crate::link::DataLink;
+use crate::link::{DataLink, ResponsePort};
 use crate::messages::{
     bootstrap_session_secret, bootstrap_transcript_hash, decode, encode, BootstrapRequest,
     BootstrapResponse, InstallEvidence, KeyRelease,
 };
+use crate::pipeline::VariantLink;
 use crate::supervisor::HeartbeatMonitor;
 use crate::variant_host::{spawn_variant, HostFaults, VariantHandle, VariantLaunch};
-use crate::worker::{accept_worker, worker_binary, worker_lanes, VariantPlacement, WorkerPlacement};
+use crate::worker::{accept_worker, worker_binary, VariantPlacement, WorkerPlacement};
 use crate::{MvxError, Result};
 use mvtee_crypto::channel::{memory_pair, FrameTransport, Role};
 use mvtee_crypto::gcm::AesGcm;
-use mvtee_crypto::mux::{MuxLane, LANE_HEARTBEAT};
+use mvtee_crypto::mux::{
+    split_into, MuxLane, LANE_BOOTSTRAP, LANE_HEARTBEAT, LANE_REQUEST, LANE_RESPONSE,
+};
 use mvtee_crypto::random_bytes;
 use mvtee_crypto::sha256::sha256;
 use mvtee_crypto::tcp::{bind_loopback, TcpTransport};
@@ -82,14 +86,14 @@ pub(crate) struct Provisioner {
     hosts: Mutex<Vec<VariantHandle>>,
 }
 
-/// The monitor-side ends of one placed host. Field order is drop order
-/// and load-bearing: on any failed bring-up the transports close first,
-/// which lets the host exit, so dropping (joining) `host` cannot park on
-/// a half-bootstrapped TEE.
+/// The monitor-side ends of one placed host (its answers go through the
+/// [`ResponsePort`] it was placed with). Field order is drop order and
+/// load-bearing: on any failed bring-up the transports close first, which
+/// lets the host exit, so dropping (joining) `host` cannot park on a
+/// half-bootstrapped TEE.
 struct Placed {
     boot: Box<dyn FrameTransport>,
     request: Box<dyn FrameTransport>,
-    response: Box<dyn FrameTransport>,
     /// Heartbeat lane, present for out-of-process placements.
     heartbeat: Option<MuxLane>,
     /// The accept socket of a freshly spawned worker that may redial it.
@@ -151,16 +155,19 @@ impl Provisioner {
     }
 
     /// Brings the variant at `at = (partition, variant)` online from its
-    /// offline `artifact` and returns its request and response links.
+    /// offline `artifact` and returns its links. The variant answers into
+    /// `port`: in-process the variant thread sends into it, out-of-process
+    /// the mux pump of the worker's connection does.
     ///
     /// `faults` are the simulated faults of its host and `netfault` one of
     /// the network between monitor and host: in-process it wraps the
-    /// variant's response transport, out-of-process the whole worker
+    /// variant's response port, out-of-process the whole worker
     /// connection underneath the mux. `probation` is the caller's last
-    /// fallible step over the fresh links (nothing at launch; replaying
-    /// the last verified checkpoint at recovery). Only after it passes is
-    /// the host adopted and its heartbeat watched — watching earlier would
-    /// pin the transport open across a failed bring-up.
+    /// fallible step over the fresh request link and response receive
+    /// half (nothing at launch; replaying the last verified checkpoint at
+    /// recovery). Only after it passes is the host adopted and its
+    /// heartbeat watched — watching earlier would pin the transport open
+    /// across a failed bring-up.
     ///
     /// # Errors
     ///
@@ -176,8 +183,9 @@ impl Provisioner {
         artifact: &VariantArtifact,
         faults: HostFaults,
         netfault: Option<NetFault>,
+        port: ResponsePort,
         probation: impl FnOnce(&mut DataLink, &mut DataLink) -> Result<()>,
-    ) -> Result<(DataLink, DataLink)> {
+    ) -> Result<VariantLink> {
         let (partition, variant) = at;
         let tee_kind =
             if artifact.spec.tee == TeeBackend::Tdx { TeeKind::Tdx } else { TeeKind::Sgx };
@@ -200,7 +208,7 @@ impl Provisioner {
             },
         };
         let placed = match self.placements.get(&at).copied().unwrap_or_default() {
-            VariantPlacement::InProcess => Self::place_thread(placement, faults, netfault),
+            VariantPlacement::InProcess => Self::place_thread(placement, faults, netfault, port),
             VariantPlacement::OutOfProcess if faults.any() => {
                 return Err(MvxError::InvalidConfig(format!(
                     "variant p{partition}v{variant}: simulated platform faults \
@@ -208,7 +216,7 @@ impl Provisioner {
                      and cannot be placed out-of-process"
                 )));
             }
-            VariantPlacement::OutOfProcess => self.place_worker(at, &placement, netfault)?,
+            VariantPlacement::OutOfProcess => self.place_worker(at, &placement, netfault, port)?,
         };
 
         let session_secret = {
@@ -217,7 +225,7 @@ impl Provisioner {
         };
         let (encrypt, secret) = (self.encrypt, &session_secret);
         let mut tx = DataLink::from_transport(placed.request, encrypt, secret, Role::Initiator, 0);
-        let mut rx = DataLink::from_transport(placed.response, encrypt, secret, Role::Initiator, 1);
+        let mut rx = DataLink::inbound(encrypt, secret, Role::Initiator, 1);
         probation(&mut tx, &mut rx)?;
 
         self.hosts.lock().expect("host list poisoned").push(placed.host);
@@ -230,26 +238,25 @@ impl Provisioner {
         if placed.redialled {
             self.events.record(MonitorEvent::WorkerReconnected { partition, variant });
         }
-        Ok((tx, rx))
+        Ok(VariantLink { tx, rx, description: artifact.spec.describe() })
     }
 
-    /// A variant thread over in-memory transports.
+    /// A variant thread over in-memory transports, answering into `port`.
     fn place_thread(
         placement: WorkerPlacement,
         faults: HostFaults,
         netfault: Option<NetFault>,
+        port: ResponsePort,
     ) -> Placed {
         let (boot_monitor, boot_variant) = memory_pair();
         let (req_monitor, req_variant) = memory_pair();
-        let (resp_variant, resp_monitor) = memory_pair();
         let response: Box<dyn FrameTransport> = match netfault {
-            Some(nf) => Box::new(FaultyTransport::new(resp_variant, nf, FaultDirection::Send)),
-            None => Box::new(resp_variant),
+            Some(nf) => Box::new(FaultyTransport::new(port, nf, FaultDirection::Send)),
+            None => Box::new(port),
         };
         Placed {
             boot: Box::new(boot_monitor),
             request: Box::new(req_monitor),
-            response: Box::new(resp_monitor),
             heartbeat: None,
             listener: None,
             redialled: false,
@@ -274,6 +281,7 @@ impl Provisioner {
         at: (usize, usize),
         placement: &WorkerPlacement,
         netfault: Option<NetFault>,
+        port: ResponsePort,
     ) -> Result<Placed> {
         let (partition, variant) = at;
         let redial = self.accept_redial(at);
@@ -290,22 +298,24 @@ impl Provisioner {
                 (transport, VariantHandle::from_process(partition, variant, child), listener)
             }
         };
-        // Heartbeat frames are exempt from one-shot wire faults so liveness
-        // verdicts stay about the data plane — an ongoing stall still
-        // silences them, which is the point.
-        let [boot, request, response, heartbeat] = match netfault {
-            Some(nf) => worker_lanes(
-                FaultyTransport::new(transport, nf, FaultDirection::Recv)
-                    .exempt_lane(LANE_HEARTBEAT),
-            ),
-            None => worker_lanes(transport),
+        // The pump answers into `port` itself. Heartbeat frames are exempt
+        // from one-shot wire faults so liveness verdicts stay about the
+        // data plane — an ongoing stall still silences them, the point.
+        let lanes = [LANE_BOOTSTRAP, LANE_REQUEST, LANE_HEARTBEAT];
+        let sink: Option<(u8, Box<dyn FrameTransport>)> = Some((LANE_RESPONSE, Box::new(port)));
+        let lanes = match netfault {
+            Some(nf) => {
+                let faulty = FaultyTransport::new(transport, nf, FaultDirection::Recv);
+                split_into(faulty.exempt_lane(LANE_HEARTBEAT), &lanes, sink)
+            }
+            None => split_into(transport, &lanes, sink),
         };
+        let [boot, request, heartbeat]: [MuxLane; 3] = lanes.try_into().expect("a lane per id");
         boot.send_frame(encode(placement)?)
             .map_err(|e| MvxError::Transport(format!("placement send: {e}")))?;
         Ok(Placed {
             boot: Box::new(boot),
             request: Box::new(request),
-            response: Box::new(response),
             heartbeat: Some(heartbeat),
             listener,
             redialled,
@@ -338,7 +348,7 @@ impl Provisioner {
             Some(bin) => bin.clone(),
             None => worker_binary()?,
         };
-        let (listener, port) = bind_loopback().map_err(|e| MvxError::Transport(e.to_string()))?;
+        let (listener, port) = bind_loopback()?;
         let mut cmd = Command::new(&bin);
         cmd.arg("--connect").arg(format!("127.0.0.1:{port}"));
         if resume {
@@ -379,19 +389,12 @@ impl Provisioner {
         let mut nonce = [0u8; 32];
         random_bytes(&mut nonce);
         let keypair = EphemeralKeypair::generate();
-        transport
-            .send_frame(encode(&BootstrapRequest::Challenge {
-                nonce,
-                monitor_dh_public: keypair.public,
-            })?)
-            .map_err(|e| MvxError::Transport(e.to_string()))?;
+        let challenge = BootstrapRequest::Challenge { nonce, monitor_dh_public: keypair.public };
+        transport.send_frame(encode(&challenge)?)?;
 
         // Verify the evidence.
-        let evidence_bytes = transport
-            .recv_frame()
-            .map_err(|e| MvxError::Transport(e.to_string()))?;
         let BootstrapResponse::Evidence { report, variant_dh_public } =
-            decode::<BootstrapResponse>(&evidence_bytes)?
+            decode::<BootstrapResponse>(&transport.recv_frame()?)?
         else {
             return Err(MvxError::Tee("variant failed before evidence".into()));
         };
@@ -421,22 +424,15 @@ impl Provisioner {
             expected_manifest_hash: artifact.expected_manifest_hash,
         };
         let sealed = session_cipher.seal(&[0u8; 12], &encode(&release)?, b"key-release");
-        transport
-            .send_frame(encode(&BootstrapRequest::SealedKeyRelease { payload: sealed })?)
-            .map_err(|e| MvxError::Transport(e.to_string()))?;
+        transport.send_frame(encode(&BootstrapRequest::SealedKeyRelease { payload: sealed })?)?;
 
         // Install evidence: the enforced second-stage manifest must match.
-        let install_bytes = transport
-            .recv_frame()
-            .map_err(|e| MvxError::Transport(e.to_string()))?;
         let BootstrapResponse::SealedInstallEvidence { payload } =
-            decode::<BootstrapResponse>(&install_bytes)?
+            decode::<BootstrapResponse>(&transport.recv_frame()?)?
         else {
             return Err(MvxError::Tee("variant failed before install evidence".into()));
         };
-        let plain = session_cipher
-            .open(&[1u8; 12], &payload, b"install-evidence")
-            .map_err(MvxError::from)?;
+        let plain = session_cipher.open(&[1u8; 12], &payload, b"install-evidence")?;
         let evidence: InstallEvidence = decode(&plain)?;
         if evidence.manifest_hash != artifact.expected_manifest_hash {
             return Err(MvxError::Tee(format!(
@@ -534,6 +530,7 @@ mod tests {
     use super::*;
     use crate::deployment::OfflinePhase;
     use crate::messages::{StageRequest, StageResponse};
+    use crate::pipeline::Inbound;
     use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
     use mvtee_tensor::Tensor;
 
@@ -554,6 +551,8 @@ mod tests {
             None,
         );
         let no_faults = HostFaults::default;
+        let (inbox, answers) = crossbeam::channel::unbounded();
+        let port = || ResponsePort::new(inbox.clone(), 0, 0);
         let left_behind = |p: &Provisioner, bound: usize, hosts: usize| {
             assert_eq!(p.bindings().len(), bound, "binding registry");
             assert_eq!(p.hosts.lock().unwrap().len(), hosts, "adopted hosts");
@@ -567,14 +566,17 @@ mod tests {
         let mut tampered = artifact.clone();
         let last = tampered.sealed.1.len() - 1;
         tampered.sealed.1[last] ^= 1;
-        let failed = provisioner.bring_up((0, 0), &tampered, no_faults(), None, |_, _| Ok(()));
+        let failed =
+            provisioner.bring_up((0, 0), &tampered, no_faults(), None, port(), |_, _| Ok(()));
         assert!(failed.is_err(), "a tampered sealed blob must block the bootstrap");
         left_behind(&provisioner, 0, 0);
+        // Its port closed with it, and said so.
+        assert!(matches!(answers.try_recv(), Ok(Inbound::Closed { variant: 0, epoch: 0 })));
 
         // The same slot then comes up from the untampered artifact, and
-        // the variant serves.
-        let (mut tx, mut rx) = provisioner
-            .bring_up((0, 0), artifact, no_faults(), None, |_, _| Ok(()))
+        // the variant serves into its port.
+        let mut link = provisioner
+            .bring_up((0, 0), artifact, no_faults(), None, port(), |_, _| Ok(()))
             .expect("comes up");
         left_behind(&provisioner, 1, 1);
         let request = StageRequest::Input {
@@ -582,15 +584,19 @@ mod tests {
             trace: (0, 0),
             tensors: vec![Tensor::ones(&[1, 3, 32, 32])],
         };
-        tx.send(&encode(&request).expect("encodes")).expect("sends");
-        let reply = decode::<StageResponse>(&rx.recv().expect("answers")).expect("decodes");
+        link.tx.send(&encode(&request).expect("encodes")).expect("sends");
+        let Ok(Inbound::Frame { variant: 0, epoch: 0, frame }) = answers.recv() else {
+            panic!("no answer frame");
+        };
+        let reply = decode::<StageResponse>(&link.rx.open(frame).expect("opens")).expect("decodes");
         assert!(matches!(reply, StageResponse::Output { batch: 0, .. }));
 
         // The monitor notices, at the very last bootstrap check: the id
         // just bound is presented again (a fork). The second variant is
         // by then parked in its serve loop — joining it before its
         // transports are dropped would hang right here.
-        let failed = provisioner.bring_up((0, 0), artifact, no_faults(), None, |_, _| Ok(()));
+        let failed =
+            provisioner.bring_up((0, 0), artifact, no_faults(), None, port(), |_, _| Ok(()));
         assert!(failed.is_err_and(|e| e.to_string().contains("fork detected")));
         left_behind(&provisioner, 1, 1);
 
@@ -598,11 +604,11 @@ mod tests {
         // (parked likewise). It is not adopted.
         let next = provisioner.successor();
         let rejected = || Err(MvxError::Tee("probation failed".into()));
-        let failed = next.bring_up((0, 0), artifact, no_faults(), None, |_, _| rejected());
+        let failed = next.bring_up((0, 0), artifact, no_faults(), None, port(), |_, _| rejected());
         assert!(matches!(failed, Err(MvxError::Tee(_))));
         left_behind(&next, 2, 0);
 
-        drop((tx, rx));
+        drop(link);
         provisioner.join_hosts();
     }
 }

@@ -21,21 +21,22 @@
 //!    the last verified checkpoint outputs under the partition's
 //!    consistency metric before it is allowed anywhere near live
 //!    traffic,
-//! 4. on success the manager hands the coordinator a fresh link plus an
-//!    already-running receiver thread via [`RxEvent::Recovered`]; the
-//!    variant rejoins the panel on the next batch without replaying
-//!    batch history.
+//! 4. the replacement answers probation into a channel of the manager's
+//!    own; on success the manager re-points its response port, once, at
+//!    the coordinator's inbox and hands the coordinator its links there
+//!    via [`Inbound::Recovered`]. The variant rejoins the panel on the
+//!    next batch without replaying batch history.
 
 use crate::config::RecoveryPolicy;
 use crate::deployment::seal_artifact;
 use crate::events::MonitorEvent;
-use crate::link::DataLink;
+use crate::link::{DataLink, ResponsePort};
 use crate::messages::{decode, encode, StageRequest, StageResponse};
-use crate::pipeline::{spawn_rx_thread, RxEvent, VariantLink};
+use crate::pipeline::Inbound;
 use crate::provision::Provisioner;
 use crate::variant_host::HostFaults;
 use crate::{MvxError, Result};
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use mvtee_diversify::{VariantGenerator, VariantId, VariantSpec};
 use mvtee_graph::Graph;
 use std::collections::{HashMap, VecDeque};
@@ -74,8 +75,8 @@ pub struct RecoveryRequest {
     /// probation is skipped and the freshly attested variant rejoins
     /// directly).
     pub resync: Option<ResyncPoint>,
-    /// Sender side of the coordinator's merged response queue.
-    pub merged_tx: Sender<RxEvent>,
+    /// The coordinator's inbox.
+    pub inbox: Sender<Inbound>,
 }
 
 /// What only recovery knows on top of the bring-up state it shares with
@@ -223,28 +224,30 @@ fn attempt_recovery(ctx: &RecoveryContext, req: &RecoveryRequest, seq: u64) -> R
         format!("/enc/p{p}/v{v}/r{seq}"),
         &format!("p{p}-v{v}-recovered-{seq}"),
     )?;
+    // It answers probation to the manager alone, and the stage only behind
+    // the rejoin. It sends only what it is asked: no frame falls between.
+    let (private, answers) = unbounded();
+    let port = ResponsePort::new(private, v, req.epoch);
+    let repoint = port.repoint_handle();
     let faults = ctx.platform_faults.clone();
-    let on_probation = |tx: &mut DataLink, rx: &mut DataLink| probation(ctx, req, tx, rx);
-    let (tx, rx) = provisioner.bring_up((p, v), &artifact, faults, None, on_probation)?;
-    let rx_thread = spawn_rx_thread(v, req.epoch, rx, req.merged_tx.clone());
-    let link = VariantLink {
-        tx,
-        description: format!("{} (recovered)", artifact.spec.describe()),
-    };
-    req.merged_tx
-        .send(RxEvent::Recovered { variant: v, epoch: req.epoch, link, rx_thread })
-        .map_err(|_| MvxError::Transport("pipeline gone before rejoin".into()))
+    let on_probation = |tx: &mut _, rx: &mut _| probation(ctx, req, tx, rx, &answers);
+    let mut link = provisioner.bring_up((p, v), &artifact, faults, None, port, on_probation)?;
+    link.description.push_str(" (recovered)");
+    let rejoin = Inbound::Recovered { variant: v, epoch: req.epoch, link };
+    let gone = || MvxError::Transport("replacement or pipeline gone before rejoin".into());
+    repoint.to(req.inbox.clone(), rejoin).then_some(()).ok_or_else(gone)
 }
 
 /// Probation: replay the last verified checkpoint inputs and demand the
-/// verified outputs back under the partition's metric before the
-/// replacement is allowed to vote on live traffic. Nothing verified yet:
-/// the freshly attested variant rejoins directly.
+/// verified outputs back (on `answers`) under the partition's metric
+/// before the replacement is allowed to vote on live traffic. Nothing
+/// verified yet: the freshly attested variant rejoins directly.
 fn probation(
     ctx: &RecoveryContext,
     req: &RecoveryRequest,
     tx: &mut DataLink,
     rx: &mut DataLink,
+    answers: &Receiver<Inbound>,
 ) -> Result<()> {
     let (p, v) = (req.partition, req.variant);
     let Some(resync) = &req.resync else { return Ok(()) };
@@ -252,10 +255,11 @@ fn probation(
         batch: resync.batch,
         trace: mvtee_telemetry::trace::current().as_pair(),
         tensors: resync.inputs.clone(),
-    })?)
-    .map_err(|e| MvxError::Transport(e.to_string()))?;
-    let frame = rx.recv().map_err(|e| MvxError::Transport(e.to_string()))?;
-    match decode::<StageResponse>(&frame)? {
+    })?)?;
+    let Ok(Inbound::Frame { frame, .. }) = answers.recv() else {
+        return Err(MvxError::Transport(format!("probation failed: p{p}v{v} hung up")));
+    };
+    match decode::<StageResponse>(&rx.open(frame)?)? {
         StageResponse::Output { tensors, .. } => {
             let metric = ctx.metrics[p];
             let matches = tensors.len() == resync.outputs.len()

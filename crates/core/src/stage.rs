@@ -864,12 +864,14 @@ mod tests {
         Finish,
     }
 
-    /// One response channel of a variant, as the shell's rx thread sees it.
+    /// One response link of a variant, as the shell sees it through the
+    /// frames and the hang-up its port puts in the inbox.
     #[derive(Clone)]
     struct Chan {
         epoch: u64,
         alive: bool,
-        /// Noticed-dead already (the rx thread reports it once).
+        /// Noticed-dead already (the shell reports it once, then stops
+        /// listening to the link).
         reported: bool,
         /// Batches dispatched on it and not yet answered, oldest first.
         pending: Vec<u64>,

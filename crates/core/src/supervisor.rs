@@ -8,10 +8,11 @@
 //! [`HeartbeatMissed`] events until the policy's miss budget is
 //! exhausted, at which point the supervisor records [`WorkerStalled`]
 //! and **closes the worker's connection**. That escalation is the whole
-//! trick — the data-plane receive thread observes the loss exactly as
-//! it would a crash, quarantines the variant and hands it to the
-//! recovery manager, so stalls heal through the same audited path as
-//! deaths instead of hanging the panel forever.
+//! trick — the connection's mux pump exits and drops the variant's
+//! response port, so the stage coordinator receives `Closed` exactly as
+//! for a crash, quarantines the variant and hands it to the recovery
+//! manager: stalls heal through the same audited path as deaths instead
+//! of hanging the panel forever.
 //!
 //! [`HeartbeatMissed`]: crate::events::MonitorEvent::HeartbeatMissed
 //! [`WorkerStalled`]: crate::events::MonitorEvent::WorkerStalled
@@ -97,10 +98,11 @@ impl HeartbeatMonitor {
                                     missed,
                                 });
                                 // Escalate: closing the shared mux
-                                // transport makes the data-plane rx
-                                // thread see a disconnect, quarantine
-                                // the variant and request recovery —
-                                // the stall heals like a crash.
+                                // transport ends its pump, which drops
+                                // the response port; the stage sees it
+                                // close, quarantines the variant and
+                                // requests recovery — the stall heals
+                                // like a crash.
                                 lane.close();
                                 break;
                             }

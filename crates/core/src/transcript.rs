@@ -148,16 +148,7 @@ impl TranscriptLog {
         let mut chain = sha256(header.as_bytes());
         for (seq, e) in entries.iter().enumerate() {
             chain = chain_hash(&chain, e);
-            let _ = writeln!(
-                out,
-                "{{\"seq\":{seq},\"partition\":{},\"batch\":{},\"epoch\":{},\"verdict\":{},\"payload\":\"{}\",\"chain\":\"{}\"}}",
-                e.partition,
-                e.batch,
-                e.epoch,
-                json_escape(&e.verdict.tag()),
-                hex(&e.payload_digest),
-                hex(&chain),
-            );
+            let _ = writeln!(out, "{}", entry_line(seq, e, &chain));
         }
         let _ = writeln!(
             out,
@@ -187,6 +178,19 @@ pub fn payload_digest(tensors: &[Tensor]) -> [u8; 32] {
     sha256(&buf)
 }
 
+/// The one rendering of entry `seq`, whose link is `chain`.
+fn entry_line(seq: usize, e: &TranscriptEntry, chain: &[u8; 32]) -> String {
+    format!(
+        "{{\"seq\":{seq},\"partition\":{},\"batch\":{},\"epoch\":{},\"verdict\":{},\"payload\":\"{}\",\"chain\":\"{}\"}}",
+        e.partition,
+        e.batch,
+        e.epoch,
+        json_escape(&e.verdict.tag()),
+        hex(&e.payload_digest),
+        hex(chain),
+    )
+}
+
 fn chain_hash(prev: &[u8; 32], e: &TranscriptEntry) -> [u8; 32] {
     let tag = e.verdict.tag();
     let mut buf = Vec::with_capacity(32 + 8 * 4 + tag.len() + 32);
@@ -209,13 +213,12 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
+    let digit = |b: u8| char::from(b).to_digit(16);
+    let byte = |pair: &[u8]| match *pair {
+        [hi, lo] => Some((digit(hi)? << 4 | digit(lo)?) as u8),
+        _ => None,
+    };
+    s.as_bytes().chunks(2).map(byte).collect()
 }
 
 fn json_escape(s: &str) -> String {
@@ -298,10 +301,11 @@ pub struct AuditSummary {
 ///
 /// # Errors
 ///
-/// Returns the first [`AuditError`] found: unparseable lines, any chain
-/// link or footer head that does not recompute (tamper), out-of-order
-/// or duplicate `(batch, partition)` keys (tamper), or sequence/count
-/// discontinuities (gap).
+/// Returns the first [`AuditError`] found: unparseable lines or integers
+/// out of their field's range, any chain link or footer head that does
+/// not recompute (tamper), an entry line that is not exactly as rendered
+/// (tamper), out-of-order or duplicate `(batch, partition)` keys
+/// (tamper), or sequence/count discontinuities (gap).
 pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines
@@ -319,10 +323,7 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
             detail: format!("unknown schema {schema:?}"),
         });
     }
-    let seed = header_fields
-        .get("seed")
-        .and_then(Field::as_int)
-        .ok_or(AuditError::Parse { line: 1, detail: "missing seed".into() })? as u64;
+    let seed: u64 = int_field(&header_fields, "seed", 1)?;
     let fingerprint = header_fields
         .get("fingerprint")
         .and_then(Field::as_str)
@@ -368,11 +369,8 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
                     detail: format!("footer schema {foot_schema:?}"),
                 });
             }
-            let count = fields
-                .get("entries")
-                .and_then(Field::as_int)
-                .ok_or(AuditError::Parse { line: lineno, detail: "footer missing entries".into() })?;
-            if count != summary.entries as i128 {
+            let count: usize = int_field(&fields, "entries", lineno)?;
+            if count != summary.entries {
                 return Err(AuditError::Gap {
                     line: lineno,
                     detail: format!(
@@ -395,35 +393,29 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
             continue;
         }
 
-        let int = |key: &str| -> Result<i128, AuditError> {
-            fields
-                .get(key)
-                .and_then(Field::as_int)
-                .ok_or(AuditError::Parse { line: lineno, detail: format!("missing {key}") })
-        };
         let text_field = |key: &str| -> Result<&str, AuditError> {
             fields
                 .get(key)
                 .and_then(Field::as_str)
                 .ok_or(AuditError::Parse { line: lineno, detail: format!("missing {key}") })
         };
-        let seq = int("seq")? as usize;
+        let seq: usize = int_field(&fields, "seq", lineno)?;
         if seq != summary.entries {
             return Err(AuditError::Gap {
                 line: lineno,
                 detail: format!("expected seq {}, found {seq}", summary.entries),
             });
         }
-        let partition = int("partition")? as usize;
-        let batch = int("batch")? as u64;
-        let epoch = int("epoch")? as u64;
+        let partition: usize = int_field(&fields, "partition", lineno)?;
+        let batch: u64 = int_field(&fields, "batch", lineno)?;
+        let epoch: u64 = int_field(&fields, "epoch", lineno)?;
         let verdict_tag = text_field("verdict")?;
         let verdict = TranscriptVerdict::parse(verdict_tag).ok_or(AuditError::Parse {
             line: lineno,
             detail: format!("bad verdict {verdict_tag:?}"),
         })?;
-        let payload = from_hex(text_field("payload")?)
-            .filter(|v| v.len() == 32)
+        let payload_digest = from_hex(text_field("payload")?)
+            .and_then(|digest| digest.try_into().ok())
             .ok_or(AuditError::Parse { line: lineno, detail: "bad payload digest".into() })?;
         let key = (batch, partition);
         if let Some(prev) = prev_key {
@@ -437,12 +429,11 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
             }
         }
         prev_key = Some(key);
-        let mut digest = [0u8; 32];
-        digest.copy_from_slice(&payload);
-        let entry = TranscriptEntry { partition, batch, epoch, verdict, payload_digest: digest };
+        let entry = TranscriptEntry { partition, batch, epoch, verdict, payload_digest };
         chain = chain_hash(&chain, &entry);
-        let claimed = text_field("chain")?;
-        if claimed != hex(&chain) {
+        // The chain link replays, and so does every other byte of the line:
+        // an entry has exactly one rendering.
+        if raw != entry_line(seq, &entry, &chain) {
             return Err(AuditError::Tamper {
                 line: lineno,
                 detail: "chain link does not replay".into(),
@@ -464,6 +455,20 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
     summary.partitions = partitions.len();
     summary.head = hex(&chain);
     Ok(summary)
+}
+
+/// Integer field `key` of line `line`, range-checked into its type.
+fn int_field<T: TryFrom<i128>>(
+    fields: &BTreeMap<String, Field>,
+    key: &str,
+    line: usize,
+) -> Result<T, AuditError> {
+    let value = fields
+        .get(key)
+        .and_then(Field::as_int)
+        .ok_or(AuditError::Parse { line, detail: format!("missing {key}") })?;
+    T::try_from(value)
+        .map_err(|_| AuditError::Parse { line, detail: format!("{key} {value} out of range") })
 }
 
 /// Registers the `audit.*` counters so they show up (zero-valued) in
@@ -586,6 +591,7 @@ fn parse_string(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_log() -> TranscriptLog {
         let log = TranscriptLog::new();
@@ -749,6 +755,137 @@ mod tests {
                 assert!(detail.contains("canonical order"), "unexpected detail: {detail}");
             }
             other => panic!("expected tamper on duplicate entry, got {other:?}"),
+        }
+    }
+
+    /// An integer field set beyond its type's range — 2^64, 2^64 + 1 or
+    /// -1 — is a parse error on its line, never a truncated value that
+    /// might replay.
+    #[test]
+    fn out_of_range_integers_are_parse_errors() {
+        let text = sample_log().render(7, "cfg");
+        let lines: Vec<&str> = text.lines().collect();
+        // (line index, field) for every integer the verifier reads.
+        let last = lines.len() - 1;
+        let fields = [(0, "seed"), (1, "seq"), (1, "partition"), (1, "batch"), (1, "epoch"), (last, "entries")];
+        for (at, field) in fields {
+            let prefix = format!("\"{field}\":");
+            let start = lines[at].find(&prefix).expect("field rendered") + prefix.len();
+            let end = start + lines[at][start..].find([',', '}']).expect("value ends");
+            for value in ["18446744073709551616", "18446744073709551617", "-1"] {
+                let mut edited = lines.clone();
+                let line = format!("{}{value}{}", &lines[at][..start], &lines[at][end..]);
+                edited[at] = &line;
+                let edited = edited.join("\n") + "\n";
+                match verify_transcript(&edited) {
+                    Err(AuditError::Parse { line, detail }) => {
+                        assert_eq!(line, at + 1, "{field} = {value}: {detail}");
+                    }
+                    other => panic!("{field} = {value}: expected a parse error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    // `experiments audit` verifies files anyone may have written: no text
+    // may panic the verifier, and no edit of a rendered entry may pass.
+
+    /// One edit of a line: overwrite, insert before or remove the char at
+    /// a position (an insert never at either end of the line).
+    #[derive(Debug, Clone, Copy)]
+    enum Edit {
+        Overwrite(char),
+        Insert(char),
+        Remove,
+    }
+
+    /// `line` with `edit` applied at `at`, taken modulo its length.
+    fn apply(line: &str, at: usize, edit: Edit) -> String {
+        let mut chars: Vec<char> = line.chars().collect();
+        if chars.is_empty() {
+            return String::new();
+        }
+        match edit {
+            Edit::Overwrite(c) => {
+                let at = at % chars.len();
+                chars[at] = c;
+            }
+            Edit::Insert(c) => chars.insert(1 + at % (chars.len().max(2) - 1), c),
+            Edit::Remove => {
+                chars.remove(at % chars.len());
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    /// What could keep an edited line parseable, and a few that cannot.
+    const EDIT_CHARS: &str = "0123456789abcdefABCDEF+-. \"',:{}[]\\\n\r\tué";
+
+    fn edit() -> impl Strategy<Value = Edit> {
+        let pick = || proptest::sample::select(EDIT_CHARS.chars().collect());
+        prop_oneof![pick().prop_map(Edit::Overwrite), pick().prop_map(Edit::Insert), Just(Edit::Remove)]
+    }
+
+    /// Every one-character overwrite, insertion and removal inside every
+    /// entry line: each is an error, including those that parse back to
+    /// the same values (`"batch":01`, `pass:+3`, upper-case hex).
+    #[test]
+    fn every_single_edit_of_an_entry_line_is_rejected() {
+        let text = sample_log().render(7, "cfg");
+        let lines: Vec<&str> = text.lines().collect();
+        let mut edits = vec![Edit::Remove];
+        for c in EDIT_CHARS.chars() {
+            edits.extend([Edit::Overwrite(c), Edit::Insert(c)]);
+        }
+        for entry in 1..lines.len() - 1 {
+            for pos in 0..lines[entry].chars().count() {
+                for &edit in &edits {
+                    let edited = apply(lines[entry], pos, edit);
+                    if edited == lines[entry] {
+                        continue;
+                    }
+                    let mut all = lines.clone();
+                    all[entry] = &edited;
+                    let verified = verify_transcript(&(all.join("\n") + "\n"));
+                    assert!(verified.is_err(), "{edit:?} at {pos} of line {}: {edited:?}", entry + 1);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_text_never_panics_the_verifier(text in ".{0,300}") {
+            let _ = verify_transcript(&text);
+            let _ = verify_transcript(&format!("{{\"schema\":\"{TRANSCRIPT_SCHEMA}\",\"seed\":1,\"fingerprint\":\"\"}}\n{text}"));
+        }
+
+        #[test]
+        fn edited_or_cut_transcripts_do_not_verify(
+            which in any::<proptest::sample::Index>(),
+            edits in proptest::collection::vec((any::<usize>(), edit()), 1..=8),
+            cut in proptest::option::of(any::<proptest::sample::Index>()),
+        ) {
+            let text = sample_log().render(7, "cfg");
+            if let Some(cut) = cut {
+                // Only the final newline may go.
+                let cut = cut.index(text.len() + 1);
+                let verified = verify_transcript(&text[..cut]);
+                prop_assert_eq!(verified.is_ok(), cut + 1 >= text.len(), "cut at {}", cut);
+            } else {
+                let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+                let at = which.index(lines.len());
+                let edited = edits.iter().fold(lines[at].clone(), |line, &(pos, edit)| apply(&line, pos, edit));
+                let changed = edited != lines[at];
+                lines[at] = edited;
+                let verified = verify_transcript(&(lines.join("\n") + "\n"));
+                // The header is chained; so is every byte of an entry.
+                if changed && at + 1 < lines.len() {
+                    prop_assert!(verified.is_err(), "edited line {} verified: {:?}", at + 1, lines[at]);
+                }
+            }
         }
     }
 

@@ -71,8 +71,9 @@ impl HostFaults {
 /// One variant host, as [`variant_main`] runs it in either placement:
 /// what the untrusted orchestrator ships ([`WorkerPlacement`]), the
 /// simulated faults of the hosting process, and the variant-side ends of
-/// the three conversations — in-memory for a variant thread, mux lanes of
-/// the worker's TCP connection for a variant process.
+/// the three conversations — for a variant thread, in-memory transports
+/// and the stage's response port itself; for a variant process, mux lanes
+/// of the worker's TCP connection.
 pub(crate) struct VariantLaunch {
     /// The public description of the host.
     pub placement: WorkerPlacement,
@@ -212,11 +213,8 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
 
     // Bootstrap step ②-⑤: challenge-response attestation with DH binding.
     enclave.os().syscall(Syscall::Connect)?;
-    let challenge_bytes = bootstrap
-        .recv_frame()
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
     let BootstrapRequest::Challenge { nonce, monitor_dh_public } =
-        decode::<BootstrapRequest>(&challenge_bytes)?
+        decode::<BootstrapRequest>(&bootstrap.recv_frame()?)?
     else {
         return Err(MvxError::BadState("expected challenge".into()));
     };
@@ -228,23 +226,16 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
     let report = enclave.report_for_channel(&nonce, &transcript_hash);
     let evidence =
         BootstrapResponse::Evidence { report, variant_dh_public: keypair.public };
-    bootstrap
-        .send_frame(encode(&evidence)?)
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
+    bootstrap.send_frame(encode(&evidence)?)?;
 
     // Step ⑤ continued: sealed key release.
-    let release_bytes = bootstrap
-        .recv_frame()
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
     let BootstrapRequest::SealedKeyRelease { payload } =
-        decode::<BootstrapRequest>(&release_bytes)?
+        decode::<BootstrapRequest>(&bootstrap.recv_frame()?)?
     else {
         return Err(MvxError::BadState("expected key release".into()));
     };
     let session_cipher = AesGcm::new_256(&session_secret);
-    let release_plain = session_cipher
-        .open(&[0u8; 12], &payload, b"key-release")
-        .map_err(MvxError::from)?;
+    let release_plain = session_cipher.open(&[0u8; 12], &payload, b"key-release")?;
     let release: KeyRelease = decode(&release_plain)?;
 
     // Install the variant key and decrypt the sealed payload.
@@ -254,8 +245,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
         .fs_mut()
         .import(&release.bundle_path, placement.sealed_salt, placement.sealed_blob);
     let payload_bytes = enclave.os().read_encrypted(&release.bundle_path)?;
-    let payload: SealedVariantPayload =
-        decode(&payload_bytes).map_err(|e| MvxError::Codec(e.to_string()))?;
+    let payload: SealedVariantPayload = decode(&payload_bytes)?;
 
     // One-time second-stage manifest + exec.
     enclave.os().install_second_stage(payload.manifest)?;
@@ -263,8 +253,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
 
     // Prepare the engine from the decrypted bundle, applying any simulated
     // platform-level compromises.
-    let bundle = VariantBundle::from_bytes(&payload.bundle)
-        .map_err(|e| MvxError::Diversify(e.to_string()))?;
+    let bundle = VariantBundle::from_bytes(&payload.bundle)?;
     // Clean engines prepare through the session-wide cache (weight
     // pre-packing amortised across relaunches of the same spec + graph);
     // FrameFlip'd engines carry per-launch fault state and bypass it.
@@ -294,9 +283,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
         measurement: enclave.measurement(),
     };
     let sealed = session_cipher.seal(&[1u8; 12], &encode(&evidence)?, b"install-evidence");
-    bootstrap
-        .send_frame(encode(&BootstrapResponse::SealedInstallEvidence { payload: sealed })?)
-        .map_err(|e| MvxError::Transport(e.to_string()))?;
+    bootstrap.send_frame(encode(&BootstrapResponse::SealedInstallEvidence { payload: sealed })?)?;
 
     // Data plane: serve checkpoint batches.
     let mut rx =

@@ -135,15 +135,6 @@ pub fn worker_binary() -> Result<PathBuf> {
     )))
 }
 
-/// Lane layout of a worker connection, in [`mux::split`] order.
-const WORKER_LANES: [u8; 4] = [LANE_BOOTSTRAP, LANE_REQUEST, LANE_RESPONSE, LANE_HEARTBEAT];
-
-/// Splits one worker connection into its `[bootstrap, request, response,
-/// heartbeat]` lanes — the same call on both ends of the socket.
-pub(crate) fn worker_lanes(transport: impl FrameTransport + Sync + 'static) -> [MuxLane; 4] {
-    mux::split(transport, &WORKER_LANES).try_into().expect("one lane per requested id")
-}
-
 /// How long a resumed worker waits for the monitor to re-send a
 /// placement after redialling. A connect can succeed via the retained
 /// listener's backlog even when the monitor is not actively
@@ -226,9 +217,10 @@ pub fn run_worker(addr: &str, resume: bool) -> Result<()> {
 /// One worker connection: dial, split lanes, receive the placement,
 /// start the keepalive pinger, run the variant host to completion.
 fn serve_connection(addr: &str, resumed: bool) -> Result<()> {
-    let transport =
-        TcpTransport::connect(addr).map_err(|e| MvxError::Transport(e.to_string()))?;
-    let [boot, request, response, heartbeat] = worker_lanes(transport);
+    let transport = TcpTransport::connect(addr)?;
+    let lanes = [LANE_BOOTSTRAP, LANE_REQUEST, LANE_RESPONSE, LANE_HEARTBEAT];
+    let [boot, request, response, heartbeat]: [MuxLane; 4] =
+        mux::split(transport, &lanes).try_into().expect("one lane per requested id");
 
     let placement_bytes = if resumed {
         boot.recv_frame_deadline(RESUME_PLACEMENT_TIMEOUT)

@@ -40,10 +40,8 @@ pub trait FrameTransport: Send {
     fn recv_frame(&self) -> Result<Vec<u8>>;
 
     /// Actively tears the transport down so a peer blocked in
-    /// `recv_frame` observes a disconnect. In-memory transports signal
-    /// disconnection by dropping, so the default is a no-op; transports
-    /// whose connection outlives individual handles (TCP behind a
-    /// demultiplexer) override this.
+    /// `recv_frame` observes a disconnect even while this handle lives on
+    /// (a mux pump holds its transport until the peer hangs up).
     fn close(&self) {}
 }
 
@@ -62,11 +60,12 @@ impl FrameTransport for Box<dyn FrameTransport> {
 }
 
 /// In-memory duplex transport half, built from a pair of mpsc channels.
-/// The receiver sits behind a mutex so the transport is `Sync` and can be
-/// shared by the mux pump the way the socket transports are.
+/// Both ends sit behind mutexes so the transport is `Sync` and can be
+/// shared by the mux pump the way the socket transports are; `close`
+/// drops the sender, which is how the peer learns of the hang-up.
 #[derive(Debug)]
 pub struct MemoryTransport {
-    tx: mpsc::Sender<Vec<u8>>,
+    tx: Mutex<Option<mpsc::Sender<Vec<u8>>>>,
     rx: Mutex<mpsc::Receiver<Vec<u8>>>,
 }
 
@@ -75,19 +74,24 @@ pub fn memory_pair() -> (MemoryTransport, MemoryTransport) {
     let (tx_a, rx_b) = mpsc::channel();
     let (tx_b, rx_a) = mpsc::channel();
     (
-        MemoryTransport { tx: tx_a, rx: Mutex::new(rx_a) },
-        MemoryTransport { tx: tx_b, rx: Mutex::new(rx_b) },
+        MemoryTransport { tx: Mutex::new(Some(tx_a)), rx: Mutex::new(rx_a) },
+        MemoryTransport { tx: Mutex::new(Some(tx_b)), rx: Mutex::new(rx_b) },
     )
 }
 
 impl FrameTransport for MemoryTransport {
     fn send_frame(&self, frame: Vec<u8>) -> Result<()> {
-        self.tx.send(frame).map_err(|_| CryptoError::MalformedFrame)
+        let sent = self.tx.lock().ok().and_then(|tx| tx.as_ref()?.send(frame).ok());
+        sent.ok_or(CryptoError::MalformedFrame)
     }
 
     fn recv_frame(&self) -> Result<Vec<u8>> {
         let rx = self.rx.lock().map_err(|_| CryptoError::MalformedFrame)?;
         rx.recv().map_err(|_| CryptoError::MalformedFrame)
+    }
+
+    fn close(&self) {
+        let _ = self.tx.lock().map(|mut tx| tx.take());
     }
 }
 
@@ -271,39 +275,47 @@ impl<T: FrameTransport> SecureChannel<T> {
     pub fn send(&mut self, payload: &[u8]) -> Result<()> {
         let seq = self.send_seq;
         self.send_seq += 1;
+        // Nonce and associated data alike: channel id ‖ sequence number.
         let nonce = nonce_from_sequence(self.channel_id, seq);
-        let mut aad = [0u8; 12];
-        aad[..4].copy_from_slice(&self.channel_id.to_be_bytes());
-        aad[4..].copy_from_slice(&seq.to_be_bytes());
         let mut frame = Vec::with_capacity(8 + payload.len() + TAG_LEN);
         frame.extend_from_slice(&seq.to_be_bytes());
         let seal_timer = self.telemetry.seal_ns.start();
-        self.send_cipher.seal_into(&nonce, payload, &aad, &mut frame);
+        self.send_cipher.seal_into(&nonce, payload, &nonce, &mut frame);
         seal_timer.finish();
         self.bytes_sent += payload.len() as u64;
         self.telemetry.bytes_out.add(payload.len() as u64);
-        let tracer = mvtee_telemetry::trace::recorder();
-        if tracer.is_enabled() {
-            drop(
-                tracer
-                    .instant(mvtee_telemetry::trace::current(), "crypto.send", "crypto")
-                    .arg("channel", self.channel_id)
-                    .arg("seq", seq)
-                    .arg("bytes", payload.len()),
-            );
-        }
+        self.trace("crypto.send", seq, payload.len());
         self.transport.send_frame(frame)
     }
 
-    /// Receives, authenticates and decrypts the next message.
+    /// A `crypto.send`/`crypto.recv` trace instant, when tracing is on.
+    fn trace(&self, name: &str, seq: u64, bytes: usize) {
+        let tracer = mvtee_telemetry::trace::recorder();
+        if tracer.is_enabled() {
+            let instant = tracer.instant(mvtee_telemetry::trace::current(), name, "crypto");
+            drop(instant.arg("channel", self.channel_id).arg("seq", seq).arg("bytes", bytes));
+        }
+    }
+
+    /// Receives the next frame and [`open`](SecureChannel::open)s it.
     ///
     /// # Errors
     ///
-    /// * [`CryptoError::SequenceMismatch`] on replayed/reordered frames,
-    /// * [`CryptoError::AuthenticationFailed`] on tampering,
-    /// * [`CryptoError::MalformedFrame`] on truncated frames or disconnect.
+    /// As `open`, and [`CryptoError::MalformedFrame`] on disconnect.
     pub fn recv(&mut self) -> Result<Vec<u8>> {
         let frame = self.transport.recv_frame()?;
+        self.open(&frame)
+    }
+
+    /// Authenticates and decrypts `frame` as the next message, however it
+    /// arrived.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::SequenceMismatch`] on replayed/reordered frames,
+    /// [`CryptoError::AuthenticationFailed`] on tampering,
+    /// [`CryptoError::MalformedFrame`] on truncated frames.
+    pub fn open(&mut self, frame: &[u8]) -> Result<Vec<u8>> {
         if frame.len() < 8 {
             return Err(CryptoError::MalformedFrame);
         }
@@ -312,26 +324,14 @@ impl<T: FrameTransport> SecureChannel<T> {
             return Err(CryptoError::SequenceMismatch { expected: self.recv_seq, actual: seq });
         }
         let nonce = nonce_from_sequence(self.channel_id, seq);
-        let mut aad = [0u8; 12];
-        aad[..4].copy_from_slice(&self.channel_id.to_be_bytes());
-        aad[4..].copy_from_slice(&seq.to_be_bytes());
         let open_timer = self.telemetry.open_ns.start();
-        let opened = self.recv_cipher.open(&nonce, &frame[8..], &aad);
+        let opened = self.recv_cipher.open(&nonce, &frame[8..], &nonce);
         match opened {
             Ok(payload) => {
                 open_timer.finish();
                 self.recv_seq += 1;
                 self.telemetry.bytes_in.add(payload.len() as u64);
-                let tracer = mvtee_telemetry::trace::recorder();
-                if tracer.is_enabled() {
-                    drop(
-                        tracer
-                            .instant(mvtee_telemetry::trace::current(), "crypto.recv", "crypto")
-                            .arg("channel", self.channel_id)
-                            .arg("seq", seq)
-                            .arg("bytes", payload.len()),
-                    );
-                }
+                self.trace("crypto.recv", seq, payload.len());
                 Ok(payload)
             }
             Err(e) => {
@@ -413,6 +413,36 @@ mod tests {
             rx.recv(),
             Err(CryptoError::SequenceMismatch { expected: 1, actual: 0 })
         ));
+    }
+
+    #[test]
+    fn open_checks_what_recv_checks_for_a_frame_carried_elsewhere() {
+        let (a, wire) = memory_pair();
+        let mut tx = SecureChannel::new(a, &Handshake::from_pre_shared(b"k", Role::Initiator), 1);
+        tx.send(b"first").unwrap();
+        tx.send(b"second").unwrap();
+        let (first, second) = (wire.recv_frame().unwrap(), wire.recv_frame().unwrap());
+        // Nothing ever arrives on this channel's own transport.
+        let (idle, _peer) = memory_pair();
+        let mut rx = SecureChannel::new(idle, &Handshake::from_pre_shared(b"k", Role::Responder), 1);
+        assert!(matches!(
+            rx.open(&second),
+            Err(CryptoError::SequenceMismatch { expected: 0, actual: 1 })
+        ));
+        assert_eq!(rx.open(&first).unwrap(), b"first");
+        assert_eq!(rx.open(&second).unwrap(), b"second");
+        assert!(matches!(rx.open(&second), Err(CryptoError::SequenceMismatch { .. })));
+    }
+
+    #[test]
+    fn closing_a_memory_transport_hangs_up_on_its_peer() {
+        let (a, b) = memory_pair();
+        a.send_frame(vec![1]).unwrap();
+        a.close();
+        assert!(a.send_frame(vec![2]).is_err());
+        // What was sent before the close still arrives.
+        assert_eq!(b.recv_frame().unwrap(), vec![1]);
+        assert!(b.recv_frame().is_err());
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! a heartbeat lane. [`split`] turns one transport into N [`MuxLane`]s:
 //! every outbound frame is prefixed with its 1-byte lane id, and a
 //! demultiplexer thread routes inbound frames to the destination lane's
-//! queue.
+//! queue — or, with [`split_into`], hands one lane's frames to a sink.
 //!
-//! Lifecycle: when the underlying connection dies the pump thread exits
-//! and every lane's `recv_frame` reports a disconnect (how a killed
-//! worker process surfaces as a quarantine in the monitor). The pump
-//! records *why* it exited, so lanes distinguish an orderly hang-up
+//! Lifecycle: when the underlying connection dies the pump thread exits,
+//! every lane's `recv_frame` reports a disconnect and the sink is dropped
+//! (how a killed worker process surfaces as a quarantine in the monitor).
+//! The pump records *why* it exited, so lanes distinguish an orderly hang-up
 //! ([`CryptoError::ConnectionClosed`]) from a wire-protocol violation
 //! ([`CryptoError::MalformedFrame`]) — a supervisor treats the former as
 //! liveness and the latter as hostility. Conversely, when the *last*
@@ -136,14 +136,8 @@ impl FrameTransport for MuxLane {
     }
 
     fn recv_frame(&self) -> Result<Vec<u8>> {
-        let rx = self.rx.lock().expect("mux lane receiver poisoned");
-        match rx.recv() {
-            Ok(frame) => {
-                self.bytes_in.add(1 + frame.len() as u64);
-                Ok(frame)
-            }
-            Err(_) => Err(self.disconnect_error()),
-        }
+        // A deadline past any `Instant` waits without one.
+        self.recv_frame_deadline(Duration::MAX)
     }
 
     fn close(&self) {
@@ -162,6 +156,22 @@ impl FrameTransport for MuxLane {
 /// `crypto.mux.dropped_frames` so a chattering or misrouted peer shows
 /// up in telemetry instead of vanishing.
 pub fn split<T>(transport: T, lanes: &[u8]) -> Vec<MuxLane>
+where
+    T: FrameTransport + Sync + 'static,
+{
+    split_into(transport, lanes, None)
+}
+
+/// [`split`], with a `(lane, sink)` whose inbound frames the pump hands
+/// to `sink.send_frame` itself (no endpoint is returned for that lane;
+/// a frame the sink refuses is dropped like one for a retired lane). The
+/// pump drops the sink when it exits, so the sink learns of a dead
+/// connection, a framing violation or a [`FrameTransport::close`].
+pub fn split_into<T>(
+    transport: T,
+    lanes: &[u8],
+    sink: Option<(u8, Box<dyn FrameTransport>)>,
+) -> Vec<MuxLane>
 where
     T: FrameTransport + Sync + 'static,
 {
@@ -196,17 +206,22 @@ where
                     reason = PUMP_VIOLATION; // framing violation: no lane id
                     break;
                 };
-                match senders.get(&lane) {
-                    Some(tx) => {
-                        if tx.send(rest.to_vec()).is_err() {
-                            dropped_frames.inc(); // endpoint retired
-                        }
+                let delivered = match (&sink, senders.get(&lane)) {
+                    (Some((to, sink)), _) if *to == lane => {
+                        // Counted as `recv_frame` would, before the sink's
+                        // reader can act on it.
+                        bytes_in.add(frame.len() as u64);
+                        sink.send_frame(rest.to_vec()).is_ok()
                     }
-                    None => dropped_frames.inc(), // unknown lane id
+                    (_, Some(tx)) => tx.send(rest.to_vec()).is_ok(),
+                    _ => false, // unknown lane id
+                };
+                if !delivered {
+                    dropped_frames.inc(); // unknown, retired or refused
                 }
             }
             exit_reason.store(reason, Ordering::Release);
-            // Dropping the senders here disconnects every lane receiver.
+            // Dropping the senders and the sink here disconnects them all.
         })
         .expect("thread spawn cannot fail");
     endpoints
@@ -225,22 +240,16 @@ pub struct Keepalive {
 }
 
 impl Keepalive {
-    /// Stops the pinger and joins its thread.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Stops the pinger and joins its thread, as dropping the handle does.
+    pub fn stop(self) {}
 }
 
 impl Drop for Keepalive {
     fn drop(&mut self) {
-        self.halt();
+        self.stop.store(true, Ordering::Release);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
@@ -312,6 +321,21 @@ mod tests {
         for lane in &a {
             assert!(lane.recv_frame().is_err(), "lane {} must disconnect", lane.lane());
         }
+    }
+
+    #[test]
+    fn a_sink_lane_is_fed_by_the_pump_and_dropped_with_it() {
+        let (client, server) = loopback_pair().expect("loopback");
+        let (sink, tap) = crate::channel::memory_pair();
+        let lanes = split_into(server, &[LANE_REQUEST], Some((LANE_RESPONSE, Box::new(sink))));
+        assert_eq!(lanes.len(), 1, "no endpoint for the sink lane");
+        client.send_frame(vec![LANE_RESPONSE, 1, 2]).unwrap();
+        client.send_frame(vec![LANE_REQUEST, 3]).unwrap();
+        assert_eq!(tap.recv_frame().unwrap(), vec![1, 2]);
+        assert_eq!(lanes[0].recv_frame().unwrap(), vec![3]);
+        // The connection dies: the pump exits and drops the sink.
+        drop(client);
+        assert!(tap.recv_frame().is_err());
     }
 
     #[test]

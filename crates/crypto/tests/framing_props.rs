@@ -3,8 +3,11 @@
 //! frame cap must hold on both sides of a TCP connection, and a
 //! truncated frame — a lossy channel cutting a payload short mid-flight
 //! — must always be rejected by the GCM tag, never silently accepted.
+//! The lane demultiplexer above the transport must survive anything a
+//! peer writes.
 
 use mvtee_crypto::channel::{memory_pair, FrameTransport, Handshake, Role, SecureChannel};
+use mvtee_crypto::mux::{split_into, LANE_BOOTSTRAP, LANE_HEARTBEAT, LANE_REQUEST, LANE_RESPONSE};
 use mvtee_crypto::tcp::{loopback_pair, MAX_FRAME_LEN};
 use mvtee_crypto::CryptoError;
 use proptest::prelude::*;
@@ -68,6 +71,63 @@ proptest! {
         let (client, server) = loopback_pair().unwrap();
         client.send_frame(payload.clone()).unwrap();
         prop_assert_eq!(server.recv_frame().unwrap(), payload);
+    }
+
+    /// Whatever a peer writes, the demultiplexer delivers each frame to
+    /// its lane (or sink), drops and counts it, or stops on it as a framing
+    /// violation — frame by frame as a model predicts, and without
+    /// panicking.
+    #[test]
+    fn the_mux_pump_delivers_drops_or_stops_on_every_frame(
+        frames in proptest::collection::vec(
+            (
+                prop_oneof![1 => Just(None), 4 => (0u8..6).prop_map(Some), 2 => any::<u8>().prop_map(Some)],
+                proptest::collection::vec(any::<u8>(), 0..16),
+            ),
+            0..12,
+        ),
+    ) {
+        let dropped = mvtee_telemetry::counter("crypto.mux.dropped_frames");
+        let before = dropped.get();
+        let (peer, local) = memory_pair();
+        let (sink, tap) = memory_pair();
+        // Lanes 0, 1 and 3; 3's endpoint is retired; lane 2 feeds the sink.
+        let lanes = [LANE_BOOTSTRAP, LANE_REQUEST, LANE_HEARTBEAT];
+        let mut lanes = split_into(local, &lanes, Some((LANE_RESPONSE, Box::new(sink))));
+        drop(lanes.pop());
+
+        let mut expected: [Vec<Vec<u8>>; 3] = Default::default(); // lane 0, lane 1, sink
+        let (mut expect_dropped, mut violation) = (0, false);
+        for (lane, payload) in frames {
+            let frame = match lane {
+                None => Vec::new(),
+                Some(lane) => [&[lane][..], &payload].concat(),
+            };
+            peer.send_frame(frame).unwrap();
+            if violation {
+                continue; // never read: the pump stopped
+            }
+            match lane {
+                None => violation = true,
+                Some(LANE_BOOTSTRAP) => expected[0].push(payload),
+                Some(LANE_REQUEST) => expected[1].push(payload),
+                Some(LANE_RESPONSE) => expected[2].push(payload),
+                Some(_) => expect_dropped += 1,
+            }
+        }
+        // The hang-up ends the pump after it has read everything before it.
+        peer.close();
+        let drain = |t: &dyn FrameTransport| std::iter::from_fn(|| t.recv_frame().ok()).collect::<Vec<_>>();
+        prop_assert_eq!(&drain(&lanes[0]), &expected[0]);
+        prop_assert_eq!(&drain(&lanes[1]), &expected[1]);
+        prop_assert_eq!(&drain(&tap), &expected[2]);
+        let why = lanes[0].recv_frame();
+        if violation {
+            prop_assert!(matches!(why, Err(CryptoError::MalformedFrame)), "{:?}", why);
+        } else {
+            prop_assert!(matches!(why, Err(CryptoError::ConnectionClosed)), "{:?}", why);
+        }
+        prop_assert_eq!(dropped.get() - before, expect_dropped);
     }
 }
 

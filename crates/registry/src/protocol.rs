@@ -341,6 +341,7 @@ mod tests {
     use mvtee_crypto::channel::{memory_pair, Handshake, Role};
     use mvtee_crypto::mux::{split, LANE_PROVISION};
     use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
+    use proptest::prelude::*;
 
     fn channel_pair() -> (SecureChannel<mvtee_crypto::mux::MuxLane>, SecureChannel<mvtee_crypto::mux::MuxLane>) {
         let (a, b) = memory_pair();
@@ -409,6 +410,100 @@ mod tests {
         srv.join().unwrap().unwrap();
         assert_eq!(registry.lock().unwrap().stored(), 1);
         assert!(registry.lock().unwrap().checkout_named("tenant-b/model").is_ok());
+    }
+
+    // Both ends of the provisioning lane decode what the other sent: a
+    // tenant's requests reach the registry, the registry's replies reach
+    // a tenant, and neither may be able to crash the other.
+
+    fn manifest() -> UploadManifest {
+        UploadManifest {
+            model_name: "tenant/model".into(),
+            fingerprint: 0xfeed,
+            digest: [1; 32],
+            total_len: 3000,
+            chunk_len: 1024,
+            upload_key: [2; 32],
+            nonce_seed: 9,
+        }
+    }
+
+    /// Bytes in the chunk of [`push`].
+    const CHUNK: usize = 40;
+
+    fn push() -> ProvisionRequest {
+        ProvisionRequest::Push { upload_id: 4, index: 2, sealed: vec![5; CHUNK] }
+    }
+
+    /// Valid encodings of every request and reply.
+    fn valid_encodings() -> Vec<Vec<u8>> {
+        let requests = [
+            ProvisionRequest::Begin(manifest()),
+            push(),
+            ProvisionRequest::Finalize { upload_id: 4, digest: [6; 32], pop: Some([7; 32]) },
+            ProvisionRequest::Abort { upload_id: 4 },
+            ProvisionRequest::End,
+        ];
+        let replies = [
+            ProvisionReply::Begun { upload_id: 4, resume_from: 1, challenge: Some([8; 32]) },
+            ProvisionReply::ChunkOk { index: 2 },
+            ProvisionReply::Aborted { upload_id: 4 },
+            ProvisionReply::Finalized { fingerprint: 0xfeed, dedup: true },
+            ProvisionReply::Rejected { error: "no".into() },
+            ProvisionReply::Bye,
+        ];
+        let requests = requests.iter().map(|m| mvtee_codec::to_bytes(m).unwrap());
+        let replies = replies.iter().map(|m| mvtee_codec::to_bytes(m).unwrap());
+        requests.chain(replies).collect()
+    }
+
+    /// `Ok` or `Err`, never a panic, as either side decodes.
+    fn decode_as_either(bytes: &[u8]) {
+        let _ = mvtee_codec::from_bytes::<ProvisionRequest>(bytes);
+        let _ = mvtee_codec::from_bytes::<ProvisionReply>(bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_a_provisioning_decoder(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        ) {
+            decode_as_either(&bytes);
+        }
+
+        #[test]
+        fn mutated_provisioning_messages_never_panic_the_decoder(
+            which in any::<proptest::sample::Index>(),
+            edits in proptest::collection::vec((any::<proptest::sample::Index>(), any::<u8>()), 1..=8),
+            cut in proptest::option::of(any::<proptest::sample::Index>()),
+        ) {
+            let valid = valid_encodings();
+            let mut bytes = valid[which.index(valid.len())].clone();
+            match cut {
+                Some(at) => bytes.truncate(at.index(bytes.len())),
+                None => {
+                    for (at, byte) in edits {
+                        let at = at.index(bytes.len());
+                        bytes[at] = byte;
+                    }
+                }
+            }
+            decode_as_either(&bytes);
+        }
+    }
+
+    /// A hostile length prefix in front of a pushed chunk is refused
+    /// before anything is reserved for it.
+    #[test]
+    fn huge_chunk_length_prefix_is_an_error_not_an_allocation() {
+        let mut hostile = mvtee_codec::to_bytes(&push()).unwrap();
+        // The message ends with the chunk: its length, then its bytes.
+        let at = hostile.len() - CHUNK - 8;
+        assert_eq!(hostile[at..at + 8], (CHUNK as u64).to_le_bytes());
+        hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(mvtee_codec::from_bytes::<ProvisionRequest>(&hostile).is_err());
     }
 
     #[test]

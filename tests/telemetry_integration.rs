@@ -8,12 +8,10 @@
 use crossbeam::channel::{bounded, unbounded};
 use mvtee::config::{DegradationPolicy, ExecMode, ResponsePolicy, VotingPolicy};
 use mvtee::events::{EventLog, MonitorEvent};
-use mvtee::link::{link_pair, DataLink};
+use mvtee::link::{link_pair, DataLink, ResponsePort};
 use mvtee::messages::{decode, encode, StageRequest, StageResponse};
-use mvtee::pipeline::{
-    run_stage, spawn_rx_thread, CoordMsg, RxEvent, StageJob, StagePolicy, StageRuntime,
-    VariantLink,
-};
+use mvtee::pipeline::{run_stage, CoordMsg, StageJob, StagePolicy, StageRuntime, VariantLink};
+use mvtee_crypto::channel::Role;
 use mvtee::prelude::*;
 use mvtee_faults::{flip_weight_bits, BitFlipStrategy};
 use mvtee_graph::zoo::{self, Model, ModelKind, ScaleProfile};
@@ -66,14 +64,13 @@ fn deployment_run_produces_checkpoint_latency_samples() {
     );
 }
 
-/// Serves a prepared model over monitor-side links, like a variant TEE's
-/// data plane.
-fn spawn_model_variant(prepared: Box<dyn PreparedModel>) -> (DataLink, DataLink) {
+/// Serves a prepared model like a variant TEE's data plane, answering into
+/// `port`; returns the monitor-side links.
+fn spawn_model_variant(prepared: Box<dyn PreparedModel>, port: ResponsePort) -> VariantLink {
     let (req_monitor, req_variant) = link_pair(false, b"", 0);
-    let (resp_variant, resp_monitor) = link_pair(false, b"", 1);
     std::thread::spawn(move || {
         let mut rx = req_variant;
-        let mut tx = resp_variant;
+        let mut tx = DataLink::plain(port);
         while let Ok(frame) = rx.recv() {
             let Ok(msg) = decode::<StageRequest>(&frame) else { break };
             match msg {
@@ -90,7 +87,8 @@ fn spawn_model_variant(prepared: Box<dyn PreparedModel>) -> (DataLink, DataLink)
             }
         }
     });
-    (req_monitor, resp_monitor)
+    let rx = DataLink::inbound(false, b"", Role::Initiator, 1);
+    VariantLink { tx: req_monitor, rx, description: "variant".into() }
 }
 
 /// A variant whose weights took exponent-MSB bit flips dissents at its
@@ -123,21 +121,18 @@ fn bitflip_divergence_increments_counter_exactly_once() {
         })
         .expect("some flip seed corrupts the output");
 
-    let (merged_tx, merged_rx) = unbounded::<RxEvent>();
-    let mut links = Vec::new();
-    let mut rx_threads = Vec::new();
-    for (i, prepared) in [clean, corrupted].into_iter().enumerate() {
-        let (tx, rx) = spawn_model_variant(prepared);
-        rx_threads.push(spawn_rx_thread(i, 0, rx, merged_tx.clone()));
-        links.push(VariantLink { tx, description: format!("variant-{i}") });
-    }
+    let (inbox, responses) = unbounded();
+    let links = [clean, corrupted]
+        .into_iter()
+        .enumerate()
+        .map(|(v, prepared)| spawn_model_variant(prepared, ResponsePort::new(inbox.clone(), v, 0)))
+        .collect();
     let output_id = *model.graph.outputs().first().expect("one output");
     let runtime = StageRuntime {
         partition: 0,
         links,
-        responses: merged_rx,
-        merged_tx,
-        rx_threads,
+        inbox,
+        responses,
         inputs: vec![*model.graph.inputs().first().expect("one input")],
         outputs: vec![output_id],
         needed_downstream: HashSet::from([output_id]),
