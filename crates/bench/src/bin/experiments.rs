@@ -274,10 +274,12 @@ fn run(args: &[String]) -> i32 {
         eprint!("{}", usage());
         return 0;
     }
-    // Which AES-GCM core this host runs: without it a run on a CPU that
-    // fell back to the portable core reads as an unexplained slowdown.
+    // Which AES-GCM and SHA-256 cores this host runs: without them a run on
+    // a CPU that fell back to a portable core reads as an unexplained
+    // slowdown.
     if !cli::has_flag(args, "--quiet") {
         eprintln!("# aes-gcm core: {}", mvtee_crypto::gcm::core_name());
+        eprintln!("# sha-256 core: {}", mvtee_crypto::sha256::core_name());
     }
     match args.first().and_then(|name| SUBCOMMANDS.iter().find(|s| s.name == name)) {
         Some(sub) => drive(sub, &args[1..]),

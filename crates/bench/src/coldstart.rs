@@ -431,7 +431,7 @@ fn partial_upload<T: FrameTransport>(
         let req = ProvisionRequest::Push {
             upload_id,
             index: i,
-            sealed: upload.chunks[i as usize].clone(),
+            sealed: mvtee_codec::Bytes(upload.chunks[i as usize].clone()),
         };
         match exchange(chan, &req)? {
             ProvisionReply::ChunkOk { .. } => {}

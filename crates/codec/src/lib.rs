@@ -41,6 +41,40 @@ impl serde::de::Error for CodecError {
     }
 }
 
+/// A byte buffer that crosses the codec as one length prefix plus one copy.
+///
+/// A plain `Vec<u8>` goes through serde's sequence path, one
+/// `serialize_u8`/`deserialize_u8` call per byte; `Bytes` goes through
+/// `serialize_bytes`/`deserialize_byte_buf` instead. The wire is the same
+/// either way — a u64-LE length, then the raw bytes — so swapping one for
+/// the other changes no encoded byte, and the decoder accepts exactly the
+/// same inputs. Every codec-crossing type that carries bulk bytes (sealed
+/// chunks, bundles, blobs) holds them as `Bytes`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Bytes(pub Vec<u8>);
+
+impl Serialize for Bytes {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(&self.0)
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for Bytes {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct BytesVisitor;
+        impl Visitor<'_> for BytesVisitor {
+            type Value = Bytes;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("a byte buffer")
+            }
+            fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> Result<Bytes, E> {
+                Ok(Bytes(v.to_vec()))
+            }
+        }
+        deserializer.deserialize_byte_buf(BytesVisitor)
+    }
+}
+
 /// Encodes a value.
 ///
 /// # Errors
@@ -775,5 +809,48 @@ mod proptests {
             bytes[i] ^= 1 << bit;
             let _ = from_bytes::<ArbStruct>(&bytes);
         }
+
+        #[test]
+        fn bytes_encode_like_a_vec_of_u8_and_every_truncation_fails(
+            v in proptest::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            assert_bytes_wire_is_the_vec_wire(&v);
+        }
+
+        #[test]
+        fn bytes_accept_exactly_what_a_vec_of_u8_accepts(
+            input in proptest::collection::vec(any::<u8>(), 0..64),
+            len in 0u64..80,
+            raw in any::<bool>(),
+        ) {
+            // Half the cases are raw bytes; the rest start with a plausible
+            // length prefix, so that some decode.
+            let bytes = if raw { input } else { [&len.to_le_bytes()[..], &input].concat() };
+            let as_bytes = from_bytes::<Bytes>(&bytes).ok().map(|b| b.0);
+            prop_assert_eq!(as_bytes, from_bytes::<Vec<u8>>(&bytes).ok());
+        }
+    }
+
+    /// `Bytes(v)` encodes to the bytes `v` does, decodes back to `v`, and
+    /// no proper prefix of the encoding decodes.
+    fn assert_bytes_wire_is_the_vec_wire(v: &[u8]) {
+        let encoded = to_bytes(&Bytes(v.to_vec())).expect("encodes");
+        assert!(encoded == to_bytes(&v.to_vec()).expect("encodes"), "{} bytes", v.len());
+        assert!(from_bytes::<Bytes>(&encoded).expect("decodes").0 == v);
+        for cut in 0..encoded.len() {
+            assert!(from_bytes::<Bytes>(&encoded[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn bytes_wire_at_the_edges() {
+        assert_bytes_wire_is_the_vec_wire(&[]);
+        let big: Vec<u8> = (0..65_552u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_bytes_wire_is_the_vec_wire(&big);
+        // A u64::MAX length prefix is refused before anything is reserved.
+        let mut hostile = u64::MAX.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&big);
+        let err = from_bytes::<Bytes>(&hostile).unwrap_err();
+        assert!(err.0.contains("exceeds remaining input"), "{err}");
     }
 }

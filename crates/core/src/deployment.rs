@@ -31,6 +31,7 @@ use crate::variant_host::{HostFaults, SealedVariantPayload};
 use crate::worker::VariantPlacement;
 use crate::{MvxError, Result};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError};
+use mvtee_codec::Bytes;
 use mvtee_crypto::random_array;
 use mvtee_crypto::sha256::sha256;
 use mvtee_diversify::spec::spread_specs;
@@ -267,7 +268,8 @@ pub(crate) fn seal_artifact(
     let bundle = generator.materialize(subgraph, partition, spec)?;
     let mut second = Manifest::main_variant(format!("variant-{manifest_tag}"));
     second.encrypt_file(bundle_path.clone());
-    let payload = SealedVariantPayload { manifest: second.clone(), bundle: bundle.to_bytes() };
+    let payload =
+        SealedVariantPayload { manifest: second.clone(), bundle: Bytes(bundle.to_bytes()) };
     let payload_bytes = encode(&payload)?;
     let variant_key: [u8; 32] = random_array();
     let mut sealer = ProtectedFs::new();

@@ -5,6 +5,7 @@
 //! plane (encrypted, sequence-numbered frames carrying checkpoint
 //! tensors). All messages are encoded with `mvtee-codec`.
 
+use mvtee_codec::Bytes;
 use mvtee_tee::AttestationReport;
 use mvtee_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -23,7 +24,7 @@ pub enum BootstrapRequest {
     /// (`payload = seal(KeyRelease)`).
     SealedKeyRelease {
         /// AES-GCM-256-sealed [`KeyRelease`] (nonce ‖ ciphertext ‖ tag).
-        payload: Vec<u8>,
+        payload: Bytes,
     },
 }
 
@@ -56,7 +57,7 @@ pub enum BootstrapResponse {
     /// second-stage manifest, sealed under the session key.
     SealedInstallEvidence {
         /// AES-GCM-256-sealed [`InstallEvidence`].
-        payload: Vec<u8>,
+        payload: Bytes,
     },
     /// Bootstrap failed on the variant side.
     Failed {
@@ -197,11 +198,11 @@ mod tests {
             variant_index: 2,
             tee_kind: TeeKind::Sgx,
             platform_root: [7u8; 32],
-            init_code: b"mvtee init-variant binary v1.0".to_vec(),
+            init_code: Bytes(b"mvtee init-variant binary v1.0".to_vec()),
             init_manifest: Manifest::init_variant("init-p1-v2"),
             bundle_path: "/enc/p1/v2".into(),
             sealed_salt: [9u8; 16],
-            sealed_blob: (0..200).collect(),
+            sealed_blob: Bytes((0..200).collect()),
             encrypt: true,
             heartbeat_interval_ms: 100,
         }
@@ -220,13 +221,14 @@ mod tests {
             encode(&placement()).unwrap(),
             encode(&BootstrapRequest::Challenge { nonce: [1; 32], monitor_dh_public: [2; 32] })
                 .unwrap(),
-            encode(&BootstrapRequest::SealedKeyRelease { payload: vec![3; 60] }).unwrap(),
+            encode(&BootstrapRequest::SealedKeyRelease { payload: Bytes(vec![3; 60]) }).unwrap(),
             encode(&BootstrapResponse::Evidence {
                 report: enclave.report_for_channel(&[4; 32], &[5; 32]),
                 variant_dh_public: [6; 32],
             })
             .unwrap(),
-            encode(&BootstrapResponse::SealedInstallEvidence { payload: vec![7; 90] }).unwrap(),
+            encode(&BootstrapResponse::SealedInstallEvidence { payload: Bytes(vec![7; 90]) })
+                .unwrap(),
             encode(&BootstrapResponse::Failed { reason: "no".into() }).unwrap(),
             encode(&stage_input()).unwrap(),
             encode(&StageRequest::Shutdown).unwrap(),
@@ -293,7 +295,7 @@ mod tests {
     fn huge_length_prefix_is_an_error_not_an_allocation() {
         let placement = placement();
         let bytes = encode(&placement).unwrap();
-        for field in [&placement.init_code, &placement.sealed_blob] {
+        for Bytes(field) in [&placement.init_code, &placement.sealed_blob] {
             let mut prefixed = (field.len() as u64).to_le_bytes().to_vec();
             prefixed.extend_from_slice(field);
             let at = bytes
@@ -311,5 +313,48 @@ mod tests {
         assert_eq!(hostile[at..at + 8], 8u64.to_le_bytes());
         hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode::<StageResponse>(&hostile).is_err());
+    }
+
+    /// The encodings of the messages that carry [`Bytes`], as recorded
+    /// while those fields were still `Vec<u8>`: the switch changed no wire
+    /// byte.
+    #[test]
+    fn byte_buffer_fields_kept_their_wire_encoding() {
+        let placement = WorkerPlacement {
+            partition: 1,
+            variant_index: 2,
+            tee_kind: TeeKind::Sgx,
+            platform_root: [7u8; 32],
+            init_code: Bytes(b"mvtee init-variant".to_vec()),
+            init_manifest: Manifest::new("init"),
+            bundle_path: "/enc/p1/v2".into(),
+            sealed_salt: [9u8; 16],
+            sealed_blob: Bytes((0..48).collect()),
+            encrypt: true,
+            heartbeat_interval_ms: 100,
+        };
+        assert_eq!(
+            mvtee_crypto::sha256::hex(&encode(&placement).unwrap()),
+            "01000000000000000200000000000000000000000707070707070707070707070707070707070707\
+             07070707070707070707070712000000000000006d7674656520696e69742d76617269616e740400\
+             000000000000696e6974000000000000000000000000000000000000000000000000000000000000\
+             000000000a000000000000002f656e632f70312f7632090909090909090909090909090909093000\
+             000000000000000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021\
+             22232425262728292a2b2c2d2e2f016400000000000000"
+        );
+        let release = BootstrapRequest::SealedKeyRelease { payload: Bytes((0..60).collect()) };
+        assert_eq!(
+            mvtee_crypto::sha256::hex(&encode(&release).unwrap()),
+            "010000003c00000000000000000102030405060708090a0b0c0d0e0f101112131415161718191a1b\
+             1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b"
+        );
+        let evidence =
+            BootstrapResponse::SealedInstallEvidence { payload: Bytes((100..190).collect()) };
+        assert_eq!(
+            mvtee_crypto::sha256::hex(&encode(&evidence).unwrap()),
+            "010000005a000000000000006465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f\
+             808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7\
+             a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbd"
+        );
     }
 }

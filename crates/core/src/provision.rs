@@ -32,6 +32,7 @@ use crate::supervisor::HeartbeatMonitor;
 use crate::variant_host::{spawn_variant, HostFaults, VariantHandle, VariantLaunch};
 use crate::worker::{accept_worker, worker_binary, VariantPlacement, WorkerPlacement};
 use crate::{MvxError, Result};
+use mvtee_codec::Bytes;
 use mvtee_crypto::channel::{memory_pair, FrameTransport, Role};
 use mvtee_crypto::gcm::AesGcm;
 use mvtee_crypto::mux::{
@@ -194,11 +195,11 @@ impl Provisioner {
             variant_index: variant,
             tee_kind,
             platform_root: self.platform.export_root(),
-            init_code: self.init_code.clone(),
+            init_code: Bytes(self.init_code.clone()),
             init_manifest: artifact.init_manifest.clone(),
             bundle_path: artifact.bundle_path.clone(),
             sealed_salt: artifact.sealed.0,
-            sealed_blob: artifact.sealed.1.clone(),
+            sealed_blob: Bytes(artifact.sealed.1.clone()),
             encrypt: self.encrypt,
             // Zero: no worker-side pinger (a thread host has none either way).
             heartbeat_interval_ms: if self.supervision.enabled {
@@ -423,7 +424,7 @@ impl Provisioner {
             bundle_path: artifact.bundle_path.clone(),
             expected_manifest_hash: artifact.expected_manifest_hash,
         };
-        let sealed = session_cipher.seal(&[0u8; 12], &encode(&release)?, b"key-release");
+        let sealed = Bytes(session_cipher.seal(&[0u8; 12], &encode(&release)?, b"key-release"));
         transport.send_frame(encode(&BootstrapRequest::SealedKeyRelease { payload: sealed })?)?;
 
         // Install evidence: the enforced second-stage manifest must match.
@@ -432,7 +433,7 @@ impl Provisioner {
         else {
             return Err(MvxError::Tee("variant failed before install evidence".into()));
         };
-        let plain = session_cipher.open(&[1u8; 12], &payload, b"install-evidence")?;
+        let plain = session_cipher.open(&[1u8; 12], &payload.0, b"install-evidence")?;
         let evidence: InstallEvidence = decode(&plain)?;
         if evidence.manifest_hash != artifact.expected_manifest_hash {
             return Err(MvxError::Tee(format!(

@@ -26,7 +26,7 @@
 //! runs.
 
 use crate::events::count;
-use mvtee_crypto::sha256::sha256;
+use mvtee_crypto::sha256::{sha256, Sha256};
 use mvtee_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -160,22 +160,31 @@ impl TranscriptLog {
     }
 }
 
-/// SHA-256 digest over a checkpoint payload: for each tensor, its rank,
-/// dimensions and f32 element bit patterns, all little-endian.
+/// SHA-256 digest over a checkpoint payload: the tensor count, then for
+/// each tensor its rank, dimensions and f32 element bit patterns, all
+/// little-endian. Elements reach the hasher through a stack buffer, a
+/// kilobyte per `update`; nothing is allocated.
 pub fn payload_digest(tensors: &[Tensor]) -> [u8; 32] {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&(tensors.len() as u64).to_le_bytes());
+    /// Elements staged per `update`.
+    const STAGE: usize = 256;
+    let mut h = Sha256::new();
+    h.update(&(tensors.len() as u64).to_le_bytes());
+    let mut stage = [0u8; 4 * STAGE];
     for t in tensors {
         let dims = t.dims();
-        buf.extend_from_slice(&(dims.len() as u64).to_le_bytes());
+        h.update(&(dims.len() as u64).to_le_bytes());
         for &d in dims {
-            buf.extend_from_slice(&(d as u64).to_le_bytes());
+            h.update(&(d as u64).to_le_bytes());
         }
-        for &v in t.data() {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        for elements in t.data().chunks(STAGE) {
+            let bytes = &mut stage[..4 * elements.len()];
+            for (out, v) in bytes.chunks_exact_mut(4).zip(elements) {
+                out.copy_from_slice(&v.to_bits().to_le_bytes());
+            }
+            h.update(bytes);
         }
     }
-    sha256(&buf)
+    h.finalize()
 }
 
 /// The one rendering of entry `seq`, whose link is `chain`.
@@ -886,6 +895,41 @@ mod tests {
                     prop_assert!(verified.is_err(), "edited line {} verified: {:?}", at + 1, lines[at]);
                 }
             }
+        }
+    }
+
+    /// `payload_digest` as it was: the whole payload concatenated into
+    /// one buffer, then hashed.
+    fn concatenated_payload_digest(tensors: &[Tensor]) -> [u8; 32] {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(tensors.len() as u64).to_le_bytes());
+        for t in tensors {
+            let dims = t.dims();
+            buf.extend_from_slice(&(dims.len() as u64).to_le_bytes());
+            for &d in dims {
+                buf.extend_from_slice(&(d as u64).to_le_bytes());
+            }
+            for &v in t.data() {
+                buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        sha256(&buf)
+    }
+
+    #[test]
+    fn payload_digest_equals_the_concatenating_form() {
+        let tensor = |n: usize| {
+            let data = (0..n).map(|i| (i as f32 * 0.37 - 11.0).sin()).collect();
+            Tensor::from_vec(data, &[n]).unwrap()
+        };
+        let counts = [0, 1, 15, 16, 17, 255, 256, 257, 16_384];
+        let mut payloads: Vec<Vec<Tensor>> = vec![vec![]];
+        payloads.extend(counts.iter().map(|&n| vec![tensor(n)]));
+        payloads.push(counts.iter().map(|&n| tensor(n)).collect());
+        payloads.push(vec![Tensor::scalar(f32::NAN), Tensor::ones(&[2, 3, 5]), tensor(17)]);
+        for payload in &payloads {
+            let shape: Vec<&[usize]> = payload.iter().map(Tensor::dims).collect();
+            assert_eq!(payload_digest(payload), concatenated_payload_digest(payload), "{shape:?}");
         }
     }
 

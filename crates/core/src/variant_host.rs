@@ -26,6 +26,7 @@ use crate::messages::{
 };
 use crate::worker::WorkerPlacement;
 use crate::{MvxError, Result};
+use mvtee_codec::Bytes;
 use mvtee_crypto::channel::{FrameTransport, Role};
 use mvtee_crypto::gcm::AesGcm;
 use mvtee_crypto::x25519::EphemeralKeypair;
@@ -43,7 +44,7 @@ pub struct SealedVariantPayload {
     /// The second-stage manifest the init-variant must install.
     pub manifest: Manifest,
     /// Encoded [`VariantBundle`] bytes.
-    pub bundle: Vec<u8>,
+    pub bundle: Bytes,
 }
 
 /// Simulated faults a variant host can carry. They model compromises of
@@ -203,7 +204,7 @@ pub(crate) fn spawn_variant(launch: VariantLaunch) -> VariantHandle {
 pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
     let VariantLaunch { placement, faults, bootstrap, request, response } = launch;
     // Stage 0: enclave launch with the public init-variant.
-    let identity = CodeIdentity::from_content("mvtee-init-variant", "1.0", &placement.init_code);
+    let identity = CodeIdentity::from_content("mvtee-init-variant", "1.0", &placement.init_code.0);
     let mut enclave = Enclave::launch(
         placement.tee_kind,
         identity,
@@ -235,7 +236,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
         return Err(MvxError::BadState("expected key release".into()));
     };
     let session_cipher = AesGcm::new_256(&session_secret);
-    let release_plain = session_cipher.open(&[0u8; 12], &payload, b"key-release")?;
+    let release_plain = session_cipher.open(&[0u8; 12], &payload.0, b"key-release")?;
     let release: KeyRelease = decode(&release_plain)?;
 
     // Install the variant key and decrypt the sealed payload.
@@ -243,7 +244,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
     enclave
         .os()
         .fs_mut()
-        .import(&release.bundle_path, placement.sealed_salt, placement.sealed_blob);
+        .import(&release.bundle_path, placement.sealed_salt, placement.sealed_blob.0);
     let payload_bytes = enclave.os().read_encrypted(&release.bundle_path)?;
     let payload: SealedVariantPayload = decode(&payload_bytes)?;
 
@@ -253,7 +254,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
 
     // Prepare the engine from the decrypted bundle, applying any simulated
     // platform-level compromises.
-    let bundle = VariantBundle::from_bytes(&payload.bundle)?;
+    let bundle = VariantBundle::from_bytes(&payload.bundle.0)?;
     // Clean engines prepare through the session-wide cache (weight
     // pre-packing amortised across relaunches of the same spec + graph);
     // FrameFlip'd engines carry per-launch fault state and bypass it.
@@ -282,7 +283,7 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
         manifest_hash: enclave.os_ref().manifest_hash(),
         measurement: enclave.measurement(),
     };
-    let sealed = session_cipher.seal(&[1u8; 12], &encode(&evidence)?, b"install-evidence");
+    let sealed = Bytes(session_cipher.seal(&[1u8; 12], &encode(&evidence)?, b"install-evidence"));
     bootstrap.send_frame(encode(&BootstrapResponse::SealedInstallEvidence { payload: sealed })?)?;
 
     // Data plane: serve checkpoint batches.
@@ -373,11 +374,19 @@ mod tests {
     fn sealed_payload_round_trips() {
         let payload = SealedVariantPayload {
             manifest: Manifest::main_variant("m"),
-            bundle: vec![1, 2, 3],
+            bundle: Bytes((0..24).collect()),
         };
         let bytes = encode(&payload).unwrap();
         let back: SealedVariantPayload = decode(&bytes).unwrap();
         assert_eq!(back.manifest, payload.manifest);
         assert_eq!(back.bundle, payload.bundle);
+        // As recorded while `bundle` was still a `Vec<u8>`: the switch to
+        // `Bytes` changed no wire byte.
+        assert_eq!(
+            mvtee_crypto::sha256::hex(&bytes),
+            "01000000000000006d00000000000000000000000000000000080000000000000001000000020000\
+             00040000000500000006000000090000000a0000000b000000000000000000000000001800000000\
+             000000000102030405060708090a0b0c0d0e0f1011121314151617"
+        );
     }
 }

@@ -38,6 +38,7 @@
 
 use crate::variant_host::{variant_main, HostFaults, VariantLaunch};
 use crate::{MvxError, Result};
+use mvtee_codec::Bytes;
 use mvtee_crypto::channel::FrameTransport;
 use mvtee_crypto::mux::{
     self, MuxLane, LANE_BOOTSTRAP, LANE_HEARTBEAT, LANE_REQUEST, LANE_RESPONSE,
@@ -77,7 +78,7 @@ pub struct WorkerPlacement {
     /// Exported platform root ([`Platform::export_root`]).
     pub platform_root: [u8; 32],
     /// Public init-variant code bytes.
-    pub init_code: Vec<u8>,
+    pub init_code: Bytes,
     /// Public first-stage manifest.
     pub init_manifest: Manifest,
     /// Host-storage path of the sealed payload.
@@ -85,7 +86,7 @@ pub struct WorkerPlacement {
     /// Salt of the sealed payload.
     pub sealed_salt: [u8; 16],
     /// Ciphertext of the sealed payload.
-    pub sealed_blob: Vec<u8>,
+    pub sealed_blob: Bytes,
     /// Whether data-plane traffic is encrypted.
     pub encrypt: bool,
     /// Keepalive ping period on the heartbeat lane, in milliseconds.
@@ -256,11 +257,11 @@ mod tests {
             variant_index: 2,
             tee_kind: TeeKind::Sgx,
             platform_root: [7u8; 32],
-            init_code: b"init".to_vec(),
+            init_code: Bytes(b"init".to_vec()),
             init_manifest: Manifest::init_variant("init-p1-v2"),
             bundle_path: "/enc/p1/v2".into(),
             sealed_salt: [9u8; 16],
-            sealed_blob: vec![1, 2, 3, 4],
+            sealed_blob: Bytes(vec![1, 2, 3, 4]),
             encrypt: true,
             heartbeat_interval_ms: 250,
         };
@@ -271,7 +272,7 @@ mod tests {
         assert_eq!(back.platform_root, [7u8; 32]);
         assert_eq!(back.init_manifest, placement.init_manifest);
         assert_eq!(back.sealed_salt, [9u8; 16]);
-        assert_eq!(back.sealed_blob, vec![1, 2, 3, 4]);
+        assert_eq!(back.sealed_blob, Bytes(vec![1, 2, 3, 4]));
         assert!(back.encrypt);
         assert_eq!(back.heartbeat_interval_ms, 250);
     }

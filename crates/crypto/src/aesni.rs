@@ -9,10 +9,11 @@
 //! H⁸…H¹ before one reduction. CTR encrypts eight counter blocks per batch
 //! so the `aesenc` latency of one block hides behind the other seven.
 //!
-//! This is the only module of the workspace that contains `unsafe`: the
-//! three shims [`HwKey::new`], [`HwKey::ctr_xor`] and [`HwKey::tag`], each a
-//! single call into a `#[target_feature]` function. Everything below them is
-//! safe code over value intrinsics — no pointers, no transmutes. Soundness
+//! With `shani.rs`, this is one of the two modules of the workspace that
+//! contain `unsafe`: here the three shims [`HwKey::new`], [`HwKey::ctr_xor`]
+//! and [`HwKey::tag`], each a single call into a `#[target_feature]`
+//! function. Everything below them is safe code over value intrinsics — no
+//! pointers, no transmutes. Soundness
 //! rests on one fact kept inside this module: a [`HwKey`] has private fields
 //! and its only constructor returns `None` unless [`available`] is true.
 

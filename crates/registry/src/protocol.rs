@@ -11,6 +11,7 @@
 //! [`LANE_PROVISION`]: mvtee_crypto::mux::LANE_PROVISION
 //! [`SecureChannel`]: mvtee_crypto::channel::SecureChannel
 
+use mvtee_codec::Bytes;
 use mvtee_crypto::channel::{FrameTransport, SecureChannel};
 use mvtee_crypto::sha256::sha256;
 use mvtee_crypto::{random_array, CryptoError};
@@ -35,7 +36,7 @@ pub enum ProvisionRequest {
         /// Chunk index.
         index: u64,
         /// Chunk-layer AEAD ciphertext.
-        sealed: Vec<u8>,
+        sealed: Bytes,
     },
     /// Commit the upload.
     Finalize {
@@ -141,7 +142,7 @@ pub fn serve_provisioning<T: FrameTransport>(
                 }
             }
             ProvisionRequest::Push { upload_id, index, sealed } => {
-                match registry.lock().expect("registry lock").push(upload_id, index, &sealed) {
+                match registry.lock().expect("registry lock").push(upload_id, index, &sealed.0) {
                     Ok(()) => ProvisionReply::ChunkOk { index },
                     Err(e) => ProvisionReply::Rejected { error: e.to_string() },
                 }
@@ -240,7 +241,7 @@ pub fn drive_upload<T: FrameTransport>(
         bytes_sent += sealed.len() as u64;
         send_msg(
             chan,
-            &ProvisionRequest::Push { upload_id, index: i as u64, sealed: sealed.clone() },
+            &ProvisionRequest::Push { upload_id, index: i as u64, sealed: Bytes(sealed.clone()) },
         )?;
         match recv_msg(chan)? {
             ProvisionReply::ChunkOk { index } if index == i as u64 => {}
@@ -432,7 +433,7 @@ mod tests {
     const CHUNK: usize = 40;
 
     fn push() -> ProvisionRequest {
-        ProvisionRequest::Push { upload_id: 4, index: 2, sealed: vec![5; CHUNK] }
+        ProvisionRequest::Push { upload_id: 4, index: 2, sealed: Bytes((0..CHUNK as u8).collect()) }
     }
 
     /// Valid encodings of every request and reply.
@@ -504,6 +505,17 @@ mod tests {
         assert_eq!(hostile[at..at + 8], (CHUNK as u64).to_le_bytes());
         hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(mvtee_codec::from_bytes::<ProvisionRequest>(&hostile).is_err());
+    }
+
+    /// As recorded while `sealed` was still a `Vec<u8>`: the switch to
+    /// [`Bytes`] changed no wire byte.
+    #[test]
+    fn push_kept_its_wire_encoding() {
+        assert_eq!(
+            mvtee_crypto::sha256::hex(&mvtee_codec::to_bytes(&push()).unwrap()),
+            "01000000040000000000000002000000000000002800000000000000000102030405060708090a0b\
+             0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324252627"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use mvtee_crypto::gcm::AesGcm;
-use mvtee_crypto::sha256::sha256;
+use mvtee_crypto::sha256::{sha256, Sha256};
 use mvtee_graph::zoo::Model;
 use mvtee_runtime::graph_fingerprint;
 
@@ -138,10 +138,10 @@ pub struct Registry {
 /// SHA-256 over the challenge followed by the full plaintext blob. Only
 /// a tenant that actually holds the content bytes can compute it.
 pub fn pop_response(challenge: &[u8; 32], blob: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(32 + blob.len());
-    buf.extend_from_slice(challenge);
-    buf.extend_from_slice(blob);
-    sha256(&buf)
+    let mut h = Sha256::new();
+    h.update(challenge);
+    h.update(blob);
+    h.finalize()
 }
 
 impl Registry {
@@ -164,12 +164,12 @@ impl Registry {
     /// tenants (keyed by the registry's sealed secret), deterministic
     /// for a given registry instance and upload.
     fn pop_challenge(&self, upload_id: u64, manifest: &UploadManifest) -> [u8; 32] {
-        let mut buf = Vec::with_capacity(32 + 8 + 8 + 32);
-        buf.extend_from_slice(&self.pop_secret);
-        buf.extend_from_slice(&upload_id.to_le_bytes());
-        buf.extend_from_slice(&manifest.fingerprint.to_le_bytes());
-        buf.extend_from_slice(&manifest.digest);
-        sha256(&buf)
+        let mut h = Sha256::new();
+        h.update(&self.pop_secret);
+        h.update(&upload_id.to_le_bytes());
+        h.update(&manifest.fingerprint.to_le_bytes());
+        h.update(&manifest.digest);
+        h.finalize()
     }
 
     /// Admits an upload. Three outcomes:
@@ -522,6 +522,38 @@ mod tests {
         }
         let pop = adm.challenge.map(|c| pop_response(&c, blob));
         reg.finalize(adm.upload_id, manifest.digest, pop).unwrap()
+    }
+
+    /// SHA-256 of the concatenated `parts`: how `pop_response` and
+    /// `pop_challenge` used to hash.
+    fn concatenated_digest(parts: &[&[u8]]) -> [u8; 32] {
+        sha256(&parts.concat())
+    }
+
+    #[test]
+    fn pop_response_equals_the_concatenating_form() {
+        let challenge: [u8; 32] = std::array::from_fn(|i| (i * 13 + 5) as u8);
+        let blob: Vec<u8> = (0..16_384u32).map(|i| (i * 31 + 7) as u8).collect();
+        for n in [0, 1, 15, 16, 17, 16_384] {
+            let expected = concatenated_digest(&[&challenge, &blob[..n]]);
+            assert_eq!(pop_response(&challenge, &blob[..n]), expected, "{n} bytes");
+        }
+    }
+
+    #[test]
+    fn pop_challenge_equals_the_concatenating_form() {
+        let reg = Registry::new([9u8; 32], RegistryConfig::default());
+        let (mut manifest, _) = manifest_for(&model(), 4096);
+        for (upload_id, fingerprint) in [(0, 0), (1, manifest.fingerprint), (u64::MAX, u64::MAX)] {
+            manifest.fingerprint = fingerprint;
+            let expected = concatenated_digest(&[
+                &reg.pop_secret,
+                &upload_id.to_le_bytes(),
+                &fingerprint.to_le_bytes(),
+                &manifest.digest,
+            ]);
+            assert_eq!(reg.pop_challenge(upload_id, &manifest), expected, "upload {upload_id}");
+        }
     }
 
     #[test]

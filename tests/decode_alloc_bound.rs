@@ -1,0 +1,221 @@
+//! The allocation half of the parser sweep: decoding attacker-controlled
+//! bytes as a message that carries bulk bytes allocates at most
+//! 2 × input length + 4 KiB at its peak, whatever the bytes claim.
+//!
+//! The types are the ones whose bytes arrive from outside a TEE: a
+//! tenant's [`ProvisionRequest`], the untrusted orchestrator's
+//! [`WorkerPlacement`] and the host-stored [`SealedVariantPayload`]. A
+//! counting global allocator tracks this thread's live heap, so the tests
+//! in this binary may run in parallel.
+//!
+//! One shape is costlier, though still linear: a [`Manifest`] set of many
+//! distinct short names costs about 40 bytes of B-tree node per name
+//! encoded in about 10, so a message that is mostly such a set peaks near
+//! 5 × its length (the last test pins it).
+
+use mvtee::messages::{decode, encode};
+use mvtee::variant_host::SealedVariantPayload;
+use mvtee::WorkerPlacement;
+use mvtee_codec::Bytes;
+use mvtee_registry::framing::UploadManifest;
+use mvtee_registry::protocol::ProvisionRequest;
+use mvtee_tee::{Manifest, TeeKind};
+use proptest::prelude::*;
+use proptest::sample::Index;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread holds on the heap, since the last [`peak_of`].
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` reached since the last [`peak_of`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` to this thread's live heap. Const-initialised, drop-free
+/// thread-locals never allocate, so the allocator may touch them.
+fn track(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+struct Counting;
+
+// SAFETY: every operation is the system allocator's, unchanged; the
+// bookkeeping only updates this thread's plain counters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The most heap `f` held at once beyond what was live before it,
+/// including what it returns (dropped only after the measurement).
+fn peak_of<T>(f: impl FnOnce() -> T) -> usize {
+    LIVE.with(|live| live.set(0));
+    PEAK.with(|peak| peak.set(0));
+    let value = f();
+    let peak = PEAK.with(Cell::get);
+    drop(value);
+    peak.max(0) as usize
+}
+
+/// Decodes `bytes` as each type, checking the bound on every attempt.
+fn assert_decodes_within_bound(bytes: &[u8]) {
+    let bound = 2 * bytes.len() + 4096;
+    let peaks = [
+        ("ProvisionRequest", peak_of(|| decode::<ProvisionRequest>(bytes))),
+        ("WorkerPlacement", peak_of(|| decode::<WorkerPlacement>(bytes))),
+        ("SealedVariantPayload", peak_of(|| decode::<SealedVariantPayload>(bytes))),
+    ];
+    for (name, peak) in peaks {
+        assert!(peak <= bound, "{name}: peak {peak} B for {} input bytes", bytes.len());
+    }
+}
+
+fn pattern(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i * 31 + 7) as u8).collect()
+}
+
+/// Valid encodings of every variant of the three types, bulk fields
+/// a few kilobytes long.
+fn valid_encodings() -> Vec<Vec<u8>> {
+    let manifest = UploadManifest {
+        model_name: "tenant/model".into(),
+        fingerprint: 0xfeed,
+        digest: [1; 32],
+        total_len: 9000,
+        chunk_len: 4096,
+        upload_key: [2; 32],
+        nonce_seed: 9,
+    };
+    let requests = [
+        ProvisionRequest::Begin(manifest),
+        ProvisionRequest::Push { upload_id: 4, index: 2, sealed: Bytes(pattern(4112)) },
+        ProvisionRequest::Finalize { upload_id: 4, digest: [6; 32], pop: Some([7; 32]) },
+        ProvisionRequest::Abort { upload_id: 4 },
+        ProvisionRequest::End,
+    ];
+    let placement = WorkerPlacement {
+        partition: 1,
+        variant_index: 2,
+        tee_kind: TeeKind::Tdx,
+        platform_root: [7; 32],
+        init_code: Bytes(pattern(300)),
+        init_manifest: Manifest::init_variant("init-p1-v2"),
+        bundle_path: "/enc/p1/v2".into(),
+        sealed_salt: [9; 16],
+        sealed_blob: Bytes(pattern(6000)),
+        encrypt: true,
+        heartbeat_interval_ms: 100,
+    };
+    let payload = SealedVariantPayload {
+        manifest: Manifest::main_variant("main"),
+        bundle: Bytes(pattern(5000)),
+    };
+    let mut out: Vec<Vec<u8>> = requests.iter().map(|r| encode(r).unwrap()).collect();
+    out.push(encode(&placement).unwrap());
+    out.push(encode(&payload).unwrap());
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_decode_within_the_bound(
+        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        assert_decodes_within_bound(&bytes);
+    }
+
+    /// Byte edits, cuts, and 8-byte windows overwritten with a length
+    /// anywhere from 0 to past the end — the prefixes a hostile peer
+    /// would forge.
+    #[test]
+    fn mutated_messages_decode_within_the_bound(
+        which in any::<Index>(),
+        edits in proptest::collection::vec((any::<Index>(), any::<u8>()), 0..=8),
+        prefix in proptest::option::of((any::<Index>(), any::<u64>(), any::<bool>())),
+        cut in proptest::option::of(any::<Index>()),
+    ) {
+        let valid = valid_encodings();
+        let mut bytes = valid[which.index(valid.len())].clone();
+        for (at, byte) in edits {
+            let at = at.index(bytes.len());
+            bytes[at] = byte;
+        }
+        if let Some((at, len, huge)) = prefix.filter(|_| bytes.len() >= 8) {
+            let at = at.index(bytes.len() - 7);
+            let len = if huge { len } else { len % (bytes.len() as u64 + 16) };
+            bytes[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        }
+        if let Some(at) = cut {
+            bytes.truncate(at.index(bytes.len()));
+        }
+        assert_decodes_within_bound(&bytes);
+    }
+}
+
+/// Every valid encoding decodes within the bound, and so does each with a
+/// `u64::MAX` length in front of its bulk bytes — refused before anything
+/// is reserved.
+#[test]
+fn valid_and_u64_max_prefixed_messages_decode_within_the_bound() {
+    // The counter sees the decoder's allocations: a chunk costs at least
+    // its own bytes.
+    let push = ProvisionRequest::Push { upload_id: 1, index: 0, sealed: Bytes(pattern(4112)) };
+    assert!(peak_of(|| decode::<ProvisionRequest>(&encode(&push).unwrap())) >= 4112);
+    let mut prefixes = 0;
+    for bytes in valid_encodings() {
+        assert_decodes_within_bound(&bytes);
+        // A bulk field is a run of pattern bytes with its length in the
+        // eight bytes before it.
+        for n in [4112, 6000, 5000, 300] {
+            let field = pattern(n);
+            let Some(at) = bytes.windows(n).position(|w| w == field) else { continue };
+            if bytes[at - 8..at] != (n as u64).to_le_bytes() {
+                continue;
+            }
+            prefixes += 1;
+            let mut hostile = bytes.clone();
+            hostile[at - 8..at].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(decode::<ProvisionRequest>(&hostile).is_err());
+            assert!(decode::<WorkerPlacement>(&hostile).is_err());
+            assert!(decode::<SealedVariantPayload>(&hostile).is_err());
+            assert_decodes_within_bound(&hostile);
+        }
+    }
+    // `sealed`, `sealed_blob`, `init_code` and `bundle`.
+    assert_eq!(prefixes, 4);
+}
+
+/// The costly shape: a manifest set of `n` distinct short names, as the
+/// untrusted orchestrator could send in a placement.
+#[test]
+fn hostile_manifest_sets_stay_linear() {
+    for n in [100, 1000, 5000] {
+        let mut manifest = Manifest::new("m");
+        manifest.encrypted_files.extend((0..n).map(|i| format!("{i:x}")));
+        let payload = SealedVariantPayload { manifest, bundle: Bytes(Vec::new()) };
+        let bytes = encode(&payload).unwrap();
+        let peak = peak_of(|| decode::<SealedVariantPayload>(&bytes));
+        assert!(peak <= 6 * bytes.len() + 4096, "{n} names: peak {peak} B for {} B", bytes.len());
+    }
+}
