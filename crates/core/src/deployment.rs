@@ -47,6 +47,7 @@ use mvtee_runtime::{EngineConfig, EngineKind, KernelStrategy};
 use mvtee_tee::{
     AttestationReport, CodeIdentity, Enclave, Manifest, Platform, ProtectedFs, TeeKind,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -148,6 +149,11 @@ pub struct OfflinePhase {
     pub init_code: Vec<u8>,
 }
 
+/// Partition sets the offline phase selected, by `(partitions,
+/// partition_seed)`. The replicas of one pool share the model, so one
+/// selection serves every replica that asks for the same pair.
+type PartitionPlans = HashMap<(usize, u64), PartitionSet>;
+
 impl OfflinePhase {
     /// Runs the offline phase: partitioning, variant generation, sealing.
     ///
@@ -187,6 +193,22 @@ impl OfflinePhase {
         pool: Option<&PartitionPool>,
         weight_faults: &HashMap<(usize, usize), BitFlipFault>,
     ) -> Result<Self> {
+        let mut plans = PartitionPlans::new();
+        Self::run_planned(graph, config, variant_seed, overrides, pool, weight_faults, &mut plans)
+    }
+
+    /// [`OfflinePhase::run_with_options`] that takes a pool-less partition
+    /// set from `plans` when they hold one for this `(partitions,
+    /// partition_seed)`, and records the one it selects there otherwise.
+    fn run_planned(
+        graph: &Graph,
+        config: &MvxConfig,
+        variant_seed: u64,
+        overrides: &HashMap<(usize, usize), SpecPatch>,
+        pool: Option<&PartitionPool>,
+        weight_faults: &HashMap<(usize, usize), BitFlipFault>,
+        plans: &mut PartitionPlans,
+    ) -> Result<Self> {
         config.validate()?;
         let set = if let Some(pool) = pool {
             pool.select_random(config.partitions, config.partition_seed)
@@ -198,7 +220,15 @@ impl OfflinePhase {
                     ))
                 })?
         } else {
-            select_partition_set(graph, config.partitions, config.partition_seed)?
+            match plans.entry((config.partitions, config.partition_seed)) {
+                Entry::Occupied(planned) => planned.get().clone(),
+                Entry::Vacant(slot) => {
+                    mvtee_telemetry::counter("core.offline.partition_plans").inc();
+                    let set =
+                        select_partition_set(graph, config.partitions, config.partition_seed)?;
+                    slot.insert(set).clone()
+                }
+            }
         };
         set.verify(graph)?;
         let subgraphs = set.extract_subgraphs(graph)?;
@@ -595,6 +625,12 @@ impl DeploymentBuilder {
     ///
     /// Propagates offline-phase and bootstrap failures.
     pub fn build(self) -> Result<Deployment> {
+        self.build_planned(&mut PartitionPlans::new())
+    }
+
+    /// [`build`](Self::build), taking its partition set from `plans` when
+    /// they already hold one for its configuration.
+    fn build_planned(self, plans: &mut PartitionPlans) -> Result<Deployment> {
         let mut weight_faults = HashMap::new();
         for (fault, at) in &self.faults {
             if fault.platform_wide() == at.is_some() {
@@ -618,13 +654,14 @@ impl DeploymentBuilder {
             ),
             None => None,
         };
-        let offline = OfflinePhase::run_with_options(
+        let offline = OfflinePhase::run_planned(
             &self.model.graph,
             &self.config,
             self.variant_seed,
             &self.overrides,
             pool.as_ref(),
             &weight_faults,
+            plans,
         )?;
         let provisioner = Provisioner::new(
             Platform::new(),
@@ -654,7 +691,9 @@ impl DeploymentBuilder {
     /// (partition boundaries reassociate float reductions, so different
     /// sets drift in the last bits) and lets replicas of the same
     /// engine config reuse the warm session [`EngineCache`] instead of
-    /// re-preparing every subgraph per replica.
+    /// re-preparing every subgraph per replica. The set is selected once
+    /// for the whole pool (`core.offline.partition_plans` counts
+    /// selections).
     ///
     /// [`EngineCache`]: mvtee_runtime::EngineCache
     ///
@@ -668,6 +707,8 @@ impl DeploymentBuilder {
     /// [`DeploymentBuilder::build_many`] with a per-replica hook applied
     /// after seed derivation — the fault-injection path of the serving
     /// experiments (e.g. a liveness fault sealed into one replica only).
+    /// The hook keeps the model; a replica it moves to another partition
+    /// count or seed, or onto a partition pool, selects its own set.
     ///
     /// # Errors
     ///
@@ -681,10 +722,11 @@ impl DeploymentBuilder {
             return Err(MvxError::InvalidConfig("a replica pool needs at least one replica".into()));
         }
         let base_seed = self.variant_seed;
+        let mut plans = PartitionPlans::new();
         let mut replicas = Vec::with_capacity(n);
         for r in 0..n {
             let b = self.clone().variant_seed(Self::replica_variant_seed(base_seed, r));
-            replicas.push(customize(r, b).build()?);
+            replicas.push(customize(r, b).build_planned(&mut plans)?);
         }
         Ok(replicas)
     }

@@ -414,8 +414,12 @@ impl Provisioner {
             &expected_data,
         )?;
 
-        // Session keys and sealed key release.
-        let shared = keypair.diffie_hellman(&variant_dh_public);
+        // Session keys and sealed key release — never keyed from the
+        // all-zero output of a low-order variant key, which anyone could
+        // derive.
+        let shared = keypair
+            .agree(&variant_dh_public)
+            .map_err(|e| MvxError::Tee(format!("variant p{partition}v{variant}: {e}")))?;
         let session_secret = bootstrap_session_secret(&shared, &nonce);
         let session_cipher = AesGcm::new_256(&session_secret);
         let release = KeyRelease {
@@ -533,17 +537,16 @@ mod tests {
     use crate::messages::{StageRequest, StageResponse};
     use crate::pipeline::Inbound;
     use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
+    use mvtee_tee::Enclave;
     use mvtee_tensor::Tensor;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// A failed bring-up leaves nothing behind, whichever side noticed the
-    /// failure, and does not spoil the next one for the same slot.
-    #[test]
-    fn failed_bring_up_leaves_nothing_behind() {
+    /// One sealed single-variant deployment and a provisioner for it.
+    fn fixture() -> (OfflinePhase, Provisioner) {
         let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 77).expect("builds");
         let config = MvxConfig::fast_path(1);
         let offline =
             OfflinePhase::run(&model.graph, &config, 0xd1ce, &HashMap::new()).expect("seals");
-        let artifact = &offline.artifacts[0][0];
         let provisioner = Provisioner::new(
             Platform::new(),
             offline.init_code.clone(),
@@ -551,15 +554,27 @@ mod tests {
             HashMap::new(),
             None,
         );
+        (offline, provisioner)
+    }
+
+    /// `p` holds `bound` bindings and `hosts` adopted hosts, and no
+    /// heartbeat watcher or retained listener.
+    fn left_behind(p: &Provisioner, bound: usize, hosts: usize) {
+        assert_eq!(p.bindings().len(), bound, "binding registry");
+        assert_eq!(p.hosts.lock().unwrap().len(), hosts, "adopted hosts");
+        assert_eq!(p.monitor.watchers(), 0, "a heartbeat watcher was started");
+        assert!(p.listeners.lock().unwrap().is_empty(), "a listener was retained");
+    }
+
+    /// A failed bring-up leaves nothing behind, whichever side noticed the
+    /// failure, and does not spoil the next one for the same slot.
+    #[test]
+    fn failed_bring_up_leaves_nothing_behind() {
+        let (offline, provisioner) = fixture();
+        let artifact = &offline.artifacts[0][0];
         let no_faults = HostFaults::default;
         let (inbox, answers) = crossbeam::channel::unbounded();
         let port = || ResponsePort::new(inbox.clone(), 0, 0);
-        let left_behind = |p: &Provisioner, bound: usize, hosts: usize| {
-            assert_eq!(p.bindings().len(), bound, "binding registry");
-            assert_eq!(p.hosts.lock().unwrap().len(), hosts, "adopted hosts");
-            assert_eq!(p.monitor.watchers(), 0, "a heartbeat watcher was started");
-            assert!(p.listeners.lock().unwrap().is_empty(), "a listener was retained");
-        };
 
         // The variant notices: its sealed payload does not authenticate.
         // (Returning at all means the host thread was joined: a
@@ -611,5 +626,56 @@ mod tests {
 
         drop(link);
         provisioner.join_hosts();
+    }
+
+    /// Frames [`low_order_host`] received after sending its evidence.
+    static FRAMES_AFTER_EVIDENCE: AtomicUsize = AtomicUsize::new(0);
+
+    /// A genuine init-variant whose attested key is a low-order point
+    /// (u = 0): the Diffie-Hellman output is all zeros whatever the
+    /// monitor's key.
+    fn low_order_host(launch: VariantLaunch) -> Result<()> {
+        let VariantLaunch { placement, bootstrap, .. } = launch;
+        let identity =
+            CodeIdentity::from_content("mvtee-init-variant", "1.0", &placement.init_code.0);
+        let enclave = Enclave::launch(
+            placement.tee_kind,
+            identity,
+            placement.init_manifest,
+            Platform::from_root(placement.platform_root),
+        );
+        let BootstrapRequest::Challenge { nonce, monitor_dh_public } =
+            decode(&bootstrap.recv_frame()?)?
+        else {
+            return Err(MvxError::BadState("expected challenge".into()));
+        };
+        let low_order = [0u8; 32];
+        let transcript_hash = bootstrap_transcript_hash(&monitor_dh_public, &low_order);
+        let report = enclave.report_for_channel(&nonce, &transcript_hash);
+        let evidence = BootstrapResponse::Evidence { report, variant_dh_public: low_order };
+        bootstrap.send_frame(encode(&evidence)?)?;
+        while bootstrap.recv_frame().is_ok() {
+            FRAMES_AFTER_EVIDENCE.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(())
+    }
+
+    /// The monitor releases no key to a variant whose genuine report binds
+    /// a low-order key: the session secret would be one anyone on the wire
+    /// can compute.
+    #[test]
+    fn a_low_order_variant_key_gets_no_key_release() {
+        let (offline, provisioner) = fixture();
+        let (inbox, _answers) = crossbeam::channel::unbounded();
+        let port = ResponsePort::new(inbox, 0, 0);
+        let faults = HostFaults { script: Some(low_order_host), ..HostFaults::default() };
+        let artifact = &offline.artifacts[0][0];
+        let failed = provisioner.bring_up((0, 0), artifact, faults, None, port, |_, _| Ok(()));
+        let Err(MvxError::Tee(why)) = failed else { panic!("expected a TEE error") };
+        assert!(why.contains("low-order peer point"), "{why}");
+        // `bring_up` returned, so the host thread was joined: the count is
+        // final.
+        assert_eq!(FRAMES_AFTER_EVIDENCE.load(Ordering::SeqCst), 0, "a key release was sent");
+        left_behind(&provisioner, 0, 0);
     }
 }

@@ -61,6 +61,10 @@ pub(crate) struct HostFaults {
     /// this host's scheduling/transport stack. Transient: replacements
     /// provisioned by the recovery manager do not inherit it.
     pub liveness: Option<LivenessFault>,
+    /// Runs in place of [`variant_main`]: a host scripted to misbehave
+    /// where no simulated fault reaches.
+    #[cfg(test)]
+    pub script: Option<fn(VariantLaunch) -> Result<()>>,
 }
 
 impl HostFaults {
@@ -187,7 +191,11 @@ pub(crate) fn spawn_variant(launch: VariantLaunch) -> VariantHandle {
             // Failures during bootstrap are reported to the monitor when
             // possible; afterwards the thread simply exits (the "process"
             // died).
-            if let Err(e) = variant_main(launch) {
+            #[cfg(test)]
+            let main = launch.faults.script.unwrap_or(variant_main);
+            #[cfg(not(test))]
+            let main = variant_main;
+            if let Err(e) = main(launch) {
                 // Best effort: nothing to report to if channels are gone.
                 let _ = e;
             }
@@ -213,14 +221,16 @@ pub(crate) fn variant_main(launch: VariantLaunch) -> Result<()> {
     );
 
     // Bootstrap step ②-⑤: challenge-response attestation with DH binding.
+    // The key pair is made before the challenge is awaited, so on a
+    // multi-core host it overlaps the monitor making its own.
+    let keypair = EphemeralKeypair::generate();
     enclave.os().syscall(Syscall::Connect)?;
     let BootstrapRequest::Challenge { nonce, monitor_dh_public } =
         decode::<BootstrapRequest>(&bootstrap.recv_frame()?)?
     else {
         return Err(MvxError::BadState("expected challenge".into()));
     };
-    let keypair = EphemeralKeypair::generate();
-    let shared = keypair.diffie_hellman(&monitor_dh_public);
+    let shared = keypair.agree(&monitor_dh_public).map_err(|e| MvxError::Tee(e.to_string()))?;
     let transcript_hash = bootstrap_transcript_hash(&monitor_dh_public, &keypair.public);
     let session_secret = bootstrap_session_secret(&shared, &nonce);
 

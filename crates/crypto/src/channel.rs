@@ -125,8 +125,8 @@ impl Handshake {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::HandshakeFailed`] on malformed peer messages
-    /// or transport failure.
+    /// Returns [`CryptoError::HandshakeFailed`] on malformed peer messages,
+    /// a low-order peer key or transport failure.
     pub fn run<T: FrameTransport>(role: Role, transport: &T) -> Result<Handshake> {
         let timer = mvtee_telemetry::histogram("crypto.channel.handshake_ns").start();
         let result = Self::run_inner(role, transport);
@@ -154,10 +154,7 @@ impl Handshake {
         }
         let mut peer_pk = [0u8; 32];
         peer_pk.copy_from_slice(&peer);
-        let shared = keypair.diffie_hellman(&peer_pk);
-        if shared == [0u8; 32] {
-            return Err(CryptoError::HandshakeFailed("low-order peer point".into()));
-        }
+        let shared = keypair.agree(&peer_pk)?;
         let (first, second) = match role {
             Role::Initiator => (keypair.public, peer_pk),
             Role::Responder => (peer_pk, keypair.public),

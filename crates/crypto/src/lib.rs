@@ -20,7 +20,9 @@
 //!   the portable table core (~170 MB/s), same bytes either way;
 //!   [`gcm::core_name`] says which,
 //! * [`x25519`] — the X25519 Diffie-Hellman function (RFC 7748) used by the
-//!   attested channel handshake,
+//!   attested channel handshake and every variant bootstrap: five 51-bit
+//!   limbs with `u128` products, one safe-Rust core on every target
+//!   (~76 µs per scalar multiplication on a 2.1 GHz x86-64 Xeon),
 //! * [`channel`] — sequence-numbered, AEAD-framed secure channels
 //!   (the paper's "encrypted and authenticated with unique sequence numbers
 //!   for freshness" transport, §4.3),

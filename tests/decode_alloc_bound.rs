@@ -4,22 +4,26 @@
 //!
 //! The types are the ones whose bytes arrive from outside a TEE: a
 //! tenant's [`ProvisionRequest`], the untrusted orchestrator's
-//! [`WorkerPlacement`] and the host-stored [`SealedVariantPayload`]. A
-//! counting global allocator tracks this thread's live heap, so the tests
-//! in this binary may run in parallel.
+//! [`WorkerPlacement`], the host-stored [`SealedVariantPayload`], and the
+//! bootstrap frames between monitor and variant host — [`BootstrapRequest`],
+//! [`BootstrapResponse`] and the sealed [`KeyRelease`] and
+//! [`InstallEvidence`] inside them. A counting global allocator tracks this
+//! thread's live heap, so the tests in this binary may run in parallel.
 //!
 //! One shape is costlier, though still linear: a [`Manifest`] set of many
 //! distinct short names costs about 40 bytes of B-tree node per name
 //! encoded in about 10, so a message that is mostly such a set peaks near
 //! 5 × its length (the last test pins it).
 
-use mvtee::messages::{decode, encode};
+use mvtee::messages::{
+    decode, encode, BootstrapRequest, BootstrapResponse, InstallEvidence, KeyRelease,
+};
 use mvtee::variant_host::SealedVariantPayload;
 use mvtee::WorkerPlacement;
 use mvtee_codec::Bytes;
 use mvtee_registry::framing::UploadManifest;
 use mvtee_registry::protocol::ProvisionRequest;
-use mvtee_tee::{Manifest, TeeKind};
+use mvtee_tee::{CodeIdentity, Enclave, Manifest, Platform, TeeKind};
 use proptest::prelude::*;
 use proptest::sample::Index;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,6 +87,10 @@ fn assert_decodes_within_bound(bytes: &[u8]) {
         ("ProvisionRequest", peak_of(|| decode::<ProvisionRequest>(bytes))),
         ("WorkerPlacement", peak_of(|| decode::<WorkerPlacement>(bytes))),
         ("SealedVariantPayload", peak_of(|| decode::<SealedVariantPayload>(bytes))),
+        ("BootstrapRequest", peak_of(|| decode::<BootstrapRequest>(bytes))),
+        ("BootstrapResponse", peak_of(|| decode::<BootstrapResponse>(bytes))),
+        ("KeyRelease", peak_of(|| decode::<KeyRelease>(bytes))),
+        ("InstallEvidence", peak_of(|| decode::<InstallEvidence>(bytes))),
     ];
     for (name, peak) in peaks {
         assert!(peak <= bound, "{name}: peak {peak} B for {} input bytes", bytes.len());
@@ -93,7 +101,7 @@ fn pattern(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i * 31 + 7) as u8).collect()
 }
 
-/// Valid encodings of every variant of the three types, bulk fields
+/// Valid encodings of every variant of the seven types, bulk fields up to
 /// a few kilobytes long.
 fn valid_encodings() -> Vec<Vec<u8>> {
     let manifest = UploadManifest {
@@ -132,6 +140,36 @@ fn valid_encodings() -> Vec<Vec<u8>> {
     let mut out: Vec<Vec<u8>> = requests.iter().map(|r| encode(r).unwrap()).collect();
     out.push(encode(&placement).unwrap());
     out.push(encode(&payload).unwrap());
+    let enclave = Enclave::launch(
+        TeeKind::Sgx,
+        CodeIdentity::from_content("mvtee-init-variant", "1.0", &pattern(300)),
+        Manifest::init_variant("init-p1-v2"),
+        Platform::new(),
+    );
+    let evidence = BootstrapResponse::Evidence {
+        report: enclave.report_for_channel(&[5; 32], &[6; 32]),
+        variant_dh_public: [7; 32],
+    };
+    let release = KeyRelease {
+        variant_key: [8; 32],
+        variant_id: 1002,
+        bundle_path: "/enc/p1/v2".into(),
+        expected_manifest_hash: [9; 32],
+    };
+    let installed =
+        InstallEvidence { variant_id: 1002, manifest_hash: [9; 32], measurement: [10; 32] };
+    out.push(
+        encode(&BootstrapRequest::Challenge { nonce: [3; 32], monitor_dh_public: [4; 32] })
+            .unwrap(),
+    );
+    out.push(encode(&BootstrapRequest::SealedKeyRelease { payload: Bytes(pattern(700)) }).unwrap());
+    out.push(encode(&evidence).unwrap());
+    out.push(
+        encode(&BootstrapResponse::SealedInstallEvidence { payload: Bytes(pattern(900)) }).unwrap(),
+    );
+    out.push(encode(&BootstrapResponse::Failed { reason: "expected key release".into() }).unwrap());
+    out.push(encode(&release).unwrap());
+    out.push(encode(&installed).unwrap());
     out
 }
 
@@ -187,7 +225,7 @@ fn valid_and_u64_max_prefixed_messages_decode_within_the_bound() {
         assert_decodes_within_bound(&bytes);
         // A bulk field is a run of pattern bytes with its length in the
         // eight bytes before it.
-        for n in [4112, 6000, 5000, 300] {
+        for n in [4112, 6000, 5000, 300, 700, 900] {
             let field = pattern(n);
             let Some(at) = bytes.windows(n).position(|w| w == field) else { continue };
             if bytes[at - 8..at] != (n as u64).to_le_bytes() {
@@ -199,11 +237,14 @@ fn valid_and_u64_max_prefixed_messages_decode_within_the_bound() {
             assert!(decode::<ProvisionRequest>(&hostile).is_err());
             assert!(decode::<WorkerPlacement>(&hostile).is_err());
             assert!(decode::<SealedVariantPayload>(&hostile).is_err());
+            assert!(decode::<BootstrapRequest>(&hostile).is_err());
+            assert!(decode::<BootstrapResponse>(&hostile).is_err());
             assert_decodes_within_bound(&hostile);
         }
     }
-    // `sealed`, `sealed_blob`, `init_code` and `bundle`.
-    assert_eq!(prefixes, 4);
+    // `sealed`, `sealed_blob`, `init_code`, `bundle` and the two sealed
+    // bootstrap payloads.
+    assert_eq!(prefixes, 6);
 }
 
 /// The costly shape: a manifest set of `n` distinct short names, as the
