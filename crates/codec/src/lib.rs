@@ -527,6 +527,17 @@ struct CountedAccess<'a, 'de> {
     remaining: usize,
 }
 
+impl CountedAccess<'_, '_> {
+    /// The elements left, but at most one per four bytes of input left:
+    /// a collection reserves room from this hint before reading anything,
+    /// so a claimed count alone must not buy more than the input can back.
+    /// Every element a bulk sequence carries (`f32`, `u64`, a tensor)
+    /// encodes in at least four bytes, so an honest count is never cut.
+    fn backed_hint(&self) -> Option<usize> {
+        Some(self.remaining.min(self.de.input.len() / 4))
+    }
+}
+
 impl<'a, 'de> SeqAccess<'de> for CountedAccess<'a, 'de> {
     type Error = CodecError;
 
@@ -542,7 +553,7 @@ impl<'a, 'de> SeqAccess<'de> for CountedAccess<'a, 'de> {
     }
 
     fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+        self.backed_hint()
     }
 }
 
@@ -565,7 +576,7 @@ impl<'a, 'de> MapAccess<'de> for CountedAccess<'a, 'de> {
     }
 
     fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+        self.backed_hint()
     }
 }
 

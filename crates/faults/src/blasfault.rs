@@ -46,6 +46,10 @@ impl FaultyBlas {
     }
 }
 
+/// `row_order` is deliberately not forwarded: the default promises
+/// nothing, so an engine over a faulted backend makes every GEMM call —
+/// in the per-call shapes the corruption is a function of — instead of
+/// computing depthwise convolutions directly.
 impl Blas for FaultyBlas {
     fn name(&self) -> &str {
         // The fault is invisible in the backend's identity — the library
@@ -193,6 +197,66 @@ mod tests {
             "different-BLAS variant should be unaffected: {}",
             metrics::max_abs_diff(&clean, &unaffected)
         );
+    }
+
+    /// The corrupted outputs of depthwise convolutions (three strides and
+    /// paddings, with and without bias), a pointwise one, and — under
+    /// `ZeroPrefix` — a MnasNet@Test engine over the faulted backend, as
+    /// recorded before the direct depthwise and in-place pointwise
+    /// lowerings existed. (A whole model under `BitFlipStride` is left out:
+    /// its flips turn the sign of an intermediate NaN, which the compiler
+    /// does not fix, into a finite value.)
+    #[test]
+    fn corrupted_convolutions_match_the_recorded_digests() {
+        use mvtee_runtime::kernels::{self, ConvAttrs};
+        use mvtee_runtime::RowOrder;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        const GOLDEN: [(GemmCorruption, BlasKind, &str); 6] = [
+            (GemmCorruption::ZeroPrefix { fraction: 0.3 }, BlasKind::Naive, "c6133f57aad16171192a086322972564593185437ff684e1f801e99715b67d5c"),
+            (GemmCorruption::ZeroPrefix { fraction: 0.3 }, BlasKind::Blocked, "c6133f57aad16171192a086322972564593185437ff684e1f801e99715b67d5c"),
+            (GemmCorruption::ZeroPrefix { fraction: 0.3 }, BlasKind::Strided, "c6133f57aad16171192a086322972564593185437ff684e1f801e99715b67d5c"),
+            (GemmCorruption::BitFlipStride { stride: 3 }, BlasKind::Naive, "fba423a0abf5b6b6112a3f5c930a6e7280f047c38b9c3e727e24e0bc8b7c170e"),
+            (GemmCorruption::BitFlipStride { stride: 3 }, BlasKind::Blocked, "fba423a0abf5b6b6112a3f5c930a6e7280f047c38b9c3e727e24e0bc8b7c170e"),
+            (GemmCorruption::BitFlipStride { stride: 3 }, BlasKind::Strided, "fba423a0abf5b6b6112a3f5c930a6e7280f047c38b9c3e727e24e0bc8b7c170e"),
+        ];
+        let mut rng = StdRng::seed_from_u64(31);
+        let x = Tensor::random_uniform(&mut rng, &[2, 6, 9, 7], 1.0);
+        let w = Tensor::random_uniform(&mut rng, &[6, 1, 3, 3], 0.5);
+        let b = Tensor::random_uniform(&mut rng, &[6], 0.5);
+        let xp = Tensor::random_uniform(&mut rng, &[1, 8, 5, 5], 1.0);
+        let wp = Tensor::random_uniform(&mut rng, &[4, 8, 1, 1], 0.5);
+        let m = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 5).unwrap();
+        let input = Tensor::random_uniform(&mut rng, m.input_shape.dims(), 1.0);
+        for (corruption, kind, want) in GOLDEN {
+            let faulty = FaultyBlas::new(kind.instantiate(), corruption);
+            assert_eq!(faulty.row_order(), RowOrder::Unknown);
+            let mut outs = Vec::new();
+            for (s, p) in [(1usize, 1usize), (2, 1), (1, 2)] {
+                let a = ConvAttrs { kernel: (3, 3), stride: (s, s), padding: (p, p), groups: 6 };
+                outs.push(kernels::conv2d_im2col(&x, &w, Some(&b), &a, &faulty).unwrap());
+                outs.push(kernels::conv2d_im2col(&x, &w, None, &a, &faulty).unwrap());
+            }
+            let a1 = ConvAttrs { kernel: (1, 1), stride: (1, 1), padding: (0, 0), groups: 1 };
+            outs.push(kernels::conv2d_im2col(&xp, &wp, None, &a1, &faulty).unwrap());
+            if matches!(corruption, GemmCorruption::ZeroPrefix { .. }) {
+                let cfg = EngineConfig::of_kind(EngineKind::OrtLike).with_blas(kind);
+                let faulty = Arc::new(FaultyBlas::new(kind.instantiate(), corruption));
+                let prepared = Engine::with_custom_blas(cfg, faulty).prepare(&m.graph).unwrap();
+                outs.extend(prepared.run(std::slice::from_ref(&input)).unwrap());
+            }
+            let mut h = mvtee_crypto::sha256::Sha256::new();
+            for t in &outs {
+                for &d in t.dims() {
+                    h.update(&(d as u64).to_le_bytes());
+                }
+                for v in t.data() {
+                    h.update(&v.to_bits().to_le_bytes());
+                }
+            }
+            let got: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "{corruption:?} {kind}");
+        }
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //! exactly the benign noise the monitor's thresholds must absorb. The
 //! fault-injection crate wraps any of them to model code-level bit flips
 //! that corrupt one backend only.
+//!
+//! A backend may also declare, through [`Blas::row_order`], the exact
+//! sequence in which a one-row product accumulates each output element.
+//! The convolution kernels use that declaration to compute depthwise
+//! convolutions directly, without a GEMM call per channel, and still
+//! produce the backend's bytes. The default is [`RowOrder::Unknown`]; a
+//! wrapper (such as the fault-injection crate's) must not forward the
+//! method, so its engine keeps the per-call GEMM shapes its corruption
+//! depends on.
 
 use std::fmt;
 use std::sync::Arc;
@@ -34,6 +43,26 @@ pub trait Blas: Send + Sync {
     /// Implementations may panic when slice lengths disagree with
     /// `m`/`n`/`k`; executors always pass consistent buffers.
     fn gemm(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]);
+
+    /// The accumulation sequence this backend promises for each output
+    /// element of an `m = 1` product. The default promises nothing.
+    fn row_order(&self) -> RowOrder {
+        RowOrder::Unknown
+    }
+}
+
+/// How a backend accumulates each output element of a one-row GEMM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowOrder {
+    /// Nothing is promised: callers must go through [`Blas::gemm`].
+    Unknown,
+    /// `c[j]` starts at `+0.0` and adds `a[kk] * b[kk·n + j]` (a rounded
+    /// product, no fused multiply-add) in ascending `kk`.
+    AscendingK {
+        /// Whether entries with `a[kk] == 0.0` (either sign) are skipped
+        /// instead of added.
+        skips_zero_a: bool,
+    },
 }
 
 /// Selector for the built-in backends.
@@ -96,6 +125,10 @@ impl Blas for NaiveBlas {
             }
         }
     }
+
+    fn row_order(&self) -> RowOrder {
+        RowOrder::AscendingK { skips_zero_a: false }
+    }
 }
 
 /// Cache-blocked GEMM with 32×32×32 tiles; accumulates tile-by-tile, which
@@ -152,6 +185,10 @@ impl Blas for BlockedBlas {
             kb = k_end;
         }
     }
+
+    fn row_order(&self) -> RowOrder {
+        RowOrder::AscendingK { skips_zero_a: true }
+    }
 }
 
 /// `k`-outer GEMM: accumulates rank-1 updates into the output, another
@@ -182,6 +219,10 @@ impl Blas for StridedBlas {
                 }
             }
         }
+    }
+
+    fn row_order(&self) -> RowOrder {
+        RowOrder::AscendingK { skips_zero_a: true }
     }
 }
 
@@ -268,6 +309,42 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .fold(0.0f32, f32::max);
         assert!(max_diff3 < 1e-4, "strided diverged too far: {max_diff3}");
+    }
+
+    #[test]
+    fn each_backend_keeps_its_declared_row_order() {
+        // Zeros and infinities tell a skipped `0 · inf` (nothing added)
+        // from an added one (NaN); every NaN here is the one `0 · inf` and
+        // `inf − inf` produce, so the bits are comparable.
+        let pick = |rng: &mut StdRng| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            _ => rng.gen_range(-1.0..1.0),
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        for kind in BlasKind::ALL {
+            let blas = kind.instantiate();
+            let RowOrder::AscendingK { skips_zero_a } = blas.row_order() else {
+                panic!("{kind} declares no order");
+            };
+            for (n, k) in [(1usize, 1usize), (7, 5), (40, 70)] {
+                let a: Vec<f32> = (0..k).map(|_| pick(&mut rng)).collect();
+                let b: Vec<f32> = (0..k * n).map(|_| pick(&mut rng)).collect();
+                let mut c = vec![f32::NAN; n];
+                blas.gemm(1, n, k, &a, &b, &mut c);
+                for (j, &got) in c.iter().enumerate() {
+                    let mut acc = 0.0f32;
+                    for (kk, &av) in a.iter().enumerate() {
+                        if !(skips_zero_a && av == 0.0) {
+                            acc += av * b[kk * n + j];
+                        }
+                    }
+                    assert_eq!(got.to_bits(), acc.to_bits(), "{kind} n {n} k {k} j {j}");
+                }
+            }
+        }
     }
 
     #[test]

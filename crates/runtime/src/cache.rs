@@ -143,8 +143,7 @@ impl PackedGemm {
         }
         let panels = pool
             .chunk_ranges(m)
-            .iter()
-            .map(|&(s, e)| {
+            .map(|(s, e)| {
                 let mc = e - s;
                 let mut panel = vec![0.0f32; k * mc];
                 for i in 0..k {
@@ -377,7 +376,7 @@ mod tests {
         assert_eq!(p.wt, vec![0.0, 2.0, 4.0, 1.0, 3.0, 5.0]);
         // Panels tile wt's columns exactly.
         assert_eq!(p.panels.len(), pool.chunk_ranges(3).len());
-        for (&(s, e), panel) in pool.chunk_ranges(3).iter().zip(&p.panels) {
+        for ((s, e), panel) in pool.chunk_ranges(3).zip(&p.panels) {
             for i in 0..p.k {
                 assert_eq!(
                     &panel[i * (e - s)..(i + 1) * (e - s)],

@@ -16,7 +16,7 @@ use crate::optimize;
 use crate::pool::{RuntimeConfig, ThreadPool};
 use crate::strategy::{GemmStrategy, KernelStrategy};
 use crate::{Result, RuntimeError};
-use mvtee_graph::{Graph, Node, NodeId, Op};
+use mvtee_graph::{Graph, Node, NodeId, Op, ValueId};
 use mvtee_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
@@ -309,9 +309,14 @@ impl Engine {
             strategy,
             op_latency,
             gemm_calls,
+            placeholder: Tensor::scalar(0.0),
         }))
     }
 }
+
+/// Inputs an op can take without a heap-allocated list: `BatchNorm`'s
+/// five, and all but the widest `Concat`s.
+const INLINE_INPUTS: usize = 8;
 
 struct Interpreter {
     graph: Graph,
@@ -325,6 +330,8 @@ struct Interpreter {
     strategy: GemmStrategy,
     op_latency: mvtee_telemetry::Histogram,
     gemm_calls: mvtee_telemetry::Counter,
+    /// Fills the unused slots of an op's inline input array.
+    placeholder: Tensor,
 }
 
 impl Interpreter {
@@ -438,17 +445,27 @@ impl PreparedModel for Interpreter {
         }
         for &nid in &self.order {
             let node = self.graph.node(nid)?;
-            let mut in_refs: Vec<&Tensor> = Vec::with_capacity(node.inputs.len());
-            for &i in &node.inputs {
-                let t = values[i.0]
+            let input = |i: ValueId| {
+                values[i.0]
                     .as_ref()
                     .or_else(|| self.graph.initializer(i))
                     .ok_or_else(|| RuntimeError::Kernel {
                         node: node.name.clone(),
                         reason: format!("missing value {}", i.0),
-                    })?;
-                in_refs.push(t);
-            }
+                    })
+            };
+            // Every op but a wide `Concat` fits the inline array.
+            let mut inline = [&self.placeholder; INLINE_INPUTS];
+            let spilled: Vec<&Tensor>;
+            let in_refs: &[&Tensor] = if node.inputs.len() <= INLINE_INPUTS {
+                for (slot, &i) in inline.iter_mut().zip(&node.inputs) {
+                    *slot = input(i)?;
+                }
+                &inline[..node.inputs.len()]
+            } else {
+                spilled = node.inputs.iter().map(|&i| input(i)).collect::<Result<_>>()?;
+                &spilled
+            };
             let tracer = mvtee_telemetry::trace::recorder();
             let _op_trace = if tracer.is_enabled() {
                 // One span per op under the ambient (variant-run) span,
@@ -469,7 +486,7 @@ impl PreparedModel for Interpreter {
             };
             let out = {
                 let _op_span = self.op_latency.start();
-                self.compute(node, &in_refs)
+                self.compute(node, in_refs)
             }
                 .map_err(|e| match e {
                     RuntimeError::Kernel { reason, .. } => {

@@ -5,7 +5,7 @@
 //! accumulation), reproducing the implementation heterogeneity of real
 //! inference stacks.
 
-use crate::blas::Blas;
+use crate::blas::{Blas, RowOrder};
 use crate::cache::{pack_hits, pack_misses, KernelCtx, PackedGemm};
 use crate::simd;
 use crate::strategy::GemmStrategy;
@@ -148,6 +148,11 @@ pub fn conv2d_im2col(
 /// arena bytes) so both the filter row and the patch column are contiguous,
 /// then runs one fixed-tree [`simd::dot8`] per output element.
 ///
+/// Under `Scalar` / `PanelPacked`, two shapes skip the column buffer and
+/// compute the same bytes: a depthwise conv runs as one direct kernel when
+/// the backend declares its [`RowOrder`], and a 1×1, stride-1, unpadded
+/// conv hands its input plane to the GEMM as the column matrix it is.
+///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on shape inconsistencies.
@@ -175,6 +180,45 @@ pub fn conv2d_im2col_with(
     let xs = x.data();
     let ws = w.data();
     let mut out = vec![0.0f32; n * oc * oh * ow];
+    // Both branches below compute the generic path's bytes. When two NaN
+    // operands meet in one addition, which one's bits survive depends on
+    // how the compiler ordered that addition's operands, so the branches
+    // only run where at most one NaN can reach any addition: finite bias,
+    // and for depthwise finite weights and inputs too.
+    let finite_bias = bias.is_none_or(|b| all_finite(b.data()));
+    if strategy != GemmStrategy::SimdMicrokernel && finite_bias {
+        // Depthwise: one input channel per group. The direct kernel
+        // replays the backend's declared per-element sequence (see
+        // `depthwise_direct`).
+        if let RowOrder::AscendingK { skips_zero_a } = blas.row_order() {
+            if a.groups == c && oc == c && all_finite(ws) && all_finite(xs) {
+                depthwise_direct(ctx, xs, ws, bias, a, (n, c, h, wd), skips_zero_a, &mut out);
+                return Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?);
+            }
+        }
+        // Pointwise: with a 1×1 window, stride 1 and no padding the
+        // column matrix is the input plane itself, so the GEMM reads it in
+        // place and writes the output. Same call, same operands, for
+        // every backend.
+        if a.groups == 1 && (kh, kw) == (1, 1) && a.stride == (1, 1) && a.padding == (0, 0) {
+            for b_i in 0..n {
+                let dst = &mut out[b_i * oc * cols..(b_i + 1) * oc * cols];
+                let src = &xs[b_i * c * cols..(b_i + 1) * c * cols];
+                ctx.pool.par_gemm(blas, oc, cols, c, ws, src, dst);
+                // `+ 0.0` without a bias, as the generic epilogue: it
+                // turns a custom backend's `−0.0` into `+0.0`.
+                ctx.pool.for_each_chunk(oc, cols, dst, |_, o0, _, block| {
+                    for (local, plane) in block.chunks_mut(cols).enumerate() {
+                        let bias_v = bias.map(|t| t.data()[o0 + local]).unwrap_or(0.0);
+                        for v in plane {
+                            *v += bias_v;
+                        }
+                    }
+                });
+            }
+            return Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?);
+        }
+    }
     let mut col = ctx.arena.take(patch * cols);
     let mut prod = ctx.arena.take(oc_per_group * cols);
     // One im2col row block per input channel: `kh·kw` patch rows.
@@ -305,6 +349,90 @@ pub fn conv2d_im2col_with(
     ctx.arena.give(col);
     ctx.arena.give(prod);
     Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
+}
+
+/// `true` when every value is finite. A fold without short-circuit, so
+/// the check vectorises.
+fn all_finite(values: &[f32]) -> bool {
+    values.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
+/// The depthwise branch of [`conv2d_im2col_with`]: one `for_each_chunk`
+/// region over the `n · c` planes, no column matrix and no GEMM call.
+///
+/// The generic path multiplies each channel's `[1, kh·kw]` filter with its
+/// `[kh·kw, oh·ow]` column matrix, whose padding entries are `0.0`, then
+/// adds the bias. Under [`RowOrder::AscendingK`] every output element of
+/// that product is `+0.0` plus `w[kk] · col[kk]` in ascending `kk` (minus
+/// the zero-weight taps when `skips_zero_a`), and this kernel adds the
+/// same products in the same order. It leaves out the padding taps:
+/// an accumulator that starts at `+0.0` is never `−0.0` (a sum is `−0.0`
+/// only when both addends are), so adding `w · 0.0 = ±0.0` to it changes
+/// no bit — as long as `w` is finite, which the caller checked.
+#[allow(clippy::too_many_arguments)] // the conv operands plus the declared order
+fn depthwise_direct(
+    ctx: &KernelCtx,
+    xs: &[f32],
+    ws: &[f32],
+    bias: Option<&Tensor>,
+    a: &ConvAttrs,
+    (n, c, h, wd): (usize, usize, usize, usize),
+    skips_zero_a: bool,
+    out: &mut [f32],
+) {
+    let (kh, kw) = a.kernel;
+    let (sh, sw) = a.stride;
+    let (ph, pw) = a.padding;
+    let (oh, ow) = conv_out_dims(h, wd, a);
+    let plane = oh * ow;
+    // The output columns whose input column `ox·sw + kx − pw` lies inside
+    // the row, per `kx`: computed once per op, no division per channel.
+    let spans: Vec<(usize, usize)> = (0..kw)
+        .map(|kx| {
+            let lo = pw.saturating_sub(kx).div_ceil(sw).min(ow);
+            let hi = (wd + pw).saturating_sub(kx).div_ceil(sw).min(ow);
+            (lo, hi.max(lo))
+        })
+        .collect();
+    ctx.pool.for_each_chunk(n * c, plane, out, |_, p0, _, block| {
+        for (local, dst) in block.chunks_mut(plane).enumerate() {
+            let p = p0 + local;
+            let ch = p % c;
+            let src = &xs[p * h * wd..(p + 1) * h * wd];
+            let wc = &ws[ch * kh * kw..(ch + 1) * kh * kw];
+            // `dst` starts zeroed: it is the accumulator.
+            for (oy, acc) in dst.chunks_mut(ow).enumerate() {
+                for ky in 0..kh {
+                    let Some(iy) = (oy * sh + ky).checked_sub(ph).filter(|&iy| iy < h) else {
+                        continue;
+                    };
+                    let row = &src[iy * wd..(iy + 1) * wd];
+                    for (kx, &(lo, hi)) in spans.iter().enumerate() {
+                        let wv = wc[ky * kw + kx];
+                        if lo == hi || (skips_zero_a && wv == 0.0) {
+                            continue;
+                        }
+                        // The span's first input column; the rest follow
+                        // every `sw`.
+                        let ix0 = lo * sw + kx - pw;
+                        if sw == 1 {
+                            for (d, &xv) in acc[lo..hi].iter_mut().zip(&row[ix0..ix0 + hi - lo]) {
+                                *d += wv * xv;
+                            }
+                        } else {
+                            for (i, d) in acc[lo..hi].iter_mut().enumerate() {
+                                *d += wv * row[ix0 + i * sw];
+                            }
+                        }
+                    }
+                }
+            }
+            let bias_v = bias.map(|t| t.data()[ch]).unwrap_or(0.0);
+            for d in dst.iter_mut() {
+                *d += bias_v;
+            }
+        }
+    });
 }
 
 /// Direct NHWC convolution: input and output are `[n, h, w, c]`-ordered

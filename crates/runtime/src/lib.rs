@@ -58,7 +58,7 @@ pub mod pool;
 pub mod simd;
 pub mod strategy;
 
-pub use blas::{Blas, BlasKind, BlockedBlas, NaiveBlas, StridedBlas};
+pub use blas::{Blas, BlasKind, BlockedBlas, NaiveBlas, RowOrder, StridedBlas};
 pub use cache::{
     graph_fingerprint, session_cache, EngineCache, KernelCtx, PackedGemm, ScratchArena,
     SharedModel,

@@ -139,24 +139,18 @@ impl ThreadPool {
     /// The static chunk list for `items` work items: boundaries depend
     /// only on `items` and `max_parallelism` (or a single chunk for
     /// passthrough pools) — never on the thread count.
-    pub fn chunk_ranges(&self, items: usize) -> Vec<(usize, usize)> {
-        if items == 0 {
-            return Vec::new();
-        }
-        if self.passthrough {
-            return vec![(0, items)];
-        }
-        let n_chunks = self.cfg.max_parallelism.min(items);
-        let base = items / n_chunks;
-        let rem = items % n_chunks;
-        let mut ranges = Vec::with_capacity(n_chunks);
-        let mut start = 0;
-        for c in 0..n_chunks {
-            let len = base + usize::from(c < rem);
-            ranges.push((start, start + len));
-            start += len;
-        }
-        ranges
+    pub fn chunk_ranges(&self, items: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
+        let count = match items {
+            0 => 0,
+            _ if self.passthrough => 1,
+            _ => self.cfg.max_parallelism.min(items),
+        };
+        let (base, rem) = (items / count.max(1), items % count.max(1));
+        // The first `rem` chunks hold one item more than the rest.
+        (0..count).map(move |c| {
+            let start = c * base + c.min(rem);
+            (start, start + base + usize::from(c < rem))
+        })
     }
 
     /// Splits `out` (laid out as `items × stride` f32s) into the static
@@ -180,7 +174,7 @@ impl ThreadPool {
         if workers <= 1 || items * stride < self.cfg.min_parallel_elems {
             self.sequential_regions.inc();
             let mut rest = out;
-            for (c, &(s, e)) in ranges.iter().enumerate() {
+            for (c, (s, e)) in ranges.enumerate() {
                 let (head, tail) = rest.split_at_mut((e - s) * stride);
                 f(c, s, e, head);
                 rest = tail;
@@ -192,7 +186,7 @@ impl ThreadPool {
         let (tx, rx) = crossbeam::channel::unbounded::<(usize, usize, usize, &mut [f32])>();
         {
             let mut rest = out;
-            for (c, &(s, e)) in ranges.iter().enumerate() {
+            for (c, (s, e)) in ranges.enumerate() {
                 let (head, tail) = rest.split_at_mut((e - s) * stride);
                 tx.send((c, s, e, head)).expect("chunk queue send cannot fail");
                 rest = tail;
@@ -226,13 +220,14 @@ impl ThreadPool {
         let workers = self.cfg.intra_op_threads.min(ranges.len());
         if workers <= 1 {
             self.sequential_regions.inc();
-            return ranges.iter().enumerate().map(|(c, &(s, e))| f(c, s, e)).collect();
+            return ranges.enumerate().map(|(c, (s, e))| f(c, s, e)).collect();
         }
         self.parallel_regions.inc();
-        self.chunks.add(ranges.len() as u64);
+        let n_chunks = ranges.len();
+        self.chunks.add(n_chunks as u64);
         let (tx, rx) = crossbeam::channel::unbounded::<(usize, usize, usize)>();
         let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, T)>();
-        for (c, &(s, e)) in ranges.iter().enumerate() {
+        for (c, (s, e)) in ranges.enumerate() {
             tx.send((c, s, e)).expect("chunk queue send cannot fail");
         }
         drop(tx);
@@ -252,7 +247,7 @@ impl ThreadPool {
             }
         });
         drop(res_tx);
-        let mut slots: Vec<Option<T>> = (0..ranges.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
         while let Ok((c, v)) = res_rx.recv() {
             slots[c] = Some(v);
         }
@@ -328,7 +323,7 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let pool = ThreadPool::new(RuntimeConfig::with_threads(threads));
             for items in [1usize, 7, 8, 9, 100, 1023] {
-                let ranges = pool.chunk_ranges(items);
+                let ranges: Vec<_> = pool.chunk_ranges(items).collect();
                 assert!(ranges.len() <= 8);
                 assert_eq!(ranges.first().map(|r| r.0), Some(0));
                 assert_eq!(ranges.last().map(|r| r.1), Some(items));
@@ -337,16 +332,16 @@ mod tests {
                 }
                 // Identical to the single-thread pool's list.
                 let seq = ThreadPool::new(RuntimeConfig::with_threads(1));
-                assert_eq!(ranges, seq.chunk_ranges(items));
+                assert_eq!(ranges, seq.chunk_ranges(items).collect::<Vec<_>>());
             }
         }
-        assert!(ThreadPool::new(RuntimeConfig::default()).chunk_ranges(0).is_empty());
+        assert_eq!(ThreadPool::new(RuntimeConfig::default()).chunk_ranges(0).len(), 0);
     }
 
     #[test]
     fn passthrough_is_a_single_chunk() {
         let pool = ThreadPool::passthrough();
-        assert_eq!(pool.chunk_ranges(100), vec![(0, 100)]);
+        assert_eq!(pool.chunk_ranges(100).collect::<Vec<_>>(), vec![(0, 100)]);
     }
 
     #[test]

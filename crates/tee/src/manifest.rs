@@ -41,6 +41,24 @@ pub enum Syscall {
     Exit,
 }
 
+impl Syscall {
+    /// Every syscall, in declaration order (`call as usize` indexes it).
+    pub const ALL: [Syscall; 12] = [
+        Syscall::Open,
+        Syscall::Read,
+        Syscall::Write,
+        Syscall::Exec,
+        Syscall::Connect,
+        Syscall::Accept,
+        Syscall::Mmap,
+        Syscall::Mprotect,
+        Syscall::Ioctl,
+        Syscall::Clone,
+        Syscall::ClockGetTime,
+        Syscall::Exit,
+    ];
+}
+
 impl fmt::Display for Syscall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -151,6 +169,13 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_syscalls_are_indexed_by_discriminant() {
+        for (i, call) in Syscall::ALL.into_iter().enumerate() {
+            assert_eq!(call as usize, i, "{call}");
+        }
+    }
 
     #[test]
     fn empty_manifest_denies_everything() {

@@ -9,7 +9,7 @@
 //!   and in the main stage.
 //! * **One-way `exec()` transition** — the first `exec()` switches to the
 //!   second-stage manifest and resets state "as thoroughly as possible"
-//!   (the simulation clears the syscall log, host environment view and
+//!   (the simulation clears the syscall record, host environment view and
 //!   pending host args).
 //! * **Key management** — the variant-specific key installed by the
 //!   init-variant acts as a *key-derivation key*; per-file one-time keys
@@ -24,7 +24,7 @@ use crate::{Result, TeeError};
 use mvtee_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
 use mvtee_crypto::sha256::hkdf;
 use mvtee_crypto::{random_array, random_bytes};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Bootstrap stage of a variant TEE.
@@ -187,6 +187,29 @@ impl ProtectedFs {
     }
 }
 
+/// How many of the most recent allowed syscalls a [`TeeOs`] keeps.
+pub const RECENT_SYSCALLS: usize = 64;
+
+/// What the TEE OS remembers of the syscalls it allowed: a count per
+/// syscall and the [`RECENT_SYSCALLS`] latest in order. A variant issues
+/// two per batch for as long as it serves, so nothing here grows with
+/// uptime.
+#[derive(Debug, Default)]
+struct SyscallRecord {
+    counts: [u64; Syscall::ALL.len()],
+    recent: VecDeque<Syscall>,
+}
+
+impl SyscallRecord {
+    fn push(&mut self, call: Syscall) {
+        self.counts[call as usize] += 1;
+        if self.recent.len() == RECENT_SYSCALLS {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(call);
+    }
+}
+
 /// The TEE OS instance backing one enclave.
 #[derive(Debug)]
 pub struct TeeOs {
@@ -198,7 +221,7 @@ pub struct TeeOs {
     fs: ProtectedFs,
     /// Untrusted host files (plaintext, integrity unprotected).
     host_files: HashMap<String, Vec<u8>>,
-    syscall_log: Vec<Syscall>,
+    syscalls: SyscallRecord,
 }
 
 impl TeeOs {
@@ -212,7 +235,7 @@ impl TeeOs {
             kdk: None,
             fs: ProtectedFs::new(),
             host_files: HashMap::new(),
-            syscall_log: Vec::new(),
+            syscalls: SyscallRecord::default(),
         }
     }
 
@@ -251,13 +274,20 @@ impl TeeOs {
                 stage: self.stage.to_string(),
             });
         }
-        self.syscall_log.push(call);
+        self.syscalls.push(call);
         Ok(())
     }
 
-    /// Syscalls issued since boot / the last stage transition.
-    pub fn syscall_log(&self) -> &[Syscall] {
-        &self.syscall_log
+    /// How many times `call` was allowed since boot / the last stage
+    /// transition.
+    pub fn syscall_count(&self, call: Syscall) -> u64 {
+        self.syscalls.counts[call as usize]
+    }
+
+    /// The last (up to [`RECENT_SYSCALLS`]) allowed syscalls since boot /
+    /// the last stage transition, oldest first.
+    pub fn recent_syscalls(&self) -> impl Iterator<Item = Syscall> + '_ {
+        self.syscalls.recent.iter().copied()
     }
 
     /// Provisions a plaintext file on the untrusted host side.
@@ -415,7 +445,7 @@ impl TeeOs {
         self.active = next;
         self.stage = Stage::Main;
         // State reset "as thoroughly as possible".
-        self.syscall_log.clear();
+        self.syscalls = SyscallRecord::default();
         self.host_files.clear();
         Ok(())
     }
@@ -436,7 +466,26 @@ mod tests {
         let mut os = TeeOs::new(Manifest::main_variant("m"));
         os.syscall(Syscall::Read).unwrap();
         assert!(matches!(os.syscall(Syscall::Ioctl), Err(TeeError::SyscallDenied { .. })));
-        assert_eq!(os.syscall_log(), &[Syscall::Read]);
+        assert_eq!(os.recent_syscalls().collect::<Vec<_>>(), [Syscall::Read]);
+        assert_eq!(os.syscall_count(Syscall::Read), 1);
+        assert_eq!(os.syscall_count(Syscall::Ioctl), 0);
+    }
+
+    #[test]
+    fn syscall_record_stays_bounded() {
+        let mut os = TeeOs::new(Manifest::main_variant("m"));
+        for i in 0..100_000 {
+            let call = if i % 2 == 0 { Syscall::Read } else { Syscall::Write };
+            os.syscall(call).unwrap();
+        }
+        assert_eq!(os.syscall_count(Syscall::Read), 50_000);
+        assert_eq!(os.syscall_count(Syscall::Write), 50_000);
+        assert_eq!(os.syscall_count(Syscall::Open), 0);
+        let recent: Vec<_> = os.recent_syscalls().collect();
+        assert_eq!(recent.len(), RECENT_SYSCALLS);
+        assert_eq!(recent.first(), Some(&Syscall::Read));
+        assert_eq!(recent.last(), Some(&Syscall::Write));
+        assert!(os.syscalls.recent.capacity() < 2 * RECENT_SYSCALLS);
     }
 
     #[test]
@@ -575,7 +624,8 @@ mod tests {
         assert_eq!(os.stage(), Stage::Main);
         assert_eq!(os.manifest_hash(), second.hash());
         // State was reset.
-        assert!(os.syscall_log().is_empty());
+        assert_eq!(os.recent_syscalls().count(), 0);
+        assert!(Syscall::ALL.iter().all(|&call| os.syscall_count(call) == 0));
     }
 
     #[test]

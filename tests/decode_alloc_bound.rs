@@ -3,12 +3,15 @@
 //! 2 × input length + 4 KiB at its peak, whatever the bytes claim.
 //!
 //! The types are the ones whose bytes arrive from outside a TEE: a
-//! tenant's [`ProvisionRequest`], the untrusted orchestrator's
-//! [`WorkerPlacement`], the host-stored [`SealedVariantPayload`], and the
-//! bootstrap frames between monitor and variant host — [`BootstrapRequest`],
-//! [`BootstrapResponse`] and the sealed [`KeyRelease`] and
-//! [`InstallEvidence`] inside them. A counting global allocator tracks this
-//! thread's live heap, so the tests in this binary may run in parallel.
+//! tenant's [`ProvisionRequest`] and the registry's [`ProvisionReply`],
+//! the untrusted orchestrator's [`WorkerPlacement`], the host-stored
+//! [`SealedVariantPayload`], the bootstrap frames between monitor and
+//! variant host — [`BootstrapRequest`], [`BootstrapResponse`] and the
+//! sealed [`KeyRelease`] and [`InstallEvidence`] inside them — and the
+//! data-plane frames every checkpoint carries, [`StageRequest`] and the
+//! [`StageResponse`] a compromised variant writes. A counting global
+//! allocator tracks this thread's live heap, so the tests in this binary
+//! may run in parallel.
 //!
 //! One shape is costlier, though still linear: a [`Manifest`] set of many
 //! distinct short names costs about 40 bytes of B-tree node per name
@@ -17,13 +20,15 @@
 
 use mvtee::messages::{
     decode, encode, BootstrapRequest, BootstrapResponse, InstallEvidence, KeyRelease,
+    StageRequest, StageResponse,
 };
 use mvtee::variant_host::SealedVariantPayload;
 use mvtee::WorkerPlacement;
 use mvtee_codec::Bytes;
 use mvtee_registry::framing::UploadManifest;
-use mvtee_registry::protocol::ProvisionRequest;
+use mvtee_registry::protocol::{ProvisionReply, ProvisionRequest};
 use mvtee_tee::{CodeIdentity, Enclave, Manifest, Platform, TeeKind};
+use mvtee_tensor::Tensor;
 use proptest::prelude::*;
 use proptest::sample::Index;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -91,6 +96,9 @@ fn assert_decodes_within_bound(bytes: &[u8]) {
         ("BootstrapResponse", peak_of(|| decode::<BootstrapResponse>(bytes))),
         ("KeyRelease", peak_of(|| decode::<KeyRelease>(bytes))),
         ("InstallEvidence", peak_of(|| decode::<InstallEvidence>(bytes))),
+        ("ProvisionReply", peak_of(|| decode::<ProvisionReply>(bytes))),
+        ("StageRequest", peak_of(|| decode::<StageRequest>(bytes))),
+        ("StageResponse", peak_of(|| decode::<StageResponse>(bytes))),
     ];
     for (name, peak) in peaks {
         assert!(peak <= bound, "{name}: peak {peak} B for {} input bytes", bytes.len());
@@ -101,7 +109,7 @@ fn pattern(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i * 31 + 7) as u8).collect()
 }
 
-/// Valid encodings of every variant of the seven types, bulk fields up to
+/// Valid encodings of every variant of the ten types, bulk fields up to
 /// a few kilobytes long.
 fn valid_encodings() -> Vec<Vec<u8>> {
     let manifest = UploadManifest {
@@ -170,7 +178,33 @@ fn valid_encodings() -> Vec<Vec<u8>> {
     out.push(encode(&BootstrapResponse::Failed { reason: "expected key release".into() }).unwrap());
     out.push(encode(&release).unwrap());
     out.push(encode(&installed).unwrap());
+    let replies = [
+        ProvisionReply::Begun { upload_id: 4, resume_from: 2, challenge: Some([8; 32]) },
+        ProvisionReply::Begun { upload_id: 4, resume_from: 0, challenge: None },
+        ProvisionReply::ChunkOk { index: 3 },
+        ProvisionReply::Aborted { upload_id: 4 },
+        ProvisionReply::Finalized { fingerprint: 0xfeed, dedup: true },
+        ProvisionReply::Rejected { error: "chunk 3 failed authentication".into() },
+        ProvisionReply::Bye,
+    ];
+    out.extend(replies.iter().map(|r| encode(r).unwrap()));
+    out.push(
+        encode(&StageRequest::Input { batch: 7, trace: (1, 2), tensors: stage_tensors() })
+            .unwrap(),
+    );
+    out.push(encode(&StageRequest::Shutdown).unwrap());
+    out.push(encode(&StageResponse::Output { batch: 7, tensors: stage_tensors() }).unwrap());
+    out.push(encode(&StageResponse::Crashed { batch: 7, reason: "segfault".into() }).unwrap());
     out
+}
+
+/// A checkpoint's boundary tensors: an activation map and a small matrix.
+fn stage_tensors() -> Vec<Tensor> {
+    let plane = (0..3 * 8 * 8).map(|i| i as f32 / 7.0).collect();
+    vec![
+        Tensor::from_vec(plane, &[1, 3, 8, 8]).unwrap(),
+        Tensor::from_vec(vec![0.5; 10], &[2, 5]).unwrap(),
+    ]
 }
 
 proptest! {
@@ -245,6 +279,48 @@ fn valid_and_u64_max_prefixed_messages_decode_within_the_bound() {
     // `sealed`, `sealed_blob`, `init_code`, `bundle` and the two sealed
     // bootstrap payloads.
     assert_eq!(prefixes, 6);
+}
+
+/// A data-plane frame whose tensor `dims` lie: their product overflows a
+/// `usize`, or names far more elements than the data that follows. The
+/// decoder refuses each without reserving for the claim, and so do frames
+/// whose tensor count, dims count or data length is `u64::MAX`.
+#[test]
+fn hostile_tensor_frames_decode_within_the_bound() {
+    let request = encode(&StageRequest::Input { batch: 7, trace: (1, 2), tensors: stage_tensors() })
+        .unwrap();
+    let response = encode(&StageResponse::Output { batch: 7, tensors: stage_tensors() }).unwrap();
+    let words = |values: &[u64]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    // The first tensor's dims, with their count in front.
+    let dims = words(&[4, 1, 3, 8, 8]);
+    let hostile_dims: [&[u64]; 4] = [
+        &[4, u64::MAX, 3, 8, 8],
+        &[4, 1 << 32, 1 << 32, 8, 8],
+        &[4, 1 << 20, 1 << 20, 8, 8],
+        &[4, 1, 3, 8, 9],
+    ];
+    for frame in [&request, &response] {
+        let at = frame.windows(dims.len()).position(|w| w == dims).expect("dims are encoded");
+        for lie in hostile_dims {
+            let mut hostile = frame.clone();
+            hostile[at..at + dims.len()].copy_from_slice(&words(lie));
+            assert!(decode::<StageRequest>(&hostile).is_err(), "{lie:?}");
+            assert!(decode::<StageResponse>(&hostile).is_err(), "{lie:?}");
+            assert_decodes_within_bound(&hostile);
+        }
+        // `u64::MAX`, and as many as there are bytes left, as the tensor
+        // count (the eight bytes before the dims), the dims count, and the
+        // data length (after the dims).
+        for len_at in [at - 8, at, at + dims.len()] {
+            for claim in [u64::MAX, (frame.len() - len_at - 8) as u64] {
+                let mut hostile = frame.clone();
+                hostile[len_at..len_at + 8].copy_from_slice(&claim.to_le_bytes());
+                assert!(decode::<StageRequest>(&hostile).is_err());
+                assert!(decode::<StageResponse>(&hostile).is_err());
+                assert_decodes_within_bound(&hostile);
+            }
+        }
+    }
 }
 
 /// The costly shape: a manifest set of `n` distinct short names, as the
