@@ -22,7 +22,7 @@ use crate::events::{EventLog, MonitorEvent};
 use crate::messages::encode;
 use crate::link::ResponsePort;
 use crate::pipeline::{
-    spawn_pipeline, CoordMsg, PipelineHandles, Reply, StageJob, StagePolicy, StageRuntime,
+    enqueue, spawn_pipeline, CoordMsg, PipelineHandles, Reply, StageJob, StagePolicy, StageRuntime,
 };
 use crate::provision::Provisioner;
 use crate::recovery::{spawn_recovery_manager, RecoveryContext, RecoveryRequest};
@@ -30,7 +30,6 @@ use crate::transcript::TranscriptLog;
 use crate::variant_host::{HostFaults, SealedVariantPayload};
 use crate::worker::VariantPlacement;
 use crate::{MvxError, Result};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError};
 use mvtee_codec::Bytes;
 use mvtee_crypto::random_array;
 use mvtee_crypto::sha256::sha256;
@@ -50,6 +49,7 @@ use mvtee_tee::{
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -861,7 +861,7 @@ impl Deployment {
         // requests, and the manager exits once the last is dropped.
         let mut recovery = None;
         if self.config.recovery.enabled {
-            let (tx, rx) = unbounded::<RecoveryRequest>();
+            let (tx, rx) = channel::<RecoveryRequest>();
             let ctx = RecoveryContext {
                 provisioner: Arc::clone(&self.provisioner),
                 subgraphs: self.offline.subgraphs.clone(),
@@ -877,7 +877,7 @@ impl Deployment {
         for (p, claim) in self.config.claims.iter().enumerate() {
             let stage = &self.offline.partition_set.stages[p];
             // Every variant of the stage answers straight into its inbox.
-            let (inbox, responses) = unbounded();
+            let (inbox, responses) = channel();
             let mut links = Vec::with_capacity(claim.variants);
             for (v, artifact) in self.offline.artifacts[p].iter().enumerate() {
                 let (faults, netfault) = faults_at(&self.faults, Some((p, v)));
@@ -1020,10 +1020,10 @@ impl Deployment {
             }))
         });
         let env = HashMap::from([(self.input_value, input)]);
-        handles
-            .first_stage
-            .send(CoordMsg::Job(StageJob { batch, env, poisoned: None, trace, reply }))
-            .map_err(|_| MvxError::Transport("pipeline input closed".into()))?;
+        let job = StageJob { batch, env, poisoned: None, trace, reply };
+        if !enqueue(&handles.first_stage, &handles.first_stage_depth, job) {
+            return Err(MvxError::Transport("pipeline input closed".into()));
+        }
         self.next_batch += 1;
         Ok(batch)
     }
@@ -1031,7 +1031,7 @@ impl Deployment {
     /// [`Deployment::submit`] with the answer delivered to the returned
     /// one-shot channel.
     fn submit_awaited(&mut self, input: mvtee_tensor::Tensor) -> Result<Receiver<Output>> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.submit(input, TraceCtx::NONE, move |output| {
             let _ = tx.send(output);
         })?;
@@ -1576,7 +1576,7 @@ mod tests {
             ];
             for (stop, run_stop) in stops {
                 let mut d = builder.clone().build().unwrap();
-                let (tx, answers) = unbounded();
+                let (tx, answers) = channel();
                 for (i, input) in inputs.iter().enumerate() {
                     let tx = tx.clone();
                     d.submit(input.clone(), TraceCtx::NONE, move |out| tx.send((i, out)).unwrap())

@@ -5,9 +5,8 @@
 //! appended here. The update log is append-only "for auditing purposes"
 //! (§4.3); experiments and tests assert detection through this log.
 
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Increments the global counter `$name` through a handle resolved once
@@ -332,21 +331,24 @@ impl EventLog {
             }
         }
         let t = self.start.map(|s| s.elapsed().as_secs_f64()).unwrap_or(0.0);
-        self.inner.lock().push((t, event));
+        self.log().push((t, event));
+    }
+
+    /// The entries, locked. A poisoned lock is taken over, not refused:
+    /// the log is the incident record a panicking stage leaves behind, and
+    /// its only update is one `push`, so no panic leaves it half-written.
+    fn log(&self) -> MutexGuard<'_, Vec<(f64, MonitorEvent)>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Snapshot of all events (timestamp seconds, event).
     pub fn snapshot(&self) -> Vec<(f64, MonitorEvent)> {
-        self.inner.lock().clone()
+        self.log().clone()
     }
 
     /// All entries as [`TimedEvent`]s, in recording order.
     pub fn entries(&self) -> Vec<TimedEvent> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(t, e)| TimedEvent { elapsed_secs: *t, event: e.clone() })
-            .collect()
+        self.log().iter().map(|(t, e)| TimedEvent { elapsed_secs: *t, event: e.clone() }).collect()
     }
 
     /// Renders the log as one `[+N.NNNs] message` line per entry.
@@ -356,22 +358,22 @@ impl EventLog {
 
     /// All events without timestamps.
     pub fn events(&self) -> Vec<MonitorEvent> {
-        self.inner.lock().iter().map(|(_, e)| e.clone()).collect()
+        self.log().iter().map(|(_, e)| e.clone()).collect()
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.log().len()
     }
 
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.log().is_empty()
     }
 
     /// What `pick` makes of each event it matches, in recording order.
     fn select<T>(&self, pick: impl FnMut(&MonitorEvent) -> Option<T>) -> Vec<T> {
-        self.inner.lock().iter().map(|(_, e)| e).filter_map(pick).collect()
+        self.log().iter().map(|(_, e)| e).filter_map(pick).collect()
     }
 
     /// Checkpoint verdicts that passed: `(partition, batch, agreeing)`
@@ -516,6 +518,21 @@ mod tests {
         let clone = log.clone();
         clone.record(MonitorEvent::LateDissent { partition: 0, batch: 1, variant: 2 });
         assert_eq!(log.len(), 1);
+    }
+
+    /// A thread that panics holding the log poisons nothing: what it
+    /// recorded stays readable, and recording goes on.
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_log_usable() {
+        let log = EventLog::new();
+        log.record(MonitorEvent::LateDissent { partition: 0, batch: 1, variant: 2 });
+        let holder = log.clone();
+        let panicked = std::thread::spawn(move || {
+            holder.select(|_| -> Option<()> { panic!("a stage panics mid-read") })
+        });
+        assert!(panicked.join().is_err());
+        log.record(MonitorEvent::LateDissent { partition: 0, batch: 2, variant: 2 });
+        assert_eq!(log.len(), 2);
     }
 
     #[test]

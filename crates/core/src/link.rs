@@ -18,9 +18,9 @@
 
 use crate::pipeline::Inbound;
 use crate::Result;
-use crossbeam::channel::Sender;
 use mvtee_crypto::channel::{memory_pair, FrameTransport, Handshake, Role, SecureChannel};
 use mvtee_crypto::CryptoError;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
 /// One endpoint of a protected (or deliberately unprotected) link.
@@ -180,6 +180,7 @@ pub fn link_pair(encrypt: bool, session_secret: &[u8], channel_id: u32) -> (Data
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn encrypted_round_trip() {
@@ -243,7 +244,7 @@ mod tests {
     /// closed.
     #[test]
     fn a_port_tags_frames_for_the_inbound_half_and_closes_once() {
-        let (inbox, inbound) = crossbeam::channel::unbounded();
+        let (inbox, inbound) = channel();
         let port = ResponsePort::new(inbox, 2, 5);
         let mut variant = DataLink::from_transport(port, true, b"s", Role::Responder, 1);
         let mut stage = DataLink::inbound(true, b"s", Role::Initiator, 1);
@@ -259,7 +260,7 @@ mod tests {
         assert!(matches!(inbound.try_recv(), Ok(Inbound::Closed { variant: 2, epoch: 5 })));
         assert!(inbound.try_recv().is_err(), "closed exactly once");
 
-        let (inbox, inbound) = crossbeam::channel::unbounded();
+        let (inbox, inbound) = channel();
         let port = ResponsePort::new(inbox, 0, 0);
         port.close();
         assert!(port.send_frame(vec![1]).is_err());
@@ -272,10 +273,10 @@ mod tests {
     /// port's next frame; a closed port cannot be re-pointed.
     #[test]
     fn a_repointed_port_delivers_behind_its_first_message() {
-        let (private, on_probation) = crossbeam::channel::unbounded();
+        let (private, on_probation) = channel();
         let port = ResponsePort::new(private, 1, 3);
         port.send_frame(vec![7]).unwrap();
-        let (inbox, stage) = crossbeam::channel::unbounded();
+        let (inbox, stage) = channel();
         assert!(port.repoint_handle().to(inbox.clone(), Inbound::Closed { variant: 9, epoch: 9 }));
         port.send_frame(vec![8]).unwrap();
         assert_eq!(frame_of(on_probation.try_recv().unwrap()), Some((1, 3, vec![7])));

@@ -26,12 +26,13 @@ use crate::recovery::RecoveryRequest;
 use crate::stage::{step, Action, Event, Path, Sink, StageConfig, StageState};
 use crate::transcript::TranscriptLog;
 use crate::voting::VariantOutput;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use mvtee_graph::ValueId;
 use mvtee_telemetry::trace::{self, TraceCtx};
+use mvtee_telemetry::Gauge;
 use mvtee_tensor::metrics::Metric;
 use mvtee_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -191,8 +192,9 @@ struct Shell {
     /// once that link has failed or closed. Anything else from a variant
     /// is dropped unopened.
     listening: Vec<Option<u64>>,
-    /// The next stage's job queue; `None` for the last stage.
-    next: Option<Sender<CoordMsg>>,
+    /// The next stage's job queue and its depth gauge; `None` for the
+    /// last stage.
+    next: Option<(SyncSender<CoordMsg>, Gauge)>,
     events: EventLog,
     // Fetched and formatted once: recording is lock-free afterwards.
     checkpoint_latency: mvtee_telemetry::Histogram,
@@ -223,7 +225,7 @@ pub fn run_stage(
     policy: StagePolicy,
     metric: Metric,
     in_rx: Receiver<CoordMsg>,
-    next: Option<Sender<CoordMsg>>,
+    next: Option<(SyncSender<CoordMsg>, Gauge)>,
     events: EventLog,
 ) -> StageRuntime {
     let partition = runtime.partition;
@@ -237,7 +239,7 @@ pub fn run_stage(
         metric,
     });
     let latency = format!("core.pipeline.p{partition}.checkpoint_latency_ns");
-    let queue_depth = mvtee_telemetry::gauge(&format!("core.pipeline.p{partition}.queue_depth"));
+    let queue_depth = queue_depth(partition);
     let mut shell = Shell {
         listening: vec![Some(0); runtime.links.len()],
         runtime,
@@ -257,11 +259,11 @@ pub fn run_stage(
     };
     while !shell.downstream_gone {
         let Ok(CoordMsg::Job(job)) = in_rx.recv() else { break };
-        queue_depth.set(in_rx.len() as i64);
+        queue_depth.add(-1);
         shell.run_job(&mut state, job, policy.deadline);
     }
     // Every job this stage took is forwarded: the stop follows them.
-    if let Some(next) = shell.next.take() {
+    if let Some((next, _)) = shell.next.take() {
         let _ = next.send(CoordMsg::Stop);
     }
     // Drain outstanding stragglers briefly, then shut the variants down.
@@ -364,7 +366,7 @@ impl Shell {
     /// it. A job the next stage can no longer take is dropped unanswered.
     fn pass_on(&mut self, job: StageJob) {
         match &self.next {
-            Some(next) => self.downstream_gone |= next.send(CoordMsg::Job(job)).is_err(),
+            Some((next, depth)) => self.downstream_gone |= !enqueue(next, depth, job),
             None => (job.reply)(match job.poisoned {
                 Some(reason) => Err(reason),
                 None => Ok(job.env),
@@ -434,10 +436,33 @@ impl Sink for Shell {
     }
 }
 
+/// The `core.pipeline.p<P>.queue_depth` gauge: jobs sent to partition
+/// `P`'s stage and not yet taken by it, a sender blocked on a full queue
+/// included. Every replica's stage `P` counts into the same gauge, so the
+/// value is summed over replicas.
+fn queue_depth(partition: usize) -> Gauge {
+    mvtee_telemetry::gauge(&format!("core.pipeline.p{partition}.queue_depth"))
+}
+
+/// Sends `job` into a stage's queue, counted on that stage's `depth`
+/// gauge from before the send until the stage takes it. `false`: the
+/// stage is gone, the job dropped and the count taken back.
+pub(crate) fn enqueue(queue: &SyncSender<CoordMsg>, depth: &Gauge, job: StageJob) -> bool {
+    depth.add(1);
+    let sent = queue.send(CoordMsg::Job(job)).is_ok();
+    if !sent {
+        depth.add(-1);
+    }
+    sent
+}
+
 /// A handle to the running pipeline.
 pub struct PipelineHandles {
-    /// Sender into the first stage: jobs, then one [`CoordMsg::Stop`].
-    pub first_stage: Sender<CoordMsg>,
+    /// Sender into the first stage: jobs, each counted on
+    /// `first_stage_depth`, then one [`CoordMsg::Stop`].
+    pub first_stage: SyncSender<CoordMsg>,
+    /// The first stage's queue-depth gauge.
+    pub(crate) first_stage_depth: Gauge,
     /// Coordinator join handles (return their runtimes).
     pub threads: Vec<JoinHandle<StageRuntime>>,
 }
@@ -458,9 +483,14 @@ pub fn spawn_pipeline(
     let n = runtimes.len();
     assert!(n > 0, "pipeline needs at least one stage");
     assert_eq!(metrics.len(), n, "one metric per stage");
-    let (stage_inputs, stage_rxs): (Vec<Sender<CoordMsg>>, Vec<Receiver<CoordMsg>>) =
-        (0..n).map(|_| bounded(STAGE_QUEUE_DEPTH)).unzip();
-    let first_stage = stage_inputs[0].clone();
+    let (stage_inputs, stage_rxs): (Vec<_>, Vec<_>) = runtimes
+        .iter()
+        .map(|runtime| {
+            let (queue, in_rx) = sync_channel(STAGE_QUEUE_DEPTH);
+            ((queue, queue_depth(runtime.partition)), in_rx)
+        })
+        .unzip();
+    let (first_stage, first_stage_depth) = stage_inputs[0].clone();
     let downstream = stage_inputs.into_iter().skip(1).map(Some).chain([None]);
     let threads = runtimes
         .into_iter()
@@ -476,7 +506,7 @@ pub fn spawn_pipeline(
                 .expect("thread spawn cannot fail")
         })
         .collect();
-    PipelineHandles { first_stage, threads }
+    PipelineHandles { first_stage, first_stage_depth, threads }
 }
 
 #[cfg(test)]
@@ -487,8 +517,8 @@ mod tests {
     use super::*;
     use crate::events::MonitorEvent;
     use crate::link::{link_pair, ResponsePort};
-    use crossbeam::channel::unbounded;
     use mvtee_crypto::channel::Role;
+    use std::sync::mpsc::channel;
 
     /// Scripted fake variant behaviours.
     #[derive(Clone, Copy)]
@@ -531,7 +561,7 @@ mod tests {
     }
 
     fn fake_stage(partition: usize, behaviours: &[Behaviour], slow: bool) -> StageRuntime {
-        let (inbox, responses) = unbounded();
+        let (inbox, responses) = channel();
         let links = behaviours
             .iter()
             .enumerate()
@@ -588,8 +618,8 @@ mod tests {
         let deadline = Duration::from_millis(240);
         let chatter = Behaviour::ChatterFrom { batch: 1, every: deadline / 3, times: 30 };
         let runtime = fake_stage(0, &[Behaviour::Echo, Behaviour::Echo, chatter], true);
-        let (in_tx, in_rx) = bounded::<CoordMsg>(64);
-        let (out_tx, out_rx) = unbounded::<Answer>();
+        let (in_tx, in_rx) = sync_channel::<CoordMsg>(64);
+        let (out_tx, out_rx) = channel::<Answer>();
         let events = EventLog::new();
         let ev = events.clone();
         let p = policy(ResponsePolicy::ContinueWithMajority, deadline);
@@ -634,21 +664,22 @@ mod tests {
             vec![Metric::strict(), Metric::strict()],
             events.clone(),
         );
-        let (answers, answered) = unbounded::<Answer>();
-        handles.first_stage.send(CoordMsg::Job(job(0, 6.0, &answers))).expect("sends");
+        let (answers, answered) = channel::<Answer>();
+        let (first, depth) = (&handles.first_stage, &handles.first_stage_depth);
+        assert!(enqueue(first, depth, job(0, 6.0, &answers)));
         let result = answered.recv_timeout(Duration::from_secs(10)).expect("result");
         assert_eq!(result.expect("answered")[&ValueId(2)].data(), &[6.0; 4]);
         // A job an upstream stage failed passes through every stage
         // untouched and unaudited.
         let poisoned =
             StageJob { poisoned: Some("upstream failure".into()), ..job(1, 7.0, &answers) };
-        handles.first_stage.send(CoordMsg::Job(poisoned)).expect("sends");
+        assert!(enqueue(first, depth, poisoned));
         let result = answered.recv_timeout(Duration::from_secs(10)).expect("result");
         assert_eq!(result.err().as_deref(), Some("upstream failure"));
         assert!(events.is_empty());
         // A stop right behind a run of jobs answers every one of them.
         for b in 2..8 {
-            handles.first_stage.send(CoordMsg::Job(job(b, b as f32, &answers))).expect("sends");
+            assert!(enqueue(first, depth, job(b, b as f32, &answers)));
         }
         handles.first_stage.send(CoordMsg::Stop).expect("stops");
         for t in handles.threads {

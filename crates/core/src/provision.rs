@@ -573,7 +573,7 @@ mod tests {
         let (offline, provisioner) = fixture();
         let artifact = &offline.artifacts[0][0];
         let no_faults = HostFaults::default;
-        let (inbox, answers) = crossbeam::channel::unbounded();
+        let (inbox, answers) = std::sync::mpsc::channel();
         let port = || ResponsePort::new(inbox.clone(), 0, 0);
 
         // The variant notices: its sealed payload does not authenticate.
@@ -666,7 +666,7 @@ mod tests {
     #[test]
     fn a_low_order_variant_key_gets_no_key_release() {
         let (offline, provisioner) = fixture();
-        let (inbox, _answers) = crossbeam::channel::unbounded();
+        let (inbox, _answers) = std::sync::mpsc::channel();
         let port = ResponsePort::new(inbox, 0, 0);
         let faults = HostFaults { script: Some(low_order_host), ..HostFaults::default() };
         let artifact = &offline.artifacts[0][0];

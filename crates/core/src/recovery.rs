@@ -36,10 +36,10 @@ use crate::pipeline::Inbound;
 use crate::provision::Provisioner;
 use crate::variant_host::HostFaults;
 use crate::{MvxError, Result};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mvtee_diversify::{VariantGenerator, VariantId, VariantSpec};
 use mvtee_graph::Graph;
 use std::collections::{HashMap, VecDeque};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -226,7 +226,7 @@ fn attempt_recovery(ctx: &RecoveryContext, req: &RecoveryRequest, seq: u64) -> R
     )?;
     // It answers probation to the manager alone, and the stage only behind
     // the rejoin. It sends only what it is asked: no frame falls between.
-    let (private, answers) = unbounded();
+    let (private, answers) = channel();
     let port = ResponsePort::new(private, v, req.epoch);
     let repoint = port.repoint_handle();
     let faults = ctx.platform_faults.clone();

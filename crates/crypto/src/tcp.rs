@@ -8,7 +8,8 @@
 //! [`crate::channel::SecureChannel`] works identically over either.
 //!
 //! Framing: 4-byte big-endian length, then the frame bytes. Frames are
-//! capped at [`MAX_FRAME_LEN`] to bound allocation on malformed input.
+//! capped at [`MAX_FRAME_LEN`], and a frame's buffer grows with the bytes
+//! received, so a bare length prefix costs a few KiB, not its claim.
 
 use crate::channel::FrameTransport;
 use crate::{CryptoError, Result};
@@ -19,6 +20,11 @@ use std::sync::Mutex;
 /// Upper bound on a single frame (64 MiB — far above any checkpoint
 /// payload at the evaluated scales).
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+
+/// What a frame's buffer holds before any of its bytes arrive: frames up
+/// to this size are read into one exact allocation, longer ones grow from
+/// here by doubling as their bytes arrive.
+const FIRST_READ_LEN: usize = 4096;
 
 /// A TCP-backed [`FrameTransport`].
 ///
@@ -123,9 +129,14 @@ impl FrameTransport for TcpTransport {
         if len > MAX_FRAME_LEN {
             return Err(CryptoError::MalformedFrame);
         }
-        let mut frame = vec![0u8; len];
-        reader.read_exact(&mut frame).map_err(|_| CryptoError::MalformedFrame)?;
-        Ok(frame)
+        // The prefix is unauthenticated: the buffer starts small and grows
+        // with the bytes that actually arrive, never with the claim.
+        let mut frame = Vec::with_capacity(len.min(FIRST_READ_LEN));
+        let read = (&mut *reader).take(len as u64).read_to_end(&mut frame);
+        match read {
+            Ok(n) if n == len => Ok(frame),
+            _ => Err(CryptoError::MalformedFrame),
+        }
     }
 
     fn close(&self) {

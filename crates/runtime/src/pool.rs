@@ -26,10 +26,10 @@
 //! may legitimately diversify their `intra_op_threads` and still agree
 //! bit-exactly at checkpoints.
 //!
-//! Chunks are distributed over workers through a crossbeam channel; the
-//! assignment of chunk → worker is racy, but workers only ever write the
-//! disjoint output slice carried by the chunk itself, so scheduling
-//! nondeterminism is invisible in the output.
+//! Chunks are dealt to workers round-robin (chunk `c` to worker
+//! `c mod workers`); workers only ever write the disjoint output slice
+//! carried by the chunk itself, and per-chunk results are gathered by
+//! chunk index, so which worker ran a chunk is invisible in the output.
 
 use crate::kernels::{reduce_sum, tree_sum, Accumulation};
 use crate::Blas;
@@ -69,12 +69,11 @@ impl RuntimeConfig {
 
 /// The deterministic intra-op thread pool.
 ///
-/// Stateless between regions: each parallel region spawns scoped workers
-/// that drain a pre-split chunk queue and exit. (The vendored crossbeam
-/// provides channels only, and every crate but the crypto dispatch shims
-/// forbids `unsafe`, so a persistent pool borrowing caller slices is not
-/// expressible — scoped spawning keeps the borrows safe and the design
-/// allocation-light.)
+/// Stateless between regions: each parallel region deals its pre-split
+/// chunks round-robin to scoped workers, which run their share and exit.
+/// (Every crate but the crypto dispatch shims forbids `unsafe`, so a
+/// persistent pool borrowing caller slices is not expressible — scoped
+/// spawning keeps the borrows safe and the design allocation-light.)
 pub struct ThreadPool {
     cfg: RuntimeConfig,
     /// Passthrough pools run every region as one inline chunk — used for
@@ -183,23 +182,18 @@ impl ThreadPool {
         }
         self.parallel_regions.inc();
         self.chunks.add(ranges.len() as u64);
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, usize, usize, &mut [f32])>();
-        {
-            let mut rest = out;
-            for (c, (s, e)) in ranges.enumerate() {
-                let (head, tail) = rest.split_at_mut((e - s) * stride);
-                tx.send((c, s, e, head)).expect("chunk queue send cannot fail");
-                rest = tail;
-            }
+        let mut shares: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut rest = out;
+        for (c, (s, e)) in ranges.enumerate() {
+            let (head, tail) = rest.split_at_mut((e - s) * stride);
+            shares[c % workers].push((c, s, e, head));
+            rest = tail;
         }
-        drop(tx);
-        let f = &f;
-        let tasks = &self.tasks;
+        let (f, tasks) = (&f, &self.tasks);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = rx.clone();
+            for share in shares {
                 scope.spawn(move || {
-                    while let Ok((c, s, e, slice)) = rx.recv() {
+                    for (c, s, e, slice) in share {
                         f(c, s, e, slice);
                         tasks.inc();
                     }
@@ -223,38 +217,27 @@ impl ThreadPool {
             return ranges.enumerate().map(|(c, (s, e))| f(c, s, e)).collect();
         }
         self.parallel_regions.inc();
-        let n_chunks = ranges.len();
-        self.chunks.add(n_chunks as u64);
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, usize, usize)>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, T)>();
-        for (c, (s, e)) in ranges.enumerate() {
-            tx.send((c, s, e)).expect("chunk queue send cannot fail");
-        }
-        drop(tx);
-        let f = &f;
-        let tasks = &self.tasks;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = rx.clone();
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((c, s, e)) = rx.recv() {
-                        let v = f(c, s, e);
-                        tasks.inc();
-                        let _ = res_tx.send((c, v));
-                    }
-                });
-            }
+        self.chunks.add(ranges.len() as u64);
+        let (f, tasks) = (&f, &self.tasks);
+        let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let share = self.chunk_ranges(items).enumerate().skip(w).step_by(workers);
+                    scope.spawn(move || {
+                        let run = |(c, (s, e))| {
+                            let v = f(c, s, e);
+                            tasks.inc();
+                            (c, v)
+                        };
+                        share.map(run).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let joined = handles.into_iter().map(|h| h.join().expect("pool worker panicked"));
+            joined.flatten().collect()
         });
-        drop(res_tx);
-        let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-        while let Ok((c, v)) = res_rx.recv() {
-            slots[c] = Some(v);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every chunk produces exactly one result"))
-            .collect()
+        results.sort_unstable_by_key(|&(c, _)| c);
+        results.into_iter().map(|(_, v)| v).collect()
     }
 
     /// Row-panel-parallel GEMM: `c[m×n] = a[m×k] · b[k×n]` with the row

@@ -6,13 +6,13 @@ use crate::config::ServeConfig;
 use crate::pool::{PoolStats, ReplicaPool};
 use crate::queue::{Admission, QueueStats, ShedReason};
 use crate::request::{InferRequest, RequestOutcome, Ticket};
-use crossbeam::channel::bounded;
 use mvtee::EventLog;
 use mvtee_telemetry::trace::TraceCtx;
 use mvtee_telemetry::{Counter, Histogram};
 use mvtee_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -108,7 +108,7 @@ impl ServeHandle {
                 ShedReason::Quota => shed_trace(id, tenant, trace, "quota"),
                 _ => {}
             })?;
-        let (respond, rx) = bounded(1);
+        let (respond, rx) = sync_channel(1);
         let req = InferRequest {
             id,
             tenant: tenant.to_string(),

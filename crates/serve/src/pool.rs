@@ -256,8 +256,8 @@ mod tests {
     use super::*;
     use crate::queue::Admission;
     use crate::request::Ticket;
-    use crossbeam::channel::bounded;
     use mvtee_telemetry::trace::TraceCtx;
+    use std::sync::mpsc::sync_channel;
     use std::time::{Duration, Instant};
 
     /// Exactly one answer when the pipeline drops a request: the reply,
@@ -269,7 +269,7 @@ mod tests {
         let stream_failures = mvtee_telemetry::counter("serve.pool.stream_failures");
         let (gauge0, failures0) = (gauge.get(), stream_failures.get());
         let admission = Arc::new(Admission::new(4, 4));
-        let (respond, rx) = bounded(1);
+        let (respond, rx) = sync_channel(1);
         let now = Instant::now();
         let req = InferRequest {
             id: 7,

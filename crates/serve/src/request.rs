@@ -1,9 +1,9 @@
 //! Request/response envelopes for the serving frontend.
 
 use crate::queue::Slot;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use mvtee_telemetry::trace::TraceCtx;
 use mvtee_tensor::Tensor;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
 /// One tenant's admitted inference request as it flows admission → pool
@@ -29,7 +29,7 @@ pub struct InferRequest {
     /// from `id`; propagated through pool → core pipeline.
     pub trace: TraceCtx,
     /// Response channel back to the caller's ticket.
-    pub(crate) respond: Sender<InferResponse>,
+    pub(crate) respond: SyncSender<InferResponse>,
     /// The request's hold on the admission bounds.
     pub(crate) slot: Slot,
 }

@@ -10,7 +10,8 @@ use mvtee_serve::{
 };
 use mvtee_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex};
 
 fn pool_for(key: &str) -> ReplicaPool {
     let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 7).unwrap();
@@ -133,14 +134,15 @@ fn failed_cold_start_fails_the_request_with_the_reason() {
     frontend.shutdown();
 }
 
-/// A provider whose builds block until the test releases them.
+/// A provider whose builds block until the test releases them. (A
+/// provider is shared between threads, and a `Receiver` is not `Sync`.)
 struct GatedProvider {
-    release: crossbeam::channel::Receiver<()>,
+    release: Mutex<Receiver<()>>,
 }
 
 impl ColdStartProvider for GatedProvider {
     fn cold_start(&self, model_key: &str) -> Result<ReplicaPool, String> {
-        self.release.recv().map_err(|_| "gate dropped".to_string())?;
+        self.release.lock().unwrap().recv().map_err(|_| "gate dropped".to_string())?;
         Ok(pool_for(model_key))
     }
 
@@ -151,11 +153,11 @@ impl ColdStartProvider for GatedProvider {
 
 #[test]
 fn blocked_cold_start_does_not_stall_other_models() {
-    let (gate, release) = crossbeam::channel::unbounded();
+    let (gate, release) = channel();
     let frontend = ServeFrontend::start_with_cold_start(
         vec![pool_for("warm/model")],
         ServeConfig::default(),
-        Arc::new(GatedProvider { release }),
+        Arc::new(GatedProvider { release: Mutex::new(release) }),
     );
     let handle = frontend.handle();
 

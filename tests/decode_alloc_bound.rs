@@ -9,9 +9,10 @@
 //! variant host — [`BootstrapRequest`], [`BootstrapResponse`] and the
 //! sealed [`KeyRelease`] and [`InstallEvidence`] inside them — and the
 //! data-plane frames every checkpoint carries, [`StageRequest`] and the
-//! [`StageResponse`] a compromised variant writes. A counting global
-//! allocator tracks this thread's live heap, so the tests in this binary
-//! may run in parallel.
+//! [`StageResponse`] a compromised variant writes. Under all of them
+//! lies the TCP framing, whose 4-byte length prefix anyone who dials a
+//! listener may send. A counting global allocator tracks this thread's
+//! live heap, so the tests in this binary may run in parallel.
 //!
 //! One shape is costlier, though still linear: a [`Manifest`] set of many
 //! distinct short names costs about 40 bytes of B-tree node per name
@@ -25,6 +26,8 @@ use mvtee::messages::{
 use mvtee::variant_host::SealedVariantPayload;
 use mvtee::WorkerPlacement;
 use mvtee_codec::Bytes;
+use mvtee_crypto::channel::FrameTransport;
+use mvtee_crypto::tcp::{bind_loopback, TcpTransport, MAX_FRAME_LEN};
 use mvtee_registry::framing::UploadManifest;
 use mvtee_registry::protocol::{ProvisionReply, ProvisionRequest};
 use mvtee_tee::{CodeIdentity, Enclave, Manifest, Platform, TeeKind};
@@ -33,6 +36,8 @@ use proptest::prelude::*;
 use proptest::sample::Index;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Write;
+use std::net::TcpStream;
 
 thread_local! {
     /// Bytes this thread holds on the heap, since the last [`peak_of`].
@@ -334,5 +339,26 @@ fn hostile_manifest_sets_stay_linear() {
         let bytes = encode(&payload).unwrap();
         let peak = peak_of(|| decode::<SealedVariantPayload>(&bytes));
         assert!(peak <= 6 * bytes.len() + 4096, "{n} names: peak {peak} B for {} B", bytes.len());
+    }
+}
+
+/// A peer that dials a listener, sends a `MAX_FRAME_LEN` length prefix and
+/// maybe part of the frame, then hangs up. The receive fails, and its
+/// buffer grew with the bytes that arrived, not with the prefix's claim.
+#[test]
+fn a_hostile_tcp_length_prefix_allocates_by_the_bytes_sent() {
+    for body in [0, 1000, 10_000] {
+        let (listener, port) = bind_loopback().unwrap();
+        let mut peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let transport = TcpTransport::accept(&listener).unwrap();
+        let mut sent = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        sent.extend(pattern(body));
+        peer.write_all(&sent).unwrap();
+        drop(peer);
+        let mut received = None;
+        let peak = peak_of(|| received = Some(transport.recv_frame()));
+        assert!(received.is_some_and(|r| r.is_err()), "a cut-off frame must fail");
+        let bound = 2 * sent.len() + 4096;
+        assert!(peak <= bound, "peak {peak} B after {} B sent", sent.len());
     }
 }

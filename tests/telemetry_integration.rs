@@ -5,7 +5,6 @@
 //! before/after deltas. The benign deployment test records no divergence
 //! events, keeping the exactly-once assertion of the bit-flip test sound.
 
-use crossbeam::channel::{bounded, unbounded};
 use mvtee::config::{DegradationPolicy, ExecMode, ResponsePolicy, VotingPolicy};
 use mvtee::events::{EventLog, MonitorEvent};
 use mvtee::link::{link_pair, DataLink, ResponsePort};
@@ -20,6 +19,7 @@ use mvtee_runtime::{Engine, EngineConfig, EngineKind, PreparedModel};
 use mvtee_tensor::metrics::Metric;
 use mvtee_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{channel, sync_channel};
 
 fn model_input(m: &Model) -> Tensor {
     let n = m.input_shape.num_elements();
@@ -121,7 +121,7 @@ fn bitflip_divergence_increments_counter_exactly_once() {
         })
         .expect("some flip seed corrupts the output");
 
-    let (inbox, responses) = unbounded();
+    let (inbox, responses) = channel();
     let links = [clean, corrupted]
         .into_iter()
         .enumerate()
@@ -151,8 +151,8 @@ fn bitflip_divergence_increments_counter_exactly_once() {
     let before = mvtee_telemetry::snapshot();
     let before_divergence = before.counters.get("core.events.divergence").copied().unwrap_or(0);
 
-    let (in_tx, in_rx) = bounded::<CoordMsg>(8);
-    let (out_tx, out_rx) = bounded(1);
+    let (in_tx, in_rx) = sync_channel::<CoordMsg>(8);
+    let (out_tx, out_rx) = sync_channel(1);
     let events = EventLog::new();
     let ev = events.clone();
     let coordinator =
