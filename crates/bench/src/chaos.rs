@@ -198,7 +198,7 @@ fn run_storm(cfg: &ChaosConfig, index: u64, events_out: &mut (usize, usize)) -> 
         // partition passed one after its *last* quarantine).
         let liveness_fired = quarantines.iter().any(|&(p, _, _)| p == p_stall)
             && quarantines.iter().any(|&(p, _, _)| p == p_chan);
-        let healed = quarantines.iter().all(|&(p, v, qb)| events.healed_after(p, v, qb, PANEL));
+        let healed = quarantines.iter().all(|&(p, v, qb)| d.healed_after(p, v, qb, PANEL));
         if liveness_fired && healed {
             result = Some(Ok(b + 1));
             break;

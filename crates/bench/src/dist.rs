@@ -356,7 +356,7 @@ fn run_heal_probe(s: &DistSettings) -> Result<HealProbe, MvxError> {
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             probe.quarantined = qp == MVX_PARTITION && qv == 0;
             probe.recovered = events.recoveries().contains(&(qp, qv));
-            probe.full_strength = events.healed_after(qp, qv, qb, PANEL);
+            probe.full_strength = dep.healed_after(qp, qv, qb, PANEL);
             if probe.quarantined && probe.full_strength {
                 probe.heal_ns = kill_instant.elapsed().as_nanos() as u64;
                 break;

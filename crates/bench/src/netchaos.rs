@@ -605,7 +605,7 @@ fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Stor
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             storm.detected = true;
             let seen = *quarantined_at.get_or_insert_with(Instant::now);
-            if events.healed_after(qp, qv, qb, PANEL) {
+            if dep.healed_after(qp, qv, qb, PANEL) {
                 storm.healed = true;
                 storm.heal_ns = seen.elapsed().as_nanos() as u64;
                 break;
@@ -737,7 +737,7 @@ fn run_reconnect_probe(s: &NetchaosSettings) -> ReconnectProbe {
         served += 1;
         let events = dep.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            probe.full_strength = events.healed_after(qp, qv, qb, PANEL);
+            probe.full_strength = dep.healed_after(qp, qv, qb, PANEL);
             if probe.full_strength {
                 break;
             }

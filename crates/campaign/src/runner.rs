@@ -310,7 +310,7 @@ pub fn run_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome, Str
     let events: EventLog = d.events().clone();
     let crashes = events.crashes();
     let divergences = events.divergences();
-    let passes = events.checkpoint_passes();
+    let passes = d.transcript().passes();
     d.shutdown();
 
     Ok(classify(sc, &cfg, &crashes, &divergences, &passes, profile))
@@ -402,7 +402,7 @@ fn run_liveness_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
         match &sc.fault {
             FaultDescriptor::Stall(_) => {
                 if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-                    if events.healed_after(qp, qv, qb, sc.panel_size) {
+                    if d.healed_after(qp, qv, qb, sc.panel_size) {
                         verdict =
                             Some(Outcome::Recovered { partition: qp, variant: qv });
                         break;
@@ -421,8 +421,9 @@ fn run_liveness_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
                 // Without a recovery manager no Quarantined event exists;
                 // the degradation signature is a checkpoint that passed
                 // on the surviving quorum after a detection.
-                let degraded_pass = events
-                    .checkpoint_passes()
+                let degraded_pass = d
+                    .transcript()
+                    .passes()
                     .iter()
                     .any(|&(pp, _, agreeing)| pp == p && agreeing == sc.panel_size - 1);
                 if degraded_pass {
@@ -519,7 +520,7 @@ fn run_netfault_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
         // Terminal-state check: stop streaming once the invariant holds.
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            if events.healed_after(qp, qv, qb, sc.panel_size) {
+            if d.healed_after(qp, qv, qb, sc.panel_size) {
                 verdict = Some(Outcome::Recovered { partition: qp, variant: qv });
                 break;
             }

@@ -742,7 +742,6 @@ pub struct Deployment {
     /// log, hosts), shared with the recovery manager.
     provisioner: Arc<Provisioner>,
     handles: Option<PipelineHandles>,
-    update_log: Vec<String>,
     next_batch: u64,
     input_value: ValueId,
     output_value: ValueId,
@@ -829,7 +828,6 @@ impl Deployment {
             monitor,
             provisioner: Arc::new(provisioner),
             handles: None,
-            update_log: Vec::new(),
             next_batch: 0,
             input_value,
             output_value,
@@ -921,6 +919,22 @@ impl Deployment {
         &self.transcript
     }
 
+    /// Healed: the slot quarantined at `quarantined_at_batch` was recovered
+    /// *and* a later checkpoint of its partition passed with all `panel`
+    /// members agreeing.
+    pub fn healed_after(
+        &self,
+        partition: usize,
+        variant: usize,
+        quarantined_at_batch: u64,
+        panel: usize,
+    ) -> bool {
+        self.events().recoveries().contains(&(partition, variant))
+            && self.transcript.passes().iter().any(|&(p, batch, agreeing)| {
+                p == partition && batch > quarantined_at_batch && agreeing == panel
+            })
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &MvxConfig {
         &self.config
@@ -945,11 +959,6 @@ impl Deployment {
     /// concurrently while the pipeline runs).
     pub fn bindings(&self) -> Vec<BindingRecord> {
         self.provisioner.bindings()
-    }
-
-    /// The append-only update log.
-    pub fn update_log(&self) -> &[String] {
-        &self.update_log
     }
 
     /// Process ids of the out-of-process variant hosts, keyed by
@@ -1135,10 +1144,6 @@ impl Deployment {
         }
         self.config.claims[partition] = claim.clone();
         self.offline.artifacts[partition] = row;
-        self.update_log.push(format!(
-            "partial update: partition {partition} -> {} variants",
-            claim.variants
-        ));
         self.provisioner.events.record(MonitorEvent::BindingUpdated {
             partition,
             description: format!("partial update to {} variants", claim.variants),
@@ -1164,9 +1169,6 @@ impl Deployment {
             self.pool.as_ref(),
             &HashMap::new(),
         )?;
-        self.update_log.push(format!(
-            "full update: reshuffled partition set with seed {new_partition_seed}"
-        ));
         self.provisioner.events.record(MonitorEvent::BindingUpdated {
             partition: usize::MAX,
             description: "full update".into(),
@@ -1201,7 +1203,6 @@ impl Deployment {
                 artifact.variant_key = new_key;
             }
         }
-        self.update_log.push("key rotation: all variant keys re-sealed".into());
         self.provisioner.events.record(MonitorEvent::BindingUpdated {
             partition: usize::MAX,
             description: "proactive key rotation".into(),
@@ -1529,7 +1530,9 @@ mod tests {
         let after = d.infer(&input).unwrap();
         assert!(mvtee_tensor::metrics::allclose(&before, &after, 1e-3, 1e-4));
         assert!(d.bindings().len() > bound_before, "bindings are append-only");
-        assert_eq!(d.update_log().len(), 1);
+        let updates = d.events().events().into_iter();
+        let updated = |e: &MonitorEvent| matches!(e, MonitorEvent::BindingUpdated { .. });
+        assert_eq!(updates.filter(updated).count(), 1);
         d.shutdown();
     }
 
@@ -1694,7 +1697,11 @@ mod rotation_tests {
         assert!(old_keys.iter().zip(new_keys.iter()).all(|(a, b)| a != b));
         let after = d.infer(&input).unwrap();
         assert!(mvtee_tensor::metrics::allclose(&before, &after, 1e-4, 1e-5));
-        assert!(d.update_log().iter().any(|e| e.contains("key rotation")));
+        let rotated = |e: &MonitorEvent| match e {
+            MonitorEvent::BindingUpdated { description, .. } => description.contains("key rotation"),
+            _ => false,
+        };
+        assert!(d.events().events().iter().any(rotated));
         d.shutdown();
     }
 }

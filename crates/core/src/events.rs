@@ -1,9 +1,13 @@
 //! The monitor's audit event log.
 //!
-//! Every security-relevant observation — checkpoint divergences, crashes,
-//! late dissent in async mode, responses taken, binding updates — is
-//! appended here. The update log is append-only "for auditing purposes"
-//! (§4.3); experiments and tests assert detection through this log.
+//! Every incident and lifecycle step — checkpoint divergences, crashes,
+//! late dissent in async mode, responses taken, quarantines and
+//! recoveries, binding updates — is appended here, append-only "for
+//! auditing purposes" (§4.3); experiments and tests assert detection
+//! through this log. A checkpoint that passed is traffic, not an
+//! incident: its verdict lives only in the audit transcript
+//! ([`crate::transcript::TranscriptLog::passes`]), so healthy serving
+//! leaves this log as it is.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -31,19 +35,6 @@ pub enum MonitorEvent {
         variant: usize,
         /// Post-exec measurement.
         measurement: [u8; 32],
-    },
-    /// A slow-path checkpoint evaluated the panel and every live variant
-    /// agreed — the per-checkpoint "all clear" verdict. Recorded so
-    /// campaign/invariant checkers can prove a checkpoint actually ran
-    /// (absence of an alarm alone cannot distinguish "checked and passed"
-    /// from "never checked").
-    CheckpointPassed {
-        /// Partition whose checkpoint evaluated.
-        partition: usize,
-        /// Batch id.
-        batch: u64,
-        /// Number of agreeing variants.
-        agreeing: usize,
     },
     /// Checkpoint divergence detected by the slow path.
     DivergenceDetected {
@@ -170,10 +161,6 @@ impl fmt::Display for MonitorEvent {
             MonitorEvent::VariantBound { partition, variant, .. } => {
                 write!(f, "bound variant {variant} of partition {partition}")
             }
-            MonitorEvent::CheckpointPassed { partition, batch, agreeing } => write!(
-                f,
-                "checkpoint passed at partition {partition} batch {batch}: {agreeing} agreeing"
-            ),
             MonitorEvent::DivergenceDetected { partition, batch, dissenting, .. } => write!(
                 f,
                 "divergence at partition {partition} batch {batch}: dissenting {dissenting:?}"
@@ -241,16 +228,22 @@ impl fmt::Display for TimedEvent {
 
 /// Thread-safe, append-only event log shared between the monitor's stage
 /// coordinators.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EventLog {
     inner: Arc<Mutex<Vec<(f64, MonitorEvent)>>>,
-    start: Option<Instant>,
+    start: Instant,
+}
+
+impl Default for EventLog {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EventLog {
-    /// Creates an empty log with a fresh epoch.
+    /// Creates an empty log whose epoch is now.
     pub fn new() -> Self {
-        EventLog { inner: Arc::new(Mutex::new(Vec::new())), start: Some(Instant::now()) }
+        EventLog { inner: Arc::new(Mutex::new(Vec::new())), start: Instant::now() }
     }
 
     /// Appends an event, stamped with the offset from the log's epoch.
@@ -264,10 +257,6 @@ impl EventLog {
         let mut trace_name: Option<&'static str> = None;
         let mut dump = false;
         match &event {
-            MonitorEvent::CheckpointPassed { .. } => {
-                count!("core.events.checkpoint_pass");
-                trace_name = Some("core.event.checkpoint_pass");
-            }
             MonitorEvent::DivergenceDetected { .. } => {
                 count!("core.events.divergence");
                 trace_name = Some("core.event.divergence");
@@ -330,7 +319,7 @@ impl EventLog {
                 tracer.dump(&format!("monitor event: {event}"));
             }
         }
-        let t = self.start.map(|s| s.elapsed().as_secs_f64()).unwrap_or(0.0);
+        let t = self.start.elapsed().as_secs_f64();
         self.log().push((t, event));
     }
 
@@ -374,17 +363,6 @@ impl EventLog {
     /// What `pick` makes of each event it matches, in recording order.
     fn select<T>(&self, pick: impl FnMut(&MonitorEvent) -> Option<T>) -> Vec<T> {
         self.log().iter().map(|(_, e)| e).filter_map(pick).collect()
-    }
-
-    /// Checkpoint verdicts that passed: `(partition, batch, agreeing)`
-    /// per slow-path checkpoint whose panel agreed.
-    pub fn checkpoint_passes(&self) -> Vec<(usize, u64, usize)> {
-        self.select(|e| match *e {
-            MonitorEvent::CheckpointPassed { partition, batch, agreeing } => {
-                Some((partition, batch, agreeing))
-            }
-            _ => None,
-        })
     }
 
     /// Divergence detections: `(partition, batch, dissenting variants)`.
@@ -443,22 +421,6 @@ impl EventLog {
             MonitorEvent::Recovered { partition, variant } => Some((partition, variant)),
             _ => None,
         })
-    }
-
-    /// Healed: the slot quarantined at `quarantined_at_batch` was recovered
-    /// *and* a later checkpoint of its partition passed with all `panel`
-    /// members agreeing.
-    pub fn healed_after(
-        &self,
-        partition: usize,
-        variant: usize,
-        quarantined_at_batch: u64,
-        panel: usize,
-    ) -> bool {
-        self.recoveries().contains(&(partition, variant))
-            && self.checkpoint_passes().iter().any(|&(p, batch, agreeing)| {
-                p == partition && batch > quarantined_at_batch && agreeing == panel
-            })
     }
 
     /// The partition of every detection-class event (divergence, crash
@@ -680,7 +642,6 @@ mod tests {
     #[test]
     fn checkpoint_introspection_helpers() {
         let log = EventLog::new();
-        log.record(MonitorEvent::CheckpointPassed { partition: 0, batch: 0, agreeing: 3 });
         log.record(MonitorEvent::VariantCrashed {
             partition: 1,
             variant: 2,
@@ -694,7 +655,6 @@ mod tests {
             detail: "d".into(),
         });
         log.record(MonitorEvent::LateDissent { partition: 3, batch: 1, variant: 0 });
-        assert_eq!(log.checkpoint_passes(), vec![(0, 0, 3)]);
         assert_eq!(log.crashes(), vec![(1, 2, 0)]);
         assert_eq!(
             log.divergences(),
@@ -703,7 +663,6 @@ mod tests {
         assert_eq!(log.first_detection_at_or_after(0), Some(1));
         assert_eq!(log.first_detection_at_or_after(2), Some(2));
         assert_eq!(log.first_detection_at_or_after(4), None);
-        // A passed checkpoint is not a detection.
         assert_eq!(log.detection_count(), 3);
     }
 

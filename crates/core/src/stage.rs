@@ -432,10 +432,9 @@ impl StageState {
         }
     }
 
-    /// A checkpoint verified: audit it and make it the resync point.
+    /// A checkpoint verified: transcribe it and make it the resync point.
     fn passed(&mut self, f: &mut InFlight, agreeing: usize, chosen: &[Tensor]) {
-        let (partition, batch) = (self.cfg.partition, f.batch);
-        self.record(MonitorEvent::CheckpointPassed { partition, batch, agreeing });
+        let batch = f.batch;
         self.transcript(batch, TranscriptVerdict::Pass { agreeing }, payload_digest(chosen));
         self.set_resync(f, chosen);
     }
@@ -565,6 +564,21 @@ mod tests {
             .iter()
             .filter_map(|a| match a {
                 Action::Record(e) => Some(e),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The transcribed `Pass` verdicts among `actions`: `(batch, agreeing)`.
+    fn passes(actions: &[Action]) -> Vec<(u64, usize)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Transcript(TranscriptEntry {
+                    batch,
+                    verdict: TranscriptVerdict::Pass { agreeing },
+                    ..
+                }) => Some((*batch, *agreeing)),
                 _ => None,
             })
             .collect()
@@ -720,7 +734,8 @@ mod tests {
         let over = drive(&mut s, quorum(window));
         let dropped = "dropped late-validation state for batch 0 (window full)";
         assert!(response_taken(&over, dropped), "the drop is audited: {over:?}");
-        assert_eq!(records(&over).len(), 2, "one pass, one drop: {over:?}");
+        assert_eq!(passes(&over), vec![(window, 2)], "one pass: {over:?}");
+        assert_eq!(records(&over).len(), 1, "one drop: {over:?}");
         assert_eq!(s.outstanding.len(), LATE_VALIDATION_WINDOW, "state stays at the window");
 
         // Batch 0's straggler is no longer validated; batch 1's still is.
@@ -801,9 +816,7 @@ mod tests {
         assert_eq!(forwards(&actions)[1], Ok(2.0));
         assert!(matches!(actions.last(), Some(Action::Forward { path: Some(Path::Fast), .. })));
         assert!(response_taken(&actions, "fast-path fallback"), "must be audited: {actions:?}");
-        let claimed = records(&actions)
-            .iter()
-            .any(|e| matches!(e, MonitorEvent::CheckpointPassed { batch: 1, .. }));
+        let claimed = passes(&actions).iter().any(|&(batch, _)| batch == 1);
         assert!(!claimed, "an unvoted batch must not claim a passed checkpoint");
     }
 
@@ -883,6 +896,8 @@ mod tests {
         batch: u64,
         /// Variants the dispatch reached.
         panel: Vec<usize>,
+        /// First healthy answer wins, unvoted: a fast-path stage, or
+        /// `FastPathFallback` below strength.
         fallthrough: bool,
         /// Non-stale answers fed so far.
         votes: Vec<(usize, VariantOutput)>,
@@ -901,9 +916,11 @@ mod tests {
         faults_left: u32,
         held: Option<Held>,
         stopping: bool,
-        /// Batches forwarded unvoted: `FastPathFallback`, or failed by
-        /// `Strict` when the dispatch found the panel short.
+        /// Batches forwarded unvoted: fall-throughs, or failed by `Strict`
+        /// when the dispatch found the panel short.
         unvoted: Vec<u64>,
+        /// Batches with a transcript entry.
+        transcribed: Vec<u64>,
         /// Every non-stale vote fed on a voted batch.
         ballots: Vec<(u64, Vote)>,
         /// Batches whose fed votes disagree and no record says so yet:
@@ -931,6 +948,7 @@ mod tests {
                 held: None,
                 stopping: false,
                 unvoted: Vec::new(),
+                transcribed: Vec::new(),
                 ballots: Vec::new(),
                 owed: Vec::new(),
                 forwards: 0,
@@ -1022,15 +1040,15 @@ mod tests {
             let mut failed = Vec::new();
             match action {
                 Action::Dispatch { batch, to, .. } => {
-                    let (full, policy) = (self.state.cfg.variants, self.state.cfg.policy);
-                    let degraded = !to.is_empty() && to.len() < full;
-                    if degraded && policy.degradation == DegradationPolicy::Strict {
+                    let cfg = self.state.cfg;
+                    let degraded = !to.is_empty() && to.len() < cfg.variants;
+                    if degraded && self.strict() {
                         self.fail("strict degradation dispatched a batch below strength");
                     }
                     let held = self.held.as_mut().expect("dispatch without a job in hand");
                     assert_eq!(held.batch, batch);
-                    held.fallthrough =
-                        degraded && policy.degradation == DegradationPolicy::FastPathFallback;
+                    let fallback = cfg.policy.degradation == DegradationPolicy::FastPathFallback;
+                    held.fallthrough = !cfg.slow || degraded && fallback;
                     for v in to {
                         if !self.state.is_live(v) {
                             self.fail("dispatched to a quarantined variant");
@@ -1049,16 +1067,20 @@ mod tests {
                         self.fail("forward without a job in hand");
                     };
                     self.forwards += 1;
-                    let (full, policy) = (self.state.cfg.variants, self.state.cfg.policy);
-                    let short = policy.degradation == DegradationPolicy::Strict
-                        && held.panel.len() < full;
+                    let short = self.short(&held);
                     // Answers to a batch that is not voted are not ballots.
-                    if held.fallthrough || short {
+                    let unvoted = held.fallthrough || short;
+                    if unvoted {
                         self.unvoted.push(held.batch);
                     }
                     if let Ok(out) = result {
                         if short {
                             self.fail("strict degradation forwarded a batch voted below strength");
+                        }
+                        // The transcript is the only record of a vote.
+                        if !unvoted && !self.transcribed.contains(&held.batch) {
+                            let batch = held.batch;
+                            self.fail(&format!("voted batch {batch} forwarded untranscribed"));
                         }
                         self.check_quorum(&held, &out);
                     }
@@ -1069,7 +1091,7 @@ mod tests {
                     | MonitorEvent::VariantCrashed { batch, .. },
                 ) => self.owed.retain(|&(b, _)| b != batch),
                 Action::Record(_) => {}
-                Action::Transcript(_) => {}
+                Action::Transcript(entry) => self.check_transcript(&entry),
                 Action::Recover { variant, epoch, .. } => {
                     if !self.state.cfg.recovery || self.state.is_live(variant) {
                         self.fail("recovery requested without a manager or for a live variant");
@@ -1079,6 +1101,37 @@ mod tests {
                 Action::Adopt { variant } => self.link[variant] = self.chans[variant].len() - 1,
             }
             failed
+        }
+
+        /// `Strict` degradation binds: only a slow stage votes.
+        fn strict(&self) -> bool {
+            let cfg = self.state.cfg;
+            cfg.slow && cfg.policy.degradation == DegradationPolicy::Strict
+        }
+
+        /// `Strict` and the dispatch found the panel short.
+        fn short(&self, held: &Held) -> bool {
+            self.strict() && held.panel.len() < self.state.cfg.variants
+        }
+
+        /// A verdict is transcribed only for the voted batch in hand, at
+        /// most once, and never counts more agreeing votes than the panel.
+        fn check_transcript(&mut self, entry: &TranscriptEntry) {
+            let Some(held) = self.held.as_ref().filter(|h| h.batch == entry.batch) else {
+                self.fail(&format!("batch {} transcribed while not in hand", entry.batch));
+            };
+            if held.fallthrough || self.short(held) {
+                self.fail(&format!("unvoted batch {} transcribed", entry.batch));
+            }
+            if self.transcribed.contains(&entry.batch) {
+                self.fail(&format!("batch {} transcribed twice", entry.batch));
+            }
+            if let TranscriptVerdict::Pass { agreeing } = entry.verdict {
+                if agreeing > held.panel.len() {
+                    self.fail(&format!("{agreeing} agreeing in a panel of {}", held.panel.len()));
+                }
+            }
+            self.transcribed.push(entry.batch);
         }
 
         /// No batch is forwarded without its policy's quorum: enough
@@ -1238,7 +1291,7 @@ mod tests {
     }
 
     /// Explores one scope under every policy combination.
-    fn enumerate(variants: usize, jobs: u64, faults: u32, recovery: bool) -> u64 {
+    fn enumerate(variants: usize, slow: bool, jobs: u64, faults: u32, recovery: bool) -> u64 {
         let mut paths = 0;
         for degradation in [
             DegradationPolicy::Strict,
@@ -1256,7 +1309,7 @@ mod tests {
                         partition: 0,
                         variants,
                         outputs: 1,
-                        slow: true,
+                        slow,
                         recovery,
                         policy,
                         metric: Metric::exact(),
@@ -1270,21 +1323,23 @@ mod tests {
 
     #[test]
     fn every_small_interleaving_keeps_the_monitor_invariants() {
-        // (variants, batches, fault budget, recovery manager wired)
+        // (variants, slow path, batches, fault budget, recovery manager wired)
         let scopes = [
-            (2, 3, 2, false),
-            (2, 3, 1, true),
-            (3, 2, 2, false),
-            (3, 2, 1, true),
-            (3, 3, 1, false),
+            (2, true, 3, 2, false),
+            (2, true, 3, 1, true),
+            (3, true, 2, 2, false),
+            (3, true, 2, 1, true),
+            (3, true, 3, 1, false),
             // Five is the smallest panel in which an async quorum can
             // outvote an answer that has already arrived.
-            (5, 1, 1, true),
+            (5, true, 1, 1, true),
+            // A fast-path stage forwards unvoted and transcribes nothing.
+            (2, false, 2, 2, true),
         ];
         let mut paths = 0;
-        for (variants, jobs, faults, recovery) in scopes {
-            let n = enumerate(variants, jobs, faults, recovery);
-            println!("{variants} variants x {jobs} batches, <= {faults} faults, recovery {recovery}: {n} paths");
+        for (variants, slow, jobs, faults, recovery) in scopes {
+            let n = enumerate(variants, slow, jobs, faults, recovery);
+            println!("{variants} variants (slow {slow}) x {jobs} batches, <= {faults} faults, recovery {recovery}: {n} paths");
             paths += n;
         }
         assert!(paths > 100_000, "the scopes shrank: {paths} paths");

@@ -133,6 +133,17 @@ impl TranscriptLog {
         entries
     }
 
+    /// The checkpoints that passed: `(partition, batch, agreeing)` per
+    /// `Pass` entry, in canonical `(batch, partition)` order. The
+    /// transcript is the only record of a passed checkpoint.
+    pub fn passes(&self) -> Vec<(usize, u64, usize)> {
+        let pass = |e: TranscriptEntry| match e.verdict {
+            TranscriptVerdict::Pass { agreeing } => Some((e.partition, e.batch, agreeing)),
+            TranscriptVerdict::Diverged { .. } => None,
+        };
+        self.entries().into_iter().filter_map(pass).collect()
+    }
+
     /// Renders the Merkle-chained JSONL transcript.
     ///
     /// `seed` and `fingerprint` identify the run configuration; both are
@@ -646,6 +657,33 @@ mod tests {
             log2.record(e);
         }
         assert_eq!(log2.render(42, "test-config"), text);
+    }
+
+    #[test]
+    fn passes_skip_divergences_in_canonical_order() {
+        let log = sample_log();
+        log.record(TranscriptEntry {
+            partition: 1,
+            batch: 2,
+            epoch: 2,
+            verdict: TranscriptVerdict::Pass { agreeing: 3 },
+            payload_digest: [0; 32],
+        });
+        log.record(TranscriptEntry {
+            partition: 0,
+            batch: 2,
+            epoch: 2,
+            verdict: TranscriptVerdict::Pass { agreeing: 2 },
+            payload_digest: [0; 32],
+        });
+        let canonical = vec![(0, 0, 2), (1, 0, 3), (0, 2, 2), (1, 2, 3)];
+        assert_eq!(log.passes(), canonical);
+        // Append order must not matter.
+        let reversed = TranscriptLog::new();
+        for e in log.entries().into_iter().rev() {
+            reversed.record(e);
+        }
+        assert_eq!(reversed.passes(), canonical);
     }
 
     #[test]

@@ -34,10 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     deployment.partial_update(1, PartitionMvx::replicated(3))?;
     let after_partial = deployment.infer(&input)?;
     assert!(mvtee_tensor::metrics::allclose(&baseline, &after_partial, 1e-3, 1e-4));
+    assert_eq!(binding_updates(&deployment).len(), 1);
     println!(
-        "  inference preserved; bindings now {} (append-only), update log: {:?}",
+        "  inference preserved; bindings now {} (append-only), updates: {:?}",
         deployment.bindings().len(),
-        deployment.update_log()
+        binding_updates(&deployment)
     );
 
     // Full update: reshuffle the partition set itself.
@@ -46,12 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     deployment.full_update(fresh_seed_u64())?;
     let after_full = deployment.infer(&input)?;
     assert!(mvtee_tensor::metrics::allclose(&baseline, &after_full, 1e-3, 1e-4));
+    assert_eq!(binding_updates(&deployment).len(), 2);
     println!(
         "  checkpoints before/after: {} / {}",
         old_checkpoints,
         deployment.partition_set().checkpoint_count()
     );
-    println!("  update log: {:?}", deployment.update_log());
+    println!("  updates: {:?}", binding_updates(&deployment));
 
     // Proactive key rotation (§6.5): every variant key is re-derived and
     // the payloads re-sealed; service is uninterrupted after re-attestation.
@@ -72,6 +74,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     deployment.shutdown();
     Ok(())
+}
+
+/// The binding updates the audit event log holds, in recording order.
+fn binding_updates(deployment: &Deployment) -> Vec<String> {
+    deployment
+        .events()
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            mvtee::MonitorEvent::BindingUpdated { description, .. } => Some(description),
+            _ => None,
+        })
+        .collect()
 }
 
 fn fresh_seed_u64() -> u64 {

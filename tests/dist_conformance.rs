@@ -182,7 +182,7 @@ fn killed_worker_heals_to_full_panel_strength_with_zero_lost_batches() {
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             assert_eq!(qp, MVX_PARTITION, "quarantine at the wrong partition");
             assert_eq!(qv, 0, "the killed worker's variant must be the one quarantined");
-            if events.healed_after(qp, qv, qb, PANEL) {
+            if d.healed_after(qp, qv, qb, PANEL) {
                 healed = Some(qb);
                 break;
             }

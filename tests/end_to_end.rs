@@ -151,6 +151,31 @@ fn same_strategy_replicas_stay_bit_identical_under_exact_metric() {
 }
 
 #[test]
+fn healthy_traffic_leaves_the_event_log_flat() {
+    // The event log keeps incidents and lifecycle; a passed checkpoint is
+    // traffic and lives only in the audit transcript.
+    let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 59).expect("builds");
+    let input = model_input(&model);
+    let mut d = Deployment::builder(model)
+        .partitions(2)
+        .mvx_on_partition(0, 3)
+        .mvx_on_partition(1, 3)
+        .build()
+        .unwrap();
+    d.infer(&input).unwrap();
+    let after_first = d.events().len();
+    for _ in 1..40 {
+        d.infer(&input).unwrap();
+    }
+    let grown = d.events().render();
+    assert_eq!(d.events().len(), after_first, "healthy traffic grew the log:\n{grown}");
+    let every_pass: Vec<(usize, u64, usize)> =
+        (0..40).flat_map(|batch| (0..2).map(move |partition| (partition, batch, 3))).collect();
+    assert_eq!(d.transcript().passes(), every_pass);
+    d.shutdown();
+}
+
+#[test]
 fn pipelined_stream_matches_sequential_stream() {
     let model = zoo::build(ModelKind::InceptionV3, ScaleProfile::Test, 37).expect("builds");
     let inputs: Vec<Tensor> = (0..5)

@@ -60,7 +60,7 @@ fn stream_until_healed(d: &mut Deployment, inputs: &[Tensor]) -> (usize, u64) {
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             assert_eq!(qp, MVX_PARTITION, "quarantine at the wrong partition");
-            if events.healed_after(qp, qv, qb, PANEL) {
+            if d.healed_after(qp, qv, qb, PANEL) {
                 return (qv, qb);
             }
         }
@@ -125,7 +125,7 @@ fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             assert_eq!(qp, MVX_PARTITION);
-            if events.healed_after(qp, qv, qb, PANEL) {
+            if d.healed_after(qp, qv, qb, PANEL) {
                 healed = Some((qv, qb));
                 break;
             }
@@ -222,7 +222,7 @@ fn hung_variant_recovers_via_resync_from_last_verified_checkpoint() {
     // Two verified checkpoints preceded the hang — the recovery manager
     // had a genuine resync point to probation the replacement against.
     assert!(
-        events.checkpoint_passes().iter().any(|&(p, b, _)| p == MVX_PARTITION && b < qb),
+        d.transcript().passes().iter().any(|&(p, b, _)| p == MVX_PARTITION && b < qb),
         "no verified checkpoint before the quarantine:\n{}",
         events.render()
     );

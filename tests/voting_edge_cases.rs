@@ -137,7 +137,7 @@ fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
 fn recovered_variant_votes_again_on_the_next_covered_checkpoint() {
     // A replica hangs, is quarantined by the watchdog, and is replaced.
     // The proof that the replacement genuinely *votes* — rather than the
-    // panel limping on with survivors — is a later CheckpointPassed whose
+    // panel limping on with survivors — is a later transcribed pass whose
     // `agreeing` count is back to the full panel size.
     let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 3).expect("builds");
     let inputs: Vec<Tensor> = (0..3).map(|s| rejoin_input(&model, s)).collect();
@@ -156,7 +156,7 @@ fn recovered_variant_votes_again_on_the_next_covered_checkpoint() {
         d.infer(&inputs[idx]).expect("majority must keep serving");
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            healed = events.healed_after(qp, qv, qb, PANEL);
+            healed = d.healed_after(qp, qv, qb, PANEL);
             if healed {
                 assert_eq!((qp, qv), (MVX_PARTITION, 2));
                 break;
@@ -168,7 +168,7 @@ fn recovered_variant_votes_again_on_the_next_covered_checkpoint() {
     // Before the rejoin the passes tallied only the survivors, after it
     // the whole panel — never more than the panel, never fewer than a
     // majority.
-    for &(p, b, a) in &d.events().checkpoint_passes() {
+    for &(p, b, a) in &d.transcript().passes() {
         if p == MVX_PARTITION {
             assert!(a * 2 > PANEL && a <= PANEL, "impossible tally {a} at batch {b}");
         }
@@ -223,7 +223,7 @@ fn stale_pre_quarantine_frame_is_ignored_not_revoted() {
         );
         let events = d.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
-            healed = events.healed_after(qp, qv, qb, PANEL);
+            healed = d.healed_after(qp, qv, qb, PANEL);
             if healed {
                 break;
             }
