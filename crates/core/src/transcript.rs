@@ -95,13 +95,20 @@ pub struct TranscriptEntry {
     pub payload_digest: [u8; 32],
 }
 
+/// Entries per storage block of a [`TranscriptLog`] (80 KiB of 80-byte
+/// entries).
+const BLOCK_ENTRIES: usize = 1024;
+
 /// Thread-safe append-only log of voted checkpoint verdicts.
 ///
 /// Cloning shares the underlying log; coordinators for different
-/// partitions append concurrently.
+/// partitions append concurrently. Entries are stored in append order,
+/// in blocks of [`BLOCK_ENTRIES`] allocated at exact capacity, so the
+/// log grows by one block at a time and never moves an entry: a single
+/// doubling `Vec` would copy everything and briefly hold it twice.
 #[derive(Debug, Clone, Default)]
 pub struct TranscriptLog {
-    inner: Arc<Mutex<Vec<TranscriptEntry>>>,
+    inner: Arc<Mutex<Vec<Vec<TranscriptEntry>>>>,
 }
 
 impl TranscriptLog {
@@ -112,13 +119,22 @@ impl TranscriptLog {
 
     /// Appends one voted verdict.
     pub fn record(&self, entry: TranscriptEntry) {
-        self.inner.lock().expect("transcript lock").push(entry);
+        let mut blocks = self.inner.lock().expect("transcript lock");
+        match blocks.last_mut() {
+            Some(block) if block.len() < BLOCK_ENTRIES => block.push(entry),
+            _ => {
+                let mut block = Vec::with_capacity(BLOCK_ENTRIES);
+                block.push(entry);
+                blocks.push(block);
+            }
+        }
+        drop(blocks);
         count!("audit.transcript.entries");
     }
 
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("transcript lock").len()
+        self.inner.lock().expect("transcript lock").iter().map(Vec::len).sum()
     }
 
     /// Whether no verdict has been recorded yet.
@@ -128,7 +144,7 @@ impl TranscriptLog {
 
     /// Copies out the entries in canonical `(batch, partition)` order.
     pub fn entries(&self) -> Vec<TranscriptEntry> {
-        let mut entries = self.inner.lock().expect("transcript lock").clone();
+        let mut entries = self.inner.lock().expect("transcript lock").concat();
         entries.sort_by_key(|e| (e.batch, e.partition));
         entries
     }
@@ -149,26 +165,30 @@ impl TranscriptLog {
     /// `seed` and `fingerprint` identify the run configuration; both are
     /// hashed into the genesis link via the header line.
     pub fn render(&self, seed: u64, fingerprint: &str) -> String {
-        let entries = self.entries();
-        let header = format!(
-            "{{\"schema\":\"{TRANSCRIPT_SCHEMA}\",\"seed\":{seed},\"fingerprint\":{}}}",
-            json_escape(fingerprint)
-        );
-        let mut out = String::new();
-        let _ = writeln!(out, "{header}");
-        let mut chain = sha256(header.as_bytes());
-        for (seq, e) in entries.iter().enumerate() {
-            chain = chain_hash(&chain, e);
-            let _ = writeln!(out, "{}", entry_line(seq, e, &chain));
-        }
-        let _ = writeln!(
-            out,
-            "{{\"footer\":\"{TRANSCRIPT_SCHEMA}\",\"entries\":{},\"head\":\"{}\"}}",
-            entries.len(),
-            hex(&chain),
-        );
-        out
+        render_entries(&self.entries(), seed, fingerprint)
     }
+}
+
+/// [`TranscriptLog::render`] over entries already in canonical order.
+fn render_entries(entries: &[TranscriptEntry], seed: u64, fingerprint: &str) -> String {
+    let header = format!(
+        "{{\"schema\":\"{TRANSCRIPT_SCHEMA}\",\"seed\":{seed},\"fingerprint\":{}}}",
+        json_escape(fingerprint)
+    );
+    let mut out = String::new();
+    let _ = writeln!(out, "{header}");
+    let mut chain = sha256(header.as_bytes());
+    for (seq, e) in entries.iter().enumerate() {
+        chain = chain_hash(&chain, e);
+        let _ = writeln!(out, "{}", entry_line(seq, e, &chain));
+    }
+    let _ = writeln!(
+        out,
+        "{{\"footer\":\"{TRANSCRIPT_SCHEMA}\",\"entries\":{},\"head\":\"{}\"}}",
+        entries.len(),
+        hex(&chain),
+    );
+    out
 }
 
 /// SHA-256 digest over a checkpoint payload: the tensor count, then for
@@ -638,6 +658,42 @@ mod tests {
             payload_digest: payload_digest(&[Tensor::ones(&[4])]),
         });
         log
+    }
+
+    #[test]
+    fn block_storage_keeps_entries_and_render_of_one_vec() {
+        let log = TranscriptLog::new();
+        let mut reference = Vec::new();
+        let total = 3 * BLOCK_ENTRIES + 17;
+        for i in 0..total {
+            // Five partitions append in descending order, as concurrent
+            // stages may, so the canonical sort has work to do.
+            let verdict = if i % 97 == 0 {
+                TranscriptVerdict::Diverged { dissenting: vec![i % 3] }
+            } else {
+                TranscriptVerdict::Pass { agreeing: 3 }
+            };
+            let entry = TranscriptEntry {
+                partition: 4 - i % 5,
+                batch: (i / 5) as u64,
+                epoch: (i % 7) as u64,
+                verdict,
+                payload_digest: sha256(&i.to_le_bytes()),
+            };
+            reference.push(entry.clone());
+            log.record(entry);
+        }
+        {
+            let blocks = log.inner.lock().unwrap();
+            assert_eq!(blocks.len(), 4);
+            assert!(blocks.iter().all(|b| b.capacity() == BLOCK_ENTRIES));
+        }
+        assert_eq!(log.len(), total);
+        reference.sort_by_key(|e| (e.batch, e.partition));
+        assert_eq!(log.entries(), reference);
+        let text = log.render(7, "blocks");
+        assert_eq!(text, render_entries(&reference, 7, "blocks"));
+        assert_eq!(verify_transcript(&text).expect("verifies").entries, total);
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub enum ActivationKind {
 
 impl ActivationKind {
     /// Applies the activation to a scalar.
+    #[inline]
     #[allow(clippy::manual_clamp)] // max/min keeps IEEE NaN laundering identical to Relu
     pub fn apply(self, x: f32) -> f32 {
         match self {

@@ -26,6 +26,10 @@
 //! wrapper (such as the fault-injection crate's) must not forward the
 //! method, so its engine keeps the per-call GEMM shapes its corruption
 //! depends on.
+//!
+//! Narrow products (`n ≤ 4`) run, in every built-in backend, on one
+//! shared kernel that keeps eight output rows in registers and performs
+//! that same declared order, so it changes speed and not bytes.
 
 use std::fmt;
 use std::sync::Arc;
@@ -113,6 +117,9 @@ impl Blas for NaiveBlas {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(c.len(), m * n);
+        if narrow_gemm(m, n, k, a, b, c, false) {
+            return;
+        }
         for i in 0..m {
             let a_row = &a[i * k..(i + 1) * k];
             let c_row = &mut c[i * n..(i + 1) * n];
@@ -154,6 +161,9 @@ impl Blas for BlockedBlas {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(c.len(), m * n);
+        if narrow_gemm(m, n, k, a, b, c, true) {
+            return;
+        }
         let t = self.tile.max(1);
         c.fill(0.0);
         let mut kb = 0;
@@ -205,6 +215,9 @@ impl Blas for StridedBlas {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(c.len(), m * n);
+        if narrow_gemm(m, n, k, a, b, c, true) {
+            return;
+        }
         c.fill(0.0);
         for kk in 0..k {
             let b_row = &b[kk * n..(kk + 1) * n];
@@ -224,6 +237,92 @@ impl Blas for StridedBlas {
     fn row_order(&self) -> RowOrder {
         RowOrder::AscendingK { skips_zero_a: true }
     }
+}
+
+/// The built-in backends' shared kernel for narrow products (`n ≤ 4`:
+/// the GEMVs of pointwise convolutions on 1×1 and 2×2 maps); returns
+/// `false`, computing nothing, for any other `n`.
+///
+/// It replays [`RowOrder::AscendingK`] exactly: every `c[i][j]` starts at
+/// `+0.0` and adds the rounded product `a[i][kk] · b[kk][j]` in ascending
+/// `kk`, no FMA, skipping `a[i][kk] == 0.0` when `skips_zero_a`. Rows are
+/// independent, so it walks them 8 at a time (then 4, 2 and 1), each
+/// row's accumulators held in registers: eight independent addition
+/// chains overlap where one row at a time waits on each addition.
+fn narrow_gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    skips_zero_a: bool,
+) -> bool {
+    match (n, skips_zero_a) {
+        (1, false) => narrow::<1, false>(m, k, a, b, c),
+        (2, false) => narrow::<2, false>(m, k, a, b, c),
+        (3, false) => narrow::<3, false>(m, k, a, b, c),
+        (4, false) => narrow::<4, false>(m, k, a, b, c),
+        (1, true) => narrow::<1, true>(m, k, a, b, c),
+        (2, true) => narrow::<2, true>(m, k, a, b, c),
+        (3, true) => narrow::<3, true>(m, k, a, b, c),
+        (4, true) => narrow::<4, true>(m, k, a, b, c),
+        _ => return false,
+    }
+    true
+}
+
+/// [`narrow_gemm`] at width `N`: the row cascade 8, 4, 2, 1.
+fn narrow<const N: usize, const SKIP: bool>(
+    m: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let mut i = 0;
+    while m - i >= 8 {
+        narrow_rows::<8, N, SKIP>(i, k, a, b, c);
+        i += 8;
+    }
+    if m - i >= 4 {
+        narrow_rows::<4, N, SKIP>(i, k, a, b, c);
+        i += 4;
+    }
+    if m - i >= 2 {
+        narrow_rows::<2, N, SKIP>(i, k, a, b, c);
+        i += 2;
+    }
+    if m - i == 1 {
+        narrow_rows::<1, N, SKIP>(i, k, a, b, c);
+    }
+}
+
+/// Rows `i..i + R` of a width-`N` product, their `R × N` accumulators in
+/// registers for the whole `k` loop.
+#[inline(always)]
+fn narrow_rows<const R: usize, const N: usize, const SKIP: bool>(
+    i: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let mut acc = [[0.0f32; N]; R];
+    for (kk, b_row) in b.chunks_exact(N).take(k).enumerate() {
+        for (acc_r, a_row) in acc.iter_mut().zip(a_rows) {
+            let av = a_row[kk];
+            // A skipped product adds `+0.0` instead, branch-free. That
+            // changes no bit: the accumulator starts at `+0.0`, and a sum
+            // is `−0.0` only when both addends are, so it is never `−0.0`.
+            let skip = SKIP && av == 0.0;
+            for (cv, &bv) in acc_r.iter_mut().zip(b_row) {
+                *cv += if skip { 0.0 } else { av * bv };
+            }
+        }
+    }
+    c[i * N..(i + R) * N].copy_from_slice(acc.as_flattened());
 }
 
 #[cfg(test)]
@@ -345,6 +444,99 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The backends' general loops, as they ran every shape before the
+    /// narrow kernel took `n ≤ 4`: the oracle for it.
+    fn tiled_oracle(kind: BlasKind, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        match kind {
+            BlasKind::Naive => {
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0f32;
+                        for kk in 0..k {
+                            acc += a[i * k + kk] * b[kk * n + j];
+                        }
+                        c[i * n + j] = acc;
+                    }
+                }
+            }
+            BlasKind::Blocked => {
+                let t = BlockedBlas::default().tile;
+                for kb in (0..k).step_by(t) {
+                    for ib in (0..m).step_by(t) {
+                        for i in ib..(ib + t).min(m) {
+                            for kk in kb..(kb + t).min(k) {
+                                let av = a[i * k + kk];
+                                if av == 0.0 {
+                                    continue;
+                                }
+                                for j in 0..n {
+                                    c[i * n + j] += av * b[kk * n + j];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            BlasKind::Strided => {
+                for kk in 0..k {
+                    for i in 0..m {
+                        let av = a[i * k + kk];
+                        if av == 0.0 {
+                            continue;
+                        }
+                        for j in 0..n {
+                            c[i * n + j] += av * b[kk * n + j];
+                        }
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn narrow_products_match_the_tiled_loops_bit_for_bit() {
+        // When two different NaNs meet in one operation, which one's bits
+        // survive depends on the operand order the compiler chose, so a
+        // case never holds two: its specials are either the infinities
+        // (whose `0 · inf` and `inf − inf` all give the one default NaN)
+        // or a single NaN payload, never both.
+        let finite = [0.0, -0.0, f32::from_bits(0x0000_0001), f32::from_bits(0x8040_0000)];
+        let poisons = [
+            [f32::INFINITY, f32::NEG_INFINITY],
+            [f32::from_bits(0x7fc0_1234); 2],
+            [f32::from_bits(0xffa0_0042); 2],
+        ];
+        let mut rng = StdRng::seed_from_u64(0x4e);
+        let mut cases = 0;
+        for kind in BlasKind::ALL {
+            let blas = kind.instantiate();
+            for n in 1..=4usize {
+                for m in 0..=20usize {
+                    for k in [0usize, 1, 7, 24, 144] {
+                        let specials: Vec<f32> =
+                            finite.iter().chain(&poisons[cases % poisons.len()]).copied().collect();
+                        // One operand in four is special.
+                        let mut pick = |_| match rng.gen_range(0..4 * specials.len()) {
+                            s if s < specials.len() => specials[s],
+                            _ => rng.gen_range(-2.0f32..2.0),
+                        };
+                        let a: Vec<f32> = (0..m * k).map(&mut pick).collect();
+                        let b: Vec<f32> = (0..k * n).map(&mut pick).collect();
+                        let want = tiled_oracle(kind, m, n, k, &a, &b);
+                        let mut got = vec![f32::NAN; m * n];
+                        blas.gemm(m, n, k, &a, &b, &mut got);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{kind} m {m} n {n} k {k}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 3 * 4 * 21 * 5);
     }
 
     #[test]

@@ -385,15 +385,27 @@ fn depthwise_direct(
     let (ph, pw) = a.padding;
     let (oh, ow) = conv_out_dims(h, wd, a);
     let plane = oh * ow;
-    // The output columns whose input column `ox·sw + kx − pw` lies inside
-    // the row, per `kx`: computed once per op, no division per channel.
-    let spans: Vec<(usize, usize)> = (0..kw)
-        .map(|kx| {
-            let lo = pw.saturating_sub(kx).div_ceil(sw).min(ow);
-            let hi = (wd + pw).saturating_sub(kx).div_ceil(sw).min(ow);
-            (lo, hi.max(lo))
-        })
-        .collect();
+    // Every valid tap of every output row, listed once per op as
+    // `(tap, out, inp, len)`: add `w[tap] · x[inp + i·sw]` to
+    // `acc[out + i]` for `i < len`. Output column `ox` reads input column
+    // `ox·sw + kx − pw`, which lies inside the row for `ox` in `lo..hi`.
+    // The list runs in ascending `(oy, ky, kx)`, so every output element
+    // still adds its taps in ascending `kk`.
+    let mut taps = Vec::with_capacity(oh * kh * kw);
+    for oy in 0..oh {
+        for ky in 0..kh {
+            let Some(iy) = (oy * sh + ky).checked_sub(ph).filter(|&iy| iy < h) else {
+                continue;
+            };
+            for kx in 0..kw {
+                let lo = pw.saturating_sub(kx).div_ceil(sw).min(ow);
+                let hi = (wd + pw).saturating_sub(kx).div_ceil(sw).min(ow);
+                if lo < hi {
+                    taps.push((ky * kw + kx, oy * ow + lo, iy * wd + lo * sw + kx - pw, hi - lo));
+                }
+            }
+        }
+    }
     ctx.pool.for_each_chunk(n * c, plane, out, |_, p0, _, block| {
         for (local, dst) in block.chunks_mut(plane).enumerate() {
             let p = p0 + local;
@@ -401,29 +413,19 @@ fn depthwise_direct(
             let src = &xs[p * h * wd..(p + 1) * h * wd];
             let wc = &ws[ch * kh * kw..(ch + 1) * kh * kw];
             // `dst` starts zeroed: it is the accumulator.
-            for (oy, acc) in dst.chunks_mut(ow).enumerate() {
-                for ky in 0..kh {
-                    let Some(iy) = (oy * sh + ky).checked_sub(ph).filter(|&iy| iy < h) else {
-                        continue;
-                    };
-                    let row = &src[iy * wd..(iy + 1) * wd];
-                    for (kx, &(lo, hi)) in spans.iter().enumerate() {
-                        let wv = wc[ky * kw + kx];
-                        if lo == hi || (skips_zero_a && wv == 0.0) {
-                            continue;
-                        }
-                        // The span's first input column; the rest follow
-                        // every `sw`.
-                        let ix0 = lo * sw + kx - pw;
-                        if sw == 1 {
-                            for (d, &xv) in acc[lo..hi].iter_mut().zip(&row[ix0..ix0 + hi - lo]) {
-                                *d += wv * xv;
-                            }
-                        } else {
-                            for (i, d) in acc[lo..hi].iter_mut().enumerate() {
-                                *d += wv * row[ix0 + i * sw];
-                            }
-                        }
+            for &(tap, o0, i0, len) in &taps {
+                let wv = wc[tap];
+                if skips_zero_a && wv == 0.0 {
+                    continue;
+                }
+                let acc = &mut dst[o0..o0 + len];
+                if sw == 1 {
+                    for (d, &xv) in acc.iter_mut().zip(&src[i0..i0 + len]) {
+                        *d += wv * xv;
+                    }
+                } else {
+                    for (d, &xv) in acc.iter_mut().zip(src[i0..].iter().step_by(sw)) {
+                        *d += wv * xv;
                     }
                 }
             }
@@ -787,9 +789,19 @@ pub fn lrn(x: &Tensor, size: usize, alpha: f32, beta: f32, bias: f32) -> Result<
     Ok(Tensor::from_vec(out, x.dims())?)
 }
 
-/// Element-wise activation.
+/// Element-wise activation: one `match` per op, then a loop whose body is
+/// [`ActivationKind::apply`] for that one kind, inlined and specialised
+/// (the same operations, so the same bits), which the compiler can
+/// vectorise.
 pub fn activation(x: &Tensor, kind: ActivationKind) -> Tensor {
-    x.map(|v| kind.apply(v))
+    macro_rules! per_kind {
+        ($($k:ident),*) => {
+            match kind {
+                $(ActivationKind::$k => x.map(|v| ActivationKind::$k.apply(v)),)*
+            }
+        };
+    }
+    per_kind!(Relu, Relu6, Sigmoid, Silu, HardSigmoid, HardSwish, Tanh, Abs)
 }
 
 /// Fully connected layer `y = x · wᵀ + b` through a BLAS backend.
@@ -1093,6 +1105,45 @@ mod tests {
 
     fn attrs(k: usize, s: usize, p: usize, g: usize) -> ConvAttrs {
         ConvAttrs { kernel: (k, k), stride: (s, s), padding: (p, p), groups: g }
+    }
+
+    #[test]
+    fn activation_kernel_equals_apply_bit_for_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0042),
+            f32::from_bits(0x0000_0001),
+            f32::from_bits(0x8040_0000),
+            6.0,
+            -6.0,
+            1e30,
+            -1e30,
+            0.5,
+            -2.75,
+        ];
+        // 1 003 elements: the vectorised loop's body and a scalar tail.
+        let values: Vec<f32> = specials.iter().copied().cycle().take(1003).collect();
+        let x = Tensor::from_vec(values.clone(), &[1003]).unwrap();
+        for kind in [
+            ActivationKind::Relu,
+            ActivationKind::Relu6,
+            ActivationKind::Sigmoid,
+            ActivationKind::Silu,
+            ActivationKind::HardSigmoid,
+            ActivationKind::HardSwish,
+            ActivationKind::Tanh,
+            ActivationKind::Abs,
+        ] {
+            let got: Vec<u32> = activation(&x, kind).data().iter().map(|v| v.to_bits()).collect();
+            // One opaque call per element: the reference stays scalar.
+            let apply = |v| std::hint::black_box(kind).apply(std::hint::black_box(v));
+            let want: Vec<u32> = values.iter().map(|&v| apply(v).to_bits()).collect();
+            assert_eq!(got, want, "{kind}");
+        }
     }
 
     #[test]

@@ -152,6 +152,13 @@ impl ThreadPool {
         })
     }
 
+    /// Whether a [`ThreadPool::for_each_chunk`] region of `items × stride`
+    /// elements runs all its chunks on the caller's thread.
+    fn runs_inline(&self, items: usize, stride: usize) -> bool {
+        self.cfg.intra_op_threads.min(self.chunk_ranges(items).len()) <= 1
+            || items * stride < self.cfg.min_parallel_elems
+    }
+
     /// Splits `out` (laid out as `items × stride` f32s) into the static
     /// chunk list and runs `f(chunk_index, start_item, end_item, slice)`
     /// on every chunk — in parallel when the pool has workers and the
@@ -169,8 +176,7 @@ impl ThreadPool {
             return;
         }
         let ranges = self.chunk_ranges(items);
-        let workers = self.cfg.intra_op_threads.min(ranges.len());
-        if workers <= 1 || items * stride < self.cfg.min_parallel_elems {
+        if self.runs_inline(items, stride) {
             self.sequential_regions.inc();
             let mut rest = out;
             for (c, (s, e)) in ranges.enumerate() {
@@ -180,6 +186,7 @@ impl ThreadPool {
             }
             return;
         }
+        let workers = self.cfg.intra_op_threads.min(ranges.len());
         self.parallel_regions.inc();
         self.chunks.add(ranges.len() as u64);
         let mut shares: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
@@ -242,11 +249,14 @@ impl ThreadPool {
 
     /// Row-panel-parallel GEMM: `c[m×n] = a[m×k] · b[k×n]` with the row
     /// dimension split over the static chunk list; each panel is an
-    /// independent `blas.gemm` call on its own output rows.
+    /// independent `blas.gemm` call on its own output rows. A region that
+    /// runs on the caller's thread makes one call over all rows instead,
+    /// so a backend tiles the whole product its own way.
     ///
     /// All built-in backends accumulate each output element in ascending
     /// `k` order regardless of row tiling, so the panelled product is
-    /// byte-identical to the monolithic call.
+    /// byte-identical to the monolithic call. A custom backend runs on a
+    /// passthrough pool, whose single chunk is that one call either way.
     #[allow(clippy::too_many_arguments)] // mirrors the 7-operand BLAS GEMM signature
     pub fn par_gemm(
         &self,
@@ -258,6 +268,11 @@ impl ThreadPool {
         b: &[f32],
         c: &mut [f32],
     ) {
+        if m > 0 && self.runs_inline(m, n) {
+            self.sequential_regions.inc();
+            blas.gemm(m, n, k, a, b, c);
+            return;
+        }
         self.for_each_chunk(m, n, c, |_, r0, r1, panel| {
             blas.gemm(r1 - r0, n, k, &a[r0 * k..r1 * k], b, panel);
         });
@@ -391,6 +406,49 @@ mod tests {
                 assert!(same, "{kind} threads={threads}: panelled GEMM drifted");
             }
         }
+    }
+
+    #[test]
+    fn par_gemm_makes_one_call_unless_its_region_goes_parallel() {
+        use crate::blas::NaiveBlas;
+        use std::sync::Mutex;
+        /// Delegates to the naive backend and records each call's rows.
+        #[derive(Default)]
+        struct Recording(Mutex<Vec<usize>>);
+        impl Blas for Recording {
+            fn name(&self) -> &str {
+                "recording"
+            }
+            fn gemm(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+                self.0.lock().unwrap().push(m);
+                NaiveBlas.gemm(m, n, k, a, b, c);
+            }
+        }
+        let (m, n, k) = (20, 3, 9);
+        let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 - 6.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.25).collect();
+        let mut outputs = Vec::new();
+        for threads in [1usize, 2] {
+            let pool = ThreadPool::new(RuntimeConfig {
+                intra_op_threads: threads,
+                min_parallel_elems: 1,
+                ..RuntimeConfig::default()
+            });
+            let blas = Recording::default();
+            let mut c = vec![0.0f32; m * n];
+            pool.par_gemm(&blas, m, n, k, &a, &b, &mut c);
+            // Two workers record their chunks in either order.
+            let mut rows = blas.0.into_inner().unwrap();
+            rows.sort_unstable();
+            let mut want: Vec<usize> = match threads {
+                1 => vec![m],
+                _ => pool.chunk_ranges(m).map(|(s, e)| e - s).collect(),
+            };
+            want.sort_unstable();
+            assert_eq!(rows, want, "threads={threads}");
+            outputs.push(c.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+        assert_eq!(outputs[0], outputs[1]);
     }
 
     #[test]
