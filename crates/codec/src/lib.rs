@@ -75,6 +75,86 @@ impl<'de> serde::Deserialize<'de> for Bytes {
     }
 }
 
+/// `f32` data that crosses the codec as one length prefix plus one bulk copy.
+///
+/// The `f32` analogue of [`Bytes`]: a `Vec<f32>` goes through serde's
+/// sequence path, one `serialize_f32`/`deserialize_f32` call and one bounds
+/// check per element; `F32s` tells this codec's encoder and decoder (by its
+/// newtype name, the way `serde_json`'s `RawValue` works) to move the
+/// elements in bulk. The wire is a `Vec<f32>`'s — a u64-LE element count,
+/// then each element's LE bits — so swapping one for the other changes no
+/// encoded byte, and the decoder accepts exactly the same inputs. The
+/// encoder converts through a fixed stack block, never a per-value buffer;
+/// the decoder checks the count against the input left before it
+/// allocates, then converts with one exact-size collect.
+///
+/// `F32s(&[f32])` serialises; `F32s<Vec<f32>>` also deserialises. Only this
+/// codec gives the newtype its meaning: other formats would see a sequence
+/// of byte blocks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct F32s<T>(pub T);
+
+/// The newtype name [`F32s`] is announced under.
+const F32S: &str = "$mvtee_codec::F32s";
+
+/// Elements per block of [`F32s`]'s encoder.
+const F32_BLOCK: usize = 1024;
+
+impl<T: AsRef<[f32]>> Serialize for F32s<T> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_newtype_struct(F32S, &LeBlocks(self.0.as_ref()))
+    }
+}
+
+/// `F32s`' payload: the element count, then the elements' LE bytes in
+/// blocks of [`F32_BLOCK`], each handed over as one byte slice.
+struct LeBlocks<'a>(&'a [f32]);
+
+impl Serialize for LeBlocks<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
+        let mut block = [0u8; 4 * F32_BLOCK];
+        for values in self.0.chunks(F32_BLOCK) {
+            let bytes = &mut block[..4 * values.len()];
+            for (out, v) in bytes.chunks_exact_mut(4).zip(values) {
+                out.copy_from_slice(&v.to_le_bytes());
+            }
+            seq.serialize_element(&RawBytes(bytes))?;
+        }
+        seq.end()
+    }
+}
+
+/// Bytes the encoder appends as they are, without a length prefix, inside
+/// an [`F32s`].
+struct RawBytes<'a>(&'a [u8]);
+
+impl Serialize for RawBytes<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(self.0)
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for F32s<Vec<f32>> {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct F32sVisitor;
+        impl Visitor<'_> for F32sVisitor {
+            type Value = F32s<Vec<f32>>;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("a run of little-endian f32s")
+            }
+            fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> Result<Self::Value, E> {
+                if !v.len().is_multiple_of(4) {
+                    return Err(E::custom(format!("{} bytes is not a whole number of f32s", v.len())));
+                }
+                let values = v.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("four bytes")));
+                Ok(F32s(values.collect()))
+            }
+        }
+        deserializer.deserialize_newtype_struct(F32S, F32sVisitor)
+    }
+}
+
 /// Encodes a value.
 ///
 /// # Errors
@@ -82,7 +162,7 @@ impl<'de> serde::Deserialize<'de> for Bytes {
 /// Returns an error only for unserialisable values (never for the types in
 /// this workspace).
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
-    let mut ser = Encoder { out: Vec::new() };
+    let mut ser = Encoder { out: Vec::new(), raw_bytes: false };
     value.serialize(&mut ser)?;
     Ok(ser.out)
 }
@@ -103,6 +183,9 @@ pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
 
 struct Encoder {
     out: Vec<u8>,
+    /// Inside an [`F32s`]: byte slices are element blocks, appended with no
+    /// length prefix of their own.
+    raw_bytes: bool,
 }
 
 impl Encoder {
@@ -175,7 +258,9 @@ impl serde::Serializer for &mut Encoder {
         Ok(())
     }
     fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.put_len(v.len());
+        if !self.raw_bytes {
+            self.put_len(v.len());
+        }
         self.out.extend_from_slice(v);
         Ok(())
     }
@@ -203,10 +288,16 @@ impl serde::Serializer for &mut Encoder {
     }
     fn serialize_newtype_struct<T: Serialize + ?Sized>(
         self,
-        _name: &'static str,
+        name: &'static str,
         value: &T,
     ) -> Result<(), CodecError> {
-        value.serialize(self)
+        if name != F32S {
+            return value.serialize(self);
+        }
+        self.raw_bytes = true;
+        let written = value.serialize(&mut *self);
+        self.raw_bytes = false;
+        written
     }
     fn serialize_newtype_variant<T: Serialize + ?Sized>(
         self,
@@ -221,6 +312,9 @@ impl serde::Serializer for &mut Encoder {
     fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
         let len = len.ok_or_else(|| CodecError("sequences must have a known length".into()))?;
         self.put_len(len);
+        if self.raw_bytes {
+            self.out.reserve(4 * len);
+        }
         Ok(self)
     }
     fn serialize_tuple(self, _len: usize) -> Result<Self, CodecError> {
@@ -462,10 +556,21 @@ impl<'de> serde::Deserializer<'de> for &mut Decoder<'de> {
 
     fn deserialize_newtype_struct<V: Visitor<'de>>(
         self,
-        _name: &'static str,
+        name: &'static str,
         visitor: V,
     ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
+        if name != F32S {
+            return visitor.visit_newtype_struct(self);
+        }
+        // An element count, then four bytes per element: the claim is held
+        // against the input left before anything is reserved.
+        let count = u64::from_le_bytes(self.take(8)?.try_into().expect("sliced"));
+        let len = count
+            .checked_mul(4)
+            .and_then(|len| usize::try_from(len).ok())
+            .filter(|&len| len <= self.input.len())
+            .ok_or_else(|| CodecError(format!("declared length {count} exceeds remaining input")))?;
+        visitor.visit_borrowed_bytes(self.take(len)?)
     }
 
     fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {

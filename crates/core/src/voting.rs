@@ -94,15 +94,22 @@ pub fn evaluate(outputs: &[VariantOutput], metric: Metric, policy: VotingPolicy)
         };
     }
 
-    // Self-validity: a single output must pass the metric against itself
-    // (rejects NaN outputs even without a peer).
-    let self_valid = |t: &Vec<Tensor>| t.iter().all(|x| metric.check(x, x));
+    // Self-validity, once per output: each must pass the metric against
+    // itself (rejects NaN outputs even without a peer).
+    let valid: Vec<bool> =
+        healthy.iter().map(|(_, t)| t.iter().all(|x| metric.check(x, x))).collect();
 
-    // Union-find style clustering on pairwise consistency.
+    // Union-find style clustering on pairwise consistency. A pair already
+    // in one cluster is not compared: the union is decided, so a unanimous
+    // panel costs k − 1 compares.
     let k = healthy.len();
     let mut cluster: Vec<usize> = (0..k).collect();
     for i in 0..k {
         for j in (i + 1)..k {
+            let (ci, cj) = (cluster[i], cluster[j]);
+            if ci == cj {
+                continue;
+            }
             let consistent = healthy[i].1.len() == healthy[j].1.len()
                 && healthy[i]
                     .1
@@ -110,12 +117,9 @@ pub fn evaluate(outputs: &[VariantOutput], metric: Metric, policy: VotingPolicy)
                     .zip(healthy[j].1.iter())
                     .all(|(a, b)| metric.check(a, b));
             if consistent {
-                let (ci, cj) = (cluster[i], cluster[j]);
-                if ci != cj {
-                    for c in cluster.iter_mut() {
-                        if *c == cj {
-                            *c = ci;
-                        }
+                for c in cluster.iter_mut() {
+                    if *c == cj {
+                        *c = ci;
                     }
                 }
             }
@@ -127,9 +131,7 @@ pub fn evaluate(outputs: &[VariantOutput], metric: Metric, policy: VotingPolicy)
     roots.sort_unstable();
     roots.dedup();
     for root in roots {
-        let members: Vec<usize> = (0..k)
-            .filter(|&i| cluster[i] == root && self_valid(healthy[i].1))
-            .collect();
+        let members: Vec<usize> = (0..k).filter(|&i| cluster[i] == root && valid[i]).collect();
         if members.is_empty() {
             continue;
         }

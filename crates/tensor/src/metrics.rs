@@ -16,12 +16,22 @@ use serde::{Deserialize, Serialize};
 /// when exactly one is all-zero, and `NaN` never. Shapes are *not* checked;
 /// callers compare like with like (the monitor validates shapes first).
 pub fn cosine_similarity(a: &Tensor, b: &Tensor) -> f32 {
+    let (dot, na, nb) = cosine_sums(a.data(), b.data());
+    cosine_of(dot, na, nb)
+}
+
+/// `(x·y, x·x, y·y)` in `f64`, summed in element order.
+fn cosine_sums(a: &[f32], b: &[f32]) -> (f64, f64, f64) {
     let (mut dot, mut na, mut nb) = (0f64, 0f64, 0f64);
-    for (&x, &y) in a.data().iter().zip(b.data().iter()) {
+    for (&x, &y) in a.iter().zip(b) {
         dot += x as f64 * y as f64;
         na += x as f64 * x as f64;
         nb += y as f64 * y as f64;
     }
+    (dot, na, nb)
+}
+
+fn cosine_of(dot: f64, na: f64, nb: f64) -> f32 {
     if na == 0.0 && nb == 0.0 {
         return 1.0;
     }
@@ -122,21 +132,65 @@ impl Metric {
     /// Evaluates the metric for a pair of variant outputs.
     ///
     /// Returns `true` when the pair is *consistent* (no divergence).
-    /// Mismatched shapes are always inconsistent.
+    /// Mismatched shapes are always inconsistent, and so is a NaN anywhere
+    /// in either tensor.
+    ///
+    /// One pass over the pair: the NaN test and the metric run together.
+    /// The elementwise metrics (`MaxAbsDiff`, `AllClose`) run block by block
+    /// in a form the compiler vectorises, and stop at the first block that
+    /// holds a divergent element; `Metric::exact()` reduces to elementwise
+    /// `==`, which a NaN fails by itself. `Mse` and `Cosine` sum in `f64` in
+    /// element order, as [`mse`] and [`cosine_similarity`] do, so they stay
+    /// sequential; a NaN shows in their sums. Every verdict is the one the
+    /// separate NaN scans and metric functions give.
     pub fn check(&self, a: &Tensor, b: &Tensor) -> bool {
         if a.shape() != b.shape() {
             return false;
         }
-        if a.data().iter().any(|v| v.is_nan()) || b.data().iter().any(|v| v.is_nan()) {
-            return false;
-        }
+        let (xs, ys) = (a.data(), b.data());
         match *self {
-            Metric::Cosine { min_similarity } => cosine_similarity(a, b) >= min_similarity,
+            Metric::Cosine { min_similarity } => {
+                // `x·x` is NaN exactly when some `x` is: squares are never
+                // negative, so no `inf - inf` arises.
+                let (dot, na, nb) = cosine_sums(xs, ys);
+                !na.is_nan() && !nb.is_nan() && cosine_of(dot, na, nb) >= min_similarity
+            }
+            // A NaN input makes the sum, and so the mean, NaN.
             Metric::Mse { max_mse } => mse(a, b) <= max_mse,
-            Metric::MaxAbsDiff { max_diff } => max_abs_diff(a, b) <= max_diff,
-            Metric::AllClose { rtol, atol } => allclose(a, b, rtol, atol),
+            // `max_abs_diff` starts at 0 and skips NaN differences (`inf -
+            // inf`), so the pair passes when no input is NaN, every other
+            // difference is within `max_diff`, and `0 <= max_diff`.
+            Metric::MaxAbsDiff { max_diff: 0.0 } => all_blocks(xs, ys, |x, y| x == y),
+            Metric::MaxAbsDiff { max_diff } => {
+                0.0 <= max_diff
+                    && all_blocks(xs, ys, |x, y| {
+                        let d = (x - y).abs();
+                        !x.is_nan() & !y.is_nan() & ((d <= max_diff) | d.is_nan())
+                    })
+            }
+            // The tolerance test fails on a NaN by itself.
+            Metric::AllClose { rtol, atol } => {
+                all_blocks(xs, ys, |x, y| (x - y).abs() <= atol + rtol * y.abs())
+            }
         }
     }
+}
+
+/// Elements per block of [`all_blocks`].
+const BLOCK: usize = 64;
+
+/// `true` when `agrees` holds for every element pair of two equal-length
+/// slices. Each block is reduced without a branch, so the compiler can
+/// vectorise it; the scan stops after the first block with a disagreement.
+fn all_blocks(a: &[f32], b: &[f32], agrees: impl Fn(f32, f32) -> bool) -> bool {
+    let (mut xs, mut ys) = (a.chunks_exact(BLOCK), b.chunks_exact(BLOCK));
+    for (x, y) in (&mut xs).zip(&mut ys) {
+        let (x, y): (&[f32; BLOCK], &[f32; BLOCK]) = (x.try_into().unwrap(), y.try_into().unwrap());
+        if !x.iter().zip(y).fold(true, |ok, (&x, &y)| ok & agrees(x, y)) {
+            return false;
+        }
+    }
+    xs.remainder().iter().zip(ys.remainder()).all(|(&x, &y)| agrees(x, y))
 }
 
 /// All four paper metrics evaluated for one variant-output pair; recorded by

@@ -1,5 +1,7 @@
 use crate::{Layout, Result, Shape, TensorError};
+use mvtee_codec::F32s;
 use rand::Rng;
+use serde::ser::SerializeStruct;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -10,10 +12,21 @@ use std::fmt;
 /// contiguous in C order for the canonical `NCHW` interpretation; executors
 /// that prefer other layouts convert explicitly via [`Tensor::to_nhwc`] /
 /// [`Tensor::from_nhwc`].
-#[derive(Clone, PartialEq, Serialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+/// The data crosses the codec as [`F32s`]: one length prefix plus one bulk
+/// copy, on the wire a `Vec<f32>` would write.
+impl Serialize for Tensor {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
+        let mut tensor = serializer.serialize_struct("Tensor", 2)?;
+        tensor.serialize_field("shape", &self.shape)?;
+        tensor.serialize_field("data", &F32s(&self.data[..]))?;
+        tensor.end()
+    }
 }
 
 /// Deserialization enforces the same invariant as [`Tensor::from_vec`]
@@ -25,20 +38,20 @@ impl<'de> Deserialize<'de> for Tensor {
         #[derive(Deserialize)]
         struct Raw {
             shape: Shape,
-            data: Vec<f32>,
+            data: F32s<Vec<f32>>,
         }
         let raw = Raw::deserialize(deserializer)?;
         // The dims are the peer's: their product may not fit a `usize`
         // (`Shape::num_elements` would panic in debug and wrap in release).
         let claimed = raw.shape.dims().iter().try_fold(1usize, |n, &d| n.checked_mul(d));
-        if claimed != Some(raw.data.len()) {
+        if claimed != Some(raw.data.0.len()) {
             return Err(serde::de::Error::custom(format!(
                 "tensor shape {} does not describe the {} elements supplied",
                 raw.shape,
-                raw.data.len()
+                raw.data.0.len()
             )));
         }
-        Ok(Tensor { shape: raw.shape, data: raw.data })
+        Ok(Tensor { shape: raw.shape, data: raw.data.0 })
     }
 }
 

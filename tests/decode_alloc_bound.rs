@@ -328,6 +328,32 @@ fn hostile_tensor_frames_decode_within_the_bound() {
     }
 }
 
+/// A `StageResponse` whose tensor data claims an element count the frame
+/// cannot back: `u64::MAX`, `u64::MAX / 4 + 1` (whose byte length
+/// overflows a `u64`), and exactly one element more than the bytes left.
+/// Tensor data crosses the codec in bulk, so the count is held against the
+/// input before anything is reserved: each claim is refused, without a
+/// panic, within the bound. Both tensors' counts are tried; the last
+/// tensor's bytes end the frame.
+#[test]
+fn hostile_element_counts_decode_within_the_bound() {
+    let response = encode(&StageResponse::Output { batch: 7, tensors: stage_tensors() }).unwrap();
+    let words = |values: &[u64]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    // Each tensor's dims with their count in front, then its element count.
+    for (dims, count) in [(words(&[4, 1, 3, 8, 8, 3 * 8 * 8]), 3 * 8 * 8), (words(&[2, 2, 5, 10]), 10)] {
+        let at = response.windows(dims.len()).position(|w| w == dims).expect("dims are encoded");
+        let count_at = at + dims.len() - 8;
+        let left = response.len() - count_at - 8;
+        assert!(left >= 4 * count);
+        for claim in [u64::MAX, u64::MAX / 4 + 1, (left / 4 + 1) as u64] {
+            let mut hostile = response.clone();
+            hostile[count_at..count_at + 8].copy_from_slice(&claim.to_le_bytes());
+            assert!(decode::<StageResponse>(&hostile).is_err(), "{claim}");
+            assert_decodes_within_bound(&hostile);
+        }
+    }
+}
+
 /// The costly shape: a manifest set of `n` distinct short names, as the
 /// untrusted orchestrator could send in a placement.
 #[test]
