@@ -13,6 +13,7 @@ use crate::blas::{Blas, BlasKind};
 use crate::cache::{KernelCtx, PackedGemm};
 use crate::kernels::{self, Accumulation, ConvAttrs};
 use crate::optimize;
+use crate::packed::ConvRoute;
 use crate::pool::{RuntimeConfig, ThreadPool};
 use crate::strategy::{GemmStrategy, KernelStrategy};
 use crate::{Result, RuntimeError};
@@ -264,12 +265,6 @@ impl Engine {
         for &o in compiled.outputs() {
             use_counts[o.0] += 1;
         }
-        // Per-family telemetry handles, fetched once at prepare time so the
-        // dispatch loop records without name lookups.
-        let op_latency =
-            mvtee_telemetry::histogram(&format!("runtime.{}.op_ns", self.config.kind));
-        let gemm_calls =
-            mvtee_telemetry::counter(&format!("runtime.{}.gemm_calls", self.config.kind));
         // The one kernel decision: custom BLAS backends stay on the scalar
         // path (their fault models corrupt outputs as a function of the
         // per-call GEMM shape, so call shapes must match the sequential
@@ -298,17 +293,54 @@ impl Engine {
                 }
             }
         }
+        // Everything else an op needs per call that prepare already knows:
+        // its conv route (weights packed here, once) and its trace label.
+        let conv_routes = !self.custom_blas
+            && strategy != GemmStrategy::SimdMicrokernel
+            && self.config.conv_strategy == ConvStrategy::Im2col;
+        let steps = order
+            .into_iter()
+            .map(|node_id| {
+                let node = compiled.node(node_id)?;
+                let x_dims = node
+                    .inputs
+                    .first()
+                    .and_then(|&x| compiled.value(x).ok()?.shape.as_ref())
+                    .map(|s| s.dims());
+                let route = match (&node.op, x_dims) {
+                    (Op::Conv { kernel, stride, padding, groups }, Some(dims)) if conv_routes => {
+                        let attrs = ConvAttrs {
+                            kernel: *kernel,
+                            stride: *stride,
+                            padding: *padding,
+                            groups: *groups,
+                        };
+                        let init =
+                            |i: usize| node.inputs.get(i).map(|&v| compiled.initializer(v));
+                        match (init(1), init(2)) {
+                            (Some(Some(w)), bias @ (None | Some(Some(_)))) => {
+                                let order = self.blas.row_order();
+                                ConvRoute::plan(dims, w, bias.flatten(), &attrs, order)
+                            }
+                            // A weight or bias fed at run time is not known here.
+                            _ => ConvRoute::Generic,
+                        }
+                    }
+                    _ => ConvRoute::Generic,
+                };
+                let shape = x_dims.map(|d| format!("{d:?}"));
+                Ok(Step { node: node_id, route, shape })
+            })
+            .collect::<Result<_>>()?;
         Ok(Box::new(Interpreter {
             graph: compiled,
-            order,
+            steps,
             use_counts,
             blas: Arc::clone(&self.blas),
             config: self.config.clone(),
             ctx: KernelCtx::new(Arc::clone(&self.pool)),
             packed,
             strategy,
-            op_latency,
-            gemm_calls,
             placeholder: Tensor::scalar(0.0),
         }))
     }
@@ -318,9 +350,20 @@ impl Engine {
 /// five, and all but the widest `Concat`s.
 const INLINE_INPUTS: usize = 8;
 
+/// One op of the prepared model, in execution order, with what `prepare`
+/// worked out for it.
+struct Step {
+    node: NodeId,
+    /// The kernel a conv runs; `Generic` for every other op.
+    route: ConvRoute,
+    /// The first input's dims, rendered for the `runtime.op` trace span
+    /// (`None` when the graph does not record them).
+    shape: Option<String>,
+}
+
 struct Interpreter {
     graph: Graph,
-    order: Vec<NodeId>,
+    steps: Vec<Step>,
     use_counts: Vec<u32>,
     blas: Arc<dyn Blas>,
     config: EngineConfig,
@@ -328,14 +371,26 @@ struct Interpreter {
     packed: HashMap<usize, Arc<PackedGemm>>,
     /// Resolved at `prepare`; every GEMM-family op runs this kernel.
     strategy: GemmStrategy,
-    op_latency: mvtee_telemetry::Histogram,
-    gemm_calls: mvtee_telemetry::Counter,
     /// Fills the unused slots of an op's inline input array.
     placeholder: Tensor,
 }
 
 impl Interpreter {
-    fn compute(&self, node: &Node, inputs: &[&Tensor]) -> Result<Tensor> {
+    /// The tensor value `v` holds during a run: an activation, a graph
+    /// input or an initializer, in that order.
+    fn lookup<'a>(
+        &'a self,
+        values: &'a [Option<Tensor>],
+        inputs: &'a [Tensor],
+        v: ValueId,
+    ) -> Option<&'a Tensor> {
+        values[v.0]
+            .as_ref()
+            .or_else(|| Some(&inputs[self.graph.inputs().iter().position(|&g| g == v)?]))
+            .or_else(|| self.graph.initializer(v))
+    }
+
+    fn compute(&self, node: &Node, route: &ConvRoute, inputs: &[&Tensor]) -> Result<Tensor> {
         let acc = self.config.accumulation;
         match &node.op {
             Op::Conv { kernel, stride, padding, groups } => {
@@ -348,9 +403,9 @@ impl Interpreter {
                 let bias = inputs.get(2).copied();
                 match self.config.conv_strategy {
                     ConvStrategy::Direct => kernels::conv2d_direct(inputs[0], inputs[1], bias, &attrs),
-                    ConvStrategy::Im2col => {
-                        self.gemm_calls.inc();
-                        kernels::conv2d_im2col_with(
+                    ConvStrategy::Im2col => match route.run(inputs[0]) {
+                        Some(out) => Ok(out),
+                        None => kernels::conv2d_im2col_with(
                             &self.ctx,
                             inputs[0],
                             inputs[1],
@@ -358,8 +413,8 @@ impl Interpreter {
                             &attrs,
                             self.blas.as_ref(),
                             self.strategy,
-                        )
-                    }
+                        ),
+                    },
                     ConvStrategy::NhwcDirect => {
                         let nhwc = inputs[0].to_nhwc()?;
                         let out = kernels::conv2d_nhwc_direct_with(
@@ -370,7 +425,6 @@ impl Interpreter {
                 }
             }
             Op::Gemm => {
-                self.gemm_calls.inc();
                 let packed = node
                     .inputs
                     .get(1)
@@ -387,7 +441,6 @@ impl Interpreter {
                 )
             }
             Op::MatMul => {
-                self.gemm_calls.inc();
                 kernels::matmul_with(&self.ctx, inputs[0], inputs[1], self.blas.as_ref(), self.strategy)
             }
             Op::BatchNorm { epsilon } => kernels::batch_norm_with(
@@ -441,18 +494,15 @@ impl PreparedModel for Interpreter {
                     });
                 }
             }
-            values[vid.0] = Some(tensor.clone());
         }
-        for &nid in &self.order {
-            let node = self.graph.node(nid)?;
+        let tracer = mvtee_telemetry::trace::recorder();
+        for step in &self.steps {
+            let node = self.graph.node(step.node)?;
             let input = |i: ValueId| {
-                values[i.0]
-                    .as_ref()
-                    .or_else(|| self.graph.initializer(i))
-                    .ok_or_else(|| RuntimeError::Kernel {
-                        node: node.name.clone(),
-                        reason: format!("missing value {}", i.0),
-                    })
+                self.lookup(&values, inputs, i).ok_or_else(|| RuntimeError::Kernel {
+                    node: node.name.clone(),
+                    reason: format!("missing value {}", i.0),
+                })
             };
             // Every op but a wide `Concat` fits the inline array.
             let mut inline = [&self.placeholder; INLINE_INPUTS];
@@ -466,14 +516,15 @@ impl PreparedModel for Interpreter {
                 spilled = node.inputs.iter().map(|&i| input(i)).collect::<Result<_>>()?;
                 &spilled
             };
-            let tracer = mvtee_telemetry::trace::recorder();
+            // The op loop reads no clock and writes no shared metric: per-op
+            // time is the `runtime.op` span's, recorded only when tracing.
             let _op_trace = if tracer.is_enabled() {
                 // One span per op under the ambient (variant-run) span,
                 // annotated with shape and the intra-op thread count.
-                let shape = in_refs
-                    .first()
-                    .map(|t| format!("{:?}", t.dims()))
-                    .unwrap_or_default();
+                let shape = match &step.shape {
+                    Some(shape) => shape.clone(),
+                    None => in_refs.first().map(|t| format!("{:?}", t.dims())).unwrap_or_default(),
+                };
                 Some(
                     tracer
                         .span(mvtee_telemetry::trace::current(), "runtime.op", "runtime")
@@ -484,16 +535,12 @@ impl PreparedModel for Interpreter {
             } else {
                 None
             };
-            let out = {
-                let _op_span = self.op_latency.start();
-                self.compute(node, in_refs)
-            }
-                .map_err(|e| match e {
-                    RuntimeError::Kernel { reason, .. } => {
-                        RuntimeError::Kernel { node: node.name.clone(), reason }
-                    }
-                    other => other,
-                })?;
+            let out = self.compute(node, &step.route, in_refs).map_err(|e| match e {
+                RuntimeError::Kernel { reason, .. } => {
+                    RuntimeError::Kernel { node: node.name.clone(), reason }
+                }
+                other => other,
+            })?;
             // Every op here has exactly one output: move, don't clone.
             debug_assert_eq!(node.outputs.len(), 1);
             values[node.outputs[0].0] = Some(out);
@@ -501,21 +548,30 @@ impl PreparedModel for Interpreter {
             for &i in &node.inputs {
                 let count = &mut remaining[i.0];
                 *count = count.saturating_sub(1);
-                if *count == 0 && !graph_inputs.contains(&i) {
+                if *count == 0 {
                     values[i.0] = None;
                 }
             }
         }
-        let mut outputs = Vec::with_capacity(self.graph.outputs().len());
-        for &o in self.graph.outputs() {
-            let t = values[o.0]
-                .as_ref()
-                .or_else(|| self.graph.initializer(o))
-                .ok_or_else(|| RuntimeError::Kernel {
-                    node: "<outputs>".into(),
-                    reason: format!("output {} never produced", o.0),
-                })?;
-            outputs.push(t.clone());
+        let graph_outputs = self.graph.outputs();
+        let mut outputs = Vec::with_capacity(graph_outputs.len());
+        for (i, &o) in graph_outputs.iter().enumerate() {
+            // Move an activation out unless the same value is listed again
+            // later. Graph inputs and initializers are never held in
+            // `values`, so they are cloned.
+            let moved =
+                if graph_outputs[i + 1..].contains(&o) { None } else { values[o.0].take() };
+            let t = match moved {
+                Some(t) => t,
+                None => self
+                    .lookup(&values, inputs, o)
+                    .ok_or_else(|| RuntimeError::Kernel {
+                        node: "<outputs>".into(),
+                        reason: format!("output {} never produced", o.0),
+                    })?
+                    .clone(),
+            };
+            outputs.push(t);
         }
         Ok(outputs)
     }

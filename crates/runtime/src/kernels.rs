@@ -58,7 +58,7 @@ pub struct ConvAttrs {
     pub groups: usize,
 }
 
-fn conv_out_dims(h: usize, w: usize, a: &ConvAttrs) -> (usize, usize) {
+pub(crate) fn conv_out_dims(h: usize, w: usize, a: &ConvAttrs) -> (usize, usize) {
     let oh = (h + 2 * a.padding.0 - a.kernel.0) / a.stride.0 + 1;
     let ow = (w + 2 * a.padding.1 - a.kernel.1) / a.stride.1 + 1;
     (oh, ow)
@@ -353,7 +353,7 @@ pub fn conv2d_im2col_with(
 
 /// `true` when every value is finite. A fold without short-circuit, so
 /// the check vectorises.
-fn all_finite(values: &[f32]) -> bool {
+pub(crate) fn all_finite(values: &[f32]) -> bool {
     values.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 

@@ -19,6 +19,8 @@
 //!   [`EngineKind::OrtLike`] (graph-optimising, im2col + blocked GEMM) and
 //!   [`EngineKind::TvmLike`] ("compiled schedules": NHWC layout,
 //!   tree-reduction accumulation, tunable kernels),
+//! * [`packed`] — the conv routes whose operands [`Engine::prepare`] packs
+//!   once: depthwise convs on small planes and pointwise GEMVs,
 //! * [`strategy`] — the GEMM-family kernel axis ([`KernelStrategy`]): pinned
 //!   per engine config and resolved once at [`Engine::prepare`]; the default
 //!   is the BLAS path, the SIMD microkernel of [`simd`] is a variant.
@@ -54,6 +56,7 @@ pub mod engine;
 mod error;
 pub mod kernels;
 pub mod optimize;
+pub mod packed;
 pub mod pool;
 pub mod simd;
 pub mod strategy;

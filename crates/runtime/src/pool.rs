@@ -33,7 +33,6 @@
 
 use crate::kernels::{reduce_sum, tree_sum, Accumulation};
 use crate::Blas;
-use mvtee_telemetry::Counter;
 use std::sync::Arc;
 
 /// Tuning knobs for the deterministic intra-op pool.
@@ -81,10 +80,6 @@ pub struct ThreadPool {
     /// BLAS backends, whose corruption patterns depend on exact call
     /// shapes and must not be re-tiled.
     passthrough: bool,
-    tasks: Counter,
-    parallel_regions: Counter,
-    sequential_regions: Counter,
-    chunks: Counter,
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -107,10 +102,6 @@ impl ThreadPool {
                 ..cfg
             },
             passthrough: false,
-            tasks: mvtee_telemetry::counter("runtime.pool.tasks"),
-            parallel_regions: mvtee_telemetry::counter("runtime.pool.parallel_regions"),
-            sequential_regions: mvtee_telemetry::counter("runtime.pool.sequential_regions"),
-            chunks: mvtee_telemetry::counter("runtime.pool.chunks"),
         })
     }
 
@@ -120,14 +111,7 @@ impl ThreadPool {
     /// with custom BLAS backends.
     pub fn passthrough() -> Arc<Self> {
         register_runtime_metrics();
-        Arc::new(ThreadPool {
-            cfg: RuntimeConfig::default(),
-            passthrough: true,
-            tasks: mvtee_telemetry::counter("runtime.pool.tasks"),
-            parallel_regions: mvtee_telemetry::counter("runtime.pool.parallel_regions"),
-            sequential_regions: mvtee_telemetry::counter("runtime.pool.sequential_regions"),
-            chunks: mvtee_telemetry::counter("runtime.pool.chunks"),
-        })
+        Arc::new(ThreadPool { cfg: RuntimeConfig::default(), passthrough: true })
     }
 
     /// The pool's configuration.
@@ -177,7 +161,6 @@ impl ThreadPool {
         }
         let ranges = self.chunk_ranges(items);
         if self.runs_inline(items, stride) {
-            self.sequential_regions.inc();
             let mut rest = out;
             for (c, (s, e)) in ranges.enumerate() {
                 let (head, tail) = rest.split_at_mut((e - s) * stride);
@@ -187,8 +170,6 @@ impl ThreadPool {
             return;
         }
         let workers = self.cfg.intra_op_threads.min(ranges.len());
-        self.parallel_regions.inc();
-        self.chunks.add(ranges.len() as u64);
         let mut shares: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
         let mut rest = out;
         for (c, (s, e)) in ranges.enumerate() {
@@ -196,13 +177,12 @@ impl ThreadPool {
             shares[c % workers].push((c, s, e, head));
             rest = tail;
         }
-        let (f, tasks) = (&f, &self.tasks);
+        let f = &f;
         std::thread::scope(|scope| {
             for share in shares {
                 scope.spawn(move || {
                     for (c, s, e, slice) in share {
                         f(c, s, e, slice);
-                        tasks.inc();
                     }
                 });
             }
@@ -220,24 +200,14 @@ impl ThreadPool {
         let ranges = self.chunk_ranges(items);
         let workers = self.cfg.intra_op_threads.min(ranges.len());
         if workers <= 1 {
-            self.sequential_regions.inc();
             return ranges.enumerate().map(|(c, (s, e))| f(c, s, e)).collect();
         }
-        self.parallel_regions.inc();
-        self.chunks.add(ranges.len() as u64);
-        let (f, tasks) = (&f, &self.tasks);
+        let f = &f;
         let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let share = self.chunk_ranges(items).enumerate().skip(w).step_by(workers);
-                    scope.spawn(move || {
-                        let run = |(c, (s, e))| {
-                            let v = f(c, s, e);
-                            tasks.inc();
-                            (c, v)
-                        };
-                        share.map(run).collect::<Vec<_>>()
-                    })
+                    scope.spawn(move || share.map(|(c, (s, e))| (c, f(c, s, e))).collect::<Vec<_>>())
                 })
                 .collect();
             let joined = handles.into_iter().map(|h| h.join().expect("pool worker panicked"));
@@ -269,7 +239,6 @@ impl ThreadPool {
         c: &mut [f32],
     ) {
         if m > 0 && self.runs_inline(m, n) {
-            self.sequential_regions.inc();
             blas.gemm(m, n, k, a, b, c);
             return;
         }
@@ -291,16 +260,13 @@ impl ThreadPool {
     }
 }
 
-/// Eagerly registers every `runtime.pool.*` and `runtime.cache.*` metric
-/// on the global registry so the rendered telemetry report always shows
-/// them — "the pool never went parallel" must read as an explicit zero,
-/// not an absent row.
+/// Eagerly registers every `runtime.cache.*` metric on the global registry
+/// so the rendered telemetry report always shows them — "nothing was
+/// reused" must read as an explicit zero, not an absent row. The pool
+/// keeps no metrics: a region runs inside an op, and an op touches no
+/// metric another variant thread writes.
 pub fn register_runtime_metrics() {
     for name in [
-        "runtime.pool.tasks",
-        "runtime.pool.parallel_regions",
-        "runtime.pool.sequential_regions",
-        "runtime.pool.chunks",
         "runtime.cache.prepare_hits",
         "runtime.cache.prepare_misses",
         "runtime.cache.pack_hits",
@@ -469,17 +435,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_metrics_are_registered() {
+    fn runtime_metrics_are_registered() {
         let _ = ThreadPool::new(RuntimeConfig::default());
         let snap = mvtee_telemetry::snapshot();
-        for name in [
-            "runtime.pool.tasks",
-            "runtime.pool.parallel_regions",
-            "runtime.pool.sequential_regions",
-            "runtime.pool.chunks",
-            "runtime.cache.arena_bytes_reused",
-        ] {
+        for name in ["runtime.cache.prepare_hits", "runtime.cache.arena_bytes_reused"] {
             assert!(snap.counters.contains_key(name), "{name} not registered");
         }
+        assert!(!snap.counters.keys().any(|name| name.starts_with("runtime.pool.")));
     }
 }
