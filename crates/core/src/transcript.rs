@@ -95,20 +95,80 @@ pub struct TranscriptEntry {
     pub payload_digest: [u8; 32],
 }
 
-/// Entries per storage block of a [`TranscriptLog`] (80 KiB of 80-byte
-/// entries).
+/// Records per storage block of a [`TranscriptLog`] (48 KiB of 48-byte
+/// records).
 const BLOCK_ENTRIES: usize = 1024;
+
+/// `agreeing` of a [`Record`] that stands for an entry of the side list:
+/// its `batch` is that entry's index there.
+const SIDE: u16 = u16::MAX;
+
+/// One transcript entry as the log stores it: 48 bytes where a
+/// [`TranscriptEntry`] takes 80. A `Pass` whose epoch, partition and
+/// agreeing count fit the narrow fields is the record itself; any other
+/// entry — every `Diverged` — is kept verbatim in the log's side list and
+/// stands here as a [`SIDE`] marker, so append order survives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    payload_digest: [u8; 32],
+    batch: u64,
+    epoch: u32,
+    partition: u16,
+    agreeing: u16,
+}
+
+impl Record {
+    /// The compact form of `entry`, or `None` when it does not fit.
+    fn of(entry: &TranscriptEntry) -> Option<Record> {
+        let TranscriptVerdict::Pass { agreeing } = entry.verdict else {
+            return None;
+        };
+        Some(Record {
+            payload_digest: entry.payload_digest,
+            batch: entry.batch,
+            epoch: entry.epoch.try_into().ok()?,
+            partition: entry.partition.try_into().ok()?,
+            agreeing: agreeing.try_into().ok().filter(|&a| a != SIDE)?,
+        })
+    }
+
+    /// The entry this record stands for, looked up in `side` when it is a
+    /// marker.
+    fn entry(&self, side: &[TranscriptEntry]) -> TranscriptEntry {
+        match self.agreeing {
+            SIDE => side[self.batch as usize].clone(),
+            agreeing => TranscriptEntry {
+                partition: self.partition.into(),
+                batch: self.batch,
+                epoch: self.epoch.into(),
+                verdict: TranscriptVerdict::Pass { agreeing: agreeing.into() },
+                payload_digest: self.payload_digest,
+            },
+        }
+    }
+}
+
+/// A [`TranscriptLog`]'s storage: the records in append order, in blocks
+/// of [`BLOCK_ENTRIES`] allocated at exact capacity, and the entries that
+/// do not fit a record.
+#[derive(Debug, Default)]
+struct Storage {
+    blocks: Vec<Vec<Record>>,
+    side: Vec<TranscriptEntry>,
+}
 
 /// Thread-safe append-only log of voted checkpoint verdicts.
 ///
 /// Cloning shares the underlying log; coordinators for different
-/// partitions append concurrently. Entries are stored in append order,
-/// in blocks of [`BLOCK_ENTRIES`] allocated at exact capacity, so the
-/// log grows by one block at a time and never moves an entry: a single
-/// doubling `Vec` would copy everything and briefly hold it twice.
+/// partitions append concurrently. Entries are stored in append order as
+/// 48-byte [`Record`]s, in blocks of [`BLOCK_ENTRIES`] allocated at exact
+/// capacity, so the log grows by one block at a time and never moves an
+/// entry: a single doubling `Vec` would copy everything and briefly hold
+/// it twice. The rare entry that does not fit a record — a divergence, or
+/// a count past the narrow fields — is kept whole beside them.
 #[derive(Debug, Clone, Default)]
 pub struct TranscriptLog {
-    inner: Arc<Mutex<Vec<Vec<TranscriptEntry>>>>,
+    inner: Arc<Mutex<Storage>>,
 }
 
 impl TranscriptLog {
@@ -119,22 +179,32 @@ impl TranscriptLog {
 
     /// Appends one voted verdict.
     pub fn record(&self, entry: TranscriptEntry) {
-        let mut blocks = self.inner.lock().expect("transcript lock");
-        match blocks.last_mut() {
-            Some(block) if block.len() < BLOCK_ENTRIES => block.push(entry),
+        let mut storage = self.inner.lock().expect("transcript lock");
+        let record = Record::of(&entry).unwrap_or_else(|| {
+            storage.side.push(entry);
+            Record {
+                payload_digest: [0; 32],
+                batch: (storage.side.len() - 1) as u64,
+                epoch: 0,
+                partition: 0,
+                agreeing: SIDE,
+            }
+        });
+        match storage.blocks.last_mut() {
+            Some(block) if block.len() < BLOCK_ENTRIES => block.push(record),
             _ => {
                 let mut block = Vec::with_capacity(BLOCK_ENTRIES);
-                block.push(entry);
-                blocks.push(block);
+                block.push(record);
+                storage.blocks.push(block);
             }
         }
-        drop(blocks);
+        drop(storage);
         count!("audit.transcript.entries");
     }
 
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("transcript lock").iter().map(Vec::len).sum()
+        self.inner.lock().expect("transcript lock").blocks.iter().map(Vec::len).sum()
     }
 
     /// Whether no verdict has been recorded yet.
@@ -144,7 +214,11 @@ impl TranscriptLog {
 
     /// Copies out the entries in canonical `(batch, partition)` order.
     pub fn entries(&self) -> Vec<TranscriptEntry> {
-        let mut entries = self.inner.lock().expect("transcript lock").concat();
+        let mut entries: Vec<TranscriptEntry> = {
+            let storage = self.inner.lock().expect("transcript lock");
+            let records = storage.blocks.iter().flatten();
+            records.map(|r| r.entry(&storage.side)).collect()
+        };
         entries.sort_by_key(|e| (e.batch, e.partition));
         entries
     }
@@ -684,9 +758,9 @@ mod tests {
             log.record(entry);
         }
         {
-            let blocks = log.inner.lock().unwrap();
-            assert_eq!(blocks.len(), 4);
-            assert!(blocks.iter().all(|b| b.capacity() == BLOCK_ENTRIES));
+            let storage = log.inner.lock().unwrap();
+            assert_eq!(storage.blocks.len(), 4);
+            assert!(storage.blocks.iter().all(|b| b.capacity() == BLOCK_ENTRIES));
         }
         assert_eq!(log.len(), total);
         reference.sort_by_key(|e| (e.batch, e.partition));
@@ -694,6 +768,118 @@ mod tests {
         let text = log.render(7, "blocks");
         assert_eq!(text, render_entries(&reference, 7, "blocks"));
         assert_eq!(verify_transcript(&text).expect("verifies").entries, total);
+    }
+
+    /// The log as it was before records: every entry kept whole, then
+    /// sorted and rendered. The oracle for `entries`, `passes` and
+    /// `render`.
+    fn whole_entries(appended: &[TranscriptEntry]) -> Vec<TranscriptEntry> {
+        let mut entries = appended.to_vec();
+        entries.sort_by_key(|e| (e.batch, e.partition));
+        entries
+    }
+
+    /// Appends `appended` to a fresh log and checks it against the oracle.
+    fn matches_whole_entries(appended: &[TranscriptEntry]) -> Result<(), String> {
+        let log = TranscriptLog::new();
+        for e in appended {
+            log.record(e.clone());
+        }
+        let want = whole_entries(appended);
+        if log.entries() != want {
+            return Err(format!("entries differ for {appended:?}"));
+        }
+        let want_passes: Vec<_> = want
+            .iter()
+            .filter_map(|e| match e.verdict {
+                TranscriptVerdict::Pass { agreeing } => Some((e.partition, e.batch, agreeing)),
+                TranscriptVerdict::Diverged { .. } => None,
+            })
+            .collect();
+        if log.passes() != want_passes {
+            return Err(format!("passes differ for {appended:?}"));
+        }
+        if log.render(11, "oracle") != render_entries(&want, 11, "oracle") {
+            return Err(format!("render differs for {appended:?}"));
+        }
+        Ok(())
+    }
+
+    /// Both sides of every narrow field's edge, and ordinary values.
+    const EPOCHS: [u64; 7] = [0, 3, u32::MAX as u64 - 1, u32::MAX as u64, 1 << 32, u64::MAX - 1, u64::MAX];
+    const PARTITIONS: [usize; 6] = [0, 2, SIDE as usize - 1, SIDE as usize, 1 << 16, usize::MAX];
+    const AGREEING: [usize; 7] = [0, 3, SIDE as usize - 2, SIDE as usize - 1, SIDE as usize, 1 << 16, usize::MAX];
+    const BATCHES: [u64; 4] = [0, 1, 1 << 32, u64::MAX];
+
+    #[test]
+    fn a_record_is_48_bytes_where_an_entry_was_80() {
+        assert!(std::mem::size_of::<Record>() <= 48, "{}", std::mem::size_of::<Record>());
+        assert_eq!(std::mem::size_of::<TranscriptEntry>(), 80);
+    }
+
+    #[test]
+    fn every_edge_value_reads_back_as_recorded() {
+        let mut appended = Vec::new();
+        for (i, &epoch) in EPOCHS.iter().enumerate() {
+            for (j, &partition) in PARTITIONS.iter().enumerate() {
+                for (k, &agreeing) in AGREEING.iter().enumerate() {
+                    let entry = TranscriptEntry {
+                        partition,
+                        batch: BATCHES[(i + j + k) % BATCHES.len()],
+                        epoch,
+                        verdict: TranscriptVerdict::Pass { agreeing },
+                        payload_digest: sha256(&[i as u8, j as u8, k as u8]),
+                    };
+                    let fits = epoch <= u32::MAX as u64
+                        && partition <= u16::MAX as usize
+                        && agreeing < SIDE as usize;
+                    assert_eq!(Record::of(&entry).is_some(), fits, "{entry:?}");
+                    appended.push(entry);
+                }
+            }
+        }
+        for dissenting in [vec![], vec![0], vec![usize::MAX, 1 << 16, 2]] {
+            for &epoch in &EPOCHS {
+                let entry = TranscriptEntry {
+                    partition: 1,
+                    batch: epoch,
+                    epoch,
+                    verdict: TranscriptVerdict::Diverged { dissenting: dissenting.clone() },
+                    payload_digest: [7; 32],
+                };
+                assert_eq!(Record::of(&entry), None);
+                appended.push(entry);
+            }
+        }
+        matches_whole_entries(&appended).unwrap();
+        // Append order decides among entries of one `(batch, partition)`.
+        appended.reverse();
+        matches_whole_entries(&appended).unwrap();
+    }
+
+    fn entry() -> impl Strategy<Value = TranscriptEntry> {
+        let pick = |values: &[u64]| proptest::sample::select(values.to_vec());
+        let pick_usize = |values: &[usize]| proptest::sample::select(values.to_vec());
+        let verdict = prop_oneof![
+            3 => prop_oneof![pick_usize(&AGREEING), 0usize..4]
+                .prop_map(|agreeing| TranscriptVerdict::Pass { agreeing }),
+            1 => proptest::collection::vec(prop_oneof![pick_usize(&PARTITIONS), 0usize..4], 0..4)
+                .prop_map(|dissenting| TranscriptVerdict::Diverged { dissenting }),
+        ];
+        (
+            prop_oneof![pick_usize(&PARTITIONS), 0usize..3],
+            prop_oneof![pick(&BATCHES), 0u64..3],
+            prop_oneof![pick(&EPOCHS), 0u64..3],
+            verdict,
+            any::<u8>(),
+        )
+            .prop_map(|(partition, batch, epoch, verdict, d)| TranscriptEntry {
+                partition,
+                batch,
+                epoch,
+                verdict,
+                payload_digest: [d; 32],
+            })
     }
 
     #[test]
@@ -958,6 +1144,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn generated_logs_read_back_as_whole_entries(appended in proptest::collection::vec(entry(), 0..40)) {
+            prop_assert_eq!(matches_whole_entries(&appended), Ok(()));
+        }
 
         #[test]
         fn arbitrary_text_never_panics_the_verifier(text in ".{0,300}") {

@@ -49,7 +49,7 @@ impl FaultyBlas {
 /// `row_order` is deliberately not forwarded: the default promises
 /// nothing, so an engine over a faulted backend makes every GEMM call —
 /// in the per-call shapes the corruption is a function of — instead of
-/// computing depthwise convolutions directly.
+/// running the packed conv routes.
 impl Blas for FaultyBlas {
     fn name(&self) -> &str {
         // The fault is invisible in the backend's identity — the library

@@ -20,9 +20,9 @@
 //!
 //! A backend may also declare, through [`Blas::row_order`], the exact
 //! sequence in which a one-row product accumulates each output element.
-//! The convolution kernels use that declaration to compute depthwise
-//! convolutions directly, without a GEMM call per channel, and still
-//! produce the backend's bytes. The default is [`RowOrder::Unknown`]; a
+//! The conv routes of [`crate::packed`] use that declaration to compute
+//! depthwise and small-patch convolutions without a column matrix or a
+//! GEMM call, and still produce the backend's bytes. The default is [`RowOrder::Unknown`]; a
 //! wrapper (such as the fault-injection crate's) must not forward the
 //! method, so its engine keeps the per-call GEMM shapes its corruption
 //! depends on.

@@ -17,8 +17,9 @@ use crate::packed::ConvRoute;
 use crate::pool::{RuntimeConfig, ThreadPool};
 use crate::strategy::{GemmStrategy, KernelStrategy};
 use crate::{Result, RuntimeError};
-use mvtee_graph::{Graph, Node, NodeId, Op, ValueId};
-use mvtee_tensor::Tensor;
+use mvtee_graph::op::ActivationKind;
+use mvtee_graph::{Graph, Node, Op, ValueId};
+use mvtee_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -249,22 +250,12 @@ impl Engine {
     /// Fails when the graph is invalid or optimisation fails.
     pub fn prepare(&self, graph: &Graph) -> Result<Box<dyn PreparedModel>> {
         graph.validate()?;
-        let compiled = if self.config.optimize {
+        let mut compiled = if self.config.optimize {
             optimize::standard_pipeline(graph)?
         } else {
             graph.clone()
         };
         let order = compiled.topological_order()?;
-        // Count value uses so the interpreter can free dead activations.
-        let mut use_counts = vec![0u32; compiled.value_count()];
-        for node in compiled.nodes() {
-            for &i in &node.inputs {
-                use_counts[i.0] += 1;
-            }
-        }
-        for &o in compiled.outputs() {
-            use_counts[o.0] += 1;
-        }
         // The one kernel decision: custom BLAS backends stay on the scalar
         // path (their fault models corrupt outputs as a function of the
         // per-call GEMM shape, so call shapes must match the sequential
@@ -278,7 +269,7 @@ impl Engine {
         // keyed by the weight initializer's value id. Only the BLAS path of
         // a built-in backend reads them; the microkernel consumes the
         // `[m, k]` weight rows as they are.
-        let mut packed: HashMap<usize, Arc<PackedGemm>> = HashMap::new();
+        let mut packed: HashMap<ValueId, Arc<PackedGemm>> = HashMap::new();
         if !self.custom_blas && strategy != GemmStrategy::SimdMicrokernel {
             for node in compiled.nodes() {
                 if !matches!(node.op, Op::Gemm) {
@@ -288,58 +279,149 @@ impl Engine {
                 let Some(w) = compiled.initializer(wid) else { continue };
                 if w.rank() == 2 {
                     packed
-                        .entry(wid.0)
+                        .entry(wid)
                         .or_insert_with(|| Arc::new(PackedGemm::pack(w, &self.pool)));
                 }
             }
         }
+        // A conv absorbs the activation after it when that activation is
+        // the only reader of its output and the output is not the graph's.
+        let mut readers = vec![0u32; compiled.value_count()];
+        for node in compiled.nodes() {
+            for &i in &node.inputs {
+                readers[i.0] += 1;
+            }
+        }
+        let mut absorber: HashMap<ValueId, (&Node, ActivationKind)> = HashMap::new();
+        for node in compiled.nodes() {
+            if let (&Op::Activation(kind), &[x]) = (&node.op, node.inputs.as_slice()) {
+                if readers[x.0] == 1 && !compiled.outputs().contains(&x) {
+                    absorber.insert(x, (node, kind));
+                }
+            }
+        }
+        let mut absorbed = vec![false; compiled.node_count()];
+        let mut sources = Sources::new(&compiled);
         // Everything else an op needs per call that prepare already knows:
-        // its conv route (weights packed here, once) and its trace label.
+        // where its inputs are, its conv route (weights packed here, once),
+        // its absorbed activation and its trace label.
         let conv_routes = !self.custom_blas
             && strategy != GemmStrategy::SimdMicrokernel
             && self.config.conv_strategy == ConvStrategy::Im2col;
-        let steps = order
-            .into_iter()
-            .map(|node_id| {
-                let node = compiled.node(node_id)?;
-                let x_dims = node
-                    .inputs
-                    .first()
-                    .and_then(|&x| compiled.value(x).ok()?.shape.as_ref())
-                    .map(|s| s.dims());
-                let route = match (&node.op, x_dims) {
-                    (Op::Conv { kernel, stride, padding, groups }, Some(dims)) if conv_routes => {
-                        let attrs = ConvAttrs {
-                            kernel: *kernel,
-                            stride: *stride,
-                            padding: *padding,
-                            groups: *groups,
-                        };
-                        let init =
-                            |i: usize| node.inputs.get(i).map(|&v| compiled.initializer(v));
-                        match (init(1), init(2)) {
-                            (Some(Some(w)), bias @ (None | Some(Some(_)))) => {
-                                let order = self.blas.row_order();
-                                ConvRoute::plan(dims, w, bias.flatten(), &attrs, order)
-                            }
-                            // A weight or bias fed at run time is not known here.
-                            _ => ConvRoute::Generic,
+        let mut steps = Vec::with_capacity(order.len());
+        for node_id in order {
+            let node = compiled.node(node_id)?;
+            if absorbed[node_id.0] {
+                continue;
+            }
+            let x_dims = node
+                .inputs
+                .first()
+                .and_then(|&x| compiled.value(x).ok()?.shape.as_ref())
+                .map(|s| s.dims());
+            let route = match (&node.op, x_dims) {
+                (Op::Conv { kernel, stride, padding, groups }, Some(dims)) if conv_routes => {
+                    let attrs = ConvAttrs {
+                        kernel: *kernel,
+                        stride: *stride,
+                        padding: *padding,
+                        groups: *groups,
+                    };
+                    let init = |i: usize| node.inputs.get(i).map(|&v| compiled.initializer(v));
+                    match (init(1), init(2)) {
+                        (Some(Some(w)), bias @ (None | Some(Some(_)))) => {
+                            let order = self.blas.row_order();
+                            ConvRoute::plan(dims, w, bias.flatten(), &attrs, order)
                         }
+                        // A weight or bias fed at run time is not known here.
+                        _ => ConvRoute::Generic,
                     }
-                    _ => ConvRoute::Generic,
-                };
-                let shape = x_dims.map(|d| format!("{d:?}"));
-                Ok(Step { node: node_id, route, shape })
+                }
+                _ => ConvRoute::Generic,
+            };
+            let absorbs = match node.op {
+                Op::Conv { .. } => node.outputs.first().and_then(|o| absorber.get(o)),
+                _ => None,
+            };
+            let (last, name) = match absorbs {
+                Some(&(act, _)) => {
+                    absorbed[act.id.0] = true;
+                    (act, format!("{}+{}", node.name, act.name))
+                }
+                None => (node, node.name.clone()),
+            };
+            // Every op here has exactly one output.
+            let output = last.outputs.first().ok_or_else(|| RuntimeError::Kernel {
+                node: last.name.clone(),
+                reason: "no output".into(),
+            })?;
+            let inputs = node
+                .inputs
+                .iter()
+                .map(|&v| sources.resolve(&compiled, v, &node.name))
+                .collect::<Result<_>>()?;
+            steps.push(Step {
+                op: node.op.clone(),
+                name,
+                inputs,
+                output: output.0,
+                route,
+                fused: absorbs.map(|&(_, kind)| kind),
+                gemm: match node.op {
+                    Op::Gemm => node.inputs.get(1).and_then(|w| packed.get(w)).cloned(),
+                    _ => None,
+                },
+                shape: x_dims.map(|d| format!("{d:?}")),
+                frees: Vec::new(),
+            });
+        }
+        // An activation is dropped after the last step that reads it,
+        // unless the graph returns it.
+        let mut last_reader = vec![None; compiled.value_count()];
+        for (at, step) in steps.iter().enumerate() {
+            for source in &step.inputs {
+                if let Source::Slot(slot) = *source {
+                    last_reader[slot] = Some(at);
+                }
+            }
+        }
+        for &o in compiled.outputs() {
+            last_reader[o.0] = None;
+        }
+        for (slot, at) in last_reader.into_iter().enumerate() {
+            if let Some(at) = at {
+                steps[at].frees.push(slot);
+            }
+        }
+        let graph_outputs = compiled.outputs();
+        let outputs = graph_outputs
+            .iter()
+            .enumerate()
+            .map(|(i, &o)| {
+                let source = sources.resolve(&compiled, o, "<outputs>")?;
+                // An activation moves out unless the same value is listed
+                // again later.
+                Ok((source, !graph_outputs[i + 1..].contains(&o)))
             })
             .collect::<Result<_>>()?;
+        let input_shapes = compiled
+            .inputs()
+            .iter()
+            .map(|&v| Ok(compiled.value(v)?.shape.clone()))
+            .collect::<Result<_>>()?;
+        let slots = compiled.value_count();
+        let name = compiled.name.clone();
+        let inits = sources.take_initializers(&mut compiled);
         Ok(Box::new(Interpreter {
-            graph: compiled,
+            name,
             steps,
-            use_counts,
+            inits,
+            slots,
+            input_shapes,
+            outputs,
             blas: Arc::clone(&self.blas),
             config: self.config.clone(),
             ctx: KernelCtx::new(Arc::clone(&self.pool)),
-            packed,
             strategy,
             placeholder: Tensor::scalar(0.0),
         }))
@@ -350,25 +432,109 @@ impl Engine {
 /// five, and all but the widest `Concat`s.
 const INLINE_INPUTS: usize = 8;
 
+/// Where a step reads a value during a run, resolved at prepare.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// An activation, in the run's value slot of that index.
+    Slot(usize),
+    /// The run's input of that index.
+    Input(usize),
+    /// The prepared model's initializer of that index.
+    Init(usize),
+}
+
+/// Resolves value ids to [`Source`]s, numbering the initializers read.
+struct Sources {
+    /// Whether a node produces the value of that id.
+    produced: Vec<bool>,
+    /// The `Init` index of each initializer read so far.
+    inits: HashMap<ValueId, usize>,
+}
+
+impl Sources {
+    fn new(graph: &Graph) -> Self {
+        let mut produced = vec![false; graph.value_count()];
+        for node in graph.nodes() {
+            for &o in &node.outputs {
+                produced[o.0] = true;
+            }
+        }
+        Sources { produced, inits: HashMap::new() }
+    }
+
+    /// Where `v` is during a run: an activation, a graph input or an
+    /// initializer, in that order.
+    fn resolve(&mut self, graph: &Graph, v: ValueId, reader: &str) -> Result<Source> {
+        if self.produced.get(v.0).copied().unwrap_or(false) {
+            Ok(Source::Slot(v.0))
+        } else if let Some(i) = graph.inputs().iter().position(|&g| g == v) {
+            Ok(Source::Input(i))
+        } else if graph.initializer(v).is_some() {
+            let next = self.inits.len();
+            Ok(Source::Init(*self.inits.entry(v).or_insert(next)))
+        } else {
+            Err(RuntimeError::Kernel {
+                node: reader.to_string(),
+                reason: format!("missing value {}", v.0),
+            })
+        }
+    }
+
+    /// Moves the initializers read out of `graph`, in `Init` order.
+    fn take_initializers(self, graph: &mut Graph) -> Vec<Tensor> {
+        let mut inits: Vec<_> = self.inits.into_iter().collect();
+        inits.sort_by_key(|&(_, i)| i);
+        inits
+            .into_iter()
+            .map(|(v, _)| match graph.initializer_mut(v) {
+                Some(t) => std::mem::replace(t, Tensor::scalar(0.0)),
+                None => Tensor::scalar(0.0),
+            })
+            .collect()
+    }
+}
+
 /// One op of the prepared model, in execution order, with what `prepare`
 /// worked out for it.
 struct Step {
-    node: NodeId,
+    /// The op; a conv's when the step absorbed an activation.
+    op: Op,
+    /// The node's name, `conv+activation` when the step absorbed one: the
+    /// `runtime.op` span's `node` and a kernel error's.
+    name: String,
+    /// Where each input is.
+    inputs: Vec<Source>,
+    /// The value slot the output goes to: the activation's when absorbed.
+    output: usize,
     /// The kernel a conv runs; `Generic` for every other op.
     route: ConvRoute,
+    /// The activation the conv absorbed, applied to its own output buffer.
+    fused: Option<ActivationKind>,
+    /// A `Gemm`'s weight, packed at prepare.
+    gemm: Option<Arc<PackedGemm>>,
     /// The first input's dims, rendered for the `runtime.op` trace span
     /// (`None` when the graph does not record them).
     shape: Option<String>,
+    /// The value slots this step reads last: dropped after it runs.
+    frees: Vec<usize>,
 }
 
 struct Interpreter {
-    graph: Graph,
+    /// The graph's name.
+    name: String,
     steps: Vec<Step>,
-    use_counts: Vec<u32>,
+    /// The initializers the steps read, moved out of the graph.
+    inits: Vec<Tensor>,
+    /// Value slots per run: the graph's value count.
+    slots: usize,
+    /// Each graph input's declared shape, if any.
+    input_shapes: Vec<Option<Shape>>,
+    /// Where each graph output is, and whether it is the last listing of
+    /// its value (an activation is then moved out, not cloned).
+    outputs: Vec<(Source, bool)>,
     blas: Arc<dyn Blas>,
     config: EngineConfig,
     ctx: KernelCtx,
-    packed: HashMap<usize, Arc<PackedGemm>>,
     /// Resolved at `prepare`; every GEMM-family op runs this kernel.
     strategy: GemmStrategy,
     /// Fills the unused slots of an op's inline input array.
@@ -376,23 +542,23 @@ struct Interpreter {
 }
 
 impl Interpreter {
-    /// The tensor value `v` holds during a run: an activation, a graph
-    /// input or an initializer, in that order.
+    /// The tensor at `source` during a run.
     fn lookup<'a>(
         &'a self,
         values: &'a [Option<Tensor>],
         inputs: &'a [Tensor],
-        v: ValueId,
+        source: Source,
     ) -> Option<&'a Tensor> {
-        values[v.0]
-            .as_ref()
-            .or_else(|| Some(&inputs[self.graph.inputs().iter().position(|&g| g == v)?]))
-            .or_else(|| self.graph.initializer(v))
+        match source {
+            Source::Slot(i) => values[i].as_ref(),
+            Source::Input(i) => inputs.get(i),
+            Source::Init(i) => self.inits.get(i),
+        }
     }
 
-    fn compute(&self, node: &Node, route: &ConvRoute, inputs: &[&Tensor]) -> Result<Tensor> {
+    fn compute(&self, step: &Step, inputs: &[&Tensor]) -> Result<Tensor> {
         let acc = self.config.accumulation;
-        match &node.op {
+        match &step.op {
             Op::Conv { kernel, stride, padding, groups } => {
                 let attrs = ConvAttrs {
                     kernel: *kernel,
@@ -401,10 +567,12 @@ impl Interpreter {
                     groups: *groups,
                 };
                 let bias = inputs.get(2).copied();
-                match self.config.conv_strategy {
-                    ConvStrategy::Direct => kernels::conv2d_direct(inputs[0], inputs[1], bias, &attrs),
-                    ConvStrategy::Im2col => match route.run(inputs[0]) {
-                        Some(out) => Ok(out),
+                // A route applies the absorbed activation as it stores;
+                // every other path applies it after, in place.
+                let mut out = match self.config.conv_strategy {
+                    ConvStrategy::Direct => kernels::conv2d_direct(inputs[0], inputs[1], bias, &attrs)?,
+                    ConvStrategy::Im2col => match step.route.run(inputs[0], step.fused) {
+                        Some(out) => return Ok(out),
                         None => kernels::conv2d_im2col_with(
                             &self.ctx,
                             inputs[0],
@@ -413,33 +581,30 @@ impl Interpreter {
                             &attrs,
                             self.blas.as_ref(),
                             self.strategy,
-                        ),
+                        )?,
                     },
                     ConvStrategy::NhwcDirect => {
                         let nhwc = inputs[0].to_nhwc()?;
                         let out = kernels::conv2d_nhwc_direct_with(
                             &self.ctx, &nhwc, inputs[1], bias, &attrs,
                         )?;
-                        Ok(out.from_nhwc()?)
+                        out.from_nhwc()?
                     }
+                };
+                if let Some(kind) = step.fused {
+                    kernels::activate_in_place(&mut out, kind);
                 }
+                Ok(out)
             }
-            Op::Gemm => {
-                let packed = node
-                    .inputs
-                    .get(1)
-                    .and_then(|wid| self.packed.get(&wid.0))
-                    .map(Arc::as_ref);
-                kernels::gemm_fc_with(
-                    &self.ctx,
-                    inputs[0],
-                    inputs[1],
-                    inputs.get(2).copied(),
-                    self.blas.as_ref(),
-                    packed,
-                    self.strategy,
-                )
-            }
+            Op::Gemm => kernels::gemm_fc_with(
+                &self.ctx,
+                inputs[0],
+                inputs[1],
+                inputs.get(2).copied(),
+                self.blas.as_ref(),
+                step.gemm.as_deref(),
+                self.strategy,
+            ),
             Op::MatMul => {
                 kernels::matmul_with(&self.ctx, inputs[0], inputs[1], self.blas.as_ref(), self.strategy)
             }
@@ -475,17 +640,14 @@ impl Interpreter {
 
 impl PreparedModel for Interpreter {
     fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        let graph_inputs = self.graph.inputs();
-        if inputs.len() != graph_inputs.len() {
+        if inputs.len() != self.input_shapes.len() {
             return Err(RuntimeError::InputArity {
-                expected: graph_inputs.len(),
+                expected: self.input_shapes.len(),
                 actual: inputs.len(),
             });
         }
-        let mut values: Vec<Option<Tensor>> = vec![None; self.graph.value_count()];
-        let mut remaining = self.use_counts.clone();
-        for (i, (&vid, tensor)) in graph_inputs.iter().zip(inputs.iter()).enumerate() {
-            if let Some(expected) = &self.graph.value(vid)?.shape {
+        for (i, (expected, tensor)) in self.input_shapes.iter().zip(inputs).enumerate() {
+            if let Some(expected) = expected {
                 if expected != tensor.shape() {
                     return Err(RuntimeError::InputShape {
                         index: i,
@@ -495,31 +657,31 @@ impl PreparedModel for Interpreter {
                 }
             }
         }
+        let mut values: Vec<Option<Tensor>> = vec![None; self.slots];
         let tracer = mvtee_telemetry::trace::recorder();
         for step in &self.steps {
-            let node = self.graph.node(step.node)?;
-            let input = |i: ValueId| {
-                self.lookup(&values, inputs, i).ok_or_else(|| RuntimeError::Kernel {
-                    node: node.name.clone(),
-                    reason: format!("missing value {}", i.0),
+            let input = |source: Source| {
+                self.lookup(&values, inputs, source).ok_or_else(|| RuntimeError::Kernel {
+                    node: step.name.clone(),
+                    reason: format!("missing value {source:?}"),
                 })
             };
             // Every op but a wide `Concat` fits the inline array.
             let mut inline = [&self.placeholder; INLINE_INPUTS];
             let spilled: Vec<&Tensor>;
-            let in_refs: &[&Tensor] = if node.inputs.len() <= INLINE_INPUTS {
-                for (slot, &i) in inline.iter_mut().zip(&node.inputs) {
-                    *slot = input(i)?;
+            let in_refs: &[&Tensor] = if step.inputs.len() <= INLINE_INPUTS {
+                for (slot, &source) in inline.iter_mut().zip(&step.inputs) {
+                    *slot = input(source)?;
                 }
-                &inline[..node.inputs.len()]
+                &inline[..step.inputs.len()]
             } else {
-                spilled = node.inputs.iter().map(|&i| input(i)).collect::<Result<_>>()?;
+                spilled = step.inputs.iter().map(|&source| input(source)).collect::<Result<_>>()?;
                 &spilled
             };
             // The op loop reads no clock and writes no shared metric: per-op
             // time is the `runtime.op` span's, recorded only when tracing.
             let _op_trace = if tracer.is_enabled() {
-                // One span per op under the ambient (variant-run) span,
+                // One span per step under the ambient (variant-run) span,
                 // annotated with shape and the intra-op thread count.
                 let shape = match &step.shape {
                     Some(shape) => shape.clone(),
@@ -528,56 +690,42 @@ impl PreparedModel for Interpreter {
                 Some(
                     tracer
                         .span(mvtee_telemetry::trace::current(), "runtime.op", "runtime")
-                        .arg("node", &node.name)
+                        .arg("node", &step.name)
                         .arg("shape", shape)
                         .arg("threads", self.config.intra_op_threads),
                 )
             } else {
                 None
             };
-            let out = self.compute(node, &step.route, in_refs).map_err(|e| match e {
+            let out = self.compute(step, in_refs).map_err(|e| match e {
                 RuntimeError::Kernel { reason, .. } => {
-                    RuntimeError::Kernel { node: node.name.clone(), reason }
+                    RuntimeError::Kernel { node: step.name.clone(), reason }
                 }
                 other => other,
             })?;
-            // Every op here has exactly one output: move, don't clone.
-            debug_assert_eq!(node.outputs.len(), 1);
-            values[node.outputs[0].0] = Some(out);
-            // Free activations whose consumers have all run.
-            for &i in &node.inputs {
-                let count = &mut remaining[i.0];
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    values[i.0] = None;
-                }
+            values[step.output] = Some(out);
+            for &slot in &step.frees {
+                values[slot] = None;
             }
         }
-        let graph_outputs = self.graph.outputs();
-        let mut outputs = Vec::with_capacity(graph_outputs.len());
-        for (i, &o) in graph_outputs.iter().enumerate() {
-            // Move an activation out unless the same value is listed again
-            // later. Graph inputs and initializers are never held in
-            // `values`, so they are cloned.
-            let moved =
-                if graph_outputs[i + 1..].contains(&o) { None } else { values[o.0].take() };
-            let t = match moved {
-                Some(t) => t,
-                None => self
-                    .lookup(&values, inputs, o)
-                    .ok_or_else(|| RuntimeError::Kernel {
-                        node: "<outputs>".into(),
-                        reason: format!("output {} never produced", o.0),
-                    })?
-                    .clone(),
+        let mut outputs = Vec::with_capacity(self.outputs.len());
+        for &(source, moved) in &self.outputs {
+            // Graph inputs and initializers, and a value listed again
+            // later, are cloned.
+            let t = match source {
+                Source::Slot(i) if moved => values[i].take(),
+                _ => self.lookup(&values, inputs, source).cloned(),
             };
-            outputs.push(t);
+            outputs.push(t.ok_or_else(|| RuntimeError::Kernel {
+                node: "<outputs>".into(),
+                reason: format!("output {source:?} never produced"),
+            })?);
         }
         Ok(outputs)
     }
 
     fn describe(&self) -> String {
-        format!("{} on '{}'", self.config.describe(), self.graph.name)
+        format!("{} on '{}'", self.config.describe(), self.name)
     }
 }
 

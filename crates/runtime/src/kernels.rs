@@ -5,7 +5,7 @@
 //! accumulation), reproducing the implementation heterogeneity of real
 //! inference stacks.
 
-use crate::blas::{Blas, RowOrder};
+use crate::blas::Blas;
 use crate::cache::{pack_hits, pack_misses, KernelCtx, PackedGemm};
 use crate::simd;
 use crate::strategy::GemmStrategy;
@@ -148,10 +148,11 @@ pub fn conv2d_im2col(
 /// arena bytes) so both the filter row and the patch column are contiguous,
 /// then runs one fixed-tree [`simd::dot8`] per output element.
 ///
-/// Under `Scalar` / `PanelPacked`, two shapes skip the column buffer and
-/// compute the same bytes: a depthwise conv runs as one direct kernel when
-/// the backend declares its [`RowOrder`], and a 1×1, stride-1, unpadded
-/// conv hands its input plane to the GEMM as the column matrix it is.
+/// Under `Scalar` / `PanelPacked`, a 1×1, stride-1, unpadded conv skips
+/// the column buffer and computes the same bytes: it hands its input plane
+/// to the GEMM as the column matrix it is. Everything else — a depthwise
+/// conv included — is the column matrix and the GEMM; the fast routes of
+/// [`crate::packed`] are chosen at prepare time, in front of this kernel.
 ///
 /// # Errors
 ///
@@ -180,22 +181,12 @@ pub fn conv2d_im2col_with(
     let xs = x.data();
     let ws = w.data();
     let mut out = vec![0.0f32; n * oc * oh * ow];
-    // Both branches below compute the generic path's bytes. When two NaN
-    // operands meet in one addition, which one's bits survive depends on
-    // how the compiler ordered that addition's operands, so the branches
-    // only run where at most one NaN can reach any addition: finite bias,
-    // and for depthwise finite weights and inputs too.
+    // The pointwise branch computes the generic path's bytes. When two
+    // NaN operands meet in one addition, which one's bits survive depends
+    // on how the compiler ordered that addition's operands, so the branch
+    // only runs where at most one NaN can reach any addition: finite bias.
     let finite_bias = bias.is_none_or(|b| all_finite(b.data()));
     if strategy != GemmStrategy::SimdMicrokernel && finite_bias {
-        // Depthwise: one input channel per group. The direct kernel
-        // replays the backend's declared per-element sequence (see
-        // `depthwise_direct`).
-        if let RowOrder::AscendingK { skips_zero_a } = blas.row_order() {
-            if a.groups == c && oc == c && all_finite(ws) && all_finite(xs) {
-                depthwise_direct(ctx, xs, ws, bias, a, (n, c, h, wd), skips_zero_a, &mut out);
-                return Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?);
-            }
-        }
         // Pointwise: with a 1×1 window, stride 1 and no padding the
         // column matrix is the input plane itself, so the GEMM reads it in
         // place and writes the output. Same call, same operands, for
@@ -355,86 +346,6 @@ pub fn conv2d_im2col_with(
 /// the check vectorises.
 pub(crate) fn all_finite(values: &[f32]) -> bool {
     values.iter().fold(true, |ok, v| ok & v.is_finite())
-}
-
-/// The depthwise branch of [`conv2d_im2col_with`]: one `for_each_chunk`
-/// region over the `n · c` planes, no column matrix and no GEMM call.
-///
-/// The generic path multiplies each channel's `[1, kh·kw]` filter with its
-/// `[kh·kw, oh·ow]` column matrix, whose padding entries are `0.0`, then
-/// adds the bias. Under [`RowOrder::AscendingK`] every output element of
-/// that product is `+0.0` plus `w[kk] · col[kk]` in ascending `kk` (minus
-/// the zero-weight taps when `skips_zero_a`), and this kernel adds the
-/// same products in the same order. It leaves out the padding taps:
-/// an accumulator that starts at `+0.0` is never `−0.0` (a sum is `−0.0`
-/// only when both addends are), so adding `w · 0.0 = ±0.0` to it changes
-/// no bit — as long as `w` is finite, which the caller checked.
-#[allow(clippy::too_many_arguments)] // the conv operands plus the declared order
-fn depthwise_direct(
-    ctx: &KernelCtx,
-    xs: &[f32],
-    ws: &[f32],
-    bias: Option<&Tensor>,
-    a: &ConvAttrs,
-    (n, c, h, wd): (usize, usize, usize, usize),
-    skips_zero_a: bool,
-    out: &mut [f32],
-) {
-    let (kh, kw) = a.kernel;
-    let (sh, sw) = a.stride;
-    let (ph, pw) = a.padding;
-    let (oh, ow) = conv_out_dims(h, wd, a);
-    let plane = oh * ow;
-    // Every valid tap of every output row, listed once per op as
-    // `(tap, out, inp, len)`: add `w[tap] · x[inp + i·sw]` to
-    // `acc[out + i]` for `i < len`. Output column `ox` reads input column
-    // `ox·sw + kx − pw`, which lies inside the row for `ox` in `lo..hi`.
-    // The list runs in ascending `(oy, ky, kx)`, so every output element
-    // still adds its taps in ascending `kk`.
-    let mut taps = Vec::with_capacity(oh * kh * kw);
-    for oy in 0..oh {
-        for ky in 0..kh {
-            let Some(iy) = (oy * sh + ky).checked_sub(ph).filter(|&iy| iy < h) else {
-                continue;
-            };
-            for kx in 0..kw {
-                let lo = pw.saturating_sub(kx).div_ceil(sw).min(ow);
-                let hi = (wd + pw).saturating_sub(kx).div_ceil(sw).min(ow);
-                if lo < hi {
-                    taps.push((ky * kw + kx, oy * ow + lo, iy * wd + lo * sw + kx - pw, hi - lo));
-                }
-            }
-        }
-    }
-    ctx.pool.for_each_chunk(n * c, plane, out, |_, p0, _, block| {
-        for (local, dst) in block.chunks_mut(plane).enumerate() {
-            let p = p0 + local;
-            let ch = p % c;
-            let src = &xs[p * h * wd..(p + 1) * h * wd];
-            let wc = &ws[ch * kh * kw..(ch + 1) * kh * kw];
-            // `dst` starts zeroed: it is the accumulator.
-            for &(tap, o0, i0, len) in &taps {
-                let wv = wc[tap];
-                if skips_zero_a && wv == 0.0 {
-                    continue;
-                }
-                let acc = &mut dst[o0..o0 + len];
-                if sw == 1 {
-                    for (d, &xv) in acc.iter_mut().zip(&src[i0..i0 + len]) {
-                        *d += wv * xv;
-                    }
-                } else {
-                    for (d, &xv) in acc.iter_mut().zip(src[i0..].iter().step_by(sw)) {
-                        *d += wv * xv;
-                    }
-                }
-            }
-            let bias_v = bias.map(|t| t.data()[ch]).unwrap_or(0.0);
-            for d in dst.iter_mut() {
-                *d += bias_v;
-            }
-        }
-    });
 }
 
 /// Direct NHWC convolution: input and output are `[n, h, w, c]`-ordered
@@ -789,19 +700,42 @@ pub fn lrn(x: &Tensor, size: usize, alpha: f32, beta: f32, bias: f32) -> Result<
     Ok(Tensor::from_vec(out, x.dims())?)
 }
 
-/// Element-wise activation: one `match` per op, then a loop whose body is
-/// [`ActivationKind::apply`] for that one kind, inlined and specialised
-/// (the same operations, so the same bits), which the compiler can
-/// vectorise.
-pub fn activation(x: &Tensor, kind: ActivationKind) -> Tensor {
-    macro_rules! per_kind {
-        ($($k:ident),*) => {
-            match kind {
-                $(ActivationKind::$k => x.map(|v| ActivationKind::$k.apply(v)),)*
+/// Evaluates `$body` with `$f` bound to the element-wise epilogue of
+/// `$act`, an `Option<ActivationKind>`: the identity for `None`, else a
+/// closure calling [`ActivationKind::apply`] for that one kind. One `match`
+/// per call; each arm is its own copy of `$body`, specialised to one kind,
+/// which the compiler can inline and vectorise (the same operations, so
+/// the same bits).
+macro_rules! with_epilogue {
+    ($act:expr, |$f:ident| $body:expr) => {
+        with_epilogue!(@arms $act, $f, $body;
+            Relu, Relu6, Sigmoid, Silu, HardSigmoid, HardSwish, Tanh, Abs)
+    };
+    (@arms $act:expr, $f:ident, $body:expr; $($k:ident),*) => {
+        match $act {
+            None => {
+                let $f = |v: f32| v;
+                $body
             }
-        };
-    }
-    per_kind!(Relu, Relu6, Sigmoid, Silu, HardSigmoid, HardSwish, Tanh, Abs)
+            $(Some(mvtee_graph::op::ActivationKind::$k) => {
+                let $f = |v: f32| mvtee_graph::op::ActivationKind::$k.apply(v);
+                $body
+            })*
+        }
+    };
+}
+pub(crate) use with_epilogue;
+
+/// Element-wise activation into a new tensor: one `match` per call, then a
+/// loop specialised to that kind (`with_epilogue!`).
+pub fn activation(x: &Tensor, kind: ActivationKind) -> Tensor {
+    with_epilogue!(Some(kind), |f| x.map(f))
+}
+
+/// Element-wise activation over `x`'s own buffer: a conv that absorbed the
+/// activation after it applies it here when its route's store loop did not.
+pub fn activate_in_place(x: &mut Tensor, kind: ActivationKind) {
+    with_epilogue!(Some(kind), |f| x.map_inplace(f))
 }
 
 /// Fully connected layer `y = x · wᵀ + b` through a BLAS backend.

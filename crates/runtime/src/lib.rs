@@ -20,7 +20,8 @@
 //!   [`EngineKind::TvmLike`] ("compiled schedules": NHWC layout,
 //!   tree-reduction accumulation, tunable kernels),
 //! * [`packed`] — the conv routes whose operands [`Engine::prepare`] packs
-//!   once: depthwise convs on small planes and pointwise GEMVs,
+//!   once: depthwise convs channels-in-lanes or by row tiles, small-patch
+//!   dense convs (the stems) by row tiles, and pointwise GEMVs,
 //! * [`strategy`] — the GEMM-family kernel axis ([`KernelStrategy`]): pinned
 //!   per engine config and resolved once at [`Engine::prepare`]; the default
 //!   is the BLAS path, the SIMD microkernel of [`simd`] is a variant.

@@ -1,18 +1,22 @@
-//! The depthwise and pointwise branches of `conv2d_im2col_with` compute
-//! the generic im2col path's bytes.
+//! Depthwise convs through their packed routes, and the pointwise branch
+//! of `conv2d_im2col_with`, compute the generic im2col path's bytes.
 //!
 //! * Exhaustive small shapes, compared with `to_bits` against the generic
 //!   path (reached through a delegating backend that declares no order)
 //!   or, for pointwise, against the column matrix the generic path built:
-//!   a copy of the input plane, one GEMM, then the bias.
+//!   a copy of the input plane, one GEMM, then the bias. A depthwise conv
+//!   runs as the engine runs it: the route `ConvRoute::plan` picks
+//!   (`depthwise-lanes` or `depthwise-rows`), falling back to
+//!   `conv2d_im2col_with` when the route refuses the operands.
 //! * Golden SHA-256 digests of every zoo model's Test-scale outputs,
-//!   recorded with the engine as it was before either branch existed.
+//!   recorded with the engine as it was before any of these existed.
 //! * The exact `(m, n, k)` call sequence a custom backend sees, recorded
 //!   the same way.
 
 use mvtee_crypto::sha256::Sha256;
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_runtime::kernels::{self, ConvAttrs};
+use mvtee_runtime::packed::ConvRoute;
 use mvtee_runtime::{
     Blas, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy, KernelCtx, RuntimeConfig,
     ThreadPool,
@@ -101,7 +105,7 @@ const NON_FINITE: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 const INPUT_SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
 
 #[test]
-fn depthwise_matches_the_generic_path_bit_for_bit() {
+fn depthwise_routes_match_the_generic_path_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0xd3);
     let ctxs = contexts();
     let (n, c) = (2, 3);
@@ -135,20 +139,24 @@ fn depthwise_matches_the_generic_path_bit_for_bit() {
                                     for kind in BlasKind::ALL {
                                         let blas = kind.instantiate();
                                         let opaque = Opaque(Arc::clone(&blas));
+                                        let route =
+                                            ConvRoute::plan(x.dims(), wt, b, &a, blas.row_order());
                                         for (ci, ctx) in ctxs.iter().enumerate() {
                                             for strategy in
                                                 [GemmStrategy::Scalar, GemmStrategy::PanelPacked]
                                             {
-                                                let got = kernels::conv2d_im2col_with(
-                                                    ctx,
-                                                    x,
-                                                    wt,
-                                                    b,
-                                                    &a,
-                                                    blas.as_ref(),
-                                                    strategy,
-                                                )
-                                                .unwrap();
+                                                let got = route.run(x, None).unwrap_or_else(|| {
+                                                    kernels::conv2d_im2col_with(
+                                                        ctx,
+                                                        x,
+                                                        wt,
+                                                        b,
+                                                        &a,
+                                                        blas.as_ref(),
+                                                        strategy,
+                                                    )
+                                                    .unwrap()
+                                                });
                                                 let want = kernels::conv2d_im2col_with(
                                                     ctx, x, wt, b, &a, &opaque, strategy,
                                                 )
