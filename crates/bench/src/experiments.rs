@@ -598,8 +598,7 @@ pub fn ablation_metric(s: &Settings) -> Table {
         let model = zoo::build(model_kind, ScaleProfile::Test, 42).expect("builds");
         let input = crate::costs::model_input(&model);
         let mut cfg = MvxConfig::fast_path(2);
-        cfg.claims[1] =
-            PartitionMvx { variants: 3, replicated: false, metric, intra_op_threads: 1 };
+        cfg.claims[1] = PartitionMvx { variants: 3, replicated: false, metric };
         let mut d = Deployment::builder(model)
             .config(cfg)
             .response(ResponsePolicy::ContinueWithMajority)

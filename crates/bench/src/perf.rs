@@ -179,7 +179,7 @@ fn infer_on(config: EngineConfig, model: &Model) -> impl Fn(usize) -> Tensor + '
     }
 }
 
-/// Runs the sweep: every configuration through [`PerfReport::gate`].
+/// Runs the sweep: every configuration through `PerfReport::gate`.
 pub fn run_perf(s: &PerfSettings) -> PerfReport {
     mvtee_runtime::register_runtime_metrics();
     let cache = || COUNTERS.map(|c| mvtee_telemetry::counter(&format!("runtime.cache.{c}")).get());

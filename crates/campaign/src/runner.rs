@@ -232,7 +232,6 @@ pub fn scenario_config(sc: &Scenario) -> MvxConfig {
         variants: sc.panel_size,
         replicated: true,
         metric: if sc.defender.homogeneous() { Metric::exact() } else { Metric::relaxed() },
-        intra_op_threads: 1,
     };
     match &sc.fault {
         // Stall scenarios exercise the full detect → quarantine →

@@ -21,14 +21,6 @@ pub struct PartitionMvx {
     pub replicated: bool,
     /// Consistency metric for this partition's checkpoint.
     pub metric: Metric,
-    /// Default intra-op thread count for every variant on this partition.
-    /// The runtime pool is deterministic — chunking depends only on the
-    /// problem size, never on this count — so variants configured with
-    /// different counts (via per-variant [`SpecPatch`] overrides) still
-    /// agree bit-exactly at checkpoints.
-    ///
-    /// [`SpecPatch`]: crate::deployment::SpecPatch
-    pub intra_op_threads: usize,
 }
 
 impl PartitionMvx {
@@ -38,7 +30,6 @@ impl PartitionMvx {
             variants: 1,
             replicated: true,
             metric: Metric::strict(),
-            intra_op_threads: 1,
         }
     }
 
@@ -50,7 +41,6 @@ impl PartitionMvx {
             variants: n,
             replicated: true,
             metric: Metric::exact(),
-            intra_op_threads: 1,
         }
     }
 
@@ -60,14 +50,7 @@ impl PartitionMvx {
             variants: n,
             replicated: false,
             metric: Metric::relaxed(),
-            intra_op_threads: 1,
         }
-    }
-
-    /// Sets the partition-wide intra-op thread count (clamped to ≥ 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.intra_op_threads = threads.max(1);
-        self
     }
 
     /// Is MVX active here (more than one variant)?

@@ -58,7 +58,8 @@ use std::time::{Duration, Instant};
 /// by experiments: defender hardening, ASLR seeds, engine swaps).
 #[derive(Debug, Clone, Default)]
 pub struct SpecPatch {
-    /// Replace the engine configuration.
+    /// Replace the engine configuration, the variant's intra-op thread
+    /// count included.
     pub engine: Option<EngineConfig>,
     /// Replace the hardening capability list.
     pub hardening: Option<Vec<String>>,
@@ -66,10 +67,6 @@ pub struct SpecPatch {
     pub aslr_seed: Option<u64>,
     /// Replace the graph-transform list.
     pub transforms: Option<Vec<mvtee_diversify::TransformKind>>,
-    /// Replace this variant's intra-op thread count (applied after any
-    /// engine swap, so it composes with `engine`). Thread counts are
-    /// freely diversifiable: the runtime pool is bit-deterministic.
-    pub intra_op_threads: Option<usize>,
     /// Replace this variant's GEMM-family kernel strategy (applied after
     /// any engine swap, so it composes with `engine`). Unlike thread
     /// counts, different strategies round differently — a panel mixing
@@ -82,11 +79,6 @@ impl SpecPatch {
     /// A patch that only swaps the engine configuration.
     pub fn engine(engine: EngineConfig) -> Self {
         SpecPatch { engine: Some(engine), ..Default::default() }
-    }
-
-    /// A patch that only sets the intra-op thread count.
-    pub fn threads(threads: usize) -> Self {
-        SpecPatch { intra_op_threads: Some(threads), ..Default::default() }
     }
 
     /// A patch that only pins the GEMM-family kernel strategy.
@@ -107,9 +99,6 @@ impl SpecPatch {
         }
         if let Some(t) = &self.transforms {
             spec.transforms = t.clone();
-        }
-        if let Some(n) = self.intra_op_threads {
-            spec.engine.intra_op_threads = n.max(1);
         }
         if let Some(ks) = self.kernel_strategy {
             spec.engine.kernel_strategy = ks;
@@ -338,9 +327,6 @@ pub fn build_specs(
         s
     };
     for (v, spec) in specs.iter_mut().enumerate() {
-        // Partition-wide thread default first, then per-variant patches so
-        // an explicit `intra_op_threads` override wins.
-        spec.engine.intra_op_threads = claim.intra_op_threads.max(1);
         if let Some(patch) = overrides.get(&(partition, v)) {
             patch.apply(spec);
         }
@@ -510,24 +496,6 @@ impl DeploymentBuilder {
     /// transforms, engine).
     pub fn spec_patch(mut self, partition: usize, variant: usize, patch: SpecPatch) -> Self {
         self.overrides.insert((partition, variant), patch);
-        self
-    }
-
-    /// Sets the default intra-op thread count for every variant on one
-    /// partition. Safe at any value: kernel outputs are byte-identical
-    /// regardless of thread count.
-    pub fn partition_threads(mut self, partition: usize, threads: usize) -> Self {
-        if let Some(claim) = self.config.claims.get_mut(partition) {
-            claim.intra_op_threads = threads.max(1);
-        }
-        self
-    }
-
-    /// Overrides one variant's intra-op thread count (composes with an
-    /// earlier `engine_override` for the same variant).
-    pub fn variant_threads(mut self, partition: usize, variant: usize, threads: usize) -> Self {
-        let patch = self.overrides.entry((partition, variant)).or_default();
-        patch.intra_op_threads = Some(threads.max(1));
         self
     }
 

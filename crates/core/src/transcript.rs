@@ -161,7 +161,7 @@ struct Storage {
 ///
 /// Cloning shares the underlying log; coordinators for different
 /// partitions append concurrently. Entries are stored in append order as
-/// 48-byte [`Record`]s, in blocks of [`BLOCK_ENTRIES`] allocated at exact
+/// 48-byte `Record`s, in blocks of `BLOCK_ENTRIES` allocated at exact
 /// capacity, so the log grows by one block at a time and never moves an
 /// entry: a single doubling `Vec` would copy everything and briefly hold
 /// it twice. The rare entry that does not fit a record — a divergence, or

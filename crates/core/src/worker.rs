@@ -75,7 +75,7 @@ pub struct WorkerPlacement {
     pub variant_index: usize,
     /// TEE flavour to launch.
     pub tee_kind: TeeKind,
-    /// Exported platform root ([`Platform::export_root`]).
+    /// Exported platform root ([`Platform::export_root`](mvtee_tee::Platform::export_root)).
     pub platform_root: [u8; 32],
     /// Public init-variant code bytes.
     pub init_code: Bytes,

@@ -201,13 +201,6 @@ pub struct VulnerableModel {
     seed: u64,
 }
 
-impl VulnerableModel {
-    /// Whether this instance will misbehave on triggering inputs.
-    pub fn is_susceptible(&self) -> bool {
-        self.susceptible
-    }
-}
-
 impl PreparedModel for VulnerableModel {
     fn run(&self, inputs: &[Tensor]) -> RtResult<Vec<Tensor>> {
         let exploited = self.susceptible && self.attack.trigger.fires(inputs);

@@ -6,7 +6,7 @@
 //! a failing scenario can be replayed byte-for-byte. [`FaultDescriptor`]
 //! is that closed, serialisable description: it carries everything needed
 //! to instantiate the concrete fault objects ([`Attack`], [`FrameFlip`],
-//! [`flip_weight_bits`] parameters) and round-trips through
+//! [`flip_weight_bits`](crate::flip_weight_bits) parameters) and round-trips through
 //! `Display`/`FromStr`.
 //!
 //! Constructors follow proptest's `Arbitrary` style: a seeded RNG draws a

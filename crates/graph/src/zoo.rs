@@ -170,15 +170,6 @@ pub fn build(kind: ModelKind, profile: ScaleProfile, seed: u64) -> Result<Model>
     Ok(Model { kind, profile, graph, input_shape })
 }
 
-/// Convenience: builds every model at one profile.
-///
-/// # Errors
-///
-/// Propagates the first builder failure.
-pub fn build_all(profile: ScaleProfile, seed: u64) -> Result<Vec<Model>> {
-    ModelKind::ALL.iter().map(|&k| build(k, profile, seed)).collect()
-}
-
 // ---------------------------------------------------------------------------
 // ResNet family
 // ---------------------------------------------------------------------------

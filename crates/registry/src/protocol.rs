@@ -4,7 +4,7 @@
 //! already-attested connection and drives `Begin → Push×N → Finalize`.
 //! Every request gets exactly one reply, so the protocol is lock-step and
 //! a torn connection leaves the registry in a resumable state. Rejections
-//! carry the rendered [`RegistryError`](crate::RegistryError) string, so
+//! carry the rendered [`RegistryError`] string, so
 //! the tenant learns *which* chunk failed and why without the registry
 //! leaking anything about other tenants' content.
 //!
@@ -14,7 +14,7 @@
 use mvtee_codec::Bytes;
 use mvtee_crypto::channel::{FrameTransport, SecureChannel};
 use mvtee_crypto::sha256::sha256;
-use mvtee_crypto::{random_array, CryptoError};
+use mvtee_crypto::random_array;
 use mvtee_graph::zoo::Model;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
@@ -92,7 +92,7 @@ pub enum ProvisionReply {
     },
     /// Request rejected; the rendered registry error.
     Rejected {
-        /// Why (rendered [`RegistryError`](crate::RegistryError)).
+        /// Why (rendered [`RegistryError`]).
         error: String,
     },
     /// Session closing.
@@ -327,12 +327,6 @@ pub fn end_session<T: FrameTransport>(chan: &mut SecureChannel<T>) -> Result<()>
     // Bye may race a dropped server; ignore its loss.
     let _: std::result::Result<ProvisionReply, _> = recv_msg(chan);
     Ok(())
-}
-
-/// Maps a crypto error into the registry taxonomy (helper for hosts
-/// embedding the protocol).
-pub fn channel_error(e: CryptoError) -> RegistryError {
-    RegistryError::Channel(format!("{e:?}"))
 }
 
 #[cfg(test)]

@@ -483,11 +483,6 @@ impl Registry {
     pub fn tamper(&mut self, fingerprint: u64, byte: usize) -> bool {
         self.store.tamper(fingerprint, byte)
     }
-
-    /// Renders a fingerprint the way the registry spells keys.
-    pub fn key_name(fingerprint: u64) -> String {
-        key_hex(fingerprint)
-    }
 }
 
 #[cfg(test)]

@@ -154,11 +154,6 @@ impl SealedStore {
         self.entries.is_empty()
     }
 
-    /// Stored fingerprints, least-recently-used first.
-    pub fn lru_order(&self) -> &[u64] {
-        &self.lru
-    }
-
     /// Drains the fingerprints evicted since the last call, so callers
     /// can drop the matching in-memory engines.
     pub fn drain_evictions(&mut self) -> Vec<u64> {

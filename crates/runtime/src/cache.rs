@@ -20,7 +20,7 @@
 //! and unpacked paths read the same floats in the same order.
 
 use crate::engine::{Engine, EngineConfig, PreparedModel};
-use crate::pool::ThreadPool;
+use crate::pool::{RuntimeConfig, ThreadPool};
 use crate::Result;
 use mvtee_graph::Graph;
 use mvtee_tensor::Tensor;
@@ -111,12 +111,7 @@ impl ScratchArena {
 }
 
 /// A fully-connected weight matrix packed for the GEMM hot path at
-/// prepare time: the `[k, m]` transpose for row-panel products, plus the
-/// per-chunk column panels the batch-1 path multiplies independently.
-///
-/// Panels are laid out with the *same* static chunk list the pool uses
-/// at run time, so the packed and unpacked paths visit identical floats
-/// in identical order and stay byte-for-byte interchangeable.
+/// prepare time: the `[k, m]` transpose the row-panel products read.
 #[derive(Debug)]
 pub struct PackedGemm {
     /// Input features (`w.dims()[1]`).
@@ -125,14 +120,11 @@ pub struct PackedGemm {
     pub m: usize,
     /// The `[k, m]` transpose of the weight matrix.
     pub wt: Vec<f32>,
-    /// Column panels: `panels[c]` is the `[k, e-s]` slab of `wt` columns
-    /// for the pool's chunk `c = (s, e)` over the `m` outputs.
-    pub panels: Vec<Vec<f32>>,
 }
 
 impl PackedGemm {
-    /// Packs a rank-2 `[m, k]` weight tensor against `pool`'s chunk list.
-    pub fn pack(w: &Tensor, pool: &ThreadPool) -> Self {
+    /// Packs a rank-2 `[m, k]` weight tensor.
+    pub fn pack(w: &Tensor) -> Self {
         let (m, k) = (w.dims()[0], w.dims()[1]);
         let ws = w.data();
         let mut wt = vec![0.0f32; k * m];
@@ -141,18 +133,7 @@ impl PackedGemm {
                 wt[i * m + o] = ws[o * k + i];
             }
         }
-        let panels = pool
-            .chunk_ranges(m)
-            .map(|(s, e)| {
-                let mc = e - s;
-                let mut panel = vec![0.0f32; k * mc];
-                for i in 0..k {
-                    panel[i * mc..(i + 1) * mc].copy_from_slice(&wt[i * m + s..i * m + e]);
-                }
-                panel
-            })
-            .collect();
-        PackedGemm { k, m, wt, panels }
+        PackedGemm { k, m, wt }
     }
 }
 
@@ -185,12 +166,11 @@ impl KernelCtx {
     }
 
     /// The shared inline context the plain kernel entry points use: a
-    /// passthrough pool (single chunk, caller's thread — byte- and
-    /// call-shape-identical to the pre-pool kernels) plus a process-wide
-    /// arena.
+    /// one-thread pool (every chunk on the caller's thread, the bytes of
+    /// any other pool) plus a process-wide arena.
     pub fn sequential() -> &'static KernelCtx {
         static CTX: OnceLock<KernelCtx> = OnceLock::new();
-        CTX.get_or_init(|| KernelCtx::new(ThreadPool::passthrough()))
+        CTX.get_or_init(|| KernelCtx::new(ThreadPool::new(RuntimeConfig::default())))
     }
 }
 
@@ -341,7 +321,6 @@ pub fn session_cache() -> &'static EngineCache {
 mod tests {
     use super::*;
     use crate::engine::EngineKind;
-    use crate::pool::RuntimeConfig;
     use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 
     #[test]
@@ -367,23 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn packed_gemm_panels_match_the_transpose() {
+    fn packed_gemm_is_the_transpose() {
         let w = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[3, 2]).unwrap();
-        let pool = ThreadPool::new(RuntimeConfig::default());
-        let p = PackedGemm::pack(&w, &pool);
+        let p = PackedGemm::pack(&w);
         assert_eq!((p.m, p.k), (3, 2));
-        // wt is the [k, m] transpose.
         assert_eq!(p.wt, vec![0.0, 2.0, 4.0, 1.0, 3.0, 5.0]);
-        // Panels tile wt's columns exactly.
-        assert_eq!(p.panels.len(), pool.chunk_ranges(3).len());
-        for ((s, e), panel) in pool.chunk_ranges(3).zip(&p.panels) {
-            for i in 0..p.k {
-                assert_eq!(
-                    &panel[i * (e - s)..(i + 1) * (e - s)],
-                    &p.wt[i * p.m + s..i * p.m + e]
-                );
-            }
-        }
     }
 
     #[test]

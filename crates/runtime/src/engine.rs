@@ -219,12 +219,13 @@ impl Engine {
     /// Creates an engine with a custom BLAS implementation (used by the
     /// fault-injection crate to model code-level faults in one backend).
     ///
-    /// Custom backends get a passthrough (single-chunk, inline) pool:
+    /// Custom backends get a one-thread pool whatever the config says:
     /// fault models like `FrameFlip` corrupt outputs as a function of the
-    /// per-call GEMM shape, so the call shapes must stay exactly those of
-    /// the sequential runtime.
+    /// per-call GEMM shape, and an inline region makes one GEMM call over
+    /// all its rows.
     pub fn with_custom_blas(config: EngineConfig, blas: Arc<dyn Blas>) -> Self {
-        Engine { config, blas, pool: ThreadPool::passthrough(), custom_blas: true }
+        let pool = ThreadPool::new(RuntimeConfig::default());
+        Engine { config, blas, pool, custom_blas: true }
     }
 
     /// The engine's configuration.
@@ -236,11 +237,6 @@ impl Engine {
     /// engines bypass the prepared-model cache and weight pre-packing).
     pub fn has_custom_blas(&self) -> bool {
         self.custom_blas
-    }
-
-    /// The engine's deterministic intra-op pool.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
     }
 
     /// Compiles `graph` into an executable model.
@@ -265,8 +261,8 @@ impl Engine {
         } else {
             self.config.kernel_strategy.resolve()
         };
-        // Pre-pack FC weights once per prepare: transpose + column panels
-        // keyed by the weight initializer's value id. Only the BLAS path of
+        // Pre-pack FC weights once per prepare: the transpose, keyed by
+        // the weight initializer's value id. Only the BLAS path of
         // a built-in backend reads them; the microkernel consumes the
         // `[m, k]` weight rows as they are.
         let mut packed: HashMap<ValueId, Arc<PackedGemm>> = HashMap::new();
@@ -280,7 +276,7 @@ impl Engine {
                 if w.rank() == 2 {
                     packed
                         .entry(wid)
-                        .or_insert_with(|| Arc::new(PackedGemm::pack(w, &self.pool)));
+                        .or_insert_with(|| Arc::new(PackedGemm::pack(w)));
                 }
             }
         }

@@ -142,13 +142,13 @@ pub fn conv2d_im2col(
 /// [`conv2d_im2col`] drawing scratch space from `ctx`'s arena and splitting
 /// the im2col fill, the inner product (over output channels) and the bias
 /// epilogue over `ctx`'s deterministic pool, under an explicit kernel
-/// strategy for the inner product. `Scalar` / `PanelPacked` fill the
+/// strategy for the inner product. `Scalar` fills the
 /// `[patch, cols]` column buffer and run the row-panel BLAS GEMM;
 /// `SimdMicrokernel` fills the buffer **transposed** (`[cols, patch]`, same
 /// arena bytes) so both the filter row and the patch column are contiguous,
 /// then runs one fixed-tree [`simd::dot8`] per output element.
 ///
-/// Under `Scalar` / `PanelPacked`, a 1×1, stride-1, unpadded conv skips
+/// Under `Scalar`, a 1×1, stride-1, unpadded conv skips
 /// the column buffer and computes the same bytes: it hands its input plane
 /// to the GEMM as the column matrix it is. Everything else — a depthwise
 /// conv included — is the column matrix and the GEMM; the fast routes of
@@ -269,7 +269,7 @@ pub fn conv2d_im2col_with(
                         },
                     );
                 }
-                GemmStrategy::Scalar | GemmStrategy::PanelPacked => {
+                GemmStrategy::Scalar => {
                     // im2col for this batch/group — input channels are
                     // disjoint row blocks of the patch matrix, so they
                     // chunk freely.
@@ -752,13 +752,9 @@ pub fn gemm_fc(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, blas: &dyn Blas) -
 ///
 /// * `Scalar` — row-panel BLAS `par_gemm` over the `[k, m]` transpose
 ///   (`packed` when it matches the weight shape — a pack-cache hit — else
-///   derived once through the arena).
-/// * `PanelPacked` — `Scalar` plus the batch-1 fast path: row-parallelism
-///   degenerates there, so the single output row is split over the
-///   pre-packed column panels, one per deterministic output chunk. Both
-///   splits preserve the per-element ascending-`k` accumulation order of
-///   every BLAS backend, so the two are byte-identical to each other and
-///   to the sequential kernel.
+///   derived once through the arena). The row split preserves the
+///   per-element ascending-`k` accumulation order of every BLAS backend,
+///   so it is byte-identical to the sequential kernel.
 /// * `SimdMicrokernel` — `w` is `[m, k]` row-major, i.e. its rows already
 ///   *are* the contiguous columns the 8-lane dot product needs, so this
 ///   path runs with **no transpose or pack at all**, one fixed-tree
@@ -810,24 +806,11 @@ pub fn gemm_fc_with(
                 });
             }
         }
-        GemmStrategy::Scalar | GemmStrategy::PanelPacked => {
+        GemmStrategy::Scalar => {
             match packed.filter(|p| p.k == k && p.m == m) {
                 Some(p) => {
                     pack_hits().inc();
-                    if strategy == GemmStrategy::PanelPacked
-                        && n == 1
-                        && p.panels.len() > 1
-                        && p.panels.len() == ctx.pool.chunk_ranges(m).len()
-                    {
-                        // Batch-1: row-parallelism degenerates, so split the
-                        // single output row into the pre-packed column panels.
-                        let xd = x.data();
-                        ctx.pool.for_each_chunk(m, 1, &mut out, |cidx, j0, j1, chunk| {
-                            blas.gemm(1, j1 - j0, k, xd, &p.panels[cidx], chunk);
-                        });
-                    } else {
-                        ctx.pool.par_gemm(blas, n, m, k, x.data(), &p.wt, &mut out);
-                    }
+                    ctx.pool.par_gemm(blas, n, m, k, x.data(), &p.wt, &mut out);
                 }
                 None => {
                     pack_misses().inc();
@@ -870,8 +853,8 @@ pub fn matmul(a: &Tensor, b: &Tensor, blas: &dyn Blas) -> Result<Tensor> {
 }
 
 /// [`matmul`] over `ctx`'s pool under an explicit kernel strategy. `Scalar`
-/// and `PanelPacked` run the deterministic row-panel BLAS GEMM (no
-/// prepacked weight exists for a dynamic right-hand side);
+/// runs the deterministic row-panel BLAS GEMM (no prepacked weight exists
+/// for a dynamic right-hand side);
 /// `SimdMicrokernel` derives a one-shot `[n, k]` transpose of `b` through
 /// the arena, then runs one fixed-tree [`simd::dot8`] per output element
 /// over the two contiguous rows.
@@ -919,7 +902,7 @@ pub fn matmul_with(
             });
             ctx.arena.give(bt);
         }
-        GemmStrategy::Scalar | GemmStrategy::PanelPacked => {
+        GemmStrategy::Scalar => {
             ctx.pool.par_gemm(blas, m, n, k, a.data(), b.data(), &mut out);
         }
     }

@@ -594,7 +594,7 @@ pub struct PackedPointwise {
     m: usize,
     /// `⌈m / PANEL⌉` panels of `[k][PANEL]`: panel `p` holds output rows
     /// `p·PANEL..` transposed, zero past `m`.
-    panels: Vec<f32>,
+    wt: Vec<f32>,
     /// One bias per output channel, `0.0` without a bias.
     bias: Vec<f32>,
 }
@@ -602,21 +602,21 @@ pub struct PackedPointwise {
 impl PackedPointwise {
     fn pack(w: &Tensor, bias: Vec<f32>) -> Self {
         let (m, k) = (w.dims()[0], w.dims()[1]);
-        let mut panels = vec![0.0f32; m.div_ceil(PANEL) * k * PANEL];
+        let mut wt = vec![0.0f32; m.div_ceil(PANEL) * k * PANEL];
         for (o, row) in w.data().chunks_exact(k).enumerate() {
-            let panel = &mut panels[(o / PANEL) * k * PANEL..];
+            let panel = &mut wt[(o / PANEL) * k * PANEL..];
             for (kk, &v) in row.iter().enumerate() {
                 panel[kk * PANEL + o % PANEL] = v;
             }
         }
-        PackedPointwise { k, m, panels, bias }
+        PackedPointwise { k, m, wt, bias }
     }
 
     fn run(&self, x: &Tensor, f: impl Fn(f32) -> f32) -> Option<Tensor> {
         let (k, m) = (self.k, self.m);
         let (n, mut out) = batches(x, (k, 1, 1), m)?;
         for (xb, ob) in x.data().chunks_exact(k).zip(out.chunks_exact_mut(m)) {
-            let blocks = self.panels.chunks_exact(k * PANEL);
+            let blocks = self.wt.chunks_exact(k * PANEL);
             for ((panel, dst), bias) in blocks
                 .zip(ob.chunks_mut(PANEL))
                 .zip(self.bias.chunks(PANEL))

@@ -10,19 +10,20 @@
 //!
 //! [`ThreadPool`] sidesteps the problem by construction:
 //!
-//! * **Static chunking** — work is split into chunks whose boundaries are
-//!   a pure function of the problem size and the configured
-//!   [`RuntimeConfig::max_parallelism`], never of the live thread count.
-//!   `threads = 1, 2, 4, 8` all execute the *same* chunk list.
+//! * **Static chunking** — work is split into at most eight chunks whose
+//!   boundaries are a pure function of the problem size, never of the
+//!   live thread count. `threads = 1, 2, 4, 8` all execute the *same*
+//!   chunk list.
 //! * **Independent outputs** — every parallel region partitions disjoint
 //!   output rows/lanes; per-lane reductions stay whole inside one chunk,
 //!   so no accumulation order ever crosses a chunk boundary.
 //! * **Fixed-shape combination** — when a single long reduction *is*
 //!   split ([`ThreadPool::reduce_slice`]), the per-chunk partials are
 //!   combined with the existing fixed-shape [`tree_sum`], again a pure
-//!   function of the chunk list.
+//!   function of the chunk list, and the split point is a constant.
 //!
-//! The result: byte-identical tensors at every thread count, so variants
+//! No [`RuntimeConfig`] field decides a byte: the thread count and the
+//! spawn threshold only decide which thread runs a chunk, so variants
 //! may legitimately diversify their `intra_op_threads` and still agree
 //! bit-exactly at checkpoints.
 //!
@@ -35,19 +36,22 @@ use crate::kernels::{reduce_sum, tree_sum, Accumulation};
 use crate::Blas;
 use std::sync::Arc;
 
-/// Tuning knobs for the deterministic intra-op pool.
+/// Every parallel region splits its work into `min(items, MAX_CHUNKS)`
+/// chunks *regardless of thread count*. Part of the numeric contract:
+/// changing it moves the bytes of every split reduction.
+const MAX_CHUNKS: usize = 8;
+
+/// [`ThreadPool::reduce_slice`] splits slices at least this long into the
+/// chunk list. Part of the numeric contract, like [`MAX_CHUNKS`].
+const SPLIT_REDUCE_ELEMS: usize = 4096;
+
+/// Tuning knobs for the deterministic intra-op pool. Neither changes an
+/// output byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RuntimeConfig {
     /// Worker threads a parallel region may spawn. `1` (the default)
     /// executes every chunk inline on the caller.
     pub intra_op_threads: usize,
-    /// Fixed chunk-count ceiling: every parallel region splits its work
-    /// into `min(items, max_parallelism)` chunks *regardless of thread
-    /// count* — this constant (not `intra_op_threads`) is what makes
-    /// outputs thread-count invariant. Raising it changes chunk shapes
-    /// and therefore (for split reductions) rounding; treat it as part
-    /// of the numeric contract.
-    pub max_parallelism: usize,
     /// Regions with fewer output elements than this run inline (same
     /// chunk list, caller's thread) — spawn cost would dominate.
     pub min_parallel_elems: usize,
@@ -55,7 +59,7 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig { intra_op_threads: 1, max_parallelism: 8, min_parallel_elems: 4096 }
+        RuntimeConfig { intra_op_threads: 1, min_parallel_elems: 4096 }
     }
 }
 
@@ -73,22 +77,9 @@ impl RuntimeConfig {
 /// (Every crate but the crypto dispatch shims forbids `unsafe`, so a
 /// persistent pool borrowing caller slices is not expressible — scoped
 /// spawning keeps the borrows safe and the design allocation-light.)
+#[derive(Debug)]
 pub struct ThreadPool {
     cfg: RuntimeConfig,
-    /// Passthrough pools run every region as one inline chunk — used for
-    /// engines with externally supplied (possibly fault-instrumented)
-    /// BLAS backends, whose corruption patterns depend on exact call
-    /// shapes and must not be re-tiled.
-    passthrough: bool,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("cfg", &self.cfg)
-            .field("passthrough", &self.passthrough)
-            .finish()
-    }
 }
 
 impl ThreadPool {
@@ -96,38 +87,14 @@ impl ThreadPool {
     pub fn new(cfg: RuntimeConfig) -> Arc<Self> {
         register_runtime_metrics();
         Arc::new(ThreadPool {
-            cfg: RuntimeConfig {
-                intra_op_threads: cfg.intra_op_threads.max(1),
-                max_parallelism: cfg.max_parallelism.max(1),
-                ..cfg
-            },
-            passthrough: false,
+            cfg: RuntimeConfig { intra_op_threads: cfg.intra_op_threads.max(1), ..cfg },
         })
     }
 
-    /// A single-chunk, inline pool: every region executes exactly as one
-    /// sequential call, byte- and call-shape-identical to the pre-pool
-    /// kernels. Used by the plain kernel entry points and by engines
-    /// with custom BLAS backends.
-    pub fn passthrough() -> Arc<Self> {
-        register_runtime_metrics();
-        Arc::new(ThreadPool { cfg: RuntimeConfig::default(), passthrough: true })
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
     /// The static chunk list for `items` work items: boundaries depend
-    /// only on `items` and `max_parallelism` (or a single chunk for
-    /// passthrough pools) — never on the thread count.
+    /// only on `items` — never on the thread count.
     pub fn chunk_ranges(&self, items: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
-        let count = match items {
-            0 => 0,
-            _ if self.passthrough => 1,
-            _ => self.cfg.max_parallelism.min(items),
-        };
+        let count = MAX_CHUNKS.min(items);
         let (base, rem) = (items / count.max(1), items % count.max(1));
         // The first `rem` chunks hold one item more than the rest.
         (0..count).map(move |c| {
@@ -226,7 +193,7 @@ impl ThreadPool {
     /// All built-in backends accumulate each output element in ascending
     /// `k` order regardless of row tiling, so the panelled product is
     /// byte-identical to the monolithic call. A custom backend runs on a
-    /// passthrough pool, whose single chunk is that one call either way.
+    /// one-thread pool, so it always sees that one call.
     #[allow(clippy::too_many_arguments)] // mirrors the 7-operand BLAS GEMM signature
     pub fn par_gemm(
         &self,
@@ -250,9 +217,10 @@ impl ThreadPool {
     /// Sums a long slice deterministically: per-chunk partials (each
     /// reduced with the caller's accumulation order) combined by the
     /// fixed-shape [`tree_sum`]. The split point — and therefore the
-    /// rounding — depends only on the slice length, never on threads.
+    /// rounding — depends only on the slice length, never on the pool's
+    /// configuration.
     pub fn reduce_slice(&self, values: &[f32], acc: Accumulation) -> f32 {
-        if values.len() < self.cfg.min_parallel_elems {
+        if values.len() < SPLIT_REDUCE_ELEMS {
             return reduce_sum(values, acc);
         }
         let partials = self.map_chunks(values.len(), |_, s, e| reduce_sum(&values[s..e], acc));
@@ -303,19 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_is_a_single_chunk() {
-        let pool = ThreadPool::passthrough();
-        assert_eq!(pool.chunk_ranges(100).collect::<Vec<_>>(), vec![(0, 100)]);
-    }
-
-    #[test]
     fn for_each_chunk_writes_disjoint_slices() {
         for threads in [1usize, 2, 4, 8] {
-            let pool = ThreadPool::new(RuntimeConfig {
-                intra_op_threads: threads,
-                min_parallel_elems: 1, // force the parallel path
-                ..RuntimeConfig::default()
-            });
+            // min_parallel_elems 1 forces the parallel path.
+            let cfg = RuntimeConfig { intra_op_threads: threads, min_parallel_elems: 1 };
+            let pool = ThreadPool::new(cfg);
             let items = 37;
             let stride = 3;
             let mut out = vec![0.0f32; items * stride];
@@ -358,11 +318,7 @@ mod tests {
             let mut mono = vec![0.0f32; m * n];
             blas.gemm(m, n, k, &a, &b, &mut mono);
             for threads in [1usize, 2, 4, 8] {
-                let pool = ThreadPool::new(RuntimeConfig {
-                    intra_op_threads: threads,
-                    min_parallel_elems: 1,
-                    ..RuntimeConfig::default()
-                });
+                let pool = ThreadPool::new(RuntimeConfig { intra_op_threads: threads, min_parallel_elems: 1 });
                 let mut panelled = vec![0.0f32; m * n];
                 pool.par_gemm(blas.as_ref(), m, n, k, &a, &b, &mut panelled);
                 let same = mono
@@ -395,11 +351,7 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.25).collect();
         let mut outputs = Vec::new();
         for threads in [1usize, 2] {
-            let pool = ThreadPool::new(RuntimeConfig {
-                intra_op_threads: threads,
-                min_parallel_elems: 1,
-                ..RuntimeConfig::default()
-            });
+            let pool = ThreadPool::new(RuntimeConfig { intra_op_threads: threads, min_parallel_elems: 1 });
             let blas = Recording::default();
             let mut c = vec![0.0f32; m * n];
             pool.par_gemm(&blas, m, n, k, &a, &b, &mut c);

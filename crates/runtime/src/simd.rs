@@ -5,11 +5,11 @@
 //! loop is written as an
 //! unrolled **8-lane virtual register**: a `[f32; 8]` accumulator block where
 //! lane `l` sums exactly the products whose flat index is `≡ l (mod 8)`, in
-//! ascending order. Written as chunks-of-8 ([`dot8_wide`]) the loop is a
+//! ascending order. Written as chunks-of-8 (`dot8_wide`) the loop is a
 //! textbook vectorisation target — LLVM lowers it to packed `mulps`/`addps`
 //! (AVX2 `vfmadd` is *not* emitted because the baseline target lacks FMA
 //! codegen, which keeps the arithmetic identical to the per-lane form).
-//! Written lane-at-a-time ([`dot8_lanes`]) the same sums run as 8 independent
+//! Written lane-at-a-time (`dot8_lanes`) the same sums run as 8 independent
 //! scalar loops. Both organisations perform the identical per-lane additions
 //! in the identical order, then combine the 8 partials with the same **fixed
 //! accumulation tree**, so their results are bit-equal by construction — the

@@ -7,9 +7,8 @@
 //! runs, so which kernel a variant uses is readable from its config and
 //! nothing else.
 //!
-//! The axis has two numeric classes: `auto`/`scalar`/`panel` all run the
-//! configured BLAS backend's ascending-`k` accumulation and are byte-identical
-//! to each other; `simd` runs the 8-lane fixed-tree microkernel, whose
+//! The axis has two kernels: `auto`/`scalar`/`panel` all resolve to the
+//! configured BLAS backend's ascending-`k` accumulation; `simd` runs the 8-lane fixed-tree microkernel, whose
 //! different summation order is what MVX wants from it as a variant — it is
 //! not the fast path (`runtime.gemm.gflops.simd.*` is about half of
 //! `.blocked.*`), which is why `Auto` resolves to the BLAS path.
@@ -19,12 +18,12 @@ use std::fmt;
 /// Config-level kernel-strategy override (the diversification axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum KernelStrategy {
-    /// The default: resolves to [`GemmStrategy::PanelPacked`].
+    /// The default: resolves to [`GemmStrategy::Scalar`].
     Auto,
     /// Pin every GEMM-family op to the plain BLAS row-panel kernel.
     Scalar,
-    /// Pin to the prepacked column-panel kernel (degrades to `Scalar`,
-    /// byte-identically, where no prepacked weight exists).
+    /// Same kernel as `Scalar`; the token stays so existing variant
+    /// specs and campaign lines keep parsing.
     PanelPacked,
     /// Pin to the 8-lane SIMD microkernel.
     SimdMicrokernel,
@@ -42,8 +41,9 @@ impl KernelStrategy {
     /// The kernel every GEMM-family op of an engine with this setting runs.
     pub fn resolve(self) -> GemmStrategy {
         match self {
-            KernelStrategy::Scalar => GemmStrategy::Scalar,
-            KernelStrategy::Auto | KernelStrategy::PanelPacked => GemmStrategy::PanelPacked,
+            KernelStrategy::Auto | KernelStrategy::Scalar | KernelStrategy::PanelPacked => {
+                GemmStrategy::Scalar
+            }
             KernelStrategy::SimdMicrokernel => GemmStrategy::SimdMicrokernel,
         }
     }
@@ -73,10 +73,8 @@ impl fmt::Display for KernelStrategy {
 /// Resolved GEMM-family kernel, as passed to the `kernels::*_with` entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GemmStrategy {
-    /// Plain BLAS row-panel `par_gemm` (the PR 4 baseline path).
+    /// BLAS row-panel `par_gemm` over the configured backend.
     Scalar,
-    /// Prepacked column-panel BLAS path (batch-1 fast path).
-    PanelPacked,
     /// 8-lane fixed-tree SIMD microkernel over contiguous operand rows.
     SimdMicrokernel,
 }
@@ -99,9 +97,9 @@ mod tests {
         assert_eq!(
             resolved,
             [
-                GemmStrategy::PanelPacked,
                 GemmStrategy::Scalar,
-                GemmStrategy::PanelPacked,
+                GemmStrategy::Scalar,
+                GemmStrategy::Scalar,
                 GemmStrategy::SimdMicrokernel,
             ]
         );

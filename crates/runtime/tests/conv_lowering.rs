@@ -90,11 +90,7 @@ fn tensor(rng: &mut StdRng, dims: &[usize], specials: &[f32], rate: u32) -> Tens
 
 /// The inline context and a two-thread pool that goes parallel at once.
 fn contexts() -> [KernelCtx; 2] {
-    let threaded = ThreadPool::new(RuntimeConfig {
-        intra_op_threads: 2,
-        min_parallel_elems: 1,
-        ..RuntimeConfig::default()
-    });
+    let threaded = ThreadPool::new(RuntimeConfig { intra_op_threads: 2, min_parallel_elems: 1 });
     [KernelCtx::sequential().clone(), KernelCtx::new(threaded)]
 }
 
@@ -142,33 +138,29 @@ fn depthwise_routes_match_the_generic_path_bit_for_bit() {
                                         let route =
                                             ConvRoute::plan(x.dims(), wt, b, &a, blas.row_order());
                                         for (ci, ctx) in ctxs.iter().enumerate() {
-                                            for strategy in
-                                                [GemmStrategy::Scalar, GemmStrategy::PanelPacked]
-                                            {
-                                                let got = route.run(x, None).unwrap_or_else(|| {
-                                                    kernels::conv2d_im2col_with(
-                                                        ctx,
-                                                        x,
-                                                        wt,
-                                                        b,
-                                                        &a,
-                                                        blas.as_ref(),
-                                                        strategy,
-                                                    )
-                                                    .unwrap()
-                                                });
-                                                let want = kernels::conv2d_im2col_with(
-                                                    ctx, x, wt, b, &a, &opaque, strategy,
+                                            let got = route.run(x, None).unwrap_or_else(|| {
+                                                kernels::conv2d_im2col_with(
+                                                    ctx,
+                                                    x,
+                                                    wt,
+                                                    b,
+                                                    &a,
+                                                    blas.as_ref(),
+                                                    GemmStrategy::Scalar,
                                                 )
-                                                .unwrap();
-                                                assert_eq!(
-                                                    bits(&got),
-                                                    bits(&want),
-                                                    "{kind} ctx {ci} {a:?} h {h} w {w} bias {}",
-                                                    b.is_some()
-                                                );
-                                                cases += 1;
-                                            }
+                                                .unwrap()
+                                            });
+                                            let want = kernels::conv2d_im2col_with(
+                                                ctx, x, wt, b, &a, &opaque, GemmStrategy::Scalar,
+                                            )
+                                            .unwrap();
+                                            assert_eq!(
+                                                bits(&got),
+                                                bits(&want),
+                                                "{kind} ctx {ci} {a:?} h {h} w {w} bias {}",
+                                                b.is_some()
+                                            );
+                                            cases += 1;
                                         }
                                     }
                                 }
@@ -227,20 +219,18 @@ fn pointwise_matches_the_generic_path_bit_for_bit() {
                             let blas = kind.instantiate();
                             let want = pointwise_reference(x, &wt, b, blas.as_ref());
                             for ctx in &ctxs {
-                                for strategy in [GemmStrategy::Scalar, GemmStrategy::PanelPacked] {
-                                    let got = kernels::conv2d_im2col_with(
-                                        ctx,
-                                        x,
-                                        &wt,
-                                        b,
-                                        &a,
-                                        blas.as_ref(),
-                                        strategy,
-                                    )
-                                    .unwrap();
-                                    assert_eq!(bits(&got), want, "{kind} n{n} c{c} oc{oc} {h}x{w}");
-                                    cases += 1;
-                                }
+                                let got = kernels::conv2d_im2col_with(
+                                    ctx,
+                                    x,
+                                    &wt,
+                                    b,
+                                    &a,
+                                    blas.as_ref(),
+                                    GemmStrategy::Scalar,
+                                )
+                                .unwrap();
+                                assert_eq!(bits(&got), want, "{kind} n{n} c{c} oc{oc} {h}x{w}");
+                                cases += 1;
                             }
                         }
                     }

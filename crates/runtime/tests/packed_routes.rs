@@ -103,7 +103,7 @@ fn routed(
             b,
             a,
             blas,
-            GemmStrategy::PanelPacked,
+            GemmStrategy::Scalar,
         )
         .unwrap()
     })

@@ -1,12 +1,16 @@
 //! Bit-exactness of the deterministic intra-op pool: every kernel and
 //! every full zoo forward pass must produce **byte-identical** tensors at
 //! any `intra_op_threads`, for all three engine families. Chunk
-//! boundaries are a pure function of problem size and the configured
-//! `max_parallelism`, never of the live thread count — these tests pin
-//! that invariant down to the bit level.
+//! boundaries are a pure function of problem size, never of the live
+//! thread count, the spawn threshold or the BLAS backend — these tests
+//! pin that invariant down to the bit level.
 
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
-use mvtee_runtime::kernels::{conv2d_im2col, conv2d_im2col_with, gemm_fc, gemm_fc_with, softmax, softmax_with, ConvAttrs};
+use mvtee_graph::GraphBuilder;
+use mvtee_runtime::kernels::{
+    conv2d_im2col, conv2d_im2col_with, gemm_fc, gemm_fc_with, global_avg_pool,
+    global_avg_pool_with, softmax, softmax_with, ConvAttrs,
+};
 use mvtee_runtime::{
     Accumulation, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy, KernelCtx,
     RuntimeConfig, ThreadPool,
@@ -21,11 +25,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// A context whose pool genuinely spawns `t` workers: the parallel-region
 /// threshold is dropped to 1 so even proptest-sized shapes cross it.
 fn ctx(t: usize) -> KernelCtx {
-    KernelCtx::new(ThreadPool::new(RuntimeConfig {
-        intra_op_threads: t,
-        max_parallelism: 8,
-        min_parallel_elems: 1,
-    }))
+    KernelCtx::new(ThreadPool::new(RuntimeConfig { intra_op_threads: t, min_parallel_elems: 1 }))
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -58,7 +58,7 @@ proptest! {
             let reference = gemm_fc(&x, &w, Some(&b), backend.as_ref()).expect("runs");
             for t in THREADS {
                 let out = gemm_fc_with(
-                    &ctx(t), &x, &w, Some(&b), backend.as_ref(), None, GemmStrategy::PanelPacked,
+                    &ctx(t), &x, &w, Some(&b), backend.as_ref(), None, GemmStrategy::Scalar,
                 )
                 .expect("runs");
                 prop_assert_eq!(
@@ -176,5 +176,45 @@ fn tvm_complex_schedule_is_bitwise_thread_invariant() {
             .run(std::slice::from_ref(&input))
             .expect("runs");
         assert_eq!(reference, out, "tvm_complex drifted at intra_op_threads={t}");
+    }
+}
+
+#[test]
+fn global_avg_pool_bits_depend_on_no_pool_setting() {
+    // Planes on both sides of the reduction's split point: the plain
+    // kernel, every pool configuration, and engines with a built-in or a
+    // caller-supplied backend all reduce a plane the same way.
+    let mut rng = StdRng::seed_from_u64(29);
+    for plane in [3usize, 1024, 4096, 4097] {
+        let dims = [1, 2, 1, plane];
+        let x = Tensor::random_uniform(&mut rng, &dims, 1.0);
+        for acc in [Accumulation::Sequential, Accumulation::Tree] {
+            let want = bits(&global_avg_pool(&x, acc).expect("runs"));
+            for t in [1, 2, 8] {
+                let got = global_avg_pool_with(&ctx(t), &x, acc).expect("runs");
+                assert_eq!(want, bits(&got), "plane {plane}, {acc:?}: {t} threads");
+            }
+            let default_pool = KernelCtx::new(ThreadPool::new(RuntimeConfig::default()));
+            let got = global_avg_pool_with(&default_pool, &x, acc).expect("runs");
+            assert_eq!(want, bits(&got), "plane {plane}, {acc:?}: default pool");
+        }
+        let mut b = GraphBuilder::new("gap", 1);
+        let input = b.input(&dims);
+        let gap = b.global_avg_pool(input).expect("builds");
+        let graph = b.finish(vec![gap]).expect("builds");
+        for family in [EngineKind::Reference, EngineKind::OrtLike, EngineKind::TvmLike] {
+            let config = EngineConfig::of_kind(family);
+            let want = bits(&global_avg_pool(&x, config.accumulation).expect("runs"));
+            let backend = config.blas.instantiate();
+            for engine in [Engine::new(config.clone()), Engine::with_custom_blas(config, backend)] {
+                let out = engine
+                    .prepare(&graph)
+                    .expect("prepares")
+                    .run(std::slice::from_ref(&x))
+                    .expect("runs");
+                let custom = engine.has_custom_blas();
+                assert_eq!(want, bits(&out[0]), "plane {plane}: {family:?}, custom backend {custom}");
+            }
+        }
     }
 }

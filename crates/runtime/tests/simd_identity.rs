@@ -18,11 +18,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// A context whose pool genuinely spawns `t` workers and parallelises even
 /// proptest-sized shapes (threshold dropped to a single element).
 fn eager_ctx(t: usize) -> KernelCtx {
-    KernelCtx::new(ThreadPool::new(RuntimeConfig {
-        intra_op_threads: t,
-        max_parallelism: 8,
-        min_parallel_elems: 1,
-    }))
+    KernelCtx::new(ThreadPool::new(RuntimeConfig { intra_op_threads: t, min_parallel_elems: 1 }))
 }
 
 /// A context with the production threshold: small shapes stay sequential.

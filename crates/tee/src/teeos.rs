@@ -244,11 +244,6 @@ impl TeeOs {
         self.stage
     }
 
-    /// The currently enforced manifest.
-    pub fn active_manifest(&self) -> &Manifest {
-        &self.active
-    }
-
     /// Hash of the enforced manifest (for attestation evidence).
     pub fn manifest_hash(&self) -> [u8; 32] {
         self.active.hash()

@@ -171,7 +171,7 @@ struct Shard {
 
 /// Lock-light bounded recorder for trace events.
 ///
-/// Threads are spread round-robin over [`SHARDS`] independent
+/// Threads are spread round-robin over `SHARDS` independent
 /// mutex-protected rings, so concurrent recording rarely contends.
 #[derive(Debug)]
 pub struct Recorder {

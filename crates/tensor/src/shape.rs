@@ -133,11 +133,6 @@ impl Shape {
         Ok(Shape(out))
     }
 
-    /// `true` when this is a rank-4 shape (the activation shape of CNNs).
-    pub fn is_rank4(&self) -> bool {
-        self.rank() == 4
-    }
-
     /// Interprets a rank-4 shape as `(n, c, h, w)`.
     ///
     /// # Errors

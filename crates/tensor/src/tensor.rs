@@ -1,4 +1,4 @@
-use crate::{Layout, Result, Shape, TensorError};
+use crate::{Result, Shape, TensorError};
 use mvtee_codec::F32s;
 use rand::Rng;
 use serde::ser::SerializeStruct;
@@ -153,11 +153,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access by multi-dimensional index.
     ///
     /// # Errors
@@ -299,11 +294,6 @@ impl Tensor {
         Some(best)
     }
 
-    /// L2 norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt() as f32
-    }
-
     /// Converts a rank-4 `NCHW` tensor to `NHWC` element order.
     ///
     /// The returned tensor's logical shape stays `[n, h, w, c]` (the
@@ -354,19 +344,6 @@ impl Tensor {
             }
         }
         Tensor::from_vec(out, &[n, c, h, w])
-    }
-
-    /// Returns the layout-converted copy of a rank-4 tensor, or a clone if
-    /// `layout` is already the canonical `NCHW`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates rank errors from the conversion.
-    pub fn to_layout(&self, layout: Layout) -> Result<Tensor> {
-        match layout {
-            Layout::Nchw => Ok(self.clone()),
-            Layout::Nhwc => self.to_nhwc(),
-        }
     }
 
     /// Serializes the tensor into a compact little-endian byte buffer
