@@ -27,9 +27,7 @@ use mvtee_tensor::Tensor;
 const PERF_SEED: u64 = 42;
 /// Where the sweep's report lands unless `--out` says otherwise.
 pub const ARTIFACT: &str = "BENCH_runtime.json";
-const SCHEMA: &str = "mvtee-bench-runtime-v3";
-/// The `runtime.cache.*` counters [`PerfReport::cache`] reports, in order.
-pub const COUNTERS: [&str; 3] = ["pack_hits", "pack_misses", "arena_bytes_reused"];
+const SCHEMA: &str = "mvtee-bench-runtime-v4";
 
 /// Sweep configuration.
 pub struct PerfSettings {
@@ -88,9 +86,6 @@ pub struct PerfReport {
     pub cases: Vec<PerfCase>,
     /// Every bitwise mismatch, described; the subcommand fails on any.
     pub mismatches: Vec<String>,
-    /// Delta of each of [`COUNTERS`] over the sweep: pack-cache hits and
-    /// misses, arena bytes reused.
-    pub cache: [u64; 3],
 }
 
 impl PerfReport {
@@ -104,11 +99,7 @@ impl PerfReport {
             let verdict = if c.bitwise_match { "ok" } else { "MISMATCH" }.to_string();
             t.row(vec![c.workload.clone(), c.family.clone(), c.threads.to_string(), verdict]);
         }
-        let [pack_hits, pack_misses, arena] = self.cache;
-        format!(
-            "{}\npack cache: {pack_hits} hits / {pack_misses} misses; arena bytes reused: {arena}\n",
-            t.render()
-        )
+        t.render()
     }
 
     /// Renders the machine-readable report (`BENCH_runtime.json`).
@@ -121,14 +112,11 @@ impl PerfReport {
                 ("bitwise_match", c.bitwise_match.into()),
             ])
         };
-        let [pack_hits, pack_misses, arena] = self.cache;
         Json::obj([
             ("schema", SCHEMA.into()),
             ("meta", Json::meta(SCHEMA, PERF_SEED, &self.fingerprint)),
             ("threads", Json::arr(self.threads.iter().copied())),
             ("cases", Json::arr(self.cases.iter().map(case))),
-            ("pack_cache", Json::obj([("hits", pack_hits.into()), ("misses", pack_misses.into())])),
-            ("arena_bytes_reused", arena.into()),
             ("mismatch_count", self.mismatches.len().into()),
         ])
         .render()
@@ -166,8 +154,9 @@ impl PerfReport {
     }
 }
 
-/// `model` on `config` at a thread count: prepares a new engine and infers
-/// twice on it, so a healthy pack cache records hits.
+/// `model` on `config` at a thread count: prepares a new engine, infers
+/// twice on it and keeps the second output, the one computed with every
+/// thread's scratch already used once.
 fn infer_on(config: EngineConfig, model: &Model) -> impl Fn(usize) -> Tensor + '_ {
     let input = [model_input(model)];
     move |t| {
@@ -181,9 +170,6 @@ fn infer_on(config: EngineConfig, model: &Model) -> impl Fn(usize) -> Tensor + '
 
 /// Runs the sweep: every configuration through `PerfReport::gate`.
 pub fn run_perf(s: &PerfSettings) -> PerfReport {
-    mvtee_runtime::register_runtime_metrics();
-    let cache = || COUNTERS.map(|c| mvtee_telemetry::counter(&format!("runtime.cache.{c}")).get());
-    let before = cache();
     let mut report = PerfReport {
         fingerprint: format!(
             "models={:?};scale={:?};threads={:?};gemm={}",
@@ -234,9 +220,6 @@ pub fn run_perf(s: &PerfSettings) -> PerfReport {
         simd::gemm_bt(dim, dim, dim, &a, &bt, &mut c);
         square(c)
     });
-
-    let after = cache();
-    report.cache = std::array::from_fn(|i| after[i] - before[i]);
     report
 }
 
@@ -257,13 +240,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_has_no_mismatches_and_hits_pack_cache() {
+    fn quick_sweep_has_no_mismatches() {
         let report = run_perf(&PerfSettings::quick());
         assert!(report.mismatches.is_empty(), "mismatches: {:?}", report.mismatches);
-        // The pinned panel-packed strategy legs reuse the packed weights
-        // on every repetition past the first.
-        let [pack_hits, _, _] = report.cache;
-        assert!(pack_hits > 0, "expected pack-cache hits on repeat inference");
         // 1 model × 3 families × 2 thread counts
         //   + 4 kernel strategies × 2 thread counts
         //   + gemm × 2 thread counts + 1 simd-microkernel gemm
@@ -284,7 +263,7 @@ mod tests {
             gemm_dim: 24,
         });
         let json = report.render_json();
-        assert!(json.contains("\"schema\": \"mvtee-bench-runtime-v3\""));
+        assert!(json.contains("\"schema\": \"mvtee-bench-runtime-v4\""));
         assert!(json.contains("\"mismatch_count\": 0"));
         assert!(json.ends_with("}\n"));
         assert!(!json.contains("_us") && !json.contains("speedup"), "a timing member came back");

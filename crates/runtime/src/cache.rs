@@ -1,26 +1,24 @@
-//! Per-session engine caching: scratch-buffer arenas, pre-packed GEMM
-//! weights, and a prepared-model cache.
+//! Per-session engine caching: pre-packed GEMM weights and a
+//! prepared-model cache.
 //!
-//! Three separate allocation sinks in the pre-cache runtime all scale
-//! with inference *count* rather than model size:
+//! Two costs of the runtime scale with inference *count* unless they are
+//! paid once:
 //!
-//! 1. every `gemm_fc` call re-transposed the `[m, k]` weight matrix into
-//!    a fresh `[k, m]` buffer,
-//! 2. every im2col convolution allocated its patch (`col`) and product
-//!    (`prod`) matrices from the global allocator,
-//! 3. every variant TEE prepared its own copy of the same compiled
-//!    graph, even when its engine configuration was identical to a
+//! 1. every `gemm_fc` call would transpose the `[m, k]` weight matrix
+//!    into a `[k, m]` buffer,
+//! 2. every variant TEE would prepare its own copy of the same compiled
+//!    graph, even when its engine configuration is identical to a
 //!    sibling's.
 //!
-//! [`ScratchArena`] recycles the per-call temporaries, [`PackedGemm`]
-//! moves the weight transpose to prepare time (keyed by node id inside
-//! the interpreter), and [`EngineCache`] memoizes whole prepared models
-//! per `(engine config, graph fingerprint)` so replicated variants share
-//! one compiled model. None of this changes any computed value: packed
-//! and unpacked paths read the same floats in the same order.
+//! [`PackedGemm`] moves the weight transpose to prepare time (keyed by
+//! node id inside the interpreter), and [`EngineCache`] memoizes whole
+//! prepared models per `(engine config, graph fingerprint)` so replicated
+//! variants share one compiled model. A shared model is read-only while
+//! it runs; a kernel's per-call temporaries are the running thread's.
+//! None of this changes any computed value: packed and unpacked paths
+//! read the same floats in the same order.
 
 use crate::engine::{Engine, EngineConfig, PreparedModel};
-use crate::pool::{RuntimeConfig, ThreadPool};
 use crate::Result;
 use mvtee_graph::Graph;
 use mvtee_tensor::Tensor;
@@ -28,87 +26,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Upper bound on buffers the arena retains; beyond this, returned
-/// buffers are simply dropped.
-const ARENA_MAX_BUFFERS: usize = 16;
-
-/// Buffers smaller than this are not worth recycling.
-const ARENA_MIN_ELEMS: usize = 64;
-
-/// A reusable pool of `Vec<f32>` scratch buffers.
-///
-/// Interior-mutable (`Mutex`) so kernels can draw scratch space through
-/// the `&self` [`PreparedModel::run`] path, including from pool worker
-/// threads. Buffer contents never influence outputs — [`take`] returns
-/// zeroed storage and every kernel fully overwrites what it reads.
-///
-/// [`take`]: ScratchArena::take
-pub struct ScratchArena {
-    buffers: Mutex<Vec<Vec<f32>>>,
-    reused_bytes: mvtee_telemetry::Counter,
-}
-
-impl std::fmt::Debug for ScratchArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let held = self.buffers.lock().map(|b| b.len()).unwrap_or(0);
-        f.debug_struct("ScratchArena").field("buffers", &held).finish()
-    }
-}
-
-impl Default for ScratchArena {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ScratchArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        crate::pool::register_runtime_metrics();
-        ScratchArena {
-            buffers: Mutex::new(Vec::new()),
-            reused_bytes: mvtee_telemetry::counter("runtime.cache.arena_bytes_reused"),
-        }
-    }
-
-    /// Takes a zeroed buffer of exactly `len` elements, recycling a
-    /// retained allocation when one is large enough.
-    pub fn take(&self, len: usize) -> Vec<f32> {
-        let recycled = {
-            let mut buffers = self.buffers.lock().expect("arena lock");
-            buffers
-                .iter()
-                .position(|b| b.capacity() >= len)
-                .map(|i| buffers.swap_remove(i))
-        };
-        match recycled {
-            Some(mut buf) => {
-                self.reused_bytes.add((len * std::mem::size_of::<f32>()) as u64);
-                buf.clear();
-                buf.resize(len, 0.0);
-                buf
-            }
-            None => vec![0.0; len],
-        }
-    }
-
-    /// Returns a buffer to the arena for reuse.
-    pub fn give(&self, buf: Vec<f32>) {
-        if buf.capacity() < ARENA_MIN_ELEMS {
-            return;
-        }
-        let mut buffers = self.buffers.lock().expect("arena lock");
-        if buffers.len() < ARENA_MAX_BUFFERS {
-            buffers.push(buf);
-        }
-    }
-
-    /// Number of buffers currently retained.
-    pub fn retained(&self) -> usize {
-        self.buffers.lock().map(|b| b.len()).unwrap_or(0)
-    }
-}
 
 /// A fully-connected weight matrix packed for the GEMM hot path at
 /// prepare time: the `[k, m]` transpose the row-panel products read.
@@ -126,51 +43,9 @@ impl PackedGemm {
     /// Packs a rank-2 `[m, k]` weight tensor.
     pub fn pack(w: &Tensor) -> Self {
         let (m, k) = (w.dims()[0], w.dims()[1]);
-        let ws = w.data();
         let mut wt = vec![0.0f32; k * m];
-        for o in 0..m {
-            for i in 0..k {
-                wt[i * m + o] = ws[o * k + i];
-            }
-        }
+        crate::kernels::transpose(w.data(), m, k, &mut wt);
         PackedGemm { k, m, wt }
-    }
-}
-
-/// The handle to the `runtime.cache.pack_hits` counter (fetched once).
-pub(crate) fn pack_hits() -> &'static mvtee_telemetry::Counter {
-    static C: OnceLock<mvtee_telemetry::Counter> = OnceLock::new();
-    C.get_or_init(|| mvtee_telemetry::counter("runtime.cache.pack_hits"))
-}
-
-/// The handle to the `runtime.cache.pack_misses` counter (fetched once).
-pub(crate) fn pack_misses() -> &'static mvtee_telemetry::Counter {
-    static C: OnceLock<mvtee_telemetry::Counter> = OnceLock::new();
-    C.get_or_init(|| mvtee_telemetry::counter("runtime.cache.pack_misses"))
-}
-
-/// Everything a kernel needs beyond its operands: the deterministic
-/// thread pool and the scratch arena. Cheap to clone (two `Arc`s).
-#[derive(Debug, Clone)]
-pub struct KernelCtx {
-    /// The deterministic intra-op pool.
-    pub pool: Arc<ThreadPool>,
-    /// The scratch-buffer arena.
-    pub arena: Arc<ScratchArena>,
-}
-
-impl KernelCtx {
-    /// Builds a context from a pool with a fresh arena.
-    pub fn new(pool: Arc<ThreadPool>) -> Self {
-        KernelCtx { pool, arena: Arc::new(ScratchArena::new()) }
-    }
-
-    /// The shared inline context the plain kernel entry points use: a
-    /// one-thread pool (every chunk on the caller's thread, the bytes of
-    /// any other pool) plus a process-wide arena.
-    pub fn sequential() -> &'static KernelCtx {
-        static CTX: OnceLock<KernelCtx> = OnceLock::new();
-        CTX.get_or_init(|| KernelCtx::new(ThreadPool::new(RuntimeConfig::default())))
     }
 }
 
@@ -221,6 +96,16 @@ impl PreparedModel for SharedModel {
     }
 }
 
+/// Eagerly registers the `runtime.cache.*` counters on the global registry
+/// so the rendered telemetry report always shows them: "no model was
+/// shared" must read as an explicit zero, not an absent row. Both count
+/// prepares, never a run.
+pub fn register_runtime_metrics() {
+    for name in ["runtime.cache.prepare_hits", "runtime.cache.prepare_misses"] {
+        mvtee_telemetry::counter(name);
+    }
+}
+
 /// A per-session prepared-model cache keyed by engine configuration and
 /// graph fingerprint.
 ///
@@ -244,7 +129,7 @@ impl std::fmt::Debug for EngineCache {
 impl EngineCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
-        crate::pool::register_runtime_metrics();
+        register_runtime_metrics();
         EngineCache::default()
     }
 
@@ -324,25 +209,13 @@ mod tests {
     use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 
     #[test]
-    fn arena_recycles_buffers() {
-        let arena = ScratchArena::new();
-        let before = mvtee_telemetry::counter("runtime.cache.arena_bytes_reused").get();
-        let mut a = arena.take(1024);
-        a[0] = 7.0;
-        arena.give(a);
-        assert_eq!(arena.retained(), 1);
-        let b = arena.take(512); // fits in the retained 1024-cap buffer
-        assert_eq!(b.len(), 512);
-        assert!(b.iter().all(|&v| v == 0.0), "recycled buffer must be zeroed");
-        let after = mvtee_telemetry::counter("runtime.cache.arena_bytes_reused").get();
-        assert_eq!(after - before, 512 * 4);
-    }
-
-    #[test]
-    fn arena_drops_tiny_buffers() {
-        let arena = ScratchArena::new();
-        arena.give(vec![0.0; 8]);
-        assert_eq!(arena.retained(), 0);
+    fn runtime_metrics_are_registered() {
+        let _ = EngineCache::new();
+        let snap = mvtee_telemetry::snapshot();
+        for name in ["runtime.cache.prepare_hits", "runtime.cache.prepare_misses"] {
+            assert!(snap.counters.contains_key(name), "{name} not registered");
+        }
+        assert!(!snap.counters.keys().any(|name| name.starts_with("runtime.pool.")));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! are `Send` so each variant TEE can own one on its own thread.
 
 use crate::blas::{Blas, BlasKind};
-use crate::cache::{KernelCtx, PackedGemm};
+use crate::cache::PackedGemm;
 use crate::kernels::{self, Accumulation, ConvAttrs};
 use crate::optimize;
 use crate::packed::ConvRoute;
@@ -245,6 +245,11 @@ impl Engine {
     ///
     /// Fails when the graph is invalid or optimisation fails.
     pub fn prepare(&self, graph: &Graph) -> Result<Box<dyn PreparedModel>> {
+        Ok(Box::new(self.compile(graph)?))
+    }
+
+    /// [`Engine::prepare`]'s interpreter, before it is boxed.
+    fn compile(&self, graph: &Graph) -> Result<Interpreter> {
         graph.validate()?;
         let mut compiled = if self.config.optimize {
             optimize::standard_pipeline(graph)?
@@ -408,7 +413,7 @@ impl Engine {
         let slots = compiled.value_count();
         let name = compiled.name.clone();
         let inits = sources.take_initializers(&mut compiled);
-        Ok(Box::new(Interpreter {
+        Ok(Interpreter {
             name,
             steps,
             inits,
@@ -417,10 +422,10 @@ impl Engine {
             outputs,
             blas: Arc::clone(&self.blas),
             config: self.config.clone(),
-            ctx: KernelCtx::new(Arc::clone(&self.pool)),
+            pool: Arc::clone(&self.pool),
             strategy,
             placeholder: Tensor::scalar(0.0),
-        }))
+        })
     }
 }
 
@@ -530,7 +535,7 @@ struct Interpreter {
     outputs: Vec<(Source, bool)>,
     blas: Arc<dyn Blas>,
     config: EngineConfig,
-    ctx: KernelCtx,
+    pool: Arc<ThreadPool>,
     /// Resolved at `prepare`; every GEMM-family op runs this kernel.
     strategy: GemmStrategy,
     /// Fills the unused slots of an op's inline input array.
@@ -570,7 +575,7 @@ impl Interpreter {
                     ConvStrategy::Im2col => match step.route.run(inputs[0], step.fused) {
                         Some(out) => return Ok(out),
                         None => kernels::conv2d_im2col_with(
-                            &self.ctx,
+                            &self.pool,
                             inputs[0],
                             inputs[1],
                             bias,
@@ -582,7 +587,7 @@ impl Interpreter {
                     ConvStrategy::NhwcDirect => {
                         let nhwc = inputs[0].to_nhwc()?;
                         let out = kernels::conv2d_nhwc_direct_with(
-                            &self.ctx, &nhwc, inputs[1], bias, &attrs,
+                            &self.pool, &nhwc, inputs[1], bias, &attrs,
                         )?;
                         out.from_nhwc()?
                     }
@@ -593,7 +598,7 @@ impl Interpreter {
                 Ok(out)
             }
             Op::Gemm => kernels::gemm_fc_with(
-                &self.ctx,
+                &self.pool,
                 inputs[0],
                 inputs[1],
                 inputs.get(2).copied(),
@@ -602,23 +607,23 @@ impl Interpreter {
                 self.strategy,
             ),
             Op::MatMul => {
-                kernels::matmul_with(&self.ctx, inputs[0], inputs[1], self.blas.as_ref(), self.strategy)
+                kernels::matmul_with(&self.pool, inputs[0], inputs[1], self.blas.as_ref(), self.strategy)
             }
             Op::BatchNorm { epsilon } => kernels::batch_norm_with(
-                &self.ctx, inputs[0], inputs[1], inputs[2], inputs[3], inputs[4], *epsilon,
+                &self.pool, inputs[0], inputs[1], inputs[2], inputs[3], inputs[4], *epsilon,
             ),
             Op::Activation(kind) => Ok(kernels::activation(inputs[0], *kind)),
             Op::Pool { kind, kernel, stride, padding } => {
-                kernels::pool2d_with(&self.ctx, inputs[0], *kind, *kernel, *stride, *padding, acc)
+                kernels::pool2d_with(&self.pool, inputs[0], *kind, *kernel, *stride, *padding, acc)
             }
-            Op::GlobalAvgPool => kernels::global_avg_pool_with(&self.ctx, inputs[0], acc),
+            Op::GlobalAvgPool => kernels::global_avg_pool_with(&self.pool, inputs[0], acc),
             Op::Lrn { size, alpha, beta, bias } => {
                 kernels::lrn(inputs[0], *size, *alpha, *beta, *bias)
             }
             Op::Add => Ok(inputs[0].broadcast_with(inputs[1], |a, b| a + b)?),
             Op::Mul => Ok(inputs[0].broadcast_with(inputs[1], |a, b| a * b)?),
             Op::Concat { axis } => kernels::concat(inputs, *axis),
-            Op::Softmax { axis } => kernels::softmax_with(&self.ctx, inputs[0], *axis, acc),
+            Op::Softmax { axis } => kernels::softmax_with(&self.pool, inputs[0], *axis, acc),
             Op::Flatten { axis } => {
                 let dims = inputs[0].dims();
                 let keep: usize = dims[..(*axis).min(dims.len())].iter().product();
@@ -628,7 +633,7 @@ impl Interpreter {
             Op::Reshape { target } => Ok(inputs[0].reshape(target)?),
             Op::Identity => Ok(inputs[0].clone()),
             Op::LayerNorm { epsilon } => {
-                kernels::layer_norm_with(&self.ctx, inputs[0], inputs[1], inputs[2], *epsilon, acc)
+                kernels::layer_norm_with(&self.pool, inputs[0], inputs[1], inputs[2], *epsilon, acc)
             }
         }
     }
@@ -842,6 +847,48 @@ mod tests {
         let p = Engine::new(EngineConfig::of_kind(EngineKind::TvmLike)).prepare(&m.graph).unwrap();
         assert!(p.describe().contains("tvm-like"));
         assert!(EngineConfig::tvm_complex().describe().contains("nhwc"));
+    }
+
+    /// Each `Gemm` step whose weight is a rank-2 initializer: the weight,
+    /// and what prepare packed for it.
+    fn fc_steps(p: &Interpreter) -> Vec<(&Tensor, Option<&PackedGemm>)> {
+        let weight = |step: &Step| match step.inputs.get(1) {
+            Some(&Source::Init(i)) if p.inits[i].rank() == 2 => Some(&p.inits[i]),
+            _ => None,
+        };
+        p.steps
+            .iter()
+            .filter(|step| matches!(step.op, Op::Gemm))
+            .filter_map(|step| Some((weight(step)?, step.gemm.as_deref())))
+            .collect()
+    }
+
+    #[test]
+    fn scalar_gemm_steps_carry_their_packed_weights() {
+        let m = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 4).unwrap();
+        for blas in BlasKind::ALL {
+            let cfg = EngineConfig::of_kind(EngineKind::OrtLike).with_blas(blas);
+            for ks in KernelStrategy::ALL {
+                let p = Engine::new(cfg.clone().with_kernel_strategy(ks)).compile(&m.graph).unwrap();
+                let fcs = fc_steps(&p);
+                assert!(!fcs.is_empty(), "MnasNet has a fully connected head");
+                for (w, packed) in fcs {
+                    match (ks.resolve(), packed) {
+                        (GemmStrategy::Scalar, Some(got)) => {
+                            let want = PackedGemm::pack(w);
+                            assert_eq!((got.k, got.m, &got.wt), (want.k, want.m, &want.wt));
+                        }
+                        (GemmStrategy::SimdMicrokernel, None) => {}
+                        (strategy, packed) => {
+                            panic!("{blas} {ks}: {strategy:?} packed {}", packed.is_some())
+                        }
+                    }
+                }
+            }
+            let custom = Engine::with_custom_blas(cfg, blas.instantiate());
+            let p = custom.compile(&m.graph).unwrap();
+            assert!(fc_steps(&p).iter().all(|(_, packed)| packed.is_none()), "custom {blas}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! inference stacks.
 
 use crate::blas::Blas;
-use crate::cache::{pack_hits, pack_misses, KernelCtx, PackedGemm};
+use crate::cache::PackedGemm;
+use crate::pool::{ThreadPool, INLINE};
+use crate::scratch;
 use crate::simd;
 use crate::strategy::GemmStrategy;
 use crate::{Result, RuntimeError};
@@ -136,29 +138,31 @@ pub fn conv2d_im2col(
     a: &ConvAttrs,
     blas: &dyn Blas,
 ) -> Result<Tensor> {
-    conv2d_im2col_with(KernelCtx::sequential(), x, w, bias, a, blas, GemmStrategy::Scalar)
+    conv2d_im2col_with(&INLINE, x, w, bias, a, blas, GemmStrategy::Scalar)
 }
 
-/// [`conv2d_im2col`] drawing scratch space from `ctx`'s arena and splitting
-/// the im2col fill, the inner product (over output channels) and the bias
-/// epilogue over `ctx`'s deterministic pool, under an explicit kernel
-/// strategy for the inner product. `Scalar` fills the
-/// `[patch, cols]` column buffer and run the row-panel BLAS GEMM;
-/// `SimdMicrokernel` fills the buffer **transposed** (`[cols, patch]`, same
-/// arena bytes) so both the filter row and the patch column are contiguous,
-/// then runs one fixed-tree [`simd::dot8`] per output element.
+/// [`conv2d_im2col`] splitting the im2col fill, the inner product (over
+/// output channels) and the bias epilogue over `pool`, under an explicit
+/// kernel strategy for the inner product. `Scalar` fills the
+/// `[patch, cols]` column matrix and runs the row-panel BLAS GEMM;
+/// `SimdMicrokernel` fills it **transposed** (`[cols, patch]`) so both the
+/// filter row and the patch column are contiguous, then runs one
+/// fixed-tree [`simd::dot8`] per output element. Either writes each
+/// group's product straight into its contiguous slice of the output, and
+/// the bias (`+ 0.0` without one) is added there in place.
 ///
-/// Under `Scalar`, a 1×1, stride-1, unpadded conv skips
-/// the column buffer and computes the same bytes: it hands its input plane
-/// to the GEMM as the column matrix it is. Everything else — a depthwise
-/// conv included — is the column matrix and the GEMM; the fast routes of
-/// [`crate::packed`] are chosen at prepare time, in front of this kernel.
+/// The column matrix is the calling thread's scratch, except under
+/// `Scalar` for a 1×1, stride-1, unpadded conv with one group: its column
+/// matrix is the input plane itself, which the GEMM reads in place.
+/// Everything else — a depthwise conv included — fills the column matrix;
+/// the fast routes of [`crate::packed`] are chosen at prepare time, in
+/// front of this kernel.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on shape inconsistencies.
 pub fn conv2d_im2col_with(
-    ctx: &KernelCtx,
+    pool: &ThreadPool,
     x: &Tensor,
     w: &Tensor,
     bias: Option<&Tensor>,
@@ -181,165 +185,133 @@ pub fn conv2d_im2col_with(
     let xs = x.data();
     let ws = w.data();
     let mut out = vec![0.0f32; n * oc * oh * ow];
-    // The pointwise branch computes the generic path's bytes. When two
-    // NaN operands meet in one addition, which one's bits survive depends
-    // on how the compiler ordered that addition's operands, so the branch
-    // only runs where at most one NaN can reach any addition: finite bias.
-    let finite_bias = bias.is_none_or(|b| all_finite(b.data()));
-    if strategy != GemmStrategy::SimdMicrokernel && finite_bias {
-        // Pointwise: with a 1×1 window, stride 1 and no padding the
-        // column matrix is the input plane itself, so the GEMM reads it in
-        // place and writes the output. Same call, same operands, for
-        // every backend.
-        if a.groups == 1 && (kh, kw) == (1, 1) && a.stride == (1, 1) && a.padding == (0, 0) {
-            for b_i in 0..n {
-                let dst = &mut out[b_i * oc * cols..(b_i + 1) * oc * cols];
-                let src = &xs[b_i * c * cols..(b_i + 1) * c * cols];
-                ctx.pool.par_gemm(blas, oc, cols, c, ws, src, dst);
-                // `+ 0.0` without a bias, as the generic epilogue: it
-                // turns a custom backend's `−0.0` into `+0.0`.
-                ctx.pool.for_each_chunk(oc, cols, dst, |_, o0, _, block| {
-                    for (local, plane) in block.chunks_mut(cols).enumerate() {
-                        let bias_v = bias.map(|t| t.data()[o0 + local]).unwrap_or(0.0);
-                        for v in plane {
-                            *v += bias_v;
-                        }
-                    }
-                });
-            }
-            return Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?);
-        }
-    }
-    let mut col = ctx.arena.take(patch * cols);
-    let mut prod = ctx.arena.take(oc_per_group * cols);
+    let in_place = strategy == GemmStrategy::Scalar
+        && a.groups == 1
+        && (kh, kw) == (1, 1)
+        && a.stride == (1, 1)
+        && a.padding == (0, 0);
     // One im2col row block per input channel: `kh·kw` patch rows.
     let ic_rows = kh * kw * cols;
-    for b_i in 0..n {
-        for g in 0..a.groups {
-            let w_base = g * oc_per_group * patch;
-            match strategy {
-                GemmStrategy::SimdMicrokernel => {
-                    // Transposed im2col: one contiguous [patch] row per
-                    // output pixel, chunked over pixels.
-                    ctx.pool.for_each_chunk(cols, patch, &mut col, |_, p0, _p1, block| {
-                        block.fill(0.0);
-                        for (local, prow) in block.chunks_mut(patch).enumerate() {
-                            let pix = p0 + local;
-                            let (oy, ox) = (pix / ow, pix % ow);
-                            for ic in 0..icg {
-                                let c_in = g * icg + ic;
-                                for ky in 0..kh {
-                                    let iy = (oy * a.stride.0 + ky) as isize
-                                        - a.padding.0 as isize;
-                                    if iy < 0 || iy as usize >= h {
-                                        continue;
-                                    }
-                                    let x_base = ((b_i * c + c_in) * h + iy as usize) * wd;
-                                    for kx in 0..kw {
-                                        let ix = (ox * a.stride.1 + kx) as isize
-                                            - a.padding.1 as isize;
-                                        if ix < 0 || ix as usize >= wd {
-                                            continue;
-                                        }
-                                        prow[(ic * kh + ky) * kw + kx] =
-                                            xs[x_base + ix as usize];
-                                    }
-                                }
-                            }
-                        }
-                    });
-                    // One dot8 per (output channel, pixel) over two
-                    // contiguous rows, chunked over output channels.
-                    let colt_ref = &col;
-                    ctx.pool.for_each_chunk(
-                        oc_per_group,
-                        cols,
-                        &mut prod,
-                        |_, o0, o1, block| {
-                            for o in o0..o1 {
-                                let wr = &ws[w_base + o * patch..w_base + (o + 1) * patch];
-                                let dst = &mut block[(o - o0) * cols..(o - o0 + 1) * cols];
-                                for (p, v) in dst.iter_mut().enumerate() {
-                                    *v = simd::dot8(
-                                        wr,
-                                        &colt_ref[p * patch..(p + 1) * patch],
-                                    );
-                                }
-                            }
-                        },
-                    );
-                }
-                GemmStrategy::Scalar => {
-                    // im2col for this batch/group — input channels are
-                    // disjoint row blocks of the patch matrix, so they
-                    // chunk freely.
-                    ctx.pool.for_each_chunk(icg, ic_rows, &mut col, |_, ic0, _, block| {
-                        block.fill(0.0);
-                        for (local, rows) in block.chunks_mut(ic_rows).enumerate() {
-                            let c_in = g * icg + ic0 + local;
-                            for ky in 0..kh {
-                                for kx in 0..kw {
-                                    let row = ky * kw + kx;
-                                    for oy in 0..oh {
+    scratch::with(if in_place { 0 } else { patch * cols }, |col| {
+        for b_i in 0..n {
+            for g in 0..a.groups {
+                let w_base = g * oc_per_group * patch;
+                let out_base = (b_i * oc + g * oc_per_group) * cols;
+                let dst = &mut out[out_base..out_base + oc_per_group * cols];
+                match strategy {
+                    GemmStrategy::SimdMicrokernel => {
+                        // Transposed im2col: one contiguous [patch] row per
+                        // output pixel, chunked over pixels.
+                        pool.for_each_chunk(cols, patch, col, |_, p0, _p1, block| {
+                            block.fill(0.0);
+                            for (local, prow) in block.chunks_mut(patch).enumerate() {
+                                let pix = p0 + local;
+                                let (oy, ox) = (pix / ow, pix % ow);
+                                for ic in 0..icg {
+                                    let c_in = g * icg + ic;
+                                    for ky in 0..kh {
                                         let iy = (oy * a.stride.0 + ky) as isize
                                             - a.padding.0 as isize;
                                         if iy < 0 || iy as usize >= h {
                                             continue;
                                         }
-                                        let x_base =
-                                            ((b_i * c + c_in) * h + iy as usize) * wd;
-                                        let row_base = row * cols + oy * ow;
-                                        for ox in 0..ow {
+                                        let x_base = ((b_i * c + c_in) * h + iy as usize) * wd;
+                                        for kx in 0..kw {
                                             let ix = (ox * a.stride.1 + kx) as isize
                                                 - a.padding.1 as isize;
                                             if ix < 0 || ix as usize >= wd {
                                                 continue;
                                             }
-                                            rows[row_base + ox] = xs[x_base + ix as usize];
+                                            prow[(ic * kh + ky) * kw + kx] =
+                                                xs[x_base + ix as usize];
                                         }
                                     }
                                 }
                             }
-                        }
-                    });
-                    // filters[oc/g, patch] · col[patch, cols], row-panelled
-                    // over output channels.
-                    ctx.pool.par_gemm(
-                        blas,
-                        oc_per_group,
-                        cols,
-                        patch,
-                        &ws[w_base..w_base + oc_per_group * patch],
-                        &col,
-                        &mut prod,
-                    );
+                        });
+                        // One dot8 per (output channel, pixel) over two
+                        // contiguous rows, chunked over output channels.
+                        let colt: &[f32] = col;
+                        pool.for_each_chunk(oc_per_group, cols, dst, |_, o0, o1, block| {
+                            for o in o0..o1 {
+                                let wr = &ws[w_base + o * patch..w_base + (o + 1) * patch];
+                                let row = &mut block[(o - o0) * cols..(o - o0 + 1) * cols];
+                                for (p, v) in row.iter_mut().enumerate() {
+                                    *v = simd::dot8(wr, &colt[p * patch..(p + 1) * patch]);
+                                }
+                            }
+                        });
+                    }
+                    GemmStrategy::Scalar => {
+                        let col: &[f32] = if in_place {
+                            &xs[b_i * c * cols..(b_i + 1) * c * cols]
+                        } else {
+                            // im2col for this batch/group — input channels
+                            // are disjoint row blocks of the patch matrix,
+                            // so they chunk freely.
+                            pool.for_each_chunk(icg, ic_rows, col, |_, ic0, _, block| {
+                                block.fill(0.0);
+                                for (local, rows) in block.chunks_mut(ic_rows).enumerate() {
+                                    let c_in = g * icg + ic0 + local;
+                                    for ky in 0..kh {
+                                        for kx in 0..kw {
+                                            let row = ky * kw + kx;
+                                            for oy in 0..oh {
+                                                let iy = (oy * a.stride.0 + ky) as isize
+                                                    - a.padding.0 as isize;
+                                                if iy < 0 || iy as usize >= h {
+                                                    continue;
+                                                }
+                                                let x_base =
+                                                    ((b_i * c + c_in) * h + iy as usize) * wd;
+                                                let row_base = row * cols + oy * ow;
+                                                for ox in 0..ow {
+                                                    let ix = (ox * a.stride.1 + kx) as isize
+                                                        - a.padding.1 as isize;
+                                                    if ix < 0 || ix as usize >= wd {
+                                                        continue;
+                                                    }
+                                                    rows[row_base + ox] = xs[x_base + ix as usize];
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                            });
+                            col
+                        };
+                        // filters[oc/g, patch] · col[patch, cols], row-panelled
+                        // over output channels.
+                        let filters = &ws[w_base..w_base + oc_per_group * patch];
+                        pool.par_gemm(blas, oc_per_group, cols, patch, filters, col, dst);
+                    }
                 }
             }
-            // Bias epilogue, again parallel over output channels (the
-            // group's channels are contiguous in the output).
-            let out_base = (b_i * oc + g * oc_per_group) * cols;
-            let prod_ref = &prod;
-            ctx.pool.for_each_chunk(
-                oc_per_group,
-                cols,
-                &mut out[out_base..out_base + oc_per_group * cols],
-                |_, o0, o1, block| {
-                    for ocg in o0..o1 {
-                        let o = g * oc_per_group + ocg;
-                        let bias_v = bias.map(|t| t.data()[o]).unwrap_or(0.0);
-                        let src = &prod_ref[ocg * cols..(ocg + 1) * cols];
-                        let dst = &mut block[(ocg - o0) * cols..(ocg - o0 + 1) * cols];
-                        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                            *d = s + bias_v;
-                        }
-                    }
-                },
-            );
+        }
+    });
+    // Bias epilogue over every (batch, channel) plane, in place. When two
+    // NaNs meet in one addition, which payload survives is the compiler's
+    // choice of operand order, so a NaN product adds `0.0` instead: it
+    // keeps its own payload, quieted, and no addition sees two NaNs.
+    pool.for_each_chunk(n * oc, cols, &mut out, |_, p0, _, block| {
+        for (p, plane) in (p0..).zip(block.chunks_mut(cols)) {
+            let bias_v = bias.map(|t| t.data()[p % oc]).unwrap_or(0.0);
+            for v in plane {
+                *v += if v.is_nan() { 0.0 } else { bias_v };
+            }
+        }
+    });
+    Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
+}
+
+/// Writes the `[cols, rows]` transpose of the row-major `[rows, cols]`
+/// matrix `src` into `dst`.
+pub(crate) fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (r, row) in src.chunks_exact(cols).take(rows).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + r] = v;
         }
     }
-    ctx.arena.give(col);
-    ctx.arena.give(prod);
-    Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
 }
 
 /// `true` when every value is finite. A fold without short-circuit, so
@@ -360,18 +332,18 @@ pub fn conv2d_nhwc_direct(
     bias: Option<&Tensor>,
     a: &ConvAttrs,
 ) -> Result<Tensor> {
-    conv2d_nhwc_direct_with(KernelCtx::sequential(), x, w, bias, a)
+    conv2d_nhwc_direct_with(&INLINE, x, w, bias, a)
 }
 
 /// [`conv2d_nhwc_direct`] with the `(batch, output-row)` loop split over
-/// `ctx`'s deterministic pool. Every output element is a lane-local
-/// accumulation, so chunking the rows cannot change any value.
+/// `pool`. Every output element is a lane-local accumulation, so chunking
+/// the rows cannot change any value.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on shape inconsistencies.
 pub fn conv2d_nhwc_direct_with(
-    ctx: &KernelCtx,
+    pool: &ThreadPool,
     x: &Tensor,
     w: &Tensor,
     bias: Option<&Tensor>,
@@ -397,7 +369,7 @@ pub fn conv2d_nhwc_direct_with(
     let xs = x.data();
     let ws = w.data();
     let mut out = vec![0.0f32; n * oh * ow * oc];
-    ctx.pool.for_each_chunk(n * oh, ow * oc, &mut out, |_, r0, r1, block| {
+    pool.for_each_chunk(n * oh, ow * oc, &mut out, |_, r0, r1, block| {
         for r in r0..r1 {
             let b_i = r / oh;
             let oy = r % oh;
@@ -447,18 +419,18 @@ pub fn pool2d(
     padding: (usize, usize),
     acc: Accumulation,
 ) -> Result<Tensor> {
-    pool2d_with(KernelCtx::sequential(), x, kind, kernel, stride, padding, acc)
+    pool2d_with(&INLINE, x, kind, kernel, stride, padding, acc)
 }
 
-/// [`pool2d`] with the `(batch, channel)` plane loop split over `ctx`'s
-/// deterministic pool. Each window reduction stays whole inside its
-/// plane, so chunking cannot change any value.
+/// [`pool2d`] with the `(batch, channel)` plane loop split over `pool`.
+/// Each window reduction stays whole inside its plane, so chunking cannot
+/// change any value.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on rank problems.
 pub fn pool2d_with(
-    ctx: &KernelCtx,
+    pool: &ThreadPool,
     x: &Tensor,
     kind: PoolKind,
     kernel: (usize, usize),
@@ -471,7 +443,7 @@ pub fn pool2d_with(
     let ow = (w + 2 * padding.1 - kernel.1) / stride.1 + 1;
     let xs = x.data();
     let mut out = vec![0.0f32; n * c * oh * ow];
-    ctx.pool.for_each_chunk(n * c, oh * ow, &mut out, |_, p0, p1, block| {
+    pool.for_each_chunk(n * c, oh * ow, &mut out, |_, p0, p1, block| {
         let mut window: Vec<f32> = Vec::with_capacity(kernel.0 * kernel.1);
         for p in p0..p1 {
             let plane_base = (p - p0) * oh * ow;
@@ -517,7 +489,7 @@ pub fn pool2d_with(
 ///
 /// Returns rank errors for non-rank-4 input.
 pub fn global_avg_pool(x: &Tensor, acc: Accumulation) -> Result<Tensor> {
-    global_avg_pool_with(KernelCtx::sequential(), x, acc)
+    global_avg_pool_with(&INLINE, x, acc)
 }
 
 /// [`global_avg_pool`] reducing each large plane through
@@ -531,14 +503,14 @@ pub fn global_avg_pool(x: &Tensor, acc: Accumulation) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns rank errors for non-rank-4 input.
-pub fn global_avg_pool_with(ctx: &KernelCtx, x: &Tensor, acc: Accumulation) -> Result<Tensor> {
+pub fn global_avg_pool_with(pool: &ThreadPool, x: &Tensor, acc: Accumulation) -> Result<Tensor> {
     let (n, c, h, w) = x.shape().as_nchw()?;
     let plane = h * w;
     let xs = x.data();
     let mut out = vec![0.0f32; n * c];
     for (p, slot) in out.iter_mut().enumerate() {
         let base = p * plane;
-        *slot = ctx.pool.reduce_slice(&xs[base..base + plane], acc) / plane as f32;
+        *slot = pool.reduce_slice(&xs[base..base + plane], acc) / plane as f32;
     }
     Ok(Tensor::from_vec(out, &[n, c, 1, 1])?)
 }
@@ -556,18 +528,18 @@ pub fn batch_norm(
     var: &Tensor,
     epsilon: f32,
 ) -> Result<Tensor> {
-    batch_norm_with(KernelCtx::sequential(), x, scale, bias, mean, var, epsilon)
+    batch_norm_with(&INLINE, x, scale, bias, mean, var, epsilon)
 }
 
 /// [`batch_norm`] with the `(batch, channel)` plane loop split over
-/// `ctx`'s deterministic pool. The transform is element-wise per plane,
-/// so iteration order is irrelevant to the result.
+/// `pool`. The transform is element-wise per plane, so iteration order is
+/// irrelevant to the result.
 ///
 /// # Errors
 ///
 /// Returns rank errors for non-rank-4 input.
 pub fn batch_norm_with(
-    ctx: &KernelCtx,
+    pool: &ThreadPool,
     x: &Tensor,
     scale: &Tensor,
     bias: &Tensor,
@@ -579,7 +551,7 @@ pub fn batch_norm_with(
     let plane = h * w;
     let xs = x.data();
     let mut out = vec![0.0f32; xs.len()];
-    ctx.pool.for_each_chunk(n * c, plane, &mut out, |_, p0, p1, block| {
+    pool.for_each_chunk(n * c, plane, &mut out, |_, p0, p1, block| {
         for p in p0..p1 {
             let ch = p % c;
             let inv_std = 1.0 / (var.data()[ch] + epsilon).sqrt();
@@ -610,11 +582,11 @@ pub fn layer_norm(
     epsilon: f32,
     acc: Accumulation,
 ) -> Result<Tensor> {
-    layer_norm_with(KernelCtx::sequential(), x, gamma, beta, epsilon, acc)
+    layer_norm_with(&INLINE, x, gamma, beta, epsilon, acc)
 }
 
-/// [`layer_norm`] splitting the lane loop over `ctx`'s pool with the
-/// per-lane `centered` scratch drawn from the arena once per chunk.
+/// [`layer_norm`] splitting the lane loop over `pool`, with the per-lane
+/// `centered` lane in the thread's scratch, taken once per chunk.
 /// Each lane's statistics are computed whole inside a single chunk in
 /// the caller's accumulation order, so results are bit-identical to
 /// the sequential kernel at every thread count.
@@ -623,7 +595,7 @@ pub fn layer_norm(
 ///
 /// Returns [`RuntimeError::Kernel`] on rank-0 input or mismatched params.
 pub fn layer_norm_with(
-    ctx: &KernelCtx,
+    pool: &ThreadPool,
     x: &Tensor,
     gamma: &Tensor,
     beta: &Tensor,
@@ -650,8 +622,7 @@ pub fn layer_norm_with(
     let lanes = x.len() / d.max(1);
     let xs = x.data();
     let mut out = vec![0.0f32; xs.len()];
-    ctx.pool.for_each_chunk(lanes, d, &mut out, |_, l0, l1, block| {
-        let mut centered = ctx.arena.take(d);
+    pool.for_each_chunk(lanes, d, &mut out, |_, l0, l1, block| scratch::with(d, |centered| {
         for lane in l0..l1 {
             let base = lane * d;
             let slice = &xs[base..base + d];
@@ -659,15 +630,14 @@ pub fn layer_norm_with(
             for (c, &v) in centered.iter_mut().zip(slice.iter()) {
                 *c = (v - mean) * (v - mean);
             }
-            let var = reduce_sum(&centered, acc) / d as f32;
+            let var = reduce_sum(centered, acc) / d as f32;
             let inv_std = 1.0 / (var + epsilon).sqrt();
             let dst = &mut block[(lane - l0) * d..(lane - l0 + 1) * d];
             for i in 0..d {
                 dst[i] = (slice[i] - mean) * inv_std * gamma.data()[i] + beta.data()[i];
             }
         }
-        ctx.arena.give(centered);
-    });
+    }));
     Ok(Tensor::from_vec(out, dims)?)
 }
 
@@ -744,15 +714,15 @@ pub fn activate_in_place(x: &mut Tensor, kind: ActivationKind) {
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
 pub fn gemm_fc(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, blas: &dyn Blas) -> Result<Tensor> {
-    gemm_fc_with(KernelCtx::sequential(), x, w, bias, blas, None, GemmStrategy::Scalar)
+    gemm_fc_with(&INLINE, x, w, bias, blas, None, GemmStrategy::Scalar)
 }
 
-/// [`gemm_fc`] over `ctx`'s pool with an optional pre-packed weight, under
+/// [`gemm_fc`] over `pool` with an optional pre-packed weight, under
 /// an explicit kernel strategy.
 ///
 /// * `Scalar` — row-panel BLAS `par_gemm` over the `[k, m]` transpose
-///   (`packed` when it matches the weight shape — a pack-cache hit — else
-///   derived once through the arena). The row split preserves the
+///   (`packed` at prepare when it matches the weight shape, else derived
+///   per call in the thread's scratch). The row split preserves the
 ///   per-element ascending-`k` accumulation order of every BLAS backend,
 ///   so it is byte-identical to the sequential kernel.
 /// * `SimdMicrokernel` — `w` is `[m, k]` row-major, i.e. its rows already
@@ -764,7 +734,7 @@ pub fn gemm_fc(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, blas: &dyn Blas) -
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
 pub fn gemm_fc_with(
-    ctx: &KernelCtx,
+    pool: &ThreadPool,
     x: &Tensor,
     w: &Tensor,
     bias: Option<&Tensor>,
@@ -789,13 +759,13 @@ pub fn gemm_fc_with(
                 // Batch-1: parallelise over output features instead of the
                 // degenerate row dimension. Each element is an independent
                 // dot product, so the split never moves an addition.
-                ctx.pool.for_each_chunk(m, 1, &mut out, |_, o0, o1, chunk| {
+                pool.for_each_chunk(m, 1, &mut out, |_, o0, o1, chunk| {
                     for (local, o) in (o0..o1).enumerate() {
                         chunk[local] = simd::dot8(xd, &ws[o * k..(o + 1) * k]);
                     }
                 });
             } else {
-                ctx.pool.for_each_chunk(n, m, &mut out, |_, r0, r1, block| {
+                pool.for_each_chunk(n, m, &mut out, |_, r0, r1, block| {
                     for r in r0..r1 {
                         let xr = &xd[r * k..(r + 1) * k];
                         let row = &mut block[(r - r0) * m..(r - r0 + 1) * m];
@@ -808,31 +778,19 @@ pub fn gemm_fc_with(
         }
         GemmStrategy::Scalar => {
             match packed.filter(|p| p.k == k && p.m == m) {
-                Some(p) => {
-                    pack_hits().inc();
-                    ctx.pool.par_gemm(blas, n, m, k, x.data(), &p.wt, &mut out);
-                }
-                None => {
-                    pack_misses().inc();
-                    // One-shot pack: transpose w to [k, m] for row-major
-                    // GEMM, through the arena so repeated identical shapes
-                    // within one forward recycle the buffer.
-                    let ws = w.data();
-                    let mut wt = ctx.arena.take(k * m);
-                    for o in 0..m {
-                        for i in 0..k {
-                            wt[i * m + o] = ws[o * k + i];
-                        }
-                    }
-                    ctx.pool.par_gemm(blas, n, m, k, x.data(), &wt, &mut out);
-                    ctx.arena.give(wt);
-                }
+                Some(p) => pool.par_gemm(blas, n, m, k, x.data(), &p.wt, &mut out),
+                // One-shot pack: transpose w to [k, m] for row-major GEMM,
+                // in the thread's scratch.
+                None => scratch::with(k * m, |wt| {
+                    transpose(w.data(), m, k, wt);
+                    pool.par_gemm(blas, n, m, k, x.data(), wt, &mut out);
+                }),
             }
         }
     }
     if let Some(b) = bias {
         let bd = b.data();
-        ctx.pool.for_each_chunk(n, m, &mut out, |_, r0, r1, block| {
+        pool.for_each_chunk(n, m, &mut out, |_, r0, r1, block| {
             for row in block[..(r1 - r0) * m].chunks_mut(m) {
                 for (v, &bv) in row.iter_mut().zip(bd.iter()) {
                     *v += bv;
@@ -849,21 +807,21 @@ pub fn gemm_fc_with(
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
 pub fn matmul(a: &Tensor, b: &Tensor, blas: &dyn Blas) -> Result<Tensor> {
-    matmul_with(KernelCtx::sequential(), a, b, blas, GemmStrategy::Scalar)
+    matmul_with(&INLINE, a, b, blas, GemmStrategy::Scalar)
 }
 
-/// [`matmul`] over `ctx`'s pool under an explicit kernel strategy. `Scalar`
+/// [`matmul`] over `pool` under an explicit kernel strategy. `Scalar`
 /// runs the deterministic row-panel BLAS GEMM (no prepacked weight exists
 /// for a dynamic right-hand side);
-/// `SimdMicrokernel` derives a one-shot `[n, k]` transpose of `b` through
-/// the arena, then runs one fixed-tree [`simd::dot8`] per output element
-/// over the two contiguous rows.
+/// `SimdMicrokernel` derives a one-shot `[n, k]` transpose of `b` in the
+/// thread's scratch, then runs one fixed-tree [`simd::dot8`] per output
+/// element over the two contiguous rows.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] on shape problems.
 pub fn matmul_with(
-    ctx: &KernelCtx,
+    pool: &ThreadPool,
     a: &Tensor,
     b: &Tensor,
     blas: &dyn Blas,
@@ -880,30 +838,23 @@ pub fn matmul_with(
     let mut out = vec![0.0f32; m * n];
     match strategy {
         GemmStrategy::SimdMicrokernel => {
-            // One-shot pack of b to [n, k] (bᵀ) through the arena, so a
-            // repeated shape within one forward recycles the buffer.
-            let bd = b.data();
-            let mut bt = ctx.arena.take(n * k);
-            for j in 0..n {
-                for i in 0..k {
-                    bt[j * k + i] = bd[i * n + j];
-                }
-            }
-            let ad = a.data();
-            let bt_ref = &bt;
-            ctx.pool.for_each_chunk(m, n, &mut out, |_, r0, r1, block| {
-                for r in r0..r1 {
-                    let ar = &ad[r * k..(r + 1) * k];
-                    let row = &mut block[(r - r0) * n..(r - r0 + 1) * n];
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = simd::dot8(ar, &bt_ref[j * k..(j + 1) * k]);
+            // One-shot pack of b to [n, k] (bᵀ) in the thread's scratch.
+            scratch::with(n * k, |bt| {
+                transpose(b.data(), k, n, bt);
+                let (ad, bt): (&[f32], &[f32]) = (a.data(), bt);
+                pool.for_each_chunk(m, n, &mut out, |_, r0, r1, block| {
+                    for r in r0..r1 {
+                        let ar = &ad[r * k..(r + 1) * k];
+                        let row = &mut block[(r - r0) * n..(r - r0 + 1) * n];
+                        for (j, v) in row.iter_mut().enumerate() {
+                            *v = simd::dot8(ar, &bt[j * k..(j + 1) * k]);
+                        }
                     }
-                }
+                });
             });
-            ctx.arena.give(bt);
         }
         GemmStrategy::Scalar => {
-            ctx.pool.par_gemm(blas, m, n, k, a.data(), b.data(), &mut out);
+            pool.par_gemm(blas, m, n, k, a.data(), b.data(), &mut out);
         }
     }
     Ok(Tensor::from_vec(out, &[m, n])?)
@@ -915,11 +866,11 @@ pub fn matmul_with(
 ///
 /// Returns [`RuntimeError::Kernel`] when `axis` is out of range.
 pub fn softmax(x: &Tensor, axis: usize, acc: Accumulation) -> Result<Tensor> {
-    softmax_with(KernelCtx::sequential(), x, axis, acc)
+    softmax_with(&INLINE, x, axis, acc)
 }
 
-/// [`softmax`] splitting the outer loop over `ctx`'s pool, with the
-/// per-lane gather buffer drawn from the arena once per chunk. Every
+/// [`softmax`] splitting the outer loop over `pool`, with the per-lane
+/// gather buffer in the thread's scratch, taken once per chunk. Every
 /// softmax lane (max, exp, sum, divide) is computed whole inside one
 /// chunk, so the reduction order — and therefore the bytes — match
 /// the sequential kernel at every thread count.
@@ -927,7 +878,7 @@ pub fn softmax(x: &Tensor, axis: usize, acc: Accumulation) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns [`RuntimeError::Kernel`] when `axis` is out of range.
-pub fn softmax_with(ctx: &KernelCtx, x: &Tensor, axis: usize, acc: Accumulation) -> Result<Tensor> {
+pub fn softmax_with(pool: &ThreadPool, x: &Tensor, axis: usize, acc: Accumulation) -> Result<Tensor> {
     let dims = x.dims();
     if axis >= dims.len() {
         return Err(RuntimeError::Kernel {
@@ -941,8 +892,7 @@ pub fn softmax_with(ctx: &KernelCtx, x: &Tensor, axis: usize, acc: Accumulation)
     let xs = x.data();
     let mut out = vec![0.0f32; xs.len()];
     let stride = axis_len * inner;
-    ctx.pool.for_each_chunk(outer, stride, &mut out, |_, o0, o1, block| {
-        let mut lane = ctx.arena.take(axis_len);
+    pool.for_each_chunk(outer, stride, &mut out, |_, o0, o1, block| scratch::with(axis_len, |lane| {
         for o in o0..o1 {
             let dst = &mut block[(o - o0) * stride..(o - o0 + 1) * stride];
             for i in 0..inner {
@@ -953,14 +903,13 @@ pub fn softmax_with(ctx: &KernelCtx, x: &Tensor, axis: usize, acc: Accumulation)
                 for l in lane.iter_mut() {
                     *l = (*l - max).exp();
                 }
-                let denom = reduce_sum(&lane, acc);
+                let denom = reduce_sum(lane, acc);
                 for (j, &l) in lane.iter().enumerate() {
                     dst[j * inner + i] = l / denom;
                 }
             }
         }
-        ctx.arena.give(lane);
-    });
+    }));
     Ok(Tensor::from_vec(out, dims)?)
 }
 

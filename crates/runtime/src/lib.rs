@@ -59,18 +59,19 @@ pub mod kernels;
 pub mod optimize;
 pub mod packed;
 pub mod pool;
+mod scratch;
 pub mod simd;
 pub mod strategy;
 
 pub use blas::{Blas, BlasKind, BlockedBlas, NaiveBlas, RowOrder, StridedBlas};
 pub use cache::{
-    graph_fingerprint, session_cache, EngineCache, KernelCtx, PackedGemm, ScratchArena,
+    graph_fingerprint, register_runtime_metrics, session_cache, EngineCache, PackedGemm,
     SharedModel,
 };
 pub use engine::{ConvStrategy, Engine, EngineConfig, EngineKind, PreparedModel};
 pub use error::RuntimeError;
 pub use kernels::Accumulation;
-pub use pool::{register_runtime_metrics, RuntimeConfig, ThreadPool};
+pub use pool::{RuntimeConfig, ThreadPool};
 pub use strategy::{GemmStrategy, KernelStrategy};
 
 /// Crate-wide result alias.

@@ -54,14 +54,14 @@
 //! Every output element depends only on its own operands, so the routes
 //! run on the caller's thread and their bytes are those of every thread
 //! count. A packed route is read-only after `plan`: one prepared model is
-//! shared by every variant thread that runs it, and the row routes' input
-//! copy is the calling thread's own.
+//! shared by every variant thread that runs it, and the routes' input copy
+//! is the calling thread's scratch.
 
 use crate::blas::RowOrder;
 use crate::kernels::{self, all_finite as finite, with_epilogue, ConvAttrs};
+use crate::scratch;
 use mvtee_graph::op::ActivationKind;
 use mvtee_tensor::Tensor;
-use std::cell::RefCell;
 
 /// The widest output plane the depthwise-lanes route takes.
 pub const SMALL_PLANE: usize = 4;
@@ -85,13 +85,6 @@ const TILE_ROWS: usize = 4;
 /// Output rows per pointwise weight panel: the GEMV keeps one panel's
 /// accumulators in registers for the whole `k` loop.
 const PANEL: usize = 16;
-
-thread_local! {
-    /// The row routes' padded, phase-split input copy and the lanes
-    /// route's position-major one. A prepared model is shared by every
-    /// thread that runs it, so the buffer is the thread's, not the route's.
-    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The kernel a convolution runs, chosen once at prepare time.
 #[derive(Debug)]
@@ -265,13 +258,10 @@ impl PackedDepthwise {
         let (oh, ow) = self.output;
         let (hw, plane) = (h * wd, oh * ow);
         let (n, mut out) = batches(x, self.input, c * plane)?;
-        SCRATCH.with_borrow_mut(|scratch| {
-            // One accumulator row, then (unless the input plane is a single
-            // pixel, already channel-contiguous) the input turned
-            // position-major.
-            scratch.clear();
-            scratch.resize(if hw == 1 { c } else { (hw + 1) * c }, 0.0);
-            let (acc, transposed) = scratch.split_at_mut(c);
+        // One accumulator row, then (unless the input plane is a single
+        // pixel, already channel-contiguous) the input turned position-major.
+        scratch::with(if hw == 1 { c } else { (hw + 1) * c }, |buf| {
+            let (acc, transposed) = buf.split_at_mut(c);
             for (xb, ob) in x
                 .data()
                 .chunks_exact(c * hw)
@@ -373,13 +363,18 @@ impl Rows {
         self.stride.0 * self.stride.1 * self.width
     }
 
-    /// Copies one batch element's planes into `copy`, padded and split
-    /// into column phases.
-    fn fill(&self, xb: &[f32], copy: &mut Vec<f32>) {
-        let (c, h, wd) = self.input;
+    /// Elements in the copy: every input channel's.
+    fn copy_len(&self) -> usize {
+        self.input.0 * self.channel_len()
+    }
+
+    /// Copies one batch element's planes into `copy`, zeroed storage of
+    /// [`Rows::copy_len`], padded and split into column phases. The
+    /// padding is the same for every batch element, so it stays zero
+    /// while one copy serves them in turn.
+    fn fill(&self, xb: &[f32], copy: &mut [f32]) {
+        let (_, h, wd) = self.input;
         let ((ph, pw), sw, width) = (self.padding, self.stride.1, self.width);
-        copy.clear();
-        copy.resize(c * self.channel_len(), 0.0);
         let kept = self.rows.saturating_sub(ph).min(h);
         for (ic, plane) in xb.chunks_exact(h * wd).enumerate() {
             for (iy, src) in plane.chunks_exact(wd).take(kept).enumerate() {
@@ -435,7 +430,7 @@ impl DepthwiseRows {
         let (oh, ow) = g.output;
         let (n, mut out) = batches(x, g.input, c * oh * ow)?;
         let (taps, channel_len, row_step) = (g.taps.len(), g.channel_len(), g.row_step());
-        SCRATCH.with_borrow_mut(|copy| {
+        scratch::with(g.copy_len(), |copy| {
             for (xb, ob) in x
                 .data()
                 .chunks_exact(c * h * wd)
@@ -510,7 +505,7 @@ impl DirectRows {
         let plane = oh * ow;
         let (n, mut out) = batches(x, g.input, m * plane)?;
         let (patch, row_step) = (g.taps.len(), g.row_step());
-        SCRATCH.with_borrow_mut(|copy| {
+        scratch::with(g.copy_len(), |copy| {
             for (xb, ob) in x
                 .data()
                 .chunks_exact(c * h * wd)

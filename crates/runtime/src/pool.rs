@@ -31,6 +31,10 @@
 //! `c mod workers`); workers only ever write the disjoint output slice
 //! carried by the chunk itself, and per-chunk results are gathered by
 //! chunk index, so which worker ran a chunk is invisible in the output.
+//!
+//! The pool keeps no metrics and no buffers: a region runs inside an op,
+//! and an op touches no state another variant thread writes. A kernel's
+//! temporaries are its thread's (`scratch`).
 
 use crate::kernels::{reduce_sum, tree_sum, Accumulation};
 use crate::Blas;
@@ -59,7 +63,7 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig { intra_op_threads: 1, min_parallel_elems: 4096 }
+        INLINE.cfg
     }
 }
 
@@ -82,10 +86,14 @@ pub struct ThreadPool {
     cfg: RuntimeConfig,
 }
 
+/// The one-thread pool the plain `kernels::*` entry points run on: every
+/// chunk on the caller's thread, the bytes of any other pool.
+pub(crate) static INLINE: ThreadPool =
+    ThreadPool { cfg: RuntimeConfig { intra_op_threads: 1, min_parallel_elems: 4096 } };
+
 impl ThreadPool {
     /// Creates a pool with the given configuration.
     pub fn new(cfg: RuntimeConfig) -> Arc<Self> {
-        register_runtime_metrics();
         Arc::new(ThreadPool {
             cfg: RuntimeConfig { intra_op_threads: cfg.intra_op_threads.max(1), ..cfg },
         })
@@ -228,23 +236,6 @@ impl ThreadPool {
     }
 }
 
-/// Eagerly registers every `runtime.cache.*` metric on the global registry
-/// so the rendered telemetry report always shows them — "nothing was
-/// reused" must read as an explicit zero, not an absent row. The pool
-/// keeps no metrics: a region runs inside an op, and an op touches no
-/// metric another variant thread writes.
-pub fn register_runtime_metrics() {
-    for name in [
-        "runtime.cache.prepare_hits",
-        "runtime.cache.prepare_misses",
-        "runtime.cache.pack_hits",
-        "runtime.cache.pack_misses",
-        "runtime.cache.arena_bytes_reused",
-    ] {
-        mvtee_telemetry::counter(name);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,15 +375,5 @@ mod tests {
                 assert_eq!(reference.to_bits(), got.to_bits(), "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn runtime_metrics_are_registered() {
-        let _ = ThreadPool::new(RuntimeConfig::default());
-        let snap = mvtee_telemetry::snapshot();
-        for name in ["runtime.cache.prepare_hits", "runtime.cache.arena_bytes_reused"] {
-            assert!(snap.counters.contains_key(name), "{name} not registered");
-        }
-        assert!(!snap.counters.keys().any(|name| name.starts_with("runtime.pool.")));
     }
 }

@@ -18,7 +18,7 @@ use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
 use mvtee_runtime::kernels::{self, ConvAttrs};
 use mvtee_runtime::packed::ConvRoute;
 use mvtee_runtime::{
-    Blas, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy, KernelCtx, RuntimeConfig,
+    Blas, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy, RuntimeConfig,
     ThreadPool,
 };
 use mvtee_tensor::Tensor;
@@ -88,10 +88,12 @@ fn tensor(rng: &mut StdRng, dims: &[usize], specials: &[f32], rate: u32) -> Tens
     Tensor::from_vec((0..n).map(|_| sample(rng, specials, rate)).collect(), dims).unwrap()
 }
 
-/// The inline context and a two-thread pool that goes parallel at once.
-fn contexts() -> [KernelCtx; 2] {
-    let threaded = ThreadPool::new(RuntimeConfig { intra_op_threads: 2, min_parallel_elems: 1 });
-    [KernelCtx::sequential().clone(), KernelCtx::new(threaded)]
+/// The inline pool and a two-thread pool that goes parallel at once.
+fn pools() -> [Arc<ThreadPool>; 2] {
+    [
+        ThreadPool::new(RuntimeConfig::default()),
+        ThreadPool::new(RuntimeConfig { intra_op_threads: 2, min_parallel_elems: 1 }),
+    ]
 }
 
 const SIGNED_ZEROS: [f32; 2] = [0.0, -0.0];
@@ -103,7 +105,7 @@ const INPUT_SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f
 #[test]
 fn depthwise_routes_match_the_generic_path_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0xd3);
-    let ctxs = contexts();
+    let pools = pools();
     let (n, c) = (2, 3);
     let mut cases = 0;
     for k in [1usize, 3, 5] {
@@ -137,10 +139,10 @@ fn depthwise_routes_match_the_generic_path_bit_for_bit() {
                                         let opaque = Opaque(Arc::clone(&blas));
                                         let route =
                                             ConvRoute::plan(x.dims(), wt, b, &a, blas.row_order());
-                                        for (ci, ctx) in ctxs.iter().enumerate() {
+                                        for (pi, pool) in pools.iter().enumerate() {
                                             let got = route.run(x, None).unwrap_or_else(|| {
                                                 kernels::conv2d_im2col_with(
-                                                    ctx,
+                                                    pool,
                                                     x,
                                                     wt,
                                                     b,
@@ -151,13 +153,13 @@ fn depthwise_routes_match_the_generic_path_bit_for_bit() {
                                                 .unwrap()
                                             });
                                             let want = kernels::conv2d_im2col_with(
-                                                ctx, x, wt, b, &a, &opaque, GemmStrategy::Scalar,
+                                                pool, x, wt, b, &a, &opaque, GemmStrategy::Scalar,
                                             )
                                             .unwrap();
                                             assert_eq!(
                                                 bits(&got),
                                                 bits(&want),
-                                                "{kind} ctx {ci} {a:?} h {h} w {w} bias {}",
+                                                "{kind} pool {pi} {a:?} h {h} w {w} bias {}",
                                                 b.is_some()
                                             );
                                             cases += 1;
@@ -198,7 +200,7 @@ fn pointwise_reference(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, blas: &dyn
 #[test]
 fn pointwise_matches_the_generic_path_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0x11);
-    let ctxs = contexts();
+    let pools = pools();
     let mut cases = 0;
     for (n, c, oc) in [(1usize, 1usize, 1usize), (2, 3, 5), (1, 8, 16), (2, 17, 4)] {
         for h in 1..=9usize {
@@ -218,9 +220,9 @@ fn pointwise_matches_the_generic_path_bit_for_bit() {
                         for kind in BlasKind::ALL {
                             let blas = kind.instantiate();
                             let want = pointwise_reference(x, &wt, b, blas.as_ref());
-                            for ctx in &ctxs {
+                            for pool in &pools {
                                 let got = kernels::conv2d_im2col_with(
-                                    ctx,
+                                    pool,
                                     x,
                                     &wt,
                                     b,

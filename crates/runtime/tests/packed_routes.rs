@@ -24,8 +24,8 @@ use mvtee_graph::{ActivationKind, Graph, GraphBuilder};
 use mvtee_runtime::kernels::{self, ConvAttrs};
 use mvtee_runtime::packed::{ConvRoute, DIRECT_PATCH, SMALL_PLANE};
 use mvtee_runtime::{
-    session_cache, Blas, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy, KernelCtx,
-    PreparedModel, RowOrder, SharedModel,
+    session_cache, Blas, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy,
+    PreparedModel, RowOrder, RuntimeConfig, SharedModel, ThreadPool,
 };
 use mvtee_telemetry::trace::{self, TraceCtx};
 use mvtee_tensor::Tensor;
@@ -97,7 +97,7 @@ fn routed(
 ) -> Tensor {
     route.run(x, None).unwrap_or_else(|| {
         kernels::conv2d_im2col_with(
-            KernelCtx::sequential(),
+            &ThreadPool::new(RuntimeConfig::default()),
             x,
             w,
             b,
@@ -121,7 +121,7 @@ fn check(
     label: &str,
 ) -> bool {
     let want = kernels::conv2d_im2col_with(
-        KernelCtx::sequential(),
+        &ThreadPool::new(RuntimeConfig::default()),
         x,
         w,
         b,

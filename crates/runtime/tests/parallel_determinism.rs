@@ -12,20 +12,21 @@ use mvtee_runtime::kernels::{
     global_avg_pool_with, softmax, softmax_with, ConvAttrs,
 };
 use mvtee_runtime::{
-    Accumulation, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy, KernelCtx,
+    Accumulation, BlasKind, Engine, EngineConfig, EngineKind, GemmStrategy,
     RuntimeConfig, ThreadPool,
 };
 use mvtee_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// A context whose pool genuinely spawns `t` workers: the parallel-region
+/// A pool that genuinely spawns `t` workers: the parallel-region
 /// threshold is dropped to 1 so even proptest-sized shapes cross it.
-fn ctx(t: usize) -> KernelCtx {
-    KernelCtx::new(ThreadPool::new(RuntimeConfig { intra_op_threads: t, min_parallel_elems: 1 }))
+fn pool(t: usize) -> Arc<ThreadPool> {
+    ThreadPool::new(RuntimeConfig { intra_op_threads: t, min_parallel_elems: 1 })
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -58,7 +59,7 @@ proptest! {
             let reference = gemm_fc(&x, &w, Some(&b), backend.as_ref()).expect("runs");
             for t in THREADS {
                 let out = gemm_fc_with(
-                    &ctx(t), &x, &w, Some(&b), backend.as_ref(), None, GemmStrategy::Scalar,
+                    &pool(t), &x, &w, Some(&b), backend.as_ref(), None, GemmStrategy::Scalar,
                 )
                 .expect("runs");
                 prop_assert_eq!(
@@ -86,7 +87,7 @@ proptest! {
                 conv2d_im2col(&x, &w, Some(&b), &attrs, backend.as_ref()).expect("runs");
             for t in THREADS {
                 let out = conv2d_im2col_with(
-                    &ctx(t), &x, &w, Some(&b), &attrs, backend.as_ref(), GemmStrategy::Scalar,
+                    &pool(t), &x, &w, Some(&b), &attrs, backend.as_ref(), GemmStrategy::Scalar,
                 )
                 .expect("runs");
                 prop_assert_eq!(
@@ -108,7 +109,7 @@ proptest! {
         for acc in [Accumulation::Sequential, Accumulation::Tree] {
             let reference = softmax(&x, 1, acc).expect("runs");
             for t in THREADS {
-                let out = softmax_with(&ctx(t), &x, 1, acc).expect("runs");
+                let out = softmax_with(&pool(t), &x, 1, acc).expect("runs");
                 prop_assert_eq!(
                     bits(&reference),
                     bits(&out),
@@ -191,10 +192,10 @@ fn global_avg_pool_bits_depend_on_no_pool_setting() {
         for acc in [Accumulation::Sequential, Accumulation::Tree] {
             let want = bits(&global_avg_pool(&x, acc).expect("runs"));
             for t in [1, 2, 8] {
-                let got = global_avg_pool_with(&ctx(t), &x, acc).expect("runs");
+                let got = global_avg_pool_with(&pool(t), &x, acc).expect("runs");
                 assert_eq!(want, bits(&got), "plane {plane}, {acc:?}: {t} threads");
             }
-            let default_pool = KernelCtx::new(ThreadPool::new(RuntimeConfig::default()));
+            let default_pool = ThreadPool::new(RuntimeConfig::default());
             let got = global_avg_pool_with(&default_pool, &x, acc).expect("runs");
             assert_eq!(want, bits(&got), "plane {plane}, {acc:?}: default pool");
         }

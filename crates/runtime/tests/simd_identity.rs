@@ -8,22 +8,23 @@
 
 use mvtee_runtime::kernels::{conv2d_im2col_with, gemm_fc_with, matmul_with, ConvAttrs};
 use mvtee_runtime::simd::{dot8, dot8_spec, gemm_bt, LANES};
-use mvtee_runtime::{GemmStrategy, KernelCtx, RuntimeConfig, ThreadPool};
+use mvtee_runtime::{GemmStrategy, RuntimeConfig, ThreadPool};
+use std::sync::Arc;
 use mvtee_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// A context whose pool genuinely spawns `t` workers and parallelises even
+/// A pool that genuinely spawns `t` workers and parallelises even
 /// proptest-sized shapes (threshold dropped to a single element).
-fn eager_ctx(t: usize) -> KernelCtx {
-    KernelCtx::new(ThreadPool::new(RuntimeConfig { intra_op_threads: t, min_parallel_elems: 1 }))
+fn eager_pool(t: usize) -> Arc<ThreadPool> {
+    ThreadPool::new(RuntimeConfig { intra_op_threads: t, min_parallel_elems: 1 })
 }
 
-/// A context with the production threshold: small shapes stay sequential.
-fn default_ctx(t: usize) -> KernelCtx {
-    KernelCtx::new(ThreadPool::new(RuntimeConfig::with_threads(t)))
+/// A pool with the production threshold: small shapes stay sequential.
+fn default_pool(t: usize) -> Arc<ThreadPool> {
+    ThreadPool::new(RuntimeConfig::with_threads(t))
 }
 
 fn seeded(len: usize, seed: u64) -> Vec<f32> {
@@ -91,7 +92,7 @@ fn simd_gemm_fc_is_bitwise_thread_invariant() {
         let b = Tensor::random_uniform(&mut rng, &[m], 0.5);
         let blas = mvtee_runtime::BlasKind::Blocked.instantiate();
         let reference = gemm_fc_with(
-            &default_ctx(1),
+            &default_pool(1),
             &x,
             &w,
             Some(&b),
@@ -101,9 +102,9 @@ fn simd_gemm_fc_is_bitwise_thread_invariant() {
         )
         .expect("runs");
         for t in THREADS {
-            for ctx in [eager_ctx(t), default_ctx(t)] {
+            for pool in [eager_pool(t), default_pool(t)] {
                 let out = gemm_fc_with(
-                    &ctx,
+                    &pool,
                     &x,
                     &w,
                     Some(&b),
@@ -131,12 +132,12 @@ fn simd_matmul_is_bitwise_thread_invariant() {
         let b = Tensor::random_uniform(&mut rng, &[k, n], 0.5);
         let blas = mvtee_runtime::BlasKind::Naive.instantiate();
         let reference =
-            matmul_with(&default_ctx(1), &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
+            matmul_with(&default_pool(1), &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
                 .expect("runs");
         for t in THREADS {
-            for ctx in [eager_ctx(t), default_ctx(t)] {
+            for pool in [eager_pool(t), default_pool(t)] {
                 let out =
-                    matmul_with(&ctx, &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
+                    matmul_with(&pool, &a, &b, blas.as_ref(), GemmStrategy::SimdMicrokernel)
                         .expect("runs");
                 assert_eq!(
                     bits(&reference),
@@ -161,7 +162,7 @@ fn simd_im2col_conv_is_bitwise_thread_invariant() {
         let attrs = ConvAttrs { kernel: (3, 3), stride: (1, 1), padding: (1, 1), groups };
         let blas = mvtee_runtime::BlasKind::Strided.instantiate();
         let reference = conv2d_im2col_with(
-            &default_ctx(1),
+            &default_pool(1),
             &x,
             &w,
             Some(&b),
@@ -171,9 +172,9 @@ fn simd_im2col_conv_is_bitwise_thread_invariant() {
         )
         .expect("runs");
         for t in THREADS {
-            for ctx in [eager_ctx(t), default_ctx(t)] {
+            for pool in [eager_pool(t), default_pool(t)] {
                 let out = conv2d_im2col_with(
-                    &ctx,
+                    &pool,
                     &x,
                     &w,
                     Some(&b),

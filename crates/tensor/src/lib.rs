@@ -9,9 +9,7 @@
 //! array library:
 //!
 //! * dense, contiguous `f32` storage (the paper evaluates FP32 inference),
-//! * explicit [`Shape`] / stride handling with [`Layout`] conversion between
-//!   `NCHW` and `NHWC` (the ORT-like and TVM-like executors disagree on
-//!   layout, which is one source of benign variant divergence),
+//! * explicit [`Shape`] / stride handling,
 //! * the checkpoint **consistency metrics** of §5.2 of the paper
 //!   (cosine similarity, MSE, max absolute difference, `allclose`) in
 //!   [`metrics`].
@@ -35,7 +33,7 @@ mod shape;
 mod tensor;
 
 pub use error::TensorError;
-pub use shape::{Layout, Shape};
+pub use shape::Shape;
 pub use tensor::Tensor;
 
 /// Crate-wide result alias.

@@ -2,31 +2,6 @@ use crate::{Result, TensorError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Memory layout of a rank-4 activation tensor.
-///
-/// The ORT-like executor computes in `NCHW` (as ONNX Runtime does by
-/// default), while the TVM-like executor prefers `NHWC` internally. Layout
-/// conversion is one of the benign sources of numeric variation between
-/// diversified variants that MVTEE's thresholded consistency checks must
-/// tolerate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Layout {
-    /// Batch, channel, height, width — the canonical layout of the IR.
-    #[default]
-    Nchw,
-    /// Batch, height, width, channel.
-    Nhwc,
-}
-
-impl fmt::Display for Layout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Layout::Nchw => write!(f, "NCHW"),
-            Layout::Nhwc => write!(f, "NHWC"),
-        }
-    }
-}
-
 /// The dimensions of a [`crate::Tensor`].
 ///
 /// A `Shape` is an ordered list of axis sizes. Scalars are represented by an
@@ -237,7 +212,5 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(Shape::new(&[1, 3, 8, 8]).to_string(), "[1x3x8x8]");
-        assert_eq!(Layout::Nchw.to_string(), "NCHW");
-        assert_eq!(Layout::Nhwc.to_string(), "NHWC");
     }
 }
