@@ -270,9 +270,9 @@ pub fn measure_with_baseline(
 /// Note: the fast-path rule models the *paper's* design, where outputs
 /// "directly fall through to the next partition variants" over
 /// variant-to-variant channels. The threaded reference implementation in
-/// `mvtee::pipeline` relays through per-stage coordinators even on the
+/// `mvtee::pipeline` relays through the monitor's stages even on the
 /// fast path (without evaluation); the composition model deliberately
-/// reflects the paper's architecture, which the coordinators stand in for.
+/// reflects the paper's architecture, which the stages stand in for.
 ///
 /// Rules: on the fast path, outputs "directly fall through to the next
 /// partition variants" over variant-to-variant channels — the monitor pays

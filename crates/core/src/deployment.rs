@@ -22,7 +22,7 @@ use crate::events::{EventLog, MonitorEvent};
 use crate::messages::encode;
 use crate::link::ResponsePort;
 use crate::pipeline::{
-    enqueue, spawn_pipeline, CoordMsg, PipelineHandles, Reply, StageJob, StagePolicy, StageRuntime,
+    spawn_monitor, MonitorHandle, Reply, StageJob, StagePolicy, StageRuntime,
 };
 use crate::provision::Provisioner;
 use crate::recovery::{spawn_recovery_manager, RecoveryContext, RecoveryRequest};
@@ -709,7 +709,7 @@ pub struct Deployment {
     /// The running generation's bring-up state (platform, bindings, event
     /// log, hosts), shared with the recovery manager.
     provisioner: Arc<Provisioner>,
-    handles: Option<PipelineHandles>,
+    pipeline: Option<MonitorHandle>,
     next_batch: u64,
     input_value: ValueId,
     output_value: ValueId,
@@ -795,7 +795,7 @@ impl Deployment {
             offline,
             monitor,
             provisioner: Arc::new(provisioner),
-            handles: None,
+            pipeline: None,
             next_batch: 0,
             input_value,
             output_value,
@@ -821,10 +821,13 @@ impl Deployment {
             needed.extend(&self.offline.partition_set.stages[p].inputs);
         }
 
+        // Every variant answers straight into the monitor's inbox.
+        let (inbox, responses) = channel();
         // The recovery manager (when enabled) gets what only recovery needs
-        // on top of the shared provisioner, and a request channel; every
-        // coordinator gets a sender so quarantines turn into re-provisioning
-        // requests, and the manager exits once the last is dropped.
+        // on top of the shared provisioner, the inbox replacements rejoin
+        // through, and a request channel; every stage gets a sender so
+        // quarantines turn into re-provisioning requests, and the manager
+        // exits once the last is dropped.
         let mut recovery = None;
         if self.config.recovery.enabled {
             let (tx, rx) = channel::<RecoveryRequest>();
@@ -834,6 +837,7 @@ impl Deployment {
                 specs: self.variant_specs(),
                 metrics: self.config.claims.iter().map(|c| c.metric).collect(),
                 policy: self.config.recovery,
+                inbox: inbox.clone(),
                 platform_faults: faults_at(&self.faults, None).0,
             };
             self.recovery_manager = Some(spawn_recovery_manager(ctx, rx));
@@ -842,20 +846,16 @@ impl Deployment {
 
         for (p, claim) in self.config.claims.iter().enumerate() {
             let stage = &self.offline.partition_set.stages[p];
-            // Every variant of the stage answers straight into its inbox.
-            let (inbox, responses) = channel();
             let mut links = Vec::with_capacity(claim.variants);
             for (v, artifact) in self.offline.artifacts[p].iter().enumerate() {
                 let (faults, netfault) = faults_at(&self.faults, Some((p, v)));
-                let port = ResponsePort::new(inbox.clone(), v, 0);
+                let port = ResponsePort::new(inbox.clone(), (p, v), 0);
                 let launch = |_: &mut _, _: &mut _| Ok(());
                 links.push(self.provisioner.bring_up((p, v), artifact, faults, netfault, port, launch)?);
             }
             runtimes.push(StageRuntime {
                 partition: p,
                 links,
-                inbox,
-                responses,
                 inputs: stage.inputs.clone(),
                 outputs: stage.outputs.clone(),
                 needed_downstream: needed_after[p].clone(),
@@ -866,8 +866,8 @@ impl Deployment {
             metrics.push(claim.metric);
         }
         let policy = StagePolicy::from_config(&self.config);
-        self.handles =
-            Some(spawn_pipeline(runtimes, policy, metrics, self.provisioner.events.clone()));
+        let events = self.provisioner.events.clone();
+        self.pipeline = Some(spawn_monitor(runtimes, policy, metrics, events, (inbox, responses)));
         Ok(())
     }
 
@@ -882,7 +882,7 @@ impl Deployment {
     }
 
     /// The Merkle-chainable checkpoint transcript: one entry per voted
-    /// verdict, shared with every stage coordinator.
+    /// verdict, shared with every stage.
     pub fn transcript(&self) -> &TranscriptLog {
         &self.transcript
     }
@@ -986,7 +986,7 @@ impl Deployment {
         trace: TraceCtx,
         reply: impl FnOnce(std::result::Result<mvtee_tensor::Tensor, String>) + Send + 'static,
     ) -> Result<u64> {
-        let handles = self.running()?;
+        let pipeline = self.running()?;
         let batch = self.next_batch;
         let trace = if trace.is_none() { TraceCtx::for_batch(batch) } else { trace };
         let output = self.output_value;
@@ -998,7 +998,7 @@ impl Deployment {
         });
         let env = HashMap::from([(self.input_value, input)]);
         let job = StageJob { batch, env, poisoned: None, trace, reply };
-        if !enqueue(&handles.first_stage, &handles.first_stage_depth, job) {
+        if !pipeline.submit(job) {
             return Err(MvxError::Transport("pipeline input closed".into()));
         }
         self.next_batch += 1;
@@ -1015,8 +1015,8 @@ impl Deployment {
         Ok(rx)
     }
 
-    fn running(&self) -> Result<&PipelineHandles> {
-        self.handles.as_ref().ok_or_else(|| MvxError::BadState("deployment is shut down".into()))
+    fn running(&self) -> Result<&MonitorHandle> {
+        self.pipeline.as_ref().ok_or_else(|| MvxError::BadState("deployment is shut down".into()))
     }
 
     /// Sequential inference: the batch traverses all stages before the
@@ -1179,41 +1179,25 @@ impl Deployment {
     }
 
     /// Tears the running generation down and readies the next one. The
-    /// stop queues behind every batch already handed in and each stage
-    /// forwards it after its last job, so all of them are answered first.
+    /// monitor answers every batch already handed in before it stops.
     fn stop_pipeline(&mut self) {
         self.provisioner.retire();
-        let mut runtimes = Vec::new();
-        if let Some(handles) = self.handles.take() {
-            let _ = handles.first_stage.send(CoordMsg::Stop);
-            // Joining returns each StageRuntime. They are kept alive until
-            // the manager has exited — an in-flight recovery still sends
-            // its rejoin into one of their inboxes — but without their
-            // recovery senders, so the manager's request channel drains
-            // closed.
-            for t in handles.threads {
-                if let Ok(mut runtime) = t.join() {
-                    runtime.recovery = None;
-                    runtimes.push(runtime);
-                }
-            }
+        // The runtimes and the inbox are kept until the manager has exited
+        // — an in-flight recovery still sends its rejoin there — but
+        // without their recovery senders, so the manager's request channel
+        // drains closed.
+        let mut stopped = self.pipeline.take().and_then(|pipeline| pipeline.stop().ok());
+        for runtime in stopped.iter_mut().flat_map(|(runtimes, _)| runtimes) {
+            runtime.recovery = None;
         }
         if let Some(manager) = self.recovery_manager.take() {
             let _ = manager.join();
         }
-        // A rejoin the coordinator never consumed leaves
-        // `Inbound::Recovered` queued in its inbox, and the replacement's
-        // own response port holds a sender that keeps the queued event —
-        // and so the replacement's request link — alive even after the
-        // receiver drops; the replacement would wait on that link forever.
-        // Drain the inboxes so orphaned rejoin links drop and the
-        // replacement exits.
-        for runtime in &runtimes {
-            while runtime.responses.try_recv().is_ok() {}
-        }
+        // Dropping the inbox drops a rejoin the monitor never consumed, and
+        // with it the replacement's request link: the replacement exits.
         // Dropping a runtime drops its links: variants exit on
         // Shutdown/link loss.
-        drop(runtimes);
+        drop(stopped);
         self.provisioner.join_hosts();
         self.provisioner = Arc::new(self.provisioner.successor());
     }

@@ -226,8 +226,8 @@ impl fmt::Display for TimedEvent {
     }
 }
 
-/// Thread-safe, append-only event log shared between the monitor's stage
-/// coordinators.
+/// Thread-safe, append-only event log shared by a deployment's monitor
+/// thread, its recovery manager and its readers.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     inner: Arc<Mutex<Vec<(f64, MonitorEvent)>>>,

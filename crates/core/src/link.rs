@@ -4,14 +4,14 @@
 //! AES-GCM-256 with per-direction keys and strict sequence numbers (the
 //! paper's default), or plaintext framing (only for the Fig 10
 //! no-encryption baseline). Each link is uni-directionally *owned*: per
-//! variant, the stage coordinator seals on a request link and opens a
-//! response link, each with its own keys and sequence numbers.
+//! variant, the monitor seals on a request link and opens a response
+//! link, each with its own keys and sequence numbers.
 //!
 //! The transport underneath is dynamic: an in-memory pair for co-located
 //! variant threads, or a lane of a multiplexed TCP connection for a
 //! variant running as a separate OS process; a response frame ends in a
-//! [`ResponsePort`] either way, which puts it, still sealed, in the
-//! stage's inbox to be opened on the stage's thread. The protection layer
+//! [`ResponsePort`] either way, which puts it, still sealed and tagged
+//! with its partition, in the monitor's inbox. The protection layer
 //! — and therefore every byte on the wire — is identical either way,
 //! which is what makes in-process and out-of-process panels
 //! conformance-testable against each other.
@@ -101,19 +101,32 @@ impl DataLink {
     }
 }
 
-/// The inbox a [`ResponsePort`] delivers to, and its `(variant, epoch)`.
-type Route = (Sender<Inbound>, usize, u64);
+/// Monitor-side state for one variant TEE's data plane.
+pub struct VariantLink {
+    /// Request link (monitor → variant).
+    pub tx: DataLink,
+    /// Receive half of the response link (variant → monitor), whose
+    /// frames arrive through the inbox ([`DataLink::inbound`]).
+    pub rx: DataLink,
+    /// Human-readable description (for events).
+    pub description: String,
+}
+
+/// The inbox a [`ResponsePort`] delivers to, its `(partition, variant)`
+/// and its epoch.
+type Route = (Sender<Inbound>, (usize, usize), u64);
 
 /// The variant's end of a response link: a send-only [`FrameTransport`]
-/// putting each frame, unopened, into a stage's inbox as
+/// putting each frame, unopened, into the monitor's inbox as
 /// [`Inbound::Frame`]. Closing or dropping it sends [`Inbound::Closed`]
 /// once; sends after that fail.
 pub struct ResponsePort(Arc<Mutex<Option<Route>>>);
 
 impl ResponsePort {
-    /// A port delivering into `inbox` under `(variant, epoch)`.
-    pub fn new(inbox: Sender<Inbound>, variant: usize, epoch: u64) -> Self {
-        ResponsePort(Arc::new(Mutex::new(Some((inbox, variant, epoch)))))
+    /// A port delivering into `inbox` under `(partition, variant)` and
+    /// `epoch`.
+    pub fn new(inbox: Sender<Inbound>, at: (usize, usize), epoch: u64) -> Self {
+        ResponsePort(Arc::new(Mutex::new(Some((inbox, at, epoch)))))
     }
 
     /// A handle that re-points this port once it is the variant's.
@@ -125,8 +138,8 @@ impl ResponsePort {
 impl FrameTransport for ResponsePort {
     fn send_frame(&self, frame: Vec<u8>) -> mvtee_crypto::Result<()> {
         let route = self.0.lock().map_err(|_| CryptoError::ConnectionClosed)?;
-        let (inbox, variant, epoch) = route.as_ref().ok_or(CryptoError::ConnectionClosed)?;
-        let frame = Inbound::Frame { variant: *variant, epoch: *epoch, frame };
+        let (inbox, at, epoch) = route.as_ref().ok_or(CryptoError::ConnectionClosed)?;
+        let frame = Inbound::Frame { at: *at, epoch: *epoch, frame };
         inbox.send(frame).map_err(|_| CryptoError::ConnectionClosed)
     }
 
@@ -135,8 +148,8 @@ impl FrameTransport for ResponsePort {
     }
 
     fn close(&self) {
-        if let Some((inbox, variant, epoch)) = self.0.lock().ok().and_then(|mut r| r.take()) {
-            let _ = inbox.send(Inbound::Closed { variant, epoch });
+        if let Some((inbox, at, epoch)) = self.0.lock().ok().and_then(|mut r| r.take()) {
+            let _ = inbox.send(Inbound::Closed { at, epoch });
         }
     }
 }
@@ -232,9 +245,9 @@ mod tests {
         assert_eq!(b2.recv().unwrap(), b"two");
     }
 
-    fn frame_of(inbound: Inbound) -> Option<(usize, u64, Vec<u8>)> {
+    fn frame_of(inbound: Inbound) -> Option<((usize, usize), u64, Vec<u8>)> {
         match inbound {
-            Inbound::Frame { variant, epoch, frame } => Some((variant, epoch, frame)),
+            Inbound::Frame { at, epoch, frame } => Some((at, epoch, frame)),
             _ => None,
         }
     }
@@ -245,27 +258,27 @@ mod tests {
     #[test]
     fn a_port_tags_frames_for_the_inbound_half_and_closes_once() {
         let (inbox, inbound) = channel();
-        let port = ResponsePort::new(inbox, 2, 5);
+        let port = ResponsePort::new(inbox, (4, 2), 5);
         let mut variant = DataLink::from_transport(port, true, b"s", Role::Responder, 1);
         let mut stage = DataLink::inbound(true, b"s", Role::Initiator, 1);
         variant.send(b"one").unwrap();
         variant.send(b"two").unwrap();
         for want in [&b"one"[..], b"two"] {
             let (v, epoch, frame) = frame_of(inbound.try_recv().unwrap()).expect("a frame");
-            assert_eq!((v, epoch), (2, 5));
+            assert_eq!((v, epoch), ((4, 2), 5));
             assert_eq!(stage.open(frame).unwrap(), want);
         }
         assert!(stage.recv().is_err(), "the inbound half has no transport");
         drop(variant);
-        assert!(matches!(inbound.try_recv(), Ok(Inbound::Closed { variant: 2, epoch: 5 })));
+        assert!(matches!(inbound.try_recv(), Ok(Inbound::Closed { at: (4, 2), epoch: 5 })));
         assert!(inbound.try_recv().is_err(), "closed exactly once");
 
         let (inbox, inbound) = channel();
-        let port = ResponsePort::new(inbox, 0, 0);
+        let port = ResponsePort::new(inbox, (0, 0), 0);
         port.close();
         assert!(port.send_frame(vec![1]).is_err());
         drop(port);
-        assert!(matches!(inbound.try_recv(), Ok(Inbound::Closed { variant: 0, epoch: 0 })));
+        assert!(matches!(inbound.try_recv(), Ok(Inbound::Closed { at: (0, 0), epoch: 0 })));
         assert!(inbound.try_recv().is_err(), "closed exactly once");
     }
 
@@ -274,19 +287,19 @@ mod tests {
     #[test]
     fn a_repointed_port_delivers_behind_its_first_message() {
         let (private, on_probation) = channel();
-        let port = ResponsePort::new(private, 1, 3);
+        let port = ResponsePort::new(private, (2, 1), 3);
         port.send_frame(vec![7]).unwrap();
         let (inbox, stage) = channel();
-        assert!(port.repoint_handle().to(inbox.clone(), Inbound::Closed { variant: 9, epoch: 9 }));
+        assert!(port.repoint_handle().to(inbox.clone(), Inbound::Closed { at: (9, 9), epoch: 9 }));
         port.send_frame(vec![8]).unwrap();
-        assert_eq!(frame_of(on_probation.try_recv().unwrap()), Some((1, 3, vec![7])));
-        assert!(matches!(stage.try_recv(), Ok(Inbound::Closed { variant: 9, epoch: 9 })));
-        assert_eq!(frame_of(stage.try_recv().unwrap()), Some((1, 3, vec![8])));
+        assert_eq!(frame_of(on_probation.try_recv().unwrap()), Some(((2, 1), 3, vec![7])));
+        assert!(matches!(stage.try_recv(), Ok(Inbound::Closed { at: (9, 9), epoch: 9 })));
+        assert_eq!(frame_of(stage.try_recv().unwrap()), Some(((2, 1), 3, vec![8])));
 
         let handle = port.repoint_handle();
         drop(port);
-        assert!(matches!(stage.try_recv(), Ok(Inbound::Closed { variant: 1, epoch: 3 })));
-        assert!(!handle.to(inbox, Inbound::Closed { variant: 9, epoch: 9 }));
+        assert!(matches!(stage.try_recv(), Ok(Inbound::Closed { at: (2, 1), epoch: 3 })));
+        assert!(!handle.to(inbox, Inbound::Closed { at: (9, 9), epoch: 9 }));
         assert!(stage.try_recv().is_err(), "nothing delivered for a closed port");
     }
 

@@ -1,26 +1,17 @@
-//! Stage coordinators: the monitor's data plane.
-//!
-//! Variant TEEs are organised into a pipeline mirroring the partition
-//! order. One coordinator thread per partition (all "inside" the monitor
-//! TEE — the cross-process monitor is multithreaded) dispatches batches to
-//! that partition's variant TEEs, gathers their encrypted outputs,
-//! evaluates checkpoints (slow path) or falls through (fast path), and
-//! sends the selected result straight into the next stage's job queue; the
-//! last stage answers the job's own reply. Sequential and pipelined
-//! execution use the same plumbing: sequential submits one batch and
-//! waits; pipelined streams batches so stages overlap
-//! (compute-communication overlapping, §4.1).
-//!
-//! A coordinator has one inbox. Its variants' sealed answers land there
-//! from the thread that produced them — the variant thread, or the mux
-//! pump of a worker's socket ([`crate::link::ResponsePort`]) — and so do
-//! their hang-ups and the recovery manager's replacements. The
-//! coordinator opens and decodes each answer on its own thread, under the
-//! response link's sequence state it owns.
+//! The monitor's data plane: one `monitor` thread per replica, the monitor
+//! TEE, owning every partition's `StageState` and its shell. A stage
+//! dispatches a batch to its variants, votes on their answers at a
+//! checkpoint (slow path) or falls through (fast path), and queues the
+//! result for the next stage; the last answers the job's reply. A stage has
+//! at most one checkpoint in flight, so streamed batches overlap across
+//! stages (§4.1). The loop's one unbounded inbox takes submitted jobs, the
+//! stop, and every variant's traffic tagged with its partition
+//! ([`crate::link::ResponsePort`]): nothing on the variant side waits on
+//! the monitor.
 
 use crate::config::{DegradationPolicy, ExecMode, MvxConfig, ResponsePolicy, VotingPolicy};
 use crate::events::EventLog;
-use crate::link::DataLink;
+use crate::link::VariantLink;
 use crate::messages::{decode, encode, StageRequest, StageResponse};
 use crate::recovery::RecoveryRequest;
 use crate::stage::{step, Action, Event, Path, Sink, StageConfig, StageState};
@@ -31,8 +22,8 @@ use mvtee_telemetry::trace::{self, TraceCtx};
 use mvtee_telemetry::Gauge;
 use mvtee_tensor::metrics::Metric;
 use mvtee_tensor::Tensor;
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,33 +48,35 @@ pub struct StageJob {
     pub reply: Reply,
 }
 
-/// What lands in a coordinator's inbox. Everything from a variant carries
-/// its response link's *channel epoch*: quarantine bumps the epoch, so
-/// frames still in flight on the abandoned channel are recognisably stale
-/// instead of being attributed to the recovered replacement.
+/// What lands in the monitor's inbox. A variant's messages carry its
+/// partition and its response link's *channel epoch*: quarantine bumps it,
+/// so frames in flight on the abandoned channel are recognisably stale.
 pub enum Inbound {
+    /// A batch for the first stage, sent by [`MonitorHandle::submit`].
+    Job(StageJob),
+    /// No more jobs: once all are answered, the variants get a shutdown.
+    Stop,
     /// A sealed stage response, not yet opened.
     Frame {
-        /// Variant index within the partition.
-        variant: usize,
+        /// Partition index, and variant index within the partition.
+        at: (usize, usize),
         /// Channel epoch the frame was sent under.
         epoch: u64,
         /// The frame as sealed on the response link.
         frame: Vec<u8>,
     },
-    /// The variant's response port closed: its host exited, or its
-    /// worker's connection died.
+    /// The variant's response port closed: its host or connection died.
     Closed {
-        /// Variant index within the partition.
-        variant: usize,
+        /// Partition index, and variant index within the partition.
+        at: (usize, usize),
         /// Channel epoch of the dead channel.
         epoch: u64,
     },
     /// A quarantined variant's replacement passed probation and rejoins
     /// the panel on the next batch; its response port already points here.
     Recovered {
-        /// Variant index within the partition.
-        variant: usize,
+        /// Partition index, and variant index within the partition.
+        at: (usize, usize),
         /// The post-quarantine epoch assigned at quarantine time.
         epoch: u64,
         /// The replacement's links.
@@ -91,29 +84,12 @@ pub enum Inbound {
     },
 }
 
-/// Monitor-side state for one variant TEE's data plane.
-pub struct VariantLink {
-    /// Request link (coordinator → variant).
-    pub tx: DataLink,
-    /// Receive half of the response link (variant → coordinator), whose
-    /// frames arrive through the inbox ([`DataLink::inbound`]).
-    pub rx: DataLink,
-    /// Human-readable description (for events).
-    pub description: String,
-}
-
-/// Everything a coordinator needs for its partition.
+/// Everything a stage needs for its partition.
 pub struct StageRuntime {
     /// Partition index.
     pub partition: usize,
     /// Links to this partition's variants.
     pub links: Vec<VariantLink>,
-    /// The inbox every variant's [`ResponsePort`](crate::link::ResponsePort)
-    /// sends into; cloned into recovery requests. Held here, it keeps the
-    /// inbox open: a receive only ever times out.
-    pub inbox: Sender<Inbound>,
-    /// The inbox's receiving end.
-    pub responses: Receiver<Inbound>,
     /// Subgraph boundary inputs (parent value ids, in input order).
     pub inputs: Vec<ValueId>,
     /// Subgraph boundary outputs (parent value ids, in output order).
@@ -122,9 +98,8 @@ pub struct StageRuntime {
     pub needed_downstream: HashSet<ValueId>,
     /// Whether this checkpoint takes the slow path.
     pub slow: bool,
-    /// Channel to the recovery manager; `None` disables quarantine-and-
-    /// recover (quarantined variants are dropped for good, the historical
-    /// behaviour).
+    /// Channel to the recovery manager; `None`: quarantined variants are
+    /// dropped for good.
     pub recovery: Option<Sender<RecoveryRequest>>,
     /// Shared audit transcript; every voted checkpoint verdict appends
     /// one Merkle-chained entry.
@@ -146,18 +121,12 @@ pub struct StagePolicy {
     pub deadline: Duration,
 }
 
-// Constants, not policy: no caller ever sized any of the three.
-
-/// Shutdown drain window for outstanding async stragglers.
+/// Shutdown drain window for every stage's outstanding async stragglers.
 const DRAIN_WINDOW: Duration = Duration::from_millis(500);
 
-/// Poll interval within the drain window.
-const DRAIN_POLL: Duration = Duration::from_millis(50);
-
-/// Bound of each coordinator's inbound job queue: the sender — the
-/// submitter for the first stage, the upstream coordinator for every
-/// other — blocks when a stage is this many batches behind (backpressure
-/// under sustained load).
+/// Bound of every stage's job queue (backpressure under sustained load):
+/// the submitter blocks while the first stage holds this many jobs, and a
+/// stage starts no job while the next stage's queue is full.
 const STAGE_QUEUE_DEPTH: usize = 1024;
 
 impl StagePolicy {
@@ -173,28 +142,23 @@ impl StagePolicy {
     }
 }
 
-/// Control messages into a coordinator.
-pub enum CoordMsg {
-    /// Process a job.
-    Job(StageJob),
-    /// No more jobs. It queues behind the jobs already handed in, and each
-    /// stage forwards it after its last `Forward`; then the stage drains
-    /// and its variants get [`StageRequest::Shutdown`].
-    Stop,
+/// One stage of the loop: its decisions, its effects, and the jobs handed
+/// to it and not yet taken, oldest first, counted on its queue-depth gauge.
+struct Stage {
+    state: StageState,
+    shell: Shell,
+    queue: VecDeque<StageJob>,
+    depth: Gauge,
 }
 
-/// The effectful half of a coordinator: owns the channels, links, clock,
-/// telemetry and trace spans; turns channel traffic into [`Event`]s and
-/// performs the [`Action`]s [`step`] answers with. It decides nothing.
+/// The effectful half of a stage: owns its links, telemetry and trace
+/// spans; turns inbox traffic into [`Event`]s and performs the
+/// [`Action`]s [`step`] answers with. It decides nothing.
 struct Shell {
     runtime: StageRuntime,
-    /// Per variant, the epoch its response link is open under; `None`
-    /// once that link has failed or closed. Anything else from a variant
-    /// is dropped unopened.
+    /// Per variant, the epoch its response link is open under; `None` once
+    /// it has failed or closed. Anything else is dropped unopened.
     listening: Vec<Option<u64>>,
-    /// The next stage's job queue and its depth gauge; `None` for the
-    /// last stage.
-    next: Option<(SyncSender<CoordMsg>, Gauge)>,
     events: EventLog,
     // Fetched and formatted once: recording is lock-free afterwards.
     checkpoint_latency: mvtee_telemetry::Histogram,
@@ -202,99 +166,173 @@ struct Shell {
     slow_path: mvtee_telemetry::Counter,
     span_name: String,
     track: String,
-    /// The job in hand until its `Forward`, and its batch id.
+    /// The job in hand until its `Forward`, and its batch id — between
+    /// jobs, the id of the batch the stage takes next.
     job: Option<StageJob>,
     batch: u64,
+    /// What the stage records under: its job's trace, then its span's.
+    trace: TraceCtx,
     /// The open checkpoint: latency timer (dispatch through selection),
     /// trace span, and the dispatch instant the watchdog counts from.
     checkpoint: Option<(mvtee_telemetry::Span, trace::SpanGuard<'static>, Instant)>,
     /// Request links a dispatch found closed, fed back after the step.
     send_failed: Vec<Event>,
-    /// The replacement carried by the `Recovered` event being stepped,
-    /// and its epoch.
+    /// The replacement the `Recovered` event being stepped offers.
     offered: Option<(VariantLink, u64)>,
-    downstream_gone: bool,
+    /// The job the step forwarded, and the span that covers its hand-off.
+    forwarded: Option<(StageJob, Option<trace::SpanGuard<'static>>)>,
 }
 
-/// The coordinator loop for one stage. Finished jobs go into `next`, the
-/// next stage's job queue — once its receiver is gone the stage stops
-/// taking jobs — or, with `None`, to their own replies. Returns the
-/// runtime when stopped so the deployment can reuse or update it.
-pub fn run_stage(
-    runtime: StageRuntime,
-    policy: StagePolicy,
-    metric: Metric,
-    in_rx: Receiver<CoordMsg>,
-    next: Option<(SyncSender<CoordMsg>, Gauge)>,
-    events: EventLog,
-) -> StageRuntime {
-    let partition = runtime.partition;
-    let mut state = StageState::new(StageConfig {
-        partition,
-        variants: runtime.links.len(),
-        outputs: runtime.outputs.len(),
-        slow: runtime.slow,
-        recovery: runtime.recovery.is_some(),
-        policy,
-        metric,
-    });
-    let latency = format!("core.pipeline.p{partition}.checkpoint_latency_ns");
-    let queue_depth = queue_depth(partition);
-    let mut shell = Shell {
-        listening: vec![Some(0); runtime.links.len()],
-        runtime,
-        next,
-        events,
-        checkpoint_latency: mvtee_telemetry::histogram(&latency),
-        fast_path: mvtee_telemetry::counter("core.voting.fast_path"),
-        slow_path: mvtee_telemetry::counter("core.voting.slow_path"),
-        span_name: format!("core.p{partition}.checkpoint"),
-        track: format!("p{partition}"),
-        job: None,
-        batch: 0,
-        checkpoint: None,
-        send_failed: Vec::new(),
-        offered: None,
-        downstream_gone: false,
-    };
-    while !shell.downstream_gone {
-        let Ok(CoordMsg::Job(job)) = in_rx.recv() else { break };
-        queue_depth.add(-1);
-        shell.run_job(&mut state, job, policy.deadline);
-    }
-    // Every job this stage took is forwarded: the stop follows them.
-    if let Some((next, _)) = shell.next.take() {
-        let _ = next.send(CoordMsg::Stop);
-    }
-    // Drain outstanding stragglers briefly, then shut the variants down.
-    shell.feed(&mut state, Event::Stop);
-    let drain_deadline = Instant::now() + DRAIN_WINDOW;
-    while state.owes_late_validation() && Instant::now() < drain_deadline {
-        if let Ok(inbound) = shell.runtime.responses.recv_timeout(DRAIN_POLL) {
-            shell.feed_inbound(&mut state, inbound);
+/// The event loop over every stage of a replica.
+struct Monitor {
+    stages: Vec<Stage>,
+    inbox: Receiver<Inbound>,
+    /// One slot per job the first stage holds, given back as it takes one.
+    slots: Receiver<()>,
+    deadline: Duration,
+    stopping: bool,
+}
+
+impl Monitor {
+    fn run(mut self) -> (Vec<StageRuntime>, Receiver<Inbound>) {
+        loop {
+            // Everything already waiting is fed before a stage takes a
+            // job, so a variant that recovered meanwhile votes on it.
+            while let Ok(inbound) = self.inbox.try_recv() {
+                self.handle(inbound);
+            }
+            // The watchdog, anchored at dispatch: no frame re-arms it.
+            let (now, deadline) = (Instant::now(), self.deadline);
+            let due = |s: &Stage| {
+                s.state.awaiting().then(|| s.shell.checkpoint.as_ref().map_or(now, |c| c.2 + deadline))
+            };
+            for i in 0..self.stages.len() {
+                if due(&self.stages[i]).is_some_and(|due| due <= now) {
+                    self.feed(i, Event::Deadline);
+                }
+            }
+            if self.take_job() {
+                continue;
+            }
+            if self.stopping && self.stages.iter().all(|s| s.queue.is_empty() && !s.state.awaiting()) {
+                return self.drain();
+            }
+            let due = self.stages.iter().filter_map(due).min();
+            let wait = due.map_or(Duration::MAX, |due| due.saturating_duration_since(Instant::now()));
+            match self.inbox.recv_timeout(wait) {
+                Ok(inbound) => self.handle(inbound),
+                // Nothing can arrive any more: as good as a stop.
+                Err(RecvTimeoutError::Disconnected) => self.stopping = true,
+                Err(RecvTimeoutError::Timeout) => {}
+            }
         }
     }
-    shell.feed(&mut state, Event::Deadline);
-    let shutdown = encode(&StageRequest::Shutdown).expect("static message encodes");
-    for (v, link) in shell.runtime.links.iter_mut().enumerate() {
-        if state.is_live(v) {
-            let _ = link.tx.send(&shutdown);
+
+    fn handle(&mut self, inbound: Inbound) {
+        match inbound {
+            Inbound::Job(job) => self.stages[0].queue.push_back(job),
+            Inbound::Stop => self.stopping = true,
+            Inbound::Frame { at: (p, _), .. }
+            | Inbound::Closed { at: (p, _), .. }
+            | Inbound::Recovered { at: (p, _), .. } => {
+                if let Some(event) = self.stages[p].shell.event(inbound) {
+                    self.feed(p, event);
+                }
+                // Not adopted: dropped, and the fresh variant exits.
+                self.stages[p].shell.offered = None;
+            }
         }
     }
-    shell.runtime
+
+    /// Starts a job at the first stage with none in flight whose next
+    /// stage's queue has room. `false`: no stage can take one.
+    fn take_job(&mut self) -> bool {
+        let stages = &self.stages;
+        let room = |i: usize| stages.get(i + 1).is_none_or(|s| s.queue.len() < STAGE_QUEUE_DEPTH);
+        let ready = |&i: &usize| !stages[i].state.awaiting() && !stages[i].queue.is_empty();
+        let Some(i) = (0..stages.len()).find(|i| ready(i) && room(*i)) else { return false };
+        let stage = &mut self.stages[i];
+        let job = stage.queue.pop_front().expect("a ready stage holds a job");
+        stage.depth.add(-1);
+        if i == 0 {
+            let _ = self.slots.try_recv();
+        }
+        // Whatever is recorded from here on is in this batch's causal chain.
+        (stage.shell.batch, stage.shell.trace) = (job.batch, job.trace);
+        if job.poisoned.is_some() {
+            // An upstream stage failed it: passed through untouched.
+            self.pass_on(i, job);
+        } else {
+            let inputs = stage.shell.runtime.inputs.iter();
+            let inputs = inputs.map(|v| job.env.get(v).cloned().ok_or(*v)).collect();
+            stage.shell.job = Some(job);
+            self.feed(i, Event::Job { batch: self.stages[i].shell.batch, inputs });
+        }
+        true
+    }
+
+    /// Steps stage `i` through `event` and the send failures its dispatch
+    /// runs into, then passes on the job it forwarded.
+    fn feed(&mut self, i: usize, event: Event) {
+        let Stage { state, shell, .. } = &mut self.stages[i];
+        trace::set_current(shell.trace);
+        step(state, event, shell);
+        for failed in std::mem::take(&mut shell.send_failed) {
+            step(state, failed, shell);
+        }
+        if let Some((job, span)) = shell.forwarded.take() {
+            self.pass_on(i, job);
+            drop(span); // the span covers the hand-off
+        }
+    }
+
+    /// Queues stage `i`'s finished job for the next stage or, from the
+    /// last, answers it.
+    fn pass_on(&mut self, i: usize, job: StageJob) {
+        self.stages[i].shell.batch = job.batch + 1;
+        match self.stages.get_mut(i + 1) {
+            Some(next) => {
+                next.depth.add(1);
+                next.queue.push_back(job);
+            }
+            None => (job.reply)(job.poisoned.map_or(Ok(job.env), Err)),
+        }
+    }
+
+    /// The stop: one drain window for every stage's async stragglers, then
+    /// each stage's live variants are shut down.
+    fn drain(mut self) -> (Vec<StageRuntime>, Receiver<Inbound>) {
+        for i in 0..self.stages.len() {
+            self.feed(i, Event::Stop);
+        }
+        let until = Instant::now() + DRAIN_WINDOW;
+        while self.stages.iter().any(|s| s.state.owes_late_validation()) {
+            let Some(left) = until.checked_duration_since(Instant::now()) else { break };
+            if let Ok(inbound) = self.inbox.recv_timeout(left) {
+                self.handle(inbound);
+            }
+        }
+        let shutdown = encode(&StageRequest::Shutdown).expect("static message encodes");
+        for i in 0..self.stages.len() {
+            self.feed(i, Event::Deadline);
+            let Stage { state, shell, .. } = &mut self.stages[i];
+            let links = shell.runtime.links.iter_mut().enumerate();
+            for (_, link) in links.filter(|(v, _)| state.is_live(*v)) {
+                let _ = link.tx.send(&shutdown);
+            }
+        }
+        (self.stages.into_iter().map(|stage| stage.shell.runtime).collect(), self.inbox)
+    }
 }
 
 impl Shell {
-    fn feed(&mut self, state: &mut StageState, event: Event) {
-        step(state, event, self);
-        for failed in std::mem::take(&mut self.send_failed) {
-            step(state, failed, self);
-        }
-    }
-
-    fn feed_inbound(&mut self, state: &mut StageState, inbound: Inbound) {
-        let event = match inbound {
-            Inbound::Frame { variant, epoch, frame } if self.listening[variant] == Some(epoch) => {
+    /// What a variant's message means to `step`; `None` for one from a
+    /// link already reported lost, or replaced.
+    fn event(&mut self, inbound: Inbound) -> Option<Event> {
+        Some(match inbound {
+            Inbound::Frame { at: (_, variant), epoch, frame }
+                if self.listening[variant] == Some(epoch) =>
+            {
                 let link = &mut self.runtime.links[variant].rx;
                 let opened = link.open(frame).and_then(|payload| decode(&payload));
                 match opened {
@@ -309,69 +347,22 @@ impl Shell {
                     Err(_) => self.link_lost(variant, epoch),
                 }
             }
-            Inbound::Closed { variant, epoch } if self.listening[variant] == Some(epoch) => {
+            Inbound::Closed { at: (_, variant), epoch } if self.listening[variant] == Some(epoch) => {
                 self.link_lost(variant, epoch)
             }
-            Inbound::Recovered { variant, epoch, link } => {
+            Inbound::Recovered { at: (_, variant), epoch, link } => {
                 self.offered = Some((link, epoch));
                 Event::Recovered { variant, epoch }
             }
-            // From a link already reported lost, or replaced: nothing for
-            // `step` to act on.
-            Inbound::Frame { .. } | Inbound::Closed { .. } => return,
-        };
-        self.feed(state, event);
-        // Not adopted: dropped, and the fresh variant exits on a closed link.
-        self.offered = None;
+            _ => return None,
+        })
     }
 
     /// Stops listening to a variant's response link; the crash it means
-    /// is attributed to the job in hand.
+    /// is attributed to the job in hand, or the one taken next.
     fn link_lost(&mut self, variant: usize, epoch: u64) -> Event {
         self.listening[variant] = None;
         Event::Disconnected { variant, epoch, batch: self.batch }
-    }
-
-    fn run_job(&mut self, state: &mut StageState, job: StageJob, deadline: Duration) {
-        // Whatever is recorded from here on is in this batch's causal chain.
-        trace::set_current(job.trace);
-        self.batch = job.batch;
-        // Drain what arrived between batches before this dispatch, so a
-        // variant that recovered in the meantime votes on this very batch.
-        while let Ok(inbound) = self.runtime.responses.try_recv() {
-            self.feed_inbound(state, inbound);
-        }
-        if job.poisoned.is_some() {
-            // An upstream stage failed it: passed through untouched.
-            self.pass_on(job);
-            return;
-        }
-        let inputs = self.runtime.inputs.iter().map(|v| job.env.get(v).cloned().ok_or(*v)).collect();
-        self.job = Some(job);
-        self.feed(state, Event::Job { batch: self.batch, inputs });
-        while state.awaiting() {
-            // Anchored at dispatch: no frame, of any kind, re-arms it.
-            let left = self.checkpoint.as_ref().map_or(Duration::ZERO, |(_, _, dispatched_at)| {
-                (*dispatched_at + deadline).saturating_duration_since(Instant::now())
-            });
-            // (`runtime.inbox` keeps the inbox open: errors are timeouts.)
-            match (!left.is_zero()).then(|| self.runtime.responses.recv_timeout(left)) {
-                Some(Ok(inbound)) => self.feed_inbound(state, inbound),
-                _ => self.feed(state, Event::Deadline),
-            }
-        }
-    }
-
-    /// Hands a finished job to the next stage or, from the last, answers
-    /// it. A job the next stage can no longer take is dropped unanswered.
-    fn pass_on(&mut self, job: StageJob) {
-        match &self.next {
-            Some((next, depth)) => self.downstream_gone |= !enqueue(next, depth, job),
-            None => (job.reply)(match job.poisoned {
-                Some(reason) => Err(reason),
-                None => Ok(job.env),
-            }),
-        }
     }
 }
 
@@ -383,9 +374,9 @@ impl Sink for Shell {
                 let parent = self.job.as_ref().map_or(TraceCtx::NONE, |job| job.trace);
                 let span = trace::recorder().span(parent, &self.span_name, &self.track);
                 let span = span.arg("batch", batch).arg("live", to.len());
-                let ctx = span.ctx();
-                trace::set_current(ctx);
-                let request = StageRequest::Input { batch, trace: ctx.as_pair(), tensors };
+                self.trace = span.ctx();
+                trace::set_current(self.trace);
+                let request = StageRequest::Input { batch, trace: self.trace.as_pair(), tensors };
                 let frame = encode(&request).expect("stage requests always encode");
                 for v in to {
                     let link = &mut self.runtime.links[v];
@@ -403,10 +394,8 @@ impl Sink for Shell {
                     if path.is_some() { timer.finish() } else { timer.cancel() }
                     span
                 });
-                match path {
-                    Some(Path::Fast) => self.fast_path.inc(),
-                    Some(Path::Slow) => self.slow_path.inc(),
-                    None => {}
+                if let Some(path) = path {
+                    (if path == Path::Fast { &self.fast_path } else { &self.slow_path }).inc();
                 }
                 match result {
                     Err(reason) => job.poisoned = Some(reason),
@@ -417,15 +406,14 @@ impl Sink for Shell {
                         job.env.retain(|v, _| self.runtime.needed_downstream.contains(v));
                     }
                 }
-                self.pass_on(job);
-                drop(span); // the span covers the hand-off
+                self.forwarded = Some((job, span));
             }
             Action::Record(event) => self.events.record(event),
             Action::Transcript(entry) => self.runtime.transcript.record(entry),
             Action::Recover { variant, epoch, reason, resync } => {
                 let Some(tx) = &self.runtime.recovery else { return };
-                let (partition, inbox) = (self.runtime.partition, self.runtime.inbox.clone());
-                let _ = tx.send(RecoveryRequest { partition, variant, epoch, reason, resync, inbox });
+                let partition = self.runtime.partition;
+                let _ = tx.send(RecoveryRequest { partition, variant, epoch, reason, resync });
             }
             Action::Adopt { variant } => {
                 let Some((link, epoch)) = self.offered.take() else { return };
@@ -436,87 +424,98 @@ impl Sink for Shell {
     }
 }
 
-/// The `core.pipeline.p<P>.queue_depth` gauge: jobs sent to partition
-/// `P`'s stage and not yet taken by it, a sender blocked on a full queue
-/// included. Every replica's stage `P` counts into the same gauge, so the
-/// value is summed over replicas.
-fn queue_depth(partition: usize) -> Gauge {
-    mvtee_telemetry::gauge(&format!("core.pipeline.p{partition}.queue_depth"))
+/// A running monitor: where jobs go in, and the thread that answers them.
+pub struct MonitorHandle {
+    inbox: Sender<Inbound>,
+    /// The first stage's `STAGE_QUEUE_DEPTH` job slots and depth gauge.
+    slots: SyncSender<()>,
+    depth: Gauge,
+    thread: JoinHandle<(Vec<StageRuntime>, Receiver<Inbound>)>,
 }
 
-/// Sends `job` into a stage's queue, counted on that stage's `depth`
-/// gauge from before the send until the stage takes it. `false`: the
-/// stage is gone, the job dropped and the count taken back.
-pub(crate) fn enqueue(queue: &SyncSender<CoordMsg>, depth: &Gauge, job: StageJob) -> bool {
-    depth.add(1);
-    let sent = queue.send(CoordMsg::Job(job)).is_ok();
-    if !sent {
-        depth.add(-1);
+impl MonitorHandle {
+    /// Hands `job` to the first stage, counted on its queue-depth gauge
+    /// until the stage takes it; blocks while that stage holds
+    /// `STAGE_QUEUE_DEPTH` jobs. `false`: the monitor is gone, the job
+    /// dropped unanswered and the count taken back.
+    pub fn submit(&self, job: StageJob) -> bool {
+        self.depth.add(1);
+        let sent = self.slots.send(()).is_ok() && self.inbox.send(Inbound::Job(job)).is_ok();
+        if !sent {
+            self.depth.add(-1);
+        }
+        sent
     }
-    sent
+
+    /// Stops the monitor once every job handed in is answered. Returns the
+    /// stages' runtimes and the inbox, which stays open while the caller
+    /// holds it: a recovery still in flight can deliver there. `Err`: the
+    /// monitor thread panicked.
+    pub fn stop(self) -> std::thread::Result<(Vec<StageRuntime>, Receiver<Inbound>)> {
+        let _ = self.inbox.send(Inbound::Stop);
+        self.thread.join()
+    }
 }
 
-/// A handle to the running pipeline.
-pub struct PipelineHandles {
-    /// Sender into the first stage: jobs, each counted on
-    /// `first_stage_depth`, then one [`CoordMsg::Stop`].
-    pub first_stage: SyncSender<CoordMsg>,
-    /// The first stage's queue-depth gauge.
-    pub(crate) first_stage_depth: Gauge,
-    /// Coordinator join handles (return their runtimes).
-    pub threads: Vec<JoinHandle<StageRuntime>>,
-}
-
-/// Wires coordinators into a linear pipeline and spawns them.
-///
-/// Stage `i` sends its finished jobs straight into stage `i + 1`'s job
-/// queue (bounded at `STAGE_QUEUE_DEPTH`, so a slow stage pushes back on
-/// the one before it); the last stage answers each job's reply. A
-/// stopped stage drops its queue's receiver: the upstream send fails and
-/// the upstream coordinator stops taking jobs in turn.
-pub fn spawn_pipeline(
+/// Spawns the `monitor` thread over `runtimes`, stage `i` running
+/// partition `i`, with `inbox` the channel their variants' response ports
+/// send into.
+pub fn spawn_monitor(
     runtimes: Vec<StageRuntime>,
     policy: StagePolicy,
     metrics: Vec<Metric>,
     events: EventLog,
-) -> PipelineHandles {
-    let n = runtimes.len();
-    assert!(n > 0, "pipeline needs at least one stage");
-    assert_eq!(metrics.len(), n, "one metric per stage");
-    let (stage_inputs, stage_rxs): (Vec<_>, Vec<_>) = runtimes
-        .iter()
-        .map(|runtime| {
-            let (queue, in_rx) = sync_channel(STAGE_QUEUE_DEPTH);
-            ((queue, queue_depth(runtime.partition)), in_rx)
-        })
-        .unzip();
-    let (first_stage, first_stage_depth) = stage_inputs[0].clone();
-    let downstream = stage_inputs.into_iter().skip(1).map(Some).chain([None]);
-    let threads = runtimes
-        .into_iter()
-        .zip(stage_rxs)
-        .zip(downstream)
-        .zip(metrics)
-        .enumerate()
-        .map(|(i, (((runtime, in_rx), next), metric))| {
-            let events = events.clone();
-            std::thread::Builder::new()
-                .name(format!("stage-{i}"))
-                .spawn(move || run_stage(runtime, policy, metric, in_rx, next, events))
-                .expect("thread spawn cannot fail")
+    (sender, inbox): (Sender<Inbound>, Receiver<Inbound>),
+) -> MonitorHandle {
+    assert!(!runtimes.is_empty(), "pipeline needs at least one stage");
+    assert_eq!(metrics.len(), runtimes.len(), "one metric per stage");
+    // Jobs handed to stage `P` and not yet taken, a blocked submitter's
+    // included; every replica's stage `P` counts into the same gauge.
+    let depth = |p: usize| mvtee_telemetry::gauge(&format!("core.pipeline.p{p}.queue_depth"));
+    let stages = (runtimes.into_iter().zip(metrics).enumerate())
+        .map(|(p, (runtime, metric))| {
+            assert_eq!(runtime.partition, p, "stage {p} runs partition {p}");
+            let (variants, outputs) = (runtime.links.len(), runtime.outputs.len());
+            let (slow, recovery) = (runtime.slow, runtime.recovery.is_some());
+            let config = StageConfig { partition: p, variants, outputs, slow, recovery, policy, metric };
+            let latency = format!("core.pipeline.p{p}.checkpoint_latency_ns");
+            let shell = Shell {
+                runtime,
+                listening: vec![Some(0); variants],
+                events: events.clone(),
+                checkpoint_latency: mvtee_telemetry::histogram(&latency),
+                fast_path: mvtee_telemetry::counter("core.voting.fast_path"),
+                slow_path: mvtee_telemetry::counter("core.voting.slow_path"),
+                span_name: format!("core.p{p}.checkpoint"),
+                track: format!("p{p}"),
+                job: None,
+                batch: 0,
+                trace: TraceCtx::NONE,
+                checkpoint: None,
+                send_failed: Vec::new(),
+                offered: None,
+                forwarded: None,
+            };
+            Stage { state: StageState::new(config), shell, queue: VecDeque::new(), depth: depth(p) }
         })
         .collect();
-    PipelineHandles { first_stage, first_stage_depth, threads }
+    let (slots, taken) = sync_channel(STAGE_QUEUE_DEPTH);
+    let monitor = Monitor { stages, inbox, slots: taken, deadline: policy.deadline, stopping: false };
+    let thread = std::thread::Builder::new()
+        .name("monitor".into())
+        .spawn(move || monitor.run())
+        .expect("thread spawn cannot fail");
+    MonitorHandle { inbox: sender, slots, depth: depth(0), thread }
 }
 
 #[cfg(test)]
 mod tests {
-    //! Shell smoke tests over real threads and links. The coordinator's
-    //! decisions are tested (and enumerated) in [`crate::stage`].
+    //! Shell smoke tests over real threads and links. A stage's decisions
+    //! are tested (and enumerated) in [`crate::stage`].
 
     use super::*;
     use crate::events::MonitorEvent;
-    use crate::link::{link_pair, ResponsePort};
+    use crate::link::{link_pair, DataLink, ResponsePort};
     use mvtee_crypto::channel::Role;
     use std::sync::mpsc::channel;
 
@@ -560,19 +559,21 @@ mod tests {
         VariantLink { tx: req_monitor, rx, description: "fake".into() }
     }
 
-    fn fake_stage(partition: usize, behaviours: &[Behaviour], slow: bool) -> StageRuntime {
-        let (inbox, responses) = channel();
+    fn fake_stage(
+        partition: usize,
+        behaviours: &[Behaviour],
+        slow: bool,
+        inbox: &Sender<Inbound>,
+    ) -> StageRuntime {
         let links = behaviours
             .iter()
             .enumerate()
-            .map(|(v, &b)| fake_variant(b, ResponsePort::new(inbox.clone(), v, 0)))
+            .map(|(v, &b)| fake_variant(b, ResponsePort::new(inbox.clone(), (partition, v), 0)))
             .collect();
         // Stage `p` consumes value `p` and emits value `p + 1`.
         StageRuntime {
             partition,
             links,
-            inbox,
-            responses,
             inputs: vec![ValueId(partition)],
             outputs: vec![ValueId(partition + 1)],
             needed_downstream: HashSet::from([ValueId(partition + 1)]),
@@ -617,21 +618,20 @@ mod tests {
     fn watchdog_escalates_chattering_variant_within_one_deadline() {
         let deadline = Duration::from_millis(240);
         let chatter = Behaviour::ChatterFrom { batch: 1, every: deadline / 3, times: 30 };
-        let runtime = fake_stage(0, &[Behaviour::Echo, Behaviour::Echo, chatter], true);
-        let (in_tx, in_rx) = sync_channel::<CoordMsg>(64);
+        let (inbox, responses) = channel();
+        let runtime = fake_stage(0, &[Behaviour::Echo, Behaviour::Echo, chatter], true, &inbox);
         let (out_tx, out_rx) = channel::<Answer>();
         let events = EventLog::new();
-        let ev = events.clone();
         let p = policy(ResponsePolicy::ContinueWithMajority, deadline);
-        let stage =
-            std::thread::spawn(move || run_stage(runtime, p, Metric::strict(), in_rx, None, ev));
+        let inbox = (inbox, responses);
+        let monitor = spawn_monitor(vec![runtime], p, vec![Metric::strict()], events.clone(), inbox);
 
-        in_tx.send(CoordMsg::Job(job(0, 1.0, &out_tx))).expect("sends");
+        assert!(monitor.submit(job(0, 1.0, &out_tx)), "sends");
         let healthy = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
         assert!(healthy.is_ok());
 
         let start = Instant::now();
-        in_tx.send(CoordMsg::Job(job(1, 2.0, &out_tx))).expect("sends");
+        assert!(monitor.submit(job(1, 2.0, &out_tx)), "sends");
         let hung = out_rx.recv_timeout(Duration::from_secs(20)).expect("result");
         let waited = start.elapsed();
         // Ten deadlines of chatter were on offer; one was waited out.
@@ -646,48 +646,162 @@ mod tests {
         assert!(escalated, "watchdog must flag the chattering variant: {:?}", events.events());
 
         // Batch 2 runs on the reduced panel.
-        in_tx.send(CoordMsg::Job(job(2, 3.0, &out_tx))).expect("sends");
+        assert!(monitor.submit(job(2, 3.0, &out_tx)), "sends");
         let after = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
         assert_eq!(after.expect("answered")[&ValueId(1)].data(), &[3.0; 4]);
-        in_tx.send(CoordMsg::Stop).expect("stops");
-        let _ = stage.join().expect("joins");
+        let _ = monitor.stop().expect("joins");
     }
 
     #[test]
     fn pipeline_of_two_stages_chains_jobs() {
-        let stages =
-            vec![fake_stage(0, &[Behaviour::Echo], false), fake_stage(1, &[Behaviour::Echo], false)];
+        let (inbox, responses) = channel();
+        let stages = vec![
+            fake_stage(0, &[Behaviour::Echo], false, &inbox),
+            fake_stage(1, &[Behaviour::Echo], false, &inbox),
+        ];
         let events = EventLog::new();
-        let handles = spawn_pipeline(
+        let monitor = spawn_monitor(
             stages,
             policy(ResponsePolicy::Halt, Duration::from_secs(30)),
             vec![Metric::strict(), Metric::strict()],
             events.clone(),
+            (inbox, responses),
         );
         let (answers, answered) = channel::<Answer>();
-        let (first, depth) = (&handles.first_stage, &handles.first_stage_depth);
-        assert!(enqueue(first, depth, job(0, 6.0, &answers)));
+        assert!(monitor.submit(job(0, 6.0, &answers)));
         let result = answered.recv_timeout(Duration::from_secs(10)).expect("result");
         assert_eq!(result.expect("answered")[&ValueId(2)].data(), &[6.0; 4]);
         // A job an upstream stage failed passes through every stage
         // untouched and unaudited.
         let poisoned =
             StageJob { poisoned: Some("upstream failure".into()), ..job(1, 7.0, &answers) };
-        assert!(enqueue(first, depth, poisoned));
+        assert!(monitor.submit(poisoned));
         let result = answered.recv_timeout(Duration::from_secs(10)).expect("result");
         assert_eq!(result.err().as_deref(), Some("upstream failure"));
         assert!(events.is_empty());
         // A stop right behind a run of jobs answers every one of them.
         for b in 2..8 {
-            assert!(enqueue(first, depth, job(b, b as f32, &answers)));
+            assert!(monitor.submit(job(b, b as f32, &answers)));
         }
-        handles.first_stage.send(CoordMsg::Stop).expect("stops");
-        for t in handles.threads {
-            let _ = t.join();
-        }
+        let _ = monitor.stop();
         let values: Vec<f32> = std::iter::from_fn(|| answered.try_recv().ok())
             .map(|a| a.expect("answered")[&ValueId(2)].data()[0])
             .collect();
         assert_eq!(values, [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+    }
+
+    /// Holds a fake variant's answers until released, counting the
+    /// requests it has been sent.
+    #[derive(Default)]
+    struct Gate {
+        requests: std::sync::atomic::AtomicUsize,
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn requests(&self) -> usize {
+            self.requests.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    /// An echoing fake variant that answers nothing until `gate` opens.
+    fn held_variant(gate: std::sync::Arc<Gate>, port: ResponsePort) -> VariantLink {
+        let (req_monitor, req_variant) = link_pair(false, b"", 0);
+        std::thread::spawn(move || {
+            let mut rx = req_variant;
+            let mut tx = DataLink::plain(port);
+            while let Ok(frame) = rx.recv() {
+                let Ok(StageRequest::Input { batch, tensors, .. }) = decode(&frame) else { break };
+                gate.requests.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let mut open = gate.open.lock().unwrap();
+                while !*open {
+                    open = gate.opened.wait(open).unwrap();
+                }
+                drop(open);
+                let frame = encode(&StageResponse::Output { batch, tensors }).expect("encodes");
+                if tx.send(&frame).is_err() {
+                    return;
+                }
+            }
+        });
+        let rx = DataLink::inbound(false, b"", Role::Initiator, 1);
+        VariantLink { tx: req_monitor, rx, description: "held".into() }
+    }
+
+    /// Polls `f` until it holds or ten seconds pass.
+    fn eventually(f: impl Fn() -> bool) -> bool {
+        let until = Instant::now() + Duration::from_secs(10);
+        while !f() && Instant::now() < until {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        f()
+    }
+
+    /// With every answer held, the submitter blocks once the first stage
+    /// holds `STAGE_QUEUE_DEPTH` jobs behind the one in flight; with only
+    /// the second stage's held, its queue fills to the bound and no
+    /// further (a stage blocked handing one more over counts as holding
+    /// it). Opened, every job is answered in order.
+    #[test]
+    fn back_pressure_bounds_every_stage_queue() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let gates = [Arc::new(Gate::default()), Arc::new(Gate::default())];
+        let (inbox, responses) = channel();
+        let stages = (0..2)
+            .map(|p| {
+                let port = ResponsePort::new(inbox.clone(), (p, 0), 0);
+                StageRuntime {
+                    links: vec![held_variant(Arc::clone(&gates[p]), port)],
+                    ..fake_stage(p, &[], false, &inbox)
+                }
+            })
+            .collect();
+        let policy = policy(ResponsePolicy::Halt, Duration::from_secs(600));
+        let metrics = vec![Metric::strict(), Metric::strict()];
+        let inbox = (inbox, responses);
+        let monitor = Arc::new(spawn_monitor(stages, policy, metrics, EventLog::new(), inbox));
+        let jobs = 3 * STAGE_QUEUE_DEPTH;
+        let submitted = Arc::new(AtomicUsize::new(0));
+        let (answers, answered) = channel::<Answer>();
+        let submitter = std::thread::spawn({
+            let (monitor, submitted) = (Arc::clone(&monitor), Arc::clone(&submitted));
+            move || {
+                for b in 0..jobs {
+                    assert!(monitor.submit(job(b as u64, b as f32, &answers)));
+                    submitted.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        });
+
+        // One job in flight at the first stage, the bound queued behind it.
+        let first_full = 1 + STAGE_QUEUE_DEPTH;
+        assert!(eventually(|| submitted.load(Ordering::SeqCst) == first_full));
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(submitted.load(Ordering::SeqCst), first_full, "the submitter blocks");
+        assert_eq!((gates[0].requests(), gates[1].requests()), (1, 0));
+
+        // The first stage drains into the second until that one is full.
+        gates[0].open();
+        let second = || gates[0].requests() - gates[1].requests();
+        assert!(eventually(|| gates[1].requests() == 1 && second() >= STAGE_QUEUE_DEPTH));
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(second() <= STAGE_QUEUE_DEPTH + 1, "second stage holds {}", second());
+        assert_eq!(gates[1].requests(), 1);
+
+        gates[1].open();
+        submitter.join().expect("every job submitted");
+        let monitor = Arc::into_inner(monitor).expect("the submitter is done");
+        let _ = monitor.stop();
+        let values: Vec<f32> = std::iter::from_fn(|| answered.try_recv().ok())
+            .map(|a| a.expect("answered")[&ValueId(2)].data()[0])
+            .collect();
+        assert_eq!(values, (0..jobs).map(|b| b as f32).collect::<Vec<_>>());
     }
 }

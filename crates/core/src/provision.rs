@@ -22,12 +22,11 @@
 use crate::config::{MvxConfig, SupervisionPolicy};
 use crate::deployment::{BindingRecord, VariantArtifact};
 use crate::events::{EventLog, MonitorEvent};
-use crate::link::{DataLink, ResponsePort};
+use crate::link::{DataLink, ResponsePort, VariantLink};
 use crate::messages::{
     bootstrap_session_secret, bootstrap_transcript_hash, decode, encode, BootstrapRequest,
     BootstrapResponse, InstallEvidence, KeyRelease,
 };
-use crate::pipeline::VariantLink;
 use crate::supervisor::HeartbeatMonitor;
 use crate::variant_host::{spawn_variant, HostFaults, VariantHandle, VariantLaunch};
 use crate::worker::{accept_worker, worker_binary, VariantPlacement, WorkerPlacement};
@@ -574,7 +573,7 @@ mod tests {
         let artifact = &offline.artifacts[0][0];
         let no_faults = HostFaults::default;
         let (inbox, answers) = std::sync::mpsc::channel();
-        let port = || ResponsePort::new(inbox.clone(), 0, 0);
+        let port = || ResponsePort::new(inbox.clone(), (0, 0), 0);
 
         // The variant notices: its sealed payload does not authenticate.
         // (Returning at all means the host thread was joined: a
@@ -587,7 +586,7 @@ mod tests {
         assert!(failed.is_err(), "a tampered sealed blob must block the bootstrap");
         left_behind(&provisioner, 0, 0);
         // Its port closed with it, and said so.
-        assert!(matches!(answers.try_recv(), Ok(Inbound::Closed { variant: 0, epoch: 0 })));
+        assert!(matches!(answers.try_recv(), Ok(Inbound::Closed { at: (0, 0), epoch: 0 })));
 
         // The same slot then comes up from the untampered artifact, and
         // the variant serves into its port.
@@ -601,7 +600,7 @@ mod tests {
             tensors: vec![Tensor::ones(&[1, 3, 32, 32])],
         };
         link.tx.send(&encode(&request).expect("encodes")).expect("sends");
-        let Ok(Inbound::Frame { variant: 0, epoch: 0, frame }) = answers.recv() else {
+        let Ok(Inbound::Frame { at: (0, 0), epoch: 0, frame }) = answers.recv() else {
             panic!("no answer frame");
         };
         let reply = decode::<StageResponse>(&link.rx.open(frame).expect("opens")).expect("decodes");
@@ -667,7 +666,7 @@ mod tests {
     fn a_low_order_variant_key_gets_no_key_release() {
         let (offline, provisioner) = fixture();
         let (inbox, _answers) = std::sync::mpsc::channel();
-        let port = ResponsePort::new(inbox, 0, 0);
+        let port = ResponsePort::new(inbox, (0, 0), 0);
         let faults = HostFaults { script: Some(low_order_host), ..HostFaults::default() };
         let artifact = &offline.artifacts[0][0];
         let failed = provisioner.bring_up((0, 0), artifact, faults, None, port, |_, _| Ok(()));

@@ -7,7 +7,7 @@
 //! becomes a fast path. The recovery manager restores full panel
 //! strength mid-stream:
 //!
-//! 1. a coordinator **quarantines** the offending variant (bumping its
+//! 1. a stage **quarantines** the offending variant (bumping its
 //!    channel epoch so in-flight pre-quarantine frames are recognisably
 //!    stale) and files a [`RecoveryRequest`] carrying the last *verified*
 //!    checkpoint payload,
@@ -23,8 +23,8 @@
 //!    traffic,
 //! 4. the replacement answers probation into a channel of the manager's
 //!    own; on success the manager re-points its response port, once, at
-//!    the coordinator's inbox and hands the coordinator its links there
-//!    via [`Inbound::Recovered`]. The variant rejoins the panel on the
+//!    the monitor's inbox and hands the stage its links there via
+//!    [`Inbound::Recovered`]. The variant rejoins the panel on the
 //!    next batch without replaying batch history.
 
 use crate::config::RecoveryPolicy;
@@ -61,7 +61,7 @@ pub struct ResyncPoint {
     pub outputs: Vec<mvtee_tensor::Tensor>,
 }
 
-/// A coordinator's request to re-provision one quarantined variant.
+/// A stage's request to re-provision one quarantined variant.
 pub struct RecoveryRequest {
     /// Partition index.
     pub partition: usize,
@@ -75,8 +75,6 @@ pub struct RecoveryRequest {
     /// probation is skipped and the freshly attested variant rejoins
     /// directly).
     pub resync: Option<ResyncPoint>,
-    /// The coordinator's inbox.
-    pub inbox: Sender<Inbound>,
 }
 
 /// What only recovery knows on top of the bring-up state it shares with
@@ -93,6 +91,8 @@ pub(crate) struct RecoveryContext {
     pub metrics: Vec<mvtee_tensor::metrics::Metric>,
     /// Whether and how stubbornly to recover.
     pub policy: RecoveryPolicy,
+    /// The monitor's inbox, where a replacement rejoins.
+    pub inbox: Sender<Inbound>,
     /// The platform-wide simulated faults (a CVE, a FrameFlip). They
     /// persist across re-provisioning — the host software stack does not
     /// change when an enclave restarts — whereas liveness and wire faults
@@ -102,7 +102,7 @@ pub(crate) struct RecoveryContext {
 }
 
 /// Spawns the recovery-manager thread. It exits when every
-/// [`RecoveryRequest`] sender (one per coordinator plus the deployment's
+/// [`RecoveryRequest`] sender (one per stage plus the deployment's
 /// own) has been dropped.
 pub(crate) fn spawn_recovery_manager(
     ctx: RecoveryContext,
@@ -134,7 +134,8 @@ pub(crate) fn spawn_recovery_manager(
                     }
                     deaths.push_back(now);
                     if deaths.len() as u64 > u64::from(ctx.policy.crash_loop_budget) {
-                        crash_loop_trips.inc();
+                        // Logged before it is counted: whoever sees the
+                        // trip counted finds its reason in the log.
                         events.record(MonitorEvent::RecoveryFailed {
                             partition: req.partition,
                             variant: req.variant,
@@ -147,6 +148,7 @@ pub(crate) fn spawn_recovery_manager(
                                 ctx.policy.crash_loop_budget
                             ),
                         });
+                        crash_loop_trips.inc();
                         continue;
                     }
                 }
@@ -205,7 +207,7 @@ pub(crate) fn spawn_recovery_manager(
 }
 
 /// One re-provisioning attempt: seal a fresh bundle, bring a fresh
-/// enclave up on probation, hand its link to the coordinator.
+/// enclave up on probation, hand its link to the stage.
 fn attempt_recovery(ctx: &RecoveryContext, req: &RecoveryRequest, seq: u64) -> Result<()> {
     let (p, v) = (req.partition, req.variant);
     let provisioner = &ctx.provisioner;
@@ -227,15 +229,15 @@ fn attempt_recovery(ctx: &RecoveryContext, req: &RecoveryRequest, seq: u64) -> R
     // It answers probation to the manager alone, and the stage only behind
     // the rejoin. It sends only what it is asked: no frame falls between.
     let (private, answers) = channel();
-    let port = ResponsePort::new(private, v, req.epoch);
+    let port = ResponsePort::new(private, (p, v), req.epoch);
     let repoint = port.repoint_handle();
     let faults = ctx.platform_faults.clone();
     let on_probation = |tx: &mut _, rx: &mut _| probation(ctx, req, tx, rx, &answers);
     let mut link = provisioner.bring_up((p, v), &artifact, faults, None, port, on_probation)?;
     link.description.push_str(" (recovered)");
-    let rejoin = Inbound::Recovered { variant: v, epoch: req.epoch, link };
+    let rejoin = Inbound::Recovered { at: (p, v), epoch: req.epoch, link };
     let gone = || MvxError::Transport("replacement or pipeline gone before rejoin".into());
-    repoint.to(req.inbox.clone(), rejoin).then_some(()).ok_or_else(gone)
+    repoint.to(ctx.inbox.clone(), rejoin).then_some(()).ok_or_else(gone)
 }
 
 /// Probation: replay the last verified checkpoint inputs and demand the

@@ -9,7 +9,7 @@
 //! exhausted, at which point the supervisor records [`WorkerStalled`]
 //! and **closes the worker's connection**. That escalation is the whole
 //! trick — the connection's mux pump exits and drops the variant's
-//! response port, so the stage coordinator receives `Closed` exactly as
+//! response port, so the variant's stage receives `Closed` exactly as
 //! for a crash, quarantines the variant and hands it to the recovery
 //! manager: stalls heal through the same audited path as deaths instead
 //! of hanging the panel forever.

@@ -159,8 +159,8 @@ struct Storage {
 
 /// Thread-safe append-only log of voted checkpoint verdicts.
 ///
-/// Cloning shares the underlying log; coordinators for different
-/// partitions append concurrently. Entries are stored in append order as
+/// Cloning shares the underlying log; the monitor thread appends while
+/// other threads read. Entries are stored in append order as
 /// 48-byte `Record`s, in blocks of `BLOCK_ENTRIES` allocated at exact
 /// capacity, so the log grows by one block at a time and never moves an
 /// entry: a single doubling `Vec` would copy everything and briefly hold

@@ -93,7 +93,8 @@ impl VariantSpec {
 
     /// A coarse diversity distance in `[0, 1]` between two specs: counts
     /// differing diversification axes (engine family, BLAS, conv strategy,
-    /// accumulation, optimisation, TEE, transform set).
+    /// accumulation, optimisation, GEMM kernel, TEE, transform set). The
+    /// kernel axis compares the kernel each strategy runs, not its label.
     pub fn diversity_distance(&self, other: &VariantSpec) -> f64 {
         let mut differing = 0usize;
         const AXES: usize = 8;
@@ -112,7 +113,7 @@ impl VariantSpec {
         if self.engine.optimize != other.engine.optimize {
             differing += 1;
         }
-        if self.engine.kernel_strategy != other.engine.kernel_strategy {
+        if self.engine.kernel_strategy.resolve() != other.engine.kernel_strategy.resolve() {
             differing += 1;
         }
         if self.tee != other.tee {
@@ -257,6 +258,23 @@ mod tests {
         s.hardening.push("bounds-check".into());
         assert!(s.has_hardening("bounds-check"));
         assert!(!s.has_hardening("sanitizer-address"));
+    }
+
+    #[test]
+    fn kernel_strategies_running_one_kernel_differ_on_no_axis() {
+        let with = |ks| {
+            let mut s = VariantSpec::replicated(0, EngineKind::OrtLike);
+            s.engine = s.engine.with_kernel_strategy(ks);
+            s
+        };
+        let one_kernel = [KernelStrategy::Auto, KernelStrategy::Scalar, KernelStrategy::PanelPacked];
+        for a in one_kernel {
+            for b in one_kernel {
+                assert_eq!(with(a).diversity_distance(&with(b)), 0.0, "{a} vs {b}");
+            }
+            let simd = with(KernelStrategy::SimdMicrokernel);
+            assert_eq!(with(a).diversity_distance(&simd), 1.0 / 8.0, "{a} vs simd");
+        }
     }
 
     #[test]

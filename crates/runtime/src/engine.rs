@@ -620,7 +620,12 @@ impl Interpreter {
             Op::Lrn { size, alpha, beta, bias } => {
                 kernels::lrn(inputs[0], *size, *alpha, *beta, *bias)
             }
-            Op::Add => Ok(inputs[0].broadcast_with(inputs[1], |a, b| a + b)?),
+            // A NaN left operand adds `0.0`, as in the conv epilogue: which
+            // payload survives two NaNs would otherwise be the compiler's
+            // choice of operand order.
+            Op::Add => {
+                Ok(inputs[0].broadcast_with(inputs[1], |a, b| a + if a.is_nan() { 0.0 } else { b })?)
+            }
             Op::Mul => Ok(inputs[0].broadcast_with(inputs[1], |a, b| a * b)?),
             Op::Concat { axis } => kernels::concat(inputs, *axis),
             Op::Softmax { axis } => kernels::softmax_with(&self.pool, inputs[0], *axis, acc),

@@ -788,12 +788,16 @@ pub fn gemm_fc_with(
             }
         }
     }
+    // The conv epilogue's rule: a NaN product adds `0.0` instead of the
+    // bias, so no addition sees two NaNs and the compiler's choice of
+    // operand order (which differs between a vectorised body and its
+    // tail) cannot pick the payload.
     if let Some(b) = bias {
         let bd = b.data();
         pool.for_each_chunk(n, m, &mut out, |_, r0, r1, block| {
             for row in block[..(r1 - r0) * m].chunks_mut(m) {
                 for (v, &bv) in row.iter_mut().zip(bd.iter()) {
-                    *v += bv;
+                    *v += if v.is_nan() { 0.0 } else { bv };
                 }
             }
         });

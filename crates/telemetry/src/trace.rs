@@ -2,7 +2,7 @@
 //!
 //! A [`TraceCtx`] names one causal chain (one serve request, one
 //! pipeline batch, one recovery attempt) and is threaded through the
-//! serving frontend, the pipeline coordinators, the variant hosts, the
+//! serving frontend, the monitor's pipeline stages, the variant hosts, the
 //! inference runtime and the secure channels. Each instrumented site
 //! opens a [`SpanGuard`] (duration span) or emits an instant event; the
 //! process-wide [`Recorder`] keeps the most recent events in a sharded
@@ -30,7 +30,7 @@
 //!
 //! Crates that cannot thread a context through their API (the runtime
 //! interpreter, the crypto channels) read the per-thread ambient
-//! context: coordinators and variant hosts call [`set_current`] when
+//! context: the monitor and variant hosts call [`set_current`] when
 //! they pick up a batch, and leaf spans parent themselves under
 //! [`current`].
 

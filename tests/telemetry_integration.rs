@@ -7,9 +7,9 @@
 
 use mvtee::config::{DegradationPolicy, ExecMode, ResponsePolicy, VotingPolicy};
 use mvtee::events::{EventLog, MonitorEvent};
-use mvtee::link::{link_pair, DataLink, ResponsePort};
+use mvtee::link::{link_pair, DataLink, ResponsePort, VariantLink};
 use mvtee::messages::{decode, encode, StageRequest, StageResponse};
-use mvtee::pipeline::{run_stage, CoordMsg, StageJob, StagePolicy, StageRuntime, VariantLink};
+use mvtee::pipeline::{spawn_monitor, StageJob, StagePolicy, StageRuntime};
 use mvtee_crypto::channel::Role;
 use mvtee::prelude::*;
 use mvtee_faults::{flip_weight_bits, BitFlipStrategy};
@@ -125,14 +125,12 @@ fn bitflip_divergence_increments_counter_exactly_once() {
     let links = [clean, corrupted]
         .into_iter()
         .enumerate()
-        .map(|(v, prepared)| spawn_model_variant(prepared, ResponsePort::new(inbox.clone(), v, 0)))
+        .map(|(v, prepared)| spawn_model_variant(prepared, ResponsePort::new(inbox.clone(), (0, v), 0)))
         .collect();
     let output_id = *model.graph.outputs().first().expect("one output");
     let runtime = StageRuntime {
         partition: 0,
         links,
-        inbox,
-        responses,
         inputs: vec![*model.graph.inputs().first().expect("one input")],
         outputs: vec![output_id],
         needed_downstream: HashSet::from([output_id]),
@@ -151,12 +149,10 @@ fn bitflip_divergence_increments_counter_exactly_once() {
     let before = mvtee_telemetry::snapshot();
     let before_divergence = before.counters.get("core.events.divergence").copied().unwrap_or(0);
 
-    let (in_tx, in_rx) = sync_channel::<CoordMsg>(8);
     let (out_tx, out_rx) = sync_channel(1);
     let events = EventLog::new();
-    let ev = events.clone();
-    let coordinator =
-        std::thread::spawn(move || run_stage(runtime, policy, Metric::strict(), in_rx, None, ev));
+    let inbox = (inbox, responses);
+    let monitor = spawn_monitor(vec![runtime], policy, vec![Metric::strict()], events.clone(), inbox);
     let mut env = HashMap::new();
     env.insert(*runtime_input_id(&model), input);
     let job = StageJob {
@@ -168,12 +164,11 @@ fn bitflip_divergence_increments_counter_exactly_once() {
             let _ = out_tx.send(answer);
         }),
     };
-    in_tx.send(CoordMsg::Job(job)).expect("sends");
+    assert!(monitor.submit(job), "sends");
     let result = out_rx
         .recv_timeout(std::time::Duration::from_secs(30))
-        .expect("coordinator answers");
-    in_tx.send(CoordMsg::Stop).expect("stops");
-    coordinator.join().expect("coordinator exits");
+        .expect("monitor answers");
+    monitor.stop().expect("monitor exits");
 
     assert!(result.is_err(), "halt policy must poison the batch");
     let divergences = events

@@ -1,11 +1,12 @@
 //! Thread census: what a deployment runs, counted from the process's own
 //! task list rather than assumed.
 //!
-//! The monitor side of a deployment is one coordinator thread per stage;
-//! a variant costs one host thread in-process, and out-of-process only the
+//! The monitor side of a deployment is one `monitor` thread, whatever its
+//! number of stages, and a replica pool runs one per replica; a variant
+//! costs one host thread in-process, and out-of-process only the
 //! demultiplexer pump of its worker's connection (plus a heartbeat
-//! watcher when supervised). Nothing on the monitor side runs per variant
-//! beyond that, and `shutdown` leaves no thread behind.
+//! watcher when supervised). Nothing on the monitor side runs per stage or
+//! per variant beyond that, and `shutdown` leaves no thread behind.
 //!
 //! One test in its own binary, so the census sees no other test's
 //! threads.
@@ -71,18 +72,22 @@ fn builder(
     Deployment::builder(model).config(cfg)
 }
 
-/// Builds, takes the census once it settles on `expected` over the
-/// pre-build census, then shuts down and expects the pre-build census back.
-fn census_of(what: &str, builder: DeploymentBuilder, expected: &[(&str, usize)]) {
+/// Builds `replicas` replicas (the plain build for one), takes the census
+/// once it settles on `expected` over the pre-build census, then shuts
+/// them down and expects the pre-build census back.
+fn census_of(what: &str, builder: DeploymentBuilder, replicas: usize, expected: &[(&str, usize)]) {
     let before = census();
-    let mut deployment = builder.build().expect("deploys");
+    let mut deployments = match replicas {
+        1 => vec![builder.build().expect("deploys")],
+        n => builder.build_many(n).expect("deploys"),
+    };
     let want = plus(&before, expected);
     assert_eq!(
         settle(&want),
         want,
         "{what}: running (left) vs expected (right)"
     );
-    deployment.shutdown();
+    deployments.iter_mut().for_each(Deployment::shutdown);
     assert_eq!(
         settle(&before),
         before,
@@ -93,13 +98,17 @@ fn census_of(what: &str, builder: DeploymentBuilder, expected: &[(&str, usize)])
 #[test]
 fn a_deployment_runs_no_monitor_thread_per_variant() {
     let unsupervised = SupervisionPolicy::default;
-    // 6 partitions x 3 variants in-process: 18 hosts, 6 coordinators.
+    // 6 partitions x 3 variants in-process: 18 hosts, one monitor.
     let in_process = builder(6, 3, unsupervised());
     census_of(
         "6x3 in-process",
         in_process,
-        &[("variant-p", 18), ("stage-", 6)],
+        1,
+        &[("variant-p", 18), ("monitor", 1)],
     );
+    // A pool of two 2x3 replicas: one monitor per replica.
+    let pool = builder(2, 3, unsupervised());
+    census_of("two 2x3 replicas", pool, 2, &[("variant-p", 12), ("monitor", 2)]);
 
     // One of a 2x2 panel's variants in a worker process: its host thread
     // gives way to the pump of the worker's connection, and supervision
@@ -110,12 +119,13 @@ fn a_deployment_runs_no_monitor_thread_per_variant() {
             .worker_binary(worker)
             .out_of_process(1, 1)
     };
-    let one_out = [("variant-p", 3), ("stage-", 2), ("mux-pump", 1)];
-    census_of("2x2, one out-of-process", placed(unsupervised()), &one_out);
+    let one_out = [("variant-p", 3), ("monitor", 1), ("mux-pump", 1)];
+    census_of("2x2, one out-of-process", placed(unsupervised()), 1, &one_out);
     let supervised = [&one_out[..], &[("hb-watch-p", 1)]].concat();
     census_of(
         "2x2, one supervised out-of-process",
         placed(SupervisionPolicy::enabled()),
+        1,
         &supervised,
     );
 }
