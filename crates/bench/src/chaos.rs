@@ -203,8 +203,9 @@ fn run_storm(cfg: &ChaosConfig, index: u64, events_out: &mut (usize, usize)) -> 
             result = Some(Ok(b + 1));
             break;
         }
-        // Recovery is asynchronous: give the manager a beat before the
-        // next batch dispatches.
+        // Pacing: the monitor runs a due recovery attempt before it
+        // takes the next batch, but a failed attempt's retry waits out its
+        // backoff (25 ms and up) while batches flow.
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     d.shutdown();

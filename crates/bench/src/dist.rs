@@ -83,7 +83,7 @@ pub struct HealProbe {
     pub killed: bool,
     /// The monitor quarantined the killed variant.
     pub quarantined: bool,
-    /// The recovery manager brought a replacement online.
+    /// The monitor brought a replacement online.
     pub recovered: bool,
     /// A post-recovery checkpoint passed with the full panel agreeing.
     pub full_strength: bool,

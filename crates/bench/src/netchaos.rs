@@ -18,7 +18,7 @@
 //!   never degraded (degraded storms self-audit instead — quarantine
 //!   entries make full transcript identity impossible by design).
 //! * **Flap probe** — a worker process killed repeatedly until the
-//!   crash-loop budget trips: the recovery manager must record
+//!   crash-loop budget trips: the monitor's recovery must record
 //!   `RecoveryFailed` with a crash-loop reason, stop respawning, and the
 //!   panel must keep serving correct outputs degraded.
 //! * **Reconnect probe** — an abrupt wire disconnect under heartbeat
@@ -32,6 +32,7 @@ use crate::cli::{CommonArgs, Outcome};
 use crate::fixture::{self, Json};
 use mvtee::config::{MvxConfig, SupervisionPolicy};
 use mvtee::transcript::verify_transcript;
+use mvtee::events::TimedEvent;
 use mvtee::{Deployment, MonitorEvent, MvxError};
 use mvtee_crypto::channel::{memory_pair, Handshake, Role, SecureChannel};
 use mvtee_crypto::CryptoError;
@@ -151,7 +152,7 @@ pub struct Storm {
     pub healed: bool,
     /// The fault raised no alarm and provably had no effect (delay only).
     pub masked: bool,
-    /// Latency from the observed quarantine to full strength, ns.
+    /// Latency from the logged quarantine to the logged recovery, ns.
     pub heal_ns: u64,
     /// Rendered audit transcript byte-identical to the fault-free
     /// oracle's (expected only for storms that never degraded).
@@ -593,7 +594,6 @@ fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Stor
 
     let mut storm =
         Storm { class: class.to_string(), spec: fault.to_string(), ..Storm::default() };
-    let mut quarantined_at: Option<Instant> = None;
     for b in 0..STORM_BATCH_CAP {
         let idx = (b % INPUT_PERIOD) as usize;
         storm.lost_batches += u64::from(!fixture::serves(&mut dep, &inputs[idx], &expected[idx]));
@@ -604,13 +604,14 @@ fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Stor
         let events = dep.events();
         if let Some(&(qp, qv, qb)) = events.quarantines().first() {
             storm.detected = true;
-            let seen = *quarantined_at.get_or_insert_with(Instant::now);
             if dep.healed_after(qp, qv, qb, PANEL) {
                 storm.healed = true;
-                storm.heal_ns = seen.elapsed().as_nanos() as u64;
+                storm.heal_ns = logged_heal_ns(&events.entries(), (qp, qv));
                 break;
             }
-            // Recovery is asynchronous: give the manager a beat.
+            // Pacing only: the heal is timed from the event log. The
+            // monitor runs a due recovery attempt before it takes the next
+            // batch, but a failed attempt's retry waits out its backoff.
             std::thread::sleep(Duration::from_millis(20));
         } else if matches!(fault.class, NetFaultClass::Delay { .. }) {
             // Every output matched and no alarm fired: a sub-deadline
@@ -634,6 +635,20 @@ fn run_storm(s: &NetchaosSettings, class: &str, storm_idx: usize) -> Result<Stor
     clean.shutdown();
     storm.transcript_identical = transcript == reference;
     Ok(storm)
+}
+
+/// From the first `Quarantined` entry of `slot` to the `Recovered` entry
+/// that follows it, in ns, as the event log stamped them.
+fn logged_heal_ns(entries: &[TimedEvent], slot: (usize, usize)) -> u64 {
+    let at = |e: &&TimedEvent| match e.event {
+        MonitorEvent::Quarantined { partition, variant, .. } => (partition, variant) == slot,
+        _ => false,
+    };
+    let Some(quarantined) = entries.iter().find(at) else { return 0 };
+    let recovered = entries.iter().skip_while(|e| !at(e)).find(|e| {
+        matches!(e.event, MonitorEvent::Recovered { partition, variant } if (partition, variant) == slot)
+    });
+    recovered.map_or(0, |r| ((r.elapsed_secs - quarantined.elapsed_secs) * 1e9) as u64)
 }
 
 /// What a worker probe starts from: the inputs, their oracle answers, and

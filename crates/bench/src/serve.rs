@@ -16,7 +16,7 @@
 //!   quarantine/recovery.
 //! * **Recovery under load** — one replica carries a scheduled stall
 //!   fault; the core watchdog must quarantine the wedged variant and
-//!   the recovery manager must rejoin it while the pool keeps serving.
+//!   the monitor must re-provision it while the pool keeps serving.
 //!
 //! Results land in `BENCH_serve.json` (request accounting, shed/expired
 //! counters, per-replica request counts, recovery counts). How fast the
@@ -267,8 +267,8 @@ pub fn run_serve(s: &ServeSettings) -> ServeReport {
 
     // The pool: `replicas` deployments from one builder. Replica 0
     // optionally carries a stall fault on partition 1 so the straggler
-    // watchdog quarantines a variant mid-burst and the recovery manager
-    // rejoins it while the pool serves.
+    // watchdog quarantines a variant mid-burst and the monitor
+    // re-provisions it while the pool serves.
     let stall = FaultDescriptor::Stall(StallFault { from_batch: 2, mode: StallMode::Hang });
     let inject = s.inject_recovery;
     let deployments = builder

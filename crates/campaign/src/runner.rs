@@ -49,7 +49,7 @@ pub enum Outcome {
     /// Provably masked: the faulted variant's standalone output is
     /// bit-identical to its clean run.
     Masked,
-    /// The watchdog quarantined the faulted variant, the recovery manager
+    /// The watchdog quarantined the faulted variant, the monitor
     /// re-provisioned it, and the panel returned to full strength — every
     /// forwarded output stayed correct throughout.
     Recovered {
@@ -406,8 +406,10 @@ fn run_liveness_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
                             Some(Outcome::Recovered { partition: qp, variant: qv });
                         break;
                     }
-                    // Recovery is asynchronous: give the manager a beat
-                    // before the next batch dispatches.
+                    // Pacing: the monitor runs a due recovery attempt
+                    // before it takes the next batch, but a failed
+                    // attempt's retry waits out its backoff (25 ms and up)
+                    // while batches flow.
                     std::thread::sleep(std::time::Duration::from_millis(20));
                 } else {
                     // The watchdog never fired and every output matched:
@@ -417,7 +419,7 @@ fn run_liveness_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
                 }
             }
             FaultDescriptor::Channel(_) => {
-                // Without a recovery manager no Quarantined event exists;
+                // Without recovery no Quarantined event exists;
                 // the degradation signature is a checkpoint that passed
                 // on the surviving quorum after a detection.
                 let degraded_pass = d
@@ -523,8 +525,9 @@ fn run_netfault_scenario(sc: &Scenario, profile: ScaleProfile) -> Result<Outcome
                 verdict = Some(Outcome::Recovered { partition: qp, variant: qv });
                 break;
             }
-            // Recovery is asynchronous: give the manager a beat before
-            // the next batch dispatches.
+            // Pacing: the monitor runs a due recovery attempt before it
+            // takes the next batch, but a failed attempt's retry waits out
+            // its backoff (25 ms and up) while batches flow.
             std::thread::sleep(std::time::Duration::from_millis(20));
         } else if matches!(nf.class, NetFaultClass::Delay { .. }) {
             // Every frame arrived intact, on time, and in order: a

@@ -131,8 +131,8 @@ pub struct RecoveryPolicy {
     /// continue-with-survivors behaviour.
     pub enabled: bool,
     /// Crash-loop budget: if more than this many recovery requests for
-    /// the *same* variant slot arrive inside the manager's ten-second
-    /// crash-loop window, it stops respawning (the death is escalated to
+    /// the *same* variant slot reach the head of the monitor's recovery
+    /// queue inside a ten-second crash-loop window, it stops respawning (the death is escalated to
     /// `RecoveryFailed` and the panel serves degraded per
     /// [`DegradationPolicy`]). `0` disables crash-loop detection — the
     /// historical respawn-forever behaviour, so it stays the default.

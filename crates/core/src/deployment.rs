@@ -25,7 +25,7 @@ use crate::pipeline::{
     spawn_monitor, MonitorHandle, Reply, StageJob, StagePolicy, StageRuntime,
 };
 use crate::provision::Provisioner;
-use crate::recovery::{spawn_recovery_manager, RecoveryContext, RecoveryRequest};
+use crate::recovery::RecoveryContext;
 use crate::transcript::TranscriptLog;
 use crate::variant_host::{HostFaults, SealedVariantPayload};
 use crate::worker::VariantPlacement;
@@ -51,7 +51,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A partial override of one variant's spec (builder-level control used
@@ -273,8 +272,8 @@ pub fn select_partition_set(
 
 /// Seals one variant's payload (second-stage manifest + bundle) under a
 /// fresh variant key and assembles its artifact — the single construction
-/// path used by the offline phase, partial updates, key rotation and the
-/// recovery manager.
+/// path used by the offline phase, partial updates, key rotation and
+/// recovery.
 pub(crate) fn seal_artifact(
     init_code: &[u8],
     subgraph: &Graph,
@@ -550,12 +549,11 @@ impl DeploymentBuilder {
     /// is legal for both placements — in-process it wraps the variant's
     /// response transport, out-of-process the whole worker connection
     /// (heartbeat frames exempt from one-shot faults). Host and wire
-    /// faults are transient: replacements provisioned by the recovery
-    /// manager start clean. The platform-wide families (a CVE exploit, a
-    /// FrameFlip) are on every variant host and take `at: None`. A fault
-    /// whose family and `at` disagree fails [`build`](Self::build); a
-    /// later fault of the same family at the same place replaces an
-    /// earlier one.
+    /// faults are transient: replacements provisioned by recovery start
+    /// clean. The platform-wide families (a CVE exploit, a FrameFlip) are
+    /// on every variant host and take `at: None`. A fault whose family and
+    /// `at` disagree fails [`build`](Self::build); a later fault of the
+    /// same family at the same place replaces an earlier one.
     pub fn fault(mut self, fault: FaultDescriptor, at: Option<(usize, usize)>) -> Self {
         self.faults.push((fault, at));
         self
@@ -707,7 +705,7 @@ pub struct Deployment {
     offline: OfflinePhase,
     monitor: Enclave,
     /// The running generation's bring-up state (platform, bindings, event
-    /// log, hosts), shared with the recovery manager.
+    /// log, hosts), shared with the monitor's recovery.
     provisioner: Arc<Provisioner>,
     pipeline: Option<MonitorHandle>,
     next_batch: u64,
@@ -715,7 +713,6 @@ pub struct Deployment {
     output_value: ValueId,
     faults: Vec<PlacedFault>,
     pool: Option<PartitionPool>,
-    recovery_manager: Option<JoinHandle<()>>,
     transcript: TranscriptLog,
 }
 
@@ -801,7 +798,6 @@ impl Deployment {
             output_value,
             faults,
             pool,
-            recovery_manager: None,
             transcript: TranscriptLog::new(),
         };
         deployment.launch_all()?;
@@ -823,26 +819,6 @@ impl Deployment {
 
         // Every variant answers straight into the monitor's inbox.
         let (inbox, responses) = channel();
-        // The recovery manager (when enabled) gets what only recovery needs
-        // on top of the shared provisioner, the inbox replacements rejoin
-        // through, and a request channel; every stage gets a sender so
-        // quarantines turn into re-provisioning requests, and the manager
-        // exits once the last is dropped.
-        let mut recovery = None;
-        if self.config.recovery.enabled {
-            let (tx, rx) = channel::<RecoveryRequest>();
-            let ctx = RecoveryContext {
-                provisioner: Arc::clone(&self.provisioner),
-                subgraphs: self.offline.subgraphs.clone(),
-                specs: self.variant_specs(),
-                metrics: self.config.claims.iter().map(|c| c.metric).collect(),
-                policy: self.config.recovery,
-                inbox: inbox.clone(),
-                platform_faults: faults_at(&self.faults, None).0,
-            };
-            self.recovery_manager = Some(spawn_recovery_manager(ctx, rx));
-            recovery = Some(tx);
-        }
 
         for (p, claim) in self.config.claims.iter().enumerate() {
             let stage = &self.offline.partition_set.stages[p];
@@ -860,14 +836,24 @@ impl Deployment {
                 outputs: stage.outputs.clone(),
                 needed_downstream: needed_after[p].clone(),
                 slow: self.config.slow_path(p),
-                recovery: recovery.clone(),
                 transcript: self.transcript.clone(),
             });
             metrics.push(claim.metric);
         }
         let policy = StagePolicy::from_config(&self.config);
         let events = self.provisioner.events.clone();
-        self.pipeline = Some(spawn_monitor(runtimes, policy, metrics, events, (inbox, responses)));
+        // With recovery on, the monitor gets what only recovery needs on
+        // top of the shared provisioner.
+        let recovery = self.config.recovery.enabled.then(|| RecoveryContext {
+            provisioner: Arc::clone(&self.provisioner),
+            subgraphs: self.offline.subgraphs.clone(),
+            specs: self.variant_specs(),
+            crash_loop_budget: self.config.recovery.crash_loop_budget,
+            platform_faults: faults_at(&self.faults, None).0,
+            inbox: inbox.clone(),
+        });
+        let inbox = (inbox, responses);
+        self.pipeline = Some(spawn_monitor(runtimes, policy, metrics, events, inbox, recovery));
         Ok(())
     }
 
@@ -923,8 +909,8 @@ impl Deployment {
             .collect()
     }
 
-    /// Current secure bindings (a snapshot — the recovery manager appends
-    /// concurrently while the pipeline runs).
+    /// Current secure bindings (a snapshot — the monitor's recovery
+    /// appends concurrently while the pipeline runs).
     pub fn bindings(&self) -> Vec<BindingRecord> {
         self.provisioner.bindings()
     }
@@ -1179,25 +1165,15 @@ impl Deployment {
     }
 
     /// Tears the running generation down and readies the next one. The
-    /// monitor answers every batch already handed in before it stops.
+    /// monitor answers every batch already handed in, and carries out every
+    /// recovery already filed, before it stops.
     fn stop_pipeline(&mut self) {
         self.provisioner.retire();
-        // The runtimes and the inbox are kept until the manager has exited
-        // — an in-flight recovery still sends its rejoin there — but
-        // without their recovery senders, so the manager's request channel
-        // drains closed.
-        let mut stopped = self.pipeline.take().and_then(|pipeline| pipeline.stop().ok());
-        for runtime in stopped.iter_mut().flat_map(|(runtimes, _)| runtimes) {
-            runtime.recovery = None;
+        // The monitor's links drop with it: variants exit on Shutdown or
+        // link loss.
+        if let Some(pipeline) = self.pipeline.take() {
+            let _ = pipeline.stop();
         }
-        if let Some(manager) = self.recovery_manager.take() {
-            let _ = manager.join();
-        }
-        // Dropping the inbox drops a rejoin the monitor never consumed, and
-        // with it the replacement's request link: the replacement exits.
-        // Dropping a runtime drops its links: variants exit on
-        // Shutdown/link loss.
-        drop(stopped);
         self.provisioner.join_hosts();
         self.provisioner = Arc::new(self.provisioner.successor());
     }

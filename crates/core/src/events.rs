@@ -95,7 +95,7 @@ pub enum MonitorEvent {
         /// Why the variant was quarantined.
         reason: String,
     },
-    /// The recovery manager began re-provisioning a quarantined variant
+    /// The monitor began re-provisioning a quarantined variant
     /// (fresh enclave, re-attestation, re-keying, re-sealed bundle).
     RecoveryStarted {
         /// Partition index.
@@ -227,7 +227,8 @@ impl fmt::Display for TimedEvent {
 }
 
 /// Thread-safe, append-only event log shared by a deployment's monitor
-/// thread, its recovery manager and its readers.
+/// thread (its stages and its recovery), its heartbeat watchers and its
+/// readers.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     inner: Arc<Mutex<Vec<(f64, MonitorEvent)>>>,

@@ -74,7 +74,7 @@ pub use config::{
 pub use deployment::{build_specs, select_partition_set, Deployment, DeploymentBuilder, OfflinePhase, SpecPatch};
 pub use error::MvxError;
 pub use events::{EventLog, MonitorEvent};
-pub use recovery::{RecoveryRequest, ResyncPoint};
+pub use recovery::ResyncPoint;
 pub use supervisor::HeartbeatMonitor;
 pub use transcript::{
     verify_transcript, AuditError, AuditSummary, TranscriptEntry, TranscriptLog,

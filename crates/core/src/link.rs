@@ -164,15 +164,12 @@ impl Drop for ResponsePort {
 pub(crate) struct Repoint(Arc<Mutex<Option<Route>>>);
 
 impl Repoint {
-    /// Points the port at `inbox`, keeping its tag, with `first` delivered
-    /// there ahead of anything the port sends afterwards. `false`: the
-    /// port had closed, or nobody reads `inbox`.
-    pub(crate) fn to(self, inbox: Sender<Inbound>, first: Inbound) -> bool {
+    /// Points the port at `inbox`, keeping its tag. `false`: the port had
+    /// closed.
+    pub(crate) fn to(self, inbox: Sender<Inbound>) -> bool {
         let Ok(mut route) = self.0.lock() else { return false };
-        match route.as_mut() {
-            Some((to, ..)) if inbox.send(first).is_ok() => *to = inbox,
-            _ => return false,
-        }
+        let Some((to, ..)) = route.as_mut() else { return false };
+        *to = inbox;
         true
     }
 }
@@ -282,24 +279,24 @@ mod tests {
         assert!(inbound.try_recv().is_err(), "closed exactly once");
     }
 
-    /// Re-pointing keeps the tag and puts its first message ahead of the
-    /// port's next frame; a closed port cannot be re-pointed.
+    /// Re-pointing keeps the tag and moves every later frame, and the
+    /// close, to the new inbox; a closed port cannot be re-pointed.
     #[test]
-    fn a_repointed_port_delivers_behind_its_first_message() {
+    fn a_repointed_port_delivers_its_later_frames_to_the_new_inbox() {
         let (private, on_probation) = channel();
         let port = ResponsePort::new(private, (2, 1), 3);
         port.send_frame(vec![7]).unwrap();
         let (inbox, stage) = channel();
-        assert!(port.repoint_handle().to(inbox.clone(), Inbound::Closed { at: (9, 9), epoch: 9 }));
+        assert!(port.repoint_handle().to(inbox.clone()));
         port.send_frame(vec![8]).unwrap();
         assert_eq!(frame_of(on_probation.try_recv().unwrap()), Some(((2, 1), 3, vec![7])));
-        assert!(matches!(stage.try_recv(), Ok(Inbound::Closed { at: (9, 9), epoch: 9 })));
+        assert!(on_probation.try_recv().is_err(), "nothing after the re-point");
         assert_eq!(frame_of(stage.try_recv().unwrap()), Some(((2, 1), 3, vec![8])));
 
         let handle = port.repoint_handle();
         drop(port);
         assert!(matches!(stage.try_recv(), Ok(Inbound::Closed { at: (2, 1), epoch: 3 })));
-        assert!(!handle.to(inbox, Inbound::Closed { at: (9, 9), epoch: 9 }));
+        assert!(!handle.to(inbox));
         assert!(stage.try_recv().is_err(), "nothing delivered for a closed port");
     }
 

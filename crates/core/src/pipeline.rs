@@ -7,13 +7,14 @@
 //! stages (§4.1). The loop's one unbounded inbox takes submitted jobs, the
 //! stop, and every variant's traffic tagged with its partition
 //! ([`crate::link::ResponsePort`]): nothing on the variant side waits on
-//! the monitor.
+//! the monitor. With recovery on, the loop also re-provisions quarantined
+//! variants itself ([`crate::recovery`]), one attempt per turn.
 
 use crate::config::{DegradationPolicy, ExecMode, MvxConfig, ResponsePolicy, VotingPolicy};
 use crate::events::EventLog;
 use crate::link::VariantLink;
 use crate::messages::{decode, encode, StageRequest, StageResponse};
-use crate::recovery::RecoveryRequest;
+use crate::recovery::{Recovery, RecoveryContext, RecoveryRequest, Rejoin};
 use crate::stage::{step, Action, Event, Path, Sink, StageConfig, StageState};
 use crate::transcript::TranscriptLog;
 use crate::voting::VariantOutput;
@@ -72,16 +73,6 @@ pub enum Inbound {
         /// Channel epoch of the dead channel.
         epoch: u64,
     },
-    /// A quarantined variant's replacement passed probation and rejoins
-    /// the panel on the next batch; its response port already points here.
-    Recovered {
-        /// Partition index, and variant index within the partition.
-        at: (usize, usize),
-        /// The post-quarantine epoch assigned at quarantine time.
-        epoch: u64,
-        /// The replacement's links.
-        link: VariantLink,
-    },
 }
 
 /// Everything a stage needs for its partition.
@@ -98,9 +89,6 @@ pub struct StageRuntime {
     pub needed_downstream: HashSet<ValueId>,
     /// Whether this checkpoint takes the slow path.
     pub slow: bool,
-    /// Channel to the recovery manager; `None`: quarantined variants are
-    /// dropped for good.
-    pub recovery: Option<Sender<RecoveryRequest>>,
     /// Shared audit transcript; every voted checkpoint verdict appends
     /// one Merkle-chained entry.
     pub transcript: TranscriptLog,
@@ -156,6 +144,8 @@ struct Stage {
 /// [`Action`]s [`step`] answers with. It decides nothing.
 struct Shell {
     runtime: StageRuntime,
+    /// The partition's consistency metric, for a replacement's probation.
+    metric: Metric,
     /// Per variant, the epoch its response link is open under; `None` once
     /// it has failed or closed. Anything else is dropped unopened.
     listening: Vec<Option<u64>>,
@@ -177,6 +167,8 @@ struct Shell {
     checkpoint: Option<(mvtee_telemetry::Span, trace::SpanGuard<'static>, Instant)>,
     /// Request links a dispatch found closed, fed back after the step.
     send_failed: Vec<Event>,
+    /// Recovery requests the step filed, handed to the loop after it.
+    filed: Vec<RecoveryRequest>,
     /// The replacement the `Recovered` event being stepped offers.
     offered: Option<(VariantLink, u64)>,
     /// The job the step forwarded, and the span that covers its hand-off.
@@ -191,13 +183,17 @@ struct Monitor {
     slots: Receiver<()>,
     deadline: Duration,
     stopping: bool,
+    /// `None`: quarantined variants are dropped for good.
+    recovery: Option<Recovery>,
+    /// A replacement waiting for its stage to close a checkpoint.
+    parked: Option<Rejoin>,
 }
 
 impl Monitor {
-    fn run(mut self) -> (Vec<StageRuntime>, Receiver<Inbound>) {
+    fn run(mut self) {
         loop {
             // Everything already waiting is fed before a stage takes a
-            // job, so a variant that recovered meanwhile votes on it.
+            // job.
             while let Ok(inbound) = self.inbox.try_recv() {
                 self.handle(inbound);
             }
@@ -211,13 +207,19 @@ impl Monitor {
                     self.feed(i, Event::Deadline);
                 }
             }
+            // So is a due recovery: its replacement votes on that job.
+            let recovery_due = if self.recovery.is_some() { self.recover() } else { None };
             if self.take_job() {
                 continue;
             }
-            if self.stopping && self.stages.iter().all(|s| s.queue.is_empty() && !s.state.awaiting()) {
+            let idle = |s: &Stage| s.queue.is_empty() && !s.state.awaiting();
+            if self.stopping
+                && self.stages.iter().all(idle)
+                && self.recovery.as_ref().is_none_or(|r| r.state.is_empty())
+            {
                 return self.drain();
             }
-            let due = self.stages.iter().filter_map(due).min();
+            let due = self.stages.iter().filter_map(due).chain(recovery_due).min();
             let wait = due.map_or(Duration::MAX, |due| due.saturating_duration_since(Instant::now()));
             match self.inbox.recv_timeout(wait) {
                 Ok(inbound) => self.handle(inbound),
@@ -232,16 +234,35 @@ impl Monitor {
         match inbound {
             Inbound::Job(job) => self.stages[0].queue.push_back(job),
             Inbound::Stop => self.stopping = true,
-            Inbound::Frame { at: (p, _), .. }
-            | Inbound::Closed { at: (p, _), .. }
-            | Inbound::Recovered { at: (p, _), .. } => {
+            Inbound::Frame { at: (p, _), .. } | Inbound::Closed { at: (p, _), .. } => {
                 if let Some(event) = self.stages[p].shell.event(inbound) {
                     self.feed(p, event);
                 }
-                // Not adopted: dropped, and the fresh variant exits.
-                self.stages[p].shell.offered = None;
             }
         }
+    }
+
+    /// Runs the recovery attempt due, if any, and offers a replacement
+    /// that passed probation to its stage before the inbox is read again —
+    /// unless the stage has a checkpoint in flight: adopted there, it would
+    /// be charged with its predecessor's crash vote and quarantined again,
+    /// so it is parked until the stage closes it. Returns when the next
+    /// attempt is due (`None` while one is parked).
+    fn recover(&mut self) -> Option<Instant> {
+        let Monitor { stages, recovery, deadline, parked, .. } = self;
+        let recovery = recovery.as_mut()?;
+        let metric = |p: usize| stages[p].shell.metric;
+        let rejoin = parked.take().or_else(|| recovery.run_due(metric, *deadline));
+        let Some(((p, variant), epoch, link)) = rejoin else { return recovery.state.due() };
+        if stages[p].state.awaiting() {
+            *parked = Some(((p, variant), epoch, link));
+            return None;
+        }
+        self.stages[p].shell.offered = Some((link, epoch));
+        self.feed(p, Event::Recovered { variant, epoch });
+        // Not adopted: dropped, and the fresh variant exits.
+        self.stages[p].shell.offered = None;
+        self.recovery.as_ref()?.state.due()
     }
 
     /// Starts a job at the first stage with none in flight whose next
@@ -280,6 +301,9 @@ impl Monitor {
         for failed in std::mem::take(&mut shell.send_failed) {
             step(state, failed, shell);
         }
+        for request in shell.filed.drain(..) {
+            self.recovery.as_mut().expect("only a recovering stage files").file(request);
+        }
         if let Some((job, span)) = shell.forwarded.take() {
             self.pass_on(i, job);
             drop(span); // the span covers the hand-off
@@ -300,8 +324,10 @@ impl Monitor {
     }
 
     /// The stop: one drain window for every stage's async stragglers, then
-    /// each stage's live variants are shut down.
-    fn drain(mut self) -> (Vec<StageRuntime>, Receiver<Inbound>) {
+    /// each stage's live variants are shut down. A recovery the drain filed
+    /// is still carried out; no stopped stage adopts its replacement. The
+    /// links drop with the monitor, so every variant exits.
+    fn drain(mut self) {
         for i in 0..self.stages.len() {
             self.feed(i, Event::Stop);
         }
@@ -321,7 +347,10 @@ impl Monitor {
                 let _ = link.tx.send(&shutdown);
             }
         }
-        (self.stages.into_iter().map(|stage| stage.shell.runtime).collect(), self.inbox)
+        while let Some(due) = self.recovery.as_ref().and_then(|r| r.state.due()) {
+            let _ = self.inbox.recv_timeout(due.saturating_duration_since(Instant::now()));
+            self.recover();
+        }
     }
 }
 
@@ -349,10 +378,6 @@ impl Shell {
             }
             Inbound::Closed { at: (_, variant), epoch } if self.listening[variant] == Some(epoch) => {
                 self.link_lost(variant, epoch)
-            }
-            Inbound::Recovered { at: (_, variant), epoch, link } => {
-                self.offered = Some((link, epoch));
-                Event::Recovered { variant, epoch }
             }
             _ => return None,
         })
@@ -411,9 +436,8 @@ impl Sink for Shell {
             Action::Record(event) => self.events.record(event),
             Action::Transcript(entry) => self.runtime.transcript.record(entry),
             Action::Recover { variant, epoch, reason, resync } => {
-                let Some(tx) = &self.runtime.recovery else { return };
                 let partition = self.runtime.partition;
-                let _ = tx.send(RecoveryRequest { partition, variant, epoch, reason, resync });
+                self.filed.push(RecoveryRequest { partition, variant, epoch, reason, resync });
             }
             Action::Adopt { variant } => {
                 let Some((link, epoch)) = self.offered.take() else { return };
@@ -430,7 +454,7 @@ pub struct MonitorHandle {
     /// The first stage's `STAGE_QUEUE_DEPTH` job slots and depth gauge.
     slots: SyncSender<()>,
     depth: Gauge,
-    thread: JoinHandle<(Vec<StageRuntime>, Receiver<Inbound>)>,
+    thread: JoinHandle<()>,
 }
 
 impl MonitorHandle {
@@ -447,11 +471,10 @@ impl MonitorHandle {
         sent
     }
 
-    /// Stops the monitor once every job handed in is answered. Returns the
-    /// stages' runtimes and the inbox, which stays open while the caller
-    /// holds it: a recovery still in flight can deliver there. `Err`: the
+    /// Stops the monitor once every job handed in is answered and every
+    /// recovery filed is carried out; its links drop with it. `Err`: the
     /// monitor thread panicked.
-    pub fn stop(self) -> std::thread::Result<(Vec<StageRuntime>, Receiver<Inbound>)> {
+    pub fn stop(self) -> std::thread::Result<()> {
         let _ = self.inbox.send(Inbound::Stop);
         self.thread.join()
     }
@@ -459,13 +482,15 @@ impl MonitorHandle {
 
 /// Spawns the `monitor` thread over `runtimes`, stage `i` running
 /// partition `i`, with `inbox` the channel their variants' response ports
-/// send into.
+/// send into. With `recovery`, the loop re-provisions quarantined
+/// variants; without, they are dropped for good.
 pub fn spawn_monitor(
     runtimes: Vec<StageRuntime>,
     policy: StagePolicy,
     metrics: Vec<Metric>,
     events: EventLog,
     (sender, inbox): (Sender<Inbound>, Receiver<Inbound>),
+    recovery: Option<RecoveryContext>,
 ) -> MonitorHandle {
     assert!(!runtimes.is_empty(), "pipeline needs at least one stage");
     assert_eq!(metrics.len(), runtimes.len(), "one metric per stage");
@@ -476,11 +501,12 @@ pub fn spawn_monitor(
         .map(|(p, (runtime, metric))| {
             assert_eq!(runtime.partition, p, "stage {p} runs partition {p}");
             let (variants, outputs) = (runtime.links.len(), runtime.outputs.len());
-            let (slow, recovery) = (runtime.slow, runtime.recovery.is_some());
+            let (slow, recovery) = (runtime.slow, recovery.is_some());
             let config = StageConfig { partition: p, variants, outputs, slow, recovery, policy, metric };
             let latency = format!("core.pipeline.p{p}.checkpoint_latency_ns");
             let shell = Shell {
                 runtime,
+                metric,
                 listening: vec![Some(0); variants],
                 events: events.clone(),
                 checkpoint_latency: mvtee_telemetry::histogram(&latency),
@@ -493,6 +519,7 @@ pub fn spawn_monitor(
                 trace: TraceCtx::NONE,
                 checkpoint: None,
                 send_failed: Vec::new(),
+                filed: Vec::new(),
                 offered: None,
                 forwarded: None,
             };
@@ -500,7 +527,15 @@ pub fn spawn_monitor(
         })
         .collect();
     let (slots, taken) = sync_channel(STAGE_QUEUE_DEPTH);
-    let monitor = Monitor { stages, inbox, slots: taken, deadline: policy.deadline, stopping: false };
+    let monitor = Monitor {
+        stages,
+        inbox,
+        slots: taken,
+        deadline: policy.deadline,
+        stopping: false,
+        recovery: recovery.map(Recovery::new),
+        parked: None,
+    };
     let thread = std::thread::Builder::new()
         .name("monitor".into())
         .spawn(move || monitor.run())
@@ -578,7 +613,6 @@ mod tests {
             outputs: vec![ValueId(partition + 1)],
             needed_downstream: HashSet::from([ValueId(partition + 1)]),
             slow,
-            recovery: None,
             transcript: TranscriptLog::new(),
         }
     }
@@ -624,7 +658,7 @@ mod tests {
         let events = EventLog::new();
         let p = policy(ResponsePolicy::ContinueWithMajority, deadline);
         let inbox = (inbox, responses);
-        let monitor = spawn_monitor(vec![runtime], p, vec![Metric::strict()], events.clone(), inbox);
+        let monitor = spawn_monitor(vec![runtime], p, vec![Metric::strict()], events.clone(), inbox, None);
 
         assert!(monitor.submit(job(0, 1.0, &out_tx)), "sends");
         let healthy = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
@@ -649,7 +683,7 @@ mod tests {
         assert!(monitor.submit(job(2, 3.0, &out_tx)), "sends");
         let after = out_rx.recv_timeout(Duration::from_secs(10)).expect("result");
         assert_eq!(after.expect("answered")[&ValueId(1)].data(), &[3.0; 4]);
-        let _ = monitor.stop().expect("joins");
+        monitor.stop().expect("joins");
     }
 
     #[test]
@@ -666,6 +700,7 @@ mod tests {
             vec![Metric::strict(), Metric::strict()],
             events.clone(),
             (inbox, responses),
+            None,
         );
         let (answers, answered) = channel::<Answer>();
         assert!(monitor.submit(job(0, 6.0, &answers)));
@@ -766,7 +801,7 @@ mod tests {
         let policy = policy(ResponsePolicy::Halt, Duration::from_secs(600));
         let metrics = vec![Metric::strict(), Metric::strict()];
         let inbox = (inbox, responses);
-        let monitor = Arc::new(spawn_monitor(stages, policy, metrics, EventLog::new(), inbox));
+        let monitor = Arc::new(spawn_monitor(stages, policy, metrics, EventLog::new(), inbox, None));
         let jobs = 3 * STAGE_QUEUE_DEPTH;
         let submitted = Arc::new(AtomicUsize::new(0));
         let (answers, answered) = channel::<Answer>();

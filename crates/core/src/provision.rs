@@ -12,10 +12,11 @@
 //! only in the transport handle.
 //!
 //! A [`Provisioner`] is the bring-up state of one deployment
-//! *generation*, shared as an `Arc` by the deployment and its recovery
-//! manager. Every relaunch retires it for its [`successor`]: a fresh
-//! heartbeat monitor, no retained listeners and no hosts, over the same
-//! platform and the same append-only binding registry.
+//! *generation*, shared as an `Arc` by the deployment and its monitor's
+//! recovery, which brings replacements up on the monitor's own loop.
+//! Every relaunch retires it for its [`successor`]: a fresh heartbeat
+//! monitor, no retained listeners and no hosts, over the same platform
+//! and the same append-only binding registry.
 //!
 //! [`successor`]: Provisioner::successor
 

@@ -30,7 +30,7 @@ pub(crate) enum Event {
     /// The response channel of `epoch` died; the crash is attributed to
     /// `batch`, the job the shell holds (in flight or just dequeued).
     Disconnected { variant: usize, epoch: u64, batch: u64 },
-    /// The recovery manager offers a probation-passed replacement.
+    /// The monitor's recovery offers a probation-passed replacement.
     Recovered { variant: usize, epoch: u64 },
     /// The timed wait ran out: the in-flight checkpoint's deadline or,
     /// after [`Event::Stop`], the drain window.
@@ -50,7 +50,7 @@ pub(crate) enum Action {
     /// Append to the audit event log / the audit transcript.
     Record(MonitorEvent),
     Transcript(TranscriptEntry),
-    /// Ask the recovery manager to re-provision a quarantined variant.
+    /// File a request to re-provision a quarantined variant.
     Recover { variant: usize, epoch: u64, reason: String, resync: Option<ResyncPoint> },
     /// Install the link the current [`Event::Recovered`] offers.
     Adopt { variant: usize },
@@ -81,7 +81,7 @@ pub(crate) struct StageConfig {
     /// Number of outputs a selected result must have.
     pub outputs: usize,
     pub slow: bool,
-    /// A recovery manager is wired: quarantines are audited and filed.
+    /// Recovery is on: quarantines are audited and filed.
     pub recovery: bool,
     pub policy: StagePolicy,
     pub metric: Metric,
@@ -421,7 +421,7 @@ impl StageState {
         Some(chosen)
     }
 
-    /// Audits a divergence; only a recovery manager quarantines dissenters.
+    /// Audits a divergence; only with recovery on are dissenters quarantined.
     fn dissent(&mut self, batch: u64, dissenting: &[usize], detail: String, reason: &str) {
         let (partition, named) = (self.cfg.partition, dissenting.to_vec());
         self.record(MonitorEvent::DivergenceDetected { partition, batch, dissenting: named, detail });
@@ -461,7 +461,7 @@ impl StageState {
         }
     }
 
-    /// Marks a variant dead and bumps its epoch; with a recovery manager,
+    /// Marks a variant dead and bumps its epoch; with recovery on,
     /// audits it and files a request carrying the last verified payload.
     fn quarantine(&mut self, variant: usize, batch: u64, reason: &str) {
         if self.dead[variant] {
@@ -847,8 +847,8 @@ mod tests {
     // ---- Small-scope enumeration ------------------------------------
     //
     // A model of everything outside `step` — variant channels that answer
-    // in any order, corrupt, crash, die or hang, a recovery manager that
-    // offers replacements, a shell that feeds jobs one at a time and
+    // in any order, corrupt, crash, die or hang, a recovery that offers
+    // replacements, a shell that feeds jobs one at a time and
     // drains at shutdown — explored depth-first over *every* interleaving
     // within a fault budget, checking on each path what the campaign only
     // samples.
@@ -869,7 +869,7 @@ mod tests {
         Die { variant: usize, chan: usize },
         /// The shell notices a dead channel.
         Disconnect { variant: usize, chan: usize },
-        /// The recovery manager delivers a replacement.
+        /// Recovery delivers a replacement.
         Rejoin { offer: usize },
         Deadline,
         Stop,
@@ -1323,7 +1323,7 @@ mod tests {
 
     #[test]
     fn every_small_interleaving_keeps_the_monitor_invariants() {
-        // (variants, slow path, batches, fault budget, recovery manager wired)
+        // (variants, slow path, batches, fault budget, recovery on)
         let scopes = [
             (2, true, 3, 2, false),
             (2, true, 3, 1, true),

@@ -10,9 +10,9 @@
 //! and **closes the worker's connection**. That escalation is the whole
 //! trick — the connection's mux pump exits and drops the variant's
 //! response port, so the variant's stage receives `Closed` exactly as
-//! for a crash, quarantines the variant and hands it to the recovery
-//! manager: stalls heal through the same audited path as deaths instead
-//! of hanging the panel forever.
+//! for a crash, quarantines the variant and files its recovery: stalls
+//! heal through the same audited path as deaths instead of hanging the
+//! panel forever.
 //!
 //! [`HeartbeatMissed`]: crate::events::MonitorEvent::HeartbeatMissed
 //! [`WorkerStalled`]: crate::events::MonitorEvent::WorkerStalled
@@ -33,7 +33,7 @@ struct Inner {
 
 /// Owns one watcher thread per supervised worker connection.
 ///
-/// Cloneable (`Arc`-shared) so the deployment and the recovery manager
+/// Cloneable (`Arc`-shared) so launch and recovery alike
 /// register watchers on the same monitor: respawned and reconnected
 /// workers get supervised exactly like first-launch ones.
 #[derive(Clone)]

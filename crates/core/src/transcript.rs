@@ -26,7 +26,8 @@
 //! runs.
 
 use crate::events::count;
-use mvtee_crypto::sha256::{sha256, Sha256};
+use mvtee_crypto::sha256::{hex, sha256, Sha256};
+use mvtee_telemetry::json::{escape, parse_flat, Value};
 use mvtee_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -247,7 +248,7 @@ impl TranscriptLog {
 fn render_entries(entries: &[TranscriptEntry], seed: u64, fingerprint: &str) -> String {
     let header = format!(
         "{{\"schema\":\"{TRANSCRIPT_SCHEMA}\",\"seed\":{seed},\"fingerprint\":{}}}",
-        json_escape(fingerprint)
+        escape(fingerprint)
     );
     let mut out = String::new();
     let _ = writeln!(out, "{header}");
@@ -299,7 +300,7 @@ fn entry_line(seq: usize, e: &TranscriptEntry, chain: &[u8; 32]) -> String {
         e.partition,
         e.batch,
         e.epoch,
-        json_escape(&e.verdict.tag()),
+        escape(&e.verdict.tag()),
         hex(&e.payload_digest),
         hex(chain),
     )
@@ -318,14 +319,6 @@ fn chain_hash(prev: &[u8; 32], e: &TranscriptEntry) -> [u8; 32] {
     sha256(&buf)
 }
 
-fn hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
-
 fn from_hex(s: &str) -> Option<Vec<u8>> {
     let digit = |b: u8| char::from(b).to_digit(16);
     let byte = |pair: &[u8]| match *pair {
@@ -333,25 +326,6 @@ fn from_hex(s: &str) -> Option<Vec<u8>> {
         _ => None,
     };
     s.as_bytes().chunks(2).map(byte).collect()
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Why a transcript failed verification.
@@ -429,7 +403,7 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
         .map_err(|detail| AuditError::Parse { line: 1, detail })?;
     let schema = header_fields
         .get("schema")
-        .and_then(Field::as_str)
+        .and_then(Value::as_str)
         .ok_or(AuditError::Parse { line: 1, detail: "missing schema".into() })?;
     if schema != TRANSCRIPT_SCHEMA {
         return Err(AuditError::Parse {
@@ -440,7 +414,7 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
     let seed: u64 = int_field(&header_fields, "seed", 1)?;
     let fingerprint = header_fields
         .get("fingerprint")
-        .and_then(Field::as_str)
+        .and_then(Value::as_str)
         .ok_or(AuditError::Parse { line: 1, detail: "missing fingerprint".into() })?
         .to_owned();
 
@@ -475,7 +449,7 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
         if fields.contains_key("footer") {
             let foot_schema = fields
                 .get("footer")
-                .and_then(Field::as_str)
+                .and_then(Value::as_str)
                 .ok_or(AuditError::Parse { line: lineno, detail: "bad footer".into() })?;
             if foot_schema != TRANSCRIPT_SCHEMA {
                 return Err(AuditError::Tamper {
@@ -495,7 +469,7 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
             }
             let head = fields
                 .get("head")
-                .and_then(Field::as_str)
+                .and_then(Value::as_str)
                 .ok_or(AuditError::Parse { line: lineno, detail: "footer missing head".into() })?;
             if head != hex(&chain) {
                 return Err(AuditError::Tamper {
@@ -510,7 +484,7 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
         let text_field = |key: &str| -> Result<&str, AuditError> {
             fields
                 .get(key)
-                .and_then(Field::as_str)
+                .and_then(Value::as_str)
                 .ok_or(AuditError::Parse { line: lineno, detail: format!("missing {key}") })
         };
         let seq: usize = int_field(&fields, "seq", lineno)?;
@@ -573,13 +547,13 @@ pub fn verify_transcript(text: &str) -> Result<AuditSummary, AuditError> {
 
 /// Integer field `key` of line `line`, range-checked into its type.
 fn int_field<T: TryFrom<i128>>(
-    fields: &BTreeMap<String, Field>,
+    fields: &BTreeMap<String, Value>,
     key: &str,
     line: usize,
 ) -> Result<T, AuditError> {
     let value = fields
         .get(key)
-        .and_then(Field::as_int)
+        .and_then(Value::as_int)
         .ok_or(AuditError::Parse { line, detail: format!("missing {key}") })?;
     T::try_from(value)
         .map_err(|_| AuditError::Parse { line, detail: format!("{key} {value} out of range") })
@@ -589,117 +563,6 @@ fn int_field<T: TryFrom<i128>>(
 /// reports before the first verdict lands.
 pub fn register_audit_metrics() {
     mvtee_telemetry::counter("audit.transcript.entries");
-}
-
-#[derive(Debug)]
-enum Field {
-    Str(String),
-    Int(i128),
-}
-
-impl Field {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Field::Str(s) => Some(s),
-            Field::Int(_) => None,
-        }
-    }
-
-    fn as_int(&self) -> Option<i128> {
-        match self {
-            Field::Int(i) => Some(*i),
-            Field::Str(_) => None,
-        }
-    }
-}
-
-/// Parses one flat `{"key":value,...}` object with string/int values
-/// (the transcript emits nothing else).
-fn parse_flat(line: &str) -> Result<BTreeMap<String, Field>, String> {
-    let mut chars = line.chars().peekable();
-    let mut fields = BTreeMap::new();
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => Field::Str(parse_string(&mut chars)?),
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c == '-' || c.is_ascii_digit() {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                Field::Int(num.parse().map_err(|_| format!("bad number {num:?}"))?)
-            }
-            other => return Err(format!("unexpected value start {other:?}")),
-        };
-        fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    want: char,
-) -> Result<(), String> {
-    match chars.next() {
-        Some(c) if c == want => Ok(()),
-        other => Err(format!("expected {want:?}, got {other:?}")),
-    }
-}
-
-fn parse_string(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> Result<String, String> {
-    expect(chars, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex_digits: String =
-                        (0..4).map(|_| chars.next().unwrap_or('\u{0}')).collect();
-                    let code = u32::from_str_radix(&hex_digits, 16)
-                        .map_err(|_| format!("bad \\u escape {hex_digits:?}"))?;
-                    out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".into()),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub(crate) struct HostFaults {
     pub frameflip: Option<FrameFlip>,
     /// Simulated liveness fault (stall/hang or lossy response channel) in
     /// this host's scheduling/transport stack. Transient: replacements
-    /// provisioned by the recovery manager do not inherit it.
+    /// provisioned by recovery do not inherit it.
     pub liveness: Option<LivenessFault>,
     /// Runs in place of [`variant_main`]: a host scripted to misbehave
     /// where no simulated fault reaches.

@@ -15,7 +15,7 @@
 //!   reproducing Table 1's "defending variants" matrix,
 //! * [`liveness`] — progress faults (deterministic stalls/hangs, lossy
 //!   response channels) that never corrupt a value but starve a
-//!   checkpoint, exercising the straggler watchdog and recovery manager,
+//!   checkpoint, exercising the straggler watchdog and recovery,
 //! * [`netfault`] — wire-level faults (delay, stall, drop, duplicate,
 //!   truncate, corrupt, torn write, disconnect) injected under the
 //!   secure channel by a seeded [`FrameTransport`] wrapper, exercising

@@ -6,7 +6,7 @@
 //! produces no answer, which a checkpoint that waits forever cannot
 //! distinguish from a slow one. These descriptors drive the straggler
 //! watchdog (checkpoint deadlines escalating timeout → late-dissent →
-//! quarantine) and the recovery manager the same way the value faults
+//! quarantine) and recovery the same way the value faults
 //! drive voting.
 //!
 //! All faults are deterministic in the batch counter so campaign

@@ -10,10 +10,10 @@
 //! ```
 //!
 //! The importer accepts exactly this schema (any key order) so exported
-//! snapshots round-trip; it is not a general JSON parser.
+//! snapshots round-trip ([`crate::json::parse_flat`]).
 
+use crate::json::{escape, parse_flat, Value};
 use crate::registry::{HistogramSummary, Snapshot};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 impl Snapshot {
@@ -24,21 +24,21 @@ impl Snapshot {
             let _ = writeln!(
                 out,
                 "{{\"kind\":\"counter\",\"name\":{},\"value\":{value}}}",
-                json_string(name)
+                escape(name)
             );
         }
         for (name, value) in &self.gauges {
             let _ = writeln!(
                 out,
                 "{{\"kind\":\"gauge\",\"name\":{},\"value\":{value}}}",
-                json_string(name)
+                escape(name)
             );
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(
                 out,
                 "{{\"kind\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                json_string(name),
+                escape(name),
                 h.count,
                 h.sum,
                 h.min,
@@ -63,21 +63,21 @@ impl Snapshot {
             if line.is_empty() {
                 continue;
             }
-            let fields = parse_object(line)
+            let fields = parse_flat(line)
                 .map_err(|e| format!("line {}: {e}", lineno + 1))?;
             let kind = fields
                 .get("kind")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| format!("line {}: missing kind", lineno + 1))?;
             let name = fields
                 .get("name")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| format!("line {}: missing name", lineno + 1))?
                 .to_owned();
             let int = |key: &str| -> Result<i128, String> {
                 fields
                     .get(key)
-                    .and_then(JsonValue::as_int)
+                    .and_then(Value::as_int)
                     .ok_or_else(|| format!("line {}: missing {key}", lineno + 1))
             };
             match kind {
@@ -105,136 +105,6 @@ impl Snapshot {
             }
         }
         Ok(snap)
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[derive(Debug)]
-enum JsonValue {
-    Str(String),
-    Int(i128),
-}
-
-impl JsonValue {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            JsonValue::Int(_) => None,
-        }
-    }
-
-    fn as_int(&self) -> Option<i128> {
-        match self {
-            JsonValue::Int(i) => Some(*i),
-            JsonValue::Str(_) => None,
-        }
-    }
-}
-
-/// Parses one flat `{"key":value,...}` object with string/integer values.
-fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut chars = line.chars().peekable();
-    let mut fields = BTreeMap::new();
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c == '-' || c.is_ascii_digit() {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Int(num.parse().map_err(|_| format!("bad number {num:?}"))?)
-            }
-            other => return Err(format!("unexpected value start {other:?}")),
-        };
-        fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    want: char,
-) -> Result<(), String> {
-    match chars.next() {
-        Some(c) if c == want => Ok(()),
-        other => Err(format!("expected {want:?}, got {other:?}")),
-    }
-}
-
-fn parse_string(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> Result<String, String> {
-    expect(chars, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4)
-                        .map(|_| chars.next().unwrap_or('\u{0}'))
-                        .collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                    out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".into()),
-        }
     }
 }
 

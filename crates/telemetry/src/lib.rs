@@ -13,7 +13,8 @@
 //!   record into,
 //! * scoped [`Span`] timers that record into a histogram on drop,
 //! * a point-in-time [`Snapshot`] with p50/p95/p99 summaries,
-//! * a JSONL exporter/importer and a human-readable report table,
+//! * a JSONL exporter/importer over one flat-JSON [`json`] module, and a
+//!   human-readable report table,
 //! * a [`trace`] module: trace/span contexts, a bounded flight
 //!   recorder, and a Chrome-trace exporter for per-request timelines.
 //!
@@ -35,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod export;
+pub mod json;
 mod metrics;
 mod registry;
 mod report;

@@ -34,6 +34,7 @@
 //! they pick up a batch, and leaf spans parent themselves under
 //! [`current`].
 
+use crate::json::escape;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt::Display;
@@ -482,7 +483,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             out,
             "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
             i + 1,
-            json_escape(track)
+            escape(track)
         );
     }
     for e in events {
@@ -497,7 +498,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     out,
                     "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":\"mvtee\",\"ts\":{ts_us:.3},\"dur\":{:.3}",
                     tid_of(&e.track),
-                    json_escape(&e.name),
+                    escape(&e.name),
                     e.dur_ns as f64 / 1_000.0,
                 );
             }
@@ -506,7 +507,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     out,
                     "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":\"mvtee\",\"ts\":{ts_us:.3},\"s\":\"t\"",
                     tid_of(&e.track),
-                    json_escape(&e.name),
+                    escape(&e.name),
                 );
             }
         }
@@ -516,30 +517,11 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             e.trace, e.span, e.parent
         );
         for (k, v) in &e.args {
-            let _ = write!(out, ",{}:{}", json_escape(k), json_escape(v));
+            let _ = write!(out, ",{}:{}", escape(k), escape(v));
         }
         out.push_str("}}");
     }
     out.push_str("]}");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

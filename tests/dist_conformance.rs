@@ -11,9 +11,9 @@
 //!    same seeds. Placement must not leak into results or audit state.
 //! 2. **Crash healing** — killing a worker process mid-stream is just
 //!    another variant fault: the monitor quarantines it on connection
-//!    loss, the recovery manager respawns and re-attests a replacement
-//!    worker, the panel returns to full strength, and no batch is lost
-//!    or wrong along the way.
+//!    loss, respawns and re-attests a replacement worker, the panel
+//!    returns to full strength, and no batch is lost or wrong along the
+//!    way.
 
 use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::deployment::Deployment;

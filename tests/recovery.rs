@@ -2,7 +2,7 @@
 //!
 //! A deployment with recovery enabled must close the detect→react loop
 //! end to end: a faulted panel member diverges (or hangs), the monitor
-//! quarantines it, the recovery manager re-provisions a replacement
+//! quarantines it, the monitor re-provisions a replacement
 //! through the full attested bootstrap (fresh enclave, fresh variant key,
 //! new secure binding), the replacement resynchronises from the last
 //! *verified* checkpoint, and the panel returns to full strength — all
@@ -75,7 +75,7 @@ fn stream_until_healed(d: &mut Deployment, inputs: &[Tensor]) -> (usize, u64) {
 
 /// The full scripted loop for a *value* fault: sealed weight bit flips
 /// make one replica dissent, the checkpoint quarantines it, and the
-/// recovery manager's replacement (resealed from the clean subgraph)
+/// monitor's replacement (resealed from the clean subgraph)
 /// rejoins and votes again.
 #[test]
 fn divergent_variant_is_quarantined_reprovisioned_and_rejoins() {
@@ -219,8 +219,8 @@ fn hung_variant_recovers_via_resync_from_last_verified_checkpoint() {
     assert_eq!(qv, 1, "the hung replica must be the one quarantined");
     assert!(qb >= 2, "batches before the stall must have verified");
     let events = d.events();
-    // Two verified checkpoints preceded the hang — the recovery manager
-    // had a genuine resync point to probation the replacement against.
+    // Two verified checkpoints preceded the hang — the monitor had a
+    // genuine resync point to probation the replacement against.
     assert!(
         d.transcript().passes().iter().any(|&(p, b, _)| p == MVX_PARTITION && b < qb),
         "no verified checkpoint before the quarantine:\n{}",

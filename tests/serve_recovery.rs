@@ -7,8 +7,8 @@
 //! The burst setup forces both behaviours at once: tiny bounds (4 in
 //! flight, 2 per tenant) under a 6-client burst guarantee sheds, while
 //! replica 0 carries a scheduled stall fault so the core watchdog
-//! quarantines one of its panel variants and the recovery manager
-//! rejoins it while the pool is still serving the burst.
+//! quarantines one of its panel variants and the monitor re-provisions
+//! it while the pool is still serving the burst.
 
 use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy};
 use mvtee::Deployment;
@@ -184,7 +184,7 @@ fn quarantine_mid_burst_loses_nothing_and_sheds_are_distinct() {
     );
 
     // The stall must have tripped quarantine during the burst; keep a
-    // trickle flowing until the recovery manager rejoins the variant
+    // trickle flowing until the monitor rejoins the variant
     // (probation needs fresh checkpoints to vote against). The wait is
     // bounded by the MVX config's own detect→react deadline.
     let mvx = recovery_mvx();

@@ -135,7 +135,6 @@ fn bitflip_divergence_increments_counter_exactly_once() {
         outputs: vec![output_id],
         needed_downstream: HashSet::from([output_id]),
         slow: true,
-        recovery: None,
         transcript: mvtee::transcript::TranscriptLog::new(),
     };
     let policy = StagePolicy {
@@ -152,7 +151,8 @@ fn bitflip_divergence_increments_counter_exactly_once() {
     let (out_tx, out_rx) = sync_channel(1);
     let events = EventLog::new();
     let inbox = (inbox, responses);
-    let monitor = spawn_monitor(vec![runtime], policy, vec![Metric::strict()], events.clone(), inbox);
+    let monitor =
+        spawn_monitor(vec![runtime], policy, vec![Metric::strict()], events.clone(), inbox, None);
     let mut env = HashMap::new();
     env.insert(*runtime_input_id(&model), input);
     let job = StageJob {

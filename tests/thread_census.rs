@@ -6,14 +6,18 @@
 //! costs one host thread in-process, and out-of-process only the
 //! demultiplexer pump of its worker's connection (plus a heartbeat
 //! watcher when supervised). Nothing on the monitor side runs per stage or
-//! per variant beyond that, and `shutdown` leaves no thread behind.
+//! per variant beyond that — recovery included: a quarantined variant is
+//! re-provisioned on the `monitor` thread itself — and `shutdown` leaves
+//! no thread behind, even with a recovery still queued.
 //!
 //! One test in its own binary, so the census sees no other test's
 //! threads.
 
-use mvtee::config::{MvxConfig, PartitionMvx, SupervisionPolicy};
+use mvtee::config::{MvxConfig, PartitionMvx, RecoveryPolicy, ResponsePolicy, SupervisionPolicy};
 use mvtee::deployment::{Deployment, DeploymentBuilder};
+use mvtee_faults::{BitFlipFault, BitFlipStrategy, FaultDescriptor};
 use mvtee_graph::zoo::{self, ModelKind, ScaleProfile};
+use mvtee_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -127,5 +131,50 @@ fn a_deployment_runs_no_monitor_thread_per_variant() {
         placed(SupervisionPolicy::enabled()),
         1,
         &supervised,
+    );
+    recovery_census();
+}
+
+/// A deployment of one variant and a panel of three whose variant (1, 0) carries flipped weights: its first
+/// batch quarantines it and files its recovery. While the replacement
+/// comes up and after it rejoins, the deployment runs its four hosts and
+/// its monitor and nothing else; shut down right behind the quarantine,
+/// it leaves nothing either.
+fn recovery_census() {
+    let flip = BitFlipFault { strategy: BitFlipStrategy::ExponentMsb, count: 3, seed: 2 };
+    let healing = || {
+        let mut cfg = MvxConfig::fast_path(2);
+        cfg.claims[1] = PartitionMvx::replicated(3);
+        cfg.response = ResponsePolicy::ContinueWithMajority;
+        cfg.recovery = RecoveryPolicy::enabled();
+        let model = zoo::build(ModelKind::MnasNet, ScaleProfile::Test, 7).expect("model");
+        Deployment::builder(model)
+            .config(cfg)
+            .fault(FaultDescriptor::WeightBitFlip(flip), Some((1, 0)))
+            .build()
+            .expect("deploys")
+    };
+    let input = Tensor::ones(&[1, 3, 32, 32]);
+    let before = census();
+    let want = plus(&before, &[("variant-p", 4), ("monitor", 1)]);
+
+    let mut healed = healing();
+    healed.infer(&input).expect("the majority serves");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while healed.events().recoveries().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(healed.events().recoveries(), [(1, 0)], "{}", healed.events().render());
+    assert_eq!(settle(&want), want, "healed 1+3: running (left) vs expected (right)");
+    healed.shutdown();
+    assert_eq!(settle(&before), before, "healed 1+3: after shutdown (left) vs before build (right)");
+
+    let mut stopped = healing();
+    stopped.infer(&input).expect("the majority serves");
+    stopped.shutdown();
+    assert_eq!(
+        settle(&before),
+        before,
+        "1+3 stopped mid-recovery: after shutdown (left) vs before build (right)"
     );
 }
